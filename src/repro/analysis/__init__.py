@@ -2,12 +2,17 @@
 
 Two halves, both specific to this repository:
 
-* :mod:`repro.analysis.lint` — a custom AST lint (rules SAT001–SAT006)
-  that statically rejects the classes of bugs which would silently break
-  the deterministic simulator: wall-clock reads, unseeded randomness,
+* the static analysis engine (:mod:`repro.analysis.engine`, run with
+  ``python -m repro.analysis src/repro``) — one parse, one rule catalogue
+  (:mod:`repro.analysis.rules`) and one report over three rule families:
+  SAT rejects the per-file bugs that would silently break the
+  deterministic simulator (wall-clock reads, unseeded randomness,
   unordered set/dict iteration on scheduling or label-emission paths,
-  float-timestamp equality, mutable default arguments, and cross-process
-  state mutation.  Run it with ``python -m repro.analysis src/repro``.
+  float-timestamp equality, mutable defaults, cross-process state
+  mutation); ARCH holds the tree to ``arch_contract.toml`` (layering,
+  interprocedural sim-purity, wire-safe messages); CONC audits the asyncio
+  transport path (event-loop stalls, dropped coroutines, await-point lost
+  updates, lock order, swallowed cancellation, leaked tasks).
 
 * :mod:`repro.analysis.runtime` — an opt-in dynamic checker that
   instruments the simulation kernel and the network to assert per-link
@@ -21,17 +26,19 @@ causal-order guarantee of the serializer tree collapses if any edge can
 reorder labels.
 """
 
-from repro.analysis.lint import Finding, LintReport, lint_paths, lint_source
-from repro.analysis.rules import ALL_RULES, Rule
+from repro.analysis.engine import analyze, lint_source
+from repro.analysis.report import Finding, Report
+from repro.analysis.rules import ALL_RULES, RULES_BY_CODE, Rule
 from repro.analysis.runtime import (FifoViolation, HazardMonitor,
                                     HazardReport, TieHazard)
 
 __all__ = [
     "ALL_RULES",
+    "RULES_BY_CODE",
     "Rule",
     "Finding",
-    "LintReport",
-    "lint_paths",
+    "Report",
+    "analyze",
     "lint_source",
     "HazardMonitor",
     "HazardReport",

@@ -1,13 +1,16 @@
-"""CLI for the Saturn determinism lint.
+"""CLI for the static analysis engine (SAT + ARCH + CONC rules).
 
 Examples::
 
-    python -m repro.analysis src/repro
+    python -m repro.analysis src/repro benchmarks
     python -m repro.analysis src/repro --json
-    python -m repro.analysis src/repro --select SAT001,SAT003
+    python -m repro.analysis src/repro --select SAT
+    python -m repro.analysis src/repro --select ARCH,CONC001 --ignore ARCH2
+    python -m repro.analysis path/to/pkg --contract path/to/arch_contract.toml
     python -m repro.analysis --list-rules
 
-Exit status: 0 when no findings (or ``--list-rules``), 1 otherwise.
+Exit status: 0 when there are no findings (or ``--list-rules``), 1 when
+there are, 2 on usage or contract errors.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import os
 import sys
 from typing import List, Optional, Set
 
-from repro.analysis.lint import lint_paths
+from repro.analysis.engine import analyze
 from repro.analysis.rules import ALL_RULES
 
 
@@ -28,18 +31,25 @@ def _codes(value: str) -> Set[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Determinism & causality lint for the Saturn reproduction")
+        description="Determinism, architecture and async-concurrency "
+                    "analysis for the Saturn reproduction")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories to lint "
+                        help="files or package directories to analyze "
                              "(default: src/repro)")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
     parser.add_argument("--select", type=_codes, default=None,
                         metavar="CODES",
-                        help="comma-separated rule codes to enable")
+                        help="comma-separated rule codes or prefixes to "
+                             "enable (e.g. SAT,ARCH2,CONC001)")
     parser.add_argument("--ignore", type=_codes, default=None,
                         metavar="CODES",
-                        help="comma-separated rule codes to disable")
+                        help="comma-separated rule codes or prefixes to "
+                             "disable")
+    parser.add_argument("--contract", default=None, metavar="PATH",
+                        help="arch_contract.toml for the ARCH rules "
+                             "(default: the nearest one above each "
+                             "directory)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -50,12 +60,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"        {rule.rationale}")
         return 0
 
-    paths = args.paths or ["src/repro"]
-    missing = [p for p in paths if not os.path.exists(p)]
+    missing = [p for p in args.paths if not os.path.exists(p)]
     if missing:
         parser.error(f"no such file or directory: {missing}")
     try:
-        report = lint_paths(paths, select=args.select, ignore=args.ignore)
+        report = analyze(args.paths, select=args.select, ignore=args.ignore,
+                         contract=args.contract)
     except ValueError as exc:
         parser.error(str(exc))
     print(report.to_json() if args.json else report.format_human())

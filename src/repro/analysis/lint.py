@@ -1,31 +1,27 @@
-"""AST lint enforcing the simulator's determinism contract (SAT001–SAT009).
+"""Per-file visitor enforcing the simulator's determinism contract
+(SAT001–SAT009).
 
 The checks are deliberately repository-specific: they know that simulation
 code must read time from the simulated clock, draw randomness from
 :class:`repro.sim.rng.RngRegistry` streams, and never let hash-ordered
 iteration decide the order in which events are scheduled or labels are
-emitted.  See :mod:`repro.analysis.rules` for the catalogue.
-
-Suppression: append ``# noqa`` (all rules) or ``# noqa: SAT003`` /
-``# noqa: SAT001, SAT004`` (specific rules) to the offending line.
-
-Use :func:`lint_paths` programmatically, or the CLI::
-
-    python -m repro.analysis src/repro [--json]
+emitted.  See :mod:`repro.analysis.rules` for the catalogue; the engine
+(:mod:`repro.analysis.engine`) feeds :func:`check_determinism` the trees
+it has already parsed.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.rules import RULES_BY_CODE
+from repro.analysis.helpers import dataclass_keywords, terminal_name
+from repro.analysis.imports import Module
+from repro.analysis.report import Finding
 
-__all__ = ["Finding", "LintReport", "lint_source", "lint_file", "lint_paths"]
+__all__ = ["check_determinism"]
 
 
 # -- what the rules pattern-match on ---------------------------------------
@@ -104,66 +100,6 @@ _NON_PLAIN_ANNOTATION_NAMES = {
     "object", "Any", "Callable", "callable",
 }
 
-# four-letter codes (ARCHxxx, from repro.analysis.arch) share the noqa
-# syntax, so the regex must not split them into a bogus 3-letter match
-_NOQA_RE = re.compile(
-    r"#\s*noqa\b(?::\s*(?P<codes>[A-Z]{3,4}\d{3}(?:\s*,\s*[A-Z]{3,4}\d{3})*))?",
-    re.IGNORECASE,
-)
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at a specific source location."""
-
-    file: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.file}:{self.line}:{self.col + 1} {self.code} {self.message}"
-
-
-@dataclass
-class LintReport:
-    """Aggregate result of linting a set of files."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def format_human(self) -> str:
-        lines = [finding.format() for finding in self.findings]
-        noun = "file" if self.files_checked == 1 else "files"
-        lines.append(
-            f"{len(self.findings)} finding(s) in {self.files_checked} {noun}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "ok": self.ok,
-            "files_checked": self.files_checked,
-            "findings": [
-                {"file": f.file, "line": f.line, "col": f.col,
-                 "code": f.code, "message": f.message}
-                for f in self.findings
-            ],
-        }, indent=2)
-
-
-def _terminal_name(node: ast.expr) -> Optional[str]:
-    """Last identifier of a Name / dotted-attribute expression."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
 
 def _is_set_producing(node: ast.expr) -> bool:
     """Conservatively: does this expression evaluate to a set?"""
@@ -171,7 +107,7 @@ def _is_set_producing(node: ast.expr) -> bool:
         return True
     if isinstance(node, ast.Call):
         func = node.func
-        name = _terminal_name(func)
+        name = terminal_name(func)
         if isinstance(func, ast.Name) and name in {"set", "frozenset"}:
             return True
         if isinstance(func, ast.Attribute) and func.attr == "keys":
@@ -185,7 +121,7 @@ def _is_set_producing(node: ast.expr) -> bool:
 
 
 def _is_timestampish(node: ast.expr) -> bool:
-    name = _terminal_name(node)
+    name = terminal_name(node)
     return name is not None and bool(_TIMESTAMP_NAME_RE.search(name))
 
 
@@ -246,7 +182,7 @@ class _Visitor(ast.NodeVisitor):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        owner = _terminal_name(func.value)
+        owner = terminal_name(func.value)
         if owner == "time" and func.attr in _WALL_CLOCK_TIME_FUNCS:
             self._report(node, "SAT001",
                          f"wall-clock call time.{func.attr}(); use the "
@@ -315,11 +251,11 @@ class _Visitor(ast.NodeVisitor):
             node = node.value
         if isinstance(node, ast.Call):
             node = node.func
-        name = _terminal_name(node)
+        name = terminal_name(node)
         return name is not None and bool(_TIEBREAK_NAME_RE.search(name))
 
     def _check_heap_push(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name not in _HEAP_PUSH_FUNCS or len(node.args) < 2:
             return
         entry = node.args[1]
@@ -346,14 +282,14 @@ class _Visitor(ast.NodeVisitor):
 
     def _bless_safe_generators(self, node: ast.Call) -> None:
         """Mark genexp arguments of order-insensitive consumers as safe."""
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name in _ORDER_INSENSITIVE_CONSUMERS:
             for arg in node.args:
                 if isinstance(arg, ast.GeneratorExp):
                     self._safe_generators.add(id(arg))
 
     def _check_call_materializes_set(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if (isinstance(node.func, ast.Name)
                 and name in _ORDER_PRESERVING_MATERIALIZERS
                 and node.args and _is_set_producing(node.args[0])):
@@ -424,7 +360,7 @@ class _Visitor(ast.NodeVisitor):
                                            ast.ListComp, ast.DictComp,
                                            ast.SetComp))
             if (isinstance(default, ast.Call)
-                    and _terminal_name(default.func) in _MUTABLE_FACTORIES):
+                    and terminal_name(default.func) in _MUTABLE_FACTORIES):
                 mutable = True
             if mutable:
                 self._report(default, "SAT005",
@@ -433,14 +369,14 @@ class _Visitor(ast.NodeVisitor):
 
     # -- SAT006: cross-process mutation ------------------------------------
 
-    def _collect_process_classes(self, tree: ast.Module) -> None:
+    def _collect_process_classes(self, nodes: List[ast.AST]) -> None:
         """In-file fixpoint of 'inherits (transitively) from Process'."""
         class_bases: Dict[str, List[str]] = {}
-        for stmt in ast.walk(tree):
+        for stmt in nodes:
             if isinstance(stmt, ast.ClassDef):
                 class_bases[stmt.name] = [
                     base for base in
-                    (_terminal_name(b) for b in stmt.bases)
+                    (terminal_name(b) for b in stmt.bases)
                     if base is not None
                 ]
         known = set(_PROCESS_BASE_NAMES)
@@ -467,21 +403,6 @@ class _Visitor(ast.NodeVisitor):
             return True
         return node.name.endswith(_MESSAGE_CLASS_SUFFIXES)
 
-    @staticmethod
-    def _dataclass_keywords(node: ast.ClassDef) -> Optional[Dict[str, bool]]:
-        """``{keyword: value}`` of the @dataclass decorator, or None."""
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if _terminal_name(target) != "dataclass":
-                continue
-            keywords: Dict[str, bool] = {}
-            if isinstance(deco, ast.Call):
-                for kw in deco.keywords:
-                    if kw.arg and isinstance(kw.value, ast.Constant):
-                        keywords[kw.arg] = bool(kw.value.value)
-            return keywords
-        return None
-
     def _non_plain_annotation_name(self,
                                    annotation: ast.expr) -> Optional[str]:
         if (isinstance(annotation, ast.Constant)
@@ -491,11 +412,7 @@ class _Visitor(ast.NodeVisitor):
             except SyntaxError:
                 return None
         for sub in ast.walk(annotation):
-            name = None
-            if isinstance(sub, ast.Name):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
+            name = terminal_name(sub)
             if name in _NON_PLAIN_ANNOTATION_NAMES:
                 return name
         return None
@@ -503,7 +420,7 @@ class _Visitor(ast.NodeVisitor):
     def _check_wire_message_class(self, node: ast.ClassDef) -> None:
         if not self._is_wire_message(node):
             return
-        keywords = self._dataclass_keywords(node)
+        keywords = dataclass_keywords(node)
         if keywords is None:
             return  # not a dataclass: plain classes are out of scope
         if not keywords.get("frozen", False):
@@ -590,84 +507,9 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-# -- noqa suppression ------------------------------------------------------
-
-def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
-    """line -> None (suppress all) or a set of suppressed codes."""
-    table: Dict[int, Optional[Set[str]]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _NOQA_RE.search(line)
-        if not match:
-            continue
-        codes = match.group("codes")
-        if codes is None:
-            table[lineno] = None
-        else:
-            table[lineno] = {c.strip().upper() for c in codes.split(",")}
-    return table
-
-
-# -- entry points ----------------------------------------------------------
-
-#: Pseudo-code for files the linter could not parse.  Not part of the rule
-#: catalogue and never filtered by --select/--ignore: an unparseable file
-#: must always surface, or a stray syntax error silently shrinks coverage.
-PARSE_ERROR_CODE = "SAT000"
-
-
-def lint_source(source: str, filename: str = "<string>") -> List[Finding]:
-    """Lint python *source*; returns findings surviving noqa filtering."""
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        return [Finding(file=filename, line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1, code=PARSE_ERROR_CODE,
-                        message=f"file could not be parsed: {exc.msg}")]
-    visitor = _Visitor(filename)
-    visitor._collect_process_classes(tree)
-    visitor.visit(tree)
-    noqa = _suppressions(source)
-    findings = []
-    for finding in visitor.findings:
-        suppressed = noqa.get(finding.line, ...)
-        if suppressed is None:
-            continue
-        if suppressed is not ... and finding.code in suppressed:
-            continue
-        findings.append(finding)
-    findings.sort(key=lambda f: (f.file, f.line, f.col, f.code))
-    return findings
-
-
-def lint_file(path: Path) -> List[Finding]:
-    return lint_source(path.read_text(encoding="utf-8"), str(path))
-
-
-def _python_files(paths: Iterable[Path]) -> List[Path]:
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            files.append(path)
-    return files
-
-
-def lint_paths(paths: Sequence, select: Optional[Set[str]] = None,
-               ignore: Optional[Set[str]] = None) -> LintReport:
-    """Lint every ``.py`` file under *paths* (files or directories)."""
-    report = LintReport()
-    unknown = (select or set()) | (ignore or set())
-    unknown -= set(RULES_BY_CODE)
-    if unknown:
-        raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-    for path in _python_files([Path(p) for p in paths]):
-        report.files_checked += 1
-        for finding in lint_file(path):
-            if finding.code != PARSE_ERROR_CODE:
-                if select is not None and finding.code not in select:
-                    continue
-                if ignore is not None and finding.code in ignore:
-                    continue
-            report.findings.append(finding)
-    return report
+def check_determinism(module: Module) -> List[Finding]:
+    """Every SAT finding in one parsed file (before ``# noqa`` filtering)."""
+    visitor = _Visitor(str(module.path))
+    visitor._collect_process_classes(module.nodes)
+    visitor.visit(module.tree)
+    return visitor.findings

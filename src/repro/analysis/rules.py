@@ -1,10 +1,29 @@
-"""Rule catalogue for the Saturn-specific lint.
+"""The one rule catalogue of the static analysis engine.
 
-Each rule names one way simulation code can silently lose determinism or
-break the message-passing discipline the simulator's correctness argument
-rests on.  The detection logic lives in :mod:`repro.analysis.lint`; this
-module is the single place that defines codes, titles, and rationale, so
-reports, suppressions (``# noqa: SATxxx``) and docs stay in sync.
+Three families share the ``Rule`` shape, the ``# noqa: CODE`` escape and
+the report of :mod:`repro.analysis.engine`:
+
+* **SATxxx** — per-file determinism rules (:mod:`repro.analysis.lint`):
+  ways simulation code can silently stop being reproducible or bypass the
+  message-passing discipline the correctness argument rests on.
+* **ARCHxxx** — whole-program architecture rules checked against
+  ``arch_contract.toml``: 0xx police the *layer contract* (who may import
+  whom, which kernel seams protocol code may touch;
+  :mod:`~repro.analysis.layers`), 1xx *sim-purity* (no protocol entry
+  point may transitively reach a nondeterministic or environment-coupled
+  source; :mod:`~repro.analysis.purity`), 2xx *wire-safety* (every
+  message is plain data with a registered handler, so payloads survive
+  real serialization; :mod:`~repro.analysis.wire`).
+* **CONCxxx** — whole-program asyncio rules for the realtime transport
+  path (:mod:`~repro.analysis.blocking`, :mod:`~repro.analysis.lifecycle`,
+  :mod:`~repro.analysis.shared_state`).  Saturn's correctness argument
+  leans on per-link FIFO delivery and serializers that never interleave
+  label handling; each rule names one way asyncio code can silently break
+  that model.
+
+This module only defines codes, titles and rationale — detection logic
+lives in the modules above — so reports, suppressions and docs stay in
+sync.
 """
 
 from __future__ import annotations
@@ -12,12 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["Rule", "ALL_RULES", "RULES_BY_CODE"]
+__all__ = ["Rule", "ALL_RULES", "RULES_BY_CODE", "PARSE_ERROR_CODE"]
+
+#: Pseudo-code for files that could not be parsed.  Not part of the rule
+#: catalogue and never filtered by --select/--ignore: an unparseable file
+#: must always surface, or a stray syntax error silently shrinks coverage.
+PARSE_ERROR_CODE = "SAT000"
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One lint rule: a stable code plus human-facing explanation."""
+    """One rule: a stable code plus human-facing explanation."""
 
     code: str
     title: str
@@ -123,6 +147,196 @@ ALL_RULES: Tuple[Rule, ...] = (
             "footgun.  Use RealtimeKernel (kernel.loop / "
             "kernel.create_task), or asyncio.get_running_loop() inside a "
             "coroutine."
+        ),
+    ),
+    Rule(
+        code="ARCH001",
+        title="layer-contract violation (upward import)",
+        rationale=(
+            "arch_contract.toml orders the layers (sim kernel <- core "
+            "protocol <- datacenter <- services <- tools); a module may "
+            "import its own layer or lower ones.  An upward import couples "
+            "protocol code to machinery above it and blocks moving the "
+            "lower layer behind the Transport interface."
+        ),
+    ),
+    Rule(
+        code="ARCH002",
+        title="module import cycle",
+        rationale=(
+            "A cycle in the runtime import graph means no participating "
+            "module can be extracted, tested, or deployed without the "
+            "others; deferred (function-scope) imports are the sanctioned "
+            "way to break one and are excluded from the check."
+        ),
+    ),
+    Rule(
+        code="ARCH003",
+        title="unsanctioned sim-kernel import from protocol code",
+        rationale=(
+            "Protocol layers may touch the kernel only through the "
+            "sanctioned seams listed in arch_contract.toml (the Process "
+            "actor API, PhysicalClock, Network.send, the CPU cost model, "
+            "and the Simulator handle).  Anything else — Event internals, "
+            "RngRegistry, heap state — is kernel-private and will not "
+            "exist under a real transport."
+        ),
+    ),
+    Rule(
+        code="ARCH004",
+        title="kernel-scheduler bypass in protocol code",
+        rationale=(
+            "Protocol code must create timers via Process.set_timer / "
+            "Process.every (relative delays a Transport can implement); "
+            "calling sim.schedule / sim.schedule_at directly binds the "
+            "code to the discrete-event kernel's absolute clock."
+        ),
+    ),
+    Rule(
+        code="ARCH101",
+        title="protocol entry point reaches a forbidden source",
+        rationale=(
+            "A serializer/sink/proxy/gear handler transitively calls a "
+            "wall clock, the global RNG, threading/asyncio primitives, "
+            "entropy, file/socket I/O, or the process environment.  Such "
+            "a path makes the execution depend on the host instead of the "
+            "simulated schedule; the finding reports the full call chain "
+            "from entry point to the forbidden call site."
+        ),
+    ),
+    Rule(
+        code="ARCH201",
+        title="constructed message type has no registered handler",
+        rationale=(
+            "Every message type that is constructed somewhere must appear "
+            "in an isinstance dispatch of some receive handler; an "
+            "unhandled message either crashes the defensive TypeError arm "
+            "or is dropped silently, and a real transport cannot route it."
+        ),
+    ),
+    Rule(
+        code="ARCH202",
+        title="handler accesses a field the message does not define",
+        rationale=(
+            "Inside an isinstance(message, T) branch, every attribute read "
+            "on the message must be a field (or method/property) of T; a "
+            "typo here only explodes when that branch executes, which for "
+            "rare messages can be deep into a long run."
+        ),
+    ),
+    Rule(
+        code="ARCH203",
+        title="message field is not plain data",
+        rationale=(
+            "Message payloads must be built from None/bool/int/float/str/"
+            "bytes, enums, tuples/frozensets of plain data, and frozen "
+            "plain dataclasses.  object/Any annotations, mutable "
+            "containers (list/dict/set), callables, and sim objects "
+            "cannot survive real serialization — and a mutable field "
+            "shipped by reference aliases state across processes, which "
+            "the in-process simulator hides."
+        ),
+    ),
+    Rule(
+        code="ARCH204",
+        title="message constructed with unknown or excess arguments",
+        rationale=(
+            "A construction site passing a keyword that is not a field, or "
+            "more positional arguments than the dataclass defines, raises "
+            "only when that code path runs; the audit catches it tree-wide "
+            "at review time."
+        ),
+    ),
+    Rule(
+        code="ARCH205",
+        title="wire codec and handler sets disagree",
+        rationale=(
+            "When the contract names codec_modules, the set of messages "
+            "registered there (top-level register(Name) calls) must match "
+            "the set some handler dispatches on: a dispatched-but-"
+            "unregistered message cannot cross a real TCP link (the codec "
+            "raises at send), and a registered-but-undispatched message "
+            "crashes the receiver's defensive TypeError arm when a frame "
+            "arrives.  The sim transport hides both, so only the audit "
+            "catches them before a real deployment."
+        ),
+    ),
+    Rule(
+        code="CONC001",
+        title="blocking call reachable from a coroutine",
+        rationale=(
+            "time.sleep, synchronous socket/file/subprocess I/O, or "
+            "console input reached (transitively) from an async def stalls "
+            "the whole event loop: every peer connection, timer, and "
+            "heartbeat on the node freezes for the duration.  The finding "
+            "reports the full witness call chain from the coroutine to "
+            "the blocking call site.  Do the work before the loop starts, "
+            "or hand it to a thread via loop.run_in_executor."
+        ),
+    ),
+    Rule(
+        code="CONC002",
+        title="fire-and-forget coroutine or discarded task",
+        rationale=(
+            "Calling a coroutine function without awaiting it creates a "
+            "coroutine object that never runs; discarding the result of "
+            "create_task()/ensure_future() is subtler — the event loop "
+            "holds only a weak reference, so the garbage collector can "
+            "destroy the task mid-flight.  Either way the work silently "
+            "does not happen.  Await the call, or retain the task on an "
+            "attribute and cancel it on the close/stop path."
+        ),
+    ),
+    Rule(
+        code="CONC003",
+        title="read-modify-write of shared state across an await point",
+        rationale=(
+            "Between reading self-attached state and writing it back, an "
+            "await suspends the coroutine and any other coroutine of the "
+            "same object may run: the write clobbers whatever the "
+            "interleaved coroutine did (a lost update — the exact bug "
+            "class cooperative scheduling is supposed to prevent, "
+            "reintroduced by the await).  Hold an asyncio.Lock across the "
+            "read-modify-write, or restructure so the update is computed "
+            "and stored without suspending."
+        ),
+    ),
+    Rule(
+        code="CONC004",
+        title="inconsistent lock-acquisition order",
+        rationale=(
+            "If one coroutine acquires lock A then B while another "
+            "acquires B then A, a deadlock is one unlucky interleaving "
+            "away — each holds the lock the other awaits, forever, with "
+            "no thread preemption to break the tie.  Pick one global "
+            "order for every pair of locks and acquire in that order "
+            "everywhere."
+        ),
+    ),
+    Rule(
+        code="CONC005",
+        title="swallowed CancelledError around an await",
+        rationale=(
+            "A bare except:, except BaseException:, or except "
+            "CancelledError: that does not re-raise eats the cancellation "
+            "signal asyncio delivers at await points: task.cancel() "
+            "appears to succeed but the coroutine keeps running, and "
+            "graceful shutdown hangs on a task that can no longer be "
+            "stopped.  Re-raise after cleanup (a bare raise), or let the "
+            "exception propagate and clean up in a finally block."
+        ),
+    ),
+    Rule(
+        code="CONC006",
+        title="task or server is never cancelled on the close/stop path",
+        rationale=(
+            "A component that stores the result of create_task()/"
+            "start_server() on self but whose close/stop/shutdown methods "
+            "never touch that attribute leaks the task past its owner's "
+            "lifetime: shutdown leaves it running against torn-down "
+            "state, or the process exits with 'Task was destroyed but it "
+            "is pending!'.  Every spawned task needs an owner that "
+            "cancels and awaits it on the way down."
         ),
     ),
 )

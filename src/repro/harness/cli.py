@@ -101,20 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("obs_args", nargs=argparse.REMAINDER,
                      help="arguments forwarded to python -m repro.obs")
 
-    arch = sub.add_parser(
-        "arch", help="transport-readiness architecture audit "
-                     "(repro.analysis.arch)",
+    audit = sub.add_parser(
+        "audit", help="static analysis: SAT determinism, ARCH architecture "
+                      "and CONC async-concurrency rules (repro.analysis)",
         add_help=False)
-    arch.add_argument("arch_args", nargs=argparse.REMAINDER,
-                      help="arguments forwarded to "
-                           "python -m repro.analysis.arch")
-
-    conc = sub.add_parser(
-        "conc", help="async-concurrency audit (repro.analysis.conc)",
-        add_help=False)
-    conc.add_argument("conc_args", nargs=argparse.REMAINDER,
-                      help="arguments forwarded to "
-                           "python -m repro.analysis.conc")
+    audit.add_argument("audit_args", nargs=argparse.REMAINDER,
+                       help="arguments forwarded to python -m repro.analysis")
 
     net = sub.add_parser(
         "net", help="real asyncio TCP cluster over localhost (repro.net)",
@@ -170,12 +162,9 @@ def main(argv: Optional[list] = None) -> int:
     if argv and argv[0] == "obs":
         from repro.obs.__main__ import main as obs_main
         return obs_main(list(argv[1:]))
-    if argv and argv[0] == "arch":
-        from repro.analysis.arch.__main__ import main as arch_main
-        return arch_main(list(argv[1:]))
-    if argv and argv[0] == "conc":
-        from repro.analysis.conc.__main__ import main as conc_main
-        return conc_main(list(argv[1:]))
+    if argv and argv[0] == "audit":
+        from repro.analysis.__main__ import main as audit_main
+        return audit_main(list(argv[1:]))
     if argv and argv[0] == "net":
         from repro.net.cli import main as net_main
         return net_main(list(argv[1:]))

@@ -171,9 +171,8 @@ class Cluster:
             if self.hazard_monitor is not None:
                 # a trace is installed anyway: ride it with the tap (the
                 # monitor stays primary, its digest is unchanged).  With
-                # no monitor the trace slot stays empty on purpose —
-                # installing one would disable same-destination delivery
-                # batching and change the untraced event order.
+                # no monitor the trace slot stays empty on purpose: the
+                # tap would add per-message work to every obs run.
                 from repro.analysis.mc.oracles import TraceTee
                 self.network.trace = TraceTee(self.hazard_monitor,
                                               self.obs_hub.net_tap)

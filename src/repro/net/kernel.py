@@ -56,11 +56,6 @@ class RealtimeKernel:
         # the monotonic clock so host NTP steps cannot run time backwards
         self._epoch_ms = time.time() * 1000.0  # noqa: SAT001 - realtime kernel: below the determinism boundary
         self._mono_base = time.monotonic()  # noqa: SAT001 - realtime kernel: below the determinism boundary
-        #: scheduling counter, mirroring Simulator.last_seq (the sim
-        #: Network's delivery-batching guard reads it; nothing realtime
-        #: depends on it, but keeping the surface identical lets shared
-        #: code hold either kernel)
-        self.last_seq = -1
         self.events_executed = 0
         #: optional repro.net.sanitizers.NetSanitizer; when set, every
         #: scheduled callback runs through it (stall watchdog)
@@ -94,7 +89,6 @@ class RealtimeKernel:
         """Run *callback* after *delay* ms (>= 0)."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        self.last_seq += 1
 
         def _fire() -> None:
             self.events_executed += 1

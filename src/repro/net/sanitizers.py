@@ -1,6 +1,6 @@
 """Opt-in runtime sanitizers for the realtime transport path.
 
-The dynamic complement to the static :mod:`repro.analysis.conc` audit:
+The dynamic complement to the static CONC rules of :mod:`repro.analysis`:
 where the auditor proves properties of the *source*, the sanitizers
 watch one *run* and record every violation of the three invariants the
 transport's correctness argument leans on:

@@ -9,8 +9,7 @@ One :class:`ObsHub` per run bundles the three pieces:
   degraded-mode drains);
 * :class:`NetworkTap` — a passive :attr:`repro.sim.network.Network.trace`
   consumer feeding message/batch counters (only attached where a trace is
-  already installed, so it never changes delivery batching or event
-  order).
+  already installed, so a run without one pays no per-message hook).
 
 Everything is opt-in: the instrumented components hold ``self.obs = None``
 and guard every hook with one attribute test, so a run without a hub pays
@@ -42,8 +41,7 @@ class NetworkTap:
     Implements the :attr:`~repro.sim.network.Network.trace` protocol so it
     can ride a :class:`~repro.analysis.mc.oracles.TraceTee` behind the
     HazardMonitor.  It is never installed as the *only* trace by the
-    harness, because installing a trace disables same-destination delivery
-    batching and would change the event order of an untraced run.
+    harness: that would put a per-message hook on every obs run.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -104,8 +102,8 @@ def attach_tracer(scenario) -> ObsHub:
     :class:`~repro.analysis.mc.scenario.Scenario`.
 
     The scenario already carries a network trace (HazardMonitor + routing
-    oracle), so appending the tap to the tee preserves delivery batching
-    behaviour — and therefore the monitor's digest — exactly.
+    oracle); the tap rides the tee behind them, so the monitor's digest
+    is unchanged.
     """
     from repro.analysis.mc.oracles import TraceTee
 

@@ -5,8 +5,8 @@
   every simulated component ultimately rides on.
 * :func:`bench_tree` — label deliveries/sec through a 7-datacenter Saturn
   serializer tree over the paper's Table-1 EC2 latencies; exercises
-  ``Network.send`` delivery batching, serializer routing-table caches and
-  interest memoization together.
+  ``Network.send``, serializer routing-table caches and interest
+  memoization together.
 * :func:`bench_obs` — the same serializer-tree hot path with the
   :mod:`repro.obs` hooks compiled in but *disabled* (``obs is None``), the
   configuration every ordinary run pays for; guards the near-zero-cost

@@ -101,15 +101,6 @@ class Simulator:
         """Number of events executed so far (for diagnostics)."""
         return self._events_executed
 
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recently scheduled event.
-
-        Lets collaborators (e.g. :class:`~repro.sim.network.Network`
-        delivery batching) detect whether anything was scheduled since a
-        given event without holding a reference to the heap."""
-        return self._seq
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* to run ``delay`` ms from now.
 

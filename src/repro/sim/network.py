@@ -84,29 +84,16 @@ class LatencyModel:
 class _LinkState:
     """Per ordered-pair state used to enforce FIFO delivery.
 
-    ``pending`` / ``pending_arrival`` / ``pending_seq`` implement
-    same-destination delivery batching: while the most recently scheduled
-    simulator event is still this link's un-fired delivery and the next
-    message lands at the same arrival instant, the message is appended to
-    the pending batch instead of paying for another heap entry.  The
-    ``pending_seq == sim.last_seq`` guard means nothing was scheduled in
-    between, so the merged delivery order is bit-identical to the
-    one-event-per-message order.
-
     ``held`` buffers messages sent while the link is down (partitioned or
     an endpoint isolated); they are re-sent in order when the outage ends.
     """
 
-    __slots__ = ("last_delivery", "extra_delay", "partitioned",
-                 "pending", "pending_arrival", "pending_seq", "held")
+    __slots__ = ("last_delivery", "extra_delay", "partitioned", "held")
 
     def __init__(self) -> None:
         self.last_delivery = 0.0
         self.extra_delay = 0.0
         self.partitioned = False
-        self.pending: Optional[list] = None
-        self.pending_arrival = 0.0
-        self.pending_seq = -1
         self.held: Optional[list] = None
 
 
@@ -303,29 +290,8 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         if self.trace is None:
-            pending = state.pending
-            # exact float equality is deliberate: merging is only safe when
-            # the arrival instants are bit-identical.
-            if (pending is not None and state.pending_arrival == arrival  # noqa: SAT004
-                    and state.pending_seq == sim.last_seq):
-                pending.append(message)
-                return
-            batch = [message]
-
-            def _deliver_batch() -> None:
-                if state.pending is batch:
-                    state.pending = None
-                deliver = target.deliver
-                for queued in batch:
-                    deliver(src, queued)
-
-            event = sim.schedule_at(arrival, _deliver_batch)
-            state.pending = batch
-            state.pending_arrival = arrival
-            state.pending_seq = event.seq
+            sim.schedule_at(arrival, lambda: target.deliver(src, message))
         else:
-            # tracing observes every message individually; batching is
-            # disabled so traced runs match the historical event order.
             seq = self.trace.on_send(src, dst, message, arrival)
             sim.schedule_at(arrival, lambda: self._traced_deliver(
                 target, src, dst, seq, message))

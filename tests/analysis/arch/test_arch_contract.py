@@ -4,24 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.arch.contract import (ContractError, load_contract)
-from repro.analysis.arch.rules import ALL_ARCH_RULES, ARCH_RULES_BY_CODE
+from repro.analysis.contract import ContractError, load_contract
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 def repo_contract():
     return load_contract(REPO_ROOT / "arch_contract.toml")
-
-
-def test_rule_catalogue_is_complete():
-    assert [rule.code for rule in ALL_ARCH_RULES] == [
-        "ARCH001", "ARCH002", "ARCH003", "ARCH004",
-        "ARCH101", "ARCH201", "ARCH202", "ARCH203", "ARCH204",
-        "ARCH205"]
-    for rule in ALL_ARCH_RULES:
-        assert rule.title and rule.rationale
-    assert set(ARCH_RULES_BY_CODE) == {r.code for r in ALL_ARCH_RULES}
 
 
 def test_repo_contract_loads_and_layers_are_ordered():

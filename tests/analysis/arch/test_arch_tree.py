@@ -1,46 +1,28 @@
-"""Tree-wide audit gate plus pinned regressions for the findings it
-surfaced when first run (upward imports, kernel-scheduler wrapping, and
-non-plain wire payloads)."""
+"""Pinned regressions for the findings the ARCH rules surfaced when first
+run over the tree (upward imports, kernel-scheduler wrapping, and non-plain
+wire payloads).  The tree-wide zero-findings gate is in test_analysis_engine.py."""
 
+import ast
 import dataclasses
-import os
-import subprocess
-import sys
 import typing
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.arch import find_contract, load_contract, run_audit
+from repro.analysis.imports import Module, build_graph, discover_modules
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 
-# ---------------------------------------------------------------------------
-# the audit itself is the pin: any regression of a fixed finding fails here
-# ---------------------------------------------------------------------------
-
-def test_tree_wide_audit_is_clean():
-    contract = load_contract(REPO_ROOT / "arch_contract.toml")
-    report = run_audit(SRC_ROOT, contract)
-    assert report.ok, report.format_human()
-    assert report.modules_checked > 80
-
-
-def test_find_contract_walks_up():
-    assert find_contract(SRC_ROOT) == REPO_ROOT / "arch_contract.toml"
-
-
-# ---------------------------------------------------------------------------
-# pinned regressions for the individual fixes
-# ---------------------------------------------------------------------------
-
 def test_reconfig_does_not_import_datacenter_at_runtime():
     # ARCH001 fix: core.reconfig needed SaturnDatacenter only for type
     # hints; the import must stay behind TYPE_CHECKING
-    from repro.analysis.arch.imports import build_graph, discover_modules
-    graph = build_graph(discover_modules(SRC_ROOT, "repro"))
+    modules = {}
+    for name, path in discover_modules(SRC_ROOT, "repro").items():
+        source = path.read_text(encoding="utf-8")
+        modules[name] = Module(name, path, source, ast.parse(source))
+    graph = build_graph(modules)
     upward = [edge for edge in graph.runtime_edges()
               if edge.importer == "repro.core.reconfig"
               and edge.target.startswith("repro.datacenter")]
@@ -97,39 +79,3 @@ def test_baseline_payload_stamp_is_a_plain_union():
     assert hints["stamp"] == base.BaselineStamp
     assert type(None) not in typing.get_args(base.BaselineStamp)
     assert dict not in typing.get_args(base.BaselineStamp)
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-def _run_cli(*args):
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.arch", *args],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT)
-
-
-def test_cli_exits_zero_on_clean_tree():
-    proc = _run_cli()
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 finding(s)" in proc.stdout
-
-
-def test_cli_exits_one_on_findings_and_emits_json():
-    fixture = Path("tests/analysis/arch/fixtures/bad_field")
-    proc = _run_cli(str(fixture / "app"),
-                    "--contract", str(fixture / "arch_contract.toml"),
-                    "--json")
-    assert proc.returncode == 1
-    import json
-    payload = json.loads(proc.stdout)
-    assert payload["ok"] is False
-    assert [f["code"] for f in payload["findings"]] == ["ARCH203"]
-
-
-def test_cli_lists_rules():
-    proc = _run_cli("--list-rules")
-    assert proc.returncode == 0
-    for code in ("ARCH001", "ARCH101", "ARCH203"):
-        assert code in proc.stdout

@@ -3,17 +3,15 @@ each rule from false-positiving on correct idioms."""
 
 from pathlib import Path
 
-from repro.analysis.conc import run_conc_audit
+from repro.analysis import analyze
 
 
-def audit_source(tmp_path: Path, source: str, rules=None):
+def audit_source(tmp_path: Path, source: str, rules=("CONC",)):
     pkg = tmp_path / "app"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("", encoding="utf-8")
     (pkg / "mod.py").write_text(source, encoding="utf-8")
-    if rules is None:
-        return run_conc_audit(pkg)
-    return run_conc_audit(pkg, rules=rules)
+    return analyze([pkg], select=rules)
 
 
 def codes(report):
@@ -198,10 +196,3 @@ def test_local_task_variable_is_not_an_ownership_leak(tmp_path):
         "    async def helper(self):\n"
         "        return 0\n"), rules=("CONC006",))
     assert report.ok, report.format_human()
-
-
-# -- aggregate behaviour -----------------------------------------------------
-
-def test_parse_error_surfaces_as_conc000(tmp_path):
-    report = audit_source(tmp_path, "def broken(:\n")
-    assert codes(report) == ["CONC000"]

@@ -69,12 +69,12 @@ def test_mc_subcommand_clean_sweep(capsys):
     assert "0 counterexample" in capsys.readouterr().out
 
 
-def test_arch_subcommand_forwards_to_auditor(capsys):
-    assert main(["arch"]) == 0
+def test_audit_subcommand_forwards_to_the_engine(capsys):
+    assert main(["audit", "--select", "ARCH"]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
-def test_arch_subcommand_list_rules(capsys):
-    assert main(["arch", "--list-rules"]) == 0
+def test_audit_subcommand_list_rules(capsys):
+    assert main(["audit", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "ARCH001" in out and "ARCH203" in out
+    assert "SAT001" in out and "ARCH203" in out and "CONC006" in out

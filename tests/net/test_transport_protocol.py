@@ -38,12 +38,12 @@ def test_both_kernels_satisfy_the_kernel_protocol():
 def test_kernels_share_the_scheduling_surface():
     """The exact attribute set actors touch exists on both kernels."""
     sim = Simulator()
-    for attr in ("now", "schedule", "schedule_at", "last_seq"):
+    for attr in ("now", "schedule", "schedule_at"):
         assert hasattr(sim, attr)
 
     async def main():
         kernel = RealtimeKernel(asyncio.get_running_loop())
-        for attr in ("now", "schedule", "schedule_at", "last_seq"):
+        for attr in ("now", "schedule", "schedule_at"):
             assert hasattr(kernel, attr)
         # and timer handles expose the same cancel surface
         timer = kernel.schedule(1000.0, lambda: None)
