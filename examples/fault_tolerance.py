@@ -16,7 +16,6 @@ consistency held throughout.
 Run:  python examples/fault_tolerance.py
 """
 
-from repro.core.reconfig import ReconfigurationManager
 from repro.core.tree import TreeTopology
 from repro.harness.runner import Cluster, ClusterConfig
 from repro.harness.report import format_table
@@ -39,11 +38,11 @@ def main() -> None:
         attachments={"I": "s0", "F": "s1", "T": "s2"})
     cluster = Cluster(
         ClusterConfig(system="saturn", sites=SITES, clients_per_dc=6,
-                      saturn_topology=c1, ping_period=5.0), workload)
+                      saturn_topology=c1, dc_params=dict(ping_period=5.0)),
+        workload)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)
-    manager = ReconfigurationManager(cluster.service,
-                                     list(cluster.datacenters.values()))
+    manager = cluster.manager
 
     phases = []  # (phase name, [latency samples])
     samples = []

@@ -1,9 +1,13 @@
 """Model-checking scenarios: small, fully deterministic deployments.
 
-A scenario is a hand-wired 3-datacenter Saturn cluster (chain serializer
-tree I — F — T, one group fully replicated and one genuinely partial)
-driven by *scripted* clients that build real causal chains across
-datacenters:
+A scenario is a :class:`~repro.harness.runner.Cluster` — three
+datacenters on a chain serializer tree I — F — T (or on a stabilization
+baseline of the protocol table), one group fully replicated and one
+genuinely partial — plus the oracles that judge a run and, optionally, a
+fault plan or a scripted reconfiguration.  Its clients play *scripts*
+(:mod:`repro.datacenter.script`) that build real causal chains across
+datacenters — the same chain the TCP smoke cluster runs
+(:func:`repro.net.spec.chain_clients`):
 
 * ``writer-I`` writes ``g0:a`` then ``g0:b`` (b depends on a) and the
   partial-group key ``g1:p`` (replicated at I and F only — the bait for
@@ -23,15 +27,13 @@ the checker's self-test: a healthy checker must catch every one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.mc.oracles import (BaselineReplicationOracle,
                                        PartialReplicationOracle, TraceTee)
 from repro.analysis.runtime import HazardMonitor
-from repro.baselines import (CureDatacenter, EunomiaDatacenter,
-                             GentleRainDatacenter, OkapiDatacenter,
-                             cure_merge, eunomia_merge, gentlerain_merge)
 from repro.core.failover import AutoFailover
 from repro.core.label import LabelType
 from repro.core.reconfig import ReconfigurationManager
@@ -39,35 +41,44 @@ from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.datacenter.client import ClientProcess
-from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
 from repro.datacenter.messages import LabelBatch
+from repro.datacenter.script import ScriptedWorkload
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.harness.runner import MetricsHub
-from repro.sim.clock import ClockFactory
-from repro.sim.cpu import CostModel
+from repro.harness.runner import Cluster, ClusterConfig
+from repro.net.spec import chain_clients
+from repro.protocols import protocol_named
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
-from repro.sim.rng import RngRegistry
 from repro.verify.checker import ExecutionLog
-from repro.workloads.ops import ReadOp, UpdateOp
 
-__all__ = ["Scenario", "SCENARIOS", "MUTATIONS", "build_scenario",
-           "build_chain3", "build_baseline_chain3"]
+__all__ = ["Scenario", "SCENARIOS", "MUTATIONS", "SITES", "build_scenario",
+           "build_chain3", "build_hardened_chain3", "BEACON_PERIOD",
+           "DETECTOR"]
 
 SITES = ("I", "F", "T")
 
-#: keys used by the scripted workload
-KEY_A, KEY_B, KEY_Y, KEY_P = "g0:a", "g0:b", "g0:y", "g1:p"
-#: written while the writer's datacenter is degraded (fault scenarios)
-KEY_C = "g0:c"
+#: client i starts 0.013 * i ms into the run, so the attaches do not
+#: produce meaningless 3-way ties at t=0
+CLIENT_STAGGER = 0.013
+#: sink cadence of the Saturn-family datacenters (a baseline takes none)
+SINK_CADENCE = dict(sink_batch_period=2.0, sink_heartbeat_period=8.0,
+                    bulk_heartbeat_period=5.0)
+#: detector tuning shared by every fault scenario: beacons every 2 ms,
+#: suspicion after 7 ms of silence, degradation 4 ms later, probes with
+#: exponential backoff capped at 16 ms
+BEACON_PERIOD = 2.0
+DETECTOR = dict(beacon_timeout=7.0, stabilization_wait=4.0,
+                probe_period=4.0, probe_backoff=2.0, probe_period_max=16.0)
 
 
 @dataclass
 class Scenario:
-    """A built (not yet run) model-checking deployment."""
+    """A built and started (not yet run) model-checking deployment: the
+    cluster, with its parts also reachable by name, and the oracles."""
 
     name: str
+    cluster: Cluster
     sim: Simulator
     network: Network
     replication: ReplicationMap
@@ -85,6 +96,7 @@ class Scenario:
     delay_links: FrozenSet[Tuple[str, str]]
     #: liveness floor: fewer recorded updates means the schedule starved
     min_expected_updates: int = 4
+    #: None for baseline scenarios
     manager: Optional[ReconfigurationManager] = None
     mutation: Optional[str] = None
     #: fault injection (repro.faults): the plan is applied at run start so
@@ -105,61 +117,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# scripted client workloads
-# ---------------------------------------------------------------------------
-
-def _scripted(ops: List[object]) -> Callable[[ClientProcess], object]:
-    """Issue *ops* in order, then stop."""
-    queue = list(ops)
-
-    def generator(client: ClientProcess) -> object:
-        return queue.pop(0) if queue else None
-
-    return generator
-
-
-def _poll_then(key: str, cap: int,
-               then: List[object]) -> Callable[[ClientProcess], object]:
-    """Re-read *key* until a version is observed (at most *cap* reads),
-    then issue *then* in order and stop.  The cap keeps every client
-    terminating under mutations that lose the awaited update."""
-    state = {"reads": 0}
-    queue = list(then)
-
-    def generator(client: ClientProcess) -> object:
-        if (client._observed_max_per_key.get(key) is None
-                and state["reads"] < cap):
-            state["reads"] += 1
-            return ReadOp(key)
-        return queue.pop(0) if queue else None
-
-    return generator
-
-
-def _then_poll_then(first: List[object], key: str, cap: int,
-                    then: List[object]) -> Callable[[ClientProcess], object]:
-    """Issue *first*, poll *key* until visible (at most *cap* reads), then
-    issue *then*.  Lets a writer wait for a remote causal dependency before
-    continuing — the fault scenarios use it to write *during* degraded
-    mode."""
-    first_queue = list(first)
-    state = {"reads": 0}
-    then_queue = list(then)
-
-    def generator(client: ClientProcess) -> object:
-        if first_queue:
-            return first_queue.pop(0)
-        if (client._observed_max_per_key.get(key) is None
-                and state["reads"] < cap):
-            state["reads"] += 1
-            return ReadOp(key)
-        return then_queue.pop(0) if then_queue else None
-
-    return generator
-
-
-# ---------------------------------------------------------------------------
-# builders
+# the chain3 deployment
 # ---------------------------------------------------------------------------
 
 def _latency_model() -> LatencyModel:
@@ -198,262 +156,129 @@ def _tree_links(topology: TreeTopology, epoch: int) -> List[Tuple[str, str]]:
     return links
 
 
-def _build_chain3(name: str, horizon: float,
-                  reconfigure_at: Optional[float] = None,
-                  emergency: bool = False,
-                  specs: Optional[List[Tuple[str, str, Callable]]] = None,
-                  beacon_period: float = 0.0,
-                  dc_extra: Optional[dict] = None,
-                  auto_failover: bool = False,
-                  fault_plan: Optional[FaultPlan] = None,
-                  min_expected_updates: int = 4) -> Scenario:
-    """Build the chain3 deployment; the knobs beyond the reconfiguration
-    pair exist for the fault scenarios (repro.faults reuses this builder):
-    custom client scripts, serializer beacons + per-datacenter detector
-    parameters (``dc_extra`` merges into :class:`DatacenterParams`), the
-    automatic-recovery coordinator, and a scheduled fault plan."""
-    sim = Simulator()
-    rng = RngRegistry(seed=11)
-    network = Network(sim, latency_model=_latency_model(),
-                      default_latency=0.25, rng=rng)
-    metrics = MetricsHub(sim)
-    clocks = ClockFactory(sim, rng, max_skew=0.5)
-    cost = CostModel()
+def build_chain3(name: str, horizon: float, system: str = "saturn",
+                 clients: Optional[Sequence[Dict[str, Any]]] = None,
+                 reconfigure_at: Optional[float] = None,
+                 emergency: bool = False,
+                 beacon_period: float = 0.0,
+                 dc_params: Optional[Mapping[str, Any]] = None,
+                 auto_failover: bool = False,
+                 fault_plan: Optional[FaultPlan] = None,
+                 min_expected_updates: int = 4) -> Scenario:
+    """Build the chain3 deployment running *system*.
 
+    Same sites, latencies, replication groups, seed and scripted causal
+    workload for every system of the protocol table.  Without a
+    serializer tree (``gentlerain``/``cure``/``eunomia``/``okapi``)
+    ``service`` is ``None`` and the routing oracle degrades to the
+    destination-set check (:class:`BaselineReplicationOracle`).  The
+    knobs beyond the reconfiguration pair exist for the fault scenarios
+    (:mod:`repro.faults.scenarios`): custom client scripts, serializer
+    beacons + per-datacenter detector parameters (``dc_params``, as in
+    :class:`~repro.harness.runner.ClusterConfig`), the automatic-recovery
+    coordinator, and a scheduled fault plan."""
+    has_tree = protocol_named(system).has_tree
     replication = ReplicationMap(list(SITES))
     replication.set_group("g0", SITES)
     replication.set_group("g1", ("I", "F"))
+    cluster = Cluster(
+        ClusterConfig(
+            system=system, sites=SITES, num_partitions=2, seed=11,
+            latency_model=_latency_model(),
+            saturn_topology=_chain_topology(), beacon_period=beacon_period,
+            auto_failover=auto_failover,
+            dc_params=dict(SINK_CADENCE if has_tree else {},
+                           **(dc_params or {})),
+            replication=replication, hazard_monitor=True),
+        ScriptedWorkload(
+            clients or chain_clients(SITES, relay_cap=40, reader_cap=60),
+            stagger=CLIENT_STAGGER))
     log = ExecutionLog(replication)
+    cluster.attach_execution_log(log)
+    # the network trace fans out to both the monitor and the routing oracle
+    if has_tree:
+        partial_oracle = PartialReplicationOracle(cluster.service, replication)
+    else:
+        partial_oracle = BaselineReplicationOracle(replication)
+    cluster.network.trace = TraceTee(cluster.hazard_monitor, partial_oracle)
+    # scheduled at build time: a schedule controller installed afterwards
+    # sees exactly the events of the run, not the start-up ones
+    cluster.start()
 
-    c1 = _chain_topology()
-    service = SaturnService(sim, network, replication,
-                            beacon_period=beacon_period)
-    service.install_tree(c1, epoch=0)
-
-    datacenters: Dict[str, SaturnDatacenter] = {}
-    for site in SITES:
-        params = DatacenterParams(
-            name=site, site=site, num_partitions=2, consistency="saturn",
-            sink_batch_period=2.0, sink_heartbeat_period=8.0,
-            bulk_heartbeat_period=5.0, **(dc_extra or {}))
-        dc = SaturnDatacenter(sim, params, replication, cost, clocks.create(),
-                              metrics=metrics, execution_log=log)
-        dc.attach_network(network)
-        network.place(dc.name, site)
-        dc.saturn = service
-        datacenters[site] = dc
-
-    # invariant instrumentation: HazardMonitor observes the kernel, and the
-    # network trace fans out to both the monitor and the routing oracle
-    monitor = HazardMonitor()
-    monitor.attach_sim(sim)
-    monitor.network = network
-    partial_oracle = PartialReplicationOracle(service, replication)
-    network.trace = TraceTee(monitor, partial_oracle)
-
-    if specs is None:
-        specs = [
-            ("writer-I", "I", _scripted([UpdateOp(KEY_A, 2),
-                                         UpdateOp(KEY_B, 2),
-                                         UpdateOp(KEY_P, 2)])),
-            ("relay-F", "F", _poll_then(KEY_B, cap=40,
-                                        then=[UpdateOp(KEY_Y, 2)])),
-            ("reader-T", "T", _poll_then(KEY_Y, cap=60,
-                                         then=[ReadOp(KEY_A)])),
-        ]
-    clients: List[ClientProcess] = []
-    for index, (client_id, site, generator) in enumerate(specs):
-        client = ClientProcess(sim, client_id, site, generator,
-                               metrics=metrics, execution_log=log)
-        client.attach_network(network)
-        network.place(client.name, site)
-        # stagger starts slightly (like the harness) so client attaches do
-        # not produce meaningless 3-way ties at t=0
-        sim.schedule(0.013 * index, client.start)
-        clients.append(client)
-
-    for dc in datacenters.values():
-        dc.start()
-
-    c2 = _pivoted_topology()
-    delay_links = set(_tree_links(c1, epoch=0))
-    manager: Optional[ReconfigurationManager] = None
-    if reconfigure_at is not None or auto_failover or fault_plan is not None:
-        manager = ReconfigurationManager(service, list(datacenters.values()))
+    delay_links = set()
+    if has_tree:
+        delay_links.update(_tree_links(cluster.service.topology(0), epoch=0))
+    else:
+        # every inter-datacenter pair, plus the hops through a datacenter's
+        # own auxiliary processes (Eunomia: dc -> sequencer -> remote dcs)
+        for a in cluster.datacenters.values():
+            for b in cluster.datacenters.values():
+                if a is not b:
+                    delay_links.add((a.name, b.name))
+                    for aux in cluster.protocol.aux_processes(a):
+                        delay_links.add((a.name, aux.name))
+                        delay_links.add((aux.name, b.name))
     if reconfigure_at is not None:
         # scripted epoch change: the harness (not protocol code) owns the
         # absolute-time schedule, so drive the manager from the kernel here
-        sim.schedule_at(
+        c2 = _pivoted_topology()
+        cluster.sim.schedule_at(
             reconfigure_at,
-            lambda m=manager: m.reconfigure(c2, emergency=emergency))
+            lambda: cluster.manager.reconfigure(c2, emergency=emergency))
         delay_links.update(_tree_links(c2, epoch=1))
-    failover: Optional[AutoFailover] = None
-    if auto_failover:
-        failover = AutoFailover(manager)
-        for dc in datacenters.values():
-            if dc.failover is not None:
-                dc.failover.coordinator = failover
-    injector: Optional[FaultInjector] = None
-    if fault_plan is not None:
-        injector = FaultInjector(sim, network, service=service,
-                                 manager=manager)
-
-    return Scenario(
-        name=name, sim=sim, network=network, replication=replication,
-        service=service, datacenters=datacenters, clients=clients, log=log,
-        monitor=monitor, partial_oracle=partial_oracle, horizon=horizon,
-        delay_links=frozenset(delay_links), manager=manager,
-        min_expected_updates=min_expected_updates,
-        injector=injector, fault_plan=fault_plan, failover=failover)
-
-
-#: public alias for the fault-scenario catalog (repro.faults.scenarios)
-build_chain3 = _build_chain3
-
-
-# ---------------------------------------------------------------------------
-# baseline scenarios (no serializer tree; same sites, latencies, workload)
-# ---------------------------------------------------------------------------
-
-#: system -> (datacenter class, client stamp-merge function)
-_BASELINE_SYSTEMS = {
-    "gentlerain": (GentleRainDatacenter, gentlerain_merge),
-    "cure": (CureDatacenter, cure_merge),
-    "eunomia": (EunomiaDatacenter, eunomia_merge),
-    "okapi": (OkapiDatacenter, cure_merge),
-}
-
-
-def _baseline_specs(relay_cap: int = 150, reader_cap: int = 200,
-                    writer_cap: Optional[int] = None):
-    """The chain3 causal workload with poll caps sized for stabilization
-    visibility (a 5 ms round cadence instead of Saturn's label trees).
-    With ``writer_cap`` the writer also waits for ``g0:y`` and then
-    writes ``g0:c`` — the fault scenarios use it to write *through* an
-    outage."""
-    if writer_cap is not None:
-        writer = _then_poll_then(
-            [UpdateOp(KEY_A, 2), UpdateOp(KEY_B, 2), UpdateOp(KEY_P, 2)],
-            KEY_Y, cap=writer_cap, then=[UpdateOp(KEY_C, 2)])
-    else:
-        writer = _scripted([UpdateOp(KEY_A, 2), UpdateOp(KEY_B, 2),
-                            UpdateOp(KEY_P, 2)])
-    return [
-        ("writer-I", "I", writer),
-        ("relay-F", "F", _poll_then(KEY_B, cap=relay_cap,
-                                    then=[UpdateOp(KEY_Y, 2)])),
-        ("reader-T", "T", _poll_then(KEY_Y, cap=reader_cap,
-                                     then=[ReadOp(KEY_A)])),
-    ]
-
-
-def build_baseline_chain3(system: str, name: Optional[str] = None,
-                          horizon: float = 300.0,
-                          specs: Optional[List[Tuple[str, str, Callable]]] = None,
-                          fault_plan: Optional[FaultPlan] = None,
-                          min_expected_updates: int = 4,
-                          batch_period: float = 2.0) -> Scenario:
-    """Build the chain3 deployment on a stabilization baseline.
-
-    Same sites, latencies, replication groups, seed, and scripted causal
-    workload as :func:`build_chain3`, but the datacenters run *system*
-    (``gentlerain``/``cure``/``eunomia``/``okapi``) instead of Saturn —
-    there is no serializer tree, so ``service`` is ``None`` and the
-    routing oracle degrades to the destination-set check
-    (:class:`BaselineReplicationOracle`).  The conformance suite and the
-    baseline chaos scenarios (sequencer crash, clock-skew spike) build
-    on this."""
-    try:
-        dc_cls, merge = _BASELINE_SYSTEMS[system]
-    except KeyError:
-        raise ValueError(f"unknown baseline system {system!r}; "
-                         f"expected one of {sorted(_BASELINE_SYSTEMS)}"
-                         ) from None
-    name = name or f"{system}-chain3"
-    sim = Simulator()
-    rng = RngRegistry(seed=11)
-    network = Network(sim, latency_model=_latency_model(),
-                      default_latency=0.25, rng=rng)
-    metrics = MetricsHub(sim)
-    clocks = ClockFactory(sim, rng, max_skew=0.5)
-    cost = CostModel()
-
-    replication = ReplicationMap(list(SITES))
-    replication.set_group("g0", SITES)
-    replication.set_group("g1", ("I", "F"))
-    log = ExecutionLog(replication)
-
-    datacenters: Dict[str, object] = {}
-    for site in SITES:
-        kwargs = dict(num_partitions=2, metrics=metrics, execution_log=log)
-        if system == "eunomia":
-            kwargs["batch_period"] = batch_period
-        dc = dc_cls(sim, site, site, replication, cost, clocks.create(),
-                    **kwargs)
-        dc.attach_network(network)
-        network.place(dc.name, site)
-        datacenters[site] = dc
-
-    monitor = HazardMonitor()
-    monitor.attach_sim(sim)
-    monitor.network = network
-    partial_oracle = BaselineReplicationOracle(replication)
-    network.trace = TraceTee(monitor, partial_oracle)
-
-    if specs is None:
-        specs = _baseline_specs()
-    clients: List[ClientProcess] = []
-    for index, (client_id, site, generator) in enumerate(specs):
-        client = ClientProcess(sim, client_id, site, generator, merge=merge,
-                               metrics=metrics, execution_log=log)
-        client.attach_network(network)
-        network.place(client.name, site)
-        sim.schedule(0.013 * index, client.start)
-        clients.append(client)
-
-    for dc in datacenters.values():
-        dc.start()
-
-    # perturbable links: every inter-datacenter pair, plus the sequencer
-    # hops for Eunomia (dc -> own sequencer, sequencer -> remote dcs)
-    delay_links = set()
-    for a in datacenters.values():
-        for b in datacenters.values():
-            if a is not b:
-                delay_links.add((a.name, b.name))
-        if system == "eunomia":
-            delay_links.add((a.name, a.sequencer.name))
-            for b in datacenters.values():
-                if b is not a:
-                    delay_links.add((a.sequencer.name, b.name))
-
     injector: Optional[FaultInjector] = None
     if fault_plan is not None:
         injector = FaultInjector(
-            sim, network,
-            clocks={site: dc.clock for site, dc in datacenters.items()})
+            cluster.sim, cluster.network, service=cluster.service,
+            manager=cluster.manager,
+            clocks={site: dc.clock
+                    for site, dc in cluster.datacenters.items()})
 
     return Scenario(
-        name=name, sim=sim, network=network, replication=replication,
-        service=None, datacenters=datacenters, clients=clients, log=log,
-        monitor=monitor, partial_oracle=partial_oracle, horizon=horizon,
-        delay_links=frozenset(delay_links),
-        min_expected_updates=min_expected_updates,
-        injector=injector, fault_plan=fault_plan)
+        name=name, cluster=cluster, sim=cluster.sim, network=cluster.network,
+        replication=replication, service=cluster.service,
+        datacenters=cluster.datacenters, clients=cluster.clients, log=log,
+        monitor=cluster.hazard_monitor, partial_oracle=partial_oracle,
+        horizon=horizon, delay_links=frozenset(delay_links),
+        min_expected_updates=min_expected_updates, manager=cluster.manager,
+        injector=injector, fault_plan=fault_plan, failover=cluster.failover)
+
+
+def build_hardened_chain3(name: str, horizon: float, fault_plan: FaultPlan,
+                          auto_failover: bool = True,
+                          reconfigure_at: Optional[float] = None,
+                          dc_params: Optional[Mapping[str, Any]] = None,
+                          min_expected_updates: int = 5) -> Scenario:
+    """Saturn chain3 with the robustness machinery on: serializer
+    beacons, the per-sink failure detector and (unless turned off) the
+    :class:`~repro.core.failover.AutoFailover` coordinator.  The clients
+    are hardened for fault runs: generous poll caps (visibility can lag
+    by a whole detection + recovery cycle) and a fourth update ``g0:c``
+    written by I only after it has seen ``g0:y`` — under the crash
+    scenarios that write happens while I is degraded, so ``c`` exercises
+    the park/replay path end to end."""
+    return build_chain3(
+        name, horizon,
+        clients=chain_clients(SITES, relay_cap=200, reader_cap=200,
+                              writer_cap=300),
+        reconfigure_at=reconfigure_at, beacon_period=BEACON_PERIOD,
+        dc_params=dict(DETECTOR, **(dc_params or {})),
+        auto_failover=auto_failover, fault_plan=fault_plan,
+        min_expected_updates=min_expected_updates)
 
 
 def _chain3() -> Scenario:
-    return _build_chain3("chain3", horizon=150.0)
+    return build_chain3("chain3", horizon=150.0)
 
 
 def _reconfig_chain3() -> Scenario:
     # t=12 ms: the g0 labels are mid-tree when the epoch flips (fast path)
-    return _build_chain3("reconfig-chain3", horizon=250.0, reconfigure_at=12.0)
+    return build_chain3("reconfig-chain3", horizon=250.0, reconfigure_at=12.0)
 
 
 def _reconfig_emergency() -> Scenario:
-    scenario = _build_chain3("reconfig-emergency", horizon=400.0,
-                             reconfigure_at=12.0, emergency=True)
+    scenario = build_chain3("reconfig-emergency", horizon=400.0,
+                            reconfigure_at=12.0, emergency=True)
     # the failure path abandons C1: kill its serializers at the switch so
     # the only way labels arrive is the timestamp fallback + C2
     scenario.sim.schedule_at(
@@ -470,15 +295,6 @@ def _crash_chain3() -> Scenario:
     emergency epoch change, which replays the backlog through the new
     tree.  The oracles check the whole arc: nothing lost, nothing
     misordered, every client terminates."""
-    specs = [
-        ("writer-I", "I", _then_poll_then(
-            [UpdateOp(KEY_A, 2), UpdateOp(KEY_B, 2), UpdateOp(KEY_P, 2)],
-            KEY_Y, cap=300, then=[UpdateOp(KEY_C, 2)])),
-        ("relay-F", "F", _poll_then(KEY_B, cap=200,
-                                    then=[UpdateOp(KEY_Y, 2)])),
-        ("reader-T", "T", _poll_then(KEY_Y, cap=200,
-                                     then=[ReadOp(KEY_A)])),
-    ]
     plan = FaultPlan(name="crash-chain3", actions=(
         FaultAction(kind="crash-serializer",
                     at_choices=(6.0, 9.0, 12.0, 15.0),
@@ -486,17 +302,17 @@ def _crash_chain3() -> Scenario:
         FaultAction(kind="restart-serializer", at=45.0,
                     args={"tree": "sI", "epoch": 0}),
     ))
-    return _build_chain3(
-        "crash-chain3", horizon=260.0, specs=specs, beacon_period=2.0,
-        dc_extra=dict(beacon_timeout=7.0, stabilization_wait=4.0,
-                      probe_period=4.0, probe_backoff=2.0,
-                      probe_period_max=16.0),
-        auto_failover=True, fault_plan=plan, min_expected_updates=5)
+    return build_hardened_chain3("crash-chain3", 260.0, plan)
 
 
-def _baseline_scenario(system: str) -> Callable[[], Scenario]:
+def _baseline_chain3(system: str) -> Callable[[], Scenario]:
+    """chain3 on a stabilization baseline, with poll caps sized for
+    stabilization visibility (a 5 ms round cadence instead of Saturn's
+    label trees)."""
     def build() -> Scenario:
-        return build_baseline_chain3(system)
+        return build_chain3(
+            f"{system}-chain3", horizon=300.0, system=system,
+            clients=chain_clients(SITES, relay_cap=150, reader_cap=200))
     return build
 
 
@@ -505,10 +321,8 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "reconfig-chain3": _reconfig_chain3,
     "reconfig-emergency": _reconfig_emergency,
     "crash-chain3": _crash_chain3,
-    "gentlerain-chain3": _baseline_scenario("gentlerain"),
-    "cure-chain3": _baseline_scenario("cure"),
-    "eunomia-chain3": _baseline_scenario("eunomia"),
-    "okapi-chain3": _baseline_scenario("okapi"),
+    **{f"{system}-chain3": _baseline_chain3(system)
+       for system in ("gentlerain", "cure", "eunomia", "okapi")},
 }
 
 

@@ -92,6 +92,16 @@ class ClientProcess(Process):
     def stop(self) -> None:
         self._running = False
 
+    @property
+    def running(self) -> bool:
+        """False before :meth:`start` and once the op loop has ended."""
+        return self._running
+
+    def observed(self, key: str):
+        """Greatest version of *key* this client has read or written, or
+        ``None`` (tracked only while an execution log is attached)."""
+        return self._observed_max_per_key.get(key)
+
     def _send_dc(self, dc: str, message) -> None:
         self.send(dc_process_name(dc), message)
 

@@ -23,26 +23,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.analysis.mc.oracles import evaluate_oracles
-from repro.analysis.mc.scenario import Scenario, build_chain3
+from repro.analysis.mc.scenario import Scenario, build_hardened_chain3
 from repro.faults.plan import FaultPlan
-from repro.faults.scenarios import (CHAOS_SCENARIOS, _BEACON_PERIOD,
-                                    _DETECTOR, _chaos_specs,
-                                    build_chaos_scenario)
+from repro.faults.scenarios import CHAOS_SCENARIOS, build_chaos_scenario
 
 __all__ = ["main"]
-
-
-def _external_plan_builder(plan: FaultPlan) -> Callable[[], Scenario]:
-    """Run an external plan on the hardened chain3 deployment."""
-    def build() -> Scenario:
-        return build_chain3(
-            plan.name, horizon=260.0, specs=_chaos_specs(),
-            beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-            auto_failover=True, fault_plan=plan, min_expected_updates=5)
-    return build
 
 
 def _summarize(scenario: Scenario, violations: List[str]) -> dict:
@@ -112,7 +100,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.plan:
         plan = FaultPlan.from_json(Path(args.plan).read_text())
-        build = _external_plan_builder(plan)
+        # an external plan runs on the hardened chain3 deployment
+        build = lambda: build_hardened_chain3(  # noqa: E731
+            plan.name, 260.0, plan)
     else:
         build = lambda: build_chaos_scenario(args.scenario)  # noqa: E731
 

@@ -1,10 +1,11 @@
 """Scripted chaos scenarios: fault plans on the chain3 deployment.
 
 Each scenario pairs the model checker's deterministic 3-datacenter
-deployment (:func:`repro.analysis.mc.scenario.build_chain3`) with a
-:class:`~repro.faults.plan.FaultPlan` and the robustness machinery turned
-on — serializer beacons, the per-sink failure detector, and the
-:class:`~repro.core.failover.AutoFailover` recovery coordinator.  All
+deployment with the robustness machinery turned on
+(:func:`repro.analysis.mc.scenario.build_hardened_chain3`: serializer
+beacons, the per-sink failure detector, and the
+:class:`~repro.core.failover.AutoFailover` recovery coordinator) with a
+:class:`~repro.faults.plan.FaultPlan`.  All
 fault times are fixed (``at=...``), so a scenario runs bit-identically
 without a schedule controller; the *model-checked* variant with open
 fault timing lives in the mc catalog as ``crash-chain3``.
@@ -25,7 +26,7 @@ fault timing lives in the mc catalog as ``crash-chain3``.
   switch onto the failure path (§6.2) and the run converges anyway.
 
 Two scenarios target the stabilization baselines instead of Saturn
-(:func:`repro.analysis.mc.scenario.build_baseline_chain3`):
+(:func:`repro.analysis.mc.scenario.build_chain3` with ``system=``):
 
 * ``eunomia-seq-crash`` — datacenter I's site sequencer is isolated and
   later rejoins: local writes stay unobtrusive, remote visibility of
@@ -39,40 +40,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.analysis.mc.scenario import (KEY_A, KEY_B, KEY_C, KEY_P, KEY_Y,
-                                        Scenario, _baseline_specs, _poll_then,
-                                        _then_poll_then, build_baseline_chain3,
-                                        build_chain3)
+from repro.analysis.mc.scenario import (SITES, Scenario, build_chain3,
+                                        build_hardened_chain3)
 from repro.core.service import SaturnService
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.workloads.ops import ReadOp, UpdateOp
+from repro.net.spec import chain_clients
 
 __all__ = ["CHAOS_SCENARIOS", "build_chaos_scenario"]
-
-#: detector tuning shared by every chaos scenario: beacons every 2 ms,
-#: suspicion after 7 ms of silence, degradation 4 ms later, probes with
-#: exponential backoff capped at 16 ms
-_BEACON_PERIOD = 2.0
-_DETECTOR = dict(beacon_timeout=7.0, stabilization_wait=4.0,
-                 probe_period=4.0, probe_backoff=2.0, probe_period_max=16.0)
-
-
-def _chaos_specs(relay_cap: int = 200, reader_cap: int = 200,
-                 writer_cap: int = 300):
-    """The chain3 causal workload, hardened for fault runs: generous poll
-    caps (visibility can lag by a whole detection + recovery cycle) and a
-    fourth update ``g0:c`` written by I only after it has seen ``g0:y`` —
-    under the crash scenarios that write happens while I is degraded, so
-    ``c`` exercises the park/replay path end to end."""
-    return [
-        ("writer-I", "I", _then_poll_then(
-            [UpdateOp(KEY_A, 2), UpdateOp(KEY_B, 2), UpdateOp(KEY_P, 2)],
-            KEY_Y, cap=writer_cap, then=[UpdateOp(KEY_C, 2)])),
-        ("relay-F", "F", _poll_then(KEY_B, cap=relay_cap,
-                                    then=[UpdateOp(KEY_Y, 2)])),
-        ("reader-T", "T", _poll_then(KEY_Y, cap=reader_cap,
-                                     then=[ReadOp(KEY_A)])),
-    ]
 
 
 def _serializer_crash() -> Scenario:
@@ -85,10 +59,7 @@ def _serializer_crash() -> Scenario:
         FaultAction(kind="restart-serializer", at=40.0,
                     args={"tree": "sI", "epoch": 0}),
     ))
-    return build_chain3(
-        "serializer-crash", horizon=150.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-        auto_failover=True, fault_plan=plan, min_expected_updates=5)
+    return build_hardened_chain3("serializer-crash", 150.0, plan)
 
 
 def _root_partition() -> Scenario:
@@ -101,10 +72,7 @@ def _root_partition() -> Scenario:
         FaultAction(kind="isolate", at=3.0, args={"process": root}),
         FaultAction(kind="rejoin", at=45.0, args={"process": root}),
     ))
-    return build_chain3(
-        "root-partition", horizon=200.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-        auto_failover=True, fault_plan=plan, min_expected_updates=5)
+    return build_hardened_chain3("root-partition", 200.0, plan)
 
 
 def _crash_during_epoch_change() -> Scenario:
@@ -117,11 +85,18 @@ def _crash_during_epoch_change() -> Scenario:
         FaultAction(kind="crash-serializer", at=6.0,
                     args={"tree": "sI", "epoch": 0}),
     ))
+    return build_hardened_chain3(
+        "crash-during-epoch-change", 200.0, plan, auto_failover=False,
+        reconfigure_at=15.0, dc_params=dict(transition_timeout=30.0))
+
+
+def _baseline_outage(name: str, system: str, plan: FaultPlan) -> Scenario:
+    """chain3 on *system*, with poll caps sized for a stalled
+    stabilization and ``g0:c`` written through the outage."""
     return build_chain3(
-        "crash-during-epoch-change", horizon=200.0,
-        reconfigure_at=15.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD,
-        dc_extra=dict(_DETECTOR, transition_timeout=30.0),
+        name, horizon=300.0, system=system,
+        clients=chain_clients(SITES, relay_cap=200, reader_cap=250,
+                              writer_cap=300),
         fault_plan=plan, min_expected_updates=5)
 
 
@@ -142,10 +117,7 @@ def _eunomia_seq_crash() -> Scenario:
         FaultAction(kind="isolate", at=3.0, args={"process": seq_i}),
         FaultAction(kind="rejoin", at=40.0, args={"process": seq_i}),
     ))
-    return build_baseline_chain3(
-        "eunomia", name="eunomia-seq-crash", horizon=300.0,
-        specs=_baseline_specs(relay_cap=200, reader_cap=250, writer_cap=300),
-        fault_plan=plan, min_expected_updates=5)
+    return _baseline_outage("eunomia-seq-crash", "eunomia", plan)
 
 
 def _okapi_clock_skew() -> Scenario:
@@ -165,10 +137,7 @@ def _okapi_clock_skew() -> Scenario:
         FaultAction(kind="clock-skew", at=60.0,
                     args={"dc": "I", "skew": 0.0}),
     ))
-    return build_baseline_chain3(
-        "okapi", name="okapi-clock-skew", horizon=300.0,
-        specs=_baseline_specs(relay_cap=200, reader_cap=250, writer_cap=300),
-        fault_plan=plan, min_expected_updates=5)
+    return _baseline_outage("okapi-clock-skew", "okapi", plan)
 
 
 CHAOS_SCENARIOS: Dict[str, Callable[[], Scenario]] = {

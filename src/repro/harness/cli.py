@@ -10,8 +10,7 @@ Installed as the ``saturn-repro`` console script::
     saturn-repro mc --scenario chain3      # schedule-space model checking
     saturn-repro faults --list             # scripted chaos scenarios
     saturn-repro obs --pair T S            # per-edge visibility breakdown
-    saturn-repro arch                      # architecture audit (ARCHxxx)
-    saturn-repro conc                      # concurrency audit (CONCxxx)
+    saturn-repro audit                     # SAT + ARCH + CONC static analysis
     saturn-repro net run --dcs 3           # real asyncio TCP cluster
 """
 
@@ -27,6 +26,7 @@ from repro.harness import experiments
 from repro.harness.report import format_cdf_summary, format_table
 from repro.harness.runner import SYSTEMS
 from repro.metrics.stats import mean
+from repro.protocols import PROTOCOLS, protocol_named
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
 
@@ -175,7 +175,9 @@ def main(argv: Optional[list] = None) -> int:
         for name, func in sorted(EXPERIMENTS.items()):
             doc = (func.__doc__ or "").strip().splitlines()[0]
             print(f"  {name:28s} {doc}")
-        print("systems:", ", ".join(SYSTEMS))
+        print("systems:")
+        for protocol in PROTOCOLS.values():
+            print(f"  {protocol.name:28s} {protocol.description}")
         return 0
 
     if args.command == "run":
@@ -200,7 +202,7 @@ def main(argv: Optional[list] = None) -> int:
         workload = SyntheticWorkload(**workload_kwargs)
         config = ClusterConfig(system=args.system,
                                clients_per_dc=args.clients, seed=args.seed)
-        if args.system == "saturn":
+        if protocol_named(args.system).has_tree:
             config.saturn_topology = experiments.m_configuration()
         cluster = Cluster(config, workload)
         results = cluster.run(duration=args.duration,

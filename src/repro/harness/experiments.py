@@ -30,6 +30,7 @@ from repro.config.objective import pair_weights_from_replication
 from repro.config.placement import find_configuration
 from repro.core.tree import TreeTopology
 from repro.harness.runner import Cluster, ClusterConfig, RunResults
+from repro.protocols import protocol_named
 from repro.sim.network import LatencyModel
 from repro.workloads.facebook import FacebookWorkload
 from repro.workloads.synthetic import SyntheticWorkload
@@ -87,7 +88,7 @@ def run_once(system: str, workload, scale: Scale,
              before_run: Optional[Callable[[Cluster], None]] = None,
              **config_overrides) -> RunResults:
     """Build and run one cluster; the workhorse behind every experiment."""
-    if system == "saturn" and topology is None:
+    if topology is None and protocol_named(system).has_tree:
         topology = m_configuration(sites, beam_width=scale.beam_width)
     config = ClusterConfig(
         system=system, sites=tuple(sites),
@@ -287,37 +288,6 @@ def fig7(scale: Scale = DEFAULT) -> Dict:
 
 FIVE_WAY_SYSTEMS = ("saturn", "gentlerain", "cure", "eunomia", "okapi")
 
-#: nominal wire size of one Saturn label (type + src + ts + target +
-#: origin); same convention as the baselines' stamp_wire_bytes, so the
-#: cross-system *ratios* are the meaningful result
-SATURN_LABEL_BYTES = 32
-
-
-def _metadata_bytes(cluster: Cluster) -> int:
-    """Total dependency-metadata bytes moved during one run.
-
-    Baselines count *sent-side* (update stamps + stabilization /
-    sequencer traffic); Saturn counts *received-side* labels (each
-    label is processed once per interested datacenter, which is the
-    genuine-partial-replication win being measured).  The asymmetry is
-    documented in EXPERIMENTS.md; within a family the numbers compose.
-    """
-    system = cluster.config.system
-    total = 0
-    if system in ("saturn", "saturn-ts"):
-        for dc in cluster.datacenters.values():
-            total += SATURN_LABEL_BYTES * dc.proxy.labels_processed
-    elif system in ("cops", "cops-noprune"):
-        for dc in cluster.datacenters.values():
-            total += 16 * sum(dc.dep_list_sizes)
-    else:
-        for dc in cluster.datacenters.values():
-            total += getattr(dc, "metadata_bytes_sent", 0)
-            sequencer = getattr(dc, "sequencer", None)
-            if sequencer is not None:
-                total += sequencer.metadata_bytes_sent
-    return total
-
 
 def five_way(scale: Scale = DEFAULT,
              sites: Optional[Sequence[str]] = None,
@@ -342,8 +312,11 @@ def five_way(scale: Scale = DEFAULT,
             "visible_updates": count,
             "mean_visibility_ms": visibility.mean() if count else None,
             "p90_visibility_ms": visibility.percentile(90) if count else None,
+            # nominal sizes, counted per protocol (see repro.protocols)
             "metadata_bytes_per_update": (
-                _metadata_bytes(result.cluster) / count if count else 0.0),
+                sum(map(result.cluster.protocol.metadata_bytes,
+                        result.cluster.datacenters.values())) / count
+                if count else 0.0),
         })
         series[system] = {pair: visibility.samples(*pair) for pair in pairs}
     return {"rows": rows, "pairs": pairs, "series": series}
@@ -433,9 +406,10 @@ def overload(scale: Scale = DEFAULT,
                                                  max_replicas=min(3, len(sites)))
             result = run_once(
                 system, workload, scale, sites=sites,
-                topology=topology if system == "saturn" else None,
+                topology=topology,  # ignored by a system with no tree
                 arrivals=PoissonArrivals(rate_ops_s=rate),
-                overload=overload_config if system == "saturn" else None)
+                overload=(overload_config
+                          if protocol_named(system).has_tree else None))
             cluster = result.cluster
             offered = sum(s.offered for s in cluster.sources)
             completed = sum(s.completed for s in cluster.sources)
@@ -539,8 +513,6 @@ def reconfiguration(scale: Scale = DEFAULT, emergency: bool = False) -> Dict:
     """Run Saturn, switch the tree mid-run (star -> M-configuration), and
     measure per-datacenter transition times.  With ``emergency=True`` the
     C1 tree is failed first and the failure-path protocol is exercised."""
-    from repro.core.reconfig import ReconfigurationManager
-
     sites = list(EC2_REGIONS)
     workload = SyntheticWorkload(correlation="full")
     c1 = TreeTopology.star("I", {s: s for s in sites})
@@ -550,8 +522,7 @@ def reconfiguration(scale: Scale = DEFAULT, emergency: bool = False) -> Dict:
                            num_partitions=scale.num_partitions,
                            seed=scale.seed, saturn_topology=c1)
     cluster = Cluster(config, workload)
-    manager = ReconfigurationManager(
-        cluster.service, list(cluster.datacenters.values()))
+    manager = cluster.manager
     switch_at = scale.warmup + 50.0
     # the switch needs runway: C1's longest metadata path is ~260 ms, and
     # the failure path additionally waits for timestamp stabilization
@@ -610,8 +581,9 @@ def visibility_under_failure(scale: Scale = DEFAULT) -> Dict:
               num_partitions=scale.num_partitions, seed=scale.seed,
               beam_width=scale.beam_width),
         sites=sites, topology=topology, before_run=inject,
-        beacon_period=25.0, beacon_timeout=100.0, stabilization_wait=50.0,
-        probe_period=50.0, auto_failover=True)
+        beacon_period=25.0, auto_failover=True,
+        dc_params=dict(beacon_timeout=100.0, stabilization_wait=50.0,
+                       probe_period=50.0))
     cluster = result.cluster
     recoveries = cluster.failover.recoveries if cluster.failover else []
     recovered_at = max((t for t, _ in recoveries), default=None)
@@ -650,7 +622,7 @@ def ablation_sink_batching(scale: Scale = DEFAULT,
     rows = []
     for period in periods:
         result = run_once("saturn", workload, scale, sites=sites,
-                          sink_batch_period=period)
+                          dc_params=dict(sink_batch_period=period))
         rows.append({"sink_batch_period_ms": period,
                      "throughput": result.throughput,
                      "mean_visibility_ms": result.visibility.mean()})
@@ -704,7 +676,7 @@ def ablation_parallel_apply(scale: Scale = DEFAULT) -> Dict:
     rows = []
     for parallel in (True, False):
         result = run_once("saturn", workload, scale, sites=sites,
-                          parallel_concurrent_apply=parallel)
+                          dc_params=dict(parallel_concurrent_apply=parallel))
         rows.append({"parallel_apply": parallel,
                      "throughput": result.throughput,
                      "mean_visibility_ms": result.visibility.mean()})

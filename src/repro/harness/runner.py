@@ -1,42 +1,32 @@
 """Experiment harness: build a geo-replicated cluster and drive a workload.
 
-The runner assembles the full simulated system for any of the systems
-under study:
-
-* ``"saturn"``     — the paper's system (tree-based metadata dissemination);
-* ``"saturn-ts"``  — the P-configuration (timestamp-order fallback only);
-* ``"eventual"``   — eventually consistent baseline (upper/lower bound);
-* ``"gentlerain"`` — GentleRain [26];
-* ``"cure"``       — Cure [3];
-* ``"eunomia"``    — Eunomia (per-site sequencer, deferred stabilization);
-* ``"okapi"``      — Okapi (HLC vectors, global-cut stabilization);
-* ``"cops"`` / ``"cops-noprune"`` — COPS-style explicit dependencies;
-
-places one datacenter per site with Table-1-style latencies, spawns
-closed-loop clients, runs for a simulated duration, and returns throughput
-and visibility-latency results with a warmup window discarded (the paper
-drops the first and last minute of each run).
+:class:`Cluster` is the one builder of a simulated deployment.  It
+assembles any system of the protocol table (:mod:`repro.protocols`;
+``saturn-repro list`` prints it): one datacenter per site with
+Table-1-style latencies, the Saturn serializer tree if the protocol has
+one, and the clients — the workload's own roster if it supplies one
+(:class:`~repro.datacenter.script.ScriptedWorkload`), else closed-loop
+clients per site or open-loop arrival sources.  A run lasts a simulated
+duration and returns throughput and visibility-latency results with a
+warmup window discarded (the paper drops the first and last minute of
+each run).  The model-checking and chaos scenarios
+(:mod:`repro.analysis.mc.scenario`) are a ``Cluster`` plus oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.baselines.base import StabilizedDatacenter
-from repro.baselines.cure import CureDatacenter, cure_merge
-from repro.baselines.eunomia import EunomiaDatacenter, eunomia_merge
-from repro.baselines.explicit import ExplicitDatacenter, explicit_merge
-from repro.baselines.gentlerain import GentleRainDatacenter, gentlerain_merge
-from repro.baselines.okapi import OkapiDatacenter
 from repro.config.latencies import EC2_REGIONS, ec2_latency_model
-from repro.core.label import label_max
+from repro.core.failover import AutoFailover
+from repro.core.reconfig import ReconfigurationManager
 from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.datacenter.client import ClientProcess
-from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
 from repro.datacenter.overload import OverloadConfig
+from repro.protocols import PROTOCOLS, protocol_named
 from repro.workloads.openloop import OpenLoopClient, OpenLoopSource
 from repro.metrics import OpRecorder, VisibilityRecorder
 from repro.sim.clock import ClockFactory
@@ -47,8 +37,7 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["ClusterConfig", "Cluster", "RunResults", "MetricsHub", "SYSTEMS"]
 
-SYSTEMS = ("saturn", "saturn-ts", "eventual", "gentlerain", "cure",
-           "eunomia", "okapi", "cops", "cops-noprune")
+SYSTEMS = tuple(PROTOCOLS)
 
 
 class MetricsHub:
@@ -82,26 +71,18 @@ class ClusterConfig:
     #: Saturn tree; default is a star on the first site (experiments pass
     #: the configuration generator's output for the M-configuration).
     saturn_topology: Optional[TreeTopology] = None
-    sink_batch_period: float = 1.0
-    sink_heartbeat_period: float = 10.0
-    bulk_heartbeat_period: float = 5.0
     chain_length: int = 1
-    parallel_concurrent_apply: bool = True
-    ping_period: float = 0.0
-    #: serializer liveness beacons + per-sink failure detector (0 = off;
-    #: see repro.datacenter.failover for the state machine)
+    #: serializer liveness beacons (0 = off); pair with the per-sink
+    #: detector's ``dc_params["beacon_timeout"]`` (repro.datacenter.failover)
     beacon_period: float = 0.0
-    beacon_timeout: float = 0.0
-    stabilization_wait: float = 4.0
-    probe_period: float = 4.0
     #: wire the AutoFailover coordinator: degraded datacenters trigger an
     #: emergency epoch change once the dead tree is reachable again
     auto_failover: bool = False
-    #: stuck fast-path epoch changes escalate to the failure path (0 = off)
-    transition_timeout: float = 0.0
-    #: Eunomia sequencer batching interval (ms): the staleness /
-    #: batching-efficiency knob of the deferred-stabilization design
-    sequencer_batch_period: float = 2.0
+    #: per-datacenter tuning handed to the protocol's datacenter factory:
+    #: DatacenterParams fields for the Saturn family (sink periods,
+    #: detector timeouts, ``transition_timeout``...), constructor keywords
+    #: for a baseline (Eunomia's ``batch_period``)
+    dc_params: Mapping[str, Any] = field(default_factory=dict)
     #: override the workload's replication map (e.g. Fig. 1b sweeps)
     replication: Optional[ReplicationMap] = None
     #: opt-in runtime FIFO/determinism checker (repro.analysis.runtime);
@@ -117,13 +98,15 @@ class ClusterConfig:
     #: then ignored — the pool grows on demand)
     arrivals: Optional[object] = None
     #: opt-in overload machinery (repro.datacenter.overload); None keeps
-    #: every queue unbounded and admission disabled
+    #: every queue unbounded and admission disabled.  Its sink bounds are
+    #: DatacenterParams fields, so only the Saturn family accepts it
     overload: Optional[OverloadConfig] = None
 
     def __post_init__(self) -> None:
-        if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}; "
-                             f"expected one of {SYSTEMS}")
+        protocol = protocol_named(self.system)
+        if self.auto_failover and not protocol.has_tree:
+            raise ValueError(f"auto_failover needs a serializer tree; "
+                             f"{self.system!r} has none")
         if self.latency_model is None:
             self.latency_model = ec2_latency_model(self.local_latency)
 
@@ -151,6 +134,7 @@ class Cluster:
     def __init__(self, config: ClusterConfig, workload) -> None:
         self.config = config
         self.workload = workload
+        self.protocol = protocol_named(config.system)
         self.sim = Simulator()
         self.rng = RngRegistry(seed=config.seed)
         self.network = Network(self.sim, latency_model=config.latency_model,
@@ -164,18 +148,6 @@ class Cluster:
         if config.hazard_monitor:
             from repro.analysis.runtime import HazardMonitor
             self.hazard_monitor = HazardMonitor.install(self.sim, self.network)
-        self.obs_hub = None
-        if config.obs:
-            from repro.obs import ObsHub
-            self.obs_hub = ObsHub(self.sim, self.network)
-            if self.hazard_monitor is not None:
-                # a trace is installed anyway: ride it with the tap (the
-                # monitor stays primary, its digest is unchanged).  With
-                # no monitor the trace slot stays empty on purpose: the
-                # tap would add per-message work to every obs run.
-                from repro.analysis.mc.oracles import TraceTee
-                self.network.trace = TraceTee(self.hazard_monitor,
-                                              self.obs_hub.net_tap)
 
         def latency(a: str, b: str) -> float:
             if a == b:
@@ -191,14 +163,20 @@ class Cluster:
         self.clients: List[ClientProcess] = []
         self.sources: List[OpenLoopSource] = []
         self.execution_log = None
-        self.manager = None
-        self.failover = None
+        #: reconfiguration entry point, present iff the protocol has a tree
+        self.manager: Optional[ReconfigurationManager] = None
+        self.failover: Optional[AutoFailover] = None
+        #: (start offset in ms, client) of every roster client
+        self._client_starts: List[Tuple[float, ClientProcess]] = []
         self._build_datacenters()
         if self.open_loop:
             self._build_sources()
         else:
             self._build_clients()
-        self._build_failover()
+        self.obs_hub = None
+        if config.obs:
+            from repro.obs import attach_tracer
+            self.obs_hub = attach_tracer(self)
 
     @property
     def open_loop(self) -> bool:
@@ -208,7 +186,11 @@ class Cluster:
 
     def _build_datacenters(self) -> None:
         config = self.config
-        if config.system == "saturn":
+        params = dict(config.dc_params)
+        if config.overload is not None:
+            params.update(sink_buffer_cap=config.overload.sink_buffer_cap,
+                          sink_credits=config.overload.sink_credits)
+        if self.protocol.has_tree:
             topology = config.saturn_topology or TreeTopology.star(
                 self.sites[0], {site: site for site in self.sites})
             service_rate = (config.overload.serializer_service_rate
@@ -218,126 +200,65 @@ class Cluster:
                                          chain_length=config.chain_length,
                                          beacon_period=config.beacon_period,
                                          serializer_service_rate=service_rate)
-            if self.obs_hub is not None:
-                # before install_tree, so the serializers inherit the tracer
-                self.service.obs = self.obs_hub.tracer
-                self.service.queue_obs = self.obs_hub.registry
             self.service.install_tree(topology, epoch=0)
         for site in self.sites:
-            self.datacenters[site] = self._make_datacenter(site)
-
-    def _make_datacenter(self, site: str):
-        config = self.config
-        clock = self.clocks.create()
-        if config.system in ("saturn", "saturn-ts", "eventual"):
-            consistency = {"saturn": "saturn", "saturn-ts": "timestamp",
-                           "eventual": "eventual"}[config.system]
-            params = DatacenterParams(
-                name=site, site=site, num_partitions=config.num_partitions,
-                consistency=consistency,
-                sink_batch_period=config.sink_batch_period,
-                sink_heartbeat_period=config.sink_heartbeat_period,
-                bulk_heartbeat_period=config.bulk_heartbeat_period,
-                parallel_concurrent_apply=config.parallel_concurrent_apply,
-                ping_period=config.ping_period,
-                beacon_timeout=config.beacon_timeout,
-                stabilization_wait=config.stabilization_wait,
-                probe_period=config.probe_period,
-                transition_timeout=config.transition_timeout,
-                sink_buffer_cap=(config.overload.sink_buffer_cap
-                                 if config.overload is not None else 0),
-                sink_credits=(config.overload.sink_credits
-                              if config.overload is not None else 0))
-            dc = SaturnDatacenter(self.sim, params, self.replication,
-                                  config.cost_model, clock,
-                                  metrics=self.metrics,
-                                  execution_log=self.execution_log)
-            dc.saturn = self.service
-            if self.obs_hub is not None:
-                tracer = self.obs_hub.tracer
-                dc.sink.obs = tracer
-                dc.proxy.obs = tracer
+            dc = self.protocol.datacenter(
+                self.sim, site, self.replication, config.cost_model,
+                self.clocks.create(), num_partitions=config.num_partitions,
+                metrics=self.metrics, **params)
+            if self.service is not None:
+                dc.saturn = self.service
+            dc.attach_network(self.network)
+            self.network.place(dc.name, site)
+            self.datacenters[site] = dc
+        if self.service is not None:
+            self.manager = ReconfigurationManager(
+                self.service, list(self.datacenters.values()))
+        if config.auto_failover:
+            self.failover = AutoFailover(self.manager)
+            for dc in self.datacenters.values():
                 if dc.failover is not None:
-                    dc.failover.obs = tracer
-                dc.sink.queue_obs = self.obs_hub.registry
-                if dc.admission is not None:
-                    dc.admission.obs = self.obs_hub.registry
-        elif config.system == "gentlerain":
-            dc = GentleRainDatacenter(self.sim, site, site, self.replication,
-                                      config.cost_model, clock,
-                                      num_partitions=config.num_partitions,
-                                      metrics=self.metrics,
-                                      execution_log=self.execution_log)
-        elif config.system == "eunomia":
-            dc = EunomiaDatacenter(self.sim, site, site, self.replication,
-                                   config.cost_model, clock,
-                                   num_partitions=config.num_partitions,
-                                   metrics=self.metrics,
-                                   execution_log=self.execution_log,
-                                   batch_period=config.sequencer_batch_period)
-        elif config.system == "okapi":
-            dc = OkapiDatacenter(self.sim, site, site, self.replication,
-                                 config.cost_model, clock,
-                                 num_partitions=config.num_partitions,
-                                 metrics=self.metrics,
-                                 execution_log=self.execution_log)
-        elif config.system in ("cops", "cops-noprune"):
-            dc = ExplicitDatacenter(self.sim, site, site, self.replication,
-                                    config.cost_model, clock,
-                                    num_partitions=config.num_partitions,
-                                    prune_on_write=(config.system == "cops"),
-                                    metrics=self.metrics,
-                                    execution_log=self.execution_log)
-        else:  # cure
-            dc = CureDatacenter(self.sim, site, site, self.replication,
-                                config.cost_model, clock,
-                                num_partitions=config.num_partitions,
-                                metrics=self.metrics,
-                                execution_log=self.execution_log)
-        if self.obs_hub is not None and isinstance(dc, StabilizedDatacenter):
-            dc.obs = self.obs_hub.tracer
-        dc.attach_network(self.network)
-        self.network.place(dc.name, site)
-        return dc
+                    dc.failover.coordinator = self.failover
 
-    def merge_function(self) -> Callable:
-        return {
-            "saturn": label_max, "saturn-ts": label_max,
-            "eventual": label_max,
-            "gentlerain": gentlerain_merge,
-            "cure": cure_merge,
-            "eunomia": eunomia_merge,
-            "okapi": cure_merge,
-            "cops": explicit_merge, "cops-noprune": explicit_merge,
-        }[self.config.system]
-
-    def _build_clients(self) -> None:
-        merge = self.merge_function()
+    def _client_roster(self) -> List[Tuple[str, str, Callable, float]]:
+        """(client id, site, workload callable, start offset in ms) per
+        closed-loop client: the workload's own roster if it supplies one,
+        else ``clients_per_dc`` generated clients per site, 0.01 ms apart
+        to avoid lock-step artifacts."""
+        if hasattr(self.workload, "client_roster"):
+            return self.workload.client_roster()
+        roster = []
         for site in self.sites:
             for index in range(self.config.clients_per_dc):
                 client_id = f"{site}-{index}"
                 generator = self.workload.client_generator(
                     site, self.replication, self.rng, self.latency,
                     stream_name=f"client-{client_id}")
-                client = ClientProcess(self.sim, client_id, site, generator,
-                                       merge=merge, metrics=self.metrics)
-                client.attach_network(self.network)
-                self.network.place(client.name, site)
-                self.clients.append(client)
+                roster.append((client_id, site, generator,
+                               0.01 * len(roster)))
+        return roster
+
+    def _build_clients(self) -> None:
+        for client_id, site, generator, start_at in self._client_roster():
+            client = ClientProcess(self.sim, client_id, site, generator,
+                                   merge=self.protocol.merge,
+                                   metrics=self.metrics)
+            client.attach_network(self.network)
+            self.network.place(client.name, site)
+            self.clients.append(client)
+            self._client_starts.append((start_at, client))
 
     def _build_sources(self) -> None:
         """One open-loop arrival source per site (clients spawn on demand)."""
-        merge = self.merge_function()
-
         def make_spawn(site: str, source_box: list):
             def spawn(client_id: str) -> OpenLoopClient:
                 generator = self.workload.client_generator(
                     site, self.replication, self.rng, self.latency,
                     stream_name=f"client-{client_id}")
                 client = OpenLoopClient(
-                    self.sim, client_id, site, generator, merge=merge,
-                    metrics=self.metrics, execution_log=self.execution_log,
-                    source=source_box[0])
+                    self.sim, client_id, site, generator,
+                    merge=self.protocol.merge, metrics=self.metrics,
+                    execution_log=self.execution_log, source=source_box[0])
                 client.attach_network(self.network)
                 self.network.place(client.name, site)
                 self.clients.append(client)
@@ -351,20 +272,6 @@ class Cluster:
                                     stream=self.rng.stream(f"openloop-{site}"))
             box[0] = source
             self.sources.append(source)
-
-    def _build_failover(self) -> None:
-        if not self.config.auto_failover or self.service is None:
-            return
-        from repro.core.failover import AutoFailover
-        from repro.core.reconfig import ReconfigurationManager
-        self.manager = ReconfigurationManager(
-            self.service, list(self.datacenters.values()))
-        if self.obs_hub is not None:
-            self.manager.obs = self.obs_hub.tracer
-        self.failover = AutoFailover(self.manager)
-        for dc in self.datacenters.values():
-            if getattr(dc, "failover", None) is not None:
-                dc.failover.coordinator = self.failover
 
     # ------------------------------------------------------------------
 
@@ -381,9 +288,8 @@ class Cluster:
             dc.start()
         for source in self.sources:
             source.start()
-        for index, client in enumerate(self.clients):
-            # stagger starts slightly to avoid lock-step artifacts
-            self.sim.schedule(0.01 * index, client.start)
+        for start_at, client in self._client_starts:
+            self.sim.schedule(start_at, client.start)
 
     def run(self, duration: float = 1000.0, warmup: float = 200.0) -> RunResults:
         """Start the cluster and run for *duration* ms of simulated time."""

@@ -23,13 +23,14 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.naming import dc_process_name
 from repro.core.serializer import Serializer
 from repro.core.service import SaturnService
 from repro.datacenter.client import ClientProcess
 from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
+from repro.datacenter.script import script_workload
 from repro.net.directory import request_async
 from repro.net.kernel import RealtimeKernel
 from repro.net.sanitizers import NetSanitizer
@@ -37,10 +38,8 @@ from repro.net.spec import ClusterSpec
 from repro.net.tcp import TcpTransport
 from repro.sim.clock import PhysicalClock
 from repro.sim.cpu import CostModel
-from repro.workloads.ops import ReadOp, UpdateOp
 
-__all__ = ["NodeRuntime", "NetRecorder", "StaticSaturnView",
-           "script_generator", "main"]
+__all__ = ["NodeRuntime", "NetRecorder", "StaticSaturnView", "main"]
 
 #: polling periods (seconds, real time)
 _ROSTER_POLL_S = 0.05
@@ -131,40 +130,6 @@ class NetRecorder:
 
     def close(self) -> None:
         self._fh.close()
-
-
-def script_generator(script: List[Dict[str, Any]]
-                     ) -> Callable[[ClientProcess], object]:
-    """Workload callable for one declarative client script.
-
-    Mirrors the model checker's scripted generators: ``update`` and
-    ``read`` ops issue once; ``poll`` re-reads its key until a version is
-    observed (bounded by ``cap`` so a broken cluster still terminates)."""
-    steps = list(script)
-    state = {"index": 0, "reads": 0}
-
-    def generator(client: ClientProcess) -> object:
-        while state["index"] < len(steps):
-            step = steps[state["index"]]
-            op = step["op"]
-            if op == "update":
-                state["index"] += 1
-                return UpdateOp(step["key"], step.get("size", 2))
-            if op == "read":
-                state["index"] += 1
-                return ReadOp(step["key"])
-            if op == "poll":
-                if (client._observed_max_per_key.get(step["key"]) is None
-                        and state["reads"] < step.get("cap", 400)):
-                    state["reads"] += 1
-                    return ReadOp(step["key"])
-                state["index"] += 1
-                state["reads"] = 0
-                continue
-            raise ValueError(f"unknown script op {op!r}")
-        return None
-
-    return generator
 
 
 class NodeRuntime:
@@ -268,7 +233,7 @@ class NodeRuntime:
         for index, client_spec in enumerate(spec.clients_of(self.target)):
             client = ClientProcess(
                 self.kernel, client_spec["id"], self.target,
-                script_generator(client_spec["script"]),
+                script_workload(client_spec["script"]),
                 metrics=recorder, execution_log=recorder)
             client.attach_network(self.transport)
             # stagger starts (as the harness does) and leave a beat for
@@ -285,7 +250,7 @@ class NodeRuntime:
                     "delivered": self.serializer.labels_delivered}
         return {
             "role": "dc",
-            "clients_done": all(not c._running for c in self.clients),
+            "clients_done": all(not c.running for c in self.clients),
             "ops": sum(c.ops_completed for c in self.clients),
             "visible": [list(pair)
                         for pair in self.recorder.visible_pairs],

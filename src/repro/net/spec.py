@@ -20,20 +20,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.naming import dc_process_name
 from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 
-__all__ = ["ClusterSpec", "chain_smoke_spec", "write_cluster",
-           "chain_dependencies"]
+__all__ = ["ClusterSpec", "chain_clients", "chain_smoke_spec",
+           "write_cluster", "chain_dependencies"]
 
 #: first sites reuse the mc chain3 names so the scenarios line up
 _SITE_NAMES = ("I", "F", "T")
 
 KEY_A, KEY_B, KEY_P = "g0:a", "g0:b", "g1:p"
+#: written while the writer's datacenter is degraded (fault scenarios)
+KEY_C = "g0:c"
 
 
 def _site_name(index: int) -> str:
@@ -55,9 +57,8 @@ class ClusterSpec:
     serializer_sites: Dict[str, str]
     edges: List[Tuple[str, str]]
     attachments: Dict[str, str]
-    #: client scripts: {"id", "dc", "script": [op...]} where an op is
-    #: {"op": "update", "key", "size"} | {"op": "read", "key"} |
-    #: {"op": "poll", "key", "cap"}
+    #: client scripts: {"id", "dc", "script": [step...]}, steps as in
+    #: repro.datacenter.script
     clients: List[Dict[str, Any]]
     #: DatacenterParams overrides (periods are real milliseconds here)
     params: Dict[str, Any] = field(default_factory=dict)
@@ -138,13 +139,54 @@ class ClusterSpec:
                         encoding="utf-8")
 
 
+def chain_clients(sites: Sequence[str], relay_cap: int, reader_cap: int,
+                  writer_cap: Optional[int] = None) -> List[Dict[str, Any]]:
+    """Client scripts of the causal chain across *sites*.
+
+    The writer (site 0) writes ``g0:a``, ``g0:b`` and the partial-group
+    bait ``g1:p``; each relay (middle sites) waits for its predecessor's
+    key and writes its own; the reader (last site) waits for the last
+    relay's key and re-reads ``g0:a``.  With ``writer_cap`` the writer
+    also waits for the last relay's key and then writes ``g0:c`` — the
+    fault scenarios use it to write *through* an outage.
+    """
+    relays = []
+    prev_key = KEY_B
+    for index in range(1, len(sites) - 1):
+        key = _chain_key(index)
+        relays.append({
+            "id": f"relay-{sites[index]}", "dc": sites[index],
+            "script": [
+                {"op": "poll", "key": prev_key, "cap": relay_cap},
+                {"op": "update", "key": key, "size": 2},
+            ],
+        })
+        prev_key = key
+    writer = [
+        {"op": "update", "key": KEY_A, "size": 2},
+        {"op": "update", "key": KEY_B, "size": 2},
+        {"op": "update", "key": KEY_P, "size": 2},
+    ]
+    if writer_cap is not None:
+        writer += [{"op": "poll", "key": prev_key, "cap": writer_cap},
+                   {"op": "update", "key": KEY_C, "size": 2}]
+    return [
+        {"id": f"writer-{sites[0]}", "dc": sites[0], "script": writer},
+        *relays,
+        {"id": f"reader-{sites[-1]}", "dc": sites[-1],
+         "script": [
+             {"op": "poll", "key": prev_key, "cap": reader_cap},
+             {"op": "read", "key": KEY_A},
+         ]},
+    ]
+
+
 def chain_smoke_spec(num_dcs: int = 3, poll_cap: int = 400) -> ClusterSpec:
     """The N-DC chain smoke cluster (>= 2 datacenters).
 
     ``g0`` is fully replicated, ``g1`` lives on the first two sites only
-    (the genuine-partial-replication bait); a causal chain of writes
-    crosses every datacenter: writer (site 0) -> relays (middle sites)
-    -> reader (last site), each relay waiting for its predecessor's key.
+    (the genuine-partial-replication bait); the :func:`chain_clients`
+    causal chain of writes crosses every datacenter.
     """
     if num_dcs < 2:
         raise ValueError("chain needs at least 2 datacenters")
@@ -152,33 +194,7 @@ def chain_smoke_spec(num_dcs: int = 3, poll_cap: int = 400) -> ClusterSpec:
     serializers = {f"s{site}": site for site in sites}
     site_of = {site: f"s{site}" for site in sites}
     edges = [(site_of[a], site_of[b]) for a, b in zip(sites, sites[1:])]
-
-    clients: List[Dict[str, Any]] = [{
-        "id": f"writer-{sites[0]}", "dc": sites[0],
-        "script": [
-            {"op": "update", "key": KEY_A, "size": 2},
-            {"op": "update", "key": KEY_B, "size": 2},
-            {"op": "update", "key": KEY_P, "size": 2},
-        ],
-    }]
-    prev_key = KEY_B
-    for index in range(1, num_dcs - 1):
-        key = _chain_key(index)
-        clients.append({
-            "id": f"relay-{sites[index]}", "dc": sites[index],
-            "script": [
-                {"op": "poll", "key": prev_key, "cap": poll_cap},
-                {"op": "update", "key": key, "size": 2},
-            ],
-        })
-        prev_key = key
-    clients.append({
-        "id": f"reader-{sites[-1]}", "dc": sites[-1],
-        "script": [
-            {"op": "poll", "key": prev_key, "cap": poll_cap},
-            {"op": "read", "key": KEY_A},
-        ],
-    })
+    clients = chain_clients(sites, relay_cap=poll_cap, reader_cap=poll_cap)
 
     return ClusterSpec(
         name=f"chain{num_dcs}",

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.baselines.base import StabilizedDatacenter
+from repro.datacenter.datacenter import SaturnDatacenter
 from repro.datacenter.messages import LabelBatch
 from repro.obs.export import (SCHEMA, export_chrome, export_jsonl,
                               trace_digest)
@@ -40,8 +42,8 @@ class NetworkTap:
 
     Implements the :attr:`~repro.sim.network.Network.trace` protocol so it
     can ride a :class:`~repro.analysis.mc.oracles.TraceTee` behind the
-    HazardMonitor.  It is never installed as the *only* trace by the
-    harness: that would put a per-message hook on every obs run.
+    HazardMonitor.  :func:`attach_tracer` never installs it as the *only*
+    trace: that would put a per-message hook on every obs run.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -97,37 +99,42 @@ class ObsHub:
         return trace_digest(self.export_jsonl(meta=meta))
 
 
-def attach_tracer(scenario) -> ObsHub:
-    """Instrument a built (not yet run) model-checking / chaos
-    :class:`~repro.analysis.mc.scenario.Scenario`.
-
-    The scenario already carries a network trace (HazardMonitor + routing
-    oracle); the tap rides the tee behind them, so the monitor's digest
-    is unchanged.
+def attach_tracer(deployment) -> ObsHub:
+    """Instrument a built, not yet run deployment: a
+    :class:`~repro.harness.runner.Cluster` (``ClusterConfig(obs=True)``
+    calls this) or an mc/chaos
+    :class:`~repro.analysis.mc.scenario.Scenario` — anything with ``sim``,
+    ``network``, ``service``, ``datacenters`` and ``manager``.  This is
+    the one list of components that receive the tracer and the registry.
     """
-    from repro.analysis.mc.oracles import TraceTee
-
-    hub = ObsHub(scenario.sim, scenario.network)
-    tracer = hub.tracer
-    scenario.network.trace = TraceTee(scenario.monitor,
-                                      scenario.partial_oracle, hub.net_tap)
-    service = scenario.service
+    hub = ObsHub(deployment.sim, deployment.network)
+    tracer, registry = hub.tracer, hub.registry
+    network = deployment.network
+    if network.trace is not None:
+        # a trace is installed anyway (HazardMonitor, the mc oracles): the
+        # tap rides behind it, so the monitor stays primary and its digest
+        # is unchanged.  With none the slot stays empty on purpose: the
+        # tap would add per-message work to every obs run.
+        from repro.analysis.mc.oracles import TraceTee
+        network.trace = TraceTee(network.trace, hub.net_tap)
+    service = deployment.service
     if service is not None:
-        service.obs = tracer
+        # the service hands both to the serializers of later epochs
+        service.obs, service.queue_obs = tracer, registry
         for epoch in service.epochs():
-            for tree_name in sorted(service.serializers(epoch)):
-                service.serializers(epoch)[tree_name].obs = tracer
-    for name in sorted(scenario.datacenters):
-        dc = scenario.datacenters[name]
-        if hasattr(dc, "sink"):
-            dc.sink.obs = tracer
-            dc.proxy.obs = tracer
+            for serializer in service.serializers(epoch).values():
+                serializer.obs, serializer.queue_obs = tracer, registry
+    for dc in deployment.datacenters.values():
+        if isinstance(dc, SaturnDatacenter):
+            dc.sink.obs = dc.proxy.obs = tracer
+            dc.sink.queue_obs = registry
             if dc.failover is not None:
                 dc.failover.obs = tracer
-        else:
-            # stabilization-baseline datacenter (Eunomia/Okapi scenarios):
+            if dc.admission is not None:
+                dc.admission.obs = registry
+        elif isinstance(dc, StabilizedDatacenter):
             # one tracer hook pair, issue -> visible
             dc.obs = tracer
-    if scenario.manager is not None:
-        scenario.manager.obs = tracer
+    if deployment.manager is not None:
+        deployment.manager.obs = tracer
     return hub

@@ -1,0 +1,50 @@
+"""Every mc and chaos scenario, pinned to its delivery-trace digest.
+
+``golden/scenario_digests.json`` holds the ``HazardMonitor`` trace digest
+of all 8 ``SCENARIOS`` and all 5 ``CHAOS_SCENARIOS`` under the default
+(FIFO) schedule, captured at dbf5ae4 from the hand-wired builders that
+``Cluster`` replaced.  A mismatch means the assembly — construction
+order, a default, the client start stagger — changed the simulated
+execution; regenerate only for a deliberate protocol change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.mc.scenario import SCENARIOS, build_scenario
+from repro.faults.scenarios import CHAOS_SCENARIOS, build_chaos_scenario
+from repro.net.spec import chain_dependencies
+
+GOLDEN = json.loads((Path(__file__).parent / "golden"
+                     / "scenario_digests.json").read_text())
+
+
+def test_golden_covers_both_catalogs():
+    assert sorted(GOLDEN["mc"]) == sorted(SCENARIOS)
+    assert sorted(GOLDEN["chaos"]) == sorted(CHAOS_SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["mc"]))
+def test_mc_scenario_digest_is_pinned(name):
+    scenario = build_scenario(name)
+    scenario.run()
+    assert scenario.digest() == GOLDEN["mc"][name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["chaos"]))
+def test_chaos_scenario_digest_is_pinned(name):
+    scenario = build_chaos_scenario(name)
+    scenario.run()
+    assert scenario.digest() == GOLDEN["chaos"][name]
+
+
+def test_scenario_scripts_state_their_causal_chain():
+    """The scenarios are written in the net.spec script format, so the
+    spec's dependency reader describes them too."""
+    plain = build_scenario("chain3").cluster.workload
+    assert chain_dependencies(plain) == [
+        ("g0:a", "g0:b"), ("g0:b", "g1:p"), ("g0:b", "g0:y")]
+    hardened = build_chaos_scenario("serializer-crash").cluster.workload
+    assert ("g0:y", "g0:c") in chain_dependencies(hardened)

@@ -16,11 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.mc.scenario import build_chain3
+from repro.analysis.mc.scenario import build_hardened_chain3
 from repro.core.label import Label, LabelType
 from repro.core.service import SaturnService
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.faults.scenarios import _BEACON_PERIOD, _chaos_specs, _DETECTOR
 
 TREES = ("sI", "sF", "sT")
 EDGES = (("sI", "sF"), ("sF", "sT"))
@@ -70,10 +69,8 @@ def fault_plans(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(plan=fault_plans())
 def test_random_fault_plans_never_violate_causal_delivery(plan):
-    scenario = build_chain3(
-        "random-faults", horizon=160.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-        auto_failover=True, fault_plan=plan, min_expected_updates=0)
+    scenario = build_hardened_chain3("random-faults", 160.0, plan,
+                                     min_expected_updates=0)
     scenario.run()
     report = scenario.monitor.report()
     assert not report.fifo_violations, [v.describe()
@@ -107,10 +104,7 @@ def test_fast_restart_plan_found_by_hypothesis_stays_fixed(restart_at):
         FaultAction(kind="restart-serializer", at=restart_at,
                     args={"tree": "sT", "epoch": 0}),
     ))
-    scenario = build_chain3(
-        "fast-restart", horizon=160.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-        auto_failover=True, fault_plan=plan, min_expected_updates=5)
+    scenario = build_hardened_chain3("fast-restart", 160.0, plan)
     scenario.run()
     assert scenario.monitor.crosscheck(scenario.log) == []
     assert scenario.log.check_completeness() == []
@@ -132,10 +126,7 @@ def test_short_isolation_plan_found_by_hypothesis_stays_fixed():
         FaultAction(kind="rejoin", at=15.0,
                     args={"process": "ser:e0:sI"}),
     ))
-    scenario = build_chain3(
-        "short-isolation", horizon=160.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-        auto_failover=True, fault_plan=plan, min_expected_updates=5)
+    scenario = build_hardened_chain3("short-isolation", 160.0, plan)
     scenario.run()
     assert scenario.monitor.crosscheck(scenario.log) == []
     assert scenario.log.check_completeness() == []

@@ -7,18 +7,15 @@ and degradation parking the sink."""
 
 import pytest
 
-from repro.analysis.mc.scenario import build_chain3
+from repro.analysis.mc.scenario import BEACON_PERIOD, DETECTOR, build_chain3
 from repro.datacenter.failover import (ATTACHED, DEGRADED, SUSPECTED,
                                        SinkFailoverDetector)
 from repro.faults.plan import FaultAction, FaultPlan
 
-DETECTOR = dict(beacon_timeout=7.0, stabilization_wait=4.0,
-                probe_period=4.0, probe_backoff=2.0, probe_period_max=16.0)
-
 
 def _deploy(name, horizon, plan=None, auto_failover=False):
-    return build_chain3(name, horizon=horizon, beacon_period=2.0,
-                        dc_extra=dict(DETECTOR),
+    return build_chain3(name, horizon=horizon, beacon_period=BEACON_PERIOD,
+                        dc_params=DETECTOR,
                         auto_failover=auto_failover, fault_plan=plan)
 
 

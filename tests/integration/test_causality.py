@@ -87,7 +87,8 @@ def test_saturn_causality_with_clock_skew():
 
 
 def test_saturn_causality_without_parallel_apply():
-    results, log = run_checked("saturn", parallel_concurrent_apply=False)
+    results, log = run_checked(
+        "saturn", dc_params=dict(parallel_concurrent_apply=False))
     assert results.ops_completed > 500
     assert log.check() == []
 

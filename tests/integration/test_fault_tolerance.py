@@ -14,7 +14,8 @@ def build(ping_period=5.0, seed=1):
                                  keys_per_group=4, groups_per_dc=2)
     cluster = Cluster(ClusterConfig(system="saturn", sites=SITES,
                                     clients_per_dc=4, seed=seed,
-                                    ping_period=ping_period), workload)
+                                    dc_params=dict(ping_period=ping_period)),
+                      workload)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)
     return cluster, log

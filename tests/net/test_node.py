@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.label import Label, LabelType
 from repro.net.kernel import RealtimeKernel
-from repro.net.node import NetRecorder, NodeRuntime, StaticSaturnView, \
-    script_generator
+from repro.datacenter.script import script_workload
+from repro.net.node import NetRecorder, NodeRuntime, StaticSaturnView
 from repro.net.spec import chain_smoke_spec, write_cluster
 from repro.workloads.ops import ReadOp, UpdateOp
 
@@ -19,10 +19,13 @@ def _label(key, ts=1.0, src="gear:I:0", origin="I"):
 
 
 class FakeClient:
-    """Just enough of ClientProcess for the script generator."""
+    """Just enough of ClientProcess for the script interpreter."""
 
     def __init__(self):
-        self._observed_max_per_key = {}
+        self.versions = {}
+
+    def observed(self, key):
+        return self.versions.get(key)
 
 
 def _drain(generator, client, limit=50):
@@ -42,8 +45,8 @@ def test_static_view_answers_the_ingress_query():
     assert view.ingress_process("nowhere", 0) is None
 
 
-def test_script_generator_plays_updates_and_reads_once():
-    generator = script_generator([
+def test_script_workload_plays_updates_and_reads_once():
+    generator = script_workload([
         {"op": "update", "key": "g0:a", "size": 3},
         {"op": "read", "key": "g0:a"},
     ])
@@ -53,27 +56,27 @@ def test_script_generator_plays_updates_and_reads_once():
     assert generator(client) is None  # stays exhausted
 
 
-def test_script_generator_polls_until_a_version_is_observed():
-    generator = script_generator([
+def test_script_workload_polls_until_a_version_is_observed():
+    generator = script_workload([
         {"op": "poll", "key": "g0:b", "cap": 10},
         {"op": "update", "key": "g0:y"},
     ])
     client = FakeClient()
     assert generator(client) == ReadOp("g0:b")
     assert generator(client) == ReadOp("g0:b")
-    client._observed_max_per_key["g0:b"] = (1.0, "gear:I:0")
+    client.versions["g0:b"] = (1.0, "gear:I:0")
     assert generator(client) == UpdateOp("g0:y", 2)
     assert generator(client) is None
 
 
-def test_script_generator_poll_cap_bounds_a_broken_cluster():
-    generator = script_generator([{"op": "poll", "key": "g0:b", "cap": 4}])
+def test_script_workload_poll_cap_bounds_a_broken_cluster():
+    generator = script_workload([{"op": "poll", "key": "g0:b", "cap": 4}])
     client = FakeClient()  # the version never arrives
     assert _drain(generator, client) == [ReadOp("g0:b")] * 4
 
 
-def test_script_generator_rejects_unknown_ops():
-    generator = script_generator([{"op": "frobnicate", "key": "k"}])
+def test_script_workload_rejects_unknown_ops():
+    generator = script_workload([{"op": "frobnicate", "key": "k"}])
     with pytest.raises(ValueError):
         generator(FakeClient())
 

@@ -17,13 +17,12 @@ from collections import defaultdict
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.mc.scenario import SITES, _scripted, build_chain3
+from repro.analysis.mc.scenario import (SITES, build_chain3,
+                                        build_hardened_chain3)
 from repro.core.service import SaturnService
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.faults.scenarios import _BEACON_PERIOD, _chaos_specs, _DETECTOR
 from repro.obs import attach_tracer, chain_problems
 from repro.obs.report import label_breakdown
-from repro.workloads.ops import ReadOp, UpdateOp
 
 TREES = ("sI", "sF", "sT")
 EDGES = (("sI", "sF"), ("sF", "sT"))
@@ -40,14 +39,10 @@ def workload_specs(draw):
     specs = []
     for index in range(draw(st.integers(min_value=1, max_value=3))):
         site = draw(st.sampled_from(SITES))
-        ops = []
-        for _ in range(draw(st.integers(min_value=1, max_value=4))):
-            key = draw(st.sampled_from(KEYS))
-            if draw(st.booleans()):
-                ops.append(UpdateOp(key, 2))
-            else:
-                ops.append(ReadOp(key))
-        specs.append((f"rand-{index}", site, _scripted(ops)))
+        script = [{"op": draw(st.sampled_from(("update", "read"))),
+                   "key": draw(st.sampled_from(KEYS))}
+                  for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+        specs.append({"id": f"rand-{index}", "dc": site, "script": script})
     return specs
 
 
@@ -133,7 +128,7 @@ def _assert_visibility_matches_recorder(scenario, hub) -> None:
           suppress_health_check=[HealthCheck.too_slow])
 @given(specs=workload_specs())
 def test_random_workloads_produce_wellformed_consistent_traces(specs):
-    scenario = build_chain3("random-workload", horizon=120.0, specs=specs)
+    scenario = build_chain3("random-workload", horizon=120.0, clients=specs)
     hub = attach_tracer(scenario)
     scenario.run()
     _assert_trace_invariants(scenario, hub)
@@ -144,10 +139,8 @@ def test_random_workloads_produce_wellformed_consistent_traces(specs):
           suppress_health_check=[HealthCheck.too_slow])
 @given(plan=fault_plans())
 def test_random_fault_plans_produce_wellformed_consistent_traces(plan):
-    scenario = build_chain3(
-        "random-faults", horizon=160.0, specs=_chaos_specs(),
-        beacon_period=_BEACON_PERIOD, dc_extra=dict(_DETECTOR),
-        auto_failover=True, fault_plan=plan, min_expected_updates=0)
+    scenario = build_hardened_chain3("random-faults", 160.0, plan,
+                                     min_expected_updates=0)
     hub = attach_tracer(scenario)
     scenario.run()
     _assert_trace_invariants(scenario, hub)
