@@ -27,6 +27,7 @@ independently.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.label import Label, LabelType
@@ -214,11 +215,17 @@ class Serializer(Process):
         if depth > self.peak_ingress_depth:
             self.peak_ingress_depth = depth
         if self.queue_obs is not None:
-            self.queue_obs.gauge(f"serializer:{self.tree_name}",
-                                 "ingress_depth").set(depth, self.sim.now)
+            self._ingress_gauge.set(depth, self.sim.now)
         if not self._servicing:
             self._servicing = True
             self._service_next()
+
+    @cached_property
+    def _ingress_gauge(self):
+        # bound at first use, not at attach: a gauge nobody set must not
+        # appear in the export
+        return self.queue_obs.gauge(f"serializer:{self.tree_name}",
+                                    "ingress_depth")
 
     def _service_next(self) -> None:
         if not self._ingress:
@@ -236,9 +243,7 @@ class Serializer(Process):
         self.send(sender, LabelCredit(labels=len(batch.labels),
                                       tree_name=self.tree_name))
         if self.queue_obs is not None:
-            self.queue_obs.gauge(f"serializer:{self.tree_name}",
-                                 "ingress_depth").set(len(self._ingress),
-                                                      self.sim.now)
+            self._ingress_gauge.set(len(self._ingress), self.sim.now)
         self._service_next()
 
     def _neighbor_of(self, sender_process: str) -> Optional[str]:

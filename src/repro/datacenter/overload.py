@@ -38,6 +38,7 @@ count with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["OverloadConfig", "AdmissionController"]
 
@@ -85,9 +86,6 @@ class AdmissionController:
     admission and the serializer tree.
     """
 
-    __slots__ = ("cap", "inflight", "admitted", "rejected", "peak_inflight",
-                 "obs", "component")
-
     def __init__(self, cap: int, component: str = "admission") -> None:
         if cap <= 0:
             raise ValueError("cap must be positive")
@@ -104,15 +102,15 @@ class AdmissionController:
         if self.inflight >= self.cap:
             self.rejected += 1
             if self.obs is not None:
-                self.obs.counter(self.component, "rejected").inc(at=at)
+                self._rejected_counter.inc(at=at)
             return False
         self.inflight += 1
         self.admitted += 1
         if self.inflight > self.peak_inflight:
             self.peak_inflight = self.inflight
         if self.obs is not None:
-            self.obs.counter(self.component, "admitted").inc(at=at)
-            self.obs.gauge(self.component, "inflight").set(self.inflight, at)
+            self._admitted_counter.inc(at=at)
+            self._inflight_gauge.set(self.inflight, at)
         return True
 
     def on_shipped(self, count: int, at: float = 0.0) -> None:
@@ -120,4 +118,18 @@ class AdmissionController:
             return
         self.inflight = max(0, self.inflight - count)
         if self.obs is not None:
-            self.obs.gauge(self.component, "inflight").set(self.inflight, at)
+            self._inflight_gauge.set(self.inflight, at)
+
+    # bound at first use, not at attach: a metric nobody touched must not
+    # appear in the export
+    @cached_property
+    def _rejected_counter(self):
+        return self.obs.counter(self.component, "rejected")
+
+    @cached_property
+    def _admitted_counter(self):
+        return self.obs.counter(self.component, "admitted")
+
+    @cached_property
+    def _inflight_gauge(self):
+        return self.obs.gauge(self.component, "inflight")

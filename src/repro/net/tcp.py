@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.net import codec
 from repro.net.kernel import RealtimeKernel
@@ -136,9 +136,14 @@ class TcpTransport:
         self._addresses: Dict[str, Tuple[str, int]] = {}  # node -> addr
         self._peers: Dict[str, _Peer] = {}
         self._sites: Dict[str, str] = {}
-        #: inbound connection-handler tasks; asyncio's Server.wait_closed
-        #: does not cancel handlers, so stop() must (CONC006 by hand)
-        self._conn_tasks: Set[asyncio.Task] = set()
+        #: inbound connection handlers and their streams; asyncio's
+        #: Server.wait_closed does not end handlers, so stop() must
+        #: (CONC006 by hand)
+        self._conns: Dict[asyncio.Task, Tuple[asyncio.StreamReader,
+                                              asyncio.StreamWriter]] = {}
+        #: set by stop(): later sends to other nodes are dropped instead
+        #: of dialling peers that nobody would ever close
+        self._stopped = False
         #: optional repro.net.sanitizers.NetSanitizer (reentrancy check)
         self.sanitizer: Optional[Any] = None
         self.messages_sent = 0
@@ -156,20 +161,28 @@ class TcpTransport:
         return self.host, self.port
 
     async def stop(self) -> None:
+        self._stopped = True
         # swap state out before the first await so a concurrent stop()
         # sees empty maps instead of half-torn-down ones (CONC003)
         peers, self._peers = dict(self._peers), {}
         server, self._server = self._server, None
-        conn_tasks, self._conn_tasks = set(self._conn_tasks), set()
+        conns, self._conns = dict(self._conns), {}
         for _, peer in sorted(peers.items()):
             await peer.close()
         if server is not None:
             server.close()
             await server.wait_closed()
-        for task in conn_tasks:
-            task.cancel()
-        if conn_tasks:
-            await asyncio.gather(*conn_tasks, return_exceptions=True)
+        # End each handler the way a peer hang-up does: feed its reader
+        # the EOF, so readexactly raises IncompleteReadError on the next
+        # loop turn and the handler closes its stream.  A *cancelled*
+        # handler ends "cancelled", which py3.11's StreamReaderProtocol
+        # done-callback reports to the loop's exception handler as an
+        # error, once per connection.
+        for reader, writer in conns.values():
+            writer.transport.pause_reading()   # no data after the EOF
+            reader.feed_eof()
+        if conns:
+            await asyncio.gather(*conns, return_exceptions=True)
 
     # -- Transport protocol ------------------------------------------------
 
@@ -200,6 +213,8 @@ class TcpTransport:
             node = self._routes.get(dst)
             if node is None:
                 raise KeyError(f"unknown destination process {dst!r}")
+            if self._stopped:
+                return
             frame = codec.encode_frame(src, dst, message)
             self.bytes_sent += len(frame)
             self._peer_for(node).enqueue(frame)
@@ -246,7 +261,7 @@ class TcpTransport:
                                 writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
+            self._conns[task] = (reader, writer)
         try:
             while True:
                 header = await reader.readexactly(codec.FRAME_HEADER.size)
@@ -270,5 +285,5 @@ class TcpTransport:
             self.peer_errors += 1
         finally:
             if task is not None:
-                self._conn_tasks.discard(task)
+                self._conns.pop(task, None)
             writer.close()

@@ -30,7 +30,8 @@ from repro.datacenter.messages import LabelBatch
 from repro.obs.export import (SCHEMA, export_chrome, export_jsonl,
                               trace_digest)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import LabelTracer, Span, TraceEvent, chain_problems
+from repro.obs.trace import (NET_DROP, NET_SEND, LabelTracer, Span,
+                             TraceEvent, chain_problems)
 
 __all__ = ["ObsHub", "NetworkTap", "LabelTracer", "MetricsRegistry",
            "TraceEvent", "Span", "SCHEMA", "chain_problems",
@@ -43,28 +44,25 @@ class NetworkTap:
     Implements the :attr:`~repro.sim.network.Network.trace` protocol so it
     can ride a :class:`~repro.analysis.mc.oracles.TraceTee` behind the
     HazardMonitor.  :func:`attach_tracer` never installs it as the *only*
-    trace: that would put a per-message hook on every obs run.
+    trace: that would put a per-message hook on every obs run.  Messages
+    go into the tracer's log like label events do; the ``network/*``
+    counters and the batch-size histogram are derived from it on read.
     """
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
+    def __init__(self, tracer: LabelTracer) -> None:
+        self._record = tracer.record
 
     def on_send(self, src: str, dst: str, message: Any,
                 arrival: float) -> None:
-        registry = self.registry
-        registry.counter("network", "messages").inc(at=arrival)
-        if isinstance(message, LabelBatch):
-            registry.counter("network", "label_batches").inc(at=arrival)
-            registry.counter("network", "labels").inc(len(message.labels),
-                                                      at=arrival)
-            registry.histogram("network", "batch_size").observe(
-                len(message.labels), at=arrival)
+        self._record((arrival, NET_SEND, "network",
+                      len(message.labels)
+                      if isinstance(message, LabelBatch) else -1))
 
     def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
         pass
 
     def on_drop(self, src: str, dst: str, message: Any) -> None:
-        self.registry.counter("network", "drops").inc()
+        self._record((0.0, NET_DROP, "network"))
 
 
 class ObsHub:
@@ -75,7 +73,7 @@ class ObsHub:
         self.network = network
         self.registry = MetricsRegistry(window=window)
         self.tracer = LabelTracer(registry=self.registry)
-        self.net_tap = NetworkTap(self.registry)
+        self.net_tap = NetworkTap(self.tracer)
 
     def sample_kernel(self) -> None:
         """Snapshot end-of-run kernel/network gauges."""

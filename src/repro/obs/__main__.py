@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.obs import ObsHub, attach_tracer
+from repro.obs import ObsHub, attach_tracer, trace_digest
 from repro.obs.report import format_breakdown, pair_breakdown
 
 __all__ = ["main"]
@@ -120,7 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         source = f"fig4-mconf/{args.scale}"
 
     exported = hub.export_jsonl(meta={"source": source})
-    digest = hub.digest(meta={"source": source})
+    digest = trace_digest(exported)
     failures: List[str] = []
 
     summary = {"source": source, "digest": digest,

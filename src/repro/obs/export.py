@@ -18,42 +18,48 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
-from repro.obs.trace import LabelTracer
+from repro.obs.trace import LabelTracer, derive_spans
 
-__all__ = ["SCHEMA", "export_jsonl", "export_chrome", "trace_digest"]
+__all__ = ["SCHEMA", "iter_jsonl", "export_jsonl", "export_chrome",
+           "trace_digest"]
 
 SCHEMA = "saturn-obs/v1"
 
 
 def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def export_jsonl(tracer: LabelTracer, registry=None,
-                 meta: Optional[dict] = None) -> str:
-    """Canonical JSON-lines export (deterministic bytes)."""
-    lines: List[str] = []
+def iter_jsonl(tracer: LabelTracer, registry=None,
+               meta: Optional[dict] = None) -> Iterator[str]:
+    """The canonical export, one newline-terminated line at a time; only
+    one chain's events exist at any moment."""
     header: dict = {"kind": "header", "schema": SCHEMA}
     if meta:
         header["meta"] = meta
-    lines.append(_dumps(header))
+    yield _dumps(header)
     for (ts, src), events in tracer.chains():
-        lines.append(_dumps({
+        yield _dumps({
             "kind": "chain",
             "label": {"ts": ts, "src": src},
             "events": [event.to_obj() for event in events],
-        }))
+        })
     for event in tracer.annotations:
         record = {"kind": "annotation", "annotation": event.kind,
                   "node": event.node, "t": event.t}
         if event.extra:
             record["extra"] = event.extra
-        lines.append(_dumps(record))
+        yield _dumps(record)
     if registry is not None:
-        lines.append(_dumps({"kind": "metrics", "metrics": registry.to_dict()}))
-    return "\n".join(lines) + "\n"
+        yield _dumps({"kind": "metrics", "metrics": registry.to_dict()})
+
+
+def export_jsonl(tracer: LabelTracer, registry=None,
+                 meta: Optional[dict] = None) -> str:
+    """Canonical JSON-lines export (deterministic bytes)."""
+    return "".join(iter_jsonl(tracer, registry, meta))
 
 
 def trace_digest(exported: str) -> str:
@@ -83,7 +89,7 @@ def export_chrome(tracer: LabelTracer) -> dict:
                              "pid": pid_of[node], "tid": 0,
                              "args": {"name": node}})
     for tid, ((ts, src), events) in enumerate(tracer.chains(), start=1):
-        for span in tracer.spans((ts, src)):
+        for span in derive_spans(events):
             trace_events.append({
                 "ph": "X", "cat": "label", "name": span.name,
                 "pid": pid_of[span.node], "tid": tid,

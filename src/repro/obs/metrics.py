@@ -15,7 +15,7 @@ is bit-deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.metrics.stats import mean, percentile
 
@@ -112,8 +112,13 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, str], Counter] = {}
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
+        #: run before counters and histograms are handed out or exported: a
+        #: producer that logs first and counts later (LabelTracer) folds its
+        #: backlog in here, so a Counter is as fresh as its last lookup
+        self.before_read: Callable[[], None] = lambda: None
 
     def counter(self, component: str, name: str) -> Counter:
+        self.before_read()
         key = (component, name)
         metric = self._counters.get(key)
         if metric is None:
@@ -128,6 +133,7 @@ class MetricsRegistry:
         return metric
 
     def histogram(self, component: str, name: str) -> Histogram:
+        self.before_read()
         key = (component, name)
         metric = self._histograms.get(key)
         if metric is None:
@@ -135,6 +141,8 @@ class MetricsRegistry:
         return metric
 
     def to_dict(self) -> dict:
+        self.before_read()
+
         def section(metrics: Dict[Tuple[str, str], object]) -> dict:
             return {f"{component}/{name}": metrics[(component, name)].to_obj()
                     for component, name in sorted(metrics)}

@@ -1,8 +1,16 @@
-"""Label-lifecycle tracing: one causally-linked event chain per label.
+"""Label-lifecycle tracing: one append-only log, everything else derived.
 
-Every label minted by a sink is identified by its ``(ts, src)`` key — the
-same key the remote proxies deduplicate on — and accumulates a chronological
-list of :class:`TraceEvent` records as it moves through the system:
+Every hook call appends one flat tuple of atoms (floats, ints, strs, bools,
+``None`` — nothing the garbage collector has to walk) to a single log:
+
+    label event   (t, code, node, label.ts, label.src, *payload)
+    annotation    (t, ANNOTATE, node, kind, key, value, key, value, ...)
+    network tap   (t, NET_SEND, "network", labels in the batch or -1)
+                  (0.0, NET_DROP, "network")
+
+A label is identified by its ``(ts, src)`` key — the one the remote proxies
+deduplicate on — and its *chain* is the chronological list of its records,
+handed to readers as :class:`TraceEvent` objects:
 
 ``issue``        minted at the origin datacenter's label sink;
 ``flush``        shipped towards the tree by the sink (``replayed`` marks
@@ -20,14 +28,15 @@ list of :class:`TraceEvent` records as it moves through the system:
                  completed its turn in the visibility pipeline.
 
 Cluster-wide happenings that are not tied to one label (failover state
-transitions, sink park/replay, epoch changes and adoptions) are recorded as
-*annotations* — the same record shape with no label key.
+transitions, sink park/replay, epoch changes and adoptions) are
+*annotations*.  Chains, spans and the registry's counters are computed from
+the log when they are read, from the tail recorded since the last read.
 
 Everything stored here is a pure function of simulated time and process
 names, so a traced run exports bit-identically across double runs of the
 same seed.  The tracer never schedules events and never touches the
 network, which keeps the traced execution itself identical to the untraced
-one (see the transparency test in tests/obs).
+one (see the transparency tests in tests/obs).
 """
 
 from __future__ import annotations
@@ -82,104 +91,164 @@ class Span:
                 "start": self.start, "end": self.end, "parent": self.parent}
 
 
+# record codes; a label event's code indexes _KINDS
+(ISSUE, FLUSH, REPLAY, SER_ARRIVE, SER_FORWARD, DELIVER, VISIBLE, FINALIZED,
+ ANNOTATE, NET_SEND, NET_DROP) = range(11)
+
+#: code -> (event kind, names of the payload fields, counter component
+#: prefix, counter name, index of the payload field appended to that name)
+_KINDS = (
+    ("issue", ("type", "target", "origin"), "sink/", "labels_issued", 0),
+    ("flush", (), "sink/", "labels_flushed", 0),
+    ("flush", ("replayed",), "sink/", "labels_replayed", 0),
+    ("ser-arrive", ("from",), "serializer/", "labels_in", 0),
+    ("ser-forward", ("to", "dwell"), "serializer/", "labels_out", 0),
+    ("deliver", ("epoch", "disposition"), "proxy/", "delivered_", 6),
+    ("visible", ("mode",), "proxy/", "visible_", 5),
+    ("finalized", (), None, None, 0),
+)
+
+
+def _event(record: tuple) -> TraceEvent:
+    if record[1] == ANNOTATE:
+        return TraceEvent(record[0], record[3], record[2],
+                          dict(zip(record[4::2], record[5::2])))
+    kind = _KINDS[record[1]]
+    return TraceEvent(record[0], kind[0], record[2],
+                      dict(zip(kind[1], record[5:])))
+
+
 class LabelTracer:
-    """Collects per-label event chains plus cluster annotations.
+    """One append-only log of what happened to every label, plus cluster
+    annotations; chains, spans and counters are derived from it on read.
 
     Hot-path call sites hold a reference and guard with
-    ``if self.obs is not None`` so the disabled cost is one attribute load.
-    The optional *registry* (a :class:`repro.obs.metrics.MetricsRegistry`)
-    receives component-keyed counters alongside the chains.
+    ``if self.obs is not None`` so the disabled cost is one attribute load;
+    enabled, a hook is one ``list.append`` of a tuple.  The optional
+    *registry* (a :class:`repro.obs.metrics.MetricsRegistry`) gets its
+    component-keyed counters from the same log, folded in whenever it is
+    read.  Readers only ever process the tail recorded since the last
+    read, so interleaving reads with recording stays linear.
     """
 
     def __init__(self, registry=None) -> None:
-        #: (ts, src) -> chronological event list; key insertion order is
-        #: simulation order, but exports re-sort by key for stability
-        self._chains: Dict[LabelKey, List[TraceEvent]] = {}
-        self.annotations: List[TraceEvent] = []
+        self._log: List[tuple] = []
+        #: appends one record; the hooks below and
+        #: :class:`repro.obs.NetworkTap` are the only writers
+        self.record = self._log.append
         self.registry = registry
+        #: (ts, src) -> positions of the label's records in the log; key
+        #: insertion order is simulation order, but reads sort by key
+        self._positions: Dict[LabelKey, List[int]] = {}
+        self._annotations: List[TraceEvent] = []
+        self._indexed = 0      # log prefix already in the two above
+        self._counted = 0      # log prefix already in the registry
+        if registry is not None:
+            registry.before_read = self._count
 
     # -- recording ----------------------------------------------------------
 
-    def _events(self, label: Label) -> List[TraceEvent]:
-        key = (label.ts, label.src)
-        events = self._chains.get(key)
-        if events is None:
-            events = self._chains[key] = []
-        return events
-
     def on_issue(self, label: Label, t: float, dc: str) -> None:
-        self._events(label).append(TraceEvent(t, "issue", dc, {
-            "type": label.type.value, "target": label.target,
-            "origin": label.origin_dc}))
-        reg = self.registry
-        if reg is not None:
-            reg.counter(f"sink/{dc}", "labels_issued").inc(at=t)
+        self.record((t, ISSUE, dc, label.ts, label.src, label.type.value,
+                     label.target, label.origin_dc))
 
     def on_flush(self, label: Label, t: float, dc: str,
                  replayed: bool = False) -> None:
-        extra = {"replayed": True} if replayed else None
-        self._events(label).append(TraceEvent(t, "flush", dc, extra))
-        reg = self.registry
-        if reg is not None:
-            name = "labels_replayed" if replayed else "labels_flushed"
-            reg.counter(f"sink/{dc}", name).inc(at=t)
+        self.record((t, REPLAY, dc, label.ts, label.src, True) if replayed
+                    else (t, FLUSH, dc, label.ts, label.src))
 
     def on_serializer_arrive(self, label: Label, t: float, node: str,
                              sender: str) -> None:
-        self._events(label).append(
-            TraceEvent(t, "ser-arrive", node, {"from": sender}))
-        reg = self.registry
-        if reg is not None:
-            reg.counter(f"serializer/{node}", "labels_in").inc(at=t)
+        self.record((t, SER_ARRIVE, node, label.ts, label.src, sender))
 
     def on_serializer_forward(self, label: Label, t: float, node: str,
                               to: str, dwell: float) -> None:
-        self._events(label).append(
-            TraceEvent(t, "ser-forward", node, {"to": to, "dwell": dwell}))
-        reg = self.registry
-        if reg is not None:
-            reg.counter(f"serializer/{node}", "labels_out").inc(at=t)
+        self.record((t, SER_FORWARD, node, label.ts, label.src, to, dwell))
 
     def on_deliver(self, label: Label, t: float, dc: str, epoch: int,
                    disposition: str) -> None:
-        self._events(label).append(TraceEvent(t, "deliver", dc, {
-            "epoch": epoch, "disposition": disposition}))
-        reg = self.registry
-        if reg is not None:
-            reg.counter(f"proxy/{dc}", f"delivered_{disposition}").inc(at=t)
+        self.record((t, DELIVER, dc, label.ts, label.src, epoch,
+                     disposition))
 
     def on_visible(self, label: Label, t: float, dc: str, mode: str) -> None:
-        self._events(label).append(
-            TraceEvent(t, "visible", dc, {"mode": mode}))
-        reg = self.registry
-        if reg is not None:
-            reg.counter(f"proxy/{dc}", f"visible_{mode}").inc(at=t)
+        self.record((t, VISIBLE, dc, label.ts, label.src, mode))
 
     def on_finalized(self, label: Label, t: float, dc: str) -> None:
-        self._events(label).append(TraceEvent(t, "finalized", dc))
+        self.record((t, FINALIZED, dc, label.ts, label.src))
 
     def annotate(self, t: float, kind: str, node: str, **extra) -> None:
-        self.annotations.append(
-            TraceEvent(t, kind, node, extra if extra else None))
-        reg = self.registry
-        if reg is not None:
-            reg.counter(f"events/{node}", kind.replace("-", "_")).inc(at=t)
+        record = [t, ANNOTATE, node, kind]
+        for item in extra.items():
+            record.extend(item)
+        self.record(tuple(record))
 
     # -- reading ------------------------------------------------------------
 
+    def _index(self) -> Dict[LabelKey, List[int]]:
+        log = self._log
+        positions = self._positions
+        for position in range(self._indexed, len(log)):
+            record = log[position]
+            code = record[1]
+            if code < ANNOTATE:
+                positions.setdefault((record[3], record[4]),
+                                     []).append(position)
+            elif code == ANNOTATE:
+                self._annotations.append(_event(record))
+        self._indexed = len(log)
+        return positions
+
+    @property
+    def annotations(self) -> List[TraceEvent]:
+        self._index()
+        return self._annotations
+
     def chains(self) -> Iterator[Tuple[LabelKey, List[TraceEvent]]]:
-        """Chains in ``(ts, src)`` order (deterministic across runs)."""
-        for key in sorted(self._chains):
-            yield key, self._chains[key]
+        """Chains in ``(ts, src)`` order (deterministic across runs); each
+        event list is built for the caller and not kept."""
+        for key in sorted(self._index()):
+            yield key, self.events(key)
 
     def events(self, key: LabelKey) -> List[TraceEvent]:
-        return self._chains.get(key, [])
+        log = self._log
+        return [_event(log[position])
+                for position in self._index().get(key, ())]
 
     def num_chains(self) -> int:
-        return len(self._chains)
+        return len(self._index())
 
     def spans(self, key: LabelKey) -> List[Span]:
-        return derive_spans(self._chains.get(key, []))
+        return derive_spans(self.events(key))
+
+    def _count(self) -> None:
+        """Fold the not yet counted tail of the log into the registry
+        (its ``before_read`` hook)."""
+        log = self._log
+        start = self._counted
+        if start == len(log):
+            return
+        # moved first: registry.counter() below calls back into here
+        self._counted = len(log)
+        counter, histogram = self.registry.counter, self.registry.histogram
+        for record in log[start:]:
+            t, code, node = record[:3]
+            if code < ANNOTATE:
+                _, _, prefix, name, suffix_at = _KINDS[code]
+                if prefix is not None:
+                    if suffix_at:
+                        name += record[suffix_at]
+                    counter(prefix + node, name).inc(at=t)
+            elif code == ANNOTATE:
+                counter("events/" + node,
+                        record[3].replace("-", "_")).inc(at=t)
+            elif code == NET_DROP:
+                counter(node, "drops").inc()
+            else:
+                counter(node, "messages").inc(at=t)
+                if record[3] >= 0:
+                    counter(node, "label_batches").inc(at=t)
+                    counter(node, "labels").inc(record[3], at=t)
+                    histogram(node, "batch_size").observe(record[3], at=t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
   :mod:`repro.obs` hooks compiled in but *disabled* (``obs is None``), the
   configuration every ordinary run pays for; guards the near-zero-cost
   promise of the instrumentation.
+* :func:`bench_obs_enabled` — that hot path with a tracer attached; guards
+  the cheap-enough-to-leave-on promise.
 * :func:`bench_figure` — wall-clock seconds for one smoke-scale figure run
   (the full stack: datacenters, gears, clients, metrics), i.e. what a
   contributor actually waits for.
@@ -41,8 +43,8 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
-__all__ = ["bench_kernel", "bench_tree", "bench_obs", "bench_figure",
-           "bench_saturation", "TREE_SITES"]
+__all__ = ["bench_kernel", "bench_tree", "bench_obs", "bench_obs_enabled",
+           "bench_figure", "bench_saturation", "TREE_SITES"]
 
 #: the paper's seven EC2 regions — one datacenter per region
 TREE_SITES: Tuple[str, ...] = tuple(EC2_REGIONS)
@@ -188,35 +190,41 @@ def bench_tree(batches_per_dc: int = 120, labels_per_batch: int = 24,
 
 
 def bench_obs(batches_per_dc: int = 120, labels_per_batch: int = 24,
-              repeats: int = 3,
-              sites: Tuple[str, ...] = TREE_SITES) -> Dict:
+              repeats: int = 3, sites: Tuple[str, ...] = TREE_SITES,
+              traced: bool = False) -> Dict:
     """Serializer-tree throughput with the obs hooks present but disabled.
 
     Identical workload to :func:`bench_tree`; the measured number is the
     rate every *untraced* run pays, i.e. the routing hot path plus one
-    ``obs is not None`` test per batch arrival and forward.  A traced run
-    is also timed once so the baseline records the enabled-path overhead
-    (informational only — the regression gate watches the disabled rate).
+    ``obs is not None`` test per batch arrival and forward.  ``traced``
+    attaches a tracer instead (see :func:`bench_obs_enabled`).
     """
 
     def run() -> Tuple[int, float]:
-        return _tree_run(batches_per_dc, labels_per_batch, sites)
+        return _tree_run(batches_per_dc, labels_per_batch, sites, traced)
 
     rate, work, elapsed = best_rate(run, repeats)
-    traced_work, traced_elapsed = _tree_run(batches_per_dc, labels_per_batch,
-                                            sites, traced=True)
-    traced_rate = traced_work / traced_elapsed if traced_elapsed else 0.0
     return {
         "raw": rate,
         "unit": "labels/s",
         "higher_is_better": True,
         "meta": {"labels_delivered": work, "seconds": elapsed,
                  "batches_per_dc": batches_per_dc,
-                 "labels_per_batch": labels_per_batch, "repeats": repeats,
-                 "traced_labels_per_sec": traced_rate,
-                 "traced_overhead_pct": (100.0 * (rate - traced_rate) / rate
-                                         if rate else 0.0)},
+                 "labels_per_batch": labels_per_batch, "repeats": repeats},
     }
+
+
+def bench_obs_enabled(untraced_rate: float, **sizing) -> Dict:
+    """:func:`bench_obs` with a :class:`~repro.obs.LabelTracer` attached:
+    what leaving tracing on costs the label path (two hook calls per label
+    per hop).  *untraced_rate* (the disabled run's) only feeds the
+    informational ``traced_overhead_pct``; the gate watches the rate.
+    """
+    result = bench_obs(traced=True, **sizing)
+    result["meta"]["traced_overhead_pct"] = (
+        100.0 * (untraced_rate - result["raw"]) / untraced_rate
+        if untraced_rate else 0.0)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from repro.perf import __main__ as perf_cli
 from repro.perf.baseline import (SCHEMA_VERSION, build_result, compare,
                                  load_result, normalize, save_result)
-from repro.perf.benches import TREE_SITES, bench_kernel, bench_tree
+from repro.perf.benches import (TREE_SITES, bench_kernel, bench_obs_enabled,
+                                 bench_tree)
 from repro.perf.measure import best_rate, calibrate
 
 
@@ -44,6 +45,15 @@ def test_tree_bench_delivers_every_interested_label():
     assert meta["expected"] == expected
     assert meta["labels_delivered"] == expected
     assert result["raw"] > 0
+
+
+def test_obs_enabled_bench_traces_the_same_tree_run():
+    result = bench_obs_enabled(untraced_rate=1e12, batches_per_dc=4,
+                               labels_per_batch=5, repeats=1)
+    expected = len(TREE_SITES) * 4 * 5 * (len(TREE_SITES) - 1)
+    assert result["meta"]["labels_delivered"] == expected
+    assert result["raw"] > 0
+    assert 99.0 < result["meta"]["traced_overhead_pct"] <= 100.0
 
 
 # -- baseline schema ---------------------------------------------------------
@@ -183,6 +193,8 @@ def test_cli_writes_result_file(tmp_path, capsys):
     assert perf_cli.main(_quick_args(out) + ["--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert "kernel_events_per_sec" in document["metrics"]
+    # the traced tree run is an entry of its own, hence gated by --compare
+    assert "obs_enabled_tree_labels_per_sec" in document["metrics"]
     on_disk = load_result(out)
     assert on_disk["metrics"].keys() == document["metrics"].keys()
 
