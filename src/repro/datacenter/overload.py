@@ -86,6 +86,11 @@ class AdmissionController:
     admission and the serializer tree.
     """
 
+    # "__dict__" only holds the cached metric bindings below, so the
+    # counters the obs-off path touches stay slot loads
+    __slots__ = ("cap", "inflight", "admitted", "rejected", "peak_inflight",
+                 "obs", "component", "__dict__")
+
     def __init__(self, cap: int, component: str = "admission") -> None:
         if cap <= 0:
             raise ValueError("cap must be positive")
