@@ -258,7 +258,8 @@ def load_contract(path: Path) -> ArchContract:
         seam_names=_strings(seams, "protocol_names"),
         unrestricted_layers=unrestricted,
         scheduler_methods=_strings(
-            seams, "scheduler_methods", ("schedule", "schedule_at")),
+            seams, "scheduler_methods",
+            ("schedule", "schedule_at", "call_at")),
         purity_entry_points=_strings(purity, "entry_points"),
         purity_boundary_modules=_strings(purity, "boundary_modules"),
         message_modules=_strings(wire, "message_modules"),

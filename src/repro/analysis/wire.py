@@ -5,13 +5,14 @@ Enumerates the message dataclasses in the contract's ``message_modules``
 
 * ARCH201 — every message type that is *constructed* somewhere has a
   registered handler: an ``isinstance(x, T)`` (or tuple-of-types) test
-  inside some contract-named handler method.  Messages that are never
+  inside some contract-named handler method, or a ``T: handler`` entry of
+  a class-level dispatch dict next to one.  Messages that are never
   constructed need no handler; contract ``components`` (plain-data types
   that ride *inside* message fields, e.g. a dependency context) are
   plain-checked like messages but exempt from handler registration.
-* ARCH202 — inside an ``isinstance(message, T)`` branch of a handler,
-  every attribute read on the narrowed variable exists on ``T`` (fields,
-  methods, or properties).
+* ARCH202 — inside an ``isinstance(message, T)`` branch of a handler (or
+  the handler a dispatch dict maps ``T`` to), every attribute read on the
+  narrowed variable exists on ``T`` (fields, methods, or properties).
 * ARCH203 — every field annotation is plain data: ``None/bool/int/float/
   str/bytes``, enums and frozen plain dataclasses named in the contract's
   ``plain_classes``, and ``Optional/Union/Tuple/FrozenSet`` thereof.
@@ -248,9 +249,10 @@ def _non_plain(annotation: Optional[ast.expr], plain_classes: Set[str],
 
 # -- handler discovery ------------------------------------------------------
 
-def _handler_methods(graph: ModuleGraph,
-                     contract: ArchContract) -> List[Tuple[Module, ast.AST]]:
-    """All (module, method-node) whose name is a contract handler method."""
+def _handler_methods(graph: ModuleGraph, contract: ArchContract
+                     ) -> List[Tuple[Module, ast.AST, ast.ClassDef]]:
+    """All (module, method-node, its class) whose name is a contract
+    handler method."""
     out = []
     for mod_name in sorted(graph.modules):
         module = graph.modules[mod_name]
@@ -260,8 +262,35 @@ def _handler_methods(graph: ModuleGraph,
             for sub in stmt.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and sub.name in contract.handler_methods:
-                    out.append((module, sub))
+                    out.append((module, sub, stmt))
     return out
+
+
+def _table_arms(graph: ModuleGraph, contract: ArchContract,
+                messages: Dict[str, MessageType]
+                ) -> List[Tuple[Module, MessageType, Optional[str], ast.AST]]:
+    """The table form of the isinstance ladder: (module, message, narrowed
+    variable, handler node) per ``T: handler`` entry of a dict in the body
+    of a class with a handler method.  The handler — a lambda, or a method
+    of that class named in the dict — narrows its last parameter to T."""
+    arms = []
+    classes = {id(cls): (module, cls)
+               for module, _, cls in _handler_methods(graph, contract)}
+    for module, cls in classes.values():
+        methods = {sub.name: sub for sub in cls.body
+                   if isinstance(sub, ast.FunctionDef)}
+        for stmt in cls.body:
+            table = getattr(stmt, "value", None)
+            if not isinstance(table, ast.Dict):
+                continue
+            for key, value in zip(table.keys, table.values):
+                msg = messages.get(terminal_name(key))
+                handler = methods.get(getattr(value, "id", None), value)
+                params = getattr(getattr(handler, "args", None), "args", None)
+                if msg is not None:
+                    arms.append((module, msg,
+                                 params[-1].arg if params else None, handler))
+    return arms
 
 
 def _isinstance_targets(call: ast.Call,
@@ -283,10 +312,12 @@ def _isinstance_targets(call: ast.Call,
 def _collect_handlers(graph: ModuleGraph, contract: ArchContract,
                       messages: Dict[str, MessageType]) -> Set[str]:
     handled: Set[str] = set()
-    for module, method in _handler_methods(graph, contract):
+    for module, method, _ in _handler_methods(graph, contract):
         for node in ast.walk(method):
             if isinstance(node, ast.Call):
                 handled.update(_isinstance_targets(node, messages))
+    handled.update(msg.name for _, msg, _, _ in
+                   _table_arms(graph, contract, messages))
     return handled
 
 
@@ -365,8 +396,11 @@ def _check_handler_field_access(
         graph: ModuleGraph, contract: ArchContract,
         messages: Dict[str, MessageType]) -> List[Finding]:
     findings: List[Finding] = []
-    for module, method in _handler_methods(graph, contract):
+    for module, method, _ in _handler_methods(graph, contract):
         _scan_branches(module, method, messages, findings)
+    for module, msg, var, handler in _table_arms(graph, contract, messages):
+        if var is not None:
+            _check_access(module, handler, var, msg, findings)
     return findings
 
 

@@ -176,32 +176,37 @@ class SaturnDatacenter(Process):
     # ------------------------------------------------------------------
 
     def receive(self, sender: str, message) -> None:
-        if isinstance(message, ClientRead):
-            self.frontend.read(sender, message.key)
-        elif isinstance(message, ClientUpdate):
-            self.frontend.update(sender, message.key, message.value_size,
-                                 message.label)
-        elif isinstance(message, ClientAttach):
-            self.frontend.attach(sender, message.label)
-        elif isinstance(message, ClientMigrate):
-            self.frontend.migrate(sender, message.target_dc, message.label)
-        elif isinstance(message, RemotePayload):
-            self.proxy.on_payload(message)
-        elif isinstance(message, BulkHeartbeat):
-            self.proxy.on_heartbeat(message)
-        elif isinstance(message, LabelBatch):
-            self.proxy.on_labels(message)
-        elif isinstance(message, Pong):
-            self._outstanding_pings.pop(message.seq, None)
-            if self.failover is not None:
-                self.failover.on_pong(message.seq)
-        elif isinstance(message, LabelCredit):
-            self.sink.on_credit(message.labels)
-        elif isinstance(message, SerializerBeacon):
-            if self.failover is not None:
-                self.failover.on_beacon(message)
-        else:  # pragma: no cover - defensive
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message {message!r}")
+        handler(self, sender, message)
+
+    def _on_pong(self, sender: str, message: Pong) -> None:
+        self._outstanding_pings.pop(message.seq, None)
+        if self.failover is not None:
+            self.failover.on_pong(message.seq)
+
+    def _on_beacon(self, sender: str, message: SerializerBeacon) -> None:
+        if self.failover is not None:
+            self.failover.on_beacon(message)
+
+    #: exact type -> handler(self, sender, message); no message class is
+    #: subclassed, and components are looked up at call time
+    _HANDLERS = {
+        ClientRead: lambda self, sender, m: self.frontend.read(sender, m.key),
+        ClientUpdate: lambda self, sender, m: self.frontend.update(
+            sender, m.key, m.value_size, m.label),
+        ClientAttach: lambda self, sender, m: self.frontend.attach(
+            sender, m.label),
+        ClientMigrate: lambda self, sender, m: self.frontend.migrate(
+            sender, m.target_dc, m.label),
+        RemotePayload: lambda self, sender, m: self.proxy.on_payload(m),
+        BulkHeartbeat: lambda self, sender, m: self.proxy.on_heartbeat(m),
+        LabelBatch: lambda self, sender, m: self.proxy.on_labels(m),
+        Pong: _on_pong,
+        LabelCredit: lambda self, sender, m: self.sink.on_credit(m.labels),
+        SerializerBeacon: _on_beacon,
+    }
 
     def reply(self, client: str, message) -> None:
         self.send(client, message)

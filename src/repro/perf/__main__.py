@@ -5,7 +5,7 @@ Examples::
     python -m repro.perf                          # run, write BENCH_perf.json
     python -m repro.perf --json                   # same, JSON on stdout
     python -m repro.perf --compare BENCH_perf.json
-    python -m repro.perf --skip figure --repeat 1 # quick kernel+tree check
+    python -m repro.perf --skip figure --repeat 1 # quick kernel+fabric+tree check
 
 ``--compare`` loads the given baseline *before* the run, compares the fresh
 numbers against it (machine-normalized) and exits 1 on the regression
@@ -23,12 +23,12 @@ from typing import List, Optional
 
 from repro.perf.baseline import (DEFAULT_TOLERANCE, build_result, compare,
                                  load_result, save_result)
-from repro.perf.benches import (bench_figure, bench_kernel, bench_obs,
-                                bench_obs_enabled, bench_saturation,
-                                bench_tree)
+from repro.perf.benches import (bench_fabric, bench_figure, bench_kernel,
+                                bench_obs, bench_obs_enabled,
+                                bench_saturation, bench_tree)
 from repro.perf.measure import calibrate
 
-BENCHES = ("kernel", "tree", "obs", "figure", "saturation")
+BENCHES = ("kernel", "fabric", "tree", "obs", "figure", "saturation")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -52,10 +52,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override per-bench repeat count")
     parser.add_argument("--skip", action="append", default=[],
                         choices=BENCHES, metavar="BENCH",
-                        help="skip one bench (repeatable): kernel, tree, "
-                             "obs, figure")
+                        help="skip one bench (repeatable): "
+                             + ", ".join(BENCHES))
     parser.add_argument("--kernel-events", type=int, default=300_000,
-                        metavar="N", help="kernel bench event count")
+                        metavar="N", help="kernel bench event count "
+                        "(and fabric bench message count)")
     parser.add_argument("--tree-batches", type=int, default=120, metavar="N",
                         help="tree bench batches per datacenter")
     args = parser.parse_args(argv)
@@ -75,6 +76,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "kernel" not in args.skip:
         metrics["kernel_events_per_sec"] = bench_kernel(
             events=args.kernel_events, repeats=repeats(3))
+    if "fabric" not in args.skip:
+        metrics["fabric_messages_per_sec"] = bench_fabric(
+            messages=args.kernel_events, repeats=repeats(3))
     if "tree" not in args.skip:
         metrics["tree_label_deliveries_per_sec"] = bench_tree(
             batches_per_dc=args.tree_batches, repeats=repeats(3))

@@ -3,6 +3,10 @@
 * :func:`bench_kernel` — raw :class:`~repro.sim.engine.Simulator` heap
   throughput (events/sec) on a self-rescheduling tick workload; the number
   every simulated component ultimately rides on.
+* :func:`bench_fabric` — messages/sec through ``Process.send`` →
+  ``Network.send`` → one kernel entry → ``deliver`` → ``receive`` alone:
+  the path :func:`bench_kernel` never touches and :func:`bench_tree`
+  dilutes with serializer routing.
 * :func:`bench_tree` — label deliveries/sec through a 7-datacenter Saturn
   serializer tree over the paper's Table-1 EC2 latencies; exercises
   ``Network.send``, serializer routing-table caches and interest
@@ -43,7 +47,7 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
-__all__ = ["bench_kernel", "bench_tree", "bench_obs", "bench_obs_enabled",
+__all__ = ["bench_kernel", "bench_fabric", "bench_tree", "bench_obs", "bench_obs_enabled",
            "bench_figure", "bench_saturation", "TREE_SITES"]
 
 #: the paper's seven EC2 regions — one datacenter per region
@@ -87,6 +91,51 @@ def bench_kernel(events: int = 300_000, chains: int = 100,
         "meta": {"events": work, "seconds": elapsed, "chains": chains,
                  "repeats": repeats},
     }
+
+
+# ---------------------------------------------------------------------------
+# message-fabric microbenchmark
+# ---------------------------------------------------------------------------
+
+class _Echo(Process):
+    """Sends every message straight back while the shared budget lasts."""
+
+    def __init__(self, sim: Simulator, name: str, budget: List[int]) -> None:
+        super().__init__(sim, name)
+        self.budget = budget
+
+    def receive(self, sender: str, message) -> None:
+        left = self.budget[0] = self.budget[0] - 1
+        if left > 0:
+            self.send(sender, message)
+
+
+def bench_fabric(messages: int = 300_000, repeats: int = 3,
+                 sites: Tuple[str, ...] = TREE_SITES) -> Dict:
+    """Messages/sec between one placed process per site, every ordered
+    pair ping-ponging one message (42 links in flight on seven sites)."""
+
+    def run() -> Tuple[int, float]:
+        sim = Simulator()
+        network = Network(sim, latency_model=ec2_latency_model(),
+                          default_latency=0.25, rng=RngRegistry(seed=11))
+        budget = [messages]
+        nodes = [_Echo(sim, f"node:{site}", budget) for site in sites]
+        for node, site in zip(nodes, sites):
+            node.attach_network(network)
+            network.place(node.name, site)
+        for node in nodes:
+            for peer in nodes:
+                if peer is not node:
+                    node.send(peer.name, 0)
+        start = wall_clock()
+        sim.run()
+        return network.messages_sent, wall_clock() - start
+
+    rate, work, elapsed = best_rate(run, repeats)
+    return {"raw": rate, "unit": "messages/s", "higher_is_better": True,
+            "meta": {"messages": work, "seconds": elapsed,
+                     "sites": len(sites), "repeats": repeats}}
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,25 @@ Determinism: events scheduled for the same instant are executed in the order
 they were scheduled (a monotonically increasing sequence number breaks ties),
 so a given seed always produces the identical execution.
 
-Hot-path layout: the heap stores plain ``(time, seq, event)`` tuples so that
-sift comparisons stay inside the C tuple-compare path instead of calling a
-Python ``__lt__``.  The :class:`Event` returned by the ``schedule`` methods
-is a ``__slots__`` handle used only for cancellation and instrumentation;
-cancelling sets its ``callback`` to ``None`` and bumps a counter on the
-simulator, so :meth:`Simulator.run` can skip dead entries with a single
-attribute load and :meth:`Simulator.pending` stays O(1).
+Hot-path layout: the heap stores plain ``(time, seq, target, args)`` tuples
+so that sift comparisons stay inside the C tuple-compare path instead of
+calling a Python ``__lt__`` (``seq`` is unique: nothing after it is ever
+compared).  A timer is ``(time, seq, event, None)``: the :class:`Event`
+returned by the ``schedule`` methods is a ``__slots__`` handle used for
+cancellation, which sets its ``callback`` to ``None`` and bumps a counter on
+the simulator, so :meth:`Simulator.run` can skip dead entries with a single
+attribute load and :meth:`Simulator.pending` stays O(1).  A
+:meth:`Simulator.call_at` entry is ``(time, seq, fn, args)``: nothing can
+cancel it, so there is no handle and no closure, and the run loop calls
+``fn(*args)`` straight from the tuple — one message delivery is one such
+entry.  Observers and controllers still get an :class:`Event` for it (same
+``time`` and ``seq``), made by the kernel when it calls the hook.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -70,7 +77,7 @@ class Simulator:
     """Single-threaded deterministic discrete-event scheduler."""
 
     def __init__(self) -> None:
-        #: heap of ``(time, seq, Event)`` entries; compared as tuples.
+        #: ``(time, seq, Event, None)`` / ``(time, seq, fn, args)`` entries
         self._heap: list = []
         self._seq = 0
         self._now = 0.0
@@ -111,7 +118,7 @@ class Simulator:
         time = self._now + delay
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event, None))
         observer = self.observer
         if observer is not None:
             observer.on_schedule(event)
@@ -128,7 +135,7 @@ class Simulator:
             )
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event, None))
         observer = self.observer
         if observer is not None:
             observer.on_schedule(event)
@@ -136,6 +143,23 @@ class Simulator:
         if controller is not None:
             controller.on_schedule(event)
         return event
+
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule_at` for ``fn(*args)`` without a handle: same
+        ``(time, seq)`` order, not cancellable, and the heap entry is the
+        only allocation (the network's per-message path)."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at {time} < now {self._now}"
+            )
+        seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap, (time, seq, fn, args))
+        observer = self.observer
+        if observer is not None:
+            observer.on_schedule(Event(time, seq, fn))
+        controller = self.controller
+        if controller is not None:
+            controller.on_schedule(Event(time, seq, fn))
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the heap drains, *until* is reached, or
@@ -154,15 +178,23 @@ class Simulator:
                 self._now = until
                 break
             heappop(heap)
-            event = entry[2]
+            target = entry[2]
+            args = entry[3]
             observer = self.observer
+            if args is not None:
+                if observer is not None:
+                    observer.on_pop(Event(time, entry[1], target))
+                self._now = time
+                target(*args)
+                executed += 1
+                continue
             if observer is not None:
-                observer.on_pop(event)
-            callback = event.callback
+                observer.on_pop(target)
+            callback = target.callback
             if callback is None:
                 self._cancelled_in_heap -= 1
                 continue
-            event.callback = None
+            target.callback = None
             self._now = time
             callback()
             executed += 1
@@ -201,6 +233,12 @@ class Simulator:
             candidates = []
             while heap and heap[0][0] == time:  # noqa: SAT004
                 entry = heappop(heap)
+                if entry[3] is not None:
+                    # a handle-free call: give it a handle, once, so the
+                    # controller can choose (and re-choose) it like a timer
+                    _, seq, fn, args = entry
+                    entry = (time, seq,
+                             Event(time, seq, partial(fn, *args), self), None)
                 event = entry[2]
                 if event.callback is None:
                     self._cancelled_in_heap -= 1
@@ -221,7 +259,7 @@ class Simulator:
                         # restored entries never hit the observer: they were
                         # not executed, so on_pop/on_schedule bookkeeping
                         # (e.g. HazardMonitor tie counts) stays balanced;
-                        # `entry` is an already-formed (time, seq, event)
+                        # `entry` is an already-formed (time, seq, event, None)
                         heappush(heap, entry)  # noqa: SAT007
             event = chosen[2]
             observer = self.observer

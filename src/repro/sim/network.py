@@ -11,13 +11,13 @@ Saturn's correctness and are guaranteed here:
 * **Deterministic jitter** — optional jitter is drawn from a seeded RNG
   stream so executions are reproducible.
 
-Latency resolution order for a (src, dst) pair:
-
-1. an explicit per-link override (``set_link_latency`` / injected extra
-   delay),
-2. the site-level latency matrix (processes carry a *site* such as an EC2
-   region; see :meth:`Network.place`),
-3. ``default_latency`` (intra-site / unplaced processes).
+One-way latency of a (src, dst) link is its *base* — the site-level
+latency matrix when both processes are placed (see :meth:`Network.place`),
+``default_latency`` otherwise — plus any injected extra delay, plus one
+jitter draw per message when ``jitter > 0``.  The base and the target
+process never change between :meth:`Network.place` calls, so they are
+resolved once per link, on its first send, and kept in the link's state;
+``place`` drops every resolved route.
 
 :class:`Network` is the *simulated* implementation of the
 :class:`repro.net.transport.Transport` protocol (``register`` / ``place``
@@ -82,19 +82,24 @@ class LatencyModel:
 
 
 class _LinkState:
-    """Per ordered-pair state used to enforce FIFO delivery.
+    """Per ordered-pair state: FIFO clamp, faults and the resolved route.
 
     ``held`` buffers messages sent while the link is down (partitioned or
     an endpoint isolated); they are re-sent in order when the outage ends.
+    ``target`` / ``base`` are the destination process and base latency,
+    resolved on the first send (``target is None`` means unresolved).
     """
 
-    __slots__ = ("last_delivery", "extra_delay", "partitioned", "held")
+    __slots__ = ("last_delivery", "extra_delay", "partitioned", "held",
+                 "target", "base")
 
     def __init__(self) -> None:
         self.last_delivery = 0.0
         self.extra_delay = 0.0
         self.partitioned = False
         self.held: Optional[list] = None
+        self.target: Optional[Process] = None
+        self.base = 0.0
 
 
 class Network:
@@ -142,6 +147,8 @@ class Network:
     def place(self, process_name: str, site: str) -> None:
         """Assign a process to a geographic site (latency-matrix row)."""
         self._sites[process_name] = site
+        for state in self._links.values():
+            state.target = None  # base latencies re-resolve on next send
 
     def site_of(self, process_name: str) -> Optional[str]:
         return self._sites.get(process_name)
@@ -247,25 +254,24 @@ class Network:
             return self.latency_model.get(site_src, site_dst)
         return self.default_latency
 
-    def latency(self, src: str, dst: str) -> float:
-        return self._latency(src, dst, self._links.get((src, dst)))
-
-    def _latency(self, src: str, dst: str, state: Optional[_LinkState]) -> float:
-        base = self.base_latency(src, dst)
-        extra = state.extra_delay if state else 0.0
-        jitter = self._rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
-        return base + extra + jitter
+    def _resolve(self, src: str, dst: str) -> _LinkState:
+        """The link's state with its route filled in (first send, or first
+        send after :meth:`place`); an unknown *dst* caches nothing."""
+        target = self._processes.get(dst)
+        if target is None:
+            raise KeyError(f"unknown destination process {dst!r}")
+        state = self._link(src, dst)
+        state.base = self.base_latency(src, dst)
+        state.target = target
+        return state
 
     # -- sending -----------------------------------------------------------
 
     def send(self, src: str, dst: str, message: Any, size_bytes: int = 0) -> None:
         """Queue *message* for FIFO delivery from *src* to *dst*."""
-        target = self._processes.get(dst)
-        if target is None:
-            raise KeyError(f"unknown destination process {dst!r}")
         state = self._links.get((src, dst))
-        if state is None:
-            state = self._link(src, dst)
+        if state is None or state.target is None:
+            state = self._resolve(src, dst)
         if state.partitioned or (self._isolated and
                                  (src in self._isolated or
                                   dst in self._isolated)):
@@ -276,7 +282,10 @@ class Network:
             state.held.append((message, size_bytes))
             return
         sim = self.sim
-        arrival = sim.now + self._latency(src, dst, state)
+        delay = state.base + state.extra_delay
+        if self.jitter > 0:
+            delay += self._rng.uniform(0.0, self.jitter)
+        arrival = sim.now + delay
         perturb = self.perturb
         if perturb is not None:
             extra = perturb(src, dst)
@@ -289,12 +298,12 @@ class Network:
         state.last_delivery = arrival
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        if self.trace is None:
-            sim.schedule_at(arrival, lambda: target.deliver(src, message))
+        trace = self.trace
+        if trace is None:
+            sim.call_at(arrival, state.target.deliver, src, message)
         else:
-            seq = self.trace.on_send(src, dst, message, arrival)
-            sim.schedule_at(arrival, lambda: self._traced_deliver(
-                target, src, dst, seq, message))
+            sim.call_at(arrival, self._traced_deliver, state.target, src, dst,
+                        trace.on_send(src, dst, message, arrival), message)
 
     def _traced_deliver(self, target: Process, src: str, dst: str,
                         seq: int, message: Any) -> None:

@@ -26,6 +26,7 @@ cross-datacenter traffic, which the tests use as a positive control.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -122,26 +123,42 @@ class ExecutionLog:
         registers, any *newer* version of the same key (the causal+
         convergence rule) — became visible earlier."""
         for dc, positions in self._visible_pos.items():
-            # per-key visible versions at this datacenter, by position
-            by_key: Dict[str, List[Tuple[int, VersionId]]] = {}
-            for version, pos in positions.items():
+            # per key: the versions visible at this datacenter, sorted, and
+            # for each the earliest position of it or any newer version
+            by_key: Dict[str, Tuple[List[VersionId], List[int]]] = {}
+            for version in positions:
                 record = self.updates.get(version)
                 if record is not None and record.key:
-                    by_key.setdefault(record.key, []).append((pos, version))
+                    by_key.setdefault(record.key, ([], []))[0].append(version)
+            for versions, earliest in by_key.values():
+                versions.sort()
+                earliest.extend(positions[version] for version in versions)
+                for i in range(len(earliest) - 2, -1, -1):
+                    if earliest[i + 1] < earliest[i]:
+                        earliest[i] = earliest[i + 1]
+            # one bisect per recorded update, not one scan per dependency
+            # edge: the position from which it counts as satisfied here.
+            # Absent = exempt: never recorded, or a key this datacenter does
+            # not replicate (genuine partial replication).
+            never = len(positions)
+            satisfied_from: Dict[VersionId, int] = {}
+            replicated: Dict[str, bool] = {}
+            for dep, dep_record in self.updates.items():
+                key = dep_record.key
+                if key not in replicated:
+                    replicated[key] = self.replication.is_replicated_at(key, dc)
+                if replicated[key]:
+                    versions, earliest = by_key.get(key, ((), ()))
+                    i = bisect_left(versions, dep)
+                    satisfied_from[dep] = (earliest[i] if i < len(versions)
+                                           else never)
+            lookup = satisfied_from.get
             for version, pos in positions.items():
                 record = self.updates.get(version)
                 if record is None:
                     continue
                 for dep in record.deps:
-                    dep_record = self.updates.get(dep)
-                    if dep_record is None:
-                        continue
-                    if not self.replication.is_replicated_at(dep_record.key, dc):
-                        continue  # genuine partial replication exemption
-                    satisfied = any(
-                        p < pos and v >= dep
-                        for p, v in by_key.get(dep_record.key, ()))
-                    if not satisfied:
+                    if lookup(dep, -1) >= pos:
                         yield Violation(
                             kind="causal-order", dc=dc,
                             detail=(f"update {version} visible at {dc} before "

@@ -76,7 +76,7 @@ def test_cli_exit_status_per_tree(tree, capsys):
     assert ("clean" in tree) == (status == 0)
 
 
-# -- each whole-program fixture trips exactly its one seeded finding ---------
+# -- each whole-program fixture trips exactly its one seeded defect ----------
 
 #: seeded tree -> substring its one own-family finding's message must contain
 SEEDED = {
@@ -103,10 +103,17 @@ def seeded_tree(name: str) -> str:
     return f"tests/analysis/{name}/app"
 
 
-def seeded_finding(name: str):
+def seeded_findings(name: str):
+    """The tree's own-family findings, in line order: a single rule code
+    (how many lines trip it is pinned by the snapshot above)."""
     tree = seeded_tree(name)
-    (finding,) = audit(tree, select={family(tree)}).findings
-    return finding
+    findings = audit(tree, select={family(tree)}).findings
+    assert len({f.code for f in findings}) == 1
+    return findings
+
+
+def seeded_finding(name: str):
+    return seeded_findings(name)[0]
 
 
 def test_seeded_table_names_every_whole_program_fixture():
@@ -120,16 +127,21 @@ def test_seeded_fixture_message_names_the_defect(name):
     assert SEEDED[name] in seeded_finding(name).message
 
 
+def test_handle_free_kernel_entry_is_a_scheduler_bypass_too():
+    _, finding = seeded_findings("arch/fixtures/scheduler_bypass")
+    assert "sim.call_at" in finding.message
+
+
 @pytest.mark.parametrize("name", sorted(SEEDED))
 def test_noqa_suppresses_each_seeded_finding(name, tmp_path):
     tree = REPO_ROOT / seeded_tree(name)
-    finding = seeded_finding(name)
     copy = tmp_path / "app"
     shutil.copytree(tree, copy)
-    target = copy / Path(finding.file).relative_to(tree)
-    lines = target.read_text(encoding="utf-8").splitlines()
-    lines[finding.line - 1] += f"  # noqa: {finding.code}"
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for finding in seeded_findings(name):
+        target = copy / Path(finding.file).relative_to(tree)
+        lines = target.read_text(encoding="utf-8").splitlines()
+        lines[finding.line - 1] += f"  # noqa: {finding.code}"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     contract = tree.parent / "arch_contract.toml"
     report = analyze([copy], select={family(seeded_tree(name))},
                      contract=contract if contract.is_file() else None)
@@ -168,3 +180,52 @@ def test_lock_order_witness_names_both_sites():
     first, second = seeded_finding("conc/fixtures/conc004").witness
     assert "while holding self.lock_a" in first
     assert "while holding self.lock_b" in second
+
+
+# -- dispatch tables are handlers too ----------------------------------------
+
+TABLE_SERVER = '''
+from app.messages import PingMsg, PongMsg
+
+
+class Server:
+    def probe(self, send) -> None:
+        send(PingMsg(seq=1))
+        send(PongMsg(seq=2))
+
+    def receive(self, sender: str, message) -> None:
+        self._HANDLERS[type(message)](self, sender, message)
+
+    def _on_pong(self, sender: str, message: PongMsg) -> None:
+        self.last = message.{pong_field}
+
+    _HANDLERS = {{
+        PingMsg: lambda self, sender, m: self.reply(sender, m.{ping_field}),
+        PongMsg: _on_pong,
+    }}
+'''
+
+
+def audit_table_server(tmp_path, **fields):
+    tree = REPO_ROOT / seeded_tree("arch/fixtures/missing_handler")
+    copy = tmp_path / "app"
+    shutil.copytree(tree, copy)
+    (copy / "server.py").write_text(TABLE_SERVER.format(**fields),
+                                    encoding="utf-8")
+    return analyze([copy], select={"ARCH"},
+                   contract=tree.parent / "arch_contract.toml")
+
+
+def test_a_class_level_dispatch_table_registers_its_keys_as_handled(tmp_path):
+    # the isinstance form of this server is the ARCH201 fixture: PingMsg
+    # constructed, never dispatched
+    report = audit_table_server(tmp_path, ping_field="seq", pong_field="seq")
+    assert report.ok, report.format_human()
+
+
+def test_table_handlers_narrow_their_last_parameter(tmp_path):
+    report = audit_table_server(tmp_path, ping_field="sqe", pong_field="orgin")
+    assert sorted((f.code, f.line) for f in report.findings) == [
+        ("ARCH202", 14), ("ARCH202", 17)]
+    assert "m.sqe" in report.findings[1].message
+    assert "message.orgin" in report.findings[0].message

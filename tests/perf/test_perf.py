@@ -8,8 +8,8 @@ import pytest
 from repro.perf import __main__ as perf_cli
 from repro.perf.baseline import (SCHEMA_VERSION, build_result, compare,
                                  load_result, normalize, save_result)
-from repro.perf.benches import (TREE_SITES, bench_kernel, bench_obs_enabled,
-                                 bench_tree)
+from repro.perf.benches import (TREE_SITES, bench_fabric, bench_kernel,
+                                 bench_obs_enabled, bench_tree)
 from repro.perf.measure import best_rate, calibrate
 
 
@@ -36,6 +36,17 @@ def test_kernel_bench_executes_requested_events():
     # every chain decrements the shared budget; total executed is events
     # plus the initial kick-offs that found the budget already drained
     assert result["meta"]["events"] >= 5_000
+
+
+def test_fabric_bench_spends_its_message_budget_on_every_link():
+    result = bench_fabric(messages=2_000, repeats=1)
+    assert result["higher_is_better"] is True
+    assert result["unit"] == "messages/s"
+    assert result["raw"] > 0
+    # one opening message per ordered pair of the seven sites, then one
+    # reply per unit of budget; the last budget unit is answered by silence
+    links = len(TREE_SITES) * (len(TREE_SITES) - 1)
+    assert result["meta"]["messages"] == links + 2_000 - 1
 
 
 def test_tree_bench_delivers_every_interested_label():
@@ -193,6 +204,7 @@ def test_cli_writes_result_file(tmp_path, capsys):
     assert perf_cli.main(_quick_args(out) + ["--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert "kernel_events_per_sec" in document["metrics"]
+    assert "fabric_messages_per_sec" in document["metrics"]
     # the traced tree run is an entry of its own, hence gated by --compare
     assert "obs_enabled_tree_labels_per_sec" in document["metrics"]
     on_disk = load_result(out)

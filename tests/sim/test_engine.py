@@ -230,3 +230,185 @@ def test_pending_is_consistent_under_interleaved_cancels(sim):
     assert sim.pending() == 0
     sim.run()
     assert sim.events_executed == 0
+
+
+# -- handle-free events (Simulator.call_at) ---------------------------------
+
+def mixed_schedule(sim, log):
+    """Handle and handle-free events interleaved at t=1 and t=2, plus one
+    cancelled handle; returns the expected execution order."""
+    sim.call_at(2.0, log.append, "free-2a")
+    sim.schedule(1.0, lambda: log.append("handle-1a"))
+    sim.call_at(1.0, log.append, "free-1b")
+    sim.schedule_at(1.0, lambda: log.append("handle-1c"))
+    sim.schedule(1.0, lambda: log.append("cancelled")).cancel()
+    sim.call_at(1.0, log.append, "free-1d")
+    sim.schedule_at(2.0, lambda: log.append("handle-2b"))
+    return ["handle-1a", "free-1b", "handle-1c", "free-1d",
+            "free-2a", "handle-2b"]
+
+
+def test_call_at_passes_its_arguments_and_returns_no_handle(sim):
+    got = []
+    assert sim.call_at(3.0, lambda *args: got.append((sim.now, args)),
+                       "a", 2) is None
+    sim.call_at(4.0, got.append, "no-extra-args")
+    sim.run()
+    assert got == [(3.0, ("a", 2)), "no-extra-args"]
+
+
+def test_call_at_in_the_past_raises(sim):
+    sim.schedule(5.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.call_at(4.0, print)
+    assert sim.pending() == 0
+
+
+def test_handle_free_and_handle_events_share_one_time_seq_order(sim):
+    log = []
+    expected = mixed_schedule(sim, log)
+    sim.run()
+    assert log == expected
+
+
+def test_handle_free_events_are_counted_like_any_other(sim):
+    log = []
+    expected = mixed_schedule(sim, log)
+    assert sim.pending() == 6          # the cancelled handle is not pending
+    sim.run(until=1.0)
+    assert log == expected[:4] and sim.now == 1.0
+    assert sim.pending() == 2
+    assert sim.events_executed == 4
+    sim.run(max_events=1)
+    assert log == expected[:5]
+    assert sim.events_executed == 5
+    sim.run()
+    assert log == expected
+    assert sim.events_executed == 6 and sim.pending() == 0
+
+
+def test_call_at_scheduled_from_a_callback_at_the_same_instant_runs(sim):
+    log = []
+    sim.call_at(1.0, lambda: sim.call_at(1.0, log.append, "nested"))
+    sim.call_at(1.0, log.append, "sibling")
+    sim.run()
+    assert log == ["sibling", "nested"]
+
+
+class CountingObserver:
+    def __init__(self):
+        self.scheduled = []
+        self.popped = []
+
+    def on_schedule(self, event):
+        self.scheduled.append((event.time, event.seq))
+
+    def on_pop(self, event):
+        self.popped.append((event.time, event.seq))
+
+
+def test_observer_sees_each_handle_free_event_exactly_once(sim):
+    observer = CountingObserver()
+    sim.observer = observer
+    log = []
+    mixed_schedule(sim, log)
+    sim.run()
+    # seven schedule calls (one cancelled), seqs 1..7 in call order; every
+    # entry is popped once, the dead one included, in (time, seq) order
+    assert sorted(observer.scheduled, key=lambda e: e[1]) == [
+        (2.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (1.0, 5), (1.0, 6), (2.0, 7)]
+    assert observer.popped == sorted(observer.scheduled)
+
+
+def test_hazard_monitor_counts_message_ties_as_before():
+    """Message deliveries are handle-free; the monitor's tie bookkeeping
+    (fed by on_schedule / on_pop) must not notice.  Pinned on the parent
+    commit, where every delivery was an Event."""
+    import hashlib
+
+    from repro.harness.runner import Cluster, ClusterConfig
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    cluster = Cluster(ClusterConfig(system="saturn", sites=("I", "F", "T"),
+                                    clients_per_dc=2, seed=42,
+                                    hazard_monitor=True), SyntheticWorkload())
+    cluster.run(duration=200.0, warmup=50.0)
+    report = cluster.hazard_monitor.report()
+    ties = [(h.time, h.pending_at_time) for h in report.tie_hazards]
+    assert cluster.sim.events_executed == 6158
+    assert (len(ties), report.ties_total) == (1000, 1010)
+    assert hashlib.sha256(repr(ties).encode()).hexdigest() == (
+        "b0a5575ba0fb40ed69fafd18f6e99cf17a326e5a078e9007573b8603352cb101")
+
+
+class RecordingController:
+    """Answers every tie with `pick(k)` and keeps what it was offered."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.scheduled = []
+        self.offers = []
+
+    def on_schedule(self, event):
+        self.scheduled.append(event.seq)
+
+    def choose(self, time, events):
+        self.offers.append((time, [event.seq for event in events]))
+        return self.pick(len(events))
+
+
+def test_controller_answering_zero_reproduces_the_fifo_execution():
+    plain, controlled = Simulator(), Simulator()
+    plain_log, controlled_log = [], []
+    controller = RecordingController(lambda k: 0)
+    controlled.controller = controller
+    mixed_schedule(plain, plain_log)
+    mixed_schedule(controlled, controlled_log)
+    plain.run()
+    controlled.run()
+    assert controlled_log == plain_log
+    assert controlled.events_executed == plain.events_executed == 6
+    assert controller.scheduled == [1, 2, 3, 4, 5, 6, 7]
+    # handle-free deliveries (seqs 3, 6 and 1) are among the candidates of
+    # every tie they take part in, so mc can still reorder them
+    assert controller.offers == [
+        (1.0, [2, 3, 4, 6]), (1.0, [3, 4, 6]), (1.0, [4, 6]), (2.0, [1, 7])]
+
+
+def test_controller_can_run_a_handle_free_event_first():
+    sim = Simulator()
+    sim.controller = RecordingController(lambda k: k - 1)   # always the last
+    log = []
+    mixed_schedule(sim, log)
+    sim.run()
+    assert log == ["free-1d", "handle-1c", "free-1b", "handle-1a",
+                   "handle-2b", "free-2a"]
+
+
+def test_controller_attached_late_is_offered_earlier_handle_free_events():
+    sim = Simulator()
+    log = []
+    sim.call_at(1.0, log.append, "first")
+    sim.call_at(1.0, log.append, "second")
+    controller = RecordingController(lambda k: 1)
+    sim.controller = controller
+    sim.run()
+    assert log == ["second", "first"]
+    assert controller.offers == [(1.0, [1, 2])]
+
+
+def test_controller_may_cancel_an_offered_handle_free_event():
+    class CancelSecond(RecordingController):
+        def choose(self, time, events):
+            events[1].cancel()
+            return 0
+
+    sim = Simulator()
+    log = []
+    sim.call_at(1.0, log.append, "first")
+    sim.call_at(1.0, log.append, "second")
+    sim.controller = CancelSecond(None)
+    sim.run()
+    assert log == ["first"]
+    assert sim.events_executed == 1 and sim.pending() == 0

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network (FIFO links, latency, faults)."""
 
+import hashlib
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -59,6 +61,40 @@ def test_fifo_order_with_jitter(sim):
     assert [m for _, _, m in b.received] == list(range(50))
     times = [t for t, _, _ in b.received]
     assert times == sorted(times)
+    # the arrival sequence of the parent commit, which resolved the
+    # latency per message through Network._latency
+    assert times[:3] == [4.098273619581889, 4.098273619581889,
+                         5.254505860448694]
+    assert hashlib.sha256(repr(times).encode()).hexdigest() == (
+        "f3720d877facb781d23ee6a9b6b2ced36d5b60e2b053c9ae0730543cb5a6ba20")
+
+
+def test_jitter_draws_once_per_message_in_send_order(sim):
+    """Replaying the `network-jitter` stream outside the network predicts
+    every arrival: one draw per message, taken at send time, none for a
+    held message until it is re-sent."""
+    net = make_net(sim, jitter=5.0)
+    a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
+    for p in (a, b, c):
+        p.attach_network(net)
+    net.inject_extra_delay("a", "c", 2.0)
+    net.partition("a", "c")
+    sends = [("b", 0), ("c", 1), ("b", 2), ("b", 3)]
+    for dst, i in sends:
+        a.send(dst, i)
+    net.heal("a", "c")      # re-sends message 1: the fifth draw
+    a.send("c", 4)
+    replay = RngRegistry(seed=3).stream("network-jitter")
+    expected = {"b": [], "c": []}
+    for dst, extra in (("b", 0.0), ("b", 0.0), ("b", 0.0), ("c", 2.0),
+                       ("c", 2.0)):
+        arrival = 0.0 + (1.0 + extra + replay.uniform(0.0, 5.0))
+        previous = expected[dst][-1] if expected[dst] else 0.0
+        expected[dst].append(max(arrival, previous))
+    sim.run()
+    assert [t for t, _, _ in b.received] == expected["b"]
+    assert [(t, m) for t, _, m in c.received] == list(
+        zip(expected["c"], [1, 4]))
 
 
 def test_latency_model_sites(sim):
@@ -270,3 +306,134 @@ def test_traced_runs_observe_held_messages_on_release(sim):
     assert trace.sent == [(0.0, "void")]  # re-sent at rejoin time
     assert trace.delivered == ["void"]
     assert [m for _, _, m in b.received] == ["void"]
+
+
+# -- resolved routes: cached per link, never stale ---------------------------
+
+def sited_net(sim):
+    model = LatencyModel(local_latency=0.5)
+    model.set("X", "Y", 30.0)
+    model.set("X", "Z", 70.0)
+    model.set("Y", "Z", 45.0)
+    net = Network(sim, latency_model=model, default_latency=1.0,
+                  rng=RngRegistry(seed=1))
+    a, b = Recorder(sim, "a"), Recorder(sim, "b")
+    a.attach_network(net)
+    b.attach_network(net)
+    return net, a, b
+
+
+def test_place_after_first_send_changes_the_next_latency(sim):
+    net, a, b = sited_net(sim)
+    a.send("b", "unplaced")             # default latency, route now cached
+    net.place("a", "X")
+    net.place("b", "Y")
+    a.send("b", "x-y")
+    sim.run()
+    net.place("b", "Z")                 # the receiver moves
+    a.send("b", "x-z")
+    net.place("a", "Z")                 # the sender moves next to it
+    b.send("a", "z-z")
+    sim.run()
+    assert b.received == [(1.0, "a", "unplaced"), (30.0, "a", "x-y"),
+                          (100.0, "a", "x-z")]
+    assert a.received == [(30.5, "b", "z-z")]
+
+
+def test_unknown_destination_caches_nothing_and_is_reachable_once_registered(sim):
+    net = make_net(sim)
+    a = Recorder(sim, "a")
+    a.attach_network(net)
+    with pytest.raises(KeyError):
+        a.send("late", "lost")
+    assert net._links == {}
+    assert net.messages_sent == 0
+    late = Recorder(sim, "late")
+    late.attach_network(net)
+    a.send("late", "found")
+    sim.run()
+    assert late.received == [(1.0, "a", "found")]
+
+
+def test_link_state_made_by_an_injection_before_registration_still_resolves(sim):
+    net = make_net(sim)
+    a = Recorder(sim, "a")
+    a.attach_network(net)
+    net.inject_extra_delay("a", "late", 4.0)    # link state, no route yet
+    with pytest.raises(KeyError):
+        a.send("late", "lost")
+    late = Recorder(sim, "late")
+    late.attach_network(net)
+    a.send("late", "found")
+    sim.run()
+    assert late.received == [(5.0, "a", "found")]
+
+
+def test_extra_delay_set_after_the_first_send_applies_to_the_next(sim):
+    net = make_net(sim)
+    a, b = Recorder(sim, "a"), Recorder(sim, "b")
+    a.attach_network(net)
+    b.attach_network(net)
+    a.send("b", "plain")
+    net.inject_extra_delay("a", "b", 9.0)
+    a.send("b", "slow")
+    sim.run()
+    net.inject_extra_delay("a", "b", 0.0)
+    a.send("b", "plain again")
+    sim.run()
+    assert b.received == [(1.0, "a", "plain"), (10.0, "a", "slow"),
+                          (11.0, "a", "plain again")]
+
+
+def test_site_delay_set_after_the_first_send_applies_to_the_next(sim):
+    net, a, b = sited_net(sim)
+    net.place("a", "X")
+    net.place("b", "Y")
+    a.send("b", "plain")
+    net.inject_site_delay("X", "Y", 25.0)
+    a.send("b", "slow")
+    b.send("a", "slow back")
+    sim.run()
+    assert b.received == [(30.0, "a", "plain"), (55.0, "a", "slow")]
+    assert a.received == [(55.0, "b", "slow back")]
+
+
+def test_outages_hold_and_resend_through_the_cached_route(sim):
+    net, a, b = sited_net(sim)
+    net.place("a", "X")
+    net.place("b", "Y")
+    a.send("b", 0)                      # resolves the route
+    net.partition("a", "b")
+    a.send("b", 1)
+    a.send("b", 2)
+    sim.run()
+    assert [m for _, _, m in b.received] == [0]
+    net.heal("a", "b")                  # at t=30
+    net.isolate("b")
+    a.send("b", 3)
+    sim.run()
+    net.rejoin("b")                     # at t=60
+    a.send("b", 4)
+    sim.run()
+    assert b.received == [(30.0, "a", 0), (60.0, "a", 1), (60.0, "a", 2),
+                          (90.0, "a", 3), (90.0, "a", 4)]
+    assert net.messages_sent == 5       # a held message counts once
+
+
+def test_liveness_is_checked_at_delivery_time(sim):
+    net = make_net(sim)
+    a, b = Recorder(sim, "a"), Recorder(sim, "b")
+    a.attach_network(net)
+    b.attach_network(net)
+    a.send("b", "warm-up")              # the route outlives the crashes
+    sim.run()
+    a.send("b", "crash after send")
+    b.crash()
+    sim.run()
+    b.recover()
+    b.crash()
+    a.send("b", "recover before arrival")
+    sim.schedule(0.5, b.recover)
+    sim.run()
+    assert [m for _, _, m in b.received] == ["warm-up",
+                                             "recover before arrival"]

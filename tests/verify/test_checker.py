@@ -1,5 +1,9 @@
 """The offline causal-consistency checker itself."""
 
+import random
+
+import pytest
+
 from repro.core.label import Label, LabelType
 from repro.core.replication import ReplicationMap
 from repro.verify.checker import ExecutionLog
@@ -122,3 +126,96 @@ def test_visible_counts():
     log.record_visible(a, "B", 6.0)  # duplicate ignored
     assert log.visible_counts() == {"A": 1, "B": 1}
     assert log.read_count() == 0
+
+
+# -- the bisect oracle against the linear scan it replaced ------------------
+
+def linear_scan_violations(log):
+    """``_check_causal_order`` as it was: for every dependency, scan every
+    visible version of that key for one at least as new and earlier."""
+    found = []
+    for dc, positions in log._visible_pos.items():
+        by_key = {}
+        for version, pos in positions.items():
+            record = log.updates.get(version)
+            if record is not None and record.key:
+                by_key.setdefault(record.key, []).append((pos, version))
+        for version, pos in positions.items():
+            record = log.updates.get(version)
+            if record is None:
+                continue
+            for dep in record.deps:
+                dep_record = log.updates.get(dep)
+                if dep_record is None:
+                    continue
+                if not log.replication.is_replicated_at(dep_record.key, dc):
+                    continue
+                if not any(p < pos and v >= dep
+                           for p, v in by_key.get(dep_record.key, ())):
+                    found.append((dc, version, dep))
+    return found
+
+
+def random_log(seed, updates=120):
+    """A seeded log over three datacenters: two partially replicated
+    groups, a few hot keys, stub and dangling dependencies, and a
+    visibility order that is causal (timestamp order) except for a share of
+    versions moved to a random position or never delivered."""
+    rng = random.Random(seed)
+    dcs = ["A", "B", "C"]
+    replication = ReplicationMap(dcs)
+    replication.set_group("gab", ["A", "B"])
+    replication.set_group("gbc", ["B", "C"])
+    log = ExecutionLog(replication)
+    keys = ["gab:0", "gab:1", "gbc:0", "hot", "warm", "cold"]
+    versions = []
+    arrival = {dc: [] for dc in dcs}
+    for i in range(updates):
+        key = rng.choice(keys)
+        origin = rng.choice(sorted(replication.replicas(key)))
+        # timestamps collide across origins: versions tie-break on src
+        lbl = label(float(1 + i // 2), origin, key=key)
+        version = (lbl.ts, lbl.src)
+        if version in versions:
+            continue
+        deps = set(rng.sample(versions, min(len(versions), rng.randrange(4))))
+        versions.append(version)
+        if rng.random() < 0.1:
+            deps.add((999.0, "nowhere/g0"))           # never recorded
+        if rng.random() < 0.1:
+            log.record_update_deps(version, frozenset(deps))  # stub first
+            log.record_update(lbl, lbl.origin_dc, lbl.ts)
+        else:
+            log.record_update(lbl, lbl.origin_dc, lbl.ts)
+            log.record_update_deps(version, frozenset(deps))
+        for dc in replication.replicas(lbl.target):
+            if dc != lbl.origin_dc and rng.random() > 0.05:   # 5 % lost
+                arrival[dc].append(lbl)
+    for dc in dcs:
+        order = arrival[dc]
+        for _ in range(len(order) // 5):                # injected reorders
+            order.insert(rng.randrange(len(order)),
+                         order.pop(rng.randrange(len(order))))
+        for at, lbl in enumerate(order):
+            log.record_visible(lbl, dc, float(at))
+    return log
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bisect_oracle_agrees_with_the_linear_scan(seed):
+    log = random_log(seed)
+    reference = linear_scan_violations(log)
+    found = [v for v in log.check() if v.kind == "causal-order"]
+    assert [(v.dc, v.detail) for v in found] == [
+        (dc, f"update {version} visible at {dc} before its dependency {dep}")
+        for dc, version, dep in reference]
+
+
+def test_random_logs_exercise_both_outcomes():
+    # the comparison above is vacuous unless the generator produces both
+    # satisfied and violated dependencies
+    logs = [random_log(seed) for seed in range(40)]
+    violated = sum(len(linear_scan_violations(log)) for log in logs)
+    checked = sum(len(record.deps) for log in logs
+                  for record in log.updates.values())
+    assert 200 < violated < checked
