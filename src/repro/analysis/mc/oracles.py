@@ -213,7 +213,7 @@ def evaluate_oracles(scenario) -> List[str]:
         for item in scenario.partial_oracle.violations)
 
     for item in scenario.log.check_completeness():
-        violations.append(f"completeness: {item.detail} (at {item.dc})")
+        violations.append(f"{item.kind}: {item.detail} (at {item.dc})")
 
     # a scenario that did no work proves nothing: guard against a schedule
     # (or a bad mutation) silently starving the clients

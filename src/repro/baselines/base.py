@@ -25,7 +25,7 @@ from repro.datacenter.messages import (AttachOk, ClientAttach, ClientMigrate,
                                        ReadReply, StabilizationMsg, UpdateReply)
 from repro.datacenter.storage import PartitionedStore, StoredValue
 from repro.sim.clock import PhysicalClock
-from repro.sim.cpu import CostModel
+from repro.sim.cpu import REMOTE_APPLY_FACTOR, CostModel
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -329,8 +329,8 @@ class StabilizedDatacenter(Process):
         slot = [payload, False]
         self._pipeline.append(slot)
         partition = self.store.partition_for(payload.key)
-        cost = 0.6 * self.cost_model.write_cost(payload.value_size,
-                                                self.write_metadata_entries())
+        cost = REMOTE_APPLY_FACTOR * self.cost_model.write_cost(
+            payload.value_size, self.write_metadata_entries())
 
         def _done() -> None:
             slot[1] = True

@@ -38,7 +38,7 @@ from repro.datacenter.messages import (AttachOk, ClientAttach, ClientMigrate,
                                        ReadReply, UpdateReply)
 from repro.datacenter.storage import PartitionedStore, StoredValue
 from repro.sim.clock import PhysicalClock
-from repro.sim.cpu import CostModel
+from repro.sim.cpu import REMOTE_APPLY_FACTOR, CostModel
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -223,7 +223,7 @@ class ExplicitDatacenter(Process):
 
     def _apply(self, payload: ExplicitPayload) -> None:
         partition = self.store.partition_for(payload.key)
-        cost = (0.6 * self.cost_model.write_base
+        cost = (REMOTE_APPLY_FACTOR * self.cost_model.write_base
                 + self._dep_cost(len(payload.deps)))
 
         def _done() -> None:

@@ -36,7 +36,7 @@ from repro.datacenter.overload import AdmissionController
 from repro.datacenter.remote_proxy import RemoteProxy
 from repro.datacenter.storage import PartitionedStore
 from repro.sim.clock import PhysicalClock
-from repro.sim.cpu import CostModel
+from repro.sim.cpu import REMOTE_APPLY_FACTOR, CostModel
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -46,6 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # dc_process_name moved to repro.core.naming (the serializer needs it and
 # core must not import upward); re-exported here for compatibility.
 __all__ = ["DatacenterParams", "SaturnDatacenter", "dc_process_name"]
+
+#: outage detection by ping: the tree counts as down after this many
+#: pings each went this long (ms) without a pong — the timeout must exceed
+#: the worst round trip to the ingress serializer
+PING_MISS_THRESHOLD = 3
+PING_TIMEOUT = 400.0
 
 
 @dataclass
@@ -60,13 +66,8 @@ class DatacenterParams:
     sink_heartbeat_period: float = 10.0
     bulk_heartbeat_period: float = 5.0
     parallel_concurrent_apply: bool = True
-    remote_apply_factor: float = 0.6
     #: Saturn outage detection: ping the ingress serializer (0 disables)
     ping_period: float = 0.0
-    ping_miss_threshold: int = 3
-    #: a ping counts as missed only after this long without a pong; must
-    #: exceed the worst round trip to the ingress serializer
-    ping_timeout: float = 400.0
     #: push-based failure detection: suspect the tree attachment after this
     #: long without a SerializerBeacon (0 disables the detector; pair with
     #: SaturnService(beacon_period=...) — see repro.datacenter.failover)
@@ -80,9 +81,6 @@ class DatacenterParams:
     #: fast-path epoch changes stuck longer than this fall back to the
     #: failure path (0 disables; see RemoteProxy._escalate_transition)
     transition_timeout: float = 0.0
-    #: how far back (ms) the sink re-sends labels on an emergency epoch
-    #: change; -1 auto-sizes from the detection window, 0 disables replay
-    label_replay_window: float = -1.0
     #: opt-in overload machinery (repro.datacenter.overload): cap on
     #: admitted-but-unshipped update labels (0 disables admission control)
     sink_buffer_cap: int = 0
@@ -92,13 +90,17 @@ class DatacenterParams:
     def __post_init__(self) -> None:
         if self.consistency not in ("saturn", "timestamp", "eventual"):
             raise ValueError(f"unknown consistency {self.consistency!r}")
-        if self.label_replay_window < 0:
-            # must cover everything possibly swallowed by a dead tree:
-            # labels sent after the crash but before degradation (detection
-            # window) plus slack for propagation and probe/recovery delays
-            self.label_replay_window = (
-                2.0 * (self.beacon_timeout + self.stabilization_wait) + 20.0
-                if self.beacon_timeout > 0 else 0.0)
+
+    @property
+    def label_replay_window(self) -> float:
+        """How far back (ms) the sink re-sends labels on an emergency epoch
+        change (0 = no replay, when the detector is off).  Must cover
+        everything possibly swallowed by a dead tree: labels sent after the
+        crash but before degradation (detection window) plus slack for
+        propagation and probe/recovery delays."""
+        if self.beacon_timeout <= 0:
+            return 0.0
+        return 2.0 * (self.beacon_timeout + self.stabilization_wait) + 20.0
 
 
 class SaturnDatacenter(Process):
@@ -226,7 +228,7 @@ class SaturnDatacenter(Process):
         return self.cost_model.write_cost(value_size)
 
     def remote_apply_cost(self, value_size: int) -> float:
-        return self.params.remote_apply_factor * self.write_cost(value_size)
+        return REMOTE_APPLY_FACTOR * self.write_cost(value_size)
 
     def cpu_for_sink(self, num_labels: int) -> None:
         """Label-sink batching consumes CPU on the first partition server."""
@@ -290,10 +292,10 @@ class SaturnDatacenter(Process):
     def _ping_saturn(self) -> None:
         if self.saturn_down or self.saturn is None:
             return
-        deadline = self.sim.now - self.params.ping_timeout
+        deadline = self.sim.now - PING_TIMEOUT
         missed = sum(1 for sent_at in self._outstanding_pings.values()
                      if sent_at <= deadline)
-        if missed >= self.params.ping_miss_threshold:
+        if missed >= PING_MISS_THRESHOLD:
             self.saturn_down = True
             self.proxy.enter_fallback()
             return

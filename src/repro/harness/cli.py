@@ -17,9 +17,10 @@ Installed as the ``saturn-repro`` console script::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config.latencies import EC2_REGIONS, ec2_latency
 from repro.harness import experiments
@@ -49,6 +50,23 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 _SCALES = {"smoke": experiments.SMOKE, "default": experiments.DEFAULT}
+
+#: subcommands that belong to another tool: name -> (module whose
+#: ``main(argv)`` takes the rest of the command line, --help summary)
+FORWARDED: Dict[str, Tuple[str, str]] = {
+    "mc": ("repro.analysis.mc.__main__",
+           "schedule-space model checking (repro.analysis.mc)"),
+    "faults": ("repro.faults.__main__",
+               "scripted fault-injection scenarios (repro.faults)"),
+    "obs": ("repro.obs.__main__",
+            "label-lifecycle tracing + per-edge visibility breakdown "
+            "(repro.obs)"),
+    "audit": ("repro.analysis.__main__",
+              "static analysis: SAT determinism, ARCH architecture and "
+              "CONC async-concurrency rules (repro.analysis)"),
+    "net": ("repro.net.cli",
+            "real asyncio TCP cluster over localhost (repro.net)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,37 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run Algorithm 3 over the EC2 regions")
     conf.add_argument("--beam-width", type=int, default=8)
 
-    mc = sub.add_parser(
-        "mc", help="schedule-space model checking (repro.analysis.mc)",
-        add_help=False)
-    mc.add_argument("mc_args", nargs=argparse.REMAINDER,
-                    help="arguments forwarded to python -m repro.analysis.mc")
-
-    faults = sub.add_parser(
-        "faults", help="scripted fault-injection scenarios (repro.faults)",
-        add_help=False)
-    faults.add_argument("faults_args", nargs=argparse.REMAINDER,
-                        help="arguments forwarded to python -m repro.faults")
-
-    obs = sub.add_parser(
-        "obs", help="label-lifecycle tracing + per-edge visibility "
-                    "breakdown (repro.obs)",
-        add_help=False)
-    obs.add_argument("obs_args", nargs=argparse.REMAINDER,
-                     help="arguments forwarded to python -m repro.obs")
-
-    audit = sub.add_parser(
-        "audit", help="static analysis: SAT determinism, ARCH architecture "
-                      "and CONC async-concurrency rules (repro.analysis)",
-        add_help=False)
-    audit.add_argument("audit_args", nargs=argparse.REMAINDER,
-                       help="arguments forwarded to python -m repro.analysis")
-
-    net = sub.add_parser(
-        "net", help="real asyncio TCP cluster over localhost (repro.net)",
-        add_help=False)
-    net.add_argument("net_args", nargs=argparse.REMAINDER,
-                     help="arguments forwarded to python -m repro.net")
+    # help-only entries: main() forwards these before argparse runs
+    for name, (module, summary) in FORWARDED.items():
+        forwarded = sub.add_parser(name, help=summary, add_help=False)
+        forwarded.add_argument(f"{name}_args", nargs=argparse.REMAINDER,
+                               help=f"arguments forwarded to {module}.main")
 
     return parser
 
@@ -151,23 +143,11 @@ def _jsonable(value):
 def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "mc":
+    if argv and argv[0] in FORWARDED:
         # forwarded before argparse sees it: REMAINDER cannot capture a
-        # leading --flag, and the model checker owns its own --help
-        from repro.analysis.mc.__main__ import main as mc_main
-        return mc_main(list(argv[1:]))
-    if argv and argv[0] == "faults":
-        from repro.faults.__main__ import main as faults_main
-        return faults_main(list(argv[1:]))
-    if argv and argv[0] == "obs":
-        from repro.obs.__main__ import main as obs_main
-        return obs_main(list(argv[1:]))
-    if argv and argv[0] == "audit":
-        from repro.analysis.__main__ import main as audit_main
-        return audit_main(list(argv[1:]))
-    if argv and argv[0] == "net":
-        from repro.net.cli import main as net_main
-        return net_main(list(argv[1:]))
+        # leading --flag, and each tool owns its own --help
+        module, _ = FORWARDED[argv[0]]
+        return importlib.import_module(module).main(list(argv[1:]))
     args = build_parser().parse_args(argv)
 
     if args.command == "list":

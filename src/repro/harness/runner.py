@@ -39,6 +39,10 @@ __all__ = ["ClusterConfig", "Cluster", "RunResults", "MetricsHub", "SYSTEMS"]
 
 SYSTEMS = tuple(PROTOCOLS)
 
+#: one-way latency (ms) between processes of one site, and of any pair the
+#: latency model does not name
+LOCAL_LATENCY = 0.25
+
 
 class MetricsHub:
     """Single sink for all measurements taken during a run."""
@@ -64,14 +68,11 @@ class ClusterConfig:
     num_partitions: int = 2
     clients_per_dc: int = 8
     seed: int = 1
-    cost_model: CostModel = field(default_factory=CostModel)
     latency_model: Optional[LatencyModel] = None
-    local_latency: float = 0.25
     max_clock_skew: float = 0.5
     #: Saturn tree; default is a star on the first site (experiments pass
     #: the configuration generator's output for the M-configuration).
     saturn_topology: Optional[TreeTopology] = None
-    chain_length: int = 1
     #: serializer liveness beacons (0 = off); pair with the per-sink
     #: detector's ``dc_params["beacon_timeout"]`` (repro.datacenter.failover)
     beacon_period: float = 0.0
@@ -108,7 +109,7 @@ class ClusterConfig:
             raise ValueError(f"auto_failover needs a serializer tree; "
                              f"{self.system!r} has none")
         if self.latency_model is None:
-            self.latency_model = ec2_latency_model(self.local_latency)
+            self.latency_model = ec2_latency_model(LOCAL_LATENCY)
 
 
 @dataclass
@@ -138,7 +139,7 @@ class Cluster:
         self.sim = Simulator()
         self.rng = RngRegistry(seed=config.seed)
         self.network = Network(self.sim, latency_model=config.latency_model,
-                               default_latency=config.local_latency,
+                               default_latency=LOCAL_LATENCY,
                                rng=self.rng)
         self.metrics = MetricsHub(self.sim)
         self.clocks = ClockFactory(self.sim, self.rng,
@@ -197,13 +198,13 @@ class Cluster:
                             if config.overload is not None else 0.0)
             self.service = SaturnService(self.sim, self.network,
                                          self.replication,
-                                         chain_length=config.chain_length,
                                          beacon_period=config.beacon_period,
                                          serializer_service_rate=service_rate)
             self.service.install_tree(topology, epoch=0)
+        cost_model = CostModel()
         for site in self.sites:
             dc = self.protocol.datacenter(
-                self.sim, site, self.replication, config.cost_model,
+                self.sim, site, self.replication, cost_model,
                 self.clocks.create(), num_partitions=config.num_partitions,
                 metrics=self.metrics, **params)
             if self.service is not None:

@@ -1,23 +1,16 @@
-"""Causal-visibility checker for real-cluster runs.
+"""Judge a real-cluster run with the simulator's oracle.
 
-The sim path has the full :mod:`repro.verify` machinery online; a real
-cluster only leaves behind per-node ``visibility.jsonl`` logs (written by
-:class:`~repro.net.node.NetRecorder`).  This module replays those logs
-against the cluster spec and checks the four properties the net-smoke
-job gates on:
+Each datacenter node leaves a ``visibility.jsonl`` hook journal (see
+:class:`~repro.net.node.HookJournal`).  Replaying the journals, each in
+file order, into one :class:`~repro.verify.ExecutionLog` and the two
+metrics recorders gives a TCP run the verdict a simulated run gets:
+``check()`` (causal order over the true causal pasts, session
+monotonicity) plus ``check_completeness()`` (nothing lost, nothing
+leaked past its replication group).  A datacenter's visibility order is
+the order of its own file, so the merge never compares two nodes' clocks.
 
-1. **completeness** — every scripted update became visible at every
-   datacenter that replicates its key's group;
-2. **partial replication** — no key ever became visible at a datacenter
-   outside its replication group;
-3. **causal order** — for every causal edge implied by the client
-   scripts (session order, and poll-then-update), the dependency was
-   visible *before* the dependent at every datacenter replicating both;
-4. **reads** — every scripted plain read returned a version (the
-   reader's final ``g0:a`` read is the end-to-end witness).
-
-The checker is pure over the parsed logs, so it is unit-testable without
-sockets.
+The one scenario-specific clause: every scripted plain read returned a
+version (the reader's final ``g0:a`` read is the end-to-end witness).
 """
 
 from __future__ import annotations
@@ -25,141 +18,72 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-from repro.net.spec import ClusterSpec, chain_dependencies
+from repro.metrics import OpRecorder, VisibilityRecorder
+from repro.net.codec import decode_value
+from repro.net.spec import ClusterSpec
+from repro.verify import ExecutionLog
 
-__all__ = ["CheckResult", "check_cluster", "load_events", "check_events"]
+__all__ = ["CheckResult", "check_cluster"]
 
 
 @dataclass
 class CheckResult:
     """Outcome of a cluster check; ``ok`` iff no problems."""
 
+    log: ExecutionLog
+    visibility: VisibilityRecorder = field(default_factory=VisibilityRecorder)
+    ops: OpRecorder = field(default_factory=OpRecorder)
     problems: List[str] = field(default_factory=list)
-    #: dc -> ordered (origin, key) first-visibility sequence
-    sequences: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict)
-    #: dc -> number of events parsed
-    event_counts: Dict[str, int] = field(default_factory=dict)
+    #: dc -> journal lines replayed
+    journal_lines: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.problems
 
     def to_json(self) -> Dict[str, Any]:
+        visible = self.log.visible_counts()
         return {
             "ok": self.ok,
             "problems": list(self.problems),
-            "sequences": {dc: [list(pair) for pair in sequence]
-                          for dc, sequence in sorted(self.sequences.items())},
-            "event_counts": dict(sorted(self.event_counts.items())),
+            "visible": {dc: visible.get(dc, 0)
+                        for dc in sorted(self.journal_lines)},
+            "journal_lines": dict(sorted(self.journal_lines.items())),
+            "visibility": {"samples": self.visibility.count(),
+                           "mean_ms": self.visibility.mean()},
+            "ops": {"samples": self.ops.total_ops(),
+                    "mean_ms": self.ops.mean_latency()},
         }
 
 
-def load_events(cluster_dir: Path, spec: ClusterSpec
-                ) -> Dict[str, List[Dict[str, Any]]]:
-    """dc site -> parsed visibility.jsonl events (file order)."""
-    events: Dict[str, List[Dict[str, Any]]] = {}
-    for site in spec.sites:
-        path = Path(cluster_dir) / f"dc-{site}" / "visibility.jsonl"
-        if not path.exists():
-            events[site] = []
-            continue
-        parsed = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    parsed.append(json.loads(line))
-        events[site] = parsed
-    return events
-
-
-def _visible_sequence(events: List[Dict[str, Any]]
-                      ) -> List[Tuple[str, str]]:
-    """First-visibility (origin, key) order at one datacenter."""
-    sequence: List[Tuple[str, str]] = []
-    seen = set()
-    for event in events:
-        if event.get("event") in ("update", "visible"):
-            pair = (event["origin"], event["key"])
-            if pair not in seen:
-                seen.add(pair)
-                sequence.append(pair)
-    return sequence
-
-
-def check_events(spec: ClusterSpec,
-                 events: Dict[str, List[Dict[str, Any]]]) -> CheckResult:
-    """Run all four checks over parsed per-DC event streams."""
-    result = CheckResult()
-    replication = spec.replication()
-    updates = spec.scripted_updates()
-
-    sequences = {}
-    for site in spec.sites:
-        sequences[site] = _visible_sequence(events.get(site, []))
-        result.event_counts[site] = len(events.get(site, []))
-    result.sequences = sequences
-
-    # 1. completeness + 2. partial replication
-    for origin, key in updates:
-        replicas = replication.replicas(key)
-        for site in spec.sites:
-            visible = (origin, key) in sequences[site]
-            if site in replicas and not visible:
-                result.problems.append(
-                    f"completeness: update {key!r} from {origin} never "
-                    f"became visible at replica {site}")
-            if site not in replicas and visible:
-                result.problems.append(
-                    f"partial-replication: {key!r} (group not replicated "
-                    f"at {site}) leaked into {site}'s visible set")
-
-    # 3. causal order
-    origin_of = dict((key, origin) for origin, key in updates)
-    for dep_key, key in chain_dependencies(spec):
-        dep_origin = origin_of.get(dep_key)
-        origin = origin_of.get(key)
-        if dep_origin is None or origin is None:
-            continue
-        both = set(replication.replicas(dep_key)) & set(
-            replication.replicas(key))
-        for site in sorted(both):
-            sequence = sequences[site]
-            try:
-                dep_index = sequence.index((dep_origin, dep_key))
-                index = sequence.index((origin, key))
-            except ValueError:
-                continue  # completeness check already reported it
-            if dep_index > index:
-                result.problems.append(
-                    f"causal-order: at {site}, {key!r} became visible "
-                    f"before its dependency {dep_key!r}")
-
-    # 4. scripted plain reads returned a version
-    for client in spec.clients:
-        reads = [op["key"] for op in client["script"]
-                 if op["op"] == "read"]
-        if not reads:
-            continue
-        returned = {}
-        for event in events.get(client["dc"], []):
-            if (event.get("event") == "read"
-                    and event.get("client") == client["id"]
-                    and event.get("version") is not None):
-                returned[event["key"]] = event["version"]
-        for key in reads:
-            if key not in returned:
-                result.problems.append(
-                    f"read: client {client['id']} at {client['dc']} never "
-                    f"read a version of {key!r}")
-
-    return result
-
-
 def check_cluster(cluster_dir: Path) -> CheckResult:
-    """Load spec + logs from a cluster directory and check them."""
+    """Replay a cluster directory's journals and check the result."""
     cluster_dir = Path(cluster_dir)
     spec = ClusterSpec.load(cluster_dir / "spec.json")
-    return check_events(spec, load_events(cluster_dir, spec))
+    result = CheckResult(ExecutionLog(spec.replication()))
+    hooks = {name: getattr(sink, name)
+             for sink in (result.log, result.visibility, result.ops)
+             for name in dir(sink) if name.startswith("record_")}
+    for site in spec.sites:
+        path = cluster_dir / f"dc-{site}" / "visibility.jsonl"
+        lines = (path.read_text(encoding="utf-8").splitlines()
+                 if path.exists() else [])
+        result.journal_lines[site] = len(lines)
+        for line in lines:
+            entry = json.loads(line)
+            hooks[entry["hook"]](*decode_value(entry["args"]))
+
+    result.problems += [
+        f"{violation.kind}: at {violation.dc}, {violation.detail}"
+        for violation in result.log.check() + result.log.check_completeness()]
+    versioned = {(client, key) for client, _, key, returned, _
+                 in result.log.reads() if returned is not None}
+    for client in spec.clients:
+        for op in client["script"]:
+            if op["op"] == "read" and (client["id"], op["key"]) not in versioned:
+                result.problems.append(
+                    f"read: client {client['id']} at {client['dc']} never "
+                    f"read a version of {op['key']!r}")
+    return result

@@ -23,7 +23,7 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.naming import dc_process_name
 from repro.core.serializer import Serializer
@@ -31,6 +31,7 @@ from repro.core.service import SaturnService
 from repro.datacenter.client import ClientProcess
 from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
 from repro.datacenter.script import script_workload
+from repro.net.codec import encode_value
 from repro.net.directory import request_async
 from repro.net.kernel import RealtimeKernel
 from repro.net.sanitizers import NetSanitizer
@@ -39,7 +40,7 @@ from repro.net.tcp import TcpTransport
 from repro.sim.clock import PhysicalClock
 from repro.sim.cpu import CostModel
 
-__all__ = ["NodeRuntime", "NetRecorder", "StaticSaturnView", "main"]
+__all__ = ["NodeRuntime", "HookJournal", "StaticSaturnView", "main"]
 
 #: polling periods (seconds, real time)
 _ROSTER_POLL_S = 0.05
@@ -64,72 +65,32 @@ class StaticSaturnView:
         return SaturnService.serializer_process_name(epoch, serializer)
 
 
-class NetRecorder:
-    """Metrics + execution-log recorder writing canonical JSONL.
+class HookJournal:
+    """Schema-free journal of the recorder hooks the actors call.
 
-    One instance plays both roles a simulated run splits across
-    ``MetricsHub`` and ``ExecutionLog``: it satisfies every hook the
-    datacenter and client processes call, appending one JSON object per
-    event to ``visibility.jsonl`` (the artifact the driver's causal
-    checker and the CI job read)."""
+    Stands in for both ``MetricsHub`` and ``ExecutionLog``: any
+    ``record_*`` call becomes one canonical JSON line ``{"at", "hook",
+    "args"}`` of ``visibility.jsonl``, the positional arguments in the
+    wire codec's value encoding.  It keeps no state and interprets
+    nothing; :mod:`repro.net.check` replays the lines into the real
+    recorders."""
 
     def __init__(self, fh: Any, kernel: RealtimeKernel) -> None:
-        # the caller opens the file (before the event loop starts — a
-        # sync open() on the async boot path would be a CONC001 stall)
-        # and hands ownership over; close() closes it
+        # the node opens the file (before the event loop starts — a sync
+        # open() on the async boot path would be a CONC001 stall) and
+        # closes it
         self._fh = fh
         self._kernel = kernel
-        #: first-occurrence order of (origin, key) pairs visible locally
-        self.visible_pairs: List[Tuple[str, str]] = []
-        self._seen: set = set()
 
-    def _emit(self, record: Dict[str, Any]) -> None:
-        record["at"] = self._kernel.now
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+    def __getattr__(self, hook: str) -> Callable[..., None]:
+        if not hook.startswith("record_"):
+            raise AttributeError(hook)
 
-    def _mark(self, origin: str, key: str) -> None:
-        pair = (origin, key)
-        if pair not in self._seen:
-            self._seen.add(pair)
-            self.visible_pairs.append(pair)
-
-    # -- ExecutionLog surface ---------------------------------------------
-
-    def record_update(self, label, origin_dc: str, created_at: float) -> None:
-        self._mark(origin_dc, label.target or "")
-        self._emit({"event": "update", "dc": origin_dc,
-                    "key": label.target, "origin": origin_dc,
-                    "ts": label.ts, "src": label.src,
-                    "created_at": created_at})
-
-    def record_visible(self, label, dc: str, at: float) -> None:
-        self._mark(label.origin_dc, label.target or "")
-        self._emit({"event": "visible", "dc": dc, "key": label.target,
-                    "origin": label.origin_dc, "ts": label.ts,
-                    "src": label.src})
-
-    def record_read(self, client_id: str, dc: str, key: str,
-                    returned, observed_max) -> None:
-        self._emit({"event": "read", "client": client_id, "dc": dc,
-                    "key": key,
-                    "version": list(returned) if returned else None})
-
-    def record_update_deps(self, version, deps) -> None:
-        self._emit({"event": "deps", "version": list(version),
-                    "deps": sorted(list(dep) for dep in deps)})
-
-    # -- metrics surface ---------------------------------------------------
-
-    def record_visibility(self, origin: str, dest: str,
-                          latency: float) -> None:
-        self._emit({"event": "latency", "origin": origin, "dest": dest,
-                    "ms": latency})
-
-    def record_op(self, kind: str, latency: float, at: float) -> None:
-        self._emit({"event": "op", "kind": kind, "ms": latency})
-
-    def close(self) -> None:
-        self._fh.close()
+        def write(*args: Any) -> None:
+            self._fh.write(json.dumps(
+                {"at": self._kernel.now, "hook": hook,
+                 "args": encode_value(args)}, sort_keys=True) + "\n")
+        return write
 
 
 class NodeRuntime:
@@ -161,7 +122,6 @@ class NodeRuntime:
                 encoding="utf-8", buffering=1)
         self.kernel: Optional[RealtimeKernel] = None
         self.transport: Optional[TcpTransport] = None
-        self.recorder: Optional[NetRecorder] = None
         self.clients: List[ClientProcess] = []
         self.datacenter: Optional[SaturnDatacenter] = None
         self.serializer: Optional[Serializer] = None
@@ -217,15 +177,14 @@ class NodeRuntime:
                 local_hop_latency=0.0)
             self.serializer.attach_network(self.transport)
             return
-        recorder = NetRecorder(self._visibility_fh, self.kernel)
-        self.recorder = recorder
+        journal = HookJournal(self._visibility_fh, self.kernel)
         params = DatacenterParams(
             name=self.target, site=self.target, consistency="saturn",
             **spec.params)
         datacenter = SaturnDatacenter(
             self.kernel, params, replication, CostModel(),
-            PhysicalClock(self.kernel), metrics=recorder,
-            execution_log=recorder)
+            PhysicalClock(self.kernel), metrics=journal,
+            execution_log=journal)
         datacenter.attach_network(self.transport)
         datacenter.saturn = StaticSaturnView(spec)
         datacenter.start()
@@ -234,7 +193,7 @@ class NodeRuntime:
             client = ClientProcess(
                 self.kernel, client_spec["id"], self.target,
                 script_workload(client_spec["script"]),
-                metrics=recorder, execution_log=recorder)
+                metrics=journal, execution_log=journal)
             client.attach_network(self.transport)
             # stagger starts (as the harness does) and leave a beat for
             # remote actors to finish booting
@@ -252,8 +211,7 @@ class NodeRuntime:
             "role": "dc",
             "clients_done": all(not c.running for c in self.clients),
             "ops": sum(c.ops_completed for c in self.clients),
-            "visible": [list(pair)
-                        for pair in self.recorder.visible_pairs],
+            "updates_applied": self.datacenter.proxy.updates_applied,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -299,16 +257,14 @@ class NodeRuntime:
             for client in self.clients:
                 client.stop()
             # last report so the directory state artifact shows the
-            # final visibility picture
+            # final counters
             await self._directory_request({
                 "op": "status", "node": self.node_name,
                 "report": self._report()})
             print(f"[{self.node_name}] stopping cleanly", flush=True)
             return 0
         finally:
-            if self.recorder is not None:
-                self.recorder.close()
-            elif self._visibility_fh is not None:
+            if self._visibility_fh is not None:
                 self._visibility_fh.close()
             if sanitizer is not None:
                 await sanitizer.stop()

@@ -11,8 +11,8 @@ directory service, mirroring the per-node basedirs of tahoe-lafs.
 ``net-smoke`` CI job.  For ``n == 3`` it is, deliberately, the same
 scenario as the model checker's ``chain3`` (sites I/F/T, keys ``g0:a``
 -> ``g0:b`` -> ``g0:y`` plus the partial-group bait ``g1:p``), so the
-sim/TCP equivalence test can compare per-DC visibility sequences
-between the two transports directly.
+sim/TCP equivalence test can hold both transports' execution logs to
+the same expectations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 
 __all__ = ["ClusterSpec", "chain_clients", "chain_smoke_spec",
-           "write_cluster", "chain_dependencies"]
+           "write_cluster"]
 
 #: first sites reuse the mc chain3 names so the scenarios line up
 _SITE_NAMES = ("I", "F", "T")
@@ -210,25 +210,6 @@ def chain_smoke_spec(num_dcs: int = 3, poll_cap: int = 400) -> ClusterSpec:
             "sink_heartbeat_period": 25.0,
             "bulk_heartbeat_period": 20.0,
         })
-
-
-def chain_dependencies(spec: ClusterSpec) -> List[Tuple[str, str]]:
-    """Causal (dep_key, key) edges implied by the scripts.
-
-    Same-client session order links consecutive updates; a poll followed
-    by an update links the awaited key to the write (the relay pattern).
-    """
-    edges: List[Tuple[str, str]] = []
-    for client in spec.clients:
-        pending_deps: List[str] = []
-        for op in client["script"]:
-            if op["op"] == "poll":
-                pending_deps.append(op["key"])
-            elif op["op"] == "update":
-                for dep in pending_deps:
-                    edges.append((dep, op["key"]))
-                pending_deps = [op["key"]]
-    return edges
 
 
 def write_cluster(spec: ClusterSpec, cluster_dir: Path,

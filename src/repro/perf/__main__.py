@@ -24,8 +24,8 @@ from typing import List, Optional
 from repro.perf.baseline import (DEFAULT_TOLERANCE, build_result, compare,
                                  load_result, save_result)
 from repro.perf.benches import (bench_fabric, bench_figure, bench_kernel,
-                                bench_obs, bench_obs_enabled,
-                                bench_saturation, bench_tree)
+                                bench_obs_enabled, bench_saturation,
+                                bench_tree)
 from repro.perf.measure import calibrate
 
 BENCHES = ("kernel", "fabric", "tree", "obs", "figure", "saturation")
@@ -83,10 +83,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         metrics["tree_label_deliveries_per_sec"] = bench_tree(
             batches_per_dc=args.tree_batches, repeats=repeats(3))
     if "obs" not in args.skip:
-        disabled = metrics["obs_disabled_tree_labels_per_sec"] = bench_obs(
-            batches_per_dc=args.tree_batches, repeats=repeats(3))
+        untraced = metrics.get("tree_label_deliveries_per_sec", {"raw": 0.0})
         metrics["obs_enabled_tree_labels_per_sec"] = bench_obs_enabled(
-            disabled["raw"], batches_per_dc=args.tree_batches,
+            untraced["raw"], batches_per_dc=args.tree_batches,
             repeats=repeats(3))
     if "figure" not in args.skip:
         metrics["figure_smoke_seconds"] = bench_figure(repeats=repeats(2))

@@ -10,11 +10,9 @@
 * :func:`bench_tree` — label deliveries/sec through a 7-datacenter Saturn
   serializer tree over the paper's Table-1 EC2 latencies; exercises
   ``Network.send``, serializer routing-table caches and interest
-  memoization together.
-* :func:`bench_obs` — the same serializer-tree hot path with the
-  :mod:`repro.obs` hooks compiled in but *disabled* (``obs is None``), the
-  configuration every ordinary run pays for; guards the near-zero-cost
-  promise of the instrumentation.
+  memoization together — with the :mod:`repro.obs` hooks compiled in but
+  *disabled* (``obs is None``), the configuration every ordinary run pays
+  for.
 * :func:`bench_obs_enabled` — that hot path with a tracer attached; guards
   the cheap-enough-to-leave-on promise.
 * :func:`bench_figure` — wall-clock seconds for one smoke-scale figure run
@@ -47,7 +45,7 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
-__all__ = ["bench_kernel", "bench_fabric", "bench_tree", "bench_obs", "bench_obs_enabled",
+__all__ = ["bench_kernel", "bench_fabric", "bench_tree", "bench_obs_enabled",
            "bench_figure", "bench_saturation", "TREE_SITES"]
 
 #: the paper's seven EC2 regions — one datacenter per region
@@ -212,19 +210,21 @@ def _tree_run(batches_per_dc: int, labels_per_batch: int,
 
 
 def bench_tree(batches_per_dc: int = 120, labels_per_batch: int = 24,
-               repeats: int = 3,
-               sites: Tuple[str, ...] = TREE_SITES) -> Dict:
+               repeats: int = 3, sites: Tuple[str, ...] = TREE_SITES,
+               traced: bool = False) -> Dict:
     """Label deliveries/sec through the full-width serializer tree.
 
     Every datacenter streams timestamp-ordered update-label batches into
     its ingress serializer (1 ms apart, mimicking the sink's batch
     period); with full replication each label must reach the other six
     datacenters, so one run forwards ``7 * batches * labels`` labels and
-    delivers six times that many.
+    delivers six times that many.  The obs hooks are present but off —
+    the rate every *untraced* run pays; ``traced`` attaches a tracer
+    instead (see :func:`bench_obs_enabled`).
     """
 
     def run() -> Tuple[int, float]:
-        return _tree_run(batches_per_dc, labels_per_batch, sites)
+        return _tree_run(batches_per_dc, labels_per_batch, sites, traced)
 
     rate, work, elapsed = best_rate(run, repeats)
     expected = len(sites) * batches_per_dc * labels_per_batch * (len(sites) - 1)
@@ -238,38 +238,13 @@ def bench_tree(batches_per_dc: int = 120, labels_per_batch: int = 24,
     }
 
 
-def bench_obs(batches_per_dc: int = 120, labels_per_batch: int = 24,
-              repeats: int = 3, sites: Tuple[str, ...] = TREE_SITES,
-              traced: bool = False) -> Dict:
-    """Serializer-tree throughput with the obs hooks present but disabled.
-
-    Identical workload to :func:`bench_tree`; the measured number is the
-    rate every *untraced* run pays, i.e. the routing hot path plus one
-    ``obs is not None`` test per batch arrival and forward.  ``traced``
-    attaches a tracer instead (see :func:`bench_obs_enabled`).
-    """
-
-    def run() -> Tuple[int, float]:
-        return _tree_run(batches_per_dc, labels_per_batch, sites, traced)
-
-    rate, work, elapsed = best_rate(run, repeats)
-    return {
-        "raw": rate,
-        "unit": "labels/s",
-        "higher_is_better": True,
-        "meta": {"labels_delivered": work, "seconds": elapsed,
-                 "batches_per_dc": batches_per_dc,
-                 "labels_per_batch": labels_per_batch, "repeats": repeats},
-    }
-
-
 def bench_obs_enabled(untraced_rate: float, **sizing) -> Dict:
-    """:func:`bench_obs` with a :class:`~repro.obs.LabelTracer` attached:
+    """:func:`bench_tree` with a :class:`~repro.obs.LabelTracer` attached:
     what leaving tracing on costs the label path (two hook calls per label
-    per hop).  *untraced_rate* (the disabled run's) only feeds the
+    per hop).  *untraced_rate* (:func:`bench_tree`'s) only feeds the
     informational ``traced_overhead_pct``; the gate watches the rate.
     """
-    result = bench_obs(traced=True, **sizing)
+    result = bench_tree(traced=True, **sizing)
     result["meta"]["traced_overhead_pct"] = (
         100.0 * (untraced_rate - result["raw"]) / untraced_rate
         if untraced_rate else 0.0)

@@ -20,7 +20,11 @@ from typing import Callable
 
 from repro.sim.engine import Simulator
 
-__all__ = ["ServerCPU", "CostModel"]
+__all__ = ["ServerCPU", "CostModel", "REMOTE_APPLY_FACTOR"]
+
+#: applying a replicated update costs this share of the local write (no
+#: client round trip, no label to generate); one value for every protocol
+REMOTE_APPLY_FACTOR = 0.6
 
 
 @dataclass

@@ -42,7 +42,9 @@ VersionId = Tuple[float, str]
 class Violation:
     """One detected consistency violation."""
 
-    kind: str       # "causal-order" | "session-monotonicity"
+    #: "causal-order" | "session-monotonicity" from check();
+    #: "completeness" | "partial-replication" from check_completeness()
+    kind: str
     dc: str
     detail: str
 
@@ -76,10 +78,13 @@ class ExecutionLog:
                       created_at: float) -> None:
         """A local update was applied at its origin (visible there now)."""
         version = (label.ts, label.src)
-        if version not in self.updates:
+        record = self.updates.get(version)
+        if record is None or not record.origin:
+            # a deps-first stub (see record_update_deps) keeps its deps
             self.updates[version] = _UpdateRecord(
                 version=version, key=label.target or "", origin=origin_dc,
-                created_at=created_at)
+                created_at=created_at,
+                deps=record.deps if record is not None else frozenset())
         self._mark_visible(origin_dc, version)
 
     def record_update_deps(self, version: VersionId,
@@ -89,7 +94,9 @@ class ExecutionLog:
         if record is not None:
             record.deps = deps
         else:
-            # client reply raced ahead of the datacenter hook: store a stub
+            # the client's reply was recorded ahead of the datacenter hook
+            # (merged per-node journals: a migrated client's deps and its
+            # update live in different files): store a stub
             self.updates[version] = _UpdateRecord(
                 version=version, key="", origin="", created_at=0.0, deps=deps)
 
@@ -165,26 +172,35 @@ class ExecutionLog:
                                     f"its dependency {dep}"))
 
     def check_completeness(self) -> List[Violation]:
-        """No update may be lost: every recorded update must have become
-        visible at every datacenter that replicates its key.
+        """No update may be lost and none may leak: every recorded update
+        must have become visible at every datacenter that replicates its
+        key (``completeness``) and at no other (``partial-replication``).
 
-        Separate from :meth:`check` because it is only sound once the run
-        has quiesced (labels still in flight at the horizon would be false
-        positives); the model checker's scenarios guarantee that, the
-        general harness does not.  Stub records (deps known but the origin
-        hook never fired) are skipped.
+        Separate from :meth:`check` because the first half is only sound
+        once the run has quiesced (labels still in flight at the horizon
+        would be false positives); the model checker's scenarios guarantee
+        that, the general harness does not.  Stub records (deps known but
+        the origin hook never fired) are skipped.
         """
         violations: List[Violation] = []
+        visible = sorted(self._visible_pos.items())
         for version, record in sorted(self.updates.items()):
             if not record.key or not record.origin:
                 continue
-            for dc in sorted(self.replication.replicas(record.key)):
+            what = (f"update {version} of key {record.key!r} "
+                    f"(origin {record.origin})")
+            replicas = self.replication.replicas(record.key)
+            for dc in sorted(replicas):
                 if version not in self._visible_pos.get(dc, {}):
                     violations.append(Violation(
                         kind="completeness", dc=dc,
-                        detail=(f"update {version} of key {record.key!r} "
-                                f"(origin {record.origin}) never became "
-                                f"visible")))
+                        detail=f"{what} never became visible"))
+            for dc, positions in visible:
+                if version in positions and dc not in replicas:
+                    violations.append(Violation(
+                        kind="partial-replication", dc=dc,
+                        detail=f"{what} became visible at a datacenter "
+                               f"that does not replicate its key"))
         return violations
 
     def _check_sessions(self):
@@ -211,3 +227,8 @@ class ExecutionLog:
 
     def read_count(self) -> int:
         return len(self._reads)
+
+    def reads(self) -> List[Tuple[str, str, str, Optional[VersionId],
+                                  Optional[VersionId]]]:
+        """(client, dc, key, returned, observed_max) of every read."""
+        return list(self._reads)

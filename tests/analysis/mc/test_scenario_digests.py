@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.mc.scenario import SCENARIOS, build_scenario
 from repro.faults.scenarios import CHAOS_SCENARIOS, build_chaos_scenario
-from repro.net.spec import chain_dependencies
 
 GOLDEN = json.loads((Path(__file__).parent / "golden"
                      / "scenario_digests.json").read_text())
@@ -40,11 +39,20 @@ def test_chaos_scenario_digest_is_pinned(name):
     assert scenario.digest() == GOLDEN["chaos"][name]
 
 
+def _key_edges(log):
+    """(dependency's key, key) over every recorded causal past."""
+    return {(log.updates[dep].key, record.key)
+            for record in log.updates.values() for dep in record.deps}
+
+
 def test_scenario_scripts_state_their_causal_chain():
-    """The scenarios are written in the net.spec script format, so the
-    spec's dependency reader describes them too."""
-    plain = build_scenario("chain3").cluster.workload
-    assert chain_dependencies(plain) == [
-        ("g0:a", "g0:b"), ("g0:b", "g1:p"), ("g0:b", "g0:y")]
-    hardened = build_chaos_scenario("serializer-crash").cluster.workload
-    assert ("g0:y", "g0:c") in chain_dependencies(hardened)
+    """The scripts build real chains: the causal pasts the clients record
+    link the keys the way the scripts read."""
+    plain = build_scenario("chain3")
+    plain.run()
+    assert _key_edges(plain.log) == {
+        ("g0:a", "g0:b"), ("g0:a", "g1:p"), ("g0:b", "g1:p"),
+        ("g0:b", "g0:y")}
+    hardened = build_chaos_scenario("serializer-crash")
+    hardened.run()
+    assert ("g0:y", "g0:c") in _key_edges(hardened.log)

@@ -1,93 +1,116 @@
-"""The offline causal checker over per-node visibility logs."""
+"""The real-cluster verdict: hook journals replayed into the sim oracle."""
 
 import json
 
-from repro.net.check import check_cluster, check_events
+import pytest
+
+from journals import (edit_journal, journal_lines, line_of, open_journal,
+                      write_journals)
+from repro.net.check import check_cluster
+from repro.net.codec import decode_value
 from repro.net.spec import chain_smoke_spec
 
 
-def _events_for(spec, *, drop=(), leak=(), swap=(), fail_read=False):
-    """Synthesize per-DC event streams for every scripted update.
-
-    ``drop``: (dc, key) pairs withheld from that DC's stream;
-    ``leak``: (dc, key) pairs added even at non-replicas;
-    ``swap``: DCs whose event order is reversed;
-    ``fail_read``: suppress all read events."""
-    replication = spec.replication()
-    updates = spec.scripted_updates()
-    events = {site: [] for site in spec.sites}
-    for origin, key in updates:
-        for site in spec.sites:
-            wanted = site in replication.replicas(key)
-            if (site, key) in drop:
-                wanted = False
-            if (site, key) in leak:
-                wanted = True
-            if not wanted:
-                continue
-            kind = "update" if site == origin else "visible"
-            events[site].append({"event": kind, "dc": site, "key": key,
-                                 "origin": origin, "ts": 1.0, "src": "s"})
-    for site in swap:
-        events[site].reverse()
-    if not fail_read:
-        for client in spec.clients:
-            for op in client["script"]:
-                if op["op"] == "read":
-                    events[client["dc"]].append({
-                        "event": "read", "client": client["id"],
-                        "dc": client["dc"], "key": op["key"],
-                        "version": [1.0, "s"]})
-    return events
+@pytest.fixture
+def cluster(tmp_path):
+    write_journals(tmp_path, chain_smoke_spec(3))
+    return tmp_path
 
 
-def test_conforming_run_passes_all_checks():
-    spec = chain_smoke_spec(3)
-    result = check_events(spec, _events_for(spec))
+def _kinds(result):
+    return [problem.split(":")[0] for problem in result.problems]
+
+
+def test_conforming_run_passes_all_checks(cluster):
+    result = check_cluster(cluster)
     assert result.ok, result.problems
-    assert result.sequences["T"] == [("I", "g0:a"), ("I", "g0:b"),
-                                     ("F", "g0:y")]
+    assert result.log.visible_counts() == {"I": 4, "F": 4, "T": 3}
+    # the writer's true causal pasts were replayed, not inferred
+    deps = {record.key: {result.log.updates[dep].key for dep in record.deps}
+            for record in result.log.updates.values()}
+    assert deps == {"g0:a": set(), "g0:b": {"g0:a"},
+                    "g1:p": {"g0:a", "g0:b"}, "g0:y": {"g0:b"}}
 
 
-def test_missing_visibility_is_a_completeness_problem():
+def test_missing_visibility_is_a_completeness_problem(cluster):
+    edit_journal(cluster, "T",
+                 lambda lines: lines.pop(
+                     line_of(lines, "record_visible", "g0:y")))
+    result = check_cluster(cluster)
+    assert _kinds(result) == ["completeness"]
+    assert "g0:y" in result.problems[0] and "at T" in result.problems[0]
+
+
+def test_partial_replication_leak_is_reported(cluster):
+    at_f = journal_lines(cluster, "F")
+    bait, _, at = decode_value(json.loads(
+        at_f[line_of(at_f, "record_visible", "g1:p")])["args"])
+    with open_journal(cluster, "T") as journal:
+        journal.record_visible(bait, "T", at)
+    result = check_cluster(cluster)
+    assert _kinds(result) == ["partial-replication"]
+    assert "g1:p" in result.problems[0] and "at T" in result.problems[0]
+
+
+def test_causal_inversion_is_reported(cluster):
+    def swap(lines):
+        b = line_of(lines, "record_visible", "g0:b")
+        y = line_of(lines, "record_visible", "g0:y")
+        lines[b], lines[y] = lines[y], lines[b]
+    edit_journal(cluster, "T", swap)
+    result = check_cluster(cluster)
+    assert _kinds(result) == ["causal-order"]
+    assert "at T" in result.problems[0]
+
+
+def test_inversion_the_scripts_do_not_link_is_caught(tmp_path):
+    """F's gossip client learns ``g0:a`` through a *plain read* and then
+    writes ``g0:z``: no poll and no session edge joins the two keys, so a
+    dependency model read off the scripts cannot order them.  The
+    journal carries the client's true causal past, and the oracle uses
+    it."""
     spec = chain_smoke_spec(3)
-    result = check_events(
-        spec, _events_for(spec, drop=(("T", "g0:y"),)))
-    assert any("completeness" in p and "g0:y" in p
-               for p in result.problems)
+    spec.clients.insert(1, {"id": "gossip-F", "dc": "F", "script": [
+        {"op": "read", "key": "g0:a"},
+        {"op": "update", "key": "g0:z", "size": 2}]})
+    write_journals(tmp_path, spec)
+    assert check_cluster(tmp_path).ok
+
+    edit_journal(tmp_path, "T", lambda lines: lines.insert(
+        0, lines.pop(line_of(lines, "record_visible", "g0:z"))))
+    result = check_cluster(tmp_path)
+    assert _kinds(result) == ["causal-order"]
 
 
-def test_partial_replication_leak_is_reported():
-    spec = chain_smoke_spec(3)
-    result = check_events(
-        spec, _events_for(spec, leak=(("T", "g1:p"),)))
-    assert any("partial-replication" in p and "g1:p" in p
-               for p in result.problems)
+def test_stale_read_is_a_session_violation(cluster):
+    """``observed_max`` travels in the journal, so session monotonicity
+    is checkable on sockets."""
+    with open_journal(cluster, "T") as journal:
+        journal.record_read("reader-T", "T", "g0:a",
+                            (1.0, "I/g0"), (2.0, "I/g0"))
+    result = check_cluster(cluster)
+    assert _kinds(result) == ["session-monotonicity"]
+    assert "reader-T" in result.problems[0]
 
 
-def test_causal_inversion_is_reported():
-    spec = chain_smoke_spec(3)
-    result = check_events(spec, _events_for(spec, swap=("T",)))
-    assert any("causal-order" in p for p in result.problems)
-
-
-def test_versionless_reads_are_reported():
-    spec = chain_smoke_spec(3)
-    result = check_events(spec, _events_for(spec, fail_read=True))
-    assert any("read" in p and "g0:a" in p for p in result.problems)
+def test_versionless_reads_are_reported(cluster):
+    def forget(lines):
+        lines[:] = [line for line in lines
+                    if not ('"record_read"' in line and '"g0:a"' in line)]
+    edit_journal(cluster, "T", forget)
+    with open_journal(cluster, "T") as journal:
+        journal.record_read("reader-T", "T", "g0:a", None, None)
+    result = check_cluster(cluster)
+    assert _kinds(result) == ["read"]
+    assert "reader-T" in result.problems[0] and "g0:a" in result.problems[0]
 
 
 def test_check_cluster_reads_logs_from_disk(tmp_path):
-    spec = chain_smoke_spec(2)
-    spec.save(tmp_path / "spec.json")
-    for site, events in _events_for(spec).items():
-        node_dir = tmp_path / f"dc-{site}"
-        node_dir.mkdir()
-        with open(node_dir / "visibility.jsonl", "w",
-                  encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
-    result = check_cluster(tmp_path)
-    assert result.ok, result.problems
-    assert result.to_json()["ok"] is True
-    assert result.event_counts["I"] > 0
+    write_journals(tmp_path, chain_smoke_spec(2))
+    report = check_cluster(tmp_path).to_json()
+    assert report["ok"] is True and report["problems"] == []
+    assert report["visible"] == {"I": 3, "F": 3}
+    assert report["journal_lines"]["I"] > 0
+    # the latency / op lines have a reader: the replayed metrics recorders
+    assert report["visibility"] == {"samples": 3, "mean_ms": 10.0}
+    assert report["ops"] == {"samples": 5, "mean_ms": 1.0}

@@ -1,18 +1,21 @@
-"""Sim/TCP equivalence: the same protocol code, two transports.
+"""Sim/TCP equivalence: the same protocol code, two transports, one oracle.
 
 The net-smoke cluster spec (``chain_smoke_spec(3)``) is deliberately the
 same scenario as the model checker's ``chain3``: sites I/F/T, the causal
 write chain ``g0:a -> g0:b -> g0:y`` plus the partial-group bait
-``g1:p``.  Running it on the sim kernel and on real asyncio TCP must
-agree on everything causality pins down:
+``g1:p``.  Running it on the sim kernel and on real asyncio TCP fills
+the same :class:`~repro.verify.ExecutionLog` — directly in the sim,
+replayed from the hook journals on TCP — and both logs must
 
-* the **set** of (origin, key) pairs visible at each datacenter
-  (completeness + partial replication), and
-* the **order** of every causally related pair.
+* hold the same **set** of (origin, key) pairs visible at each
+  datacenter,
+* pass ``check()`` and ``check_completeness()``, and
+* know every causal edge the scripts imply (an oracle fed empty causal
+  pasts would pass vacuously).
 
-Raw per-DC sequences are *not* compared element-wise: ``g1:p`` and
+Visibility *order* is not compared across transports: ``g1:p`` and
 ``g0:y`` are concurrent (both depend only on ``g0:b``), so their
-relative order at F legitimately differs between transports.
+relative order at F legitimately differs.
 
 The sim side is additionally pinned to the pre-refactor trace digest —
 the transport seam must not perturb the deterministic path by one bit.
@@ -28,7 +31,8 @@ import pytest
 
 import repro
 from repro.analysis.mc.scenario import build_scenario
-from repro.net.spec import chain_dependencies, chain_smoke_spec
+from repro.net.check import check_cluster
+from repro.net.spec import chain_smoke_spec
 
 # trace digest of the chain3 scenario as of the pre-transport seed; any
 # drift here means the refactor changed the deterministic sim path
@@ -36,44 +40,45 @@ CHAIN3_DIGEST = \
     "e9807032bc72324a6c310699ed04e8104a8d1544f3601a17497d22e783d697a8"
 
 
-def _sim_sequences(scenario):
-    """Per-DC first-visibility (origin, key) order from the sim log."""
-    sequences = {}
-    for dc in scenario.datacenters:
-        positions = scenario.log.visibility_positions(dc)
-        ordered = sorted(positions, key=positions.get)
-        sequences[dc] = [
-            (scenario.log.updates[version].origin,
-             scenario.log.updates[version].key)
-            for version in ordered]
-    return sequences
+def chain_dependencies(spec):
+    """Causal (dep_key, key) edges implied by the scripts — the test-side
+    reference for what the recorded causal pasts must at least contain.
+
+    Same-client session order links consecutive updates; a poll followed
+    by an update links the awaited key to the write (the relay pattern).
+    """
+    edges = []
+    for client in spec.clients:
+        pending_deps = []
+        for op in client["script"]:
+            if op["op"] == "poll":
+                pending_deps.append(op["key"])
+            elif op["op"] == "update":
+                for dep in pending_deps:
+                    edges.append((dep, op["key"]))
+                pending_deps = [op["key"]]
+    return edges
 
 
-def _assert_causal_edges_respected(spec, sequences):
-    """Every causal (dep, key) edge is ordered dep-first at every DC
-    replicating both keys (where both are present)."""
-    origin_of = {key: origin for origin, key in spec.scripted_updates()}
-    replication = spec.replication()
-    for dep_key, key in chain_dependencies(spec):
-        both = (set(replication.replicas(dep_key))
-                & set(replication.replicas(key)))
-        for dc in sorted(both):
-            sequence = sequences[dc]
-            dep_pair = (origin_of[dep_key], dep_key)
-            pair = (origin_of[key], key)
-            assert dep_pair in sequence and pair in sequence, \
-                f"{dc} is missing {dep_pair} or {pair}"
-            assert sequence.index(dep_pair) < sequence.index(pair), \
-                f"causal inversion at {dc}: {key} before {dep_key}"
+def _visible_sets(log):
+    """dc -> {(origin, key)} visible there, from an ExecutionLog."""
+    return {dc: {(log.updates[version].origin, log.updates[version].key)
+                 for version in log.visibility_positions(dc)}
+            for dc in log.visible_counts()}
 
 
-def _expected_sets(spec):
-    replication = spec.replication()
+def _assert_oracle_holds(spec, log):
+    """The one contract both transports meet."""
+    assert log.check() == []
+    assert log.check_completeness() == []
     expected = {site: set() for site in spec.sites}
     for origin, key in spec.scripted_updates():
-        for site in replication.replicas(key):
+        for site in spec.replication().replicas(key):
             expected[site].add((origin, key))
-    return expected
+    assert _visible_sets(log) == expected
+    recorded = {(log.updates[dep].key, record.key)
+                for record in log.updates.values() for dep in record.deps}
+    assert set(chain_dependencies(spec)) <= recorded
 
 
 def test_sim_transport_digest_is_bit_identical_to_seed():
@@ -83,14 +88,9 @@ def test_sim_transport_digest_is_bit_identical_to_seed():
 
 
 def test_sim_sequences_satisfy_the_net_smoke_contract():
-    """The checker's contract, applied to the sim transport."""
     scenario = build_scenario("chain3")
     scenario.run()
-    sequences = _sim_sequences(scenario)
-    spec = chain_smoke_spec(3)
-    assert {dc: set(seq) for dc, seq in sequences.items()} \
-        == _expected_sets(spec)
-    _assert_causal_edges_respected(spec, sequences)
+    _assert_oracle_holds(chain_smoke_spec(3), scenario.log)
 
 
 @pytest.mark.slow
@@ -99,7 +99,6 @@ def test_tcp_transport_agrees_with_the_sim_transport(tmp_path):
     scenario = build_scenario("chain3")
     scenario.run()
     assert scenario.digest() == CHAIN3_DIGEST
-    sim_sequences = _sim_sequences(scenario)
 
     src_root = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -119,16 +118,9 @@ def test_tcp_transport_agrees_with_the_sim_transport(tmp_path):
     assert not outcome["timed_out"]
     assert all(code == 0 for code in outcome["node_exits"].values())
 
-    tcp_sequences = {
-        dc: [tuple(pair) for pair in sequence]
-        for dc, sequence in outcome["check"]["sequences"].items()}
-
-    # the two transports see the same worlds...
+    # the two transports see the same worlds, under the same oracle
     spec = chain_smoke_spec(3)
-    assert set(tcp_sequences) == set(sim_sequences)
-    for dc in sim_sequences:
-        assert set(tcp_sequences[dc]) == set(sim_sequences[dc]), \
-            f"visible sets diverge at {dc}"
-    # ...and both respect every causal edge; concurrent pairs may differ
-    _assert_causal_edges_respected(spec, sim_sequences)
-    _assert_causal_edges_respected(spec, tcp_sequences)
+    tcp_log = check_cluster(cluster_dir).log
+    _assert_oracle_holds(spec, scenario.log)
+    _assert_oracle_holds(spec, tcp_log)
+    assert _visible_sets(tcp_log) == _visible_sets(scenario.log)

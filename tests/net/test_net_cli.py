@@ -2,8 +2,10 @@
 
 import json
 
+from journals import write_journals
 from repro.net.check import check_cluster
-from repro.net.cli import _python_env, _expected_by_node, _summarize, main
+from repro.net.cli import (_expected_by_node, _python_env, _summarize,
+                           _workload_done, main)
 from repro.net.spec import chain_smoke_spec
 
 
@@ -13,46 +15,22 @@ def test_spec_subcommand_prints_the_cluster_spec(capsys):
     assert printed == chain_smoke_spec(4, poll_cap=7).to_json()
 
 
-def _write_conforming_cluster(cluster_dir, spec):
-    cluster_dir.mkdir()
-    spec.save(cluster_dir / "spec.json")
-    replication = spec.replication()
-    for site in spec.sites:
-        node_dir = cluster_dir / f"dc-{site}"
-        node_dir.mkdir()
-        events = []
-        for origin, key in spec.scripted_updates():
-            if site in replication.replicas(key):
-                events.append({
-                    "event": "update" if site == origin else "visible",
-                    "dc": site, "key": key, "origin": origin,
-                    "ts": 1.0, "src": "s"})
-        for client in spec.clients_of(site):
-            for op in client["script"]:
-                if op["op"] == "read":
-                    events.append({
-                        "event": "read", "client": client["id"],
-                        "dc": site, "key": op["key"],
-                        "version": [1.0, "s"]})
-        (node_dir / "visibility.jsonl").write_text(
-            "".join(json.dumps(e) + "\n" for e in events),
-            encoding="utf-8")
-
-
 def test_check_subcommand_over_a_conforming_cluster(tmp_path, capsys):
     cluster = tmp_path / "cluster"
-    _write_conforming_cluster(cluster, chain_smoke_spec(3))
+    write_journals(cluster, chain_smoke_spec(3))
     assert main(["check", "--cluster-dir", str(cluster)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_check_subcommand_flags_a_violating_cluster(tmp_path, capsys):
     cluster = tmp_path / "cluster"
-    _write_conforming_cluster(cluster, chain_smoke_spec(3))
+    write_journals(cluster, chain_smoke_spec(3))
     # erase one replica's log: completeness must fail
     (cluster / "dc-T" / "visibility.jsonl").write_text("", encoding="utf-8")
     assert main(["check", "--cluster-dir", str(cluster)]) == 1
-    assert json.loads(capsys.readouterr().out)["ok"] is False
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert any(p.startswith("completeness: at T") for p in report["problems"])
 
 
 def test_expected_by_node_respects_partial_replication():
@@ -60,6 +38,26 @@ def test_expected_by_node_respects_partial_replication():
     assert ("I", "g1:p") in expected["dc-F"]
     assert ("I", "g1:p") not in expected["dc-T"]
     assert ("F", "g0:y") in expected["dc-T"]
+
+
+def test_workload_done_needs_finished_clients_and_every_remote_update():
+    class Directory:
+        def snapshot(self):
+            return {"state": {"reports": reports}}
+
+    expected = _expected_by_node(chain_smoke_spec(3))
+    # remote updates owed: I gets F's g0:y; F gets I's three; T gets
+    # g0:a, g0:b and g0:y but not the partial group's g1:p
+    reports = {node: {"clients_done": True, "updates_applied": owed}
+               for node, owed in (("dc-I", 1), ("dc-F", 3), ("dc-T", 3))}
+    assert _workload_done(Directory(), expected)
+    reports["dc-T"]["updates_applied"] = 2
+    assert not _workload_done(Directory(), expected)
+    reports["dc-T"]["updates_applied"] = 3
+    reports["dc-F"]["clients_done"] = False
+    assert not _workload_done(Directory(), expected)
+    del reports["dc-F"]
+    assert not _workload_done(Directory(), expected)
 
 
 def test_python_env_prepends_the_src_root():
@@ -70,7 +68,7 @@ def test_python_env_prepends_the_src_root():
 
 def test_summarize_reports_ok_and_violations(tmp_path, capsys):
     cluster = tmp_path / "cluster"
-    _write_conforming_cluster(cluster, chain_smoke_spec(3))
+    write_journals(cluster, chain_smoke_spec(3))
     ok = check_cluster(cluster).to_json()
     _summarize({"cluster_dir": str(cluster), "check": ok,
                 "node_exits": {"dc-I": 0}, "timed_out": False})

@@ -1,14 +1,13 @@
-"""Node runtime pieces that need no sockets: recorder, scripts, view."""
+"""Node runtime pieces that need no sockets: journal, scripts, view."""
 
-import asyncio
 import json
 
 import pytest
 
 from repro.core.label import Label, LabelType
-from repro.net.kernel import RealtimeKernel
 from repro.datacenter.script import script_workload
-from repro.net.node import NetRecorder, NodeRuntime, StaticSaturnView
+from repro.net.codec import decode_value
+from repro.net.node import HookJournal, NodeRuntime, StaticSaturnView
 from repro.net.spec import chain_smoke_spec, write_cluster
 from repro.workloads.ops import ReadOp, UpdateOp
 
@@ -81,53 +80,46 @@ def test_script_workload_rejects_unknown_ops():
         generator(FakeClient())
 
 
-def test_recorder_writes_canonical_jsonl_and_tracks_first_visibility(
-        tmp_path):
+class FakeKernel:
+    now = 12.5
+
+
+def test_journal_round_trips_every_hook_call(tmp_path):
+    """Six hooks, none known to the journal by name: each call is one
+    ``{"at", "hook", "args"}`` line whose args decode to what was passed."""
     path = tmp_path / "visibility.jsonl"
-
-    async def main():
-        kernel = RealtimeKernel(asyncio.get_running_loop())
-        recorder = NetRecorder(
-            open(path, "a", encoding="utf-8", buffering=1), kernel)
-        recorder.record_update(_label("g0:a"), "I", created_at=1.0)
-        recorder.record_visible(_label("g0:a"), "F", at=2.0)
-        recorder.record_visible(_label("g0:a"), "F", at=3.0)  # duplicate
-        recorder.record_read("reader", "F", "g0:a",
-                             returned=(1.0, "gear:I:0"),
-                             observed_max=None)
-        recorder.record_read("reader", "F", "g0:b", returned=None,
-                             observed_max=None)
-        recorder.record_update_deps((2.0, "g"), {(1.0, "g")})
-        recorder.record_visibility("I", "F", 12.5)
-        recorder.record_op("read", 0.5, at=9.0)
-        recorder.close()
-
-    asyncio.run(main())
-    events = [json.loads(line)
-              for line in path.read_text(encoding="utf-8").splitlines()]
-    kinds = [event["event"] for event in events]
-    assert kinds == ["update", "visible", "visible", "read", "read",
-                     "deps", "latency", "op"]
-    assert events[0]["origin"] == "I" and events[0]["key"] == "g0:a"
-    assert events[1]["dc"] == "F"
-    assert events[3]["version"] == [1.0, "gear:I:0"]
-    assert events[4]["version"] is None
-    assert all("at" in event for event in events)
+    version, older = (2.0, "gear:I:0"), (1.0, "gear:I:0")
+    calls = [
+        ("record_update", (_label("g0:a"), "I", 1.0)),
+        ("record_update_deps", (version, frozenset())),
+        ("record_update_deps", (version, frozenset({older, (0.5, "x")}))),
+        ("record_visible", (_label("g0:a"), "F", 2.0)),
+        ("record_read", ("reader", "F", "g0:a", version, older)),
+        ("record_read", ("reader", "F", "g0:b", None, None)),
+        ("record_visibility", ("I", "F", 12.5)),
+        ("record_op", ("read", 0.5, 9.0)),
+    ]
+    with open(path, "a", encoding="utf-8", buffering=1) as fh:
+        journal = HookJournal(fh, FakeKernel())
+        for hook, args in calls:
+            getattr(journal, hook)(*args)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert all(set(entry) == {"at", "hook", "args"} and entry["at"] == 12.5
+               for entry in entries)
+    assert [(entry["hook"], decode_value(entry["args"]))
+            for entry in entries] == calls
+    # canonical: one sorted-key object per line, byte-stable
+    assert lines == [json.dumps(entry, sort_keys=True) for entry in entries]
 
 
-def test_recorder_visible_pairs_are_first_occurrence_order(tmp_path):
-    async def main():
-        kernel = RealtimeKernel(asyncio.get_running_loop())
-        recorder = NetRecorder(
-            open(tmp_path / "v.jsonl", "a", encoding="utf-8", buffering=1),
-            kernel)
-        recorder.record_update(_label("g0:a"), "I", created_at=1.0)
-        recorder.record_visible(_label("g0:b", ts=2.0), "I", at=2.0)
-        recorder.record_visible(_label("g0:a", ts=3.0), "I", at=3.0)
-        assert recorder.visible_pairs == [("I", "g0:a"), ("I", "g0:b")]
-        recorder.close()
-
-    asyncio.run(main())
+def test_journal_answers_only_recorder_hooks(tmp_path):
+    with open(tmp_path / "v.jsonl", "a", encoding="utf-8") as fh:
+        journal = HookJournal(fh, FakeKernel())
+        with pytest.raises(AttributeError):
+            journal.visible_pairs
+        with pytest.raises(AttributeError):
+            journal.on_issue
 
 
 def test_node_runtime_loads_its_config_and_spec(tmp_path):

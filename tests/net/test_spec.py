@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.net.spec import (ClusterSpec, chain_dependencies,
-                            chain_smoke_spec, write_cluster)
+from repro.net.spec import ClusterSpec, chain_smoke_spec, write_cluster
 
 
 def test_chain3_reuses_the_mc_scenario_shape():
@@ -18,22 +17,15 @@ def test_chain3_reuses_the_mc_scenario_shape():
         ("I", "g0:a"), ("I", "g0:b"), ("I", "g1:p"), ("F", "g0:y")]
 
 
-def test_chain_dependencies_link_sessions_and_polls():
-    edges = chain_dependencies(chain_smoke_spec(3))
-    assert ("g0:a", "g0:b") in edges       # writer session order
-    assert ("g0:b", "g1:p") in edges
-    assert ("g0:b", "g0:y") in edges       # relay poll-then-update
-    assert ("g0:a", "g0:y") not in edges   # only direct edges
-
-
 def test_larger_chains_extend_site_and_key_names():
     spec = chain_smoke_spec(5)
     assert spec.sites == ["I", "F", "T", "D3", "D4"]
     updates = [key for _, key in spec.scripted_updates()]
     assert updates == ["g0:a", "g0:b", "g1:p", "g0:y", "g0:y2", "g0:y3"]
-    # still a chain: each relay waits for its predecessor
-    edges = chain_dependencies(spec)
-    assert ("g0:y", "g0:y2") in edges and ("g0:y2", "g0:y3") in edges
+    # still a chain: each relay waits for its predecessor's key
+    relays = [client["script"] for client in spec.clients[1:-1]]
+    assert [(script[0]["key"], script[1]["key"]) for script in relays] == [
+        ("g0:b", "g0:y"), ("g0:y", "g0:y2"), ("g0:y2", "g0:y3")]
 
 
 def test_too_small_chain_is_rejected():

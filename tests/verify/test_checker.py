@@ -108,14 +108,75 @@ def test_session_clean_reads_pass():
 
 
 def test_deps_recorded_before_update_hook():
-    """Client replies can race ahead of the datacenter's record_update."""
+    """Merged per-node journals can deliver a client's ``record_update_deps``
+    ahead of the datacenter's ``record_update`` (a migrated client's reply
+    and its update live in different files): the stub is filled in place,
+    so either arrival order gives the same record and the same verdict."""
+    verdicts = []
+    for deps_first in (False, True):
+        log = make_log(ReplicationMap(["A", "B", "C"]))
+        a = label(1.0, "A", key="ka")
+        b = label(2.0, "B", key="kb")
+        log.record_update(a, "A", 1.0)
+        log.record_visible(a, "B", 5.0)
+        hooks = [lambda: log.record_update(b, "B", 11.0),
+                 lambda: log.record_update_deps((2.0, "B/g0"),
+                                                frozenset({(1.0, "A/g0")}))]
+        for hook in reversed(hooks) if deps_first else hooks:
+            hook()
+        record = log.updates[(2.0, "B/g0")]
+        assert (record.key, record.origin, record.created_at) == (
+            "kb", "B", 11.0)
+        assert record.deps == {(1.0, "A/g0")}
+        log.record_visible(b, "C", 20.0)   # b before its dependency a at C
+        log.record_visible(a, "C", 25.0)
+        verdicts.append((log.check(), log.check_completeness()))
+    assert verdicts[0] == verdicts[1]
+    violations, lost = verdicts[0]
+    assert [(v.kind, v.dc) for v in violations] == [("causal-order", "C")]
+    assert [(v.kind, v.dc) for v in lost] == [("completeness", "A")]
+
+
+def test_dependency_on_a_deps_first_update_is_checked_not_assumed_missing():
     log = make_log()
-    log.record_update_deps((2.0, "B/g0"), frozenset())
+    a = label(1.0, "A")
     b = label(2.0, "B")
+    log.record_update_deps((1.0, "A/g0"), frozenset())   # stub first
+    log.record_update(a, "A", 1.0)
+    log.record_visible(a, "B", 5.0)
     log.record_update(b, "B", 11.0)
-    record = log.updates[(2.0, "B/g0")]
-    assert record.origin in ("", "B")  # stub kept, no crash
+    log.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log.record_visible(b, "A", 20.0)
     assert log.check() == []
+
+
+def partial_log():
+    replication = ReplicationMap(["A", "B", "C"])
+    replication.set_group("gab", ["A", "B"])
+    log = make_log(replication)
+    a = label(1.0, "A", key="gab:0")
+    log.record_update(a, "A", 1.0)
+    log.record_visible(a, "B", 5.0)
+    return log, a
+
+
+def test_completeness_reports_a_leak_past_the_replication_group():
+    log, a = partial_log()
+    assert log.check_completeness() == []
+    log.record_visible(a, "C", 9.0)        # C does not replicate gab
+    violations = log.check_completeness()
+    assert [(v.kind, v.dc) for v in violations] == [
+        ("partial-replication", "C")]
+    assert "gab:0" in violations[0].detail
+    assert log.check() == []               # check() is untouched by it
+
+
+def test_leak_check_exempts_a_version_whose_key_is_unknown():
+    log, _ = partial_log()
+    stub = label(2.0, "B", key="gab:1")
+    log.record_update_deps((2.0, "B/g0"), frozenset())   # origin hook lost
+    log.record_visible(stub, "C", 9.0)
+    assert log.check_completeness() == []
 
 
 def test_visible_counts():
@@ -156,11 +217,13 @@ def linear_scan_violations(log):
     return found
 
 
-def random_log(seed, updates=120):
+def random_log(seed, updates=120, deps_first=0.1):
     """A seeded log over three datacenters: two partially replicated
     groups, a few hot keys, stub and dangling dependencies, and a
     visibility order that is causal (timestamp order) except for a share of
-    versions moved to a random position or never delivered."""
+    versions moved to a random position or never delivered.  A share
+    *deps_first* of the updates records its causal past before its origin
+    hook."""
     rng = random.Random(seed)
     dcs = ["A", "B", "C"]
     replication = ReplicationMap(dcs)
@@ -182,7 +245,7 @@ def random_log(seed, updates=120):
         versions.append(version)
         if rng.random() < 0.1:
             deps.add((999.0, "nowhere/g0"))           # never recorded
-        if rng.random() < 0.1:
+        if rng.random() < deps_first:
             log.record_update_deps(version, frozenset(deps))  # stub first
             log.record_update(lbl, lbl.origin_dc, lbl.ts)
         else:
@@ -209,6 +272,13 @@ def test_bisect_oracle_agrees_with_the_linear_scan(seed):
     assert [(v.dc, v.detail) for v in found] == [
         (dc, f"update {version} visible at {dc} before its dependency {dep}")
         for dc, version, dep in reference]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hook_arrival_order_does_not_change_the_verdict(seed):
+    mixed, update_first = random_log(seed), random_log(seed, deps_first=0.0)
+    assert mixed.check() == update_first.check()
+    assert mixed.check_completeness() == update_first.check_completeness()
 
 
 def test_random_logs_exercise_both_outcomes():
