@@ -1,4 +1,4 @@
-"""Wire codec: frozen message dataclasses <-> length-prefixed JSON frames.
+"""Wire codec: frozen message dataclasses <-> length-prefixed binary frames.
 
 Every message that can cross a process boundary is *registered* here by
 class name; the registrations at the bottom of this module are the
@@ -6,22 +6,40 @@ machine-checked mirror of ``arch_contract.toml``'s wire vocabulary
 (``codec_modules`` + audit rule ARCH205: a message with a receive handler
 but no ``register(...)`` call — or vice versa — is an audit finding).
 
-Encoding is canonical tagged JSON, so frames are byte-deterministic:
+The wire format (``encode_frame`` / ``encode_message`` and inverses) is
+binary and canonical: a value is one tag byte plus a big-endian payload.
 
-* scalars (``None``/``bool``/``int``/``float``/``str``) encode as-is;
-* ``tuple``     -> ``{"__t": [items...]}``;
-* ``frozenset`` -> ``{"__fs": [items...]}`` sorted by canonical encoding;
-* enum member   -> ``{"__e": ["EnumName", value]}``;
-* registered dataclass -> ``{"__d": ["ClassName", {field: value, ...}]}``.
+===  =========  ========================================================
+tag  value      payload
+===  =========  ========================================================
+0-2  constant   none: 0 is ``None``, 1 ``True``, 2 ``False``
+3    int        ``>q``; outside int64 is a :class:`CodecError`
+4    float      ``>d``; NaN / +-inf is a :class:`CodecError`, both ways
+5    str        ``>I`` byte length + UTF-8
+6    tuple      ``>I`` item count + the items
+7    frozenset  ``>I`` item count + the items sorted by encoded bytes
+8    class      1-byte class id, then a dataclass's fields in declaration
+                order (no names, no count) or an enum member's 1-byte
+                index in definition order
+===  =========  ========================================================
 
-Top-level JSON uses sorted keys, minimal separators, and
-``allow_nan=False`` (NaN timestamps must fail loudly, not travel).  A
-frame is a 4-byte big-endian length followed by the JSON body
-``{"dst": ..., "msg": ..., "src": ...}`` — see DESIGN.md §10.
+The class id is the type's position among the ``register()`` calls
+below, so those calls — and an enum's members — are **append-only**:
+a reorder or removal renumbers the wire.  ``register`` compiles each
+type's encoder and decoder once; per value the work is one
+``dict[type(value)]`` lookup on the *exact* type.  A frame is a 4-byte
+big-endian body length, then ``src``, ``dst`` and the message as three
+values back to back (DESIGN.md §10); any frame renders readably as
+``encode_value(decode_frame_body(body)[2])``.
 
-Mutable containers (list/dict/set) are rejected by design: they are not
-wire-safe (ARCH203) and accepting them here would hide aliasing bugs the
-simulator's by-reference delivery already masks.
+``encode_value`` / ``decode_value`` are the *journal* encoding (tagged
+JSON data: ``__t`` tuple, ``__fs`` frozenset, ``__e`` enum, ``__d``
+dataclass) that ``net.node.HookJournal`` writes and ``net.check``
+replays; it never crosses a socket.
+
+Mutable containers (list/dict/set) are rejected by design in both: they
+are not wire-safe (ARCH203) and accepting them here would hide aliasing
+bugs the simulator's by-reference delivery already masks.
 """
 
 from __future__ import annotations
@@ -29,8 +47,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
+import operator
 import struct
-from typing import Any, Dict, Tuple, Type
+from functools import partial
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.baselines.base import BaselinePayload
 from repro.baselines.eunomia import EunomiaBatch, EunomiaTick
@@ -67,7 +88,9 @@ _ENUMS: Dict[str, Type] = {}
 
 
 def register(cls: Type) -> Type:
-    """Register *cls* (frozen dataclass or Enum) under its class name.
+    """Register *cls* (frozen dataclass or Enum) under its class name and
+    compile its wire encoder and decoder; its class id is its position
+    among these calls.
 
     Kept as one explicit top-level call per type — never a loop — so the
     architecture audit (ARCH205) can enumerate the registrations
@@ -76,9 +99,12 @@ def register(cls: Type) -> Type:
     name = cls.__name__
     if name in _DATACLASSES or name in _ENUMS:
         raise CodecError(f"duplicate codec registration for {name!r}")
+    head = bytes((_CLASS, len(_CLASS_DECODERS)))
     if isinstance(cls, type) and issubclass(cls, enum.Enum):
+        _compile_enum(cls, head)
         _ENUMS[name] = cls
     elif dataclasses.is_dataclass(cls):
+        _compile_dataclass(cls, head)
         _DATACLASSES[name] = cls
     else:
         raise CodecError(f"{name!r} is neither a dataclass nor an Enum")
@@ -90,7 +116,7 @@ def registered_messages() -> Dict[str, Type]:
     return dict(_DATACLASSES)
 
 
-# -- value encoding ----------------------------------------------------------
+# -- journal encoding (tagged JSON data; never on a socket) ------------------
 
 def encode_value(value: Any) -> Any:
     """Lower *value* to tagged JSON-compatible data."""
@@ -154,30 +180,165 @@ def decode_value(data: Any) -> Any:
     raise CodecError(f"undecodable wire value: {data!r}")
 
 
-# -- message and frame encoding ---------------------------------------------
+# -- wire encoding (binary; tag table in the module docstring) ---------------
 
-def _canonical(data: Any) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
+_NONE, _TRUE, _FALSE, _INT, _FLOAT, _STR, _TUPLE, _FROZENSET, _CLASS = range(9)
+
+#: each struct spans the tag byte too: a decoder is entered *at* its tag
+_INT64 = struct.Struct(">Bq")
+_FLOAT64 = struct.Struct(">Bd")
+_SIZE = struct.Struct(">BI")   # str byte length, tuple/frozenset item count
+
+Decoder = Callable[[bytes, int], Tuple[Any, int]]   # (body, at) -> (value, end)
+
+
+def _encode_float(value: float) -> bytes:
+    if not math.isfinite(value):
+        raise CodecError(f"non-finite float on the wire: {value!r}")
+    return _FLOAT64.pack(_FLOAT, value)
+
+
+def _encode_str(value: str) -> bytes:
+    data = value.encode("utf-8")
+    return _SIZE.pack(_STR, len(data)) + data
+
+
+def _encode_tuple(value: tuple) -> bytes:
+    return _SIZE.pack(_TUPLE, len(value)) + b"".join(
+        [_ENCODERS[type(item)](item) for item in value])
+
+
+def _encode_frozenset(value: frozenset) -> bytes:
+    return _SIZE.pack(_FROZENSET, len(value)) + b"".join(
+        sorted([_ENCODERS[type(item)](item) for item in value]))
+
+
+#: exact type -> encoder; a miss is the "not wire-safe" CodecError
+_ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    type(None): {None: bytes((_NONE,))}.__getitem__,
+    bool: {True: bytes((_TRUE,)), False: bytes((_FALSE,))}.__getitem__,
+    int: partial(_INT64.pack, _INT),
+    float: _encode_float,
+    str: _encode_str,
+    tuple: _encode_tuple,
+    frozenset: _encode_frozenset,
+}
+
+
+def _decode_float(body: bytes, pos: int) -> Tuple[float, int]:
+    value = _FLOAT64.unpack_from(body, pos)[1]
+    if not math.isfinite(value):
+        raise CodecError(f"non-finite float on the wire: {value!r}")
+    return value, pos + 9
+
+
+def _decode_str(body: bytes, pos: int) -> Tuple[str, int]:
+    start = pos + 5
+    end = start + _SIZE.unpack_from(body, pos)[1]
+    if end > len(body):   # a slice would silently come up short
+        raise CodecError("string length runs past the body")
+    return body[start:end].decode("utf-8"), end
+
+
+def _decode_values(body: bytes, pos: int, count: int) -> Tuple[List[Any], int]:
+    """*count* back-to-back values from *pos*.  A hostile count allocates
+    nothing: the loop dies on the first value the body does not hold."""
+    values = []
+    for _ in range(count):
+        value, pos = _DECODERS[body[pos]](body, pos)
+        values.append(value)
+    return values, pos
+
+
+def _items_decoder(make: Callable[[List[Any]], Any]) -> Decoder:
+    def decode(body: bytes, pos: int) -> Tuple[Any, int]:
+        items, end = _decode_values(
+            body, pos + 5, _SIZE.unpack_from(body, pos)[1])
+        return make(items), end
+    return decode
+
+
+#: indexed by tag byte; an unknown tag is an IndexError
+_DECODERS: Tuple[Decoder, ...] = (
+    lambda body, pos: (None, pos + 1),
+    lambda body, pos: (True, pos + 1),
+    lambda body, pos: (False, pos + 1),
+    lambda body, pos: (_INT64.unpack_from(body, pos)[1], pos + 9),
+    _decode_float, _decode_str,
+    _items_decoder(tuple), _items_decoder(frozenset),
+    lambda body, pos: _CLASS_DECODERS[body[pos + 1]](body, pos + 2),
+)
+
+#: indexed by class id (registration order); entered after tag and id
+_CLASS_DECODERS: List[Decoder] = []
+
+
+def _compile_enum(cls: Type, head: bytes) -> None:
+    members = tuple(cls)
+    _ENCODERS[cls] = {member: head + bytes((index,))
+                      for index, member in enumerate(members)}.__getitem__
+    _CLASS_DECODERS.append(lambda body, pos: (members[body[pos]], pos + 1))
+
+
+def _compile_dataclass(cls: Type, head: bytes) -> None:
+    getters = tuple(operator.attrgetter(field.name)
+                    for field in dataclasses.fields(cls))
+
+    def encode(value: Any) -> bytes:
+        return head + b"".join(
+            [_ENCODERS[type(field)](field)
+             for field in [get(value) for get in getters]])
+
+    def decode(body: bytes, pos: int) -> Tuple[Any, int]:
+        fields, end = _decode_values(body, pos, len(getters))
+        return cls(*fields), end
+
+    _ENCODERS[cls] = encode
+    _CLASS_DECODERS.append(decode)
+
+
+def _encode(*values: Any) -> bytes:
+    """The values back to back; the one place encoder failures surface."""
+    try:
+        return b"".join([_ENCODERS[type(value)](value) for value in values])
+    except KeyError as exc:
+        raise CodecError(
+            f"value of type {exc.args[0].__name__!r} is not wire-safe "
+            "(plain data and registered classes only; lists/dicts/sets "
+            "are rejected by design)") from None
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise CodecError(f"value does not fit the wire: {exc}") from None
+
+
+def _decode(data: bytes, count: int) -> List[Any]:
+    """Exactly *count* back-to-back values filling *data*; the one place
+    decoder failures surface, so whatever a peer sends — truncation, an
+    unknown tag / class id / member, bad UTF-8, a count or length past
+    the body, hostile nesting — is a :class:`CodecError`."""
+    try:
+        values, end = _decode_values(data, 0, count)
+    except CodecError:
+        raise
+    except (struct.error, IndexError, ValueError, TypeError,
+            RecursionError) as exc:
+        raise CodecError(f"malformed wire data: {exc!r}") from None
+    if end != len(data):
+        raise CodecError(f"{len(data) - end} trailing bytes after the value")
+    return values
 
 
 def encode_message(message: Any) -> bytes:
     """Canonical bytes of one message (no frame header)."""
-    return _canonical(encode_value(message))
+    return _encode(message)
 
 
 def decode_message(data: bytes) -> Any:
-    try:
-        parsed = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"malformed message body: {exc}") from None
-    return decode_value(parsed)
+    return _decode(data, 1)[0]
 
 
 def encode_frame(src: str, dst: str, message: Any) -> bytes:
-    """One addressed frame: 4-byte length + canonical JSON body."""
-    body = _canonical(
-        {"src": src, "dst": dst, "msg": encode_value(message)})
+    """One addressed frame: 4-byte length + src, dst, message."""
+    body = _encode(src, dst, message)
     if len(body) > MAX_FRAME_BYTES:
         raise CodecError(f"frame body of {len(body)} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte ceiling")
@@ -186,13 +347,10 @@ def encode_frame(src: str, dst: str, message: Any) -> bytes:
 
 def decode_frame_body(body: bytes) -> Tuple[str, str, Any]:
     """Decode a frame body (header already stripped) -> (src, dst, msg)."""
-    try:
-        parsed = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"malformed frame body: {exc}") from None
-    if not isinstance(parsed, dict) or set(parsed) != {"src", "dst", "msg"}:
-        raise CodecError(f"malformed frame envelope: {body[:80]!r}")
-    return parsed["src"], parsed["dst"], decode_value(parsed["msg"])
+    src, dst, message = _decode(body, 3)
+    if type(src) is not str or type(dst) is not str:
+        raise CodecError("frame addresses must be strings")
+    return src, dst, message
 
 
 # -- wire vocabulary ---------------------------------------------------------

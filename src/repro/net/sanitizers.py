@@ -41,7 +41,7 @@ _MAX_RECORDS = 200
 _PROBE_PERIOD_S = 0.05
 
 
-def _describe(callback: Callable[[], None]) -> str:
+def _describe(callback: Callable[..., None]) -> str:
     return getattr(callback, "__qualname__", None) or repr(callback)
 
 
@@ -68,12 +68,14 @@ class NetSanitizer:
 
     # -- stall watchdog (kernel hook) --------------------------------------
 
-    def run_callback(self, callback: Callable[[], None]) -> None:
-        """Run a kernel-scheduled callback, timing its hold on the loop."""
+    def run_callback(self, callback: Callable[..., None],
+                     *args: Any) -> None:
+        """Run a kernel timer callback or ready-queue entry, timing its
+        hold on the loop."""
         self.callbacks_timed += 1
         before = time.monotonic()  # noqa: SAT001 - sanitizer: observes the realtime path, below the determinism boundary
         try:
-            callback()
+            callback(*args)
         finally:
             held_ms = (time.monotonic() - before) * 1000.0  # noqa: SAT001 - sanitizer: observes the realtime path, below the determinism boundary
             if held_ms > self.stall_ms:

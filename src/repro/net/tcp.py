@@ -11,8 +11,13 @@ FIFO guarantee: all frames to a given remote node travel on one
 persistent connection, written by one writer task in enqueue order —
 TCP then preserves per-link order end-to-end, which is stronger than the
 per-(src, dst) FIFO the protocol needs.  Local destinations skip the
-socket and are delivered through the kernel with the same
-asynchronous-delivery discipline (never re-entrantly inside ``send``).
+socket; both kinds of delivery go through the kernel's FIFO ready queue
+(``RealtimeKernel.call_soon``), so they keep that order and never run
+re-entrantly inside ``send``.
+
+Batching: the frames enqueued for a peer during one loop turn leave in
+one ``write``; every complete frame a ``read`` returns is parsed before
+the next ``await``, and their deliveries drain in one loop entry.
 
 Frames for a local destination that has not registered yet (actors boot
 in arbitrary order across nodes) are buffered and flushed on
@@ -40,6 +45,9 @@ _CONNECT_ATTEMPTS = 30
 #: log a warning every N failed attempts so a dead peer is visible in
 #: the node log long before the final OSError
 _CONNECT_LOG_EVERY = 5
+#: most bytes taken from an inbound stream per read (the StreamReader's
+#: own buffer limit); a larger frame's remainder is read exactly
+_READ_BYTES = 64 * 1024
 
 
 def _backoff_schedule() -> Iterator[float]:
@@ -59,12 +67,15 @@ class _Peer:
         self.host = host
         self.port = port
         self._transport = transport
-        self._queue: asyncio.Queue = asyncio.Queue()
+        #: frames enqueued since the writer task last took the batch
+        self._batch: List[bytes] = []
+        self._wake = asyncio.Event()
         self._task = transport.kernel.create_task(
             self._run(), name=f"peer:{node}")
 
     def enqueue(self, frame: bytes) -> None:
-        self._queue.put_nowait(frame)
+        self._batch.append(frame)
+        self._wake.set()
 
     async def _connect(self) -> asyncio.StreamWriter:
         """Dial the peer with capped exponential backoff."""
@@ -96,10 +107,11 @@ class _Peer:
         try:
             writer = await self._connect()
             while True:
-                frame = await self._queue.get()
-                writer.write(frame)
-                if self._queue.empty():
-                    await writer.drain()
+                await self._wake.wait()
+                self._wake.clear()
+                batch, self._batch = self._batch, []
+                writer.write(b"".join(batch))
+                await writer.drain()
         except (OSError, ConnectionError) as exc:
             log.error("peer %s (%s:%s) failed: %s",
                       self.node, self.host, self.port, exc)
@@ -173,8 +185,8 @@ class TcpTransport:
             server.close()
             await server.wait_closed()
         # End each handler the way a peer hang-up does: feed its reader
-        # the EOF, so readexactly raises IncompleteReadError on the next
-        # loop turn and the handler closes its stream.  A *cancelled*
+        # the EOF, so its read returns empty on the next loop turn and
+        # the handler closes its stream.  A *cancelled*
         # handler ends "cancelled", which py3.11's StreamReaderProtocol
         # done-callback reports to the loop's exception handler as an
         # error, once per connection.
@@ -247,37 +259,53 @@ class TcpTransport:
     # -- delivery ----------------------------------------------------------
 
     def _deliver_soon(self, process: Any, src: str, message: Any) -> None:
-        # via the kernel, not a direct call: delivery must never re-enter
-        # the sender's stack (same discipline as the sim Network)
+        # via the kernel's ready queue, not a direct call: delivery must
+        # never re-enter the sender's stack (same discipline as the sim
+        # Network), and the queue keeps per-link FIFO by construction
         san = self.sanitizer
         if san is None:
-            self.kernel.schedule(
-                0.0, lambda: process.deliver(src, message))
+            self.kernel.call_soon(process.deliver, src, message)
         else:
-            self.kernel.schedule(
-                0.0, lambda: san.deliver(process, src, message))
+            self.kernel.call_soon(san.deliver, process, src, message)
+
+    def _on_frame(self, body: bytes) -> None:
+        src, dst, message = codec.decode_frame_body(body)
+        self.frames_received += 1
+        process = self._local.get(dst)
+        if process is not None:
+            self._deliver_soon(process, src, message)
+        else:
+            # actor not constructed yet (cross-node boot race)
+            self._pending.setdefault(dst, []).append((src, message))
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conns[task] = (reader, writer)
+        header = codec.FRAME_HEADER
+        data = b""   # between reads: at most an incomplete header
         try:
             while True:
-                header = await reader.readexactly(codec.FRAME_HEADER.size)
-                (length,) = codec.FRAME_HEADER.unpack(header)
-                if length > codec.MAX_FRAME_BYTES:
-                    raise codec.CodecError(
-                        f"inbound frame of {length} bytes exceeds ceiling")
-                body = await reader.readexactly(length)
-                src, dst, message = codec.decode_frame_body(body)
-                self.frames_received += 1
-                process = self._local.get(dst)
-                if process is not None:
-                    self._deliver_soon(process, src, message)
-                else:
-                    # actor not constructed yet (cross-node boot race)
-                    self._pending.setdefault(dst, []).append((src, message))
+                chunk = await reader.read(_READ_BYTES)
+                if not chunk:
+                    break  # peer closed (or stop() fed the EOF)
+                data += chunk
+                pos = 0
+                while len(data) - pos >= header.size:
+                    (length,) = header.unpack_from(data, pos)
+                    if length > codec.MAX_FRAME_BYTES:
+                        raise codec.CodecError(
+                            f"inbound frame of {length} bytes exceeds ceiling")
+                    pos += header.size
+                    body = data[pos:pos + length]
+                    pos += length
+                    if pos > len(data):
+                        # the frame outruns this read: take exactly the
+                        # rest instead of re-buffering it read by read
+                        body += await reader.readexactly(pos - len(data))
+                    self._on_frame(body)
+                data = data[pos:]
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # peer closed; normal at shutdown
         except codec.CodecError as exc:

@@ -41,7 +41,10 @@ class Transport(Protocol):
     from the same ``src`` to the same ``dst`` are delivered in send
     order (Saturn's serializer-tree channels require it, §5.3 of the
     paper).  Delivery invokes ``process.deliver(src, message)``
-    asynchronously — never re-entrantly inside :meth:`send`.
+    asynchronously — never re-entrantly inside :meth:`send`: the sim
+    network makes one handle-free ``Simulator.call_at`` entry per
+    message, the TCP transport one ``RealtimeKernel.call_soon`` entry on
+    the kernel's FIFO ready queue, for local and decoded deliveries alike.
     """
 
     def register(self, process: Any) -> None:

@@ -15,6 +15,9 @@
   for.
 * :func:`bench_obs_enabled` — that hot path with a tracer attached; guards
   the cheap-enough-to-leave-on promise.
+* :func:`bench_codec` — wire frames/sec through ``encode_frame`` +
+  ``decode_frame_body`` over the golden frame shapes: the per-frame host
+  cost of every message that crosses a real socket.
 * :func:`bench_figure` — wall-clock seconds for one smoke-scale figure run
   (the full stack: datacenters, gears, clients, metrics), i.e. what a
   contributor actually waits for.
@@ -46,7 +49,7 @@ from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
 __all__ = ["bench_kernel", "bench_fabric", "bench_tree", "bench_obs_enabled",
-           "bench_figure", "bench_saturation", "TREE_SITES"]
+           "bench_codec", "bench_figure", "bench_saturation", "TREE_SITES"]
 
 #: the paper's seven EC2 regions — one datacenter per region
 TREE_SITES: Tuple[str, ...] = tuple(EC2_REGIONS)
@@ -249,6 +252,54 @@ def bench_obs_enabled(untraced_rate: float, **sizing) -> Dict:
         100.0 * (untraced_rate - result["raw"]) / untraced_rate
         if untraced_rate else 0.0)
     return result
+
+
+# ---------------------------------------------------------------------------
+# wire codec round trips
+# ---------------------------------------------------------------------------
+
+def bench_codec(frames: int = 30_000, repeats: int = 3) -> Dict:
+    """Frames/sec through one encode + one decode each, cycling over the
+    shapes ``tests/net/golden/frames.hex`` pins (client update and read,
+    a two-label batch, a remote payload, a heartbeat, an explicit-
+    dependency payload)."""
+    # imported lazily: the codec pulls in every baseline's message types
+    from repro.baselines.explicit import ExplicitPayload
+    from repro.datacenter.messages import (BulkHeartbeat, ClientRead,
+                                           ClientUpdate, RemotePayload)
+    from repro.net import codec
+
+    def label(ts: float, src: str, key: str) -> Label:
+        return Label(LabelType.UPDATE, src, ts, key, "I")
+
+    first = label(12.5, "I:g0", "g0:a")
+    shapes = (
+        ("client:w", "dc:I", ClientUpdate("w", "g0:a", 2, first)),
+        ("client:w", "dc:I", ClientRead("w", "g0:a")),
+        ("dc:I", "ser:e0:sI",
+         LabelBatch(labels=(first, label(13.0, "I:g1", "g0:b")))),
+        ("dc:I", "dc:F", RemotePayload(first, "g0:a", 2, 10.25)),
+        ("dc:F", "dc:T", BulkHeartbeat("F", 42.0)),
+        ("dc:I", "dc:F", ExplicitPayload(
+            first, "g0:a", 2, 10.25,
+            frozenset({("g0:b", (11.0, "I:g1")), ("g0:c", (9.0, "I:g0"))}))),
+    )
+    header = codec.FRAME_HEADER.size
+    rounds = frames // len(shapes)
+
+    def run() -> Tuple[int, float]:
+        start = wall_clock()
+        for _ in range(rounds):
+            for src, dst, message in shapes:
+                frame = codec.encode_frame(src, dst, message)
+                codec.decode_frame_body(frame[header:])
+        return rounds * len(shapes), wall_clock() - start
+
+    rate, work, elapsed = best_rate(run, repeats)
+    wire_bytes = sum(len(codec.encode_frame(*shape)) for shape in shapes)
+    return {"raw": rate, "unit": "frames/s", "higher_is_better": True,
+            "meta": {"frames": work, "seconds": elapsed, "repeats": repeats,
+                     "bytes_per_frame": wire_bytes / len(shapes)}}
 
 
 # ---------------------------------------------------------------------------

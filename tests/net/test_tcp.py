@@ -10,8 +10,9 @@ import logging
 
 import pytest
 
-from repro.datacenter.messages import Ping, Pong
-from repro.net import tcp
+from repro.core.label import Label, LabelType
+from repro.datacenter.messages import LabelBatch, Ping, Pong
+from repro.net import codec, tcp
 from repro.net.kernel import RealtimeKernel
 from repro.net.tcp import TcpTransport, _backoff_schedule
 
@@ -64,6 +65,77 @@ def test_cross_node_fifo_order():
     asyncio.run(main())
 
 
+def test_frames_of_one_loop_turn_leave_in_fewer_writes_in_order(monkeypatch):
+    class StubWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+    stub = StubWriter()
+
+    async def connect(peer):
+        return stub
+
+    monkeypatch.setattr(tcp._Peer, "_connect", connect)
+
+    async def main():
+        kernel = RealtimeKernel(asyncio.get_running_loop())
+        a = TcpTransport(kernel, "node-a")
+        a.set_routes({"actor:b": "node-b"}, {"node-b": ("127.0.0.1", 1)})
+        try:
+            for burst in range(3):   # three loop turns of 40 sends each
+                for seq in range(40):
+                    a.send("actor:a", "actor:b",
+                           Ping(seq=burst * 40 + seq, origin="a"))
+                await _drain_until(
+                    lambda: sum(map(len, stub.writes)) == a.bytes_sent)
+        finally:
+            await a.stop()
+
+    asyncio.run(main())
+    assert len(stub.writes) == 3          # one write per turn, not per frame
+    stream, seqs = b"".join(stub.writes), []
+    while stream:
+        (length,) = codec.FRAME_HEADER.unpack_from(stream)
+        seqs.append(codec.decode_frame_body(stream[4:4 + length])[2].seq)
+        stream = stream[4 + length:]
+    assert seqs == list(range(120))
+
+
+def test_a_frame_larger_than_one_read_round_trips():
+    labels = tuple(Label(LabelType.UPDATE, f"I:g{i % 7}", float(i),
+                         f"g0:key{i:06d}", "I") for i in range(7000))
+
+    async def main():
+        _, a, b = await _pair()
+        try:
+            sink = Recorder("actor:b")
+            b.register(sink)
+            a.send("actor:a", "actor:b", Ping(seq=1, origin="a"))
+            a.send("actor:a", "actor:b", LabelBatch(labels, epoch=3))
+            a.send("actor:a", "actor:b", Ping(seq=2, origin="a"))
+            assert a.bytes_sent > 300 * 1024 > tcp._READ_BYTES
+            await _drain_until(lambda: len(sink.got) == 3)
+            (_, first), (_, batch), (_, last) = sink.got
+            assert (first.seq, last.seq) == (1, 2)
+            assert batch.epoch == 3 and len(batch.labels) == len(labels)
+            assert codec.encode_message(batch) == codec.encode_message(
+                LabelBatch(labels, epoch=3))
+            assert b.frames_received == 3 and b.peer_errors == 0
+        finally:
+            await a.stop()
+            await b.stop()
+    asyncio.run(main())
+
+
 def test_inbound_frames_buffer_until_the_actor_registers():
     async def main():
         _, a, b = await _pair()
@@ -96,6 +168,45 @@ def test_local_delivery_is_asynchronous_never_reentrant():
         finally:
             await a.stop()
             await b.stop()
+    asyncio.run(main())
+
+
+def test_local_sends_from_inside_a_delivery_are_fifo_and_not_reentrant():
+    from repro.net.sanitizers import NetSanitizer
+
+    class Relay(Recorder):
+        """Forwards every Ping to a local neighbour, twice, from inside
+        its deliver — the pattern a datacenter's frontend -> sink uses."""
+
+        def __init__(self, name, transport, target):
+            super().__init__(name)
+            self.transport, self.target = transport, target
+
+        def deliver(self, src, message):
+            super().deliver(src, message)
+            for copy in range(2):
+                self.transport.send(self.name, self.target,
+                                    Pong(seq=message.seq * 2 + copy))
+
+    async def main():
+        kernel = RealtimeKernel(asyncio.get_running_loop())
+        kernel.sanitizer = san = NetSanitizer(stall_ms=500.0)
+        a = TcpTransport(kernel, "node-a")
+        a.sanitizer = san
+        await a.start()
+        try:
+            sink = Recorder("actor:sink")
+            a.register(sink)
+            a.register(Relay("actor:relay", a, "actor:sink"))
+            for seq in range(50):
+                a.send("actor:x", "actor:relay", Ping(seq=seq, origin="x"))
+            await _drain_until(lambda: len(sink.got) == 100)
+            assert [m.seq for _, m in sink.got] == list(range(100))
+            assert san.reentrancy == [] and san.deliveries_checked == 150
+            # every delivery was a ready-queue entry the watchdog timed
+            assert san.callbacks_timed == kernel.events_executed == 150
+        finally:
+            await a.stop()
     asyncio.run(main())
 
 

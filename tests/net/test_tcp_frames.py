@@ -4,11 +4,13 @@ must either deliver or drop the connection — never crash, never deliver
 garbage, never double-count."""
 
 import asyncio
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datacenter.messages import Ping
+from repro.core.label import LabelType
+from repro.datacenter.messages import BulkHeartbeat, Ping
 from repro.net import codec
 from repro.net.kernel import RealtimeKernel
 from repro.net.tcp import TcpTransport
@@ -115,11 +117,49 @@ def test_garbage_body_of_the_advertised_length_is_a_codec_error():
     async def main():
         transport, sink = await _transport()
         try:
-            body = b"\xff" * 32  # not JSON at all
+            body = b"\xff" * 32  # no such tag
             await _write_raw(transport,
                              codec.FRAME_HEADER.pack(len(body)) + body)
             await _drain_until(lambda: transport.peer_errors == 1)
             assert sink.got == []
+        finally:
+            await transport.stop()
+    asyncio.run(main())
+
+
+def test_malformed_body_costs_one_connection_never_the_listener():
+    """Bodies the codec must refuse — a field short, an unknown class id,
+    an unknown enum member, a NaN — each drop their own connection with
+    one ``peer_errors`` tick; the next connection is served as usual."""
+    good = _frame(seq=5)[codec.FRAME_HEADER.size:]
+    nan = codec.encode_frame(
+        "actor:s", "actor:t", BulkHeartbeat("F", 1.0)
+    )[codec.FRAME_HEADER.size:-8] + struct.pack(">d", float("nan"))
+    label = codec.encode_message(LabelType.UPDATE)
+    addresses = good[:good.index(codec.encode_message(Ping(5, "x")))]
+    bodies = [
+        good[:-1],                                       # a field short
+        addresses + bytes((label[0], 0xEE)),             # unknown class id
+        addresses + label[:-1] + b"\x7f",                # unknown member
+        nan,
+    ]
+
+    async def main():
+        transport, sink = await _transport()
+        try:
+            for errors, body in enumerate(bodies, start=1):
+                writer = await _write_raw(
+                    transport, codec.FRAME_HEADER.pack(len(body)) + body,
+                    close=False)
+                await _drain_until(lambda: transport.peer_errors == errors)
+                # the transport hung up on the offender ...
+                await _drain_until(lambda: not transport._conns)
+                writer.close()
+                # ... and still serves a fresh connection
+                await _write_raw(transport, _frame(seq=errors))
+                await _drain_until(lambda: len(sink.got) == errors)
+            assert [m.seq for _, m in sink.got] == [1, 2, 3, 4]
+            assert transport.frames_received == 4
         finally:
             await transport.stop()
     asyncio.run(main())

@@ -2,14 +2,15 @@
 round-trips, and the regression verdict trips exactly when it should."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.perf import __main__ as perf_cli
 from repro.perf.baseline import (SCHEMA_VERSION, build_result, compare,
                                  load_result, normalize, save_result)
-from repro.perf.benches import (TREE_SITES, bench_fabric, bench_kernel,
-                                 bench_obs_enabled, bench_tree)
+from repro.perf.benches import (TREE_SITES, bench_codec, bench_fabric,
+                                 bench_kernel, bench_obs_enabled, bench_tree)
 from repro.perf.measure import best_rate, calibrate
 
 
@@ -65,6 +66,27 @@ def test_obs_enabled_bench_traces_the_same_tree_run():
     assert result["meta"]["labels_delivered"] == expected
     assert result["raw"] > 0
     assert 99.0 < result["meta"]["traced_overhead_pct"] <= 100.0
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def test_codec_bench_round_trips_the_golden_frame_shapes():
+    result = bench_codec(frames=600, repeats=1)
+    assert result["unit"] == "frames/s" and result["higher_is_better"] is True
+    assert result["raw"] > 0
+    assert result["meta"]["frames"] == 600
+    # the six shapes the golden fixture pins, so the gate times exactly
+    # the bytes tests/net/golden/frames.hex commits to
+    golden = (REPO / "tests/net/golden/frames.hex").read_text().split()
+    assert result["meta"]["bytes_per_frame"] == pytest.approx(
+        sum(len(line) // 2 for line in golden) / len(golden))
+
+
+def test_committed_baseline_gates_the_codec():
+    baseline = load_result(str(REPO / "BENCH_perf.json"))
+    assert len(baseline["metrics"]) == 7
+    assert baseline["metrics"]["codec_frames_per_sec"]["unit"] == "frames/s"
 
 
 # -- baseline schema ---------------------------------------------------------
@@ -207,6 +229,7 @@ def test_cli_writes_result_file(tmp_path, capsys):
     assert "fabric_messages_per_sec" in document["metrics"]
     # the traced tree run is an entry of its own, hence gated by --compare
     assert "obs_enabled_tree_labels_per_sec" in document["metrics"]
+    assert "codec_frames_per_sec" in document["metrics"]
     on_disk = load_result(out)
     assert on_disk["metrics"].keys() == document["metrics"].keys()
 
