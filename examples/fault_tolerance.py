@@ -4,11 +4,13 @@
 Timeline of one run:
 
 * 0 ms      — Saturn runs on a star tree rooted in Ireland (C1);
-* 600 ms    — every serializer of C1 fail-stops; ping-based detectors
-              notice and the datacenters fall back to timestamp order
-              (visibility degrades, but availability is preserved);
-* 1600 ms   — operators install a freshly computed Algorithm-3 tree (C2)
-              through the failure-path epoch change; visibility recovers.
+* 600 ms    — every serializer of C1 fail-stops; the beacon detectors
+              notice within ~150 ms, park the sinks and fall back to
+              timestamp order (visibility degrades, availability stays);
+* 1600 ms   — operators install a new tree (C2) through the failure-path
+              epoch change: sinks replay what C1 swallowed, proxies return
+              to tree order at the first fresh C2 label that is stable,
+              detectors re-attach; visibility recovers.
 
 The example prints visibility latency per phase and verifies causal
 consistency held throughout.
@@ -38,7 +40,10 @@ def main() -> None:
         attachments={"I": "s0", "F": "s1", "T": "s2"})
     cluster = Cluster(
         ClusterConfig(system="saturn", sites=SITES, clients_per_dc=6,
-                      saturn_topology=c1, dc_params=dict(ping_period=5.0)),
+                      saturn_topology=c1, beacon_period=25.0,
+                      dc_params=dict(beacon_timeout=100.0,
+                                     stabilization_wait=50.0,
+                                     probe_period=50.0)),
         workload)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)

@@ -19,7 +19,7 @@ network messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.label import Label, LabelType
 from repro.core.naming import dc_process_name
@@ -30,7 +30,7 @@ from repro.datacenter.failover import SinkFailoverDetector
 from repro.datacenter.label_sink import LabelSink
 from repro.datacenter.messages import (BulkHeartbeat, ClientAttach,
                                        ClientMigrate, ClientRead, ClientUpdate,
-                                       LabelBatch, LabelCredit, Ping, Pong,
+                                       LabelBatch, LabelCredit, Pong,
                                        RemotePayload, SerializerBeacon)
 from repro.datacenter.overload import AdmissionController
 from repro.datacenter.remote_proxy import RemoteProxy
@@ -43,15 +43,9 @@ from repro.sim.process import Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import SaturnService
 
-# dc_process_name moved to repro.core.naming (the serializer needs it and
-# core must not import upward); re-exported here for compatibility.
+# dc_process_name lives in repro.core.naming (core must not import upward);
+# re-exported here: the package __init__ and test_arch_tree.py import it.
 __all__ = ["DatacenterParams", "SaturnDatacenter", "dc_process_name"]
-
-#: outage detection by ping: the tree counts as down after this many
-#: pings each went this long (ms) without a pong — the timeout must exceed
-#: the worst round trip to the ingress serializer
-PING_MISS_THRESHOLD = 3
-PING_TIMEOUT = 400.0
 
 
 @dataclass
@@ -66,9 +60,7 @@ class DatacenterParams:
     sink_heartbeat_period: float = 10.0
     bulk_heartbeat_period: float = 5.0
     parallel_concurrent_apply: bool = True
-    #: Saturn outage detection: ping the ingress serializer (0 disables)
-    ping_period: float = 0.0
-    #: push-based failure detection: suspect the tree attachment after this
+    #: Saturn outage detection: suspect the tree attachment after this
     #: long without a SerializerBeacon (0 disables the detector; pair with
     #: SaturnService(beacon_period=...) — see repro.datacenter.failover)
     beacon_timeout: float = 0.0
@@ -124,7 +116,7 @@ class SaturnDatacenter(Process):
         self.gears: List[Gear] = [Gear(self, p) for p in self.store.partitions]
         self.frontend = Frontend(self)
         self.proxy = RemoteProxy(
-            self, mode=self._proxy_mode(),
+            self, mode=params.consistency,
             parallel_concurrent=params.parallel_concurrent_apply)
         self.proxy.transition_timeout = params.transition_timeout
         self.sink = LabelSink(self, batch_period=params.sink_batch_period,
@@ -149,13 +141,8 @@ class SaturnDatacenter(Process):
         #: wired by the harness: the Saturn metadata service (tree mode only)
         self.saturn: Optional["SaturnService"] = None
         self.sink_epoch = 0
+        #: set by the failover detector while the tree attachment is dead
         self.saturn_down = False
-        self._ping_seq = 0
-        self._outstanding_pings: Dict[int, float] = {}
-
-    def _proxy_mode(self) -> str:
-        return {"saturn": "saturn", "timestamp": "timestamp",
-                "eventual": "eventual"}[self.consistency]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -167,9 +154,6 @@ class SaturnDatacenter(Process):
             self.sink.start()
         if self.params.bulk_heartbeat_period > 0 and self.consistency != "eventual":
             self.every(self.params.bulk_heartbeat_period, self._bulk_heartbeat)
-        if (self.params.ping_period > 0 and self.consistency == "saturn"
-                and self.saturn is not None):
-            self.every(self.params.ping_period, self._ping_saturn)
         if self.failover is not None and self.saturn is not None:
             self.failover.start()
 
@@ -184,7 +168,6 @@ class SaturnDatacenter(Process):
         handler(self, sender, message)
 
     def _on_pong(self, sender: str, message: Pong) -> None:
-        self._outstanding_pings.pop(message.seq, None)
         if self.failover is not None:
             self.failover.on_pong(message.seq)
 
@@ -284,27 +267,6 @@ class SaturnDatacenter(Process):
             # (duplicates are discarded by the remote proxies' dedup)
             self.sink.replay_recent()
         self.proxy.begin_transition(new_epoch, emergency=emergency)
-
-    # ------------------------------------------------------------------
-    # outage detection
-    # ------------------------------------------------------------------
-
-    def _ping_saturn(self) -> None:
-        if self.saturn_down or self.saturn is None:
-            return
-        deadline = self.sim.now - PING_TIMEOUT
-        missed = sum(1 for sent_at in self._outstanding_pings.values()
-                     if sent_at <= deadline)
-        if missed >= PING_MISS_THRESHOLD:
-            self.saturn_down = True
-            self.proxy.enter_fallback()
-            return
-        ingress = self.saturn.ingress_process(self.dc_name, self.sink_epoch)
-        if ingress is None:
-            return
-        self._ping_seq += 1
-        self._outstanding_pings[self._ping_seq] = self.sim.now
-        self.send(ingress, Ping(seq=self._ping_seq, origin=self.name))
 
     # ------------------------------------------------------------------
     # observation hooks

@@ -81,8 +81,8 @@ class SinkFailoverDetector:
         self._degrade_event = None
         self._probe_event = None
         self._probe_interval = probe_period
-        #: detector-owned ping sequence space: negative so it can never
-        #: collide with the datacenter's own outage-detection pings
+        #: probe sequence numbers count down from -1 (the values travel in
+        #: Ping/Pong and are part of the pinned fault-scenario traces)
         self._probe_seq = 0
         self._probe_seqs: Set[int] = set()
         self._reachable_reported = False

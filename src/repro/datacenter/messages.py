@@ -138,8 +138,9 @@ class LabelBatch:
     #: id of the tree configuration that carried the batch (epoch changes)
     epoch: int = 0
     #: True when the batch is a sink replay after an emergency epoch change:
-    #: it may repeat labels the receiver already processed, so proxies relax
-    #: their dedup for these labels (see RemoteProxy._pump_saturn)
+    #: it may repeat labels the receiver already processed, and it does not
+    #: count as the new epoch's first fresh label (see
+    #: RemoteProxy._maybe_finish_emergency)
     replayed: bool = False
 
 

@@ -1,32 +1,41 @@
 """Remote proxy (§4.3): applies remote operations locally in causal order.
 
-The proxy combines the two serialization sources the paper describes:
+**One apply pipeline** — a queue of slots, one pump, one finalize, one
+install — is fed by one of **two order sources**, chosen per pump by
+:meth:`RemoteProxy._in_timestamp_mode`:
 
-* the per-datacenter label serialization provided by **Saturn** (the tree),
-  which is the fast path;
-* the **timestamp total order** of labels piggybacked on bulk payloads,
-  which is the conservative fallback used by the P-configuration, during
+* **tree order**: the per-datacenter label serialization provided by
+  Saturn — labels in arrival order, each UPDATE once its payload is here
+  (*data readiness*).  The fast path;
+* **timestamp order**: the total order of the labels piggybacked on bulk
+  payloads — payloads wait in a min-heap until *stable* (every other
+  datacenter has announced, by payload or bulk heartbeat, a timestamp at
+  least as large, so nothing earlier can still arrive on any FIFO bulk
+  channel).  The conservative fallback used by the P-configuration, during
   Saturn outages, and during the failure-path reconfiguration (§6.2).
 
 Application is *pipelined*: the proxy dispatches remote operations to the
-local storage servers as soon as their turn in the serialization comes and
-their payload has arrived (*data readiness*), without waiting for earlier
-operations to finish executing — the paper's §4.3 optimization of issuing
-multiple remote operations in parallel to the local datacenter.  What is
-strictly ordered is the *visibility point*: an update only becomes visible
-(installed in the store, counted in watermarks, reported to metrics) once
-every operation before it in the serialization is visible.  Setting
-``parallel_concurrent=False`` shrinks the dispatch window to one, which
-serializes execution completely (used as an ablation).
+local storage servers as soon as their turn in the order comes, without
+waiting for earlier operations to finish executing — the paper's §4.3
+optimization of issuing multiple remote operations in parallel to the local
+datacenter.  What is strictly ordered is the *visibility point*: an update
+only becomes visible (installed in the store, counted in watermarks,
+reported to metrics) once every operation before it in the order is
+visible.  Setting ``parallel_concurrent=False`` shrinks the dispatch window
+to one, which serializes execution completely (used as an ablation).
 
-Timestamp mode buffers payloads in a min-heap and applies an update once it
-is *stable*: every other datacenter has announced (payload or bulk
-heartbeat) a timestamp at least as large, so nothing earlier can still
-arrive on any FIFO bulk channel.
+The order source only changes while the pipeline is empty (epoch adoption)
+or as it is abandoned (:meth:`enter_fallback`), so no slot ever moves.  Two
+rules make the way back to the tree safe and live: a failure-path epoch is
+adopted at its first *fresh* label that is stable in timestamp order (sink
+replays are arbitrarily old, and the tree gives no order between a replayed
+label and a fresh one); and an UPDATE label at or below its origin's
+applied watermark counts as applied, whoever applied it and whether or not
+its dedup entry was pruned since.
 
-The proxy also maintains per-origin applied watermarks and the set of
-processed migration labels, which back the frontend's attach conditions
-(Alg. 1), and implements both epoch-change protocols of §6.2.
+The proxy also maintains the per-origin applied watermarks that back the
+frontend's attach conditions (Alg. 1), and implements both epoch-change
+protocols of §6.2.
 """
 
 from __future__ import annotations
@@ -82,30 +91,25 @@ class RemoteProxy:
         self.window = DISPATCH_WINDOW if parallel_concurrent else 1
         self.current_epoch = 0
 
-        # Saturn-order machinery
+        # tree order source: labels in arrival order, payloads by key
         self._queue: Deque[Label] = deque()
-        self._dispatch: Deque[_Slot] = deque()
         self._epoch_buffers: Dict[int, List[Label]] = {}
         self._pending_payloads: Dict[LabelKey, RemotePayload] = {}
-
-        # timestamp-order machinery
+        # timestamp order source: payloads by (ts, src), the applied cut
         self._ts_heap: List[Tuple[float, str, RemotePayload]] = []
-        self._ts_dispatch: Deque[_Slot] = deque()
         self._ts_watermark = float("-inf")
 
-        # shared state
+        # the pipeline both feed, and what it has made visible
+        self._dispatch: Deque[_Slot] = deque()
         self._applied: Set[LabelKey] = set()
-        #: UPDATE labels that arrived via a sink replay batch: dedup for
-        #: these may consult the applied watermark (entries are discarded
-        #: as the labels are processed)
-        self._replayed_keys: Set[LabelKey] = set()
         self.applied_ts: Dict[str, float] = {}
         self.seen_bulk_ts: Dict[str, float] = {}
-        self._migrations_done: Set[LabelKey] = set()
         self._waiters: List[Tuple[Callable[[], bool], Callable[[], None]]] = []
 
         # epoch-change state
         self._epoch_marks: Dict[int, Set[str]] = {}
+        #: buffered epoch -> ts of its first *fresh* (non-replayed) label
+        self._fresh_ts: Dict[int, float] = {}
         self._transition_target: Optional[int] = None
         self._transition_started_at: Optional[float] = None
         self._emergency = False
@@ -129,43 +133,36 @@ class RemoteProxy:
 
     def on_labels(self, batch: LabelBatch) -> None:
         """A label batch delivered by Saturn."""
-        obs = self.obs
-        if obs is not None:
-            if self.mode == "eventual":
-                disposition = "ignored-eventual"
-            elif batch.epoch > self.current_epoch:
-                disposition = "buffered-future-epoch"
-            elif batch.epoch < self.current_epoch:
-                disposition = "stale-dropped"
-            elif self._emergency:
-                disposition = "emergency-dropped"
-            else:
-                disposition = "queued"
-            now = self.dc.sim.now
-            dc_name = self.dc.dc_name
-            for label in batch.labels:
-                obs.on_deliver(label, now, dc_name, batch.epoch, disposition)
         if self.mode == "eventual":
-            return
-        if batch.replayed:
-            for label in batch.labels:
-                if label.type is LabelType.UPDATE:
-                    self._replayed_keys.add(_key(label))
-        if batch.epoch != self.current_epoch:
-            if batch.epoch > self.current_epoch:
-                self._epoch_buffers.setdefault(batch.epoch, []).extend(batch.labels)
-                self._maybe_finish_emergency()
-            return
-        if self._emergency:
+            disposition = "ignored-eventual"
+        elif batch.epoch > self.current_epoch:
+            disposition = "buffered-future-epoch"
+        elif batch.epoch < self.current_epoch:
+            disposition = "stale-dropped"
+        elif self._emergency:
             # the current tree was abandoned: its serialization can no
             # longer be trusted (a resurrected serializer forwards labels
             # whose causal past died with it).  Correctness is owned by
             # the timestamp fallback and the new epoch's sink replay now,
             # so late batches from the old tree are dropped instead of
             # queued behind the transition.
-            return
-        self._queue.extend(batch.labels)
-        self._pump_saturn()
+            disposition = "emergency-dropped"
+        else:
+            disposition = "queued"
+        obs = self.obs
+        if obs is not None:
+            now = self.dc.sim.now
+            dc_name = self.dc.dc_name
+            for label in batch.labels:
+                obs.on_deliver(label, now, dc_name, batch.epoch, disposition)
+        if disposition == "queued":
+            self._queue.extend(batch.labels)
+            self._pump()
+        elif disposition == "buffered-future-epoch":
+            self._epoch_buffers.setdefault(batch.epoch, []).extend(batch.labels)
+            if not batch.replayed and batch.labels:
+                self._fresh_ts.setdefault(batch.epoch, batch.labels[0].ts)
+            self._maybe_finish_emergency()
 
     def on_payload(self, payload: RemotePayload) -> None:
         """An update payload delivered by the bulk-data transfer service."""
@@ -174,13 +171,13 @@ class RemoteProxy:
             self.seen_bulk_ts.get(origin, float("-inf")), payload.label.ts)
         if self.mode == "eventual":
             self._apply_now(payload)
-        elif self._in_timestamp_mode():
+            return
+        if self._in_timestamp_mode():
             heapq.heappush(self._ts_heap,
                            (payload.label.ts, payload.label.src, payload))
-            self._pump_timestamp()
         else:
             self._pending_payloads[_key(payload.label)] = payload
-            self._pump_saturn()
+        self._pump()
 
     def on_heartbeat(self, heartbeat: BulkHeartbeat) -> None:
         """A bulk-channel heartbeat advancing an origin's stability cut."""
@@ -188,7 +185,7 @@ class RemoteProxy:
             self.seen_bulk_ts.get(heartbeat.origin_dc, float("-inf")),
             heartbeat.ts)
         if self._in_timestamp_mode():
-            self._pump_timestamp()
+            self._pump()
 
     # ------------------------------------------------------------------
     # attach conditions (used by the frontend, Alg. 1)
@@ -212,12 +209,10 @@ class RemoteProxy:
         return epoch == self.current_epoch and not self._in_timestamp_mode()
 
     def migration_processed(self, label: Label) -> bool:
-        if _key(label) in self._migrations_done:
-            return True
-        # fallback: timestamp stability also proves the causal past is in
-        if self._in_timestamp_mode():
-            return self._ts_watermark >= label.ts
-        return False
+        """Finalizing a migration label raises its origin's watermark; in
+        timestamp order only entries at or below the stability cut are
+        applied, so there too the watermark proves the causal past is in."""
+        return label.ts <= self.applied_ts.get(label.origin_dc, float("-inf"))
 
     def update_stable(self, label: Label) -> bool:
         """Every remote datacenter has applied something >= label.ts."""
@@ -250,100 +245,119 @@ class RemoteProxy:
         self._waiters = still_waiting
 
     # ------------------------------------------------------------------
-    # Saturn-order application
+    # the apply pipeline: admit -> dispatch -> finalize -> install
     # ------------------------------------------------------------------
 
     def _in_timestamp_mode(self) -> bool:
+        """The order source: timestamp order (True) or tree order."""
         return self.mode == "timestamp" or self._emergency
 
-    def _pump_saturn(self) -> None:
-        """Dispatch ready labels into the pipeline, then drain it."""
-        if self._in_timestamp_mode():
-            return
-        while self._queue and len(self._dispatch) < self.window:
-            label = self._queue[0]
-            key = _key(label)
-            if label.type is LabelType.UPDATE and key not in self._applied:
-                payload = self._pending_payloads.get(key)
-                if payload is None:
-                    # a *replayed* UPDATE below the origin's applied
-                    # watermark was already applied (per-origin streams
-                    # are FIFO and ts-ordered), but its dedup entry may
-                    # have been pruned: without this check the replay
-                    # would head-of-line block forever waiting for a
-                    # payload that was consumed long ago
-                    if (key in self._replayed_keys
-                            and label.ts <= self.applied_ts.get(
-                                label.origin_dc, float("-inf"))):
-                        self._queue.popleft()
-                        self._replayed_keys.discard(key)
-                        self._dispatch.append(_Slot(label, None, done=True))
-                        continue
-                    break  # data readiness: wait for the bulk transfer
-                self._queue.popleft()
-                del self._pending_payloads[key]
-                self._replayed_keys.discard(key)
-                slot = _Slot(label, payload, done=False)
-                self._dispatch.append(slot)
-                self._start_apply(slot)
-            else:
-                # heartbeat / migration / epoch-change / duplicate update:
-                # no storage work, completes as soon as its turn comes
-                self._queue.popleft()
-                self._pending_payloads.pop(key, None)
-                self._replayed_keys.discard(key)
-                self._dispatch.append(_Slot(label, None, done=True))
-        self._drain_saturn()
+    def _pump(self) -> None:
+        """Admit what the current order source allows into the pipeline,
+        then finalize (make visible) its completed prefix."""
+        ts_order = self._in_timestamp_mode()
+        if ts_order:
+            cut = self._stability_cut()
+            self._admit_stable(cut)
+            via = "ts-drain"
+        else:
+            self._admit_tree()
+            via = "saturn"
+        dispatch = self._dispatch
+        progressed = False
+        while dispatch and dispatch[0].done:
+            self._finalize(dispatch.popleft(), via)
+            progressed = True
+        # the stability watermark advances once everything below the cut
+        # has been applied — and before any waiter looks at it
+        if (ts_order and not dispatch
+                and (not self._ts_heap or self._ts_heap[0][0] > cut)):
+            progressed |= self._advance_ts_watermark(cut)
+        if progressed:
+            self._check_waiters()
+            if self._transition_target is not None:
+                self._maybe_finish_transition()
+                self._maybe_finish_emergency()
 
-    def _start_apply(self, slot: _Slot) -> None:
-        payload = slot.payload
+    def _admit_tree(self) -> None:
+        """Tree order: labels in arrival order, each UPDATE once its
+        payload is here."""
+        queue = self._queue
+        while queue and len(self._dispatch) < self.window:
+            label = queue[0]
+            payload = None
+            if label.type is LabelType.UPDATE:
+                key = _key(label)
+                if key not in self._applied:
+                    payload = self._pending_payloads.pop(key, None)
+                    # an UPDATE at or below its origin's applied watermark
+                    # was already applied (per-origin streams are FIFO and
+                    # ts-ordered), but its dedup entry may have been
+                    # pruned: without this check the label would
+                    # head-of-line block forever waiting for a payload
+                    # that was consumed long ago
+                    if payload is None and label.ts > self.applied_ts.get(
+                            label.origin_dc, float("-inf")):
+                        break  # data readiness: wait for the bulk transfer
+            # heartbeat / migration / epoch-change / duplicate update carry
+            # no payload: no storage work, done as soon as their turn comes
+            queue.popleft()
+            self._dispatch_slot(label, payload)
+
+    def _admit_stable(self, cut: float) -> None:
+        """Timestamp order: buffered payloads at or below the stability
+        cut, smallest first."""
+        heap = self._ts_heap
+        while heap and heap[0][0] <= cut and len(self._dispatch) < self.window:
+            ts, src, payload = heapq.heappop(heap)
+            if (ts, src) not in self._applied:
+                self._dispatch_slot(payload.label, payload)
+
+    def _dispatch_slot(self, label: Label,
+                       payload: Optional[RemotePayload]) -> None:
+        """Take the next pipeline position; start the storage work, if any."""
+        slot = _Slot(label, payload, done=payload is None)
+        self._dispatch.append(slot)
+        if payload is None:
+            return
         cost = self.dc.remote_apply_cost(payload.value_size)
         partition = self.dc.store.partition_for(payload.key)
 
         def _done() -> None:
+            # (an orphan of enter_fallback pumps the other order source:
+            # harmless, every state change has already pumped)
             slot.done = True
-            self._pump_saturn()
+            self._pump()
 
         partition.cpu.submit(cost, _done)
 
-    def _drain_saturn(self) -> None:
-        """Finalize (make visible) the completed prefix of the pipeline."""
-        progressed = False
-        while self._dispatch and self._dispatch[0].done:
-            slot = self._dispatch.popleft()
-            self._finalize(slot)
-            progressed = True
-        if progressed:
-            self._check_waiters()
-            self._maybe_finish_transition()
-
-    def _finalize(self, slot: _Slot) -> None:
+    def _finalize(self, slot: _Slot, via: str) -> None:
+        """The slot's turn has come and its work is done: make it count."""
         label = slot.label
-        key = _key(label)
-        self.labels_processed += 1
-        obs = self.obs
-        applied_update = False
-        if label.type is LabelType.UPDATE:
-            if slot.payload is not None:
-                self._applied.add(key)
-                self.dc.store.put(slot.payload.key,
-                                  StoredValue(label=label,
-                                              value_size=slot.payload.value_size))
-                self.updates_applied += 1
-                self.dc.on_remote_visible(slot.payload)
-                applied_update = True
-                if obs is not None:
-                    obs.on_visible(label, self.dc.sim.now, self.dc.dc_name,
-                                   "saturn")
-        elif label.type is LabelType.MIGRATION:
-            self._migrations_done.add(key)
-        elif label.type is LabelType.EPOCH_CHANGE:
+        if via == "saturn":
+            self.labels_processed += 1
+        if slot.payload is not None:
+            self._applied.add(_key(label))
+            self._install(slot.payload, via)
+            return
+        if label.type is LabelType.EPOCH_CHANGE:
             self._record_epoch_mark(label)
-            if obs is not None:
-                obs.on_finalized(label, self.dc.sim.now, self.dc.dc_name)
-            return  # epoch marks do not advance origin watermarks
-        if obs is not None and not applied_update:
-            obs.on_finalized(label, self.dc.sim.now, self.dc.dc_name)
+        if self.obs is not None:
+            self.obs.on_finalized(label, self.dc.sim.now, self.dc.dc_name)
+        if label.type is not LabelType.EPOCH_CHANGE:
+            # epoch marks do not advance origin watermarks
+            self._advance_watermark(label)
+
+    def _install(self, payload: RemotePayload, via: str) -> None:
+        """The visibility point of one remote update."""
+        label = payload.label
+        dc = self.dc
+        dc.store.put(payload.key,
+                     StoredValue(label=label, value_size=payload.value_size))
+        self.updates_applied += 1
+        dc.on_remote_visible(payload)
+        if self.obs is not None:
+            self.obs.on_visible(label, dc.sim.now, dc.dc_name, via)
         self._advance_watermark(label)
 
     def _advance_watermark(self, label: Label) -> None:
@@ -356,9 +370,9 @@ class RemoteProxy:
             self._prune_applied()
 
     def _prune_applied(self) -> None:
-        """Drop dedup entries below every origin's applied watermark: both
-        serialization sources only revisit labels above it, so the set
-        stays bounded on long runs."""
+        """Drop dedup entries below every origin's applied watermark (the
+        watermark itself answers for those), so the set stays bounded on
+        long runs."""
         if not self.applied_ts:
             return
         floor = min(self.applied_ts.get(dc, float("-inf"))
@@ -367,80 +381,25 @@ class RemoteProxy:
         if floor == float("-inf"):
             return
         self._applied = {key for key in self._applied if key[0] >= floor}
-        self._migrations_done = {key for key in self._migrations_done
-                                 if key[0] >= floor}
-
-    # ------------------------------------------------------------------
-    # timestamp-order application (P-configuration / fallback)
-    # ------------------------------------------------------------------
 
     def _stability_cut(self) -> float:
         """Largest ts below which no datacenter can still send anything."""
         cut = float("inf")
         for dc in self.dc.replication.datacenters:
-            if dc == self.dc.dc_name:
-                continue
-            cut = min(cut, self.seen_bulk_ts.get(dc, float("-inf")))
+            if dc != self.dc.dc_name:
+                cut = min(cut, self.seen_bulk_ts.get(dc, float("-inf")))
         return cut
 
-    def _pump_timestamp(self) -> None:
-        cut = self._stability_cut()
-        while (self._ts_heap and self._ts_heap[0][0] <= cut
-               and len(self._ts_dispatch) < self.window):
-            ts, src, payload = heapq.heappop(self._ts_heap)
-            if (ts, src) in self._applied:
-                continue
-            slot = _Slot(payload.label, payload, done=False)
-            self._ts_dispatch.append(slot)
-            self._start_ts_apply(slot)
-        self._drain_timestamp(cut)
-
-    def _start_ts_apply(self, slot: _Slot) -> None:
-        payload = slot.payload
-        cost = self.dc.remote_apply_cost(payload.value_size)
-        partition = self.dc.store.partition_for(payload.key)
-
-        def _done() -> None:
-            slot.done = True
-            self._pump_timestamp()
-
-        partition.cpu.submit(cost, _done)
-
-    def _drain_timestamp(self, cut: float) -> None:
-        progressed = False
-        while self._ts_dispatch and self._ts_dispatch[0].done:
-            slot = self._ts_dispatch.popleft()
-            payload = slot.payload
-            self._applied.add(_key(slot.label))
-            self.dc.store.put(payload.key,
-                              StoredValue(label=slot.label,
-                                          value_size=payload.value_size))
-            self._advance_watermark(slot.label)
-            self.updates_applied += 1
-            self.dc.on_remote_visible(payload)
-            if self.obs is not None:
-                self.obs.on_visible(slot.label, self.dc.sim.now,
-                                    self.dc.dc_name, "ts-drain")
-            progressed = True
-        # the stability watermark advances once everything below the cut
-        # has been applied
-        if (not self._ts_dispatch
-                and (not self._ts_heap or self._ts_heap[0][0] > cut)):
-            self._advance_ts_watermark(cut)
-        if progressed:
-            self._check_waiters()
-            self._maybe_finish_emergency()
-
-    def _advance_ts_watermark(self, cut: float) -> None:
+    def _advance_ts_watermark(self, cut: float) -> bool:
+        """Everything at or below *cut* is applied; True if that is news."""
         if cut == float("inf") or cut <= self._ts_watermark:
-            return
+            return False
         self._ts_watermark = cut
         for dc in self.dc.replication.datacenters:
-            if dc != self.dc.dc_name:
-                if cut > self.applied_ts.get(dc, float("-inf")):
-                    self.applied_ts[dc] = cut
-        self._check_waiters()
-        self._maybe_finish_emergency()
+            if (dc != self.dc.dc_name
+                    and cut > self.applied_ts.get(dc, float("-inf"))):
+                self.applied_ts[dc] = cut
+        return True
 
     # ------------------------------------------------------------------
     # fault handling: Saturn outage -> timestamp fallback
@@ -455,18 +414,18 @@ class RemoteProxy:
             self.obs.annotate(self.dc.sim.now, "enter-fallback",
                               self.dc.dc_name)
         self._queue.clear()
-        # operations already dispatched will complete; their slots are
-        # drained here so nothing is lost
+        # the pipeline is abandoned, not migrated: its slots are orphaned
+        # and their payloads re-admitted in timestamp order — also those
+        # whose storage work is done, nothing is visible before its turn
         for slot in self._dispatch:
-            if slot.payload is not None and not slot.done:
-                # let the in-flight apply finish through the ts path
+            if slot.payload is not None:
                 heapq.heappush(self._ts_heap, (slot.label.ts, slot.label.src,
                                                slot.payload))
         self._dispatch.clear()
         for key, payload in sorted(self._pending_payloads.items()):
             heapq.heappush(self._ts_heap, (key[0], key[1], payload))
         self._pending_payloads.clear()
-        self._pump_timestamp()
+        self._pump()
 
     # ------------------------------------------------------------------
     # epoch-change reconfiguration (§6.2)
@@ -511,25 +470,22 @@ class RemoteProxy:
         target = self._transition_target
         marks = self._epoch_marks.get(target, set())
         others = set(self.dc.replication.datacenters) - {self.dc.dc_name}
-        if not others <= marks:
-            return
-        if self._dispatch or self._queue:
+        if not others <= marks or self._dispatch or self._queue:
             return
         self._adopt_epoch(target)
 
     def _maybe_finish_emergency(self) -> None:
-        """Failure-path switch: start applying C2 labels once the update of
-        the first C2 label is stable in timestamp order."""
+        """Failure-path switch: start applying C2 labels once the first
+        *fresh* C2 label is stable in timestamp order.  A replayed label
+        proves nothing: peers saw its successors through the timestamp
+        fallback, and the tree gives no order between it and a fresh one."""
         if self._transition_target is None or not self._emergency:
             return
-        buffered = self._epoch_buffers.get(self._transition_target)
-        if not buffered:
+        fresh_ts = self._fresh_ts.get(self._transition_target)
+        if (fresh_ts is None or self._ts_watermark < fresh_ts
+                or self._dispatch):
             return
-        first = buffered[0]
-        if self._ts_watermark < first.ts:
-            return
-        if self._ts_dispatch:
-            return
+        buffered = self._epoch_buffers[self._transition_target]
         # unapplied buffered payloads move back to the Saturn path on
         # adoption, so each needs its label to eventually arrive through
         # C2: hold the switch while any of them predates everything C2
@@ -539,14 +495,11 @@ class RemoteProxy:
             first_by_origin: Dict[str, float] = {}
             for label in buffered:
                 origin = label.origin_dc
-                known = first_by_origin.get(origin)
-                if known is None or label.ts < known:
+                if label.ts < first_by_origin.get(origin, float("inf")):
                     first_by_origin[origin] = label.ts
             for ts, src, payload in self._ts_heap:
-                if (ts, src) in self._applied:
-                    continue
-                floor = first_by_origin.get(payload.label.origin_dc)
-                if floor is None or ts < floor:
+                if (ts, src) not in self._applied and ts < first_by_origin.get(
+                        payload.label.origin_dc, float("inf")):
                     return
         self._emergency = False
         self._adopt_epoch(self._transition_target)
@@ -557,8 +510,8 @@ class RemoteProxy:
         if self.obs is not None:
             self.obs.annotate(self.dc.sim.now, "epoch-adopt",
                               self.dc.dc_name, epoch=epoch)
-        buffered = self._epoch_buffers.pop(epoch, [])
-        self._queue.extend(buffered)
+        self._fresh_ts.pop(epoch, None)
+        self._queue.extend(self._epoch_buffers.pop(epoch, []))
         # payloads that were parked for timestamp-order application but
         # never became stable move back to the Saturn path, otherwise the
         # new tree's labels would head-of-line block on them forever
@@ -570,7 +523,7 @@ class RemoteProxy:
             self.reconfiguration_times.append(
                 self.dc.sim.now - self._transition_started_at)
             self._transition_started_at = None
-        self._pump_saturn()
+        self._pump()
 
     # ------------------------------------------------------------------
     # eventual mode
@@ -581,15 +534,7 @@ class RemoteProxy:
         partition = self.dc.store.partition_for(payload.key)
 
         def _done() -> None:
-            self.dc.store.put(
-                payload.key,
-                StoredValue(label=payload.label, value_size=payload.value_size))
-            self._advance_watermark(payload.label)
-            self.updates_applied += 1
-            self.dc.on_remote_visible(payload)
-            if self.obs is not None:
-                self.obs.on_visible(payload.label, self.dc.sim.now,
-                                    self.dc.dc_name, "eventual")
+            self._install(payload, "eventual")
             self._check_waiters()
 
         partition.cpu.submit(cost, _done)

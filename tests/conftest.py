@@ -45,7 +45,8 @@ class MiniCluster:
                  sink_heartbeat_period: float = 10.0,
                  bulk_heartbeat_period: float = 5.0,
                  parallel_concurrent_apply: bool = True,
-                 ping_period: float = 0.0,
+                 beacon_period: float = 0.0,
+                 beacon_timeout: float = 0.0,
                  max_skew: float = 0.5,
                  seed: int = 7) -> None:
         self.sim = Simulator()
@@ -60,7 +61,8 @@ class MiniCluster:
         self.service = None
         if consistency == "saturn":
             self.service = SaturnService(self.sim, self.network,
-                                         self.replication)
+                                         self.replication,
+                                         beacon_period=beacon_period)
             topology = topology or TreeTopology.star(
                 "I", {s: s for s in self.sites})
             self.service.install_tree(topology, epoch=0)
@@ -73,7 +75,7 @@ class MiniCluster:
                 sink_heartbeat_period=sink_heartbeat_period,
                 bulk_heartbeat_period=bulk_heartbeat_period,
                 parallel_concurrent_apply=parallel_concurrent_apply,
-                ping_period=ping_period)
+                beacon_timeout=beacon_timeout)
             dc = SaturnDatacenter(self.sim, params, self.replication,
                                   self.cost, clocks.create(),
                                   metrics=self.metrics)

@@ -53,20 +53,23 @@ def test_remote_apply_cheaper_than_local_write(mini_cluster):
     assert dc.remote_apply_cost(8) < dc.write_cost(8)
 
 
+# (the two test ids below predate the removal of the pull-based ping
+# detector; the outage detector they exercise is the beacon one)
+
 def test_ping_detector_triggers_fallback_on_outage():
-    cluster = MiniCluster(ping_period=5.0)
+    cluster = MiniCluster(beacon_period=25.0, beacon_timeout=100.0)
     cluster.start()
     cluster.sim.run(until=50.0)
     assert not cluster.dcs["I"].saturn_down
     cluster.service.fail_tree()
-    cluster.sim.run(until=700.0)  # ping_timeout (400 ms) must elapse
+    cluster.sim.run(until=700.0)  # beacon_timeout + stabilization_wait
     for dc in cluster.dcs.values():
         assert dc.saturn_down
         assert dc.proxy._in_timestamp_mode()
 
 
 def test_ping_detector_quiet_while_saturn_healthy():
-    cluster = MiniCluster(ping_period=5.0)
+    cluster = MiniCluster(beacon_period=25.0, beacon_timeout=100.0)
     cluster.start()
     cluster.sim.run(until=300.0)
     assert all(not dc.saturn_down for dc in cluster.dcs.values())
@@ -74,7 +77,8 @@ def test_ping_detector_quiet_while_saturn_healthy():
 
 def test_updates_still_flow_after_outage_via_timestamp_order():
     """Saturn down -> availability preserved through the ts fallback."""
-    cluster = MiniCluster(ping_period=5.0, bulk_heartbeat_period=5.0)
+    cluster = MiniCluster(beacon_period=25.0, beacon_timeout=100.0,
+                          bulk_heartbeat_period=5.0)
     cluster.start()
     cluster.service.fail_tree()
     cluster.sim.run(until=100.0)

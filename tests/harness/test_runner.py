@@ -55,11 +55,11 @@ def test_cluster_config_repeats_no_datacenter_param():
 
 def test_dc_params_reach_the_datacenter_factory():
     saturn = Cluster(small_config(
-        "saturn", dc_params=dict(sink_batch_period=3.0, ping_period=9.0)),
+        "saturn", dc_params=dict(sink_batch_period=3.0, probe_period=9.0)),
         SyntheticWorkload())
     for dc in saturn.datacenters.values():
         assert dc.params.sink_batch_period == 3.0
-        assert dc.params.ping_period == 9.0
+        assert dc.params.probe_period == 9.0
     eunomia = Cluster(small_config("eunomia",
                                    dc_params=dict(batch_period=7.0)),
                       SyntheticWorkload())

@@ -9,12 +9,15 @@ from repro.workloads.synthetic import SyntheticWorkload
 SITES = ("I", "F", "T")
 
 
-def build(ping_period=5.0, seed=1):
+def build(seed=1):
     workload = SyntheticWorkload(correlation="full", read_ratio=0.7,
                                  keys_per_group=4, groups_per_dc=2)
     cluster = Cluster(ClusterConfig(system="saturn", sites=SITES,
                                     clients_per_dc=4, seed=seed,
-                                    dc_params=dict(ping_period=ping_period)),
+                                    beacon_period=25.0,
+                                    dc_params=dict(beacon_timeout=100.0,
+                                                   stabilization_wait=50.0,
+                                                   probe_period=50.0)),
                       workload)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)
