@@ -15,10 +15,10 @@ Two halves, both specific to this repository:
   updates, lock order, swallowed cancellation, leaked tasks).
 
 * :mod:`repro.analysis.runtime` — an opt-in dynamic checker that
-  instruments the simulation kernel and the network to assert per-link
-  FIFO delivery (Saturn's serializer channels *must* be FIFO, §5.3),
-  surface same-timestamp event ties, and cross-check label delivery
-  order against the offline causality checker.
+  observes the network to assert per-link FIFO delivery (Saturn's
+  serializer channels *must* be FIFO, §5.3), digest the delivery trace,
+  and cross-check label delivery order against the offline causality
+  checker.
 
 Determinism is load-bearing here: the paper's visibility-time claims are
 only testable if a seed reproduces the exact same execution, and the
@@ -29,8 +29,7 @@ reorder labels.
 from repro.analysis.engine import analyze, lint_source
 from repro.analysis.report import Finding, Report
 from repro.analysis.rules import ALL_RULES, RULES_BY_CODE, Rule
-from repro.analysis.runtime import (FifoViolation, HazardMonitor,
-                                    HazardReport, TieHazard)
+from repro.analysis.runtime import FifoViolation, HazardMonitor, HazardReport
 
 __all__ = [
     "ALL_RULES",
@@ -43,5 +42,4 @@ __all__ = [
     "HazardMonitor",
     "HazardReport",
     "FifoViolation",
-    "TieHazard",
 ]

@@ -5,8 +5,8 @@ list from every oracle means the schedule is a witness that the invariants
 held on that interleaving.  The FIFO/digest and causality oracles reuse
 the existing checkers (:class:`repro.analysis.runtime.HazardMonitor`,
 :class:`repro.verify.ExecutionLog`); the genuine-partial-replication
-oracle is new: it watches serializer-to-serializer traffic through the
-network trace and flags any label entering a tree branch with no
+oracle is new: it watches serializer-to-serializer traffic as a network
+observer and flags any label entering a tree branch with no
 interested datacenter (which would leak metadata the paper's §2 promises
 never leaves the interested sub-tree).
 """
@@ -21,38 +21,8 @@ from repro.core.label import LabelType
 from repro.core.serializer import interest_of
 from repro.datacenter.messages import LabelBatch
 
-__all__ = ["TraceTee", "PartialReplicationOracle",
-           "BaselineReplicationOracle", "evaluate_oracles"]
-
-
-class TraceTee:
-    """Fan one network trace slot out to several consumers.
-
-    :attr:`repro.sim.network.Network.trace` holds a single object; the
-    model checker needs both the :class:`HazardMonitor` (FIFO audit +
-    digest) and the partial-replication oracle watching the same stream.
-    The first trace is primary: its ``on_send`` sequence numbers are the
-    ones the network sees.
-    """
-
-    def __init__(self, *traces: Any) -> None:
-        if not traces:
-            raise ValueError("TraceTee needs at least one trace")
-        self.traces = traces
-
-    def on_send(self, src: str, dst: str, message: Any, arrival: float) -> int:
-        seq = self.traces[0].on_send(src, dst, message, arrival)
-        for trace in self.traces[1:]:
-            trace.on_send(src, dst, message, arrival)
-        return seq
-
-    def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
-        for trace in self.traces:
-            trace.on_deliver(src, dst, seq, message)
-
-    def on_drop(self, src: str, dst: str, message: Any) -> None:
-        for trace in self.traces:
-            trace.on_drop(src, dst, message)
+__all__ = ["PartialReplicationOracle", "BaselineReplicationOracle",
+           "evaluate_oracles"]
 
 
 def _serializer_coords(process_name: str) -> Optional[Tuple[int, str]]:
@@ -71,8 +41,8 @@ def _serializer_coords(process_name: str) -> Optional[Tuple[int, str]]:
 class PartialReplicationOracle:
     """Genuine partial replication: no label down an uninterested branch.
 
-    Implements the network trace protocol (installed through a
-    :class:`TraceTee`).  Two checks on every delivered label batch:
+    A network observer (one entry of ``Network.observers``).  Two checks
+    on every delivered label batch:
 
     * serializer -> serializer: the label's interest set must intersect
       the set of datacenters reachable through that edge of the epoch's
@@ -86,12 +56,9 @@ class PartialReplicationOracle:
         self.replication = replication
         self.violations: List[str] = []
 
-    # -- network trace protocol (via TraceTee) ------------------------------
+    # -- network observer protocol ------------------------------------------
 
     def on_send(self, src: str, dst: str, message: Any, arrival: float) -> None:
-        return None
-
-    def on_drop(self, src: str, dst: str, message: Any) -> None:
         return None
 
     def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
@@ -153,21 +120,18 @@ class BaselineReplicationOracle:
     (Eunomia) — so the only routing promise to audit is the destination
     set: a replicated update may reach exactly the datacenters that
     replicate its key, and never its own origin.  Duck-types
-    :class:`PartialReplicationOracle` (``violations`` + the network trace
-    protocol) so :func:`evaluate_oracles` and :class:`TraceTee` work
-    unchanged on baseline scenarios.
+    :class:`PartialReplicationOracle` (``violations`` + the network
+    observer protocol) so :func:`evaluate_oracles` works unchanged on
+    baseline scenarios.
     """
 
     def __init__(self, replication) -> None:
         self.replication = replication
         self.violations: List[str] = []
 
-    # -- network trace protocol (via TraceTee) ------------------------------
+    # -- network observer protocol ------------------------------------------
 
     def on_send(self, src: str, dst: str, message: Any, arrival: float) -> None:
-        return None
-
-    def on_drop(self, src: str, dst: str, message: Any) -> None:
         return None
 
     def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:

@@ -32,7 +32,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.analysis.mc.oracles import (BaselineReplicationOracle,
-                                       PartialReplicationOracle, TraceTee)
+                                       PartialReplicationOracle)
 from repro.analysis.runtime import HazardMonitor
 from repro.core.failover import AutoFailover
 from repro.core.label import LabelType
@@ -195,12 +195,12 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
             stagger=CLIENT_STAGGER))
     log = ExecutionLog(replication)
     cluster.attach_execution_log(log)
-    # the network trace fans out to both the monitor and the routing oracle
+    # the routing oracle watches the fabric beside the monitor
     if has_tree:
         partial_oracle = PartialReplicationOracle(cluster.service, replication)
     else:
         partial_oracle = BaselineReplicationOracle(replication)
-    cluster.network.trace = TraceTee(cluster.hazard_monitor, partial_oracle)
+    cluster.network.observers += (partial_oracle,)
     # scheduled at build time: a schedule controller installed afterwards
     # sees exactly the events of the run, not the start-up ones
     cluster.start()

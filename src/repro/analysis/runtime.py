@@ -1,28 +1,25 @@
 """Opt-in runtime hazard checker for the deterministic simulator.
 
-Saturn's correctness argument (§5.3 of the paper) leans on two runtime
-properties the static lint cannot see:
+Saturn's correctness argument (§5.3 of the paper) leans on a runtime
+property the static lint cannot see: every network link behaves as a
+**FIFO channel** — a label batch sent after another on the same (src, dst)
+edge must be delivered after it.
 
-* every network link behaves as a **FIFO channel** — a label batch sent
-  after another on the same (src, dst) edge must be delivered after it;
-* the event heap breaks same-time ties by scheduling order, so two events
-  scheduled for the *same* float instant are a **determinism hazard**: the
-  outcome is decided by code layout, not by simulated time.  Ties are
-  legal (periodic timers collide constantly) but worth surfacing when a
-  scenario behaves differently after an innocuous-looking refactor.
-
-:class:`HazardMonitor` attaches to a :class:`~repro.sim.engine.Simulator`
-and a :class:`~repro.sim.network.Network` through the observer/trace hooks
-those classes expose.  Nothing is instrumented unless a monitor is
-installed, so the fast path stays untouched.  The monitor also keeps a
-SHA-256 digest of the delivery trace — two runs with the same seed must
-produce identical digests — and can cross-check the label streams each
-datacenter received against the offline causality checker
-(:class:`repro.verify.ExecutionLog`).
+:class:`HazardMonitor` is a passive observer of a
+:class:`~repro.sim.network.Network` (one entry of its ``observers``
+tuple).  Nothing is instrumented unless an observer is installed, so the
+fast path stays untouched.  The monitor also keeps a SHA-256 digest of
+the delivery trace — two runs with the same seed must produce identical
+digests, and a run whose execution changed produces a different one — and
+can cross-check the label streams each datacenter received against the
+offline causality checker (:class:`repro.verify.ExecutionLog`).
+Same-instant event ties are not audited here: the kernel breaks them by
+scheduling order, and the model checker's controller explores them
+(``["tie", k, choice]`` decisions).
 
 Typical use::
 
-    monitor = HazardMonitor.install(cluster.sim, cluster.network)
+    monitor = HazardMonitor.install(cluster.network)
     cluster.run(...)
     report = monitor.report()
     assert report.ok, report.summary()
@@ -36,14 +33,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.label import Label, LabelType
 from repro.datacenter.messages import LabelBatch
-from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network
 
-__all__ = ["HazardMonitor", "HazardReport", "FifoViolation", "TieHazard"]
-
-#: stop accumulating individual tie records beyond this many (totals keep
-#: counting); ties are common and the list is for diagnosis, not bulk data
-MAX_TIE_RECORDS = 1000
+__all__ = ["HazardMonitor", "HazardReport", "FifoViolation"]
 
 
 @dataclass(frozen=True)
@@ -61,25 +53,11 @@ class FifoViolation:
                 f"delivered send #{self.got_seq}, expected #{self.expected_seq}")
 
 
-@dataclass(frozen=True)
-class TieHazard:
-    """Two or more pending events share the exact same timestamp."""
-
-    time: float
-    pending_at_time: int
-
-    def describe(self) -> str:
-        return (f"{self.pending_at_time} events pending at the same instant "
-                f"t={self.time!r}; pop order is decided by scheduling order")
-
-
 @dataclass
 class HazardReport:
     """Outcome of a monitored run."""
 
     fifo_violations: List[FifoViolation] = field(default_factory=list)
-    tie_hazards: List[TieHazard] = field(default_factory=list)
-    ties_total: int = 0
     messages_delivered: int = 0
     labels_delivered: int = 0
     causality_violations: List[Any] = field(default_factory=list)
@@ -87,10 +65,7 @@ class HazardReport:
 
     @property
     def ok(self) -> bool:
-        """FIFO discipline held and (if cross-checked) causality held.
-
-        Ties are reported but do not fail the run: the kernel resolves
-        them deterministically by scheduling order."""
+        """FIFO discipline held and (if cross-checked) causality held."""
         return not self.fifo_violations and not self.causality_violations
 
     def summary(self) -> str:
@@ -98,7 +73,6 @@ class HazardReport:
             f"messages delivered : {self.messages_delivered}",
             f"labels delivered   : {self.labels_delivered}",
             f"fifo violations    : {len(self.fifo_violations)}",
-            f"same-time ties     : {self.ties_total}",
             f"causality breaches : {len(self.causality_violations)}",
             f"trace digest       : {self.trace_digest}",
         ]
@@ -116,28 +90,21 @@ class _LinkAudit:
 
     def __init__(self) -> None:
         self.sent = 0
-        self.delivered = 0
+        #: highest sequence number delivered; ``None`` until the first
+        #: delivery, which anchors it (a monitor installed after the network
+        #: numbered some of this link's sends must not expect #1)
+        self.delivered: Optional[int] = None
         self.last_arrival = float("-inf")
 
 
 class HazardMonitor:
-    """Observer asserting FIFO discipline and flagging determinism hazards.
-
-    Implements the :class:`~repro.sim.engine.Simulator` observer protocol
-    (``on_schedule`` / ``on_pop``) and the
-    :class:`~repro.sim.network.Network` trace protocol (``on_send`` /
-    ``on_deliver`` / ``on_drop``).
-    """
+    """Network observer asserting FIFO discipline and digesting deliveries
+    (``on_send`` / ``on_deliver``, see :mod:`repro.sim.network`)."""
 
     def __init__(self) -> None:
-        self.sim: Optional[Simulator] = None
         self.network: Optional[Network] = None
         self._links: Dict[Tuple[str, str], _LinkAudit] = {}
         self._fifo_violations: List[FifoViolation] = []
-        #: pending-event count per exact timestamp (tie detection)
-        self._pending_times: Dict[float, int] = {}
-        self._tie_hazards: List[TieHazard] = []
-        self._ties_total = 0
         #: per-datacenter label arrival streams (dc process name -> labels)
         self._label_streams: Dict[str, List[Label]] = {}
         self._messages_delivered = 0
@@ -145,56 +112,18 @@ class HazardMonitor:
         self._digest = hashlib.sha256()
         self._causality_violations: List[Any] = []
 
-    # -- installation ------------------------------------------------------
-
     @classmethod
-    def install(cls, sim: Simulator, network: Network) -> "HazardMonitor":
-        """Create a monitor and hook it into *sim* and *network*."""
+    def install(cls, network: Network) -> "HazardMonitor":
+        """Create a monitor and append it to *network*'s observers."""
         monitor = cls()
-        monitor.attach_sim(sim)
-        monitor.attach_network(network)
+        monitor.network = network
+        network.observers += (monitor,)
         return monitor
 
-    def attach_sim(self, sim: Simulator) -> None:
-        if sim.observer is not None:
-            raise RuntimeError("simulator already has an observer attached")
-        sim.observer = self
-        self.sim = sim
-
-    def attach_network(self, network: Network) -> None:
-        if network.trace is not None:
-            raise RuntimeError("network already has a trace attached")
-        network.trace = self
-        self.network = network
-
-    def detach(self) -> None:
-        if self.sim is not None and self.sim.observer is self:
-            self.sim.observer = None
-        if self.network is not None and self.network.trace is self:
-            self.network.trace = None
-
-    # -- Simulator observer protocol --------------------------------------
-
-    def on_schedule(self, event: Event) -> None:
-        count = self._pending_times.get(event.time, 0) + 1
-        self._pending_times[event.time] = count
-        if count >= 2:
-            self._ties_total += 1
-            if len(self._tie_hazards) < MAX_TIE_RECORDS:
-                self._tie_hazards.append(
-                    TieHazard(time=event.time, pending_at_time=count))
-
-    def on_pop(self, event: Event) -> None:
-        count = self._pending_times.get(event.time, 0)
-        if count <= 1:
-            self._pending_times.pop(event.time, None)
-        else:
-            self._pending_times[event.time] = count - 1
-
-    # -- Network trace protocol -------------------------------------------
+    # -- network observer protocol ----------------------------------------
 
     def on_send(self, src: str, dst: str, message: Any,
-                arrival: float) -> int:
+                arrival: float) -> None:
         link = self._links.setdefault((src, dst), _LinkAudit())
         link.sent += 1
         if arrival < link.last_arrival:
@@ -203,18 +132,16 @@ class HazardMonitor:
                 src=src, dst=dst, expected_seq=link.sent,
                 got_seq=link.sent, at=arrival))
         link.last_arrival = max(link.last_arrival, arrival)
-        return link.sent
 
     def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
         link = self._links.setdefault((src, dst), _LinkAudit())
-        expected = link.delivered + 1
-        if seq != expected:
+        now = self.network.sim.now if self.network is not None else 0.0
+        last = seq - 1 if link.delivered is None else link.delivered
+        if seq != last + 1:
             self._fifo_violations.append(FifoViolation(
-                src=src, dst=dst, expected_seq=expected, got_seq=seq,
-                at=self.sim.now if self.sim else float("nan")))
-        link.delivered = max(link.delivered, seq)
+                src=src, dst=dst, expected_seq=last + 1, got_seq=seq, at=now))
+        link.delivered = max(last, seq)
         self._messages_delivered += 1
-        now = self.sim.now if self.sim is not None else 0.0
         self._digest.update(
             f"{now!r}|{src}|{dst}|{type(message).__name__}".encode())
         if isinstance(message, LabelBatch):
@@ -251,10 +178,6 @@ class HazardMonitor:
         if proxy is None or not hasattr(proxy, "consumes_label_order"):
             return True
         return proxy.consumes_label_order(epoch)
-
-    def on_drop(self, src: str, dst: str, message: Any) -> None:
-        """A lossy link extension swallowed a message; nothing to assert
-        (the built-in fault model holds messages across outages instead)."""
 
     # -- cross-checking against the offline causality checker -------------
 
@@ -308,8 +231,6 @@ class HazardMonitor:
     def report(self) -> HazardReport:
         return HazardReport(
             fifo_violations=list(self._fifo_violations),
-            tie_hazards=list(self._tie_hazards),
-            ties_total=self._ties_total,
             messages_delivered=self._messages_delivered,
             labels_delivered=self._labels_delivered,
             causality_violations=list(self._causality_violations),

@@ -89,6 +89,9 @@ class ExplicitPayload:
 class ExplicitDatacenter(Process):
     """A datacenter running COPS-style explicit dependency checking."""
 
+    #: ``mode`` tag for obs ``visible`` events (see StabilizedDatacenter)
+    VISIBILITY_MODE = "explicit"
+
     def __init__(self, sim: Simulator, name: str, site: str,
                  replication: ReplicationMap, cost_model: CostModel,
                  clock: PhysicalClock, num_partitions: int = 2,
@@ -111,6 +114,9 @@ class ExplicitDatacenter(Process):
         self.updates_applied = 0
         #: statistics: sizes of dependency lists shipped with updates
         self.dep_list_sizes: List[int] = []
+        #: optional LabelTracer (repro.obs) — observes issue/visible
+        #: transitions only, never schedules events
+        self.obs = None
 
     def start(self) -> None:
         """No background machinery: dependency checks happen on arrival."""
@@ -186,6 +192,8 @@ class ExplicitDatacenter(Process):
                     self.network.send(
                         self.name, dc_process_name(replica), payload,
                         size_bytes=message.value_size + 16 * len(deps))
+            if self.obs is not None:
+                self.obs.on_issue(label, self.sim.now, self.dc_name)
             if self.execution_log is not None:
                 self.execution_log.record_update(label, self.dc_name,
                                                  self.sim.now)
@@ -229,6 +237,9 @@ class ExplicitDatacenter(Process):
         def _done() -> None:
             self._install(payload.key, payload.label, payload.value_size)
             self.updates_applied += 1
+            if self.obs is not None:
+                self.obs.on_visible(payload.label, self.sim.now, self.dc_name,
+                                    self.VISIBILITY_MODE)
             if self.metrics is not None:
                 self.metrics.record_visibility(
                     payload.label.origin_dc, self.dc_name,

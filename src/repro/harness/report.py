@@ -1,11 +1,11 @@
 """Formatting helpers: print experiment results the way the paper reports
-them (tables of rows / CDF series), plus paper-vs-measured summaries."""
+them (tables of rows / CDF series)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-__all__ = ["format_table", "format_cdf_summary", "PaperComparison"]
+__all__ = ["format_table", "format_cdf_summary"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -43,22 +43,3 @@ def format_cdf_summary(name: str, samples: Sequence[float],
     for p in percentiles:
         parts.append(f"p{int(p)}={percentile(samples, p):.1f}ms")
     return f"{name}: " + "  ".join(parts) + f"  (n={len(samples)})"
-
-
-class PaperComparison:
-    """Collects paper-reported vs measured values for EXPERIMENTS.md."""
-
-    def __init__(self, experiment: str) -> None:
-        self.experiment = experiment
-        self.rows: List[Tuple[str, str, str, str]] = []
-
-    def add(self, metric: str, paper: str, measured: object,
-            verdict: str = "") -> None:
-        if isinstance(measured, float):
-            measured = f"{measured:.1f}"
-        self.rows.append((metric, paper, str(measured), verdict))
-
-    def __str__(self) -> str:
-        return format_table(
-            ["metric", "paper", "measured", "verdict"], self.rows,
-            title=f"[{self.experiment}] paper vs measured")

@@ -148,7 +148,7 @@ class Cluster:
         self.hazard_monitor = None
         if config.hazard_monitor:
             from repro.analysis.runtime import HazardMonitor
-            self.hazard_monitor = HazardMonitor.install(self.sim, self.network)
+            self.hazard_monitor = HazardMonitor.install(self.network)
 
         def latency(a: str, b: str) -> float:
             if a == b:

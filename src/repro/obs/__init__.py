@@ -7,8 +7,8 @@ One :class:`ObsHub` per run bundles the three pieces:
 * :class:`~repro.obs.trace.LabelTracer` — per-label lifecycle event
   chains plus cluster annotations (epoch changes, failover transitions,
   degraded-mode drains);
-* :class:`NetworkTap` — a passive :attr:`repro.sim.network.Network.trace`
-  consumer feeding message/batch counters (only attached where a trace is
+* :class:`NetworkTap` — a passive :attr:`repro.sim.network.Network.observers`
+  entry feeding message/batch counters (only added where an observer is
   already installed, so a run without one pays no per-message hook).
 
 Everything is opt-in: the instrumented components hold ``self.obs = None``
@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.baselines.base import StabilizedDatacenter
 from repro.datacenter.datacenter import SaturnDatacenter
 from repro.datacenter.messages import LabelBatch
 from repro.obs.export import (SCHEMA, export_chrome, export_jsonl,
                               trace_digest)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (NET_DROP, NET_SEND, LabelTracer, Span,
-                             TraceEvent, chain_problems)
+from repro.obs.trace import (NET_SEND, LabelTracer, Span, TraceEvent,
+                             chain_problems)
 
 __all__ = ["ObsHub", "NetworkTap", "LabelTracer", "MetricsRegistry",
            "TraceEvent", "Span", "SCHEMA", "chain_problems",
@@ -39,14 +38,15 @@ __all__ = ["ObsHub", "NetworkTap", "LabelTracer", "MetricsRegistry",
 
 
 class NetworkTap:
-    """Non-primary network-trace consumer: traffic counters only.
+    """Network observer feeding traffic counters only.
 
-    Implements the :attr:`~repro.sim.network.Network.trace` protocol so it
-    can ride a :class:`~repro.analysis.mc.oracles.TraceTee` behind the
-    HazardMonitor.  :func:`attach_tracer` never installs it as the *only*
-    trace: that would put a per-message hook on every obs run.  Messages
-    go into the tracer's log like label events do; the ``network/*``
-    counters and the batch-size histogram are derived from it on read.
+    :func:`attach_tracer` adds it to
+    :attr:`~repro.sim.network.Network.observers` only beside an observer
+    that is already there (the HazardMonitor, the mc oracles), never as
+    the *only* one: that would put a per-message hook on every obs run.
+    Messages go into the tracer's log like label events do; the
+    ``network/*`` counters and the batch-size histogram are derived from
+    it on read.
     """
 
     def __init__(self, tracer: LabelTracer) -> None:
@@ -60,9 +60,6 @@ class NetworkTap:
 
     def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
         pass
-
-    def on_drop(self, src: str, dst: str, message: Any) -> None:
-        self._record((0.0, NET_DROP, "network"))
 
 
 class ObsHub:
@@ -108,13 +105,12 @@ def attach_tracer(deployment) -> ObsHub:
     hub = ObsHub(deployment.sim, deployment.network)
     tracer, registry = hub.tracer, hub.registry
     network = deployment.network
-    if network.trace is not None:
-        # a trace is installed anyway (HazardMonitor, the mc oracles): the
-        # tap rides behind it, so the monitor stays primary and its digest
-        # is unchanged.  With none the slot stays empty on purpose: the
-        # tap would add per-message work to every obs run.
-        from repro.analysis.mc.oracles import TraceTee
-        network.trace = TraceTee(network.trace, hub.net_tap)
+    if network.observers:
+        # the network is observed anyway (HazardMonitor, the mc oracles),
+        # so the tap joins them at no extra per-message cost.  With none
+        # the tuple stays empty on purpose: the tap alone would add
+        # per-message work to every obs run.
+        network.observers += (hub.net_tap,)
     service = deployment.service
     if service is not None:
         # the service hands both to the serializers of later epochs
@@ -130,8 +126,8 @@ def attach_tracer(deployment) -> ObsHub:
                 dc.failover.obs = tracer
             if dc.admission is not None:
                 dc.admission.obs = registry
-        elif isinstance(dc, StabilizedDatacenter):
-            # one tracer hook pair, issue -> visible
+        else:
+            # a baseline: one tracer hook pair, issue -> visible
             dc.obs = tracer
     if deployment.manager is not None:
         deployment.manager.obs = tracer

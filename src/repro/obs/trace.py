@@ -6,7 +6,6 @@ Every hook call appends one flat tuple of atoms (floats, ints, strs, bools,
     label event   (t, code, node, label.ts, label.src, *payload)
     annotation    (t, ANNOTATE, node, kind, key, value, key, value, ...)
     network tap   (t, NET_SEND, "network", labels in the batch or -1)
-                  (0.0, NET_DROP, "network")
 
 A label is identified by its ``(ts, src)`` key — the one the remote proxies
 deduplicate on — and its *chain* is the chronological list of its records,
@@ -93,7 +92,7 @@ class Span:
 
 # record codes; a label event's code indexes _KINDS
 (ISSUE, FLUSH, REPLAY, SER_ARRIVE, SER_FORWARD, DELIVER, VISIBLE, FINALIZED,
- ANNOTATE, NET_SEND, NET_DROP) = range(11)
+ ANNOTATE, NET_SEND) = range(10)
 
 #: code -> (event kind, names of the payload fields, counter component
 #: prefix, counter name, index of the payload field appended to that name)
@@ -241,8 +240,6 @@ class LabelTracer:
             elif code == ANNOTATE:
                 counter("events/" + node,
                         record[3].replace("-", "_")).inc(at=t)
-            elif code == NET_DROP:
-                counter(node, "drops").inc()
             else:
                 counter(node, "messages").inc(at=t)
                 if record[3] >= 0:

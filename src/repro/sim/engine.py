@@ -20,8 +20,12 @@ attribute load and :meth:`Simulator.pending` stays O(1).  A
 :meth:`Simulator.call_at` entry is ``(time, seq, fn, args)``: nothing can
 cancel it, so there is no handle and no closure, and the run loop calls
 ``fn(*args)`` straight from the tuple — one message delivery is one such
-entry.  Observers and controllers still get an :class:`Event` for it (same
+entry.  A schedule controller still gets an :class:`Event` for it (same
 ``time`` and ``seq``), made by the kernel when it calls the hook.
+
+The kernel has one hook, :attr:`Simulator.controller`; passive
+instrumentation (the FIFO audit, routing oracles, the obs tap) watches
+messages through :attr:`repro.sim.network.Network.observers` instead.
 """
 
 from __future__ import annotations
@@ -84,11 +88,6 @@ class Simulator:
         self._events_executed = 0
         #: cancelled events still sitting in the heap (skipped on pop).
         self._cancelled_in_heap = 0
-        #: optional instrumentation hook (see repro.analysis.runtime).
-        #: When set, it must provide ``on_schedule(event)`` and
-        #: ``on_pop(event)``; both are called synchronously, so observers
-        #: must not schedule events themselves.
-        self.observer: Optional[Any] = None
         #: optional schedule controller (see repro.analysis.mc.controller).
         #: When set, it must provide ``on_schedule(event)`` and
         #: ``choose(time, events) -> int``: whenever two or more live
@@ -119,9 +118,6 @@ class Simulator:
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, self)
         heapq.heappush(self._heap, (time, seq, event, None))
-        observer = self.observer
-        if observer is not None:
-            observer.on_schedule(event)
         controller = self.controller
         if controller is not None:
             controller.on_schedule(event)
@@ -136,9 +132,6 @@ class Simulator:
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, self)
         heapq.heappush(self._heap, (time, seq, event, None))
-        observer = self.observer
-        if observer is not None:
-            observer.on_schedule(event)
         controller = self.controller
         if controller is not None:
             controller.on_schedule(event)
@@ -154,9 +147,6 @@ class Simulator:
             )
         seq = self._seq = self._seq + 1
         heapq.heappush(self._heap, (time, seq, fn, args))
-        observer = self.observer
-        if observer is not None:
-            observer.on_schedule(Event(time, seq, fn))
         controller = self.controller
         if controller is not None:
             controller.on_schedule(Event(time, seq, fn))
@@ -180,16 +170,11 @@ class Simulator:
             heappop(heap)
             target = entry[2]
             args = entry[3]
-            observer = self.observer
             if args is not None:
-                if observer is not None:
-                    observer.on_pop(Event(time, entry[1], target))
                 self._now = time
                 target(*args)
                 executed += 1
                 continue
-            if observer is not None:
-                observer.on_pop(target)
             callback = target.callback
             if callback is None:
                 self._cancelled_in_heap -= 1
@@ -242,9 +227,6 @@ class Simulator:
                 event = entry[2]
                 if event.callback is None:
                     self._cancelled_in_heap -= 1
-                    observer = self.observer
-                    if observer is not None:
-                        observer.on_pop(event)
                     continue
                 candidates.append(entry)
             if not candidates:
@@ -256,15 +238,9 @@ class Simulator:
                 chosen = candidates[index]
                 for entry in candidates:
                     if entry is not chosen:
-                        # restored entries never hit the observer: they were
-                        # not executed, so on_pop/on_schedule bookkeeping
-                        # (e.g. HazardMonitor tie counts) stays balanced;
                         # `entry` is an already-formed (time, seq, event, None)
                         heappush(heap, entry)  # noqa: SAT007
             event = chosen[2]
-            observer = self.observer
-            if observer is not None:
-                observer.on_pop(event)
             callback = event.callback
             event.callback = None
             self._now = time

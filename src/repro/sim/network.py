@@ -24,6 +24,15 @@ resolved once per link, on its first send, and kept in the link's state;
 / ``send``); :class:`repro.net.tcp.TcpTransport` is the real-network one.
 Protocol actors hold either implementation through the same three
 methods, so everything above this seam is transport-agnostic.
+
+Instrumentation watches the fabric through :attr:`Network.observers`, a
+tuple of passive observers (the runtime FIFO audit, the model checker's
+routing oracles, the obs network tap).  While it is non-empty the network
+numbers each link's sends 1, 2, ... itself and calls every observer's
+``on_send(src, dst, message, arrival)`` when a message goes on the wire
+and ``on_deliver(src, dst, seq, message)`` just before the target
+receives it; held messages are observed when they are re-sent.  Empty,
+a send is one truthiness test away from the untraced path.
 """
 
 from __future__ import annotations
@@ -88,10 +97,12 @@ class _LinkState:
     an endpoint isolated); they are re-sent in order when the outage ends.
     ``target`` / ``base`` are the destination process and base latency,
     resolved on the first send (``target is None`` means unresolved).
+    ``observed`` counts the sends made while observers were installed (the
+    per-link sequence number they see); untraced sends leave it alone.
     """
 
     __slots__ = ("last_delivery", "extra_delay", "partitioned", "held",
-                 "target", "base")
+                 "target", "base", "observed")
 
     def __init__(self) -> None:
         self.last_delivery = 0.0
@@ -100,6 +111,7 @@ class _LinkState:
         self.held: Optional[list] = None
         self.target: Optional[Process] = None
         self.base = 0.0
+        self.observed = 0
 
 
 class Network:
@@ -122,14 +134,10 @@ class Network:
         self._isolated: set = set()
         self.messages_sent = 0
         self.bytes_sent = 0
-        #: optional instrumentation hook (see repro.analysis.runtime).
-        #: When set, it must provide ``on_send(src, dst, message, arrival)``
-        #: returning a per-link sequence number, plus ``on_deliver(src,
-        #: dst, seq, message)`` and ``on_drop(src, dst, message)``
-        #: (``on_drop`` is part of the protocol for lossy extensions; the
-        #: built-in fault model holds messages across link outages instead
-        #: of dropping, so the trace sees the eventual re-send).
-        self.trace: Optional[Any] = None
+        #: passive observers, called in order (see the module docstring);
+        #: they must not send, schedule or change what they are shown.
+        #: Install one with ``network.observers += (observer,)``.
+        self.observers: Tuple[Any, ...] = ()
         #: optional bounded delay perturbation (see repro.analysis.mc).
         #: When set, ``perturb(src, dst) -> float`` is called once per
         #: message send and its (non-negative) result is added to the
@@ -276,7 +284,7 @@ class Network:
                                  (src in self._isolated or
                                   dst in self._isolated)):
             # reliable channel across an outage: hold for re-send at heal
-            # or rejoin time (the trace observes the eventual re-send)
+            # or rejoin time (observers see the eventual re-send)
             if state.held is None:
                 state.held = []
             state.held.append((message, size_bytes))
@@ -298,15 +306,18 @@ class Network:
         state.last_delivery = arrival
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        trace = self.trace
-        if trace is None:
+        observers = self.observers
+        if not observers:
             sim.call_at(arrival, state.target.deliver, src, message)
-        else:
-            sim.call_at(arrival, self._traced_deliver, state.target, src, dst,
-                        trace.on_send(src, dst, message, arrival), message)
+            return
+        seq = state.observed = state.observed + 1
+        for observer in observers:
+            observer.on_send(src, dst, message, arrival)
+        sim.call_at(arrival, self._observed_deliver, state.target, src, dst,
+                    seq, message)
 
-    def _traced_deliver(self, target: Process, src: str, dst: str,
-                        seq: int, message: Any) -> None:
-        if self.trace is not None:
-            self.trace.on_deliver(src, dst, seq, message)
+    def _observed_deliver(self, target: Process, src: str, dst: str,
+                          seq: int, message: Any) -> None:
+        for observer in self.observers:
+            observer.on_deliver(src, dst, seq, message)
         target.deliver(src, message)

@@ -8,6 +8,7 @@ order, a default, the client start stagger — changed the simulated
 execution; regenerate only for a deliberate protocol change.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -56,3 +57,23 @@ def test_scenario_scripts_state_their_causal_chain():
     hardened = build_chaos_scenario("serializer-crash")
     hardened.run()
     assert ("g0:y", "g0:c") in _key_edges(hardened.log)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_monitor_digest_ignores_observer_order_and_the_obs_tap(order):
+    """The monitor, the routing oracle and the obs tap share the network's
+    observer tuple; in any order the monitor's digest is the one it
+    records alone (the pinned one) and every observer sees every send."""
+    from repro.obs import attach_tracer
+
+    scenario = build_scenario("chain3")
+    hub = attach_tracer(scenario)
+    network = scenario.cluster.network
+    assert network.observers == (scenario.monitor, scenario.partial_oracle,
+                                 hub.net_tap)
+    network.observers = tuple(network.observers[i] for i in order)
+    scenario.run()
+    assert scenario.digest() == GOLDEN["mc"]["chain3"]
+    assert (hub.registry.to_dict()["counters"]["network/messages"]["value"]
+            == network.messages_sent)
+    assert scenario.monitor.report().messages_delivered > 0

@@ -1,7 +1,5 @@
-"""The runtime hazard checker: FIFO auditing, tie detection, digesting,
-and the causality cross-check, on both toy networks and a real cluster."""
-
-import pytest
+"""The runtime hazard checker: FIFO auditing, digesting, and the causality
+cross-check, on both toy networks and a real cluster."""
 
 from repro.analysis.runtime import HazardMonitor
 from repro.sim.engine import Simulator
@@ -35,7 +33,7 @@ def toy_pair():
 
 def test_clean_link_has_no_fifo_violations():
     sim, network, a, b = toy_pair()
-    monitor = HazardMonitor.install(sim, network)
+    monitor = HazardMonitor.install(network)
     for i in range(20):
         a.send("b", i)
     sim.run()
@@ -49,7 +47,7 @@ def test_fifo_holds_even_when_latency_drops_mid_stream():
     """A later message on a faster link must still arrive after the
     earlier, slower one — the network clamps, the monitor confirms."""
     sim, network, a, b = toy_pair()
-    monitor = HazardMonitor.install(sim, network)
+    monitor = HazardMonitor.install(network)
     network.inject_extra_delay("a", "b", 50.0)
     a.send("b", "slow")
     network.inject_extra_delay("a", "b", 0.0)
@@ -83,7 +81,7 @@ def test_arrival_regression_at_send_time_is_reported():
 
 def test_partitioned_links_hold_without_violation():
     sim, network, a, b = toy_pair()
-    monitor = HazardMonitor.install(sim, network)
+    monitor = HazardMonitor.install(network)
     network.partition("a", "b")
     a.send("b", "held")
     network.heal("a", "b")
@@ -95,52 +93,35 @@ def test_partitioned_links_hold_without_violation():
     assert monitor.report().ok
 
 
-# ---------------------------------------------------------------------------
-# tie detection
-# ---------------------------------------------------------------------------
+class Bystander:
+    """Another network observer, installed before the monitor."""
 
-def test_same_time_events_are_flagged_as_ties():
-    sim = Simulator()
-    monitor = HazardMonitor()
-    monitor.attach_sim(sim)
-    sim.schedule(5.0, lambda: None)
-    sim.schedule(5.0, lambda: None)
-    sim.schedule(7.0, lambda: None)
+    def on_send(self, src, dst, message, arrival):
+        pass
+
+    def on_deliver(self, src, dst, seq, message):
+        pass
+
+
+def test_monitor_added_after_another_observer_reports_no_false_violation():
+    """The network numbered this link's sends before the monitor joined,
+    and two of them are still in flight: the monitor anchors on the first
+    delivery it sees instead of expecting send #1."""
+    sim, network, a, b = toy_pair()
+    network.observers += (Bystander(),)
+    for i in range(5):
+        a.send("b", i)
+    sim.run(until=1.5)
+    for i in range(5, 7):
+        a.send("b", i)
+    monitor = HazardMonitor.install(network)
+    for i in range(7, 10):
+        a.send("b", i)
     sim.run()
     report = monitor.report()
-    assert report.ties_total == 1
-    assert report.tie_hazards[0].time == 5.0
-    assert "pop order" in report.tie_hazards[0].describe()
-
-
-def test_distinct_times_produce_no_ties():
-    sim = Simulator()
-    monitor = HazardMonitor()
-    monitor.attach_sim(sim)
-    for i in range(10):
-        sim.schedule(float(i), lambda: None)
-    sim.run()
-    assert monitor.report().ties_total == 0
-
-
-def test_double_attach_is_rejected():
-    sim, network, _, _ = toy_pair()
-    HazardMonitor.install(sim, network)
-    with pytest.raises(RuntimeError):
-        HazardMonitor().attach_sim(sim)
-    with pytest.raises(RuntimeError):
-        HazardMonitor().attach_network(network)
-
-
-def test_detach_restores_uninstrumented_operation():
-    sim, network, a, b = toy_pair()
-    monitor = HazardMonitor.install(sim, network)
-    monitor.detach()
-    assert sim.observer is None and network.trace is None
-    a.send("b", "plain")
-    sim.run()
-    assert monitor.report().messages_delivered == 0
-    assert [m for _, m in b.inbox] == ["plain"]
+    assert report.ok, report.summary()
+    assert report.messages_delivered == 5
+    assert b.inbox == [("a", i) for i in range(10)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +174,8 @@ def test_crosscheck_catches_fabricated_visibility_reordering():
 
     monitor = HazardMonitor()
     batch = LabelBatch((first, second), epoch=0)
-    seq = monitor.on_send("ser", "dc:B", batch, arrival=4.0)
-    monitor.on_deliver("ser", "dc:B", seq, batch)
+    monitor.on_send("ser", "dc:B", batch, arrival=4.0)
+    monitor.on_deliver("ser", "dc:B", 1, batch)
     violations = monitor.crosscheck(log)
     assert violations, "reordered visibility must be reported"
     assert not monitor.report().ok

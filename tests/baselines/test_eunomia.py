@@ -58,13 +58,10 @@ class TraceRecorder:
         self.delivered = []
 
     def on_send(self, src, dst, message, arrival):
-        return 0
+        pass
 
     def on_deliver(self, src, dst, seq, message):
         self.delivered.append((src, dst, message))
-
-    def on_drop(self, src, dst, message):
-        pass
 
 
 def test_merge_is_scalar_max():
@@ -86,7 +83,7 @@ def test_updates_route_via_sequencer_not_directly():
     sim, dcs, _ = make_cluster()
     trace = TraceRecorder()
     sim.run(until=200.0)
-    dcs["I"].network.trace = trace
+    dcs["I"].network.observers += (trace,)
     write(sim, dcs["I"])
     sim.run(until=sim.now + 150.0)  # the I-T link alone is 100 ms
     payload_hops = [(src, dst) for src, dst, m in trace.delivered
@@ -103,7 +100,7 @@ def test_no_all_to_all_stabilization_broadcast():
     StabilizationMsg ever crosses the network (the unobtrusive claim)."""
     sim, dcs, _ = make_cluster()
     trace = TraceRecorder()
-    dcs["I"].network.trace = trace
+    dcs["I"].network.observers += (trace,)
     sim.run(until=60.0)
     kinds = {type(m).__name__ for _, _, m in trace.delivered}
     assert "StabilizationMsg" not in kinds

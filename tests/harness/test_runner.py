@@ -14,7 +14,7 @@ from repro.datacenter.datacenter import DatacenterParams
 from repro.datacenter.script import ScriptedWorkload
 from repro.harness import experiments
 from repro.harness.runner import SYSTEMS, Cluster, ClusterConfig
-from repro.harness.report import PaperComparison, format_cdf_summary, format_table
+from repro.harness.report import format_cdf_summary, format_table
 from repro.protocols import PROTOCOLS, Protocol
 from repro.verify.checker import ExecutionLog
 from repro.workloads.synthetic import SyntheticWorkload
@@ -201,10 +201,3 @@ def test_format_cdf_summary():
     assert "mean=2.0ms" in text
     assert "p90" in text
     assert format_cdf_summary("empty", []) == "empty: (no samples)"
-
-
-def test_paper_comparison():
-    comparison = PaperComparison("fig-x")
-    comparison.add("metric", "2%", 2.5, "ok")
-    text = str(comparison)
-    assert "fig-x" in text and "2.5" in text

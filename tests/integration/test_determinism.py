@@ -45,8 +45,8 @@ def test_double_run_identical_event_trace_digests():
 
 def test_tracing_does_not_change_results():
     """``Network.send`` schedules one delivery event per message whether
-    or not a trace is installed, so a traced run is the untraced run plus
-    observation: same simulated outcome, same messages, same events."""
+    or not observers are installed, so a traced run is the untraced run
+    plus observation: same simulated outcome, same messages, same events."""
     cluster_plain, results_plain = run(seed=7)
     cluster_traced, results_traced = run(seed=7, hazard_monitor=True)
     assert results_plain.ops_completed == results_traced.ops_completed

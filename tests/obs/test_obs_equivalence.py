@@ -118,9 +118,6 @@ class ReferenceTap:
             registry.histogram("network", "batch_size").observe(
                 len(message.labels), at=arrival)
 
-    def on_drop(self, src, dst, message):
-        self.registry.counter("network", "drops").inc()
-
 
 class _Recorder:
     """A tracer, its registry and its tap, old or new."""
@@ -182,8 +179,6 @@ steps = st.one_of(
                               max_size=3)),
     st.tuples(st.just("tap"), st.just("on_send"),
               st.tuples(nodes, nodes, batches, times), st.just({})),
-    st.tuples(st.just("tap"), st.just("on_drop"),
-              st.tuples(nodes, nodes, batches), st.just({})),
     st.tuples(st.just("read"), st.sampled_from(
         ("chains", "counters", "export", "num_chains", "events")),
         st.just(()), st.just({})),

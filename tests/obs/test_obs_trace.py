@@ -8,6 +8,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import format_breakdown, label_breakdown, pair_breakdown
 from repro.obs.trace import (LabelTracer, TraceEvent, chain_problems,
                              derive_spans)
+from repro.protocols import PROTOCOLS
 
 
 def _label(ts: float = 1.0, src: str = "I/gear",
@@ -219,3 +220,30 @@ def test_pair_breakdown_no_matching_labels():
     assert breakdown["labels"] == []
     assert breakdown["end_to_end_mean"] == 0.0
     assert "0 complete" in format_breakdown(breakdown)
+
+
+@pytest.mark.parametrize("system", sorted(PROTOCOLS))
+def test_every_protocol_records_update_chains_issued_at_their_origin(system):
+    """An obs run records chains on every system of the protocol table,
+    and each update that became visible somewhere has exactly one
+    ``issue`` atom, recorded at its origin datacenter — whether a tree,
+    the bulk channel, stabilization or explicit dependencies carried it."""
+    from repro.harness.runner import Cluster, ClusterConfig
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    cluster = Cluster(ClusterConfig(system=system, sites=("I", "F", "T"),
+                                    clients_per_dc=2, seed=5, obs=True),
+                      SyntheticWorkload(correlation="full"))
+    cluster.run(duration=200.0, warmup=50.0)
+    tracer = cluster.obs_hub.tracer
+    updates = 0
+    for key, events in tracer.chains():
+        if not any(event.kind == "visible" for event in events):
+            continue
+        issues = [event for event in events if event.kind == "issue"]
+        assert len(issues) == 1, (key, [event.kind for event in events])
+        assert issues[0].extra["type"] == LabelType.UPDATE.value
+        assert issues[0].node == issues[0].extra["origin"]
+        assert chain_problems(key, events) == []
+        updates += 1
+    assert updates > 0

@@ -296,52 +296,6 @@ def test_call_at_scheduled_from_a_callback_at_the_same_instant_runs(sim):
     assert log == ["sibling", "nested"]
 
 
-class CountingObserver:
-    def __init__(self):
-        self.scheduled = []
-        self.popped = []
-
-    def on_schedule(self, event):
-        self.scheduled.append((event.time, event.seq))
-
-    def on_pop(self, event):
-        self.popped.append((event.time, event.seq))
-
-
-def test_observer_sees_each_handle_free_event_exactly_once(sim):
-    observer = CountingObserver()
-    sim.observer = observer
-    log = []
-    mixed_schedule(sim, log)
-    sim.run()
-    # seven schedule calls (one cancelled), seqs 1..7 in call order; every
-    # entry is popped once, the dead one included, in (time, seq) order
-    assert sorted(observer.scheduled, key=lambda e: e[1]) == [
-        (2.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (1.0, 5), (1.0, 6), (2.0, 7)]
-    assert observer.popped == sorted(observer.scheduled)
-
-
-def test_hazard_monitor_counts_message_ties_as_before():
-    """Message deliveries are handle-free; the monitor's tie bookkeeping
-    (fed by on_schedule / on_pop) must not notice.  Pinned on the parent
-    commit, where every delivery was an Event."""
-    import hashlib
-
-    from repro.harness.runner import Cluster, ClusterConfig
-    from repro.workloads.synthetic import SyntheticWorkload
-
-    cluster = Cluster(ClusterConfig(system="saturn", sites=("I", "F", "T"),
-                                    clients_per_dc=2, seed=42,
-                                    hazard_monitor=True), SyntheticWorkload())
-    cluster.run(duration=200.0, warmup=50.0)
-    report = cluster.hazard_monitor.report()
-    ties = [(h.time, h.pending_at_time) for h in report.tie_hazards]
-    assert cluster.sim.events_executed == 6158
-    assert (len(ties), report.ties_total) == (1000, 1010)
-    assert hashlib.sha256(repr(ties).encode()).hexdigest() == (
-        "b0a5575ba0fb40ed69fafd18f6e99cf17a326e5a078e9007573b8603352cb101")
-
-
 class RecordingController:
     """Answers every tie with `pick(k)` and keeps what it was offered."""
 

@@ -274,38 +274,82 @@ def test_held_messages_keep_fifo_order_across_the_outage(sim):
         "before", "during-1", "during-2", "after"]
 
 
+class Watcher:
+    """A network observer recording what it is shown."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = []
+        self.delivered = []
+
+    def on_send(self, src, dst, message, arrival):
+        self.sent.append((self.sim.now, src, dst, message))
+
+    def on_deliver(self, src, dst, seq, message):
+        self.delivered.append((src, dst, seq, message))
+
+
 def test_traced_runs_observe_held_messages_on_release(sim):
-    class Trace:
-        def __init__(self):
-            self.sent = []
-            self.delivered = []
-
-        def on_send(self, src, dst, message, arrival):
-            self.sent.append((sim.now, message))
-            return len(self.sent)
-
-        def on_deliver(self, src, dst, seq, message):
-            self.delivered.append(message)
-
-        def on_drop(self, src, dst, message):  # pragma: no cover
-            raise AssertionError("reliable links never drop")
-
     net = make_net(sim)
     a, b = Recorder(sim, "a"), Recorder(sim, "b")
     a.attach_network(net)
     b.attach_network(net)
-    trace = Trace()
-    net.trace = trace
+    watcher = Watcher(sim)
+    net.observers += (watcher,)
+    a.send("b", "before")
+    sim.run()
     net.isolate("b")
     a.send("b", "void")
     sim.run()
-    assert trace.sent == []  # held, not yet on the wire
-    assert b.received == []
+    assert watcher.sent == [(0.0, "a", "b", "before")]  # "void" is held
+    assert [m for _, _, m in b.received] == ["before"]
     net.rejoin("b")
+    a.send("b", "after")
     sim.run()
-    assert trace.sent == [(0.0, "void")]  # re-sent at rejoin time
-    assert trace.delivered == ["void"]
-    assert [m for _, _, m in b.received] == ["void"]
+    # re-sent at rejoin time, and the link's numbering carries on
+    assert watcher.sent[1:] == [(1.0, "a", "b", "void"),
+                                (1.0, "a", "b", "after")]
+    assert watcher.delivered == [("a", "b", 1, "before"),
+                                 ("a", "b", 2, "void"),
+                                 ("a", "b", 3, "after")]
+    assert [m for _, _, m in b.received] == ["before", "void", "after"]
+
+
+def test_every_observer_sees_every_send_and_delivery_numbered_per_link(sim):
+    net = make_net(sim, jitter=5.0)
+    a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
+    for process in (a, b, c):
+        process.attach_network(net)
+    first, second = Watcher(sim), Watcher(sim)
+    net.observers += (first,)
+    net.observers += (second,)
+    for i in range(6):
+        a.send("b", i)
+        a.send("c", i)
+        b.send("a", i)
+    sim.run()
+    assert first.sent == second.sent and len(first.sent) == 18
+    assert first.delivered == second.delivered
+    for link in (("a", "b"), ("a", "c"), ("b", "a")):
+        assert [(seq, m) for src, dst, seq, m in first.delivered
+                if (src, dst) == link] == [(i + 1, i) for i in range(6)]
+
+
+def test_unobserved_send_schedules_the_targets_deliver_directly(sim):
+    net = make_net(sim)
+    a, b = Recorder(sim, "a"), Recorder(sim, "b")
+    a.attach_network(net)
+    b.attach_network(net)
+    assert net.observers == ()
+    a.send("b", "plain")
+    [(time, _, fn, args)] = sim._heap
+    assert (time, fn, args) == (1.0, b.deliver, ("a", "plain"))
+    net.observers += (Watcher(sim),)
+    a.send("b", "observed")
+    assert sim._heap[1][2] != b.deliver
+    sim.run()
+    assert [m for _, _, m in b.received] == ["plain", "observed"]
+    assert net._links[("a", "b")].observed == 1  # untraced sends are not counted
 
 
 # -- resolved routes: cached per link, never stale ---------------------------
