@@ -10,7 +10,8 @@ Two halves, both specific to this repository:
   unordered set/dict iteration on scheduling or label-emission paths,
   float-timestamp equality, mutable defaults, cross-process state
   mutation); ARCH holds the tree to ``arch_contract.toml`` (layering,
-  interprocedural sim-purity, wire-safe messages); CONC audits the asyncio
+  interprocedural sim-purity, handlers that match their messages); CONC
+  audits the asyncio
   transport path (event-loop stalls, dropped coroutines, await-point lost
   updates, lock order, swallowed cancellation, leaked tasks).
 

@@ -2,10 +2,10 @@
 
 The contract is the checked-in, human-reviewed declaration of the
 architecture: the layer order, which kernel seams protocol code may touch,
-which methods are purity entry points, and which modules define wire
-messages.  The auditor never invents policy — it only checks the tree
-against this file, so a deliberate architectural change is a one-line diff
-here rather than a lint suppression.
+and which methods are purity entry points.  The auditor never invents
+policy — it only checks the tree against this file, so a deliberate
+architectural change is a one-line diff here rather than a lint
+suppression.
 
 Parsing uses :mod:`tomllib` (Python >= 3.11).  On older interpreters a
 minimal line-oriented fallback handles the restricted TOML subset the
@@ -53,19 +53,6 @@ class ArchContract:
     # -- purity ------------------------------------------------------------
     purity_entry_points: Tuple[str, ...]  # "module:Class.method" fnmatch pats
     purity_boundary_modules: Tuple[str, ...]
-    # -- wire --------------------------------------------------------------
-    message_modules: Tuple[str, ...]
-    extra_messages: Tuple[str, ...]       # "module:ClassName"
-    #: wire components: plain-data checked like messages, but they ride
-    #: inside message fields and are never dispatched to a handler, so
-    #: ARCH201 (missing handler) does not apply to them
-    components: Tuple[str, ...]           # "module:ClassName"
-    plain_classes: Tuple[str, ...]
-    handler_methods: Tuple[str, ...]
-    #: modules whose top-level ``register(Name)`` calls declare the wire
-    #: codec vocabulary; when non-empty, ARCH205 cross-checks it against
-    #: the handled message set
-    codec_modules: Tuple[str, ...] = ()
 
     _layer_of_module: Dict[str, Layer] = field(
         default_factory=dict, compare=False, repr=False)
@@ -247,7 +234,6 @@ def load_contract(path: Path) -> ArchContract:
                 f"unrestricted layer {name!r} is not a declared layer")
 
     purity = data.get("purity", {})
-    wire = data.get("wire", {})
 
     return ArchContract(
         path=path,
@@ -262,10 +248,4 @@ def load_contract(path: Path) -> ArchContract:
             ("schedule", "schedule_at", "call_at")),
         purity_entry_points=_strings(purity, "entry_points"),
         purity_boundary_modules=_strings(purity, "boundary_modules"),
-        message_modules=_strings(wire, "message_modules"),
-        extra_messages=_strings(wire, "extra_messages"),
-        components=_strings(wire, "components"),
-        plain_classes=_strings(wire, "plain_classes"),
-        handler_methods=_strings(wire, "handler_methods", ("receive",)),
-        codec_modules=_strings(wire, "codec_modules"),
     )

@@ -69,8 +69,7 @@ _PASSES: Tuple[Tuple[Tuple[str, ...],
      lambda p: check_layers(p.graph, p.contract)),
     (("ARCH101",),
      lambda p: check_purity(p.graph, p.callgraph, p.contract)),
-    (("ARCH201", "ARCH202", "ARCH203", "ARCH204", "ARCH205"),
-     lambda p: check_wire(p.graph, p.contract)),
+    (("ARCH202", "ARCH204"), lambda p: check_wire(p.graph)),
     (("CONC001",), lambda p: check_blocking(p.graph, p.callgraph)),
     (("CONC002",), lambda p: check_fire_and_forget(p.graph, p.callgraph)),
     (("CONC003",), lambda p: check_await_atomicity(p.graph, p.callgraph)),

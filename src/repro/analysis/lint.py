@@ -1,5 +1,5 @@
 """Per-file visitor enforcing the simulator's determinism contract
-(SAT001–SAT009).
+(SAT001–SAT007, SAT009).
 
 The checks are deliberately repository-specific: they know that simulation
 code must read time from the simulated clock, draw randomness from
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.helpers import dataclass_keywords, terminal_name
+from repro.analysis.helpers import terminal_name
 from repro.analysis.imports import Module
 from repro.analysis.report import Finding
 
@@ -81,24 +80,10 @@ _TIEBREAK_NAME_RE = re.compile(
     r"order|pos|position|name|uid)(?:_|$)"
 )
 
-#: wire-message heuristics for SAT008: any dataclass in a module with one
-#: of these filenames, or whose class name carries one of these suffixes
-_MESSAGE_MODULE_FILENAMES = {"messages.py"}
-_MESSAGE_CLASS_SUFFIXES = ("Payload", "Msg")
-
 #: asyncio functions banned outside the kernel seam (SAT009):
 #: get_event_loop silently binds an ambient loop, ensure_future drops the
 #: strong task reference
 _LOOP_MISUSE_FUNCS = {"get_event_loop", "ensure_future"}
-
-#: annotation identifiers that disqualify a field as wire plain data
-#: (SAT008): mutable containers, escape-hatch types, callables
-_NON_PLAIN_ANNOTATION_NAMES = {
-    "list", "dict", "set", "List", "Dict", "Set", "DefaultDict",
-    "defaultdict", "OrderedDict", "Counter", "Deque", "deque", "bytearray",
-    "MutableMapping", "MutableSequence", "MutableSet",
-    "object", "Any", "Callable", "callable",
-}
 
 
 def _is_set_producing(node: ast.expr) -> bool:
@@ -391,61 +376,9 @@ class _Visitor(ast.NodeVisitor):
             known & set(class_bases))
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._check_wire_message_class(node)
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
-
-    # -- SAT008: wire message dataclasses ----------------------------------
-
-    def _is_wire_message(self, node: ast.ClassDef) -> bool:
-        if Path(self.filename).name in _MESSAGE_MODULE_FILENAMES:
-            return True
-        return node.name.endswith(_MESSAGE_CLASS_SUFFIXES)
-
-    def _non_plain_annotation_name(self,
-                                   annotation: ast.expr) -> Optional[str]:
-        if (isinstance(annotation, ast.Constant)
-                and isinstance(annotation.value, str)):
-            try:
-                annotation = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return None
-        for sub in ast.walk(annotation):
-            name = terminal_name(sub)
-            if name in _NON_PLAIN_ANNOTATION_NAMES:
-                return name
-        return None
-
-    def _check_wire_message_class(self, node: ast.ClassDef) -> None:
-        if not self._is_wire_message(node):
-            return
-        keywords = dataclass_keywords(node)
-        if keywords is None:
-            return  # not a dataclass: plain classes are out of scope
-        if not keywords.get("frozen", False):
-            self._report(node, "SAT008",
-                         f"message dataclass {node.name} is mutable; "
-                         "declare @dataclass(frozen=True, slots=True)")
-        has_slots = keywords.get("slots", False) or any(
-            isinstance(stmt, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__slots__"
-                    for t in stmt.targets)
-            for stmt in node.body)
-        if not has_slots:
-            self._report(node, "SAT008",
-                         f"message dataclass {node.name} has no __slots__; "
-                         "pass slots=True so instances cannot grow ad-hoc "
-                         "(unserializable) attributes")
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign) or stmt.annotation is None:
-                continue
-            bad = self._non_plain_annotation_name(stmt.annotation)
-            if bad is not None:
-                self._report(stmt, "SAT008",
-                             f"message field annotation mentions {bad!r}, "
-                             "which is not wire-safe plain data; use "
-                             "scalars, tuples, frozensets or value types")
 
     def _enter_function(self, node) -> bool:
         """Returns True if this function is an actor method to track."""

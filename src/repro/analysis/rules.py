@@ -11,9 +11,11 @@ the report of :mod:`repro.analysis.engine`:
   whom, which kernel seams protocol code may touch;
   :mod:`~repro.analysis.layers`), 1xx *sim-purity* (no protocol entry
   point may transitively reach a nondeterministic or environment-coupled
-  source; :mod:`~repro.analysis.purity`), 2xx *wire-safety* (every
-  message is plain data with a registered handler, so payloads survive
-  real serialization; :mod:`~repro.analysis.wire`).
+  source; :mod:`~repro.analysis.purity`), 2xx *handler/message
+  conformance* (handlers read only fields their message defines, and
+  construction sites pass only fields it has; :mod:`~repro.analysis.wire`
+  — that messages are plain data is checked by the codec's
+  ``register()`` at import, not here).
 * **CONCxxx** — whole-program asyncio rules for the realtime transport
   path (:mod:`~repro.analysis.blocking`, :mod:`~repro.analysis.lifecycle`,
   :mod:`~repro.analysis.shared_state`).  Saturn's correctness argument
@@ -122,19 +124,6 @@ ALL_RULES: Tuple[Rule, ...] = (
         ),
     ),
     Rule(
-        code="SAT008",
-        title="wire message dataclass is not frozen, slotted plain data",
-        rationale=(
-            "Message dataclasses (modules named messages.py, or classes "
-            "named *Payload / *Msg) cross process boundaries once the "
-            "Transport refactor lands: they must be @dataclass(frozen=True) "
-            "with __slots__ (slots=True or an explicit __slots__) and carry "
-            "only plain-data field annotations — no list/dict/set, object, "
-            "Any or Callable — so a payload can be serialized byte-for-byte "
-            "and can never alias mutable state between sender and receiver."
-        ),
-    ),
-    Rule(
         code="SAT009",
         title="event-loop acquisition outside the kernel seam",
         rationale=(
@@ -205,36 +194,13 @@ ALL_RULES: Tuple[Rule, ...] = (
         ),
     ),
     Rule(
-        code="ARCH201",
-        title="constructed message type has no registered handler",
-        rationale=(
-            "Every message type that is constructed somewhere must appear "
-            "in an isinstance dispatch of some receive handler; an "
-            "unhandled message either crashes the defensive TypeError arm "
-            "or is dropped silently, and a real transport cannot route it."
-        ),
-    ),
-    Rule(
         code="ARCH202",
         title="handler accesses a field the message does not define",
         rationale=(
-            "Inside an isinstance(message, T) branch, every attribute read "
-            "on the message must be a field (or method/property) of T; a "
-            "typo here only explodes when that branch executes, which for "
-            "rare messages can be deep into a long run."
-        ),
-    ),
-    Rule(
-        code="ARCH203",
-        title="message field is not plain data",
-        rationale=(
-            "Message payloads must be built from None/bool/int/float/str/"
-            "bytes, enums, tuples/frozensets of plain data, and frozen "
-            "plain dataclasses.  object/Any annotations, mutable "
-            "containers (list/dict/set), callables, and sim objects "
-            "cannot survive real serialization — and a mutable field "
-            "shipped by reference aliases state across processes, which "
-            "the in-process simulator hides."
+            "In the handler a _HANDLERS row maps message type T to, every "
+            "attribute read on the message must be a field (or method/"
+            "property) of T; a typo here only explodes when that handler "
+            "executes, which for rare messages can be deep into a long run."
         ),
     ),
     Rule(
@@ -245,20 +211,6 @@ ALL_RULES: Tuple[Rule, ...] = (
             "more positional arguments than the dataclass defines, raises "
             "only when that code path runs; the audit catches it tree-wide "
             "at review time."
-        ),
-    ),
-    Rule(
-        code="ARCH205",
-        title="wire codec and handler sets disagree",
-        rationale=(
-            "When the contract names codec_modules, the set of messages "
-            "registered there (top-level register(Name) calls) must match "
-            "the set some handler dispatches on: a dispatched-but-"
-            "unregistered message cannot cross a real TCP link (the codec "
-            "raises at send), and a registered-but-undispatched message "
-            "crashes the receiver's defensive TypeError arm when a frame "
-            "arrives.  The sim transport hides both, so only the audit "
-            "catches them before a real deployment."
         ),
     ),
     Rule(

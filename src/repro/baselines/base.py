@@ -186,26 +186,31 @@ class StabilizedDatacenter(Process):
     # message dispatch
     # ------------------------------------------------------------------
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, ClientRead):
-            self._client_read(sender, message)
-        elif isinstance(message, ClientUpdate):
-            self._client_update(sender, message)
-        elif isinstance(message, ClientAttach):
-            self._client_attach(sender, message)
-        elif isinstance(message, ClientMigrate):
-            # No migration labels in these systems: the client re-attaches
-            # at the target with its current stamp.
-            self.send(sender, MigrateReply(client_id=message.client_id,
-                                           label=None))
-        elif isinstance(message, BaselinePayload):
-            self._on_payload(message)
-        elif isinstance(message, StabilizationMsg):
-            self._remote_info[message.origin_dc] = message.value
-            self._drain_pending()
-            self._check_waiters()
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
+    def _on_migrate(self, client: str, message: ClientMigrate) -> None:
+        # No migration labels in these systems: the client re-attaches at
+        # the target with its current stamp.
+        self.send(client, MigrateReply(client_id=message.client_id,
+                                       label=None))
+
+    def _on_stabilization(self, sender: str,
+                          message: StabilizationMsg) -> None:
+        self._remote_info[message.origin_dc] = message.value
+        self._drain_pending()
+        self._check_waiters()
+
+    #: Process.receive's table; a subclass extends it with
+    #: ``{**Base._HANDLERS, ...}``, and every row resolves its method on
+    #: ``self`` at call time so subclass overrides (Okapi's
+    #: ``_on_payload``) win
+    _HANDLERS = {
+        ClientRead: lambda self, sender, m: self._client_read(sender, m),
+        ClientUpdate: lambda self, sender, m: self._client_update(sender, m),
+        ClientAttach: lambda self, sender, m: self._client_attach(sender, m),
+        ClientMigrate: lambda self, sender, m: self._on_migrate(sender, m),
+        BaselinePayload: lambda self, sender, m: self._on_payload(m),
+        StabilizationMsg: lambda self, sender, m: self._on_stabilization(
+            sender, m),
+    }
 
     # ------------------------------------------------------------------
     # client operations

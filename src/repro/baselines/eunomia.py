@@ -115,25 +115,25 @@ class EunomiaSequencer(Process):
     def start(self) -> None:
         self.every(self.batch_period, self._batch_tick)
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, BaselinePayload):
-            cost = (self.cost_model.scalar_metadata
-                    + self.cost_model.vector_entry_metadata
-                    * len(self.replication.datacenters))
+    def _on_payload(self, sender: str, message: BaselinePayload) -> None:
+        cost = (self.cost_model.scalar_metadata
+                + self.cost_model.vector_entry_metadata
+                * len(self.replication.datacenters))
 
-            def _sequenced(payload=message) -> None:
-                self._ordered.append(payload)
-                self.updates_sequenced += 1
+        def _sequenced(payload=message) -> None:
+            self._ordered.append(payload)
+            self.updates_sequenced += 1
 
-            self.cpu.submit(cost, _sequenced)
-        elif isinstance(message, EunomiaTick):
-            def _advance(floor=message.floor) -> None:
-                if floor > self._stable_floor:
-                    self._stable_floor = floor
+        self.cpu.submit(cost, _sequenced)
 
-            self.cpu.submit(self.cost_model.scalar_metadata, _advance)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
+    def _on_tick(self, sender: str, message: EunomiaTick) -> None:
+        def _advance(floor=message.floor) -> None:
+            if floor > self._stable_floor:
+                self._stable_floor = floor
+
+        self.cpu.submit(self.cost_model.scalar_metadata, _advance)
+
+    _HANDLERS = {BaselinePayload: _on_payload, EunomiaTick: _on_tick}
 
     def _batch_tick(self) -> None:
         ordered, self._ordered = self._ordered, []
@@ -203,13 +203,7 @@ class EunomiaDatacenter(GentleRainDatacenter):
                           size_bytes=value_size)
         self.metadata_bytes_sent += stamp_wire_bytes(payload.stamp)
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, EunomiaBatch):
-            self._on_batch(message)
-        else:
-            super().receive(sender, message)
-
-    def _on_batch(self, batch: EunomiaBatch) -> None:
+    def _on_batch(self, sender: str, batch: EunomiaBatch) -> None:
         for payload in batch.payloads:
             self._on_payload(payload)
         if batch.stable_ts > self._remote_info.get(batch.origin_dc,
@@ -217,3 +211,5 @@ class EunomiaDatacenter(GentleRainDatacenter):
             self._remote_info[batch.origin_dc] = batch.stable_ts
         self._drain_pending()
         self._check_waiters()
+
+    _HANDLERS = {**GentleRainDatacenter._HANDLERS, EunomiaBatch: _on_batch}

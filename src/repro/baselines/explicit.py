@@ -123,22 +123,22 @@ class ExplicitDatacenter(Process):
 
     # ------------------------------------------------------------------
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, ClientRead):
-            self._client_read(sender, message)
-        elif isinstance(message, ClientUpdate):
-            self._client_update(sender, message)
-        elif isinstance(message, ClientAttach):
-            # dependency contexts are checked per-operation; attach is a
-            # no-op (COPS has no attach — sessions carry their context)
-            self.send(sender, AttachOk(client_id=message.client_id))
-        elif isinstance(message, ClientMigrate):
-            self.send(sender, MigrateReply(client_id=message.client_id,
-                                           label=None))
-        elif isinstance(message, ExplicitPayload):
-            self._on_payload(message)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
+    def _on_attach(self, client: str, message: ClientAttach) -> None:
+        # dependency contexts are checked per-operation; attach is a no-op
+        # (COPS has no attach — sessions carry their context)
+        self.send(client, AttachOk(client_id=message.client_id))
+
+    def _on_migrate(self, client: str, message: ClientMigrate) -> None:
+        self.send(client, MigrateReply(client_id=message.client_id,
+                                       label=None))
+
+    _HANDLERS = {
+        ClientRead: lambda self, sender, m: self._client_read(sender, m),
+        ClientUpdate: lambda self, sender, m: self._client_update(sender, m),
+        ClientAttach: _on_attach,
+        ClientMigrate: _on_migrate,
+        ExplicitPayload: lambda self, sender, m: self._on_payload(m),
+    }
 
     # ------------------------------------------------------------------
     # client operations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.baselines.base import (VECTOR_ENTRY_BYTES, BaselinePayload)
 from repro.baselines.cure import CureDatacenter, Vector, freeze_vector
@@ -52,9 +52,7 @@ class OkapiStabMsg:
     """
 
     origin_dc: str
-    # structurally Vector (cure.py); spelled out so the wire audit can
-    # check plainness without cross-module alias resolution
-    entries: Tuple[Tuple[str, float], ...]
+    entries: Vector
 
 
 class HybridClock:
@@ -171,24 +169,23 @@ class OkapiDatacenter(CureDatacenter):
 
     # -- message handling ------------------------------------------------
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, OkapiStabMsg):
-            row = dict(message.entries)
-            self._matrix[message.origin_dc] = row
-            # The sender's own entry is its clock floor: on this FIFO
-            # link every payload with a smaller HLC has already arrived,
-            # so the floor also advances *our* knowledge of that origin.
-            # Without this, a datacenter that replicates none of an
-            # origin's keys would pin the GSV at -inf forever (genuine
-            # partial replication would lose liveness).
-            floor = row.get(message.origin_dc)
-            if floor is not None and floor > self._received.get(
-                    message.origin_dc, float("-inf")):
-                self._received[message.origin_dc] = floor
-            self._drain_pending()
-            self._check_waiters()
-        else:
-            super().receive(sender, message)
+    def _on_knowledge_row(self, sender: str, message: OkapiStabMsg) -> None:
+        row = dict(message.entries)
+        self._matrix[message.origin_dc] = row
+        # The sender's own entry is its clock floor: on this FIFO link
+        # every payload with a smaller HLC has already arrived, so the
+        # floor also advances *our* knowledge of that origin.  Without
+        # this, a datacenter that replicates none of an origin's keys
+        # would pin the GSV at -inf forever (genuine partial replication
+        # would lose liveness).
+        floor = row.get(message.origin_dc)
+        if floor is not None and floor > self._received.get(
+                message.origin_dc, float("-inf")):
+            self._received[message.origin_dc] = floor
+        self._drain_pending()
+        self._check_waiters()
+
+    _HANDLERS = {**CureDatacenter._HANDLERS, OkapiStabMsg: _on_knowledge_row}
 
     def _on_payload(self, payload: BaselinePayload) -> None:
         # HLC merge: local timestamps move past everything observed, so

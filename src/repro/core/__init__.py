@@ -1,7 +1,6 @@
 """Saturn core: labels, serializer trees, metadata service, fault
 tolerance, and online reconfiguration."""
 
-from repro.core.chain import ChainGroup, ChainReplica
 from repro.core.label import Label, LabelType, label_max
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.replication import ReplicationMap
@@ -10,7 +9,7 @@ from repro.core.service import SaturnService
 from repro.core.tree import TopologyError, TreeTopology
 
 __all__ = [
-    "ChainGroup", "ChainReplica", "Label", "LabelType", "label_max",
+    "Label", "LabelType", "label_max",
     "ReconfigurationManager", "ReplicationMap", "Serializer", "interest_of",
     "SaturnService", "TopologyError", "TreeTopology",
 ]

@@ -38,7 +38,7 @@ class LabelType(enum.Enum):
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """An immutable, totally ordered Saturn label."""
 

@@ -17,11 +17,11 @@ before handing a batch to the network; since the delay of an edge is
 constant and the scheduler breaks ties FIFO, order is preserved.
 
 Fault model: serializers are fail-stop and, in the real system, each one is
-a chain-replicated group (§6.1).  Here a serializer models its chain with
-``chain_length`` (co-located replicas add one local hop of latency each) and
-exposes :meth:`crash_replica` / :meth:`fail` for fault injection; a real
-message-passing chain lives in :mod:`repro.core.chain` and is validated
-independently.
+a chain-replicated group (§6.1).  Here that chain is a latency and liveness
+model, not message passing: ``chain_length`` co-located replicas add one
+local hop of latency each (``chain_latency``, counted over
+``_alive_replicas``), :meth:`crash_replica` shortens the chain, and losing
+its last replica (or :meth:`fail`) crashes the whole serializer.
 """
 
 from __future__ import annotations
@@ -187,12 +187,10 @@ class Serializer(Process):
 
     # -- label handling ------------------------------------------------------
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, Ping):
-            self.send(message.origin, Pong(seq=message.seq))
-            return
-        if not isinstance(message, LabelBatch):
-            return
+    def _on_ping(self, sender: str, message: Ping) -> None:
+        self.send(message.origin, Pong(seq=message.seq))
+
+    def _on_batch(self, sender: str, message: LabelBatch) -> None:
         came_from = self._neighbor_of(sender)
         if (self.service_rate > 0 and came_from is None
                 and not message.replayed):
@@ -206,6 +204,8 @@ class Serializer(Process):
             self._enqueue_ingress(message, sender)
             return
         self._route_batch(message, came_from, sender)
+
+    _HANDLERS = {Ping: _on_ping, LabelBatch: _on_batch}
 
     # -- ingress service queue (overload configuration only) -----------------
 

@@ -174,25 +174,13 @@ class ClientProcess(Process):
     # replies
     # ------------------------------------------------------------------
 
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, AttachOk):
-            self._on_attach_ok()
-        elif isinstance(message, ReadReply):
+    def _on_update_reply(self, sender: str, message: UpdateReply) -> None:
+        if message.rejected:
+            self._on_op_rejected()
+        else:
             self._observe(message.label)
-            self._log_read(message)
-            self._on_read_reply(message)
-        elif isinstance(message, UpdateReply):
-            if message.rejected:
-                self._on_op_rejected()
-            else:
-                self._observe(message.label)
-                self._log_update(message)
-                self._complete_op("update")
-        elif isinstance(message, MigrateReply):
-            self._observe(message.label)
-            self._on_migrate_reply()
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
+            self._log_update(message)
+            self._complete_op("update")
 
     # -- execution-log hooks (only active when a checker is attached) -------
 
@@ -220,7 +208,7 @@ class ClientProcess(Process):
         if current is None or version > current:
             self._observed_max_per_key[key] = version
 
-    def _on_attach_ok(self) -> None:
+    def _on_attach_ok(self, sender: str, message: AttachOk) -> None:
         if self._phase == "initial-attach":
             self._on_ready()
         elif self._phase == "attach-remote":
@@ -233,7 +221,9 @@ class ClientProcess(Process):
         else:  # pragma: no cover - protocol error
             raise RuntimeError(f"unexpected AttachOk in phase {self._phase}")
 
-    def _on_read_reply(self, message: ReadReply) -> None:
+    def _on_read_reply(self, sender: str, message: ReadReply) -> None:
+        self._observe(message.label)
+        self._log_read(message)
         if self._phase == "read":
             self._complete_op("read")
         elif self._phase == "remote-read":
@@ -245,7 +235,8 @@ class ClientProcess(Process):
         else:  # pragma: no cover - protocol error
             raise RuntimeError(f"unexpected ReadReply in phase {self._phase}")
 
-    def _on_migrate_reply(self) -> None:
+    def _on_migrate_reply(self, sender: str, message: MigrateReply) -> None:
+        self._observe(message.label)
         if self._phase == "migrate-out":
             op = self._op
             assert isinstance(op, RemoteReadOp)
@@ -260,3 +251,10 @@ class ClientProcess(Process):
                           ClientAttach(self.client_id, self.stamp))
         else:  # pragma: no cover - protocol error
             raise RuntimeError(f"unexpected MigrateReply in phase {self._phase}")
+
+    _HANDLERS = {
+        AttachOk: _on_attach_ok,
+        ReadReply: _on_read_reply,
+        UpdateReply: _on_update_reply,
+        MigrateReply: _on_migrate_reply,
+    }

@@ -161,12 +161,6 @@ class SaturnDatacenter(Process):
     # message dispatch
     # ------------------------------------------------------------------
 
-    def receive(self, sender: str, message) -> None:
-        handler = self._HANDLERS.get(type(message))
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
-        handler(self, sender, message)
-
     def _on_pong(self, sender: str, message: Pong) -> None:
         if self.failover is not None:
             self.failover.on_pong(message.seq)
@@ -175,8 +169,7 @@ class SaturnDatacenter(Process):
         if self.failover is not None:
             self.failover.on_beacon(message)
 
-    #: exact type -> handler(self, sender, message); no message class is
-    #: subclassed, and components are looked up at call time
+    #: Process.receive's table; components are looked up at call time
     _HANDLERS = {
         ClientRead: lambda self, sender, m: self.frontend.read(sender, m.key),
         ClientUpdate: lambda self, sender, m: self.frontend.update(

@@ -4,11 +4,12 @@ These are small frozen dataclasses: the simulator passes them by reference,
 and ``payload_size`` fields let the network account for bytes without
 materializing actual values.
 
-Everything here is **wire-safe plain data** (see ``arch_contract.toml`` and
-the ARCH2xx audit rules): frozen, slotted, and composed only of scalars,
-tuples, and the :class:`~repro.core.label.Label` value type, so a message
-can be serialized byte-for-byte once a real transport replaces the
-simulated network.
+Everything here is **wire-safe plain data**: frozen, slotted, and composed
+only of scalars, tuples, and the :class:`~repro.core.label.Label` value
+type, so a message serializes byte-for-byte on the real transport.
+``repro.net.codec.register()`` checks exactly that for every class at
+import, and each class is a key of some actor's ``_HANDLERS`` table (a
+test holds the two sets equal).
 """
 
 from __future__ import annotations

@@ -1,10 +1,23 @@
 """Wire codec: frozen message dataclasses <-> length-prefixed binary frames.
 
 Every message that can cross a process boundary is *registered* here by
-class name; the registrations at the bottom of this module are the
-machine-checked mirror of ``arch_contract.toml``'s wire vocabulary
-(``codec_modules`` + audit rule ARCH205: a message with a receive handler
-but no ``register(...)`` call — or vice versa — is an audit finding).
+class name, and ``register`` enforces the wire rules once, at import
+(DESIGN.md §10):
+
+* the type is an Enum, or a dataclass declared ``frozen=True,
+  slots=True``;
+* every dataclass field type (``typing.get_type_hints``) is ``None``,
+  ``bool``, ``int``, ``float``, ``str``, an Enum, an already-registered
+  dataclass, or an ``Optional`` / ``Union`` / ``Tuple`` / ``FrozenSet``
+  of those — what the tag table below can carry.
+
+Anything else (a ``list`` / ``dict`` / ``set`` field, ``Any``,
+``object``, a mutable or unslotted class, an unregistered nested class,
+a second registration of a name) is a :class:`CodecError` that leaves the
+registry unchanged.  That every registered message has a receive handler
+is one test in ``tests/net/test_codec.py``: the registered set equals
+the union of the actors' ``_HANDLERS`` keys plus the field types
+``Label`` and ``DepContext``.
 
 The wire format (``encode_frame`` / ``encode_message`` and inverses) is
 binary and canonical: a value is one tag byte plus a big-endian payload.
@@ -38,8 +51,8 @@ dataclass) that ``net.node.HookJournal`` writes and ``net.check``
 replays; it never crosses a socket.
 
 Mutable containers (list/dict/set) are rejected by design in both: they
-are not wire-safe (ARCH203) and accepting them here would hide aliasing
-bugs the simulator's by-reference delivery already masks.
+are not wire-safe, and accepting them here would hide aliasing bugs the
+simulator's by-reference delivery already masks.
 """
 
 from __future__ import annotations
@@ -50,6 +63,8 @@ import json
 import math
 import operator
 import struct
+import types
+import typing
 from functools import partial
 from typing import Any, Callable, Dict, List, Tuple, Type
 
@@ -88,13 +103,12 @@ _ENUMS: Dict[str, Type] = {}
 
 
 def register(cls: Type) -> Type:
-    """Register *cls* (frozen dataclass or Enum) under its class name and
-    compile its wire encoder and decoder; its class id is its position
-    among these calls.
+    """Check *cls* against the wire rules (module docstring), then register
+    it under its class name and compile its wire encoder and decoder; its
+    class id is its position among these calls.
 
-    Kept as one explicit top-level call per type — never a loop — so the
-    architecture audit (ARCH205) can enumerate the registrations
-    statically and diff them against the handler-dispatched messages.
+    Kept as one explicit top-level call per type, never a loop, because
+    the class id is that position: the calls are append-only.
     """
     name = cls.__name__
     if name in _DATACLASSES or name in _ENUMS:
@@ -103,12 +117,49 @@ def register(cls: Type) -> Type:
     if isinstance(cls, type) and issubclass(cls, enum.Enum):
         _compile_enum(cls, head)
         _ENUMS[name] = cls
-    elif dataclasses.is_dataclass(cls):
+    else:
+        _check_dataclass(cls, name)  # raises before anything is recorded
         _compile_dataclass(cls, head)
         _DATACLASSES[name] = cls
-    else:
-        raise CodecError(f"{name!r} is neither a dataclass nor an Enum")
     return cls
+
+
+#: field types that are plain data by themselves (bytes has no wire tag)
+_ATOMS = (type(None), bool, int, float, str)
+
+
+def _check_dataclass(cls: Type, name: str) -> None:
+    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+        raise CodecError(f"{name!r} is neither a dataclass nor an Enum")
+    if not cls.__dataclass_params__.frozen or "__slots__" not in vars(cls):
+        raise CodecError(f"{name!r} must be @dataclass(frozen=True, "
+                         "slots=True): a wire message is immutable and "
+                         "cannot grow attributes")
+    try:
+        hints = typing.get_type_hints(cls)
+    except Exception as exc:  # an annotation naming nothing importable
+        raise CodecError(f"{name!r} has an unresolvable field type: "
+                         f"{exc}") from None
+    for field in dataclasses.fields(cls):
+        bad = _non_plain(hints[field.name])
+        if bad is not None:
+            raise CodecError(f"{name}.{field.name} is not wire-safe plain "
+                             f"data: {bad!r}")
+
+
+def _non_plain(hint: Any) -> Any:
+    """The first part of the type *hint* the wire cannot carry, or None."""
+    if hint in _ATOMS or hint in _DATACLASSES.values() or (
+            isinstance(hint, type) and issubclass(hint, enum.Enum)):
+        return None
+    if typing.get_origin(hint) in (typing.Union, types.UnionType, tuple,
+                                   frozenset):
+        for arg in typing.get_args(hint):
+            bad = None if arg is Ellipsis else _non_plain(arg)
+            if bad is not None:
+                return bad
+        return None
+    return hint
 
 
 def registered_messages() -> Dict[str, Type]:

@@ -15,7 +15,7 @@ actor runs unmodified on the deterministic simulator or on a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Optional
 
 from repro.sim.engine import Event, Simulator
 
@@ -28,8 +28,9 @@ __all__ = ["Process", "RepeatingTimer"]
 class Process:
     """A named actor on the simulation kernel.
 
-    Subclasses override :meth:`receive` to handle messages and may use
-    :meth:`set_timer` / :meth:`every` for local timeouts.
+    Subclasses declare a ``_HANDLERS`` table that :meth:`receive`
+    dispatches on and may use :meth:`set_timer` / :meth:`every` for local
+    timeouts.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -84,9 +85,20 @@ class Process:
             raise RuntimeError(f"process {self.name} has no network attached")
         self.network.send(self.name, to, message)
 
+    #: exact message type -> handler(self, sender, message).  Each actor
+    #: declares its own table (a subclass extends its base's with
+    #: ``{**Base._HANDLERS, ...}``); no message class is subclassed.  A
+    #: row that delegates to a component or an overridable method looks
+    #: it up at call time (``lambda self, sender, m: self.proxy.on_x(m)``)
+    _HANDLERS: ClassVar[Dict[type, Callable[[Any, str, Any], None]]] = {}
+
     def receive(self, sender: str, message: Any) -> None:
-        """Handle an incoming message.  Subclasses override."""
-        raise NotImplementedError
+        """Handle an incoming message: one lookup in ``_HANDLERS``."""
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:
+            raise TypeError(f"{type(self).__name__} has no handler for "
+                            f"{message!r}")
+        handler(self, sender, message)
 
     def deliver(self, sender: str, message: Any) -> None:
         """Called by the network; drops messages while crashed."""

@@ -4,9 +4,10 @@ from app.messages import PingMsg
 
 
 class Server:
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, PingMsg):
-            self.reply(sender, PingMsg(seq=message.seq + 1, source="srv"))
+    _HANDLERS = {
+        PingMsg: lambda self, sender, message: self.reply(
+            sender, PingMsg(seq=message.seq + 1, source="srv")),
+    }
 
     def reply(self, target: str, message) -> None:
         pass

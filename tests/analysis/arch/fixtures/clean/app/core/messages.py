@@ -4,14 +4,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateMsg:
     key: str
     ts: float
     deps: Tuple[Tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AckMsg:
     key: str
     ts: Optional[float] = None

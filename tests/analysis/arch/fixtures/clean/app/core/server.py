@@ -10,12 +10,16 @@ class Server:
         self.store = {}
 
     def receive(self, sender: str, message) -> None:
-        if isinstance(message, UpdateMsg):
-            self.store[message.key] = message.ts
-            self.reply(sender, AckMsg(key=message.key,
-                                      ts=self.clock.timestamp()))
-        elif isinstance(message, AckMsg):
-            self.store.pop(message.key, None)
+        self._HANDLERS[type(message)](self, sender, message)
+
+    def _on_update(self, sender: str, message: UpdateMsg) -> None:
+        self.store[message.key] = message.ts
+        self.reply(sender, AckMsg(key=message.key, ts=self.clock.timestamp()))
+
+    def _on_ack(self, sender: str, message: AckMsg) -> None:
+        self.store.pop(message.key, None)
+
+    _HANDLERS = {UpdateMsg: _on_update, AckMsg: _on_ack}
 
     def reply(self, target: str, message) -> None:
         pass

@@ -1,8 +1,10 @@
 """Protocol entry point whose handler is pure... on the surface."""
-
+from app.messages import UpdateMsg
 from app.store import apply_update
 
 
 class Server:
-    def receive(self, sender: str, message) -> None:
+    def _on_update(self, sender: str, message: UpdateMsg) -> None:
         apply_update(message)
+
+    _HANDLERS = {UpdateMsg: _on_update}

@@ -1,4 +1,4 @@
-"""Wire vocabulary: one conforming message."""
+"""Wire vocabulary: two conforming messages."""
 
 from dataclasses import dataclass
 
@@ -7,3 +7,8 @@ from dataclasses import dataclass
 class PingMsg:
     seq: int
     origin: str
+
+
+@dataclass(frozen=True, slots=True)
+class PongMsg:
+    seq: int

@@ -4,6 +4,10 @@ from app.messages import PingMsg
 
 
 class Server:
-    def receive(self, sender: str, message) -> None:
-        if isinstance(message, PingMsg):
-            self.last = (message.seq, message.orgin)
+    _HANDLERS = {
+        PingMsg: lambda self, sender, message: self.note(
+            message.seq, message.orgin),
+    }
+
+    def note(self, seq: int, origin: str) -> None:
+        self.last = (seq, origin)

@@ -79,9 +79,3 @@ def test_unknown_unrestricted_layer_raises(tmp_path):
         encoding="utf-8")
     with pytest.raises(ContractError):
         load_contract(bad)
-
-
-def test_components_are_parsed():
-    contract = repo_contract()
-    assert "repro.baselines.explicit:DepContext" in contract.components
-    assert "repro.baselines.explicit:DepContext" not in contract.extra_messages

@@ -47,8 +47,8 @@ def test_dc_process_name_lives_in_core_naming():
 
 
 def test_wire_messages_are_frozen_and_slotted():
-    # SAT008 / ARCH203 fix: every wire message must reject both field
-    # mutation and ad-hoc attribute growth
+    # every wire message must reject both field mutation and ad-hoc
+    # attribute growth (codec.register() refuses a class that does not)
     from repro.datacenter import messages
 
     ping = messages.Ping(seq=1, origin="dc:I")

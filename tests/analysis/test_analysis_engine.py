@@ -18,7 +18,8 @@ from repro.analysis.__main__ import main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 FIXTURES = Path(__file__).parent
-BAD_FIELD = FIXTURES / "arch" / "fixtures" / "bad_field"
+PURITY_LEAK = FIXTURES / "arch" / "fixtures" / "purity_leak"
+UNKNOWN_FIELD = FIXTURES / "arch" / "fixtures" / "unknown_field"
 
 CODES = [rule.code for rule in ALL_RULES]
 
@@ -34,9 +35,9 @@ def codes_in(report):
 def test_rule_catalogue_is_complete():
     assert CODES == [
         "SAT001", "SAT002", "SAT003", "SAT004", "SAT005", "SAT006",
-        "SAT007", "SAT008", "SAT009",
+        "SAT007", "SAT009",
         "ARCH001", "ARCH002", "ARCH003", "ARCH004", "ARCH101",
-        "ARCH201", "ARCH202", "ARCH203", "ARCH204", "ARCH205",
+        "ARCH202", "ARCH204",
         "CONC001", "CONC002", "CONC003", "CONC004", "CONC005", "CONC006"]
     for rule in ALL_RULES:
         assert rule.title and rule.rationale
@@ -124,15 +125,14 @@ def test_overlapping_arguments_share_one_parse(parsed):
 # ---------------------------------------------------------------------------
 
 def test_select_accepts_codes_and_prefixes():
-    app = BAD_FIELD / "app"
-    assert set(codes_in(analyze([app]))) == {"SAT008", "ARCH203"}
-    assert codes_in(analyze([app], select={"ARCH"})) == ["ARCH203"]
-    assert codes_in(analyze([app], select={"ARCH203"})) == ["ARCH203"]
-    assert analyze([app], select={"ARCH0", "ARCH1", "CONC"}).ok
-    assert analyze([app], ignore={"SAT", "ARCH2"}).ok
+    app = PURITY_LEAK / "app"
+    assert set(codes_in(analyze([app]))) == {"SAT001", "ARCH101"}
+    assert codes_in(analyze([app], select={"ARCH"})) == ["ARCH101"]
+    assert codes_in(analyze([app], select={"ARCH101"})) == ["ARCH101"]
+    assert analyze([app], select={"ARCH0", "ARCH2", "CONC"}).ok
+    assert analyze([app], ignore={"SAT", "ARCH1"}).ok
     only = analyze([app], select={"ARCH2"})
-    assert only.rules_run == ("ARCH201", "ARCH202", "ARCH203", "ARCH204",
-                              "ARCH205")
+    assert only.rules_run == ("ARCH202", "ARCH204")
 
 
 def test_unknown_code_or_prefix_is_rejected():
@@ -159,7 +159,7 @@ def test_arch_rules_only_run_under_a_contract_that_names_the_root():
 def test_explicit_contract_must_name_a_given_directory():
     with pytest.raises(ValueError, match="names none"):
         analyze([FIXTURES / "conc" / "fixtures" / "clean"],
-                contract=BAD_FIELD / "arch_contract.toml")
+                contract=UNKNOWN_FIELD / "arch_contract.toml")
 
 
 def test_find_contract_walks_up():
@@ -205,15 +205,15 @@ def test_cli_on_the_tree_exits_zero_with_json():
 
 
 def test_cli_json_findings_carry_the_one_schema(capsys):
-    assert main([str(BAD_FIELD / "app"), "--select", "ARCH,CONC001",
-                 "--contract", str(BAD_FIELD / "arch_contract.toml"),
+    assert main([str(UNKNOWN_FIELD / "app"), "--select", "ARCH,CONC001",
+                 "--contract", str(UNKNOWN_FIELD / "arch_contract.toml"),
                  "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     (finding,) = payload["findings"]
     assert set(finding) == {"file", "line", "col", "code", "message",
                             "witness"}
-    assert finding["code"] == "ARCH203"
+    assert finding["code"] == "ARCH202"
 
 
 def test_cli_human_output_names_the_finding(capsys):
@@ -233,7 +233,7 @@ def test_cli_list_rules(capsys):
     ["--select", "CONC042"],
     ["--contract", "/no/such/arch_contract.toml"],
     [str(FIXTURES / "fixtures"), "--contract",
-     str(BAD_FIELD / "arch_contract.toml")],
+     str(UNKNOWN_FIELD / "arch_contract.toml")],
 ])
 def test_cli_usage_and_contract_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -5,9 +5,11 @@ under ``fixtures/``, the ARCH trees under ``arch/fixtures/*/app`` and the
 CONC trees under ``conc/fixtures/*/app`` — to the sorted
 ``[relative file, line, code]`` list the three pre-merge auditors reported
 on it (captured from their ``--json`` at commit ba646d7; the five ARCH
-trees added since were captured with the same old CLIs).  The engine must
-reproduce it exactly with every rule enabled, which pins each rule *and*
-what the other two families say about each tree.
+trees added since were captured with the same old CLIs; the rows of the
+rules since replaced by the codec's ``register()`` checks and the handler
+table test were dropped with them).  The engine must reproduce it exactly
+with every rule enabled, which pins each rule *and* what the other two
+families say about each tree.
 """
 
 import json
@@ -85,11 +87,8 @@ SEEDED = {
     "arch/fixtures/kernel_internal": "app.kern.heap",
     "arch/fixtures/scheduler_bypass": "sim.schedule",
     "arch/fixtures/purity_leak": "time.time",
-    "arch/fixtures/missing_handler": "PingMsg",
     "arch/fixtures/unknown_field": "message.orgin",
-    "arch/fixtures/bad_field": "StateMsg.entries",
     "arch/fixtures/bad_construction": "'source'",
-    "arch/fixtures/codec_mismatch": "StateMsg",
     "conc/fixtures/conc001": "time.sleep",
     "conc/fixtures/conc002": "app.mod:work",
     "conc/fixtures/conc003": "self.value",
@@ -152,9 +151,9 @@ def test_noqa_suppresses_each_seeded_finding(name, tmp_path):
 
 def test_purity_witness_reports_the_full_call_chain():
     witness = "\n".join(seeded_finding("arch/fixtures/purity_leak").witness)
-    # entry point, both intermediate hops, and the offending call site —
-    # in that order
-    entry = witness.index("Server.receive")
+    # entry point (the target of a _HANDLERS row), both intermediate hops,
+    # and the offending call site — in that order
+    entry = witness.index("app.server:Server._on_update")
     hop2 = witness.index("app.store:apply_update")
     hop3 = witness.index("app.clockutil:stamp")
     leak = witness.index("calls time.time")
@@ -182,7 +181,7 @@ def test_lock_order_witness_names_both_sites():
     assert "while holding self.lock_b" in second
 
 
-# -- dispatch tables are handlers too ----------------------------------------
+# -- the _HANDLERS table is the message set ----------------------------------
 
 TABLE_SERVER = '''
 from app.messages import PingMsg, PongMsg
@@ -190,7 +189,7 @@ from app.messages import PingMsg, PongMsg
 
 class Server:
     def probe(self, send) -> None:
-        send(PingMsg(seq=1))
+        send(PingMsg(seq=1, {probe_field}="srv"))
         send(PongMsg(seq=2))
 
     def receive(self, sender: str, message) -> None:
@@ -206,21 +205,25 @@ class Server:
 '''
 
 
-def audit_table_server(tmp_path, **fields):
-    tree = REPO_ROOT / seeded_tree("arch/fixtures/missing_handler")
+def audit_table_server(tmp_path, probe_field="origin", **fields):
+    tree = REPO_ROOT / seeded_tree("arch/fixtures/unknown_field")
     copy = tmp_path / "app"
     shutil.copytree(tree, copy)
-    (copy / "server.py").write_text(TABLE_SERVER.format(**fields),
-                                    encoding="utf-8")
+    (copy / "server.py").write_text(
+        TABLE_SERVER.format(probe_field=probe_field, **fields),
+        encoding="utf-8")
     return analyze([copy], select={"ARCH"},
                    contract=tree.parent / "arch_contract.toml")
 
 
 def test_a_class_level_dispatch_table_registers_its_keys_as_handled(tmp_path):
-    # the isinstance form of this server is the ARCH201 fixture: PingMsg
-    # constructed, never dispatched
+    # every key of the table is a message: its handler reads and its
+    # construction sites are checked (a correct server is clean)
     report = audit_table_server(tmp_path, ping_field="seq", pong_field="seq")
     assert report.ok, report.format_human()
+    report = audit_table_server(tmp_path / "typo", probe_field="orgin",
+                                ping_field="seq", pong_field="seq")
+    assert [(f.code, f.line) for f in report.findings] == [("ARCH204", 7)]
 
 
 def test_table_handlers_narrow_their_last_parameter(tmp_path):
@@ -229,3 +232,32 @@ def test_table_handlers_narrow_their_last_parameter(tmp_path):
         ("ARCH202", 14), ("ARCH202", 17)]
     assert "m.sqe" in report.findings[1].message
     assert "message.orgin" in report.findings[0].message
+
+
+DELEGATING_SERVER = '''
+from app.messages import PingMsg
+
+
+class Server:
+    def _on_ping(self, origin: str, ping: PingMsg) -> None:
+        self.last = (origin, ping.{field})
+
+    _HANDLERS = {{
+        PingMsg: lambda self, sender, m: self._on_ping(sender, m),
+    }}
+'''
+
+
+@pytest.mark.parametrize("field, lines", [("seq", []), ("sqe", [7])])
+def test_a_lambda_row_is_followed_into_the_method_it_calls(
+        tmp_path, field, lines):
+    # the row delegates so a subclass override would win; the method's
+    # parameter in the message's position is narrowed to PingMsg
+    tree = REPO_ROOT / seeded_tree("arch/fixtures/unknown_field")
+    copy = tmp_path / "app"
+    shutil.copytree(tree, copy)
+    (copy / "server.py").write_text(DELEGATING_SERVER.format(field=field),
+                                    encoding="utf-8")
+    report = analyze([copy], select={"ARCH"},
+                     contract=tree.parent / "arch_contract.toml")
+    assert [f.line for f in report.findings] == lines

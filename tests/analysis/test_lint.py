@@ -55,26 +55,6 @@ def test_sat007_inline_variants():
         "import heapq\nheapq.heappush(h, (label.ts, label.src))\n") == []
 
 
-def test_bad_sat008_flags_each_defect_and_spares_conforming_class():
-    report = lint_paths([FIXTURES / "bad_sat008.py"])
-    sat008 = [f for f in report.findings if f.code == "SAT008"]
-    # not-frozen + no-slots, no-slots, and four non-plain annotations;
-    # CleanMsg and the non-dataclass contribute nothing
-    assert len(sat008) == 7
-    assert not any("CleanMsg" in f.message for f in sat008)
-
-
-def test_sat008_only_applies_to_wire_message_classes():
-    # same defects, but neither a messages.py module nor a *Payload/*Msg
-    # class name: out of scope
-    source = ("from dataclasses import dataclass\n"
-              "@dataclass\n"
-              "class Config:\n"
-              "    values: dict\n")
-    assert lint_source(source, filename="config.py") == []
-    assert codes_in(lint_source(source, filename="messages.py")) == {"SAT008"}
-
-
 def test_bad_sat009_finds_both_misuses_and_respects_noqa():
     report = lint_paths([FIXTURES / "bad_sat009.py"])
     sat009 = [f for f in report.findings if f.code == "SAT009"]

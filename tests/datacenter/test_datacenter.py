@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.datacenter.datacenter import DatacenterParams, dc_process_name
+from repro.baselines.base import StabilizedDatacenter
+from repro.baselines.eunomia import EunomiaDatacenter, EunomiaSequencer
+from repro.baselines.explicit import ExplicitDatacenter
+from repro.baselines.okapi import OkapiDatacenter
+from repro.core.serializer import Serializer
+from repro.datacenter.client import ClientProcess
+from repro.datacenter.datacenter import (DatacenterParams, SaturnDatacenter,
+                                         dc_process_name)
 
 from conftest import MiniCluster
 
@@ -37,6 +44,18 @@ def test_eventual_mode_sends_no_heartbeats_or_labels():
 def test_unexpected_message_raises(mini_cluster):
     with pytest.raises(TypeError):
         mini_cluster.dcs["I"].receive("nobody", object())
+
+
+@pytest.mark.parametrize("actor", [
+    SaturnDatacenter, Serializer, ClientProcess, StabilizedDatacenter,
+    EunomiaDatacenter, EunomiaSequencer, OkapiDatacenter, ExplicitDatacenter,
+], ids=lambda cls: cls.__name__)
+def test_every_actor_raises_on_an_unknown_message(actor):
+    # Process.receive consults only the class's _HANDLERS table, so an
+    # uninitialised instance is enough
+    process = actor.__new__(actor)
+    with pytest.raises(TypeError, match="no handler"):
+        process.receive("nobody", object())
 
 
 def test_cost_helpers_skip_metadata_in_eventual_mode():

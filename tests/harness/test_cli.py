@@ -77,4 +77,4 @@ def test_audit_subcommand_forwards_to_the_engine(capsys):
 def test_audit_subcommand_list_rules(capsys):
     assert main(["audit", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "SAT001" in out and "ARCH203" in out and "CONC006" in out
+    assert "SAT001" in out and "ARCH202" in out and "CONC006" in out

@@ -13,7 +13,9 @@ a ``CodecError`` — never any other exception.
 """
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, List, Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,6 +148,89 @@ def test_unregistered_dataclass_is_rejected():
 def test_duplicate_registration_is_rejected():
     with pytest.raises(codec.CodecError):
         codec.register(Label)
+
+
+# -- register(): the wire rules, checked once at import ---------------------
+
+@dataclass(frozen=True, slots=True)
+class Unregistered:
+    x: int
+
+
+@dataclass(frozen=True, slots=True)
+class ListField:
+    xs: List[int]
+
+
+@dataclass(frozen=True, slots=True)
+class AnyField:
+    x: Any
+
+
+@dataclass(frozen=True, slots=True)
+class ObjectField:
+    x: object
+
+
+@dataclass(slots=True)
+class Mutable:
+    x: int
+
+
+@dataclass(frozen=True)
+class Unslotted:
+    x: int
+
+
+@dataclass(frozen=True, slots=True)
+class NestsUnregistered:
+    inner: Optional[Unregistered]
+
+
+def registry_state():
+    return (codec.registered_messages(), dict(codec._ENUMS),
+            len(codec._CLASS_DECODERS), len(codec._ENCODERS))
+
+
+@pytest.mark.parametrize("cls", [
+    ListField, AnyField, ObjectField, Mutable, Unslotted, NestsUnregistered,
+    Label,  # a duplicate
+], ids=lambda cls: cls.__name__)
+def test_register_rejects_what_the_wire_cannot_carry(cls):
+    before = registry_state()
+    with pytest.raises(codec.CodecError):
+        codec.register(cls)
+    # nothing half-registered: same names, same next class id
+    assert registry_state() == before
+
+
+def test_registered_messages_are_exactly_the_handled_ones():
+    """Every registered message has a receive handler and every handled
+    message is registered: the keys of all actors' ``_HANDLERS`` tables,
+    plus the two types that only ride inside message fields."""
+    from repro.baselines.explicit import DepContext
+    import repro.core.serializer  # noqa: F401  (load every actor class)
+    import repro.datacenter.client  # noqa: F401
+    import repro.protocols  # noqa: F401
+    from repro.sim.process import Process
+
+    actors, stack = [], [Process]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.") and \
+                    "_HANDLERS" in vars(sub):
+                actors.append(sub)
+    assert {cls.__name__ for cls in actors} >= {
+        "SaturnDatacenter", "Serializer", "ClientProcess",
+        "StabilizedDatacenter", "EunomiaDatacenter", "EunomiaSequencer",
+        "OkapiDatacenter", "ExplicitDatacenter"}
+    handled = set().union(*(cls._HANDLERS for cls in actors))
+    registered = set(codec.registered_messages().values())
+    components = {Label, DepContext}
+    assert sorted(c.__name__ for c in registered - handled - components) == []
+    assert sorted(c.__name__ for c in handled - registered) == []
+    assert not components & handled
 
 
 def test_malformed_bodies_are_codec_errors():
