@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.harness.experiments import DEFAULT, SMOKE, Scale
+from repro.harness.runner import DEFAULT, SMOKE, Scale
 
 _SCALES = {
     "smoke": SMOKE,

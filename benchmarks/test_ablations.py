@@ -10,15 +10,13 @@
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import (ablation_artificial_delays,
-                                       ablation_genuine_partial,
-                                       ablation_parallel_apply,
-                                       ablation_sink_batching)
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
 
 
 def test_sink_batching_period(benchmark, scale):
-    result = run_pedantic(benchmark, ablation_sink_batching, scale)
+    result = run_pedantic(benchmark, run_experiment,
+                          "ablation-sink-batching", scale)
     rows = [[r["sink_batch_period_ms"], r["throughput"],
              r["mean_visibility_ms"]] for r in result["rows"]]
     print()
@@ -30,7 +28,8 @@ def test_sink_batching_period(benchmark, scale):
 
 
 def test_artificial_delays(benchmark, scale):
-    result = run_pedantic(benchmark, ablation_artificial_delays, scale)
+    result = run_pedantic(benchmark, run_experiment,
+                          "ablation-artificial-delays", scale)
     rows = [[r["config"], r["visibility_B_to_C_ms"],
              r["visibility_A_to_C_ms"]] for r in result["rows"]]
     print()
@@ -49,7 +48,8 @@ def test_artificial_delays(benchmark, scale):
 
 
 def test_parallel_apply(benchmark, scale):
-    result = run_pedantic(benchmark, ablation_parallel_apply, scale)
+    result = run_pedantic(benchmark, run_experiment,
+                          "ablation-parallel-apply", scale)
     rows = [[str(r["parallel_apply"]), r["throughput"],
              r["mean_visibility_ms"]] for r in result["rows"]]
     print()
@@ -61,7 +61,8 @@ def test_parallel_apply(benchmark, scale):
 
 
 def test_genuine_partial_replication(benchmark, scale):
-    result = run_pedantic(benchmark, ablation_genuine_partial, scale)
+    result = run_pedantic(benchmark, run_experiment,
+                          "ablation-genuine-partial", scale)
     print()
     for row in result["rows"]:
         print(f"{row['replication']}: total labels processed = "

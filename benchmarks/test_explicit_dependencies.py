@@ -15,31 +15,13 @@ of the client session and throughput collapses under the metadata cost.
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import run_once
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
-from repro.workloads.synthetic import SyntheticWorkload
 
 
 def test_dependency_list_growth(benchmark, scale):
-    def experiment():
-        rows = []
-        for system in ("cops", "cops-noprune"):
-            workload = SyntheticWorkload(read_ratio=0.7,
-                                         correlation="degree", degree=2)
-            results = run_once(system, workload, scale,
-                               sites=("NV", "NC", "O", "I", "F", "T", "S"))
-            cluster = results.cluster
-            sizes = [dc.mean_dep_list_size()
-                     for dc in cluster.datacenters.values()]
-            rows.append({
-                "system": system,
-                "mean_deps_per_update": sum(sizes) / len(sizes),
-                "throughput": results.throughput,
-                "mean_visibility_ms": results.visibility.mean(),
-            })
-        return rows
-
-    rows = run_pedantic(benchmark, experiment)
+    rows = run_pedantic(benchmark, run_experiment, "explicit-deps",
+                        scale)["rows"]
     print()
     print(format_table(
         ["system", "deps/update", "throughput", "visibility ms"],

@@ -12,12 +12,12 @@ it cannot take advantage of partial replication).
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import fig1a, fig1b
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
 
 
 def test_fig1a_tradeoff(benchmark, scale):
-    result = run_pedantic(benchmark, fig1a, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig1a", scale)
     rows = [[r["datacenters"],
              r["gentlerain_throughput_penalty_pct"],
              r["cure_throughput_penalty_pct"],
@@ -39,7 +39,7 @@ def test_fig1a_tradeoff(benchmark, scale):
 
 
 def test_fig1b_partial_replication(benchmark, scale):
-    result = run_pedantic(benchmark, fig1b, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig1b", scale)
     rows = [[r["replication_degree"],
              r["optimal_visibility_ms"],
              r["gentlerain_visibility_ms"],

@@ -13,13 +13,13 @@ optimal on average.
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import fig4
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_cdf_summary
 from repro.metrics.stats import mean
 
 
 def test_fig4_configurations(benchmark, scale):
-    result = run_pedantic(benchmark, fig4, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig4", scale)
     print()
     for name, series in result["series"].items():
         for pair in result["pairs"]:

@@ -14,7 +14,7 @@ from collections import defaultdict
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import FIG5_SYSTEMS, fig5
+from repro.harness.experiments import FIG5_SYSTEMS, run_experiment
 from repro.harness.report import format_table
 
 
@@ -26,7 +26,7 @@ def _pivot(rows):
 
 
 def test_fig5_all_panels(benchmark, scale):
-    result = run_pedantic(benchmark, fig5, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig5", scale)
     table = _pivot(result["rows"])
     printable = []
     for (panel, value), per_system in sorted(table.items(),

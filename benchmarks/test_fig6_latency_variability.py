@@ -12,12 +12,12 @@ far outside realistic EC2 variability.
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import fig6
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
 
 
 def test_fig6_latency_variability(benchmark, scale):
-    result = run_pedantic(benchmark, fig6, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig6", scale)
     rows = [[r["injected_delay_ms"], r["T1_extra_visibility_ms"],
              r["T2_extra_visibility_ms"]] for r in result["rows"]]
     print()

@@ -11,13 +11,13 @@ optimal but pays its stabilization delay.
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import fig7
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_cdf_summary
 from repro.metrics.stats import mean, percentile
 
 
 def test_fig7_visibility(benchmark, scale):
-    result = run_pedantic(benchmark, fig7, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig7", scale)
     print()
     for system, series in result["series"].items():
         for pair in result["pairs"]:

@@ -14,13 +14,13 @@ from collections import defaultdict
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import fig8
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_cdf_summary, format_table
 from repro.metrics.stats import mean
 
 
 def test_fig8_facebook(benchmark, scale):
-    result = run_pedantic(benchmark, fig8, scale)
+    result = run_pedantic(benchmark, run_experiment, "fig8", scale)
     table = defaultdict(dict)
     for row in result["rows"]:
         table[row["max_replicas"]][row["system"]] = row["throughput"]

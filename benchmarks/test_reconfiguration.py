@@ -7,12 +7,13 @@ failure path is bounded by timestamp-order stabilization instead.
 
 from conftest import run_pedantic
 
-from repro.harness.experiments import reconfiguration
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
 
 
 def test_fast_path_reconfiguration(benchmark, scale):
-    result = run_pedantic(benchmark, reconfiguration, scale)
+    result = run_pedantic(benchmark, run_experiment, "reconfiguration",
+                          scale)
     rows = [[dc, max(times) if times else float("nan")]
             for dc, times in sorted(result["per_dc_ms"].items())]
     print()
@@ -26,7 +27,8 @@ def test_fast_path_reconfiguration(benchmark, scale):
 
 
 def test_failure_path_reconfiguration(benchmark, scale):
-    result = run_pedantic(benchmark, reconfiguration, scale, emergency=True)
+    result = run_pedantic(benchmark, run_experiment, "reconfiguration",
+                          scale, emergency=True)
     print()
     print(f"failure-path reconfiguration: completed={result['completed']} "
           f"max={result['max_ms']}ms")

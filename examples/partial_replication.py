@@ -16,7 +16,7 @@ Run:  python examples/partial_replication.py
 """
 
 from repro.config.latencies import EC2_REGIONS
-from repro.harness.experiments import DEFAULT, Scale, m_configuration, run_once
+from repro.harness.runner import Scale, run_once
 from repro.harness.report import format_table
 from repro.workloads.synthetic import SyntheticWorkload
 

@@ -13,7 +13,7 @@ Run:  python examples/social_network.py
 """
 
 from repro.config.latencies import EC2_REGIONS
-from repro.harness.experiments import DEFAULT, Scale, m_configuration, run_once
+from repro.harness.runner import Scale, run_once
 from repro.harness.report import format_table
 from repro.workloads.facebook import FacebookWorkload
 

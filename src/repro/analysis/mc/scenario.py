@@ -128,14 +128,6 @@ def _latency_model() -> LatencyModel:
     return model
 
 
-def _chain_topology() -> TreeTopology:
-    return TreeTopology(
-        serializer_sites={"sI": "I", "sF": "F", "sT": "T"},
-        edges=[("sI", "sF"), ("sF", "sT")],
-        attachments={"I": "sI", "F": "sF", "T": "sT"},
-    )
-
-
 def _pivoted_topology() -> TreeTopology:
     """The reconfiguration target C2: same leaves, I in the middle."""
     return TreeTopology(
@@ -185,7 +177,8 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
         ClusterConfig(
             system=system, sites=SITES, num_partitions=2, seed=11,
             latency_model=_latency_model(),
-            saturn_topology=_chain_topology(), beacon_period=beacon_period,
+            saturn_topology=TreeTopology.chain(SITES),
+            beacon_period=beacon_period,
             auto_failover=auto_failover,
             dc_params=dict(SINK_CADENCE if has_tree else {},
                            **(dc_params or {})),

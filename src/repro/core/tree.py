@@ -226,6 +226,16 @@ class TreeTopology:
         )
 
     @classmethod
+    def chain(cls, sites: Sequence[str]) -> "TreeTopology":
+        """One serializer ``s<site>`` per site, chained in *sites* order,
+        each datacenter attached to its own: every label crosses the
+        whole chain (the worst-case metadata path)."""
+        names = [f"s{site}" for site in sites]
+        return cls(serializer_sites=dict(zip(names, sites)),
+                   edges=list(zip(names, names[1:])),
+                   attachments=dict(zip(sites, names)))
+
+    @classmethod
     def star(cls, serializer_site: str, dc_sites: Dict[str, str],
              name: str = "S1") -> "TreeTopology":
         """Single-serializer star (the paper's S-configuration)."""

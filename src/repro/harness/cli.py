@@ -20,36 +20,17 @@ import argparse
 import importlib
 import json
 import sys
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config.latencies import EC2_REGIONS, ec2_latency
-from repro.harness import experiments
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_cdf_summary, format_table
-from repro.harness.runner import SYSTEMS
-from repro.metrics.stats import mean
-from repro.protocols import PROTOCOLS, protocol_named
+from repro.harness.runner import DEFAULT, SMOKE, SYSTEMS, Scale, run_once
+from repro.protocols import PROTOCOLS
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
+__all__ = ["main", "build_parser"]
 
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1a": experiments.fig1a,
-    "fig1b": experiments.fig1b,
-    "fig4": experiments.fig4,
-    "fig5": experiments.fig5,
-    "fig6": experiments.fig6,
-    "fig7": experiments.fig7,
-    "fig8": experiments.fig8,
-    "five-way": experiments.five_way,
-    "overload": experiments.overload,
-    "reconfiguration": experiments.reconfiguration,
-    "visibility-under-failure": experiments.visibility_under_failure,
-    "ablation-sink-batching": experiments.ablation_sink_batching,
-    "ablation-artificial-delays": experiments.ablation_artificial_delays,
-    "ablation-parallel-apply": experiments.ablation_parallel_apply,
-    "ablation-genuine-partial": experiments.ablation_genuine_partial,
-}
-
-_SCALES = {"smoke": experiments.SMOKE, "default": experiments.DEFAULT}
+_SCALES = {"smoke": SMOKE, "default": DEFAULT}
 
 #: subcommands that belong to another tool: name -> (module whose
 #: ``main(argv)`` takes the rest of the command line, --help summary)
@@ -110,23 +91,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _summarize(name: str, result: Dict) -> str:
+    """The rows as a table, every series (a ``{pair: samples}`` mapping, or
+    a ``series`` dict of them) as CDF lines, every other key as it is."""
     lines = [f"== {name} =="]
-    if "rows" in result:
-        rows = result["rows"]
-        if rows:
-            headers = list(rows[0])  # dicts preserve column insertion order
-            lines.append(format_table(
-                headers, [[row.get(h, "") for h in headers] for row in rows]))
-    if "series" in result:
-        for series_name, series in result["series"].items():
-            for pair in result.get("pairs", []):
-                samples = series.get(pair, [])
-                lines.append(format_cdf_summary(
-                    f"{series_name} {pair[0]}->{pair[1]}", samples))
-    for key in ("means", "max_ms", "completed", "optimal_mean_overall",
-                "max_sustainable_ops_s", "p99_slo_ms", "goodput_floor"):
-        if key in result:
-            lines.append(f"{key}: {result[key]}")
+    pairs = result.get("pairs", [])
+
+    def cdfs(label: str, series: Dict) -> None:
+        lines.extend(format_cdf_summary(f"{label} {a}->{b}",
+                                        series.get((a, b), []))
+                     for a, b in pairs)
+
+    for key, value in result.items():
+        if key == "rows":
+            if value:
+                headers = list(value[0])  # dicts keep column order
+                lines.append(format_table(
+                    headers, [[row.get(h, "") for h in headers]
+                              for row in value]))
+        elif key == "series":
+            for label, series in value.items():
+                cdfs(label, series)
+        elif isinstance(value, dict) and pairs and pairs[0] in value:
+            cdfs(key, value)
+        elif key != "pairs":
+            lines.append(f"{key}: {value}")
     return "\n".join(lines)
 
 
@@ -152,17 +140,15 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.command == "list":
         print("experiments:")
-        for name, func in sorted(EXPERIMENTS.items()):
-            doc = (func.__doc__ or "").strip().splitlines()[0]
-            print(f"  {name:28s} {doc}")
+        for name, experiment in sorted(EXPERIMENTS.items()):
+            print(f"  {name:28s} {experiment.summary}")
         print("systems:")
         for protocol in PROTOCOLS.values():
             print(f"  {protocol.name:28s} {protocol.description}")
         return 0
 
     if args.command == "run":
-        scale = _SCALES[args.scale]
-        result = EXPERIMENTS[args.experiment](scale)
+        result = run_experiment(args.experiment, _SCALES[args.scale])
         print(_summarize(args.experiment, result))
         if args.json:
             with open(args.json, "w") as handle:
@@ -171,22 +157,15 @@ def main(argv: Optional[list] = None) -> int:
         return 0
 
     if args.command == "bench":
-        from repro.harness.runner import Cluster, ClusterConfig
         from repro.workloads.synthetic import SyntheticWorkload
-        workload_kwargs = dict(read_ratio=args.read_ratio,
-                               value_size=args.value_size,
-                               correlation=args.correlation,
-                               remote_read_fraction=args.remote_reads)
-        if args.correlation == "degree":
-            workload_kwargs["degree"] = 2
-        workload = SyntheticWorkload(**workload_kwargs)
-        config = ClusterConfig(system=args.system,
-                               clients_per_dc=args.clients, seed=args.seed)
-        if protocol_named(args.system).has_tree:
-            config.saturn_topology = experiments.m_configuration()
-        cluster = Cluster(config, workload)
-        results = cluster.run(duration=args.duration,
-                              warmup=min(200.0, args.duration / 4))
+        # degree only shapes the "degree" correlation pattern
+        workload = SyntheticWorkload(
+            read_ratio=args.read_ratio, value_size=args.value_size,
+            correlation=args.correlation,
+            remote_read_fraction=args.remote_reads, degree=2)
+        results = run_once(args.system, workload, Scale(
+            duration=args.duration, warmup=min(200.0, args.duration / 4),
+            clients_per_dc=args.clients, seed=args.seed))
         print(f"system:           {args.system}")
         print(f"throughput:       {results.throughput:.0f} ops/s")
         print(f"ops completed:    {results.ops_completed}")

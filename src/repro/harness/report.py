@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-__all__ = ["format_table", "format_cdf_summary"]
+__all__ = ["format_table", "format_cdf_summary", "round_floats"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -43,3 +43,13 @@ def format_cdf_summary(name: str, samples: Sequence[float],
     for p in percentiles:
         parts.append(f"p{int(p)}={percentile(samples, p):.1f}ms")
     return f"{name}: " + "  ".join(parts) + f"  (n={len(samples)})"
+
+
+def round_floats(value, digits: int = 6):
+    """*value* with every float rounded, recursively: the projection the
+    golden-pinned smoke summaries compare byte for byte."""
+    if isinstance(value, dict):
+        return {k: round_floats(v, digits) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round_floats(v, digits) for v in value]
+    return round(value, digits) if isinstance(value, float) else value

@@ -9,8 +9,11 @@ one, and the clients — the workload's own roster if it supplies one
 clients per site or open-loop arrival sources.  A run lasts a simulated
 duration and returns throughput and visibility-latency results with a
 warmup window discarded (the paper drops the first and last minute of
-each run).  The model-checking and chaos scenarios
-(:mod:`repro.analysis.mc.scenario`) are a ``Cluster`` plus oracles.
+each run).  :func:`run_once` builds and runs one for a :class:`Scale`,
+over the paper's M-configuration tree unless told otherwise; it is what
+every experiment of :mod:`repro.harness.experiments` runs.  The
+model-checking and chaos scenarios (:mod:`repro.analysis.mc.scenario`)
+are a ``Cluster`` plus oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config.latencies import EC2_REGIONS, ec2_latency_model
+from repro.config.latencies import (EC2_REGIONS, ec2_latency,
+                                    ec2_latency_model)
+from repro.config.placement import find_configuration
 from repro.core.failover import AutoFailover
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.replication import ReplicationMap
@@ -35,7 +40,8 @@ from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import RngRegistry
 
-__all__ = ["ClusterConfig", "Cluster", "RunResults", "MetricsHub", "SYSTEMS"]
+__all__ = ["ClusterConfig", "Cluster", "RunResults", "MetricsHub", "SYSTEMS",
+           "Scale", "SMOKE", "DEFAULT", "m_configuration", "run_once"]
 
 SYSTEMS = tuple(PROTOCOLS)
 
@@ -312,3 +318,57 @@ class Cluster:
             duration=duration, warmup=warmup,
             visibility=self.metrics.visibility, ops=self.metrics.ops,
             cluster=self)
+
+
+@dataclass(frozen=True)
+class Scale:
+    """Run sizing: simulated milliseconds and client population."""
+
+    duration: float = 800.0
+    warmup: float = 200.0
+    clients_per_dc: int = 8
+    facebook_clients_per_dc: int = 48
+    num_partitions: int = 2
+    seed: int = 1
+    beam_width: int = 6
+
+
+SMOKE = Scale(duration=400.0, warmup=100.0, clients_per_dc=4,
+              facebook_clients_per_dc=24, beam_width=3)
+DEFAULT = Scale()
+
+_mconf_cache: Dict[Tuple, TreeTopology] = {}
+
+
+def m_configuration(sites: Sequence[str] = tuple(EC2_REGIONS),
+                    beam_width: int = 6,
+                    weights: Optional[Dict] = None) -> TreeTopology:
+    """The paper's M-configuration: Algorithm 3 over the given sites."""
+    key = (tuple(sites), beam_width, None if weights is None
+           else tuple(sorted(weights.items())))
+    if key not in _mconf_cache:
+        solved = find_configuration(list(sites), {s: s for s in sites},
+                                    ec2_latency, weights=weights,
+                                    beam_width=beam_width)
+        _mconf_cache[key] = solved.topology
+    return _mconf_cache[key]
+
+
+def run_once(system: str, workload, scale: Scale,
+             sites: Sequence[str] = tuple(EC2_REGIONS),
+             topology: Optional[TreeTopology] = None,
+             clients_per_dc: Optional[int] = None,
+             before_run: Optional[Callable[[Cluster], None]] = None,
+             **config_overrides) -> RunResults:
+    """Build and run one cluster; the workhorse behind every experiment."""
+    if topology is None and protocol_named(system).has_tree:
+        topology = m_configuration(sites, beam_width=scale.beam_width)
+    config = ClusterConfig(
+        system=system, sites=tuple(sites),
+        num_partitions=scale.num_partitions,
+        clients_per_dc=clients_per_dc or scale.clients_per_dc,
+        seed=scale.seed, saturn_topology=topology, **config_overrides)
+    cluster = Cluster(config, workload)
+    if before_run is not None:
+        before_run(cluster)
+    return cluster.run(duration=scale.duration, warmup=scale.warmup)

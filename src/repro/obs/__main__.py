@@ -55,29 +55,18 @@ def _run_scenario(name: str) -> Tuple[ObsHub, object]:
 def _run_fig4(scale_name: str, seed: int) -> Tuple[ObsHub, object]:
     import dataclasses
 
-    from repro.config.latencies import EC2_REGIONS
-    from repro.config.objective import pair_weights_from_replication
-    from repro.harness.experiments import (DEFAULT, SMOKE, m_configuration,
-                                           run_once)
-    from repro.harness.runner import Cluster, ClusterConfig
-    from repro.workloads.synthetic import SyntheticWorkload
+    from repro.harness.experiments import EXPERIMENTS
+    from repro.harness.runner import DEFAULT, SMOKE, run_once
 
     scale = {"smoke": SMOKE, "default": DEFAULT}[scale_name]
     if seed:
         scale = dataclasses.replace(scale, seed=seed)
-    sites = list(EC2_REGIONS)
-    workload = SyntheticWorkload(correlation="exponential", read_ratio=0.9,
-                                 groups_per_dc=6)
-    # the same M-configuration Fig. 4 uses: Algorithm 3 with weights from
+    # the M-conf run of the fig4 experiment: Algorithm 3 with weights from
     # the workload's replication map
-    probe = Cluster(ClusterConfig(system="eventual", sites=tuple(sites),
-                                  clients_per_dc=1, seed=scale.seed),
-                    SyntheticWorkload(correlation="exponential",
-                                      groups_per_dc=6))
-    weights = pair_weights_from_replication(probe.replication)
-    topology = m_configuration(sites, scale.beam_width, weights)
-    result = run_once("saturn", workload, scale, sites=sites,
-                      topology=topology, obs=True)
+    runs, _ = EXPERIMENTS["fig4"].plan(scale)
+    (_, system, workload, kwargs), = [run for run in runs
+                                      if run[0] == "M-conf"]
+    result = run_once(system, workload, scale, obs=True, **kwargs)
     return result.cluster.obs_hub, result
 
 

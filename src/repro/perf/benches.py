@@ -155,16 +155,6 @@ class _LabelCounter(Process):
             self.labels_received += len(message.labels)
 
 
-def _chain_topology(sites: Tuple[str, ...]) -> TreeTopology:
-    """Deterministic 7-serializer chain, one datacenter per serializer."""
-    serializer_sites = {f"s{site}": site for site in sites}
-    names = [f"s{site}" for site in sites]
-    edges = list(zip(names, names[1:]))
-    attachments = {site: f"s{site}" for site in sites}
-    return TreeTopology(serializer_sites=serializer_sites, edges=edges,
-                        attachments=attachments)
-
-
 def _tree_run(batches_per_dc: int, labels_per_batch: int,
               sites: Tuple[str, ...], traced: bool = False) -> Tuple[int, float]:
     """One timed serializer-tree run; ``traced`` attaches a LabelTracer."""
@@ -177,7 +167,7 @@ def _tree_run(batches_per_dc: int, labels_per_batch: int,
         # imported lazily so the untraced bench never touches repro.obs
         from repro.obs import ObsHub
         service.obs = ObsHub(sim, network).tracer
-    topology = _chain_topology(sites)
+    topology = TreeTopology.chain(sites)
     service.install_tree(topology, epoch=0)
     counters: List[_LabelCounter] = []
     for site in sites:
@@ -309,7 +299,7 @@ def bench_codec(frames: int = 30_000, repeats: int = 3) -> Dict:
 def bench_figure(repeats: int = 3, scale=None) -> Dict:
     """Wall-clock for one smoke-scale Saturn figure run (lower is better)."""
     # imported lazily: the harness pulls in the whole workload stack
-    from repro.harness.experiments import SMOKE, m_configuration, run_once
+    from repro.harness.runner import SMOKE, m_configuration, run_once
     from repro.workloads.synthetic import SyntheticWorkload
 
     scale = scale or SMOKE
@@ -350,12 +340,12 @@ def bench_saturation(rates: Tuple[float, ...] = (2000.0, 4000.0, 6000.0,
     deterministic function of the codebase — no repeats, no calibration;
     a drop to the next sweep point means the throughput cliff moved.
     """
-    from repro.harness.experiments import OVERLOAD_SYSTEMS, Scale, overload
+    from repro.harness.experiments import run_experiment
+    from repro.harness.runner import Scale
 
-    assert "saturn" in OVERLOAD_SYSTEMS
     scale = Scale(duration=400.0, warmup=100.0, num_partitions=2, seed=11)
-    result = overload(scale, systems=("saturn",), rates=rates,
-                      num_users=num_users)
+    result = run_experiment("overload", scale, systems=("saturn",),
+                            rates=rates, num_users=num_users)
     best = result["max_sustainable_ops_s"]["saturn"] or 0.0
     return {
         "raw": best,

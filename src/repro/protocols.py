@@ -5,10 +5,11 @@ unchanged client library and workload (the §4 decomposition, and how §7.3
 swaps GentleRain and Cure in): a datacenter factory, the client's stamp
 merge function, how to count its dependency-metadata bytes, whether a
 Saturn serializer tree carries its labels, and any processes a datacenter
-runs besides itself.  ``Cluster``, ``ClusterConfig`` validation,
-``five_way``'s bytes column, the mc/chaos scenarios and ``saturn-repro
-list`` all read :data:`PROTOCOLS`; adding a system is one entry here plus
-its datacenter module.
+runs besides itself.  ``Cluster``, ``ClusterConfig`` validation, the
+bytes column of the ``five-way`` entry of
+:data:`~repro.harness.experiments.EXPERIMENTS`, the mc/chaos scenarios and
+``saturn-repro list`` all read :data:`PROTOCOLS`; adding a system is one
+entry here plus its datacenter module.
 
 Factories share one call shape::
 

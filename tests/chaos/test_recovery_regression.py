@@ -20,8 +20,8 @@ dedup set alone for a fresh one, goes wrong."""
 
 from repro.core.tree import TreeTopology
 from repro.harness import experiments
-from repro.harness.experiments import (SMOKE, Scale, run_once,
-                                       visibility_under_failure)
+from repro.harness.experiments import run_experiment
+from repro.harness.runner import SMOKE, Scale, run_once
 from repro.verify.checker import ExecutionLog
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -77,7 +77,7 @@ def test_visibility_returns_to_steady_state_after_recovery(monkeypatch):
         experiments, "run_once",
         lambda *args, before_run=None, **kwargs: run_once(
             *args, before_run=_with_oracle(before_run, logs), **kwargs))
-    result = visibility_under_failure(SMOKE)
+    result = run_experiment("visibility-under-failure", SMOKE)
     assert len(logs) == 1 and logs[0].check() == []
 
     assert result["recovered"], "automatic recovery never fired"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from typing import Dict
+
 import pytest
 
 from repro.core.replication import ReplicationMap
@@ -14,6 +17,27 @@ from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import RngRegistry
+
+
+#: seconds of setup + call + teardown per top-level test directory
+_WALL_TIME: Dict[str, float] = defaultdict(float)
+
+
+def pytest_runtest_logreport(report) -> None:
+    path = report.nodeid.split("::")[0].split("/")
+    _WALL_TIME["/".join(path[:2])] += report.duration
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    """Wall time per top-level test directory, slowest first: the tier-1
+    budget is their sum, so a directory that grows shows up here."""
+    if not _WALL_TIME:
+        return
+    terminalreporter.section("wall time per test directory")
+    for directory, seconds in sorted(_WALL_TIME.items(),
+                                     key=lambda item: -item[1]):
+        terminalreporter.write_line(f"{seconds:8.1f} s  {directory}")
+    terminalreporter.write_line(f"{sum(_WALL_TIME.values()):8.1f} s  total")
 
 
 @pytest.fixture

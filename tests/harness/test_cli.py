@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.harness.cli import EXPERIMENTS, build_parser, main
+from repro.harness.cli import build_parser, main
+from repro.harness.experiments import EXPERIMENTS
 
 
 def test_list_command(capsys):
@@ -15,10 +16,16 @@ def test_list_command(capsys):
     assert "cops" in out
 
 
-def test_every_experiment_registered():
-    expected = {"fig1a", "fig1b", "fig4", "fig5", "fig6", "fig7", "fig8",
-                "reconfiguration"}
-    assert expected <= set(EXPERIMENTS)
+def test_every_experiment_registered(capsys):
+    """`list` prints exactly the table: every name with its summary."""
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    listed = out.split("experiments:\n")[1].split("systems:\n")[0]
+    assert listed.splitlines() == [
+        f"  {name:28s} {experiment.summary}"
+        for name, experiment in sorted(EXPERIMENTS.items())]
+    for name in EXPERIMENTS:
+        assert build_parser().parse_args(["run", name]).experiment == name
 
 
 def test_run_unknown_experiment_rejected():
@@ -34,6 +41,15 @@ def test_run_experiment_smoke(capsys, tmp_path):
     assert "ablation-artificial-delays" in out
     payload = json.loads(out_file.read_text())
     assert "rows" in payload
+
+
+def test_run_prints_every_scalar_result(capsys):
+    """Top-level keys that are neither rows nor series are printed too."""
+    assert main(["run", "visibility-under-failure", "--scale", "smoke"]) == 0
+    out = capsys.readouterr().out
+    for key in ("crash_at_ms", "recovered", "degraded_spans",
+                "post_recovery_visibility_ms", "throughput"):
+        assert f"\n{key}: " in out
 
 
 def test_bench_command(capsys):

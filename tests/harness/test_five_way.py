@@ -7,10 +7,10 @@ simulation kernel shows up as a diff here before it shows up as a silent
 drift in EXPERIMENTS.md numbers.  If a change is *deliberate*,
 regenerate with::
 
-    PYTHONPATH=src python -c "
+    PYTHONPATH=src:. python -c "
     import json
-    from repro.harness.experiments import five_way_smoke_summary
-    print(json.dumps(five_way_smoke_summary(), indent=2, sort_keys=True))
+    from tests.harness.test_five_way import smoke_summary
+    print(json.dumps(smoke_summary(), indent=2, sort_keys=True))
     " > tests/harness/golden/five_way_smoke.json
 
 and update ``GOLDEN_SHA256`` below.
@@ -22,16 +22,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import FIVE_WAY_SYSTEMS, five_way_smoke_summary
+from repro.harness.experiments import FIVE_WAY_SYSTEMS, run_experiment
+from repro.harness.runner import Scale
+from repro.harness.report import round_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "five_way_smoke.json"
 GOLDEN_SHA256 = \
     "08f30d75861ade946596e7493f4fd99bc0a9bb837c3423612867175d86b185af"
 
 
+def smoke_summary():
+    """The five-way comparison at a pinned smoke scale, one entry per
+    system, every float rounded to 6 places."""
+    result = run_experiment(
+        "five-way", Scale(duration=400.0, warmup=100.0, clients_per_dc=4,
+                          num_partitions=2, seed=11, beam_width=3),
+        sites=("I", "F", "T"), pairs=(("I", "F"), ("I", "T")))
+    return {row.pop("system"): row for row in round_floats(result["rows"])}
+
+
 @pytest.fixture(scope="module")
 def summary():
-    return five_way_smoke_summary()
+    return smoke_summary()
 
 
 def test_golden_five_way_smoke_is_reproduced_byte_for_byte(summary):

@@ -7,10 +7,10 @@ closed-loop comparison: any change to the arrival processes, the
 streaming workload, the backpressure chain, or the kernel shows up as a
 diff here.  If a change is *deliberate*, regenerate with::
 
-    PYTHONPATH=src python -c "
+    PYTHONPATH=src:. python -c "
     import json
-    from repro.harness.experiments import overload_smoke_summary
-    print(json.dumps(overload_smoke_summary(), indent=2, sort_keys=True))
+    from tests.harness.test_overload import smoke_summary
+    print(json.dumps(smoke_summary(), indent=2, sort_keys=True))
     " > tests/harness/golden/overload_smoke.json
 
 and update ``GOLDEN_SHA256`` below.
@@ -22,17 +22,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import (OVERLOAD_SYSTEMS, Scale, overload,
-                                       overload_smoke_summary)
+from repro.harness.experiments import OVERLOAD_SYSTEMS, run_experiment
+from repro.harness.runner import Scale
+from repro.harness.report import round_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "overload_smoke.json"
 GOLDEN_SHA256 = \
     "243a48dc2b7427b14702f3b3a8ddee7498d7f23eba2dbec899bb697d8c74dd6a"
 
 
+def smoke_summary():
+    """The saturation sweep at a pinned smoke scale, every float rounded
+    to 6 places."""
+    return round_floats(run_experiment(
+        "overload", Scale(duration=400.0, warmup=100.0, num_partitions=2,
+                          seed=11),
+        rates=(500.0, 2000.0, 8000.0)))
+
+
 @pytest.fixture(scope="module")
 def summary():
-    return overload_smoke_summary()
+    return smoke_summary()
 
 
 def test_golden_overload_smoke_is_reproduced_byte_for_byte(summary):
@@ -90,8 +100,8 @@ def test_overload_sweep_is_deterministic():
     scale = Scale(duration=200.0, warmup=50.0, num_partitions=2, seed=11)
 
     def run():
-        result = overload(scale, systems=("saturn",), rates=(2000.0,),
-                          num_users=1000)
+        result = run_experiment("overload", scale, systems=("saturn",),
+                                rates=(2000.0,), num_users=1000)
         return json.dumps(result, indent=2, sort_keys=True)
 
     assert run() == run()

@@ -13,7 +13,7 @@ from repro.core.tree import TreeTopology
 from repro.datacenter.datacenter import DatacenterParams
 from repro.datacenter.script import ScriptedWorkload
 from repro.harness import experiments
-from repro.harness.runner import SYSTEMS, Cluster, ClusterConfig
+from repro.harness.runner import SYSTEMS, Cluster, ClusterConfig, Scale
 from repro.harness.report import format_cdf_summary, format_table
 from repro.protocols import PROTOCOLS, Protocol
 from repro.verify.checker import ExecutionLog
@@ -109,9 +109,9 @@ def test_a_protocol_registered_here_runs_and_fills_a_five_way_row(
         "toy", "GentleRain under another name", factory, gentlerain_merge,
         metadata_bytes=lambda dc: 3 * dc.updates_applied))
     monkeypatch.setattr(experiments, "FIVE_WAY_SYSTEMS", ("toy",))
-    scale = experiments.Scale(duration=300.0, warmup=50.0, clients_per_dc=2)
-    result = experiments.five_way(scale, sites=("I", "F", "T"),
-                                  pairs=(("I", "F"),))
+    scale = Scale(duration=300.0, warmup=50.0, clients_per_dc=2)
+    result = experiments.run_experiment(
+        "five-way", scale, sites=("I", "F", "T"), pairs=(("I", "F"),))
     (row,) = result["rows"]
     assert row["system"] == "toy" and row["ops_completed"] > 0
     assert row["visible_updates"] > 0

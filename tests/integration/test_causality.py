@@ -65,7 +65,7 @@ def test_saturn_causality_under_partial_replication():
 
 
 def test_saturn_causality_with_m_configuration():
-    from repro.harness.experiments import m_configuration
+    from repro.harness.runner import m_configuration
     sites = ("I", "F", "T", "S")
     topology = m_configuration(sites, beam_width=3)
     workload = SyntheticWorkload(correlation="full", read_ratio=0.7,

@@ -85,7 +85,7 @@ def test_saturn_repro_forwards_obs(capsys):
 # ---------------------------------------------------------------------------
 
 def test_run_once_obs_flag_builds_a_hub():
-    from repro.harness.experiments import SMOKE, run_once
+    from repro.harness.runner import SMOKE, run_once
     from repro.workloads.synthetic import SyntheticWorkload
 
     result = run_once("saturn", SyntheticWorkload(), SMOKE, obs=True)
@@ -101,7 +101,7 @@ def test_run_once_obs_flag_builds_a_hub():
 
 
 def test_run_once_without_obs_has_no_hub():
-    from repro.harness.experiments import SMOKE, run_once
+    from repro.harness.runner import SMOKE, run_once
     from repro.workloads.synthetic import SyntheticWorkload
 
     result = run_once("saturn", SyntheticWorkload(), SMOKE)

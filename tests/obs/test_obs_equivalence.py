@@ -261,7 +261,7 @@ def test_geo7_writes_obs_block_export_is_byte_identical():
     400 simulated ms) must export the bytes the old recorder exported."""
     from repro.config.latencies import EC2_REGIONS, ec2_latency
     from repro.config.placement import find_configuration
-    from repro.harness.experiments import Scale, run_once
+    from repro.harness.runner import Scale, run_once
     from repro.sim.rng import RngRegistry
     from repro.workloads.synthetic import SyntheticWorkload
 
