@@ -5,29 +5,27 @@ tagged with metadata (a scalar / a vector), shipped to replicas, and held in
 a pending set until a background *stabilization* mechanism — run every 5 ms,
 per the authors' specifications — proves them causally safe to reveal.
 
-:class:`StabilizedDatacenter` implements everything common: the partitioned
-store, client request handling, payload buffering, the periodic
-stabilization exchange, and attach blocking.  Subclasses define the metadata
-type (the client *stamp*), the stability predicate, and the CPU costs.
+:class:`StabilizedDatacenter` adds to the shared datacenter skeleton
+(:class:`~repro.datacenter.base.Datacenter`: store, reads, replica fan-out,
+recorders) what the family has in common: stamped updates, payload
+buffering, the periodic stabilization exchange, and attach blocking.
+Subclasses define the metadata type (the client *stamp*), the stability
+predicate, and the CPU costs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.label import Label, LabelType
-from repro.core.replication import ReplicationMap
-from repro.core.naming import dc_process_name
-from repro.datacenter.messages import (AttachOk, ClientAttach, ClientMigrate,
-                                       ClientRead, ClientUpdate, MigrateReply,
-                                       ReadReply, StabilizationMsg, UpdateReply)
-from repro.datacenter.storage import PartitionedStore, StoredValue
-from repro.sim.clock import PhysicalClock
-from repro.sim.cpu import REMOTE_APPLY_FACTOR, CostModel
-from repro.sim.engine import Simulator
-from repro.sim.process import Process
+from repro.datacenter.base import Datacenter
+from repro.datacenter.messages import (ClientAttach, ClientUpdate,
+                                       StabilizationMsg, UpdateReply)
+from repro.datacenter.storage import StoredValue
+from repro.sim.cpu import REMOTE_APPLY_FACTOR
 
 __all__ = ["StabilizedDatacenter", "BaselinePayload", "BaselineStamp",
            "stamp_wire_bytes", "SCALAR_STAMP_BYTES", "VECTOR_ENTRY_BYTES"]
@@ -63,7 +61,7 @@ def stamp_wire_bytes(stamp: BaselineStamp) -> int:
     return SCALAR_STAMP_BYTES
 
 
-class StabilizedDatacenter(Process):
+class StabilizedDatacenter(Datacenter):
     """Common machinery of GentleRain- and Cure-style datacenters."""
 
     #: stabilization period from the papers (ms)
@@ -74,19 +72,8 @@ class StabilizedDatacenter(Process):
     #: structural obligations, baseline modes are purely descriptive)
     VISIBILITY_MODE = "stabilized"
 
-    def __init__(self, sim: Simulator, name: str, site: str,
-                 replication: ReplicationMap, cost_model: CostModel,
-                 clock: PhysicalClock, num_partitions: int = 2,
-                 metrics=None, execution_log=None) -> None:
-        super().__init__(sim, dc_process_name(name))
-        self.dc_name = name
-        self.site = site
-        self.replication = replication
-        self.cost_model = cost_model
-        self.clock = clock
-        self.metrics = metrics
-        self.execution_log = execution_log
-        self.store = PartitionedStore(sim, num_partitions)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         #: remote updates not yet causally safe to reveal, per origin; each
         #: queue is in arrival = timestamp order (origin clocks are
         #: monotonic and bulk links are FIFO)
@@ -101,11 +88,7 @@ class StabilizedDatacenter(Process):
         #: *vector* is assembled receiver-side from these per-origin entries)
         self._remote_info: Dict[str, float] = {}
         self._waiters: List[Tuple[object, callable]] = []
-        self._update_seq = 0
         self.updates_applied = 0
-        #: optional LabelTracer (repro.obs) — observes issue/visible
-        #: transitions only, never schedules events
-        self.obs = None
         #: nominal dependency-metadata bytes shipped by this DC (update
         #: stamps + stabilization traffic), for the five-way comparison
         self.metadata_bytes_sent = 0
@@ -124,10 +107,6 @@ class StabilizedDatacenter(Process):
 
     def make_update_stamp(self, client_stamp: object, ts: float) -> object:
         """Metadata attached to a new local update."""
-        raise NotImplementedError
-
-    def read_stamp(self, key: str, stored: StoredValue) -> object:
-        """Stamp returned to the client for a read of *stored*."""
         raise NotImplementedError
 
     def vector_entries(self) -> int:
@@ -152,12 +131,7 @@ class StabilizedDatacenter(Process):
 
     def _ship_update(self, payload: BaselinePayload, value_size: int) -> None:
         """Replicate a fresh local update (Eunomia routes via its sequencer)."""
-        replicas = 0
-        for replica in sorted(self.replication.replicas(payload.key)):
-            if replica != self.dc_name:
-                self.network.send(self.name, dc_process_name(replica),
-                                  payload, size_bytes=value_size)
-                replicas += 1
+        replicas = self.replicate(payload.key, payload, value_size)
         self.metadata_bytes_sent += replicas * stamp_wire_bytes(payload.stamp)
 
     # ------------------------------------------------------------------
@@ -168,12 +142,8 @@ class StabilizedDatacenter(Process):
         self.every(self.STABILIZATION_PERIOD, self._stabilization_round)
 
     def _stabilization_round(self) -> None:
-        value = self.local_stabilization_value()
-        message = StabilizationMsg(origin_dc=self.dc_name, value=value)
-        for dc in self.replication.datacenters:
-            if dc != self.dc_name:
-                self.send(dc_process_name(dc), message)
-        partners = len(self.replication.datacenters) - 1
+        partners = self.broadcast(StabilizationMsg(
+            origin_dc=self.dc_name, value=self.local_stabilization_value()))
         self.metadata_bytes_sent += partners * SCALAR_STAMP_BYTES
         cost = self.cost_model.stabilization_cost(partners, self.vector_entries())
         for partition in self.store.partitions:
@@ -186,27 +156,16 @@ class StabilizedDatacenter(Process):
     # message dispatch
     # ------------------------------------------------------------------
 
-    def _on_migrate(self, client: str, message: ClientMigrate) -> None:
-        # No migration labels in these systems: the client re-attaches at
-        # the target with its current stamp.
-        self.send(client, MigrateReply(client_id=message.client_id,
-                                       label=None))
-
     def _on_stabilization(self, sender: str,
                           message: StabilizationMsg) -> None:
         self._remote_info[message.origin_dc] = message.value
         self._drain_pending()
         self._check_waiters()
 
-    #: Process.receive's table; a subclass extends it with
-    #: ``{**Base._HANDLERS, ...}``, and every row resolves its method on
-    #: ``self`` at call time so subclass overrides (Okapi's
-    #: ``_on_payload``) win
+    #: Process.receive's table; every row resolves its method on ``self``
+    #: at call time so subclass overrides (Okapi's ``_on_payload``) win
     _HANDLERS = {
-        ClientRead: lambda self, sender, m: self._client_read(sender, m),
-        ClientUpdate: lambda self, sender, m: self._client_update(sender, m),
-        ClientAttach: lambda self, sender, m: self._client_attach(sender, m),
-        ClientMigrate: lambda self, sender, m: self._on_migrate(sender, m),
+        **Datacenter._HANDLERS,
         BaselinePayload: lambda self, sender, m: self._on_payload(m),
         StabilizationMsg: lambda self, sender, m: self._on_stabilization(
             sender, m),
@@ -216,26 +175,9 @@ class StabilizedDatacenter(Process):
     # client operations
     # ------------------------------------------------------------------
 
-    def _client_read(self, client: str, message: ClientRead) -> None:
-        partition = self.store.partition_for(message.key)
-        stored_now = partition.get(message.key)
-        size = stored_now.value_size if stored_now else 0
-        cost = self.cost_model.read_cost(size, self.read_metadata_entries())
-
-        def _done() -> None:
-            stored = partition.get(message.key)
-            if stored is None:
-                self.send(client, ReadReply(client_id=message.client_id,
-                                            key=message.key, label=None,
-                                            value_size=0))
-            else:
-                self.send(client, ReadReply(
-                    client_id=message.client_id, key=message.key,
-                    label=self.read_stamp(message.key, stored),
-                    value_size=stored.value_size,
-                    version=(stored.label.ts, stored.label.src)))
-
-        partition.cpu.submit(cost, _done)
+    def read_cost(self, value_size: int) -> float:
+        return self.cost_model.read_cost(value_size,
+                                         self.read_metadata_entries())
 
     def _client_update(self, client: str, message: ClientUpdate) -> None:
         partition = self.store.partition_for(message.key)
@@ -244,7 +186,6 @@ class StabilizedDatacenter(Process):
 
         def _done() -> None:
             ts = self.make_timestamp(self._stamp_floor(message.label))
-            self._update_seq += 1
             label = Label(LabelType.UPDATE, src=f"{self.dc_name}/g0", ts=ts,
                           target=message.key, origin_dc=self.dc_name)
             stamp = self.make_update_stamp(message.label, ts)
@@ -256,8 +197,7 @@ class StabilizedDatacenter(Process):
             self._ship_update(payload, message.value_size)
             if self.obs is not None:
                 self.obs.on_issue(label, created_at, self.dc_name)
-            if self.execution_log is not None:
-                self.execution_log.record_update(label, self.dc_name, created_at)
+            self.issued(label, created_at)
             self.send(client, UpdateReply(
                 client_id=message.client_id, key=message.key,
                 label=self.read_stamp(message.key,
@@ -275,13 +215,11 @@ class StabilizedDatacenter(Process):
         self.store.put(key, StoredValue(label=label, value_size=value_size))
 
     def _client_attach(self, client: str, message: ClientAttach) -> None:
-        def _ok() -> None:
-            self.send(client, AttachOk(client_id=message.client_id))
-
+        reply = partial(super()._client_attach, client, message)
         if message.label is None or self.is_stable(message.label):
-            _ok()
+            reply()
         else:
-            self._waiters.append((message.label, _ok))
+            self._waiters.append((message.label, reply))
 
     def _check_waiters(self) -> None:
         if not self._waiters:
@@ -349,13 +287,5 @@ class StabilizedDatacenter(Process):
             self._store_update(payload.key, payload.label, payload.value_size,
                                payload.stamp)
             self.updates_applied += 1
-            if self.obs is not None:
-                self.obs.on_visible(payload.label, self.sim.now, self.dc_name,
-                                    self.VISIBILITY_MODE)
-            if self.metrics is not None:
-                self.metrics.record_visibility(
-                    payload.label.origin_dc, self.dc_name,
-                    self.sim.now - payload.created_at)
-            if self.execution_log is not None:
-                self.execution_log.record_visible(payload.label, self.dc_name,
-                                                  self.sim.now)
+            self.revealed(payload.label, payload.created_at,
+                          self.VISIBILITY_MODE)

@@ -32,15 +32,12 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.label import Label, LabelType
 from repro.core.replication import ReplicationMap
-from repro.core.naming import dc_process_name
-from repro.datacenter.messages import (AttachOk, ClientAttach, ClientMigrate,
-                                       ClientRead, ClientUpdate, MigrateReply,
-                                       ReadReply, UpdateReply)
-from repro.datacenter.storage import PartitionedStore, StoredValue
+from repro.datacenter.base import Datacenter
+from repro.datacenter.messages import ClientUpdate, UpdateReply
+from repro.datacenter.storage import StoredValue
 from repro.sim.clock import PhysicalClock
 from repro.sim.cpu import REMOTE_APPLY_FACTOR, CostModel
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 __all__ = ["ExplicitDatacenter", "ExplicitPayload", "DepContext",
            "explicit_merge"]
@@ -86,8 +83,11 @@ class ExplicitPayload:
     deps: FrozenSet[Dependency]
 
 
-class ExplicitDatacenter(Process):
-    """A datacenter running COPS-style explicit dependency checking."""
+class ExplicitDatacenter(Datacenter):
+    """A datacenter running COPS-style explicit dependency checking.
+
+    Attach and migrate are the skeleton's immediate replies: COPS has no
+    attach (sessions carry their context, checked per operation)."""
 
     #: ``mode`` tag for obs ``visible`` events (see StabilizedDatacenter)
     VISIBILITY_MODE = "explicit"
@@ -97,16 +97,9 @@ class ExplicitDatacenter(Process):
                  clock: PhysicalClock, num_partitions: int = 2,
                  prune_on_write: bool = True,
                  metrics=None, execution_log=None) -> None:
-        super().__init__(sim, dc_process_name(name))
-        self.dc_name = name
-        self.site = site
-        self.replication = replication
-        self.cost_model = cost_model
-        self.clock = clock
+        super().__init__(sim, name, site, replication, cost_model, clock,
+                         num_partitions, metrics, execution_log)
         self.prune_on_write = prune_on_write
-        self.metrics = metrics
-        self.execution_log = execution_log
-        self.store = PartitionedStore(sim, num_partitions)
         #: payloads blocked on a dependency, indexed by the missing (key,
         #: version) they are waiting for
         self._blocked: Dict[Dependency, List[ExplicitPayload]] = defaultdict(list)
@@ -114,29 +107,9 @@ class ExplicitDatacenter(Process):
         self.updates_applied = 0
         #: statistics: sizes of dependency lists shipped with updates
         self.dep_list_sizes: List[int] = []
-        #: optional LabelTracer (repro.obs) — observes issue/visible
-        #: transitions only, never schedules events
-        self.obs = None
-
-    def start(self) -> None:
-        """No background machinery: dependency checks happen on arrival."""
-
-    # ------------------------------------------------------------------
-
-    def _on_attach(self, client: str, message: ClientAttach) -> None:
-        # dependency contexts are checked per-operation; attach is a no-op
-        # (COPS has no attach — sessions carry their context)
-        self.send(client, AttachOk(client_id=message.client_id))
-
-    def _on_migrate(self, client: str, message: ClientMigrate) -> None:
-        self.send(client, MigrateReply(client_id=message.client_id,
-                                       label=None))
 
     _HANDLERS = {
-        ClientRead: lambda self, sender, m: self._client_read(sender, m),
-        ClientUpdate: lambda self, sender, m: self._client_update(sender, m),
-        ClientAttach: _on_attach,
-        ClientMigrate: _on_migrate,
+        **Datacenter._HANDLERS,
         ExplicitPayload: lambda self, sender, m: self._on_payload(m),
     }
 
@@ -148,26 +121,12 @@ class ExplicitDatacenter(Process):
         """Explicit metadata cost: proportional to the dependency list."""
         return self.cost_model.vector_entry_metadata * deps_count
 
-    def _client_read(self, client: str, message: ClientRead) -> None:
-        partition = self.store.partition_for(message.key)
-        stored_now = partition.get(message.key)
-        size = stored_now.value_size if stored_now else 0
-        cost = (self.cost_model.read_base + self.cost_model.per_byte * size)
+    def read_cost(self, value_size: int) -> float:
+        return self.cost_model.read_base + self.cost_model.per_byte * value_size
 
-        def _done() -> None:
-            stored = partition.get(message.key)
-            if stored is None:
-                self.send(client, ReadReply(client_id=message.client_id,
-                                            key=message.key, label=None,
-                                            value_size=0))
-                return
-            version = (stored.label.ts, stored.label.src)
-            context = DepContext(deps=frozenset({(message.key, version)}))
-            self.send(client, ReadReply(
-                client_id=message.client_id, key=message.key, label=context,
-                value_size=stored.value_size, version=version))
-
-        partition.cpu.submit(cost, _done)
+    def read_stamp(self, key: str, stored: StoredValue) -> DepContext:
+        return DepContext(
+            deps=frozenset({(key, (stored.label.ts, stored.label.src))}))
 
     def _client_update(self, client: str, message: ClientUpdate) -> None:
         partition = self.store.partition_for(message.key)
@@ -187,16 +146,11 @@ class ExplicitDatacenter(Process):
             payload = ExplicitPayload(label=label, key=message.key,
                                       value_size=message.value_size,
                                       created_at=self.sim.now, deps=deps)
-            for replica in sorted(self.replication.replicas(message.key)):
-                if replica != self.dc_name:
-                    self.network.send(
-                        self.name, dc_process_name(replica), payload,
-                        size_bytes=message.value_size + 16 * len(deps))
+            self.replicate(message.key, payload,
+                           message.value_size + 16 * len(deps))
             if self.obs is not None:
                 self.obs.on_issue(label, self.sim.now, self.dc_name)
-            if self.execution_log is not None:
-                self.execution_log.record_update(label, self.dc_name,
-                                                 self.sim.now)
+            self.issued(label, self.sim.now)
             if self.prune_on_write:
                 # transitivity prune: the new write dominates the context
                 new_context = DepContext(
@@ -237,16 +191,8 @@ class ExplicitDatacenter(Process):
         def _done() -> None:
             self._install(payload.key, payload.label, payload.value_size)
             self.updates_applied += 1
-            if self.obs is not None:
-                self.obs.on_visible(payload.label, self.sim.now, self.dc_name,
-                                    self.VISIBILITY_MODE)
-            if self.metrics is not None:
-                self.metrics.record_visibility(
-                    payload.label.origin_dc, self.dc_name,
-                    self.sim.now - payload.created_at)
-            if self.execution_log is not None:
-                self.execution_log.record_visible(payload.label, self.dc_name,
-                                                  self.sim.now)
+            self.revealed(payload.label, payload.created_at,
+                          self.VISIBILITY_MODE)
 
         partition.cpu.submit(cost, _done)
 
@@ -274,6 +220,3 @@ class ExplicitDatacenter(Process):
         if not self.dep_list_sizes:
             return 0.0
         return sum(self.dep_list_sizes) / len(self.dep_list_sizes)
-
-    def blocked_count(self) -> int:
-        return sum(len(v) for v in self._blocked.values())

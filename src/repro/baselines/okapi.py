@@ -37,7 +37,6 @@ from typing import Dict, Optional
 
 from repro.baselines.base import (VECTOR_ENTRY_BYTES, BaselinePayload)
 from repro.baselines.cure import CureDatacenter, Vector, freeze_vector
-from repro.core.naming import dc_process_name
 from repro.sim.clock import PhysicalClock
 
 __all__ = ["OkapiDatacenter", "OkapiStabMsg", "HybridClock"]
@@ -151,12 +150,8 @@ class OkapiDatacenter(CureDatacenter):
 
     def _stabilization_round(self) -> None:
         row = self._knowledge_row()
-        message = OkapiStabMsg(origin_dc=self.dc_name, entries=row)
-        partners = 0
-        for dc in self.replication.datacenters:
-            if dc != self.dc_name:
-                self.send(dc_process_name(dc), message)
-                partners += 1
+        partners = self.broadcast(OkapiStabMsg(origin_dc=self.dc_name,
+                                               entries=row))
         self.metadata_bytes_sent += partners * VECTOR_ENTRY_BYTES * len(row)
         # the cheaper global-cut rule: one aggregated exchange serves the
         # whole datacenter, so the periodic CPU tax lands on a single

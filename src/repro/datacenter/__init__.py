@@ -1,10 +1,11 @@
-"""Per-datacenter components (§4): frontends, gears, label sink, remote
-proxy, storage, and the client library."""
+"""Per-datacenter components (§4): the datacenter skeleton every protocol
+shares, gears, label sink, remote proxy, storage, and the client
+library."""
 
+from repro.datacenter.base import Datacenter
 from repro.datacenter.client import ClientProcess
 from repro.datacenter.datacenter import (DatacenterParams, SaturnDatacenter,
                                          dc_process_name)
-from repro.datacenter.frontend import Frontend
 from repro.datacenter.gear import Gear
 from repro.datacenter.label_sink import LabelSink
 from repro.datacenter.remote_proxy import RemoteProxy
@@ -12,7 +13,7 @@ from repro.datacenter.storage import (Partition, PartitionedStore,
                                       StoredValue, responsible_partition)
 
 __all__ = [
-    "ClientProcess", "DatacenterParams", "SaturnDatacenter",
-    "dc_process_name", "Frontend", "Gear", "LabelSink", "RemoteProxy",
+    "ClientProcess", "Datacenter", "DatacenterParams", "SaturnDatacenter",
+    "dc_process_name", "Gear", "LabelSink", "RemoteProxy",
     "Partition", "PartitionedStore", "StoredValue", "responsible_partition",
 ]

@@ -1,10 +1,11 @@
 """Datacenter assembly: the abstract decomposition of §4 wired together.
 
 One :class:`SaturnDatacenter` is a single simulated process containing the
-paper's per-datacenter components — stateless frontend logic, one gear per
-storage partition, the label sink, and the remote proxy.  Inter-datacenter
-traffic (bulk payloads, heartbeats) and Saturn label batches are real
-network messages.
+paper's per-datacenter components — the stateless frontend (the client
+rows of the :class:`~repro.datacenter.base.Datacenter` skeleton, with
+Saturn's attach, update and migrate), one gear per storage partition, the
+label sink, and the remote proxy.  Inter-datacenter traffic (bulk
+payloads, heartbeats) and Saturn label batches are real network messages.
 
 ``consistency`` selects the system variant:
 
@@ -18,27 +19,27 @@ network messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.label import Label, LabelType
 from repro.core.naming import dc_process_name
 from repro.core.replication import ReplicationMap
-from repro.datacenter.frontend import Frontend
+from repro.datacenter.base import Datacenter
 from repro.datacenter.gear import Gear
 from repro.datacenter.failover import SinkFailoverDetector
 from repro.datacenter.label_sink import LabelSink
 from repro.datacenter.messages import (BulkHeartbeat, ClientAttach,
-                                       ClientMigrate, ClientRead, ClientUpdate,
-                                       LabelBatch, LabelCredit, Pong,
-                                       RemotePayload, SerializerBeacon)
+                                       ClientMigrate, ClientUpdate, LabelBatch,
+                                       LabelCredit, MigrateReply, Pong,
+                                       RemotePayload, SerializerBeacon,
+                                       UpdateReply)
 from repro.datacenter.overload import AdmissionController
 from repro.datacenter.remote_proxy import RemoteProxy
-from repro.datacenter.storage import PartitionedStore
 from repro.sim.clock import PhysicalClock
 from repro.sim.cpu import REMOTE_APPLY_FACTOR, CostModel
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import SaturnService
@@ -95,26 +96,20 @@ class DatacenterParams:
         return 2.0 * (self.beacon_timeout + self.stabilization_wait) + 20.0
 
 
-class SaturnDatacenter(Process):
-    """A geo-replicated datacenter with Saturn hooks."""
+class SaturnDatacenter(Datacenter):
+    """A geo-replicated datacenter with Saturn hooks: the skeleton's
+    client rows run the frontend of Alg. 1 over one gear per partition."""
 
     def __init__(self, sim: Simulator, params: DatacenterParams,
                  replication: ReplicationMap, cost_model: CostModel,
                  clock: PhysicalClock, metrics=None, execution_log=None) -> None:
-        super().__init__(sim, dc_process_name(params.name))
+        super().__init__(sim, params.name, params.site, replication,
+                         cost_model, clock, params.num_partitions, metrics,
+                         execution_log)
         self.params = params
-        self.dc_name = params.name
-        self.site = params.site
         self.consistency = params.consistency
-        self.replication = replication
-        self.cost_model = cost_model
-        self.clock = clock
-        self.metrics = metrics
-        self.execution_log = execution_log
-
-        self.store = PartitionedStore(sim, params.num_partitions)
         self.gears: List[Gear] = [Gear(self, p) for p in self.store.partitions]
-        self.frontend = Frontend(self)
+        self._migrate_rr = 0
         self.proxy = RemoteProxy(
             self, mode=params.consistency,
             parallel_concurrent=params.parallel_concurrent_apply)
@@ -171,13 +166,7 @@ class SaturnDatacenter(Process):
 
     #: Process.receive's table; components are looked up at call time
     _HANDLERS = {
-        ClientRead: lambda self, sender, m: self.frontend.read(sender, m.key),
-        ClientUpdate: lambda self, sender, m: self.frontend.update(
-            sender, m.key, m.value_size, m.label),
-        ClientAttach: lambda self, sender, m: self.frontend.attach(
-            sender, m.label),
-        ClientMigrate: lambda self, sender, m: self.frontend.migrate(
-            sender, m.target_dc, m.label),
+        **Datacenter._HANDLERS,
         RemotePayload: lambda self, sender, m: self.proxy.on_payload(m),
         BulkHeartbeat: lambda self, sender, m: self.proxy.on_heartbeat(m),
         LabelBatch: lambda self, sender, m: self.proxy.on_labels(m),
@@ -186,8 +175,57 @@ class SaturnDatacenter(Process):
         SerializerBeacon: _on_beacon,
     }
 
-    def reply(self, client: str, message) -> None:
-        self.send(client, message)
+    # ------------------------------------------------------------------
+    # client operations (Alg. 1; reads are the skeleton's)
+    # ------------------------------------------------------------------
+
+    def _client_attach(self, client: str, message: ClientAttach) -> None:
+        """ATTACH: reply once the client's causal past is visible here."""
+        label = message.label
+        reply = partial(super()._client_attach, client, message)
+        if (label is None or label.origin_dc == self.dc_name
+                or self.consistency == "eventual"):
+            reply()
+        elif label.type is LabelType.MIGRATION:
+            self.proxy.wait_for(
+                lambda: self.proxy.migration_processed(label), reply)
+        else:
+            self.proxy.wait_for(lambda: self.proxy.update_stable(label), reply)
+
+    def _client_update(self, client: str, message: ClientUpdate) -> None:
+        """UPDATE: the responsible gear labels, stores and ships it."""
+        if self.admission is not None and \
+                not self.admission.try_admit(self.sim.now):
+            # Overload configuration: shed load *before* it costs storage
+            # CPU — a rejected update never existed, so causal visibility
+            # of everything admitted is unaffected.
+            self.send(client, UpdateReply(client_id=message.client_id,
+                                          key=message.key, label=None,
+                                          rejected=True))
+            return
+        partition = self.store.partition_for(message.key)
+        gear = self.gears[partition.index]
+
+        def _done() -> None:
+            label = gear.update(message.key, message.value_size,
+                                message.label)
+            self.send(client, UpdateReply(client_id=message.client_id,
+                                          key=message.key, label=label,
+                                          version=(label.ts, label.src)))
+
+        partition.cpu.submit(self.write_cost(message.value_size), _done)
+
+    def _client_migrate(self, client: str, message: ClientMigrate) -> None:
+        """MIGRATE: any gear (round robin) mints the migration label."""
+        gear = self.gears[self._migrate_rr % len(self.gears)]
+        self._migrate_rr += 1
+
+        def _done() -> None:
+            label = gear.migration(message.target_dc, message.label)
+            self.send(client, MigrateReply(client_id=message.client_id,
+                                           label=label))
+
+        gear.partition.cpu.submit(self.cost_model.attach_check, _done)
 
     # ------------------------------------------------------------------
     # cost helpers
@@ -196,7 +234,7 @@ class SaturnDatacenter(Process):
     def read_cost(self, value_size: int) -> float:
         if self.consistency == "eventual":
             return self.cost_model.read_base + self.cost_model.per_byte * value_size
-        return self.cost_model.read_cost(value_size)
+        return super().read_cost(value_size)
 
     def write_cost(self, value_size: int) -> float:
         if self.consistency == "eventual":
@@ -215,19 +253,9 @@ class SaturnDatacenter(Process):
     # outbound traffic
     # ------------------------------------------------------------------
 
-    def send_bulk(self, dc_name: str, payload: RemotePayload,
-                  size_bytes: int = 0) -> None:
-        if self.network is None:
-            return
-        self.network.send(self.name, dc_process_name(dc_name), payload,
-                          size_bytes=size_bytes)
-
     def _bulk_heartbeat(self) -> None:
-        ts = self.clock.timestamp()
-        heartbeat = BulkHeartbeat(origin_dc=self.dc_name, ts=ts)
-        for dc in self.replication.datacenters:
-            if dc != self.dc_name:
-                self.send(dc_process_name(dc), heartbeat)
+        self.broadcast(BulkHeartbeat(origin_dc=self.dc_name,
+                                     ts=self.clock.timestamp()))
 
     def send_to_saturn(self, labels: Sequence[Label],
                        replayed: bool = False) -> None:
@@ -260,20 +288,3 @@ class SaturnDatacenter(Process):
             # (duplicates are discarded by the remote proxies' dedup)
             self.sink.replay_recent()
         self.proxy.begin_transition(new_epoch, emergency=emergency)
-
-    # ------------------------------------------------------------------
-    # observation hooks
-    # ------------------------------------------------------------------
-
-    def on_local_update(self, label: Label, created_at: float) -> None:
-        if self.execution_log is not None:
-            self.execution_log.record_update(label, self.dc_name, created_at)
-
-    def on_remote_visible(self, payload: RemotePayload) -> None:
-        if self.metrics is not None:
-            self.metrics.record_visibility(
-                payload.label.origin_dc, self.dc_name,
-                self.sim.now - payload.created_at)
-        if self.execution_log is not None:
-            self.execution_log.record_visible(payload.label, self.dc_name,
-                                              self.sim.now)

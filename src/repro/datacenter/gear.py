@@ -4,12 +4,14 @@ A gear is attached to each storage server (partition).  It intercepts update
 requests, generates the update's label (timestamp strictly greater than the
 client's causal past), persists the value, ships the payload to remote
 replicas through the bulk-data transfer service, and hands the label to the
-label sink.  It also mints migration labels (§4.4).
+label sink.  It also mints migration labels (§4.4).  A read (Alg. 2, READ)
+adds nothing to the stored version, so reads are the datacenter
+skeleton's (:class:`~repro.datacenter.base.Datacenter`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.label import Label, LabelType
 from repro.datacenter.messages import RemotePayload
@@ -46,11 +48,9 @@ class Gear:
         created_at = self.dc.sim.now
         payload = RemotePayload(label=label, key=key, value_size=value_size,
                                 created_at=created_at)
-        for replica in sorted(self.dc.replication.replicas(key)):
-            if replica != self.dc.dc_name:
-                self.dc.send_bulk(replica, payload, size_bytes=value_size)
+        self.dc.replicate(key, payload, value_size)
         self.dc.sink.add(label)
-        self.dc.on_local_update(label, created_at)
+        self.dc.issued(label, created_at)
         return label
 
     def migration(self, target_dc: str, client_label: Optional[Label]) -> Label:
@@ -62,7 +62,3 @@ class Gear:
         self.labels_generated += 1
         self.dc.sink.add(label)
         return label
-
-    def read(self, key: str) -> Optional[StoredValue]:
-        """Return the most recent local version of *key* (Alg. 2, READ)."""
-        return self.partition.get(key)

@@ -355,9 +355,7 @@ class RemoteProxy:
         dc.store.put(payload.key,
                      StoredValue(label=label, value_size=payload.value_size))
         self.updates_applied += 1
-        dc.on_remote_visible(payload)
-        if self.obs is not None:
-            self.obs.on_visible(label, dc.sim.now, dc.dc_name, via)
+        dc.revealed(label, payload.created_at, via)
         self._advance_watermark(label)
 
     def _advance_watermark(self, label: Label) -> None:

@@ -119,6 +119,9 @@ def attach_tracer(deployment) -> ObsHub:
             for serializer in service.serializers(epoch).values():
                 serializer.obs, serializer.queue_obs = tracer, registry
     for dc in deployment.datacenters.values():
+        # every protocol's visible atom (Datacenter.revealed); a baseline's
+        # issue atom too — Saturn's comes from its sink
+        dc.obs = tracer
         if isinstance(dc, SaturnDatacenter):
             dc.sink.obs = dc.proxy.obs = tracer
             dc.sink.queue_obs = registry
@@ -126,9 +129,6 @@ def attach_tracer(deployment) -> ObsHub:
                 dc.failover.obs = tracer
             if dc.admission is not None:
                 dc.admission.obs = registry
-        else:
-            # a baseline: one tracer hook pair, issue -> visible
-            dc.obs = tracer
     if deployment.manager is not None:
         deployment.manager.obs = tracer
     return hub

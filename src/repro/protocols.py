@@ -19,7 +19,11 @@ Factories share one call shape::
 where ``overrides`` is ``ClusterConfig.dc_params``: the remaining
 :class:`~repro.datacenter.datacenter.DatacenterParams` fields for the
 Saturn family, constructor keywords (Eunomia's ``batch_period``) for a
-baseline.
+baseline.  Every factory returns a
+:class:`~repro.datacenter.base.Datacenter`: the skeleton owns the store,
+the read path, the attach/migrate defaults, the replica fan-out and the
+recorder calls, and a family overrides only its update path, its
+attach/migrate waits and its read cost/stamp.
 
 Metadata bytes are nominal wire sizes, so the cross-system *ratios* are
 the result.  Baselines count sent-side (update stamps + stabilization /

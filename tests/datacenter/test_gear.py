@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.label import Label, LabelType
 from repro.core.replication import ReplicationMap
-from repro.datacenter.messages import RemotePayload
+from repro.datacenter.messages import ClientRead, RemotePayload
 
 from conftest import MiniCluster
 
@@ -77,12 +77,19 @@ def test_migration_label_exceeds_client_past():
 
 
 def test_read_returns_latest_version():
+    """A read (Alg. 2, READ) is the datacenter skeleton's: it replies with
+    the newest version a gear wrote."""
     cluster = MiniCluster()
     dc = cluster.dcs["I"]
     partition = dc.store.partition_for("k")
     gear = dc.gears[partition.index]
     gear.update("k", 8, None)
     newest = gear.update("k", 9, None)
-    stored = gear.read("k")
-    assert stored.label == newest
-    assert gear.read("missing") is None
+    replies = []
+    dc.send = lambda client, message: replies.append(message)
+    dc.receive("client:c", ClientRead("c", "k"))
+    dc.receive("client:c", ClientRead("c", "missing"))
+    cluster.sim.run(until=5.0)
+    assert replies[0].label == newest and replies[0].value_size == 9
+    assert replies[0].version == (newest.ts, newest.src)
+    assert replies[1].label is None

@@ -59,7 +59,8 @@ def test_visibility_follows_label_order_across_partitions():
     cluster = MiniCluster()
     proxy = proxy_of(cluster)
     visible = []
-    cluster.dcs["F"].on_remote_visible = lambda p: visible.append(p.label.ts)
+    cluster.dcs["F"].revealed = lambda label, created_at, mode: visible.append(
+        label.ts)
     labels = [update(float(i), key=f"k{i}") for i in range(1, 6)]
     deliver_labels(cluster, "F", labels)
     for l in reversed(labels):  # payloads arrive in reverse
@@ -143,7 +144,8 @@ def test_timestamp_mode_applies_in_ts_order():
     cluster = MiniCluster(consistency="timestamp")
     proxy = proxy_of(cluster)
     visible = []
-    cluster.dcs["F"].on_remote_visible = lambda p: visible.append(p.label.ts)
+    cluster.dcs["F"].revealed = lambda label, created_at, mode: visible.append(
+        label.ts)
     for ts in (3.0, 1.0, 2.0):
         proxy.on_payload(payload(update(ts, key=f"k{ts}")))
     proxy.on_heartbeat(BulkHeartbeat(origin_dc="I", ts=10.0))
@@ -261,8 +263,8 @@ def test_emergency_transition_adopts_after_ts_stability():
 
 def watch_visible(cluster, dc="F"):
     visible = []
-    cluster.dcs[dc].on_remote_visible = lambda p: visible.append(
-        (p.label.origin_dc, p.label.ts))
+    cluster.dcs[dc].revealed = lambda label, created_at, mode: visible.append(
+        (label.origin_dc, label.ts))
     return visible
 
 

@@ -80,13 +80,13 @@ def run_scenario(delays):
     sim, dcs, metrics, topology = build(delays)
     visible_at = {}
     for site in SITES:
-        original = dcs[site].on_remote_visible
+        original = dcs[site].revealed
 
-        def hook(payload, site=site, original=original):
-            visible_at[(payload.key, site)] = sim.now
-            original(payload)
+        def hook(label, created_at, mode, site=site, original=original):
+            visible_at[(label.target, site)] = sim.now
+            original(label, created_at, mode)
 
-        dcs[site].on_remote_visible = hook
+        dcs[site].revealed = hook
         dcs[site].proxy.dc = dcs[site]
 
     def write(dc, key, at):
