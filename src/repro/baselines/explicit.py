@@ -176,10 +176,12 @@ class ExplicitDatacenter(Datacenter):
         return seen is not None and seen >= version
 
     def _on_payload(self, payload: ExplicitPayload) -> None:
+        # block on the least missing dependency, not on whichever one the
+        # frozenset's hash order yields first
         missing = [dep for dep in payload.deps
                    if not self._dep_satisfied(dep)]
         if missing:
-            self._blocked[missing[0]].append(payload)
+            self._blocked[min(missing)].append(payload)
         else:
             self._apply(payload)
 

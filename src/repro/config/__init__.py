@@ -7,12 +7,11 @@ from repro.config.objective import (optimal_visibility_time,
                                     weighted_mismatch)
 from repro.config.placement import (enumerate_insertions, find_configuration,
                                     fuse_topology)
-from repro.config.solver import SolvedTree, TreeShape, optimize_delays, solve_tree
+from repro.config.solver import SolvedTree, TreeShape, TreeSolver, optimize_delays
 
 __all__ = [
     "EC2_LATENCIES", "EC2_REGIONS", "ec2_latency", "ec2_latency_model",
     "optimal_visibility_time", "pair_weights_from_replication",
     "weighted_mismatch", "enumerate_insertions", "find_configuration",
-    "fuse_topology", "SolvedTree", "TreeShape", "optimize_delays",
-    "solve_tree",
+    "fuse_topology", "SolvedTree", "TreeShape", "TreeSolver", "optimize_delays",
 ]

@@ -10,7 +10,7 @@ Given a serializer topology, the achieved metadata-path latency is
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.replication import ReplicationMap
 from repro.core.tree import TreeTopology
@@ -19,6 +19,7 @@ __all__ = [
     "optimal_visibility_time",
     "pair_weights_from_replication",
     "weighted_mismatch",
+    "weighted_pairs",
 ]
 
 
@@ -66,15 +67,21 @@ def weighted_mismatch(topology: TreeTopology,
     if bulk_latency is None:
         bulk_latency = latency
     total = 0.0
+    for i, j, weight in weighted_pairs(topology, weights):
+        achieved = topology.path_latency(i, j, latency, dc_sites)
+        optimal = bulk_latency(dc_sites[i], dc_sites[j])
+        total += weight * abs(achieved - optimal)
+    return total
+
+
+def weighted_pairs(topology: TreeTopology,
+                   weights: Optional[Dict[Tuple[str, str], float]],
+                   ) -> Iterator[Tuple[str, str, float]]:
+    """(i, j, c_ij) for every ordered pair of the tree's datacenters that
+    carries weight (all of them at weight 1 when *weights* is None)."""
     datacenters = topology.datacenters
     for i in datacenters:
         for j in datacenters:
-            if i == j:
-                continue
             weight = 1.0 if weights is None else weights.get((i, j), 0.0)
-            if weight == 0.0:
-                continue
-            achieved = topology.path_latency(i, j, latency, dc_sites)
-            optimal = bulk_latency(dc_sites[i], dc_sites[j])
-            total += weight * abs(achieved - optimal)
-    return total
+            if i != j and weight != 0.0:
+                yield i, j, weight

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config.solver import SolvedTree, TreeShape, solve_tree
+from repro.config.solver import SolvedTree, TreeShape, TreeSolver
 from repro.core.tree import TreeTopology
 
 __all__ = ["find_configuration", "enumerate_insertions", "fuse_topology"]
@@ -54,14 +54,12 @@ def _tree_to_shape(tree: _BinTree) -> TreeShape:
     internal: List[str] = []
     edges: List[Tuple[str, str]] = []
     attachments: List[Tuple[str, str]] = []
-    counter = [0]
 
     def walk(node: _BinTree) -> Optional[str]:
         """Returns the serializer name for internal nodes, None for leaves."""
         if node[0] == "leaf":
             return None
-        name = f"s{counter[0]}"
-        counter[0] += 1
+        name = f"s{len(internal)}"
         internal.append(name)
         _, left, right = node
         for child in (left, right):
@@ -96,19 +94,16 @@ def find_configuration(datacenters: Sequence[str],
         # every datacenter site is a natural serializer location (§5.4)
         candidate_sites = sorted({dc_sites[dc] for dc in datacenters})
 
-    def solve(tree: _BinTree) -> SolvedTree:
-        return solve_tree(_tree_to_shape(tree), dc_sites, candidate_sites,
-                          latency, weights, bulk_latency=bulk_latency)
-
+    # one solver: the site-latency matrix is shared by every shape
+    solver = TreeSolver(dc_sites, candidate_sites, latency, weights,
+                        bulk_latency)
     first, second, *rest = datacenters
-    beam: List[Tuple[_BinTree, SolvedTree]] = [
-        (_node(_leaf(first), _leaf(second)),
-         solve(_node(_leaf(first), _leaf(second))))]
+    root = _node(_leaf(first), _leaf(second))
+    beam = [(root, solver.solve(_tree_to_shape(root)))]
     for next_dc in rest:
-        candidates: List[Tuple[_BinTree, SolvedTree]] = []
-        for tree, _ in beam:
-            for variant in enumerate_insertions(tree, next_dc):
-                candidates.append((variant, solve(variant)))
+        candidates = [(variant, solver.solve(_tree_to_shape(variant)))
+                      for tree, _ in beam
+                      for variant in enumerate_insertions(tree, next_dc)]
         candidates.sort(key=lambda entry: entry[1].score)
         # FILTER: drop everything after a ranking gap larger than threshold
         filtered = [candidates[0]]

@@ -8,29 +8,28 @@ the same problem in two stages:
 1. **Placement** — coordinate descent over internal nodes, trying every
    candidate site.  Because artificial delays can only *add* latency, the
    placement objective penalizes overshoot (ΛM > Δ) at full weight and
-   undershoot at a discount (it may later be fixed by delays).
+   undershoot at a discount (it may later be fixed by delays).  A shape's
+   pair paths do not depend on where its serializers sit, so each weighted
+   pair's path is taken once per shape and a placement is scored by table
+   lookups into a site-index latency matrix.
 2. **Delays** — with sites fixed, choosing per-directed-edge delays that
    minimize Σ c_ij |P_ij + Σ_e δ_e − Δ_ij| is an L1 regression with
-   non-negativity constraints: a small linear program, solved exactly with
-   ``scipy.optimize.linprog`` (an iterative projected-subgradient fallback
-   is used if SciPy is unavailable).
+   non-negativity constraints: a small linear program, solved exactly by a
+   rational simplex (Bland's rule) starting from δ = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config.objective import weighted_mismatch
+from repro.config.objective import weighted_mismatch, weighted_pairs
 from repro.core.tree import TreeTopology
 
-try:  # pragma: no cover - exercised implicitly
-    from scipy.optimize import linprog
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
-
-__all__ = ["TreeShape", "solve_tree", "SolvedTree", "optimize_delays"]
+__all__ = ["TreeShape", "TreeSolver", "SolvedTree", "optimize_delays"]
 
 
 @dataclass(frozen=True)
@@ -62,205 +61,183 @@ class SolvedTree:
     score: float
 
 
-# ---------------------------------------------------------------------------
-# placement
-# ---------------------------------------------------------------------------
+class TreeSolver:
+    """Solves tree shapes for one instance: datacenter sites, candidate
+    serializer sites, metadata and bulk latencies, pair weights.
 
-def _placement_cost(shape: TreeShape, sites: Dict[str, str],
-                    dc_sites: Dict[str, str],
-                    latency: Callable[[str, str], float],
-                    weights: Optional[Dict[Tuple[str, str], float]],
-                    bulk_latency: Callable[[str, str], float],
-                    undershoot_discount: float = 0.3) -> float:
-    topology = shape.to_topology(sites)
-    total = 0.0
-    for i in topology.datacenters:
-        for j in topology.datacenters:
-            if i == j:
-                continue
-            weight = 1.0 if weights is None else weights.get((i, j), 0.0)
-            if weight == 0.0:
-                continue
-            achieved = topology.path_latency(i, j, latency, dc_sites)
-            optimal = bulk_latency(dc_sites[i], dc_sites[j])
-            gap = achieved - optimal
-            total += weight * (gap if gap > 0 else -gap * undershoot_discount)
-    return total
+    Sites become indices and *latency* a matrix, built once and shared by
+    every shape the Algorithm 3 search ranks."""
 
+    def __init__(self, dc_sites: Dict[str, str],
+                 candidate_sites: Sequence[str],
+                 latency: Callable[[str, str], float],
+                 weights: Optional[Dict[Tuple[str, str], float]] = None,
+                 bulk_latency: Optional[Callable[[str, str], float]] = None) -> None:
+        self.dc_sites = dc_sites
+        self.latency = latency
+        self.weights = weights
+        self.bulk_latency = latency if bulk_latency is None else bulk_latency
+        self.sites = sorted(set(dc_sites.values()) | set(candidate_sites))
+        self.index = {site: k for k, site in enumerate(self.sites)}
+        self.matrix = [[latency(a, b) for b in self.sites] for a in self.sites]
+        self.candidates = [self.index[site] for site in candidate_sites]
 
-def _optimize_placement(shape: TreeShape, dc_sites: Dict[str, str],
-                        candidate_sites: Sequence[str],
-                        latency: Callable[[str, str], float],
-                        weights: Optional[Dict[Tuple[str, str], float]],
-                        bulk_latency: Callable[[str, str], float],
-                        max_rounds: int = 4) -> Dict[str, str]:
-    # initialize each internal node at the site of one of its attached
-    # datacenters (or the first candidate)
-    attached: Dict[str, List[str]] = {}
-    for dc, node in shape.attachments:
-        attached.setdefault(node, []).append(dc)
-    sites = {}
-    for node in shape.internal_nodes:
-        if node in attached:
-            sites[node] = dc_sites[sorted(attached[node])[0]]
-        else:
-            sites[node] = candidate_sites[0]
-    best_cost = _placement_cost(shape, sites, dc_sites, latency, weights,
-                                bulk_latency)
-    for _ in range(max_rounds):
-        improved = False
-        for node in shape.internal_nodes:
-            current = sites[node]
-            for candidate in candidate_sites:
-                if candidate == current:
-                    continue
-                sites[node] = candidate
-                cost = _placement_cost(shape, sites, dc_sites, latency,
-                                       weights, bulk_latency)
-                if cost < best_cost - 1e-9:
-                    best_cost = cost
-                    current = candidate
-                    improved = True
-                else:
-                    sites[node] = current
-        if not improved:
-            break
-    return sites
+    def _achieved(self, src: int, path: List[int], dst: int,
+                  at: List[int]) -> float:
+        """ΛM over *path* (serializer slots) with no delays, summed in
+        :meth:`TreeTopology.path_latency`'s order so it is bit-identical."""
+        matrix = self.matrix
+        here = at[path[0]]
+        total = matrix[src][here]
+        for slot in path[1:]:
+            nxt = at[slot]
+            total += matrix[here][nxt]
+            here = nxt
+        return total + matrix[here][dst]
 
-
-# ---------------------------------------------------------------------------
-# delays
-# ---------------------------------------------------------------------------
-
-def _optimize_delays(topology: TreeTopology, dc_sites: Dict[str, str],
-                     latency: Callable[[str, str], float],
-                     weights: Optional[Dict[Tuple[str, str], float]],
-                     bulk_latency: Callable[[str, str], float]) -> Dict[Tuple[str, str], float]:
-    """Exact L1-optimal non-negative per-directed-edge delays."""
-    directed_edges: List[Tuple[str, str]] = []
-    for a, b in topology.edges:
-        directed_edges.append((a, b))
-        directed_edges.append((b, a))
-    if not directed_edges:
-        return {}
-    edge_index = {edge: k for k, edge in enumerate(directed_edges)}
-
-    pairs: List[Tuple[float, float, List[int]]] = []  # (weight, gap, edges)
-    datacenters = topology.datacenters
-    for i in datacenters:
-        for j in datacenters:
-            if i == j:
-                continue
-            weight = 1.0 if weights is None else weights.get((i, j), 0.0)
-            if weight == 0.0:
-                continue
-            base = topology.path_latency(i, j, latency, dc_sites)
-            optimal = bulk_latency(dc_sites[i], dc_sites[j])
+    def _place(self, shape: TreeShape) -> Tuple[List[int], float, list]:
+        """Coordinate-descent placement: (site index per internal node, its
+        cost, the weighted pairs).  A pair is (weight, optimal, source site,
+        path as node slots, destination site, path as node names), in
+        :func:`weighted_mismatch`'s order."""
+        nodes = shape.internal_nodes
+        slot = {node: k for k, node in enumerate(nodes)}
+        # initialize each internal node at the site of one of its attached
+        # datacenters (or the first candidate)
+        attached: Dict[str, List[str]] = {}
+        for dc, node in shape.attachments:
+            attached.setdefault(node, []).append(dc)
+        at = [self.index[self.dc_sites[min(attached[node])]] if node in attached
+              else self.candidates[0] for node in nodes]
+        topology = shape.to_topology(self._names(nodes, at))
+        pairs = []
+        touches: List[List[int]] = [[] for _ in nodes]  # pairs through slot k
+        for i, j, weight in weighted_pairs(topology, self.weights):
             path = topology.serializer_path(i, j)
-            edges = [edge_index[(a, b)] for a, b in zip(path, path[1:])]
-            # gap to make up with delays (negative = undershoot)
-            pairs.append((weight, optimal - base, edges))
+            for node in path:
+                touches[slot[node]].append(len(pairs))
+            pairs.append((weight, self.bulk_latency(self.dc_sites[i],
+                                                    self.dc_sites[j]),
+                          self.index[self.dc_sites[i]],
+                          [slot[node] for node in path],
+                          self.index[self.dc_sites[j]], path))
 
-    if _HAVE_SCIPY:
-        return _solve_delays_lp(directed_edges, pairs)
-    return _solve_delays_greedy(directed_edges, pairs)
+        def term(pair) -> float:
+            weight, optimal, src, path, dst, _ = pair
+            gap = self._achieved(src, path, dst, at) - optimal
+            # undershoot at a discount: delays may make it up later
+            return weight * (gap if gap > 0 else -gap * 0.3)
+
+        # only the pairs through the moved node are rescored, but the total
+        # is re-added in pair order, so every cost is bit-identical to a
+        # full rescore
+        terms = [term(pair) for pair in pairs]
+        best = reduce(add, terms, 0.0)
+        for _ in range(4):
+            improved = False
+            for k, touched in enumerate(touches):
+                current = at[k]
+                kept = [terms[p] for p in touched]
+                for candidate in self.candidates:
+                    if candidate == current:
+                        continue
+                    at[k] = candidate
+                    for p in touched:
+                        terms[p] = term(pairs[p])
+                    cost = reduce(add, terms, 0.0)
+                    if cost < best - 1e-9:
+                        best = cost
+                        current = candidate
+                        kept = [terms[p] for p in touched]
+                        improved = True
+                    else:
+                        at[k] = current
+                for p, value in zip(touched, kept):
+                    terms[p] = value
+            if not improved:
+                break
+        return at, best, pairs
+
+    def solve(self, shape: TreeShape) -> SolvedTree:
+        """Optimal placement + delays for one tree shape; returns the
+        scored configuration (Definition 2 objective)."""
+        at, _, pairs = self._place(shape)
+        delays = _solve_delays(shape.edges, [
+            (weight, optimal - self._achieved(src, slots, dst, at), path)
+            for weight, optimal, src, slots, dst, path in pairs])
+        topology = shape.to_topology(self._names(shape.internal_nodes, at),
+                                     delays)
+        score = weighted_mismatch(topology, self.dc_sites, self.latency,
+                                  self.weights, self.bulk_latency)
+        return SolvedTree(topology=topology, score=score)
+
+    def _names(self, nodes: Sequence[str], at: List[int]) -> Dict[str, str]:
+        return {node: self.sites[k] for node, k in zip(nodes, at)}
 
 
-def _solve_delays_lp(directed_edges: List[Tuple[str, str]],
-                     pairs: List[Tuple[float, float, List[int]]]) -> Dict[Tuple[str, str], float]:
-    num_edges = len(directed_edges)
-    num_pairs = len(pairs)
-    if num_pairs == 0:
+def _exact(value: float) -> Union[int, Fraction]:
+    return int(value) if value.is_integer() else Fraction(value)
+
+
+def _solve_delays(edges: Sequence[Tuple[str, str]],
+                  pairs: List[Tuple[float, float, List[str]]]) -> Dict[Tuple[str, str], float]:
+    """Exact L1-optimal non-negative delays on both directions of *edges*
+    for *pairs* of (weight, gap to make up, serializer path).
+
+    The LP in residual form: minimize Σ w_p (s⁺_p + s⁻_p) subject to
+    Σ_{e ∈ path p} δ_e − s⁺_p + s⁻_p = g_p with δ, s⁺, s⁻ ≥ 0.  δ = 0 is a
+    feasible basis (s⁻_p basic where g_p > 0, s⁺_p otherwise), so the
+    simplex starts there; when the first reduced-cost check finds no
+    improving edge, δ = 0 is optimal and no pivot is made.  Arithmetic is
+    rational and the pivot rule is Bland's, so the result is exact and
+    deterministic.
+    """
+    directed = [edge for a, b in edges for edge in ((a, b), (b, a))]
+    if not directed or not pairs:
         return {}
-    # variables: [delta_0..delta_E-1, u_0..u_P-1]
-    num_vars = num_edges + num_pairs
-    c = [0.0] * num_edges + [weight for weight, _, _ in pairs]
-    a_ub: List[List[float]] = []
-    b_ub: List[float] = []
-    for p, (_, gap, edges) in enumerate(pairs):
-        # u_p >= sum(delta_e) - gap   ->   sum(delta) - u_p <= gap
-        row = [0.0] * num_vars
-        for e in edges:
-            row[e] = 1.0
-        row[num_edges + p] = -1.0
-        a_ub.append(row)
-        b_ub.append(gap)
-        # u_p >= gap - sum(delta_e)   ->  -sum(delta) - u_p <= -gap
-        row = [0.0] * num_vars
-        for e in edges:
-            row[e] = -1.0
-        row[num_edges + p] = -1.0
-        a_ub.append(row)
-        b_ub.append(-gap)
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                     bounds=[(0, None)] * num_vars, method="highs")
-    if not result.success:  # pragma: no cover - LP is always feasible
-        return _solve_delays_greedy(directed_edges, pairs)
-    delays = {}
-    for k, edge in enumerate(directed_edges):
-        value = float(result.x[k])
-        if value > 1e-6:
-            delays[edge] = value
-    return delays
-
-
-def _solve_delays_greedy(directed_edges: List[Tuple[str, str]],
-                         pairs: List[Tuple[float, float, List[int]]],
-                         iterations: int = 200) -> Dict[Tuple[str, str], float]:
-    """Projected coordinate descent fallback (no SciPy)."""
-    delta = [0.0] * len(directed_edges)
-
-    def cost() -> float:
-        total = 0.0
-        for weight, gap, edges in pairs:
-            total += weight * abs(sum(delta[e] for e in edges) - gap)
-        return total
-
-    best = cost()
-    step = max((abs(gap) for _, gap, _ in pairs), default=0.0) / 2 or 1.0
-    while step > 0.05:
-        improved = False
-        for e in range(len(delta)):
-            for direction in (step, -step):
-                candidate = delta[e] + direction
-                if candidate < 0:
-                    continue
-                old = delta[e]
-                delta[e] = candidate
-                new_cost = cost()
-                if new_cost < best - 1e-9:
-                    best = new_cost
-                    improved = True
-                else:
-                    delta[e] = old
-        if not improved:
-            step /= 2
-    return {edge: delta[k] for k, edge in enumerate(directed_edges)
-            if delta[k] > 1e-6}
-
-
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
-
-def solve_tree(shape: TreeShape, dc_sites: Dict[str, str],
-               candidate_sites: Sequence[str],
-               latency: Callable[[str, str], float],
-               weights: Optional[Dict[Tuple[str, str], float]] = None,
-               bulk_latency: Optional[Callable[[str, str], float]] = None) -> SolvedTree:
-    """Optimal placement + delays for one tree shape; returns the scored
-    configuration (Definition 2 objective)."""
-    if bulk_latency is None:
-        bulk_latency = latency
-    sites = _optimize_placement(shape, dc_sites, candidate_sites, latency,
-                                weights, bulk_latency)
-    topology = shape.to_topology(sites)
-    delays = _optimize_delays(topology, dc_sites, latency, weights,
-                              bulk_latency)
-    topology = topology.with_delays(delays)
-    score = weighted_mismatch(topology, dc_sites, latency, weights,
-                              bulk_latency)
-    return SolvedTree(topology=topology, score=score)
+    column = {edge: k for k, edge in enumerate(directed)}
+    # columns: δ per directed edge, then s⁺_p, s⁻_p per pair; the last
+    # entry of each row is its right-hand side
+    width = len(directed) + 2 * len(pairs)
+    rows: List[list] = []
+    basis: List[int] = []
+    # reduced costs at the δ = 0 basis: -Σ w_p·sign_p over the pairs an
+    # edge serves, 2·w_p on each pair's nonbasic slack, 0 on its basic one
+    reduced: list = [0] * (width + 1)
+    for p, (weight, gap, path) in enumerate(pairs):
+        sign = 1 if gap > 0 else -1
+        w = _exact(weight)
+        row = [0] * (width + 1)
+        for hop in zip(path, path[1:]):
+            row[column[hop]] = sign
+            reduced[column[hop]] -= sign * w
+        plus = len(directed) + 2 * p
+        row[plus], row[plus + 1] = -sign, sign
+        row[width] = sign * _exact(gap)
+        rows.append(row)
+        basis.append(plus + 1 if sign > 0 else plus)
+        reduced[plus if sign > 0 else plus + 1] = 2 * w
+    while True:
+        entering = next((j for j in range(width) if reduced[j] < 0), None)
+        if entering is None:
+            break
+        # ratio test, ties to the lowest basic column (Bland's rule); some
+        # row qualifies because the objective is bounded below by 0
+        leaving = min((row[width] / Fraction(row[entering]), basis[i], i)
+                      for i, row in enumerate(rows) if row[entering] > 0)[2]
+        pivot_row = rows[leaving]
+        pivot = Fraction(pivot_row[entering])
+        pivot_row[:] = [value / pivot for value in pivot_row]
+        support = [k for k, value in enumerate(pivot_row) if value]
+        for row in rows + [reduced]:
+            factor = row[entering]
+            if factor and row is not pivot_row:
+                for k in support:
+                    row[k] -= factor * pivot_row[k]
+        basis[leaving] = entering
+    values = {directed[j]: float(row[width]) for row, j in zip(rows, basis)
+              if j < len(directed)}
+    return {edge: value for edge, value in values.items() if value > 1e-6}
 
 
 def optimize_delays(topology: TreeTopology, dc_sites: Dict[str, str],
@@ -271,4 +248,9 @@ def optimize_delays(topology: TreeTopology, dc_sites: Dict[str, str],
     """Public entry point: optimal artificial delays for a fixed topology."""
     if bulk_latency is None:
         bulk_latency = latency
-    return _optimize_delays(topology, dc_sites, latency, weights, bulk_latency)
+    # per pair, the gap to make up with delays (negative = undershoot)
+    return _solve_delays(topology.edges, [
+        (weight, bulk_latency(dc_sites[i], dc_sites[j])
+         - topology.path_latency(i, j, latency, dc_sites),
+         topology.serializer_path(i, j))
+        for i, j, weight in weighted_pairs(topology, weights)])

@@ -15,7 +15,7 @@ path-latency computation used by the configuration solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 __all__ = ["TreeTopology", "TopologyError", "SerializerRouting"]
 
@@ -181,24 +181,12 @@ class TreeTopology:
 
     def serializer_path(self, dc_from: str, dc_to: str) -> List[str]:
         """Ordered serializers on the metadata path between two datacenters."""
-        start = self.attachments[dc_from]
+        path = [self.attachments[dc_from]]
         goal = self.attachments[dc_to]
-        if start == goal:
-            return [start]
-        parents: Dict[str, Optional[str]] = {start: None}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop(0)
-            if node == goal:
-                break
-            for nxt in self._adjacency[node]:
-                if nxt not in parents:
-                    parents[nxt] = node
-                    frontier.append(nxt)
-        path = [goal]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
+        while path[-1] != goal:
+            # the one neighbor whose subtree holds the destination
+            path.append(next(n for n in self._adjacency[path[-1]]
+                             if dc_to in self._reachable[(path[-1], n)]))
         return path
 
     def path_latency(self, dc_from: str, dc_to: str,

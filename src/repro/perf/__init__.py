@@ -1,11 +1,10 @@
 """``repro.perf`` — microbenchmark + throughput harness with a CI gate.
 
-Three numbers track the simulator's speed (see :mod:`repro.perf.benches`):
-kernel events/sec, label deliveries/sec through a 7-DC Saturn tree, and
-wall-clock for one smoke-scale figure run.  Results are machine-normalized
-against a calibration spin loop (:mod:`repro.perf.measure`) and compared
-against the committed ``BENCH_perf.json`` baseline
-(:mod:`repro.perf.baseline`); CI fails when any metric is >15% slower.
+:mod:`repro.perf.benches` lists the metrics.  Results are
+machine-normalized against a calibration spin loop
+(:mod:`repro.perf.measure`) and compared against the committed
+``BENCH_perf.json`` baseline (:mod:`repro.perf.baseline`); CI fails when
+any metric is >15% slower.
 
 Run ``python -m repro.perf --help`` for the CLI.
 """

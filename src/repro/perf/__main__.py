@@ -23,12 +23,13 @@ from typing import List, Optional
 
 from repro.perf.baseline import (DEFAULT_TOLERANCE, build_result, compare,
                                  load_result, save_result)
-from repro.perf.benches import (bench_codec, bench_fabric, bench_figure,
-                                bench_kernel, bench_obs_enabled,
-                                bench_saturation, bench_tree)
+from repro.perf.benches import (bench_codec, bench_config_solve,
+                                bench_fabric, bench_figure, bench_kernel,
+                                bench_obs_enabled, bench_saturation,
+                                bench_tree)
 from repro.perf.measure import calibrate
 
-BENCHES = ("kernel", "fabric", "tree", "obs", "codec", "figure",
+BENCHES = ("kernel", "fabric", "tree", "obs", "codec", "config", "figure",
            "saturation")
 
 
@@ -90,6 +91,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             repeats=repeats(3))
     if "codec" not in args.skip:
         metrics["codec_frames_per_sec"] = bench_codec(repeats=repeats(3))
+    if "config" not in args.skip:
+        metrics["config_solve_seconds"] = bench_config_solve(
+            repeats=repeats(3))
     if "figure" not in args.skip:
         metrics["figure_smoke_seconds"] = bench_figure(repeats=repeats(2))
     if "saturation" not in args.skip:

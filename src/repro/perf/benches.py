@@ -18,6 +18,9 @@
 * :func:`bench_codec` — wire frames/sec through ``encode_frame`` +
   ``decode_frame_body`` over the golden frame shapes: the per-frame host
   cost of every message that crosses a real socket.
+* :func:`bench_config_solve` — wall-clock seconds for one cold Algorithm 3
+  search over the seven EC2 sites at beam width 3, the configuration solve
+  every ``geo7_*`` benchmark workload pays in its set-up.
 * :func:`bench_figure` — wall-clock seconds for one smoke-scale figure run
   (the full stack: datacenters, gears, clients, metrics), i.e. what a
   contributor actually waits for.
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config.latencies import EC2_REGIONS, ec2_latency_model
+from repro.config.latencies import EC2_REGIONS, ec2_latency, ec2_latency_model
+from repro.config.placement import find_configuration
 from repro.core.label import Label, LabelType
 from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
@@ -49,7 +53,8 @@ from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
 __all__ = ["bench_kernel", "bench_fabric", "bench_tree", "bench_obs_enabled",
-           "bench_codec", "bench_figure", "bench_saturation", "TREE_SITES"]
+           "bench_codec", "bench_config_solve", "bench_figure",
+           "bench_saturation", "TREE_SITES"]
 
 #: the paper's seven EC2 regions — one datacenter per region
 TREE_SITES: Tuple[str, ...] = tuple(EC2_REGIONS)
@@ -290,6 +295,24 @@ def bench_codec(frames: int = 30_000, repeats: int = 3) -> Dict:
     return {"raw": rate, "unit": "frames/s", "higher_is_better": True,
             "meta": {"frames": work, "seconds": elapsed, "repeats": repeats,
                      "bytes_per_frame": wire_bytes / len(shapes)}}
+
+
+# ---------------------------------------------------------------------------
+# configuration solve
+# ---------------------------------------------------------------------------
+
+def bench_config_solve(repeats: int = 3) -> Dict:
+    """Wall-clock for one cold beam-3 ``find_configuration`` over the seven
+    EC2 sites (lower is better)."""
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        start = wall_clock()
+        solved = find_configuration(TREE_SITES, {s: s for s in TREE_SITES},
+                                    ec2_latency, beam_width=3)
+        best = min(best, wall_clock() - start)
+    return {"raw": best, "unit": "s", "higher_is_better": False,
+            "meta": {"sites": len(TREE_SITES), "repeats": repeats,
+                     "score": solved.score}}
 
 
 # ---------------------------------------------------------------------------

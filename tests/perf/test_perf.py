@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.config.latencies import ec2_latency
+from repro.config.placement import find_configuration
 from repro.perf import __main__ as perf_cli
 from repro.perf.baseline import (SCHEMA_VERSION, build_result, compare,
                                  load_result, normalize, save_result)
-from repro.perf.benches import (TREE_SITES, bench_codec, bench_fabric,
-                                 bench_kernel, bench_obs_enabled, bench_tree)
+from repro.perf.benches import (TREE_SITES, bench_codec, bench_config_solve,
+                                bench_fabric, bench_kernel, bench_obs_enabled,
+                                bench_tree)
 from repro.perf.measure import best_rate, calibrate
 
 
@@ -85,8 +88,18 @@ def test_codec_bench_round_trips_the_golden_frame_shapes():
 
 def test_committed_baseline_gates_the_codec():
     baseline = load_result(str(REPO / "BENCH_perf.json"))
-    assert len(baseline["metrics"]) == 7
+    assert len(baseline["metrics"]) == 8
     assert baseline["metrics"]["codec_frames_per_sec"]["unit"] == "frames/s"
+    assert baseline["metrics"]["config_solve_seconds"]["unit"] == "s"
+
+
+def test_config_solve_bench_times_the_seven_site_search():
+    result = bench_config_solve(repeats=1)
+    assert result["raw"] > 0 and not result["higher_is_better"]
+    assert result["meta"]["sites"] == 7
+    assert result["meta"]["score"] == find_configuration(
+        list(TREE_SITES), {s: s for s in TREE_SITES}, ec2_latency,
+        beam_width=3).score
 
 
 # -- baseline schema ---------------------------------------------------------
