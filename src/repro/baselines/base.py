@@ -88,7 +88,6 @@ class StabilizedDatacenter(Datacenter):
         #: *vector* is assembled receiver-side from these per-origin entries)
         self._remote_info: Dict[str, float] = {}
         self._waiters: List[Tuple[object, callable]] = []
-        self.updates_applied = 0
         #: nominal dependency-metadata bytes shipped by this DC (update
         #: stamps + stabilization traffic), for the five-way comparison
         self.metadata_bytes_sent = 0
@@ -286,6 +285,5 @@ class StabilizedDatacenter(Datacenter):
             payload, _ = self._pipeline.popleft()
             self._store_update(payload.key, payload.label, payload.value_size,
                                payload.stamp)
-            self.updates_applied += 1
             self.revealed(payload.label, payload.created_at,
                           self.VISIBILITY_MODE)

@@ -173,12 +173,7 @@ class EunomiaDatacenter(GentleRainDatacenter):
             self.sim, self.dc_name, self.replication, self.cost_model,
             batch_period=batch_period)
 
-    # -- wiring ----------------------------------------------------------
-
-    def attach_network(self, network) -> None:
-        super().attach_network(network)
-        self.sequencer.attach_network(network)
-        network.place(self.sequencer.name, self.site)
+    # -- wiring (the builder attaches and places the sequencer) ----------
 
     def start(self) -> None:
         super().start()

@@ -104,7 +104,6 @@ class ExplicitDatacenter(Datacenter):
         #: version) they are waiting for
         self._blocked: Dict[Dependency, List[ExplicitPayload]] = defaultdict(list)
         self._visible_versions: Dict[str, Version] = {}
-        self.updates_applied = 0
         #: statistics: sizes of dependency lists shipped with updates
         self.dep_list_sizes: List[int] = []
 
@@ -192,7 +191,6 @@ class ExplicitDatacenter(Datacenter):
 
         def _done() -> None:
             self._install(payload.key, payload.label, payload.value_size)
-            self.updates_applied += 1
             self.revealed(payload.label, payload.created_at,
                           self.VISIBILITY_MODE)
 

@@ -8,7 +8,7 @@ label sink which serializer to stream into.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.core.naming import dc_process_name
 from repro.core.replication import ReplicationMap
@@ -53,8 +53,10 @@ class SaturnService:
     def serializer_process_name(epoch: int, tree_name: str) -> str:
         return f"ser:e{epoch}:{tree_name}"
 
-    def install_tree(self, topology: TreeTopology, epoch: int = 0) -> None:
-        """Create the serializer processes of *topology* for *epoch*."""
+    def install_tree(self, topology: TreeTopology, epoch: int = 0,
+                     hosted: Optional[AbstractSet[str]] = None) -> None:
+        """Create the serializer processes of *topology* for *epoch*: all
+        of them, or only those named in *hosted* (a socket node's roster)."""
         if epoch in self._trees:
             raise ValueError(f"epoch {epoch} already installed")
         # Epoch changes invalidate both memoizations that assume a static
@@ -70,10 +72,11 @@ class SaturnService:
 
         processes: Dict[str, Serializer] = {}
         for tree_name, site in topology.serializer_sites.items():
+            name = self.serializer_process_name(epoch, tree_name)
+            if hosted is not None and name not in hosted:
+                continue
             proc = Serializer(
-                self.sim,
-                name=self.serializer_process_name(epoch, tree_name),
-                tree_name=tree_name,
+                self.sim, name=name, tree_name=tree_name,
                 topology=topology,
                 replication=self.replication,
                 delivery_name=dc_process_name,

@@ -15,7 +15,8 @@ stabilization.  :class:`Datacenter` is that shared part:
 * :meth:`replicate` (to the other replicas of a key) and :meth:`broadcast`
   (to every other datacenter);
 * :meth:`issued` and :meth:`revealed`, the only places an origin update
-  and a remote update's visibility reach the recorders.
+  and a remote update's visibility reach the recorders (and the one
+  ``updates_applied`` count).
 
 A family derives from it and overrides what differs: ``_client_update``
 always; ``_client_attach`` / ``_client_migrate`` when they wait on
@@ -62,6 +63,8 @@ class Datacenter(Process):
         #: optional LabelTracer (repro.obs) — observes transitions only,
         #: never schedules events
         self.obs = None
+        #: remote updates made visible here (counted by :meth:`revealed`)
+        self.updates_applied = 0
 
     def start(self) -> None:
         """Arm periodic machinery; call after network wiring."""
@@ -156,6 +159,7 @@ class Datacenter(Process):
     def revealed(self, label: Label, created_at: float, mode: str) -> None:
         """A remote update became visible here; *mode* is the obs
         ``visible`` tag (how it got here: see repro.obs.trace)."""
+        self.updates_applied += 1
         now = self.sim.now
         if self.metrics is not None:
             self.metrics.record_visibility(label.origin_dc, self.dc_name,

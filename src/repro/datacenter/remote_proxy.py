@@ -122,10 +122,14 @@ class RemoteProxy:
 
         # statistics
         self.labels_processed = 0
-        self.updates_applied = 0
         self._prune_countdown = APPLIED_PRUNE_INTERVAL
         #: opt-in label-lifecycle tracer (repro.obs)
         self.obs = None
+
+    @property
+    def updates_applied(self) -> int:
+        """Remote updates installed; the count is the datacenter's."""
+        return self.dc.updates_applied
 
     # ------------------------------------------------------------------
     # event entry points (called by the datacenter process)
@@ -354,7 +358,6 @@ class RemoteProxy:
         dc = self.dc
         dc.store.put(payload.key,
                      StoredValue(label=label, value_size=payload.value_size))
-        self.updates_applied += 1
         dc.revealed(label, payload.created_at, via)
         self._advance_watermark(label)
 

@@ -31,7 +31,7 @@ from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.datacenter.client import ClientProcess
 from repro.datacenter.overload import OverloadConfig
-from repro.protocols import PROTOCOLS, protocol_named
+from repro.protocols import SYSTEMS, protocol_named
 from repro.workloads.openloop import OpenLoopClient, OpenLoopSource
 from repro.metrics import OpRecorder, VisibilityRecorder
 from repro.sim.clock import ClockFactory
@@ -42,8 +42,6 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["ClusterConfig", "Cluster", "RunResults", "MetricsHub", "SYSTEMS",
            "Scale", "SMOKE", "DEFAULT", "m_configuration", "run_once"]
-
-SYSTEMS = tuple(PROTOCOLS)
 
 #: one-way latency (ms) between processes of one site, and of any pair the
 #: latency model does not name
@@ -215,8 +213,9 @@ class Cluster:
                 metrics=self.metrics, **params)
             if self.service is not None:
                 dc.saturn = self.service
-            dc.attach_network(self.network)
-            self.network.place(dc.name, site)
+            for process in (dc, *self.protocol.aux_processes(dc)):
+                process.attach_network(self.network)
+                self.network.place(process.name, site)
             self.datacenters[site] = dc
         if self.service is not None:
             self.manager = ReconfigurationManager(

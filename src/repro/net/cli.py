@@ -5,9 +5,9 @@ Subcommands
 
 ``run``
     Boot the directory service plus one OS process per datacenter and
-    serializer, drive the chain causal-visibility smoke workload to
-    completion, stop everything gracefully, and replay the per-node hook
-    journals through the simulator's ``ExecutionLog`` oracle
+    serializer of ``--system``, drive the chain causal-visibility smoke
+    workload to completion, stop everything gracefully, and replay the
+    per-node hook journals through the simulator's ``ExecutionLog`` oracle
     (:mod:`repro.net.check`).  Exit 0 on success, 1 on a visibility /
     causal violation, 2 on timeout or unclean shutdown.
 ``check``
@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.net.check import check_cluster
 from repro.net.directory import DirectoryClient
 from repro.net.spec import ClusterSpec, chain_smoke_spec, write_cluster
+from repro.protocols import SYSTEMS
 
 __all__ = ["main"]
 
@@ -91,8 +92,8 @@ def _workload_done(directory: DirectoryClient,
         report = reports.get(node)
         if report is None or not report.get("clients_done"):
             return False
-        # a finished client has applied its own updates; the proxy counts
-        # the remote ones (each scripted pair is written exactly once)
+        # a finished client has applied its own updates; the datacenter
+        # counts the remote ones (each scripted pair is written exactly once)
         remote = sum(f"dc-{origin}" != node for origin, _ in pairs)
         if report.get("updates_applied", 0) < remote:
             return False
@@ -100,7 +101,7 @@ def _workload_done(directory: DirectoryClient,
 
 
 def _run(args: argparse.Namespace) -> int:
-    spec = chain_smoke_spec(args.dcs, poll_cap=args.poll_cap)
+    spec = chain_smoke_spec(args.dcs, args.system)
     cluster_dir = Path(args.cluster_dir)
     cluster_dir.mkdir(parents=True, exist_ok=True)
     env = _python_env()
@@ -252,7 +253,7 @@ def _check(args: argparse.Namespace) -> int:
 
 
 def _spec(args: argparse.Namespace) -> int:
-    spec = chain_smoke_spec(args.dcs, poll_cap=args.poll_cap)
+    spec = chain_smoke_spec(args.dcs, args.system)
     print(json.dumps(spec.to_json(), sort_keys=True, indent=2))
     return 0
 
@@ -260,18 +261,18 @@ def _spec(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="saturn-repro net",
-        description="run Saturn on a real asyncio TCP cluster")
+        description="run any system on a real asyncio TCP cluster")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="boot a chain cluster and smoke it")
     run.add_argument("--dcs", type=int, default=3,
                      help="number of datacenters in the chain (default 3)")
+    run.add_argument("--system", choices=SYSTEMS, default="saturn",
+                     help="system every datacenter runs (default saturn)")
     run.add_argument("--cluster-dir", default="net-cluster",
                      help="directory for configs, logs, and state")
     run.add_argument("--timeout", type=float, default=60.0,
                      help="workload deadline in seconds (default 60)")
-    run.add_argument("--poll-cap", type=int, default=2000,
-                     help="max re-reads per client poll step")
     run.add_argument("--sanitize", action="store_true",
                      help="enable runtime sanitizers on every node "
                           "(stall watchdog, reentrancy check, task-leak "
@@ -289,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     spec = sub.add_parser("spec", help="print the smoke spec as JSON")
     spec.add_argument("--dcs", type=int, default=3)
-    spec.add_argument("--poll-cap", type=int, default=2000)
+    spec.add_argument("--system", choices=SYSTEMS, default="saturn")
     spec.set_defaults(func=_spec)
 
     args = parser.parse_args(argv)

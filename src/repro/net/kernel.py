@@ -4,9 +4,9 @@ asyncio wall time.
 Actors built for the simulator only ever touch the kernel through
 ``now`` / ``schedule`` / ``schedule_at`` (plus the sanctioned seam
 modules ``sim.clock`` and ``sim.cpu``, which themselves reduce to those
-three), so this class is all it takes to run a
-:class:`~repro.datacenter.datacenter.SaturnDatacenter` or a
-:class:`~repro.core.serializer.Serializer` unmodified on real time.
+three), so this class is all it takes to run any datacenter of the
+protocol table, or a :class:`~repro.core.serializer.Serializer`,
+unmodified on real time.
 
 ``now`` is *wall-anchored* milliseconds (Unix epoch base advanced by the
 monotonic clock): monotonic within a node, comparable across nodes up to

@@ -3,17 +3,19 @@
 ``python -m repro.net.node --dir <node-dir>`` reads ``node.json`` (written
 by the driver, see :func:`repro.net.spec.write_cluster`), boots a
 :class:`~repro.net.kernel.RealtimeKernel` + :class:`~repro.net.tcp.
-TcpTransport`, registers with the directory service, waits for the full
-roster, then instantiates *the same protocol actors the simulator runs*
-— :class:`~repro.datacenter.datacenter.SaturnDatacenter` with its
-scripted :class:`~repro.datacenter.client.ClientProcess` load, or a
-:class:`~repro.core.serializer.Serializer` — entirely unmodified.
+TcpTransport` and builds what its roster entry names the way
+``repro.harness.runner.Cluster`` does, for the system ``ClusterSpec.system``
+names: the datacenter from the protocol table (with its auxiliary
+processes and scripted :class:`~repro.datacenter.client.ClientProcess`
+load), the serializers through ``SaturnService.install_tree`` restricted
+to the ones hosted here — so a datacenter node's ``dc.saturn`` is the
+real service, holding the tree but none of its serializers.
 
-Lifecycle: register -> roster-complete -> run (status heartbeats to the
-directory) -> phase ``stop`` observed -> flush ``visibility.jsonl``,
-close sockets, exit 0.  A wall-clock deadline (``deadline_s`` in
-node.json) bounds every phase; exceeding it exits 3 so a wedged cluster
-can never outlive the driver's timeout.
+Lifecycle: build -> register -> roster-complete -> attach + start -> run
+(status heartbeats to the directory) -> phase ``stop`` observed -> flush
+``visibility.jsonl``, close sockets, exit 0.  A wall-clock deadline
+(``deadline_s`` in node.json) bounds every phase; exceeding it exits 3
+so a wedged cluster can never outlive the driver's timeout.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.naming import dc_process_name
 from repro.core.serializer import Serializer
 from repro.core.service import SaturnService
+from repro.datacenter.base import Datacenter
 from repro.datacenter.client import ClientProcess
-from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
 from repro.datacenter.script import script_workload
 from repro.net.codec import encode_value
 from repro.net.directory import request_async
@@ -37,32 +38,15 @@ from repro.net.kernel import RealtimeKernel
 from repro.net.sanitizers import NetSanitizer
 from repro.net.spec import ClusterSpec
 from repro.net.tcp import TcpTransport
+from repro.protocols import protocol_named
 from repro.sim.clock import PhysicalClock
 from repro.sim.cpu import CostModel
 
-__all__ = ["NodeRuntime", "HookJournal", "StaticSaturnView", "main"]
+__all__ = ["NodeRuntime", "HookJournal", "main"]
 
 #: polling periods (seconds, real time)
 _ROSTER_POLL_S = 0.05
 _STATUS_PERIOD_S = 0.1
-
-
-class StaticSaturnView:
-    """``dc.saturn`` stand-in for a static epoch-0 tree.
-
-    The full :class:`~repro.core.service.SaturnService` owns serializer
-    *construction*, which on a real cluster happens in the serializer
-    nodes; a datacenter only ever asks the service where to stream its
-    labels, so that one query is all the view answers."""
-
-    def __init__(self, spec: ClusterSpec) -> None:
-        self._attachments = dict(spec.attachments)
-
-    def ingress_process(self, dc_name: str, epoch: int) -> Optional[str]:
-        serializer = self._attachments.get(dc_name)
-        if serializer is None:
-            return None
-        return SaturnService.serializer_process_name(epoch, serializer)
 
 
 class HookJournal:
@@ -113,6 +97,8 @@ class NodeRuntime:
         self.stall_ms: float = float(sanitize.get("stall_ms", 250.0))
         self.spec = ClusterSpec.load(
             (self.node_dir / config["spec"]).resolve())
+        self.protocol = protocol_named(self.spec.system)
+        self.replication = self.spec.replication()
         #: visibility sink, opened here (sync context) so the async boot
         #: path never touches blocking file I/O
         self._visibility_fh: Optional[Any] = None
@@ -123,8 +109,8 @@ class NodeRuntime:
         self.kernel: Optional[RealtimeKernel] = None
         self.transport: Optional[TcpTransport] = None
         self.clients: List[ClientProcess] = []
-        self.datacenter: Optional[SaturnDatacenter] = None
-        self.serializer: Optional[Serializer] = None
+        self.datacenter: Optional[Datacenter] = None
+        self.serializers: List[Serializer] = []
 
     # -- boot --------------------------------------------------------------
 
@@ -160,58 +146,61 @@ class NodeRuntime:
             await asyncio.sleep(_ROSTER_POLL_S)
 
     def _build_actors(self) -> None:
-        spec = self.spec
-        replication = spec.replication()
+        """Build the datacenter and clients.  Nothing meets the transport
+        before the routes do (:meth:`_start_actors`): until then an early
+        frame waits there, not in an actor that cannot yet reply."""
         if self.role == "serializer":
-            self.serializer = Serializer(
-                self.kernel,
-                name=SaturnService.serializer_process_name(0, self.target),
-                tree_name=self.target,
-                topology=spec.topology(),
-                replication=replication,
-                delivery_name=dc_process_name,
-                peer_process_name=(
-                    lambda t: SaturnService.serializer_process_name(0, t)),
-                epoch=0,
-                chain_length=1,
-                local_hop_latency=0.0)
-            self.serializer.attach_network(self.transport)
             return
-        journal = HookJournal(self._visibility_fh, self.kernel)
-        params = DatacenterParams(
-            name=self.target, site=self.target, consistency="saturn",
-            **spec.params)
-        datacenter = SaturnDatacenter(
-            self.kernel, params, replication, CostModel(),
-            PhysicalClock(self.kernel), metrics=journal,
-            execution_log=journal)
-        datacenter.attach_network(self.transport)
-        datacenter.saturn = StaticSaturnView(spec)
-        datacenter.start()
-        self.datacenter = datacenter
-        for index, client_spec in enumerate(spec.clients_of(self.target)):
-            client = ClientProcess(
-                self.kernel, client_spec["id"], self.target,
-                script_workload(client_spec["script"]),
-                metrics=journal, execution_log=journal)
-            client.attach_network(self.transport)
+        kernel, protocol = self.kernel, self.protocol
+        journal = HookJournal(self._visibility_fh, kernel)
+        self.datacenter = protocol.datacenter(
+            kernel, self.target, self.replication, CostModel(),
+            PhysicalClock(kernel), metrics=journal, **self.spec.params)
+        self.datacenter.execution_log = journal
+        self.clients = [
+            ClientProcess(kernel, client["id"], self.target,
+                          script_workload(client["script"]),
+                          merge=protocol.merge, metrics=journal,
+                          execution_log=journal)
+            for client in self.spec.clients_of(self.target)]
+        # every process a node hosts is in its roster (Eunomia's sequencer)
+        self.processes += [process.name for process
+                           in protocol.aux_processes(self.datacenter)]
+
+    def _start_actors(self) -> None:
+        """Install this node's share of the tree, attach and start."""
+        service: Optional[SaturnService] = None
+        if self.protocol.has_tree:
+            service = SaturnService(self.kernel, self.transport,
+                                    self.replication, local_hop_latency=0.0)
+            service.install_tree(self.spec.topology(), epoch=0,
+                                 hosted=set(self.processes))
+            self.serializers = list(service.serializers(0).values())
+        dc = self.datacenter
+        if dc is None:
+            return
+        if service is not None:
+            dc.saturn = service
+        for process in (dc, *self.protocol.aux_processes(dc), *self.clients):
+            process.attach_network(self.transport)
+            self.transport.place(process.name, self.target)
+        dc.start()
+        for index, client in enumerate(self.clients):
             # stagger starts (as the harness does) and leave a beat for
             # remote actors to finish booting
             self.kernel.schedule(20.0 + 5.0 * index, client.start)
-            self.clients.append(client)
 
     # -- status ------------------------------------------------------------
 
     def _report(self) -> Dict[str, Any]:
-        if self.role == "serializer":
-            return {"role": "serializer",
-                    "forwarded": self.serializer.labels_forwarded,
-                    "delivered": self.serializer.labels_delivered}
+        dc = self.datacenter
         return {
-            "role": "dc",
+            "role": self.role,
             "clients_done": all(not c.running for c in self.clients),
             "ops": sum(c.ops_completed for c in self.clients),
-            "updates_applied": self.datacenter.proxy.updates_applied,
+            "updates_applied": dc.updates_applied if dc is not None else 0,
+            "forwarded": sum(s.labels_forwarded for s in self.serializers),
+            "delivered": sum(s.labels_delivered for s in self.serializers),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -232,6 +221,7 @@ class NodeRuntime:
         host, port = await self.transport.start()
         print(f"[{self.node_name}] listening on {host}:{port}", flush=True)
         try:
+            self._build_actors()
             await self._register(host, port, deadline)
             nodes = await self._await_roster(deadline)
             routes = {process: node
@@ -240,7 +230,7 @@ class NodeRuntime:
             addresses = {node: (info["host"], info["port"])
                          for node, info in nodes.items()}
             self.transport.set_routes(routes, addresses)
-            self._build_actors()
+            self._start_actors()
             print(f"[{self.node_name}] roster complete, actors up",
                   flush=True)
             while True:

@@ -1,8 +1,9 @@
 """Cluster specification: the JSON contract between driver and nodes.
 
 A :class:`ClusterSpec` is everything a node needs to build its actors —
-sites, replication groups, the serializer tree, datacenter parameters,
-and the scripted client workloads — serialized to ``spec.json`` in the
+the system under study (a name of the protocol table), sites,
+replication groups, the serializer tree, datacenter parameters, and the
+scripted client workloads — serialized to ``spec.json`` in the
 cluster directory.  The driver additionally writes one config directory
 per node (``<cluster>/<node>/node.json``) pointing at the spec and the
 directory service, mirroring the per-node basedirs of tahoe-lafs.
@@ -18,7 +19,7 @@ the same expectations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -26,9 +27,14 @@ from repro.core.naming import dc_process_name
 from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
+from repro.protocols import protocol_named
 
-__all__ = ["ClusterSpec", "chain_clients", "chain_smoke_spec",
+__all__ = ["ClusterSpec", "POLL_CAP", "chain_clients", "chain_smoke_spec",
            "write_cluster"]
+
+#: max re-reads per client poll step of the smoke chain: on real time it
+#: must outlast the slowest system's stabilization round trip
+POLL_CAP = 2000
 
 #: first sites reuse the mc chain3 names so the scenarios line up
 _SITE_NAMES = ("I", "F", "T")
@@ -60,8 +66,14 @@ class ClusterSpec:
     #: client scripts: {"id", "dc", "script": [step...]}, steps as in
     #: repro.datacenter.script
     clients: List[Dict[str, Any]]
-    #: DatacenterParams overrides (periods are real milliseconds here)
+    #: keyword overrides for the protocol's datacenter factory, as
+    #: ``ClusterConfig.dc_params`` (periods are real milliseconds here)
     params: Dict[str, Any] = field(default_factory=dict)
+    #: the system every datacenter runs (a name of the protocol table)
+    system: str = "saturn"
+
+    def __post_init__(self) -> None:
+        protocol_named(self.system)
 
     # -- derived views -----------------------------------------------------
 
@@ -88,6 +100,8 @@ class ClusterSpec:
                 f"client:{client['id']}" for client in self.clients_of(site)]
             roster[f"dc-{site}"] = {
                 "role": "dc", "target": site, "processes": processes}
+        if not protocol_named(self.system).has_tree:
+            return roster
         for tree_name in sorted(self.serializer_sites):
             roster[f"ser-{tree_name}"] = {
                 "role": "serializer", "target": tree_name,
@@ -107,28 +121,11 @@ class ClusterSpec:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "sites": list(self.sites),
-            "groups": {g: list(r) for g, r in self.groups.items()},
-            "serializer_sites": dict(self.serializer_sites),
-            "edges": [list(edge) for edge in self.edges],
-            "attachments": dict(self.attachments),
-            "clients": self.clients,
-            "params": self.params,
-        }
+        return {**asdict(self), "edges": [list(edge) for edge in self.edges]}
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ClusterSpec":
-        return cls(
-            name=data["name"],
-            sites=list(data["sites"]),
-            groups={g: list(r) for g, r in data["groups"].items()},
-            serializer_sites=dict(data["serializer_sites"]),
-            edges=[(a, b) for a, b in data["edges"]],
-            attachments=dict(data["attachments"]),
-            clients=list(data["clients"]),
-            params=dict(data.get("params", {})))
+        return cls(**dict(data, edges=[tuple(e) for e in data["edges"]]))
 
     @classmethod
     def load(cls, path: Path) -> "ClusterSpec":
@@ -181,12 +178,13 @@ def chain_clients(sites: Sequence[str], relay_cap: int, reader_cap: int,
     ]
 
 
-def chain_smoke_spec(num_dcs: int = 3, poll_cap: int = 400) -> ClusterSpec:
-    """The N-DC chain smoke cluster (>= 2 datacenters).
+def chain_smoke_spec(num_dcs: int = 3, system: str = "saturn") -> ClusterSpec:
+    """The N-DC chain smoke cluster (>= 2 datacenters) running *system*.
 
     ``g0`` is fully replicated, ``g1`` lives on the first two sites only
     (the genuine-partial-replication bait); the :func:`chain_clients`
-    causal chain of writes crosses every datacenter.
+    causal chain of writes crosses every datacenter.  As in mc's
+    ``chain3``, only a system with a tree is given a sink cadence.
     """
     if num_dcs < 2:
         raise ValueError("chain needs at least 2 datacenters")
@@ -194,7 +192,11 @@ def chain_smoke_spec(num_dcs: int = 3, poll_cap: int = 400) -> ClusterSpec:
     serializers = {f"s{site}": site for site in sites}
     site_of = {site: f"s{site}" for site in sites}
     edges = [(site_of[a], site_of[b]) for a, b in zip(sites, sites[1:])]
-    clients = chain_clients(sites, relay_cap=poll_cap, reader_cap=poll_cap)
+    clients = chain_clients(sites, relay_cap=POLL_CAP, reader_cap=POLL_CAP)
+    params: Dict[str, Any] = {"num_partitions": 2}
+    if protocol_named(system).has_tree:
+        params.update(sink_batch_period=5.0, sink_heartbeat_period=25.0,
+                      bulk_heartbeat_period=20.0)
 
     return ClusterSpec(
         name=f"chain{num_dcs}",
@@ -204,12 +206,8 @@ def chain_smoke_spec(num_dcs: int = 3, poll_cap: int = 400) -> ClusterSpec:
         edges=edges,
         attachments=dict(site_of),
         clients=clients,
-        params={
-            "num_partitions": 2,
-            "sink_batch_period": 5.0,
-            "sink_heartbeat_period": 25.0,
-            "bulk_heartbeat_period": 20.0,
-        })
+        params=params,
+        system=system)
 
 
 def write_cluster(spec: ClusterSpec, cluster_dir: Path,

@@ -46,7 +46,8 @@ from repro.baselines.okapi import OkapiDatacenter
 from repro.core.label import label_max
 from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
 
-__all__ = ["Protocol", "PROTOCOLS", "protocol_named", "SATURN_LABEL_BYTES"]
+__all__ = ["Protocol", "PROTOCOLS", "SYSTEMS", "protocol_named",
+           "SATURN_LABEL_BYTES"]
 
 #: nominal wire size of one Saturn label (type + src + ts + target +
 #: origin); same convention as the baselines' stamp_wire_bytes
@@ -70,7 +71,8 @@ class Protocol:
     #: labels travel a Saturn serializer tree (there is a SaturnService
     #: to build, reconfigure and fail over)
     has_tree: bool = False
-    #: processes a datacenter runs besides itself (Eunomia's sequencer)
+    #: processes a datacenter runs besides itself (Eunomia's sequencer);
+    #: the builder attaches and places them at the datacenter's site
     aux_processes: Callable[[Any], Sequence[Any]] = lambda dc: ()
 
 
@@ -127,6 +129,9 @@ PROTOCOLS: Dict[str, Protocol] = {p.name: p for p in (
              _baseline(ExplicitDatacenter, prune_on_write=False),
              explicit_merge, _dep_list_bytes),
 )}
+
+#: every system name, in table order (the ``--system`` choices)
+SYSTEMS = tuple(PROTOCOLS)
 
 
 def protocol_named(name: str) -> Protocol:

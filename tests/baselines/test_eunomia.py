@@ -28,8 +28,10 @@ def make_cluster(batch_period=2.0):
         dc = EunomiaDatacenter(sim, site, site, replication, CostModel(),
                                PhysicalClock(sim), metrics=metrics,
                                batch_period=batch_period)
-        dc.attach_network(network)
-        network.place(dc.name, site)
+        # as Cluster does: the sequencer is the protocol's aux process
+        for process in (dc, dc.sequencer):
+            process.attach_network(network)
+            network.place(process.name, site)
         dcs[site] = dc
     for dc in dcs.values():
         dc.start()

@@ -72,9 +72,30 @@ def test_recorders_agree_with_each_other_and_the_datacenters(system):
     remote_visible = sum(
         1 for dc, positions in log._visible_pos.items()
         for version in positions if log.updates[version].origin != dc)
-    applied = sum(getattr(dc, "proxy", dc).updates_applied
-                  for dc in scenario.datacenters.values())
+    applied = sum(dc.updates_applied for dc in scenario.datacenters.values())
     samples = scenario.cluster.metrics.visibility.count()
     assert samples == remote_visible == applied > 0
     assert acknowledged and sorted(issued) == sorted(acknowledged)
     assert set(issued.values()) == {1}
+
+
+@pytest.mark.parametrize("system", sorted(PROTOCOLS))
+def test_updates_applied_counts_record_visible_per_datacenter(system):
+    """``Datacenter.updates_applied`` is the one applied-update counter:
+    at every datacenter it equals that datacenter's ``record_visible``
+    calls."""
+    scenario = build_chain3(f"{system}-applied", horizon=400.0,
+                            system=system)
+    visible = Counter()
+    record_visible = scenario.log.record_visible
+
+    def counting_visible(label, dc, at):
+        visible[dc] += 1
+        record_visible(label, dc, at)
+
+    scenario.log.record_visible = counting_visible
+    scenario.run()
+    assert sum(visible.values()) > 0
+    assert {site: dc.updates_applied
+            for site, dc in scenario.datacenters.items()} == {
+        site: visible[site] for site in scenario.datacenters}

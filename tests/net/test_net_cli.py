@@ -10,9 +10,10 @@ from repro.net.spec import chain_smoke_spec
 
 
 def test_spec_subcommand_prints_the_cluster_spec(capsys):
-    assert main(["spec", "--dcs", "4", "--poll-cap", "7"]) == 0
+    assert main(["spec", "--dcs", "4", "--system", "cure"]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed == chain_smoke_spec(4, poll_cap=7).to_json()
+    assert printed == chain_smoke_spec(4, "cure").to_json()
+    assert printed["system"] == "cure"
 
 
 def test_check_subcommand_over_a_conforming_cluster(tmp_path, capsys):

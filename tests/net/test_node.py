@@ -1,4 +1,4 @@
-"""Node runtime pieces that need no sockets: journal, scripts, view."""
+"""Node runtime pieces that need no sockets: journal, scripts, assembly."""
 
 import json
 
@@ -7,8 +7,10 @@ import pytest
 from repro.core.label import Label, LabelType
 from repro.datacenter.script import script_workload
 from repro.net.codec import decode_value
-from repro.net.node import HookJournal, NodeRuntime, StaticSaturnView
+from repro.net.node import HookJournal, NodeRuntime
 from repro.net.spec import chain_smoke_spec, write_cluster
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
 from repro.workloads.ops import ReadOp, UpdateOp
 
 
@@ -37,11 +39,43 @@ def _drain(generator, client, limit=50):
     return ops
 
 
-def test_static_view_answers_the_ingress_query():
-    view = StaticSaturnView(chain_smoke_spec(3))
-    assert view.ingress_process("I", 0) == "ser:e0:sI"
-    assert view.ingress_process("T", 0) == "ser:e0:sT"
-    assert view.ingress_process("nowhere", 0) is None
+def _built(node_dir):
+    """A node's actors assembled and started on the sim kernel."""
+    runtime = NodeRuntime(node_dir)
+    runtime.kernel = Simulator()
+    runtime.transport = Network(runtime.kernel)
+    runtime._build_actors()
+    runtime._start_actors()
+    if runtime._visibility_fh is not None:
+        runtime._visibility_fh.close()
+    return runtime
+
+
+def test_dc_node_saturn_answers_the_ingress_query(tmp_path):
+    """A datacenter node's ``dc.saturn`` is the real service: it knows
+    the whole tree but hosts none of its serializers."""
+    node_dirs = write_cluster(chain_smoke_spec(3), tmp_path, "127.0.0.1", 1)
+    saturn = _built(node_dirs["dc-F"]).datacenter.saturn
+    assert saturn.ingress_process("I", 0) == "ser:e0:sI"
+    assert saturn.ingress_process("T", 0) == "ser:e0:sT"
+    assert saturn.ingress_process("nowhere", 0) is None
+    assert saturn.serializers(0) == {}
+
+
+def test_nodes_host_exactly_their_roster(tmp_path):
+    """A serializer node builds its one serializer; a datacenter node
+    registers its datacenter's auxiliary processes too."""
+    node_dirs = write_cluster(chain_smoke_spec(3), tmp_path, "127.0.0.1", 1)
+    serializer = _built(node_dirs["ser-sT"])
+    assert [s.name for s in serializer.serializers] == ["ser:e0:sT"]
+    assert serializer.processes == ["ser:e0:sT"]
+    eunomia = write_cluster(chain_smoke_spec(3, "eunomia"), tmp_path / "eu",
+                            "127.0.0.1", 1)
+    assert sorted(eunomia) == ["dc-F", "dc-I", "dc-T"]
+    node = _built(eunomia["dc-I"])
+    assert node.processes == ["dc:I", "client:writer-I", "seq:I"]
+    assert node.transport.process("seq:I") is node.datacenter.sequencer
+    assert node.serializers == [] and not hasattr(node.datacenter, "saturn")
 
 
 def test_script_workload_plays_updates_and_reads_once():

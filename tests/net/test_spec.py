@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.net.spec import ClusterSpec, chain_smoke_spec, write_cluster
+from repro.net.spec import (POLL_CAP, ClusterSpec, chain_smoke_spec,
+                            write_cluster)
 
 
 def test_chain3_reuses_the_mc_scenario_shape():
@@ -34,10 +35,25 @@ def test_too_small_chain_is_rejected():
 
 
 def test_json_round_trip_is_lossless():
-    spec = chain_smoke_spec(4)
-    clone = ClusterSpec.from_json(
-        json.loads(json.dumps(spec.to_json())))
-    assert clone == spec
+    for spec in (chain_smoke_spec(4), chain_smoke_spec(4, "eunomia")):
+        clone = ClusterSpec.from_json(
+            json.loads(json.dumps(spec.to_json())))
+        assert clone == spec
+
+
+def test_unknown_system_is_rejected():
+    with pytest.raises(ValueError, match="unknown system"):
+        chain_smoke_spec(3, "paxos")
+
+
+def test_only_a_tree_system_gets_serializer_nodes_and_a_sink_cadence():
+    """The mc chain3 rule: the sink cadence goes with the tree."""
+    saturn, cure = chain_smoke_spec(3), chain_smoke_spec(3, "cure")
+    assert saturn.params["sink_batch_period"] == 5.0
+    assert cure.params == {"num_partitions": 2}
+    assert sorted(cure.nodes()) == ["dc-F", "dc-I", "dc-T"]
+    assert {op.get("cap") for client in cure.clients
+            for op in client["script"]} == {None, POLL_CAP}
 
 
 def test_derived_topology_and_replication_views():
