@@ -53,6 +53,9 @@ class ClientProcess(Process):
         stamp merge function (defaults to Saturn's ``label_max``).
     metrics:
         optional recorder with ``record_op(kind, latency, at)``.
+    execution_log:
+        optional :class:`~repro.verify.ExecutionLog`, told of each read and
+        each update issued; its session order is the causal past.
     """
 
     def __init__(self, sim: Simulator, client_id: str, home_dc: str,
@@ -69,8 +72,7 @@ class ClientProcess(Process):
         self.metrics = metrics
         self.max_ops = max_ops
         self.execution_log = execution_log
-        #: exact causal past: every version (ts, src) this client observed
-        self._observed: set = set()
+        #: greatest version (ts, src) read or written, per key
         self._observed_max_per_key: dict = {}
 
         self.stamp: object = None
@@ -185,28 +187,22 @@ class ClientProcess(Process):
     # -- execution-log hooks (only active when a checker is attached) -------
 
     def _log_read(self, message: ReadReply) -> None:
-        if self.execution_log is None:
-            return
-        observed_max = self._observed_max_per_key.get(message.key)
-        self.execution_log.record_read(self.client_id, self.current_dc,
-                                       message.key, message.version,
-                                       observed_max)
-        if message.version is not None:
+        if self.execution_log is not None:
+            self.execution_log.record_read(
+                self.client_id, self.current_dc, message.key, message.version,
+                self.observed(message.key))
             self._track_version(message.key, message.version)
 
     def _log_update(self, message: UpdateReply) -> None:
-        if self.execution_log is None:
-            return
-        if message.version is not None:
-            self.execution_log.record_update_deps(message.version,
-                                                  frozenset(self._observed))
+        if self.execution_log is not None and message.version is not None:
+            self.execution_log.record_update_deps(self.client_id,
+                                                  message.version)
             self._track_version(message.key, message.version)
 
     def _track_version(self, key: str, version) -> None:
-        self._observed.add(version)
-        current = self._observed_max_per_key.get(key)
-        if current is None or version > current:
-            self._observed_max_per_key[key] = version
+        if version is not None:
+            self._observed_max_per_key[key] = max(
+                version, self._observed_max_per_key.get(key, version))
 
     def _on_attach_ok(self, sender: str, message: AttachOk) -> None:
         if self._phase == "initial-attach":

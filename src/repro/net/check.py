@@ -8,6 +8,13 @@ metrics recorders gives a TCP run the verdict a simulated run gets:
 monotonicity) plus ``check_completeness()`` (nothing lost, nothing
 leaked past its replication group).  A datacenter's visibility order is
 the order of its own file, so the merge never compares two nodes' clocks.
+A client's calls all land in its own node's file, in session order, so a
+causal past needs nothing from the other files: each ``record_update_deps``
+line is just ``(client, version)``.
+
+A node killed mid-write leaves a torn last line: a final line that does
+not decode is ignored and counted (``torn_lines``); a malformed line
+anywhere else is an error.
 
 The one scenario-specific clause: every scripted plain read returned a
 version (the reader's final ``g0:a`` read is the end-to-end witness).
@@ -38,6 +45,8 @@ class CheckResult:
     problems: List[str] = field(default_factory=list)
     #: dc -> journal lines replayed
     journal_lines: Dict[str, int] = field(default_factory=dict)
+    #: dc -> torn final lines ignored (0 or 1)
+    torn_lines: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -51,6 +60,7 @@ class CheckResult:
             "visible": {dc: visible.get(dc, 0)
                         for dc in sorted(self.journal_lines)},
             "journal_lines": dict(sorted(self.journal_lines.items())),
+            "torn_lines": dict(sorted(self.torn_lines.items())),
             "visibility": {"samples": self.visibility.count(),
                            "mean_ms": self.visibility.mean()},
             "ops": {"samples": self.ops.total_ops(),
@@ -70,10 +80,17 @@ def check_cluster(cluster_dir: Path) -> CheckResult:
         path = cluster_dir / f"dc-{site}" / "visibility.jsonl"
         lines = (path.read_text(encoding="utf-8").splitlines()
                  if path.exists() else [])
-        result.journal_lines[site] = len(lines)
-        for line in lines:
-            entry = json.loads(line)
+        result.torn_lines[site] = 0
+        for number, line in enumerate(lines, 1):
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                if number < len(lines):
+                    raise
+                result.torn_lines[site] = 1   # a kill cut the last write
+                break
             hooks[entry["hook"]](*decode_value(entry["args"]))
+        result.journal_lines[site] = len(lines) - result.torn_lines[site]
 
     result.problems += [
         f"{violation.kind}: at {violation.dc}, {violation.detail}"

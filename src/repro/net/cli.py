@@ -238,6 +238,7 @@ def _summarize(outcome: Dict[str, Any]) -> None:
         if not dirty:
             print(f"net: sanitizers clean on all {len(sanitizers)} nodes")
     if check is not None:
+        _report_torn(check)
         for problem in check["problems"]:
             print(f"net: VIOLATION {problem}")
         if check["ok"]:
@@ -246,10 +247,18 @@ def _summarize(outcome: Dict[str, Any]) -> None:
                   f"causal checks passed (logs in {outcome['cluster_dir']})")
 
 
+def _report_torn(check: Dict[str, Any], file=None) -> None:
+    for dc, torn in sorted(check["torn_lines"].items()):
+        if torn:
+            print(f"net: ignored a torn final line in dc-{dc}/visibility.jsonl",
+                  file=file)
+
+
 def _check(args: argparse.Namespace) -> int:
-    result = check_cluster(Path(args.cluster_dir))
-    print(json.dumps(result.to_json(), sort_keys=True, indent=2))
-    return 0 if result.ok else 1
+    report = check_cluster(Path(args.cluster_dir)).to_json()
+    print(json.dumps(report, sort_keys=True, indent=2))
+    _report_torn(report, file=sys.stderr)
+    return 0 if report["ok"] else 1
 
 
 def _spec(args: argparse.Namespace) -> int:

@@ -2,12 +2,14 @@
 
 During a run, datacenters and clients record an :class:`ExecutionLog`:
 
-* every update with its origin and its **true causal past** (the exact set
-  of update versions the issuing client had observed — not the conservative
-  scalar/vector the protocols use);
-* the order in which each datacenter made updates visible;
-* every read, with the version returned and the greatest version of that
-  key the client had previously observed.
+* every update with its origin (``record_update``);
+* every client session in its own order: each version the client read
+  (``record_read``, which also carries the greatest version of that key
+  the client had observed before) and each update it issued
+  (``record_update_deps``).  An update's **true causal past** is every
+  version its session read or wrote before it (:meth:`ExecutionLog.past`)
+  — the exact set, not the conservative scalar/vector the protocols use;
+* the order in which each datacenter made updates visible.
 
 :func:`ExecutionLog.check` then validates two properties:
 
@@ -26,9 +28,8 @@ cross-datacenter traffic, which the tests use as a positive control.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.label import Label
 from repro.core.replication import ReplicationMap
@@ -55,7 +56,6 @@ class _UpdateRecord:
     key: str
     origin: str
     created_at: float
-    deps: FrozenSet[VersionId] = frozenset()
 
 
 class ExecutionLog:
@@ -69,6 +69,11 @@ class ExecutionLog:
         self._visible_count: Dict[str, int] = {}
         self._reads: List[Tuple[str, str, str, Optional[VersionId],
                                 Optional[VersionId]]] = []
+        #: client -> (version, issued here?) of every version it read or
+        #: wrote, in session order
+        self._sessions: Dict[str, List[Tuple[VersionId, bool]]] = {}
+        #: version -> (client, index in its session) of the issuing call
+        self._issued: Dict[VersionId, Tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     # recording (called by datacenters and clients)
@@ -78,27 +83,19 @@ class ExecutionLog:
                       created_at: float) -> None:
         """A local update was applied at its origin (visible there now)."""
         version = (label.ts, label.src)
-        record = self.updates.get(version)
-        if record is None or not record.origin:
-            # a deps-first stub (see record_update_deps) keeps its deps
+        if version not in self.updates:
             self.updates[version] = _UpdateRecord(
                 version=version, key=label.target or "", origin=origin_dc,
-                created_at=created_at,
-                deps=record.deps if record is not None else frozenset())
+                created_at=created_at)
         self._mark_visible(origin_dc, version)
 
-    def record_update_deps(self, version: VersionId,
-                           deps: FrozenSet[VersionId]) -> None:
-        """The issuing client's true causal past for *version*."""
-        record = self.updates.get(version)
-        if record is not None:
-            record.deps = deps
-        else:
-            # the client's reply was recorded ahead of the datacenter hook
-            # (merged per-node journals: a migrated client's deps and its
-            # update live in different files): store a stub
-            self.updates[version] = _UpdateRecord(
-                version=version, key="", origin="", created_at=0.0, deps=deps)
+    def record_update_deps(self, client_id: str, version: VersionId) -> None:
+        """Client *client_id* issued *version*: its causal past is what the
+        session read or wrote before (:meth:`past`).  Independent of the
+        origin's :meth:`record_update`, so either may come first."""
+        session = self._sessions.setdefault(client_id, [])
+        self._issued[version] = (client_id, len(session))
+        session.append((version, True))
 
     def record_visible(self, label: Label, dc: str, at: float) -> None:
         """A remote update became visible at *dc*."""
@@ -115,6 +112,19 @@ class ExecutionLog:
                     returned: Optional[VersionId],
                     observed_max: Optional[VersionId]) -> None:
         self._reads.append((client_id, dc, key, returned, observed_max))
+        if returned is not None:
+            self._sessions.setdefault(client_id, []).append((returned, False))
+
+    def past(self, version: VersionId) -> Tuple[VersionId, ...]:
+        """The causal past of *version*: every version its issuing session
+        read or wrote before it, once each, in session order (empty if no
+        client reported issuing it)."""
+        issued = self._issued.get(version)
+        if issued is None:
+            return ()
+        client_id, end = issued
+        return tuple(dict.fromkeys(
+            seen for seen, _ in self._sessions[client_id][:end]))
 
     # ------------------------------------------------------------------
     # validation
@@ -129,42 +139,38 @@ class ExecutionLog:
         """A dependency is satisfied when it — or, with last-writer-wins
         registers, any *newer* version of the same key (the causal+
         convergence rule) — became visible earlier."""
+        # every recorded version of each key, newest first
+        versions_of: Dict[str, List[VersionId]] = {}
+        for version in sorted(self.updates, reverse=True):
+            versions_of.setdefault(self.updates[version].key, []).append(version)
         for dc, positions in self._visible_pos.items():
-            # per key: the versions visible at this datacenter, sorted, and
-            # for each the earliest position of it or any newer version
-            by_key: Dict[str, Tuple[List[VersionId], List[int]]] = {}
-            for version in positions:
-                record = self.updates.get(version)
-                if record is not None and record.key:
-                    by_key.setdefault(record.key, ([], []))[0].append(version)
-            for versions, earliest in by_key.values():
-                versions.sort()
-                earliest.extend(positions[version] for version in versions)
-                for i in range(len(earliest) - 2, -1, -1):
-                    if earliest[i + 1] < earliest[i]:
-                        earliest[i] = earliest[i + 1]
-            # one bisect per recorded update, not one scan per dependency
-            # edge: the position from which it counts as satisfied here.
+            # the position from which a recorded version counts as satisfied
+            # here: the earliest of it or any newer version of its key.
             # Absent = exempt: never recorded, or a key this datacenter does
             # not replicate (genuine partial replication).
             never = len(positions)
             satisfied_from: Dict[VersionId, int] = {}
-            replicated: Dict[str, bool] = {}
-            for dep, dep_record in self.updates.items():
-                key = dep_record.key
-                if key not in replicated:
-                    replicated[key] = self.replication.is_replicated_at(key, dc)
-                if replicated[key]:
-                    versions, earliest = by_key.get(key, ((), ()))
-                    i = bisect_left(versions, dep)
-                    satisfied_from[dep] = (earliest[i] if i < len(versions)
-                                           else never)
+            for key, versions in versions_of.items():
+                if self.replication.is_replicated_at(key, dc):
+                    earliest = never
+                    for version in versions:
+                        earliest = min(earliest, positions.get(version, never))
+                        satisfied_from[version] = earliest
             lookup = satisfied_from.get
-            for version, pos in positions.items():
-                record = self.updates.get(version)
-                if record is None:
-                    continue
-                for dep in record.deps:
+            # one pass per session: *need* is the latest position any version
+            # of the past so far needs, so an update visible at or before it
+            # has a late dependency
+            flagged: List[Tuple[int, VersionId]] = []
+            for session in self._sessions.values():
+                need = -1
+                for version, issued in session:
+                    if issued:
+                        pos = positions.get(version)
+                        if pos is not None and need >= pos:
+                            flagged.append((pos, version))
+                    need = max(need, lookup(version, -1))
+            for pos, version in sorted(flagged):
+                for dep in self.past(version):
                     if lookup(dep, -1) >= pos:
                         yield Violation(
                             kind="causal-order", dc=dc,
@@ -179,14 +185,11 @@ class ExecutionLog:
         Separate from :meth:`check` because the first half is only sound
         once the run has quiesced (labels still in flight at the horizon
         would be false positives); the model checker's scenarios guarantee
-        that, the general harness does not.  Stub records (deps known but
-        the origin hook never fired) are skipped.
+        that, the general harness does not.
         """
         violations: List[Violation] = []
         visible = sorted(self._visible_pos.items())
         for version, record in sorted(self.updates.items()):
-            if not record.key or not record.origin:
-                continue
             what = (f"update {version} of key {record.key!r} "
                     f"(origin {record.origin})")
             replicas = self.replication.replicas(record.key)

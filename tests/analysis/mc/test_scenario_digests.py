@@ -43,7 +43,8 @@ def test_chaos_scenario_digest_is_pinned(name):
 def _key_edges(log):
     """(dependency's key, key) over every recorded causal past."""
     return {(log.updates[dep].key, record.key)
-            for record in log.updates.values() for dep in record.deps}
+            for version, record in log.updates.items()
+            for dep in log.past(version)}
 
 
 def test_scenario_scripts_state_their_causal_chain():

@@ -85,7 +85,7 @@ def assert_linear_extension(log, replication):
             record = log.updates.get(version)
             if record is None:
                 continue
-            for dep in record.deps:
+            for dep in log.past(version):
                 dep_record = log.updates.get(dep)
                 if dep_record is None:
                     continue

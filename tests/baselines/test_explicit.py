@@ -176,8 +176,8 @@ def test_transitivity_prune_unsafe_under_partial_replication(
 
     # register the client's true causal pasts with the checker
     w0, w1, w2 = driver.versions
-    log.record_update_deps(w1, frozenset({w0}))
-    log.record_update_deps(w2, frozenset({w0, w1}))
+    for version in (w0, w1, w2):   # one session: w2's past is {w0, w1}
+        log.record_update_deps("driver", version)
     violations = [v for v in log.check() if v.kind == "causal-order"]
     if expect_violation:
         assert violations, "the pruned chain must break causality at C"

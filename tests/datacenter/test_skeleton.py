@@ -61,9 +61,9 @@ def test_recorders_agree_with_each_other_and_the_datacenters(system):
         issued[(label.ts, label.src)] += 1
         record_update(label, origin_dc, created_at)
 
-    def counting_deps(version, deps):
+    def counting_deps(client_id, version):
         acknowledged.append(version)
-        record_update_deps(version, deps)
+        record_update_deps(client_id, version)
 
     log.record_update = counting_update
     log.record_update_deps = counting_deps

@@ -5,7 +5,9 @@ instant replication, calling the recorder hooks on one
 :class:`~repro.net.node.HookJournal` per datacenter — so a test starts
 from conforming ``visibility.jsonl`` files in the real line format and
 tampers with *lines* (:func:`edit_journal`), never with a hand-typed
-schema.
+schema.  As on a node, a client's reads and updates are lines of its own
+datacenter's file in session order, and an update's causal past is not
+written out: its ``record_update_deps`` line is ``(client, version)``.
 """
 
 import contextlib
@@ -44,7 +46,7 @@ def write_journals(cluster_dir, spec):
         clock = 0.0
         for client in spec.clients:
             dc, journal = client["dc"], journals[client["dc"]]
-            observed, observed_max = set(), {}
+            observed_max = {}
             for op in client["script"]:
                 clock += 1.0
                 key = op["key"]
@@ -53,7 +55,7 @@ def write_journals(cluster_dir, spec):
                                   target=key, origin_dc=dc)
                     version = (label.ts, label.src)
                     journal.record_update(label, dc, clock)
-                    journal.record_update_deps(version, frozenset(observed))
+                    journal.record_update_deps(client["id"], version)
                     journal.record_op("update", 1.0, clock)
                     for site in sorted(replication.replicas(key)):
                         newest[site][key] = version
@@ -66,7 +68,6 @@ def write_journals(cluster_dir, spec):
                                         observed_max.get(key))
                     journal.record_op("read", 1.0, clock)
                 if version is not None:
-                    observed.add(version)
                     observed_max[key] = version
 
 

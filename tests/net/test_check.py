@@ -26,8 +26,9 @@ def test_conforming_run_passes_all_checks(cluster):
     assert result.ok, result.problems
     assert result.log.visible_counts() == {"I": 4, "F": 4, "T": 3}
     # the writer's true causal pasts were replayed, not inferred
-    deps = {record.key: {result.log.updates[dep].key for dep in record.deps}
-            for record in result.log.updates.values()}
+    deps = {record.key: {result.log.updates[dep].key
+                         for dep in result.log.past(version)}
+            for version, record in result.log.updates.items()}
     assert deps == {"g0:a": set(), "g0:b": {"g0:a"},
                     "g1:p": {"g0:a", "g0:b"}, "g0:y": {"g0:b"}}
 
@@ -103,6 +104,25 @@ def test_versionless_reads_are_reported(cluster):
     result = check_cluster(cluster)
     assert _kinds(result) == ["read"]
     assert "reader-T" in result.problems[0] and "g0:a" in result.problems[0]
+
+
+def test_a_torn_final_line_is_ignored_and_counted(cluster):
+    """A node killed mid-write leaves a partial last line: it is skipped,
+    counted per datacenter, and the rest of the journal is judged."""
+    edit_journal(cluster, "T",
+                 lambda lines: lines.append(lines[-1][:len(lines[-1]) // 2]))
+    result = check_cluster(cluster)
+    assert result.ok, result.problems
+    report = result.to_json()
+    assert report["torn_lines"] == {"I": 0, "F": 0, "T": 1}
+    assert report["journal_lines"]["T"] == len(journal_lines(cluster, "T")) - 1
+
+
+def test_a_malformed_line_before_the_last_is_an_error(cluster):
+    edit_journal(cluster, "T",
+                 lambda lines: lines.insert(1, lines[1][:len(lines[1]) // 2]))
+    with pytest.raises(json.JSONDecodeError):
+        check_cluster(cluster)
 
 
 def test_check_cluster_reads_logs_from_disk(tmp_path):

@@ -92,7 +92,8 @@ def _assert_oracle_holds(spec, log):
             expected[site].add((origin, key))
     assert _visible_sets(log) == expected
     recorded = {(log.updates[dep].key, record.key)
-                for record in log.updates.values() for dep in record.deps}
+                for version, record in log.updates.items()
+                for dep in log.past(version)}
     assert set(chain_dependencies(spec)) <= recorded
 
 

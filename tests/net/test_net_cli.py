@@ -2,7 +2,7 @@
 
 import json
 
-from journals import write_journals
+from journals import edit_journal, write_journals
 from repro.net.check import check_cluster
 from repro.net.cli import (_expected_by_node, _python_env, _summarize,
                            _workload_done, main)
@@ -21,6 +21,16 @@ def test_check_subcommand_over_a_conforming_cluster(tmp_path, capsys):
     write_journals(cluster, chain_smoke_spec(3))
     assert main(["check", "--cluster-dir", str(cluster)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_check_subcommand_says_it_ignored_a_torn_line(tmp_path, capsys):
+    cluster = tmp_path / "cluster"
+    write_journals(cluster, chain_smoke_spec(3))
+    edit_journal(cluster, "F", lambda lines: lines.append('{"at": 1'))
+    assert main(["check", "--cluster-dir", str(cluster)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["torn_lines"]["F"] == 1
+    assert "torn final line in dc-F/visibility.jsonl" in captured.err
 
 
 def test_check_subcommand_flags_a_violating_cluster(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Node runtime pieces that need no sockets: journal, scripts, assembly."""
 
 import json
+import re
 
 import pytest
 
 from repro.core.label import Label, LabelType
-from repro.datacenter.script import script_workload
+from repro.core.replication import ReplicationMap
+from repro.datacenter.script import ScriptedWorkload, script_workload
+from repro.harness.runner import Cluster, ClusterConfig
 from repro.net.codec import decode_value
 from repro.net.node import HookJournal, NodeRuntime
 from repro.net.spec import chain_smoke_spec, write_cluster
@@ -125,8 +128,8 @@ def test_journal_round_trips_every_hook_call(tmp_path):
     version, older = (2.0, "gear:I:0"), (1.0, "gear:I:0")
     calls = [
         ("record_update", (_label("g0:a"), "I", 1.0)),
-        ("record_update_deps", (version, frozenset())),
-        ("record_update_deps", (version, frozenset({older, (0.5, "x")}))),
+        ("record_update_deps", ("writer", older)),
+        ("record_update_deps", ("writer", version)),
         ("record_visible", (_label("g0:a"), "F", 2.0)),
         ("record_read", ("reader", "F", "g0:a", version, older)),
         ("record_read", ("reader", "F", "g0:b", None, None)),
@@ -145,6 +148,29 @@ def test_journal_round_trips_every_hook_call(tmp_path):
             for entry in entries] == calls
     # canonical: one sorted-key object per line, byte-stable
     assert lines == [json.dumps(entry, sort_keys=True) for entry in entries]
+
+
+def test_a_session_journal_line_does_not_grow_with_its_history(tmp_path):
+    """A client's ``record_update_deps`` line names the client and the
+    version, never the history before it: the session's 200th is no longer
+    than its first, apart from the digits of the version."""
+    script = [{"op": op, "key": "g0:a"}
+              for _ in range(200) for op in ("update", "read")]
+    cluster = Cluster(
+        ClusterConfig(system="saturn", sites=("I", "F"),
+                      replication=ReplicationMap(["I", "F"])),
+        ScriptedWorkload([{"id": "w", "dc": "I", "script": script}],
+                         stagger=0.0))
+    path = tmp_path / "visibility.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        cluster.attach_execution_log(HookJournal(fh, cluster.sim))
+        cluster.start()
+        cluster.sim.run(until=10_000.0)
+    issued = [line for line in path.read_text(encoding="utf-8").splitlines()
+              if json.loads(line)["hook"] == "record_update_deps"]
+    assert len(issued) == 200
+    first, last = (re.sub(r"[0-9]", "", issued[i]) for i in (0, 199))
+    assert len(last) <= len(first)
 
 
 def test_journal_answers_only_recorder_hooks(tmp_path):

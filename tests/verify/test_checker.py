@@ -24,8 +24,9 @@ def test_clean_history_passes():
     b = label(2.0, "B")
     log.record_update(a, "A", 1.0)
     log.record_visible(a, "B", 10.0)
+    log.record_read("c", "B", "k", (1.0, "A/g0"), None)
     log.record_update(b, "B", 11.0)
-    log.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log.record_update_deps("c", (2.0, "B/g0"))
     log.record_visible(b, "A", 20.0)
     assert log.check() == []
 
@@ -37,8 +38,9 @@ def test_detects_causal_order_violation():
     log3 = make_log(ReplicationMap(["A", "B", "C"]))
     log3.record_update(a, "A", 1.0)
     log3.record_visible(a, "B", 5.0)   # a was visible at B before b issued
+    log3.record_read("c", "B", "k", (1.0, "A/g0"), None)
     log3.record_update(b, "B", 11.0)
-    log3.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log3.record_update_deps("c", (2.0, "B/g0"))
     log3.record_visible(b, "C", 20.0)   # b before a at C
     log3.record_visible(a, "C", 25.0)
     violations = [v for v in log3.check() if v.kind == "causal-order"]
@@ -51,14 +53,16 @@ def test_missing_dependency_is_violation_when_replicated():
     a = label(1.0, "A")
     b = label(2.0, "B")
     log.record_update(a, "A", 1.0)
+    log.record_read("c", "B", "k", (1.0, "A/g0"), None)
     log.record_update(b, "B", 11.0)
-    log.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log.record_update_deps("c", (2.0, "B/g0"))
     log.record_visible(b, "A", 5.0)  # fine: a is local at A
     log2 = make_log(ReplicationMap(["A", "B", "C"]))
     log2.record_update(a, "A", 1.0)
     log2.record_visible(a, "B", 5.0)
+    log2.record_read("c", "B", "k", (1.0, "A/g0"), None)
     log2.record_update(b, "B", 11.0)
-    log2.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log2.record_update_deps("c", (2.0, "B/g0"))
     log2.record_visible(b, "C", 15.0)  # a never visible at C
     violations = [v for v in log2.check() if v.kind == "causal-order"]
     assert len(violations) == 1
@@ -74,8 +78,9 @@ def test_partial_replication_exemption():
     b = label(2.0, "B", key="other")
     log.record_update(a, "A", 1.0)
     log.record_visible(a, "B", 5.0)
+    log.record_read("c", "B", "gab:0", (1.0, "A/g0"), None)
     log.record_update(b, "B", 11.0)
-    log.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log.record_update_deps("c", (2.0, "B/g0"))
     log.record_visible(b, "C", 20.0)   # a never goes to C: exempt
     assert [v for v in log.check() if v.kind == "causal-order"] == []
 
@@ -110,7 +115,7 @@ def test_session_clean_reads_pass():
 def test_deps_recorded_before_update_hook():
     """Merged per-node journals can deliver a client's ``record_update_deps``
     ahead of the datacenter's ``record_update`` (a migrated client's reply
-    and its update live in different files): the stub is filled in place,
+    and its update live in different files): the two are separate facts,
     so either arrival order gives the same record and the same verdict."""
     verdicts = []
     for deps_first in (False, True):
@@ -119,15 +124,15 @@ def test_deps_recorded_before_update_hook():
         b = label(2.0, "B", key="kb")
         log.record_update(a, "A", 1.0)
         log.record_visible(a, "B", 5.0)
+        log.record_read("c", "B", "ka", (1.0, "A/g0"), None)
         hooks = [lambda: log.record_update(b, "B", 11.0),
-                 lambda: log.record_update_deps((2.0, "B/g0"),
-                                                frozenset({(1.0, "A/g0")}))]
+                 lambda: log.record_update_deps("c", (2.0, "B/g0"))]
         for hook in reversed(hooks) if deps_first else hooks:
             hook()
         record = log.updates[(2.0, "B/g0")]
         assert (record.key, record.origin, record.created_at) == (
             "kb", "B", 11.0)
-        assert record.deps == {(1.0, "A/g0")}
+        assert set(log.past((2.0, "B/g0"))) == {(1.0, "A/g0")}
         log.record_visible(b, "C", 20.0)   # b before its dependency a at C
         log.record_visible(a, "C", 25.0)
         verdicts.append((log.check(), log.check_completeness()))
@@ -141,11 +146,11 @@ def test_dependency_on_a_deps_first_update_is_checked_not_assumed_missing():
     log = make_log()
     a = label(1.0, "A")
     b = label(2.0, "B")
-    log.record_update_deps((1.0, "A/g0"), frozenset())   # stub first
+    log.record_update_deps("c", (1.0, "A/g0"))   # client's call first
     log.record_update(a, "A", 1.0)
     log.record_visible(a, "B", 5.0)
     log.record_update(b, "B", 11.0)
-    log.record_update_deps((2.0, "B/g0"), frozenset({(1.0, "A/g0")}))
+    log.record_update_deps("c", (2.0, "B/g0"))
     log.record_visible(b, "A", 20.0)
     assert log.check() == []
 
@@ -174,7 +179,7 @@ def test_completeness_reports_a_leak_past_the_replication_group():
 def test_leak_check_exempts_a_version_whose_key_is_unknown():
     log, _ = partial_log()
     stub = label(2.0, "B", key="gab:1")
-    log.record_update_deps((2.0, "B/g0"), frozenset())   # origin hook lost
+    log.record_update_deps("c", (2.0, "B/g0"))   # origin hook lost
     log.record_visible(stub, "C", 9.0)
     assert log.check_completeness() == []
 
@@ -189,11 +194,14 @@ def test_visible_counts():
     assert log.read_count() == 0
 
 
-# -- the bisect oracle against the linear scan it replaced ------------------
+
+
+# -- the one-pass oracle against the per-edge reference ----------------------
 
 def linear_scan_violations(log):
-    """``_check_causal_order`` as it was: for every dependency, scan every
-    visible version of that key for one at least as new and earlier."""
+    """The per-edge reference: for every dependency in an update's past,
+    scan every visible version of that key for one at least as new and
+    earlier."""
     found = []
     for dc, positions in log._visible_pos.items():
         by_key = {}
@@ -205,7 +213,7 @@ def linear_scan_violations(log):
             record = log.updates.get(version)
             if record is None:
                 continue
-            for dep in record.deps:
+            for dep in log.past(version):
                 dep_record = log.updates.get(dep)
                 if dep_record is None:
                     continue
@@ -217,13 +225,14 @@ def linear_scan_violations(log):
     return found
 
 
-def random_log(seed, updates=120, deps_first=0.1):
+def random_log(seed, updates=120, deps_first=0.1, clients=8):
     """A seeded log over three datacenters: two partially replicated
-    groups, a few hot keys, stub and dangling dependencies, and a
-    visibility order that is causal (timestamp order) except for a share of
-    versions moved to a random position or never delivered.  A share
-    *deps_first* of the updates records its causal past before its origin
-    hook."""
+    groups, a few hot keys, and *clients* sessions that each read a few
+    versions between their updates — a recorded one, the one the client
+    read last again, one never recorded, or nothing.  The visibility order
+    is causal (timestamp order) except for a share of versions moved to a
+    random position or never delivered.  A share *deps_first* of the
+    updates reports the client's call before its origin hook."""
     rng = random.Random(seed)
     dcs = ["A", "B", "C"]
     replication = ReplicationMap(dcs)
@@ -231,26 +240,38 @@ def random_log(seed, updates=120, deps_first=0.1):
     replication.set_group("gbc", ["B", "C"])
     log = ExecutionLog(replication)
     keys = ["gab:0", "gab:1", "gbc:0", "hot", "warm", "cold"]
-    versions = []
+    key_of = {(999.0, "nowhere/g0"): "cold"}     # never recorded
+    last_read = {}
     arrival = {dc: [] for dc in dcs}
     for i in range(updates):
+        client = f"c{rng.randrange(clients)}"
+        for _ in range(rng.randrange(3)):
+            roll = rng.random()
+            if roll < 0.1:
+                returned = (999.0, "nowhere/g0")
+            elif roll < 0.2:
+                returned = None
+            elif roll < 0.4:
+                returned = last_read.get(client)
+            else:
+                returned = rng.choice(sorted(key_of))
+            key = key_of[returned] if returned else rng.choice(keys)
+            log.record_read(client, rng.choice(dcs), key, returned, None)
+            last_read[client] = returned
         key = rng.choice(keys)
         origin = rng.choice(sorted(replication.replicas(key)))
         # timestamps collide across origins: versions tie-break on src
         lbl = label(float(1 + i // 2), origin, key=key)
         version = (lbl.ts, lbl.src)
-        if version in versions:
+        if version in key_of:
             continue
-        deps = set(rng.sample(versions, min(len(versions), rng.randrange(4))))
-        versions.append(version)
-        if rng.random() < 0.1:
-            deps.add((999.0, "nowhere/g0"))           # never recorded
+        key_of[version] = key
         if rng.random() < deps_first:
-            log.record_update_deps(version, frozenset(deps))  # stub first
+            log.record_update_deps(client, version)   # client's call first
             log.record_update(lbl, lbl.origin_dc, lbl.ts)
         else:
             log.record_update(lbl, lbl.origin_dc, lbl.ts)
-            log.record_update_deps(version, frozenset(deps))
+            log.record_update_deps(client, version)
         for dc in replication.replicas(lbl.target):
             if dc != lbl.origin_dc and rng.random() > 0.05:   # 5 % lost
                 arrival[dc].append(lbl)
@@ -264,8 +285,10 @@ def random_log(seed, updates=120, deps_first=0.1):
     return log
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(200))
 def test_bisect_oracle_agrees_with_the_linear_scan(seed):
+    """One pass per session finds exactly the reference's late
+    dependencies, in the same order."""
     log = random_log(seed)
     reference = linear_scan_violations(log)
     found = [v for v in log.check() if v.kind == "causal-order"]
@@ -286,6 +309,6 @@ def test_random_logs_exercise_both_outcomes():
     # satisfied and violated dependencies
     logs = [random_log(seed) for seed in range(40)]
     violated = sum(len(linear_scan_violations(log)) for log in logs)
-    checked = sum(len(record.deps) for log in logs
-                  for record in log.updates.values())
+    checked = sum(len(log.past(version)) for log in logs
+                  for version in log.updates)
     assert 200 < violated < checked
