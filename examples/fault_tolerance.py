@@ -42,8 +42,7 @@ def main() -> None:
         ClusterConfig(system="saturn", sites=SITES, clients_per_dc=6,
                       saturn_topology=c1, beacon_period=25.0,
                       dc_params=dict(beacon_timeout=100.0,
-                                     stabilization_wait=50.0,
-                                     probe_period=50.0)),
+                                     stabilization_wait=50.0)),
         workload)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)

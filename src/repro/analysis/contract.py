@@ -7,13 +7,12 @@ policy — it only checks the tree against this file, so a deliberate
 architectural change is a one-line diff here rather than a lint
 suppression.
 
-Parsing uses :mod:`tomllib` (Python >= 3.11).  On older interpreters a
-minimal line-oriented fallback handles the restricted TOML subset the
-contract actually uses (tables, arrays of tables, string/array values).
+Parsing uses :mod:`tomllib` (the package needs Python >= 3.11).
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -91,99 +90,6 @@ class ArchContract:
         return ()
 
 
-def _parse_toml(path: Path) -> Dict[str, Any]:
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python < 3.11
-        return _parse_toml_minimal(path.read_text(encoding="utf-8"))
-    with path.open("rb") as fh:
-        return tomllib.load(fh)
-
-
-def _parse_toml_minimal(text: str) -> Dict[str, Any]:
-    """Tiny TOML-subset parser: [table], [[array-of-tables]], key = value
-    with string / array-of-string values.  Enough for the contract file."""
-    root: Dict[str, Any] = {}
-    current: Dict[str, Any] = root
-    pending = ""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if pending:
-            line = pending + " " + line
-            pending = ""
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            name = line[2:-2].strip()
-            current = {}
-            root.setdefault(name, []).append(current)
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            current = root.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ContractError(f"unparseable contract line: {raw!r}")
-        key, _, value = line.partition("=")
-        value = value.strip()
-        if value.startswith("[") and not value.endswith("]"):
-            pending = line  # multi-line array: accumulate
-            continue
-        current[key.strip()] = _parse_value(value)
-    if pending:
-        raise ContractError(f"unterminated array in contract: {pending!r}")
-    return root
-
-
-def _parse_value(value: str) -> Any:
-    value = value.strip()
-    if value.startswith("[") and value.endswith("]"):
-        inner = value[1:-1].strip()
-        if not inner:
-            return []
-        items = []
-        for part in _split_top_level(inner):
-            items.append(_parse_value(part))
-        return items
-    if (value.startswith('"') and value.endswith('"')) or (
-            value.startswith("'") and value.endswith("'")):
-        return value[1:-1]
-    if value in ("true", "false"):
-        return value == "true"
-    raise ContractError(f"unsupported contract value: {value!r}")
-
-
-def _split_top_level(inner: str) -> List[str]:
-    parts: List[str] = []
-    depth = 0
-    quote = ""
-    buf = ""
-    for ch in inner:
-        if quote:
-            buf += ch
-            if ch == quote:
-                quote = ""
-            continue
-        if ch in "\"'":
-            quote = ch
-            buf += ch
-        elif ch == "[":
-            depth += 1
-            buf += ch
-        elif ch == "]":
-            depth -= 1
-            buf += ch
-        elif ch == "," and depth == 0:
-            if buf.strip():
-                parts.append(buf.strip())
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip():
-        parts.append(buf.strip())
-    return parts
-
-
 def _strings(table: Dict[str, Any], key: str,
              default: Sequence[str] = ()) -> Tuple[str, ...]:
     value = table.get(key)
@@ -199,7 +105,8 @@ def load_contract(path: Path) -> ArchContract:
     """Parse and validate the contract at *path*."""
     if not path.is_file():
         raise ContractError(f"contract file not found: {path}")
-    data = _parse_toml(path)
+    with path.open("rb") as fh:
+        data = tomllib.load(fh)
 
     meta = data.get("meta", {})
     root_package = meta.get("root_package")

@@ -65,11 +65,9 @@ CLIENT_STAGGER = 0.013
 SINK_CADENCE = dict(sink_batch_period=2.0, sink_heartbeat_period=8.0,
                     bulk_heartbeat_period=5.0)
 #: detector tuning shared by every fault scenario: beacons every 2 ms,
-#: suspicion after 7 ms of silence, degradation 4 ms later, probes with
-#: exponential backoff capped at 16 ms
+#: suspicion after 7 ms of silence, degradation 4 ms later
 BEACON_PERIOD = 2.0
-DETECTOR = dict(beacon_timeout=7.0, stabilization_wait=4.0,
-                probe_period=4.0, probe_backoff=2.0, probe_period_max=16.0)
+DETECTOR = dict(beacon_timeout=7.0, stabilization_wait=4.0)
 
 
 @dataclass

@@ -4,8 +4,8 @@
 (:class:`repro.datacenter.failover.SinkFailoverDetector`) and drives the
 §6.2 failure-path reconfiguration.  The recovery rule is deliberately
 conservative: an emergency epoch change fires only once **every** datacenter
-that suspected its attachment has probed the tree reachable again, so the
-new epoch is never installed into a still-broken network.
+that suspected its attachment has heard a beacon of the failed tree again,
+so the new epoch is never installed into a still-broken network.
 
 In the real system this role is played by Saturn's (replicated)
 configuration manager; here it is a plain coordinator object so scenarios
@@ -14,10 +14,9 @@ can introspect the event history deterministically.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.reconfig import ReconfigurationManager
-from repro.core.tree import TreeTopology
 
 __all__ = ["AutoFailover"]
 
@@ -25,14 +24,8 @@ __all__ = ["AutoFailover"]
 class AutoFailover:
     """Recovery policy over suspicion / reachability reports."""
 
-    def __init__(self, manager: ReconfigurationManager,
-                 repair_topology: Optional[Callable[[], TreeTopology]] = None
-                 ) -> None:
+    def __init__(self, manager: ReconfigurationManager) -> None:
         self.manager = manager
-        #: factory for the repaired tree; defaults to re-installing the
-        #: current topology under a fresh epoch (same shape, new — live —
-        #: serializer processes)
-        self.repair_topology = repair_topology
         self._suspected: Set[str] = set()
         self._reachable: Set[str] = set()
         #: (sim time, kind, datacenter) audit trail
@@ -69,11 +62,10 @@ class AutoFailover:
     def _maybe_recover(self) -> None:
         if not self._suspected or not self._suspected <= self._reachable:
             return
-        if self.repair_topology is not None:
-            topology = self.repair_topology()
-        else:
-            topology = self.manager.service.topology()
         self._suspected.clear()
         self._reachable.clear()
-        epoch = self.manager.reconfigure(topology, emergency=True)
+        # the repaired tree is the current topology under a fresh epoch
+        # (same shape, new — live — serializer processes)
+        epoch = self.manager.reconfigure(self.manager.service.topology(),
+                                         emergency=True)
         self.recoveries.append((self._now(), epoch))

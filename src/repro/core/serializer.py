@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 from repro.core.label import Label, LabelType
 from repro.core.replication import ReplicationMap
 from repro.core.tree import TreeTopology
-from repro.datacenter.messages import (LabelBatch, LabelCredit, Ping, Pong,
+from repro.datacenter.messages import (LabelBatch, LabelCredit,
                                        SerializerBeacon)
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
@@ -187,9 +187,6 @@ class Serializer(Process):
 
     # -- label handling ------------------------------------------------------
 
-    def _on_ping(self, sender: str, message: Ping) -> None:
-        self.send(message.origin, Pong(seq=message.seq))
-
     def _on_batch(self, sender: str, message: LabelBatch) -> None:
         came_from = self._neighbor_of(sender)
         if (self.service_rate > 0 and came_from is None
@@ -205,7 +202,7 @@ class Serializer(Process):
             return
         self._route_batch(message, came_from, sender)
 
-    _HANDLERS = {Ping: _on_ping, LabelBatch: _on_batch}
+    _HANDLERS = {LabelBatch: _on_batch}
 
     # -- ingress service queue (overload configuration only) -----------------
 

@@ -32,7 +32,7 @@ from repro.datacenter.failover import SinkFailoverDetector
 from repro.datacenter.label_sink import LabelSink
 from repro.datacenter.messages import (BulkHeartbeat, ClientAttach,
                                        ClientMigrate, ClientUpdate, LabelBatch,
-                                       LabelCredit, MigrateReply, Pong,
+                                       LabelCredit, MigrateReply,
                                        RemotePayload, SerializerBeacon,
                                        UpdateReply)
 from repro.datacenter.overload import AdmissionController
@@ -67,10 +67,6 @@ class DatacenterParams:
     beacon_timeout: float = 0.0
     #: suspicion -> degraded delay (a late beacon within it clears suspicion)
     stabilization_wait: float = 4.0
-    #: probing of the dead attachment while degraded, with backoff
-    probe_period: float = 4.0
-    probe_backoff: float = 2.0
-    probe_period_max: float = 30.0
     #: fast-path epoch changes stuck longer than this fall back to the
     #: failure path (0 disables; see RemoteProxy._escalate_transition)
     transition_timeout: float = 0.0
@@ -90,7 +86,7 @@ class DatacenterParams:
         change (0 = no replay, when the detector is off).  Must cover
         everything possibly swallowed by a dead tree: labels sent after the
         crash but before degradation (detection window) plus slack for
-        propagation and probe/recovery delays."""
+        propagation and recovery delays."""
         if self.beacon_timeout <= 0:
             return 0.0
         return 2.0 * (self.beacon_timeout + self.stabilization_wait) + 20.0
@@ -128,10 +124,7 @@ class SaturnDatacenter(Datacenter):
         if params.beacon_timeout > 0 and self.consistency == "saturn":
             self.failover = SinkFailoverDetector(
                 self, beacon_timeout=params.beacon_timeout,
-                stabilization_wait=params.stabilization_wait,
-                probe_period=params.probe_period,
-                probe_backoff=params.probe_backoff,
-                probe_period_max=params.probe_period_max)
+                stabilization_wait=params.stabilization_wait)
 
         #: wired by the harness: the Saturn metadata service (tree mode only)
         self.saturn: Optional["SaturnService"] = None
@@ -156,10 +149,6 @@ class SaturnDatacenter(Datacenter):
     # message dispatch
     # ------------------------------------------------------------------
 
-    def _on_pong(self, sender: str, message: Pong) -> None:
-        if self.failover is not None:
-            self.failover.on_pong(message.seq)
-
     def _on_beacon(self, sender: str, message: SerializerBeacon) -> None:
         if self.failover is not None:
             self.failover.on_beacon(message)
@@ -170,7 +159,6 @@ class SaturnDatacenter(Datacenter):
         RemotePayload: lambda self, sender, m: self.proxy.on_payload(m),
         BulkHeartbeat: lambda self, sender, m: self.proxy.on_heartbeat(m),
         LabelBatch: lambda self, sender, m: self.proxy.on_labels(m),
-        Pong: _on_pong,
         LabelCredit: lambda self, sender, m: self.sink.on_credit(m.labels),
         SerializerBeacon: _on_beacon,
     }

@@ -1,5 +1,5 @@
 """Sink failover state machine: detect a dead tree attachment, degrade,
-probe, and re-attach (§2.3 / §6.2 robustness machinery).
+and re-attach (§2.3 / §6.2 robustness machinery).
 
 Each Saturn datacenter can run one :class:`SinkFailoverDetector` next to its
 label sink.  Serializers push :class:`~repro.datacenter.messages.SerializerBeacon`
@@ -15,14 +15,12 @@ one every ``beacon_period`` ms and walks a three-state machine on silence:
     The datacenter gives up on the tree: the proxy falls back to the
     timestamp total order of labels piggybacked on bulk payloads (always
     available, §2.3 — buffered entries drain in ``(ts, source)`` order once
-    stable), and the sink *parks* outgoing labels for later replay.  The
-    detector then probes the dead attachment with ``Ping`` at
-    ``probe_period`` ms, backing off by ``probe_backoff``× per attempt up
-    to ``probe_period_max``.
+    stable), and the sink *parks* outgoing labels for later replay.
 
 ``DEGRADED`` --(recovered tree's beacon after an epoch change)--> ``ATTACHED``
-    Connectivity evidence (a probe's ``Pong``, or a beacon from the failed
-    epoch's restarted serializer) is *reported* to the coordinator
+    Connectivity evidence (any beacon from the failed epoch: its restarted
+    serializer, or one held by a partition and delivered at heal) is
+    *reported* to the coordinator
     (:class:`repro.core.failover.AutoFailover`), which triggers an
     emergency epoch-change reconfiguration once every suspected datacenter
     can reach the tree again.  The detector only re-attaches after the
@@ -30,13 +28,18 @@ one every ``beacon_period`` ms and walks a three-state machine on silence:
     the *same* epoch would strand the proxy in emergency mode with no
     transition target, since the labels swallowed by the dead tree are
     re-propagated by the sink replay only through the *new* epoch.
+
+Beacons are the only reachability signal.  A restarted serializer beacons
+at once and every ``beacon_period`` ms after, and a healed partition
+re-sends held messages in order, so a beacon of the failed epoch is the
+first message a degraded detector can get from its attachment.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.datacenter.messages import Ping, SerializerBeacon
+from repro.datacenter.messages import SerializerBeacon
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.datacenter import SaturnDatacenter
@@ -52,17 +55,12 @@ class SinkFailoverDetector:
     """Per-datacenter serializer-liveness detector with degraded fallback."""
 
     def __init__(self, dc: "SaturnDatacenter", beacon_timeout: float,
-                 stabilization_wait: float = 4.0,
-                 probe_period: float = 4.0, probe_backoff: float = 2.0,
-                 probe_period_max: float = 30.0) -> None:
+                 stabilization_wait: float = 4.0) -> None:
         if beacon_timeout <= 0:
             raise ValueError("beacon_timeout must be positive")
         self.dc = dc
         self.beacon_timeout = beacon_timeout
         self.stabilization_wait = stabilization_wait
-        self.probe_period = probe_period
-        self.probe_backoff = probe_backoff
-        self.probe_period_max = probe_period_max
         #: coordinator with on_suspected / on_suspicion_cleared /
         #: on_reachable / on_reattached callbacks (may stay None)
         self.coordinator: Optional[Any] = None
@@ -79,12 +77,6 @@ class SinkFailoverDetector:
         self._degraded_at = 0.0
         self._check_timer = None
         self._degrade_event = None
-        self._probe_event = None
-        self._probe_interval = probe_period
-        #: probe sequence numbers count down from -1 (the values travel in
-        #: Ping/Pong and are part of the pinned fault-scenario traces)
-        self._probe_seq = 0
-        self._probe_seqs: Set[int] = set()
         self._reachable_reported = False
         #: highest beacon incarnation seen from the watched epoch's tree
         self._seen_incarnation = 0
@@ -133,20 +125,12 @@ class SinkFailoverDetector:
             else:
                 self._report_reachable()
 
-    def on_pong(self, seq: int) -> None:
-        """A probe came back: the failed attachment answers again."""
-        if seq in self._probe_seqs:
-            self._probe_seqs.discard(seq)
-            if self.state == DEGRADED:
-                self._report_reachable()
-
     def on_switch(self, new_epoch: int) -> None:
         """The datacenter moved its sink to *new_epoch* (any reconfiguration,
         planned or emergency)."""
         self._watched_epoch = new_epoch
         self._last_beacon = self.dc.sim.now  # grace for the new tree
         self._seen_incarnation = 0  # fresh processes, fresh count
-        self._cancel_probes()
         if self.state == SUSPECTED:
             # a planned switch outran the stabilization wait
             self._cancel_degrade()
@@ -202,11 +186,8 @@ class SinkFailoverDetector:
         self.dc.saturn_down = True
         self.dc.sink.park()
         self.dc.proxy.enter_fallback()
-        self._probe_interval = self.probe_period
-        self._schedule_probe()
 
     def _reattach(self) -> None:
-        self._cancel_probes()
         self.dc.saturn_down = False
         if self.dc.sink.parked:
             # a *planned* switch moved us to the new epoch while degraded
@@ -225,36 +206,9 @@ class SinkFailoverDetector:
         if self.coordinator is not None:
             self.coordinator.on_reachable(self.dc.dc_name)
 
-    # -- probing (retry with backoff) ---------------------------------------
-
-    def _schedule_probe(self) -> None:
-        self._probe_event = self.dc.set_timer(self._probe_interval,
-                                              self._probe)
-
-    def _probe(self) -> None:
-        if self.state != DEGRADED:
-            return
-        if self.dc.saturn is not None:
-            ingress = self.dc.saturn.ingress_process(self.dc.dc_name,
-                                                     self._failed_epoch)
-            if ingress is not None:
-                self._probe_seq -= 1
-                self._probe_seqs.add(self._probe_seq)
-                self.dc.send(ingress, Ping(seq=self._probe_seq,
-                                           origin=self.dc.name))
-        self._probe_interval = min(self._probe_interval * self.probe_backoff,
-                                   self.probe_period_max)
-        self._schedule_probe()
-
     # -- timer bookkeeping --------------------------------------------------
 
     def _cancel_degrade(self) -> None:
         if self._degrade_event is not None:
             self._degrade_event.cancel()
             self._degrade_event = None
-
-    def _cancel_probes(self) -> None:
-        if self._probe_event is not None:
-            self._probe_event.cancel()
-            self._probe_event = None
-        self._probe_seqs.clear()

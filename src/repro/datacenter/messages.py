@@ -23,7 +23,7 @@ __all__ = [
     "ClientAttach", "ClientRead", "ClientUpdate", "ClientMigrate",
     "AttachOk", "ReadReply", "UpdateReply", "MigrateReply",
     "RemotePayload", "BulkHeartbeat", "LabelBatch", "StabilizationMsg",
-    "Ping", "Pong", "SerializerBeacon", "LabelCredit", "Stamp",
+    "SerializerBeacon", "LabelCredit", "Stamp",
 ]
 
 #: A client's causal past as carried on the wire.  The concrete shape is
@@ -176,26 +176,17 @@ class StabilizationMsg:
     value: Optional[float] = None
 
 
-# -- liveness probes (Saturn outage detection) ---------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Ping:
-    seq: int
-    origin: str
-
-
-@dataclass(frozen=True, slots=True)
-class Pong:
-    seq: int
-
+# -- liveness (Saturn outage detection) ---------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class SerializerBeacon:
     """Periodic liveness beacon from a serializer to its attached sinks.
 
-    Push-style complement to Ping/Pong: each datacenter's failure detector
-    expects a beacon every ``beacon_period`` ms and raises suspicion after
-    ``beacon_timeout`` ms of silence (see repro.datacenter.failover).
+    The only reachability signal of each datacenter's failure detector:
+    it expects a beacon every ``beacon_period`` ms, raises suspicion after
+    ``beacon_timeout`` ms of silence, and reports a degraded attachment
+    reachable again on the failed epoch's next beacon (see
+    repro.datacenter.failover).
 
     ``incarnation`` counts fail-recover cycles of the sending serializer.
     A beacon with a higher incarnation than previously seen proves the

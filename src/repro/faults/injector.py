@@ -17,14 +17,13 @@ still runs standalone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.faults.plan import FaultAction, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.reconfig import ReconfigurationManager
     from repro.core.service import SaturnService
-    from repro.core.tree import TreeTopology
     from repro.sim.engine import Simulator
     from repro.sim.network import Network
 
@@ -37,13 +36,11 @@ class FaultInjector:
     def __init__(self, sim: "Simulator", network: "Network",
                  service: Optional["SaturnService"] = None,
                  manager: Optional["ReconfigurationManager"] = None,
-                 repair_topology: Optional[Callable[[], "TreeTopology"]] = None,
                  clocks: Optional[dict] = None) -> None:
         self.sim = sim
         self.network = network
         self.service = service
         self.manager = manager
-        self.repair_topology = repair_topology
         #: datacenter name -> PhysicalClock, for clock-skew actions
         self.clocks = clocks or {}
         #: optional fault-timing chooser: ``choose_fault(name, k) -> int``
@@ -140,9 +137,6 @@ class FaultInjector:
         if self.manager is None:
             raise RuntimeError("fault plan asks for a reconfiguration but "
                                "the injector has no ReconfigurationManager")
-        if self.repair_topology is not None:
-            topology = self.repair_topology()
-        else:
-            topology = self.manager.service.topology()
-        self.manager.reconfigure(topology,
+        # the same shape under a fresh epoch: new, live serializers
+        self.manager.reconfigure(self.manager.service.topology(),
                                  emergency=bool(args.get("emergency", False)))

@@ -457,8 +457,7 @@ def _failure(scale: Scale):
         scale=replace(scale, duration=duration), sites=sites,
         topology=TreeTopology.star("I", {s: s for s in sites}),
         before_run=inject, beacon_period=25.0, auto_failover=True,
-        dc_params=dict(beacon_timeout=100.0, stabilization_wait=50.0,
-                       probe_period=50.0)))], fold
+        dc_params=dict(beacon_timeout=100.0, stabilization_wait=50.0)))], fold
 
 
 @_experiment("ablation-sink-batching", "label-sink batching period: "

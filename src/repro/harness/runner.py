@@ -77,8 +77,8 @@ class ClusterConfig:
     #: Saturn tree; default is a star on the first site (experiments pass
     #: the configuration generator's output for the M-configuration).
     saturn_topology: Optional[TreeTopology] = None
-    #: serializer liveness beacons (0 = off); pair with the per-sink
-    #: detector's ``dc_params["beacon_timeout"]`` (repro.datacenter.failover)
+    #: serializer liveness beacons (0 = off); the per-sink detector's
+    #: ``dc_params["beacon_timeout"]`` needs them (repro.datacenter.failover)
     beacon_period: float = 0.0
     #: wire the AutoFailover coordinator: degraded datacenters trigger an
     #: emergency epoch change once the dead tree is reachable again
@@ -112,6 +112,13 @@ class ClusterConfig:
         if self.auto_failover and not protocol.has_tree:
             raise ValueError(f"auto_failover needs a serializer tree; "
                              f"{self.system!r} has none")
+        if (self.dc_params.get("beacon_timeout", 0) > 0
+                and self.beacon_period <= 0):
+            # beacons are the detector's only evidence, of silence and of
+            # recovery alike: without them every datacenter degrades
+            raise ValueError("dc_params beacon_timeout needs beacon_period "
+                             "> 0: the failure detector listens for "
+                             "serializer beacons")
         if self.latency_model is None:
             self.latency_model = ec2_latency_model(LOCAL_LATENCY)
 
@@ -143,8 +150,7 @@ class Cluster:
         self.sim = Simulator()
         self.rng = RngRegistry(seed=config.seed)
         self.network = Network(self.sim, latency_model=config.latency_model,
-                               default_latency=LOCAL_LATENCY,
-                               rng=self.rng)
+                               default_latency=LOCAL_LATENCY)
         self.metrics = MetricsHub(self.sim)
         self.clocks = ClockFactory(self.sim, self.rng,
                                    max_skew=config.max_clock_skew)

@@ -76,9 +76,9 @@ from repro.core.label import Label, LabelType
 from repro.datacenter.messages import (AttachOk, BulkHeartbeat, ClientAttach,
                                        ClientMigrate, ClientRead,
                                        ClientUpdate, LabelBatch, LabelCredit,
-                                       MigrateReply, Ping, Pong, ReadReply,
-                                       RemotePayload, SerializerBeacon,
-                                       StabilizationMsg, UpdateReply)
+                                       MigrateReply, ReadReply, RemotePayload,
+                                       SerializerBeacon, StabilizationMsg,
+                                       UpdateReply)
 
 __all__ = [
     "CodecError", "register", "registered_messages",
@@ -425,8 +425,6 @@ register(BulkHeartbeat)
 register(LabelBatch)
 register(LabelCredit)
 register(SerializerBeacon)
-register(Ping)
-register(Pong)
 # stabilization baselines:
 register(StabilizationMsg)
 register(BaselinePayload)

@@ -50,7 +50,6 @@ from repro.perf.measure import best_rate, wall_clock
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 __all__ = ["bench_kernel", "bench_fabric", "bench_tree", "bench_obs_enabled",
            "bench_codec", "bench_config_solve", "bench_figure",
@@ -124,7 +123,7 @@ def bench_fabric(messages: int = 300_000, repeats: int = 3,
     def run() -> Tuple[int, float]:
         sim = Simulator()
         network = Network(sim, latency_model=ec2_latency_model(),
-                          default_latency=0.25, rng=RngRegistry(seed=11))
+                          default_latency=0.25)
         budget = [messages]
         nodes = [_Echo(sim, f"node:{site}", budget) for site in sites]
         for node, site in zip(nodes, sites):
@@ -165,7 +164,7 @@ def _tree_run(batches_per_dc: int, labels_per_batch: int,
     """One timed serializer-tree run; ``traced`` attaches a LabelTracer."""
     sim = Simulator()
     network = Network(sim, latency_model=ec2_latency_model(),
-                      default_latency=0.25, rng=RngRegistry(seed=11))
+                      default_latency=0.25)
     replication = ReplicationMap(list(sites))
     service = SaturnService(sim, network, replication)
     if traced:

@@ -8,13 +8,13 @@ Saturn's correctness and are guaranteed here:
   delivered in send order even when latency fluctuates (a later message never
   overtakes an earlier one on the same link).  Saturn's serializer tree
   requires FIFO channels (§5.3 of the paper).
-* **Deterministic jitter** — optional jitter is drawn from a seeded RNG
-  stream so executions are reproducible.
+* **Determinism** — a send's arrival time is a function of the link and
+  the send instant alone, so executions are reproducible.
 
 One-way latency of a (src, dst) link is its *base* — the site-level
 latency matrix when both processes are placed (see :meth:`Network.place`),
-``default_latency`` otherwise — plus any injected extra delay, plus one
-jitter draw per message when ``jitter > 0``.  The base and the target
+``default_latency`` otherwise — plus any injected extra delay, plus the
+model checker's optional per-send perturbation.  The base and the target
 process never change between :meth:`Network.place` calls, so they are
 resolved once per link, on its first send, and kept in the link's state;
 ``place`` drops every resolved route.
@@ -41,7 +41,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 __all__ = ["Network", "LatencyModel"]
 
@@ -118,13 +117,10 @@ class Network:
     """Message fabric for all simulated processes."""
 
     def __init__(self, sim: Simulator, latency_model: Optional[LatencyModel] = None,
-                 default_latency: float = 0.5, jitter: float = 0.0,
-                 rng: Optional[RngRegistry] = None) -> None:
+                 default_latency: float = 0.5) -> None:
         self.sim = sim
         self.latency_model = latency_model
         self.default_latency = default_latency
-        self.jitter = jitter
-        self._rng = (rng or RngRegistry(seed=0)).stream("network-jitter")
         self._processes: Dict[str, Process] = {}
         self._sites: Dict[str, str] = {}
         self._links: Dict[Tuple[str, str], _LinkState] = {}
@@ -290,10 +286,7 @@ class Network:
             state.held.append((message, size_bytes))
             return
         sim = self.sim
-        delay = state.base + state.extra_delay
-        if self.jitter > 0:
-            delay += self._rng.uniform(0.0, self.jitter)
-        arrival = sim.now + delay
+        arrival = sim.now + (state.base + state.extra_delay)
         perturb = self.perturb
         if perturb is not None:
             extra = perturb(src, dst)

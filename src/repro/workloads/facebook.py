@@ -29,6 +29,7 @@ remote-read rate — exactly the knob Fig. 8a sweeps.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -39,7 +40,8 @@ from repro.workloads.partitioning import (assign_masters,
                                           build_social_replication,
                                           user_group)
 
-__all__ = ["FacebookWorkload", "generate_social_graph", "OPERATION_MIX"]
+__all__ = ["FacebookWorkload", "generate_social_graph", "OPERATION_MIX",
+           "social_op_generator"]
 
 #: (name, share, is_write) — shares sum to 1.0
 OPERATION_MIX = (
@@ -49,6 +51,60 @@ OPERATION_MIX = (
     ("edit_own", 0.10, True),
     ("write_friend", 0.08, True),
 )
+#: keys per user's group; an operation on a user touches one of them
+KEYS_PER_USER = 4
+
+
+def social_op_generator(dc_name: str, me: int, my_friends: Sequence[int],
+                        num_users: int, value_size: int,
+                        replication: ReplicationMap,
+                        latency: Callable[[str, str], float],
+                        stream: random.Random) -> Callable[[object], object]:
+    """The ``workload(client) -> op`` closure of one social client: user
+    *me* at *dc_name* draws from :data:`OPERATION_MIX` on *stream*.  Each
+    read or friend write asks *replication* for the user's replicas once,
+    at draw time (a lazily placed map places users in query order)."""
+
+    def _key(user: int) -> str:
+        return f"{user_group(user)}:{stream.randrange(KEYS_PER_USER)}"
+
+    def _read(user: int) -> object:
+        group = user_group(user)
+        replicas = replication.replicas_of_group(group)
+        if dc_name in replicas:
+            return ReadOp(key=_key(user))
+        target = min(replicas, key=lambda dc: (latency(dc_name, dc), dc))
+        return RemoteReadOp(key=_key(user), target_dc=target)
+
+    def _local_write(user: int) -> object:
+        """Write if *user*'s data is local, else browse instead."""
+        group = user_group(user)
+        if dc_name in replication.replicas_of_group(group):
+            return UpdateOp(key=_key(user), value_size=value_size)
+        return _read(user)
+
+    def _next(client: object) -> object:
+        roll = stream.random()
+        cumulative = 0.0
+        for name, share, _ in OPERATION_MIX:
+            cumulative += share
+            if roll < cumulative:
+                break
+        else:
+            name = OPERATION_MIX[-1][0]
+        if name == "browse_own":
+            return ReadOp(key=_key(me))
+        if name == "browse_friend" and my_friends:
+            return _read(stream.choice(my_friends))
+        if name == "search_random":
+            return _read(stream.randrange(num_users))
+        if name == "edit_own":
+            return UpdateOp(key=_key(me), value_size=value_size)
+        if name == "write_friend" and my_friends:
+            return _local_write(stream.choice(my_friends))
+        return ReadOp(key=_key(me))
+
+    return _next
 
 
 def generate_social_graph(num_users: int, attachment: int,
@@ -91,7 +147,6 @@ class FacebookWorkload:
     min_replicas: int = 2
     max_replicas: int = 5
     value_size: int = 64
-    keys_per_user: int = 4
 
     def __post_init__(self) -> None:
         self._adjacency: Optional[Dict[int, Set[int]]] = None
@@ -142,45 +197,6 @@ class FacebookWorkload:
         self._client_counter[dc_name] = index + 1
         me = local_users[index % len(local_users)]
         my_friends = sorted(self.adjacency[me])
-        all_users = self.num_users
-
-        def _key(user: int) -> str:
-            return f"{user_group(user)}:{stream.randrange(self.keys_per_user)}"
-
-        def _read(user: int) -> object:
-            group = user_group(user)
-            if dc_name in replication.replicas_of_group(group):
-                return ReadOp(key=_key(user))
-            replicas = replication.replicas_of_group(group)
-            target = min(replicas, key=lambda dc: (latency(dc_name, dc), dc))
-            return RemoteReadOp(key=_key(user), target_dc=target)
-
-        def _local_write(user: int) -> object:
-            """Write if *user*'s data is local, else browse instead."""
-            group = user_group(user)
-            if dc_name in replication.replicas_of_group(group):
-                return UpdateOp(key=_key(user), value_size=self.value_size)
-            return _read(user)
-
-        def _next(client: object) -> object:
-            roll = stream.random()
-            cumulative = 0.0
-            for name, share, _ in OPERATION_MIX:
-                cumulative += share
-                if roll < cumulative:
-                    break
-            else:
-                name = OPERATION_MIX[-1][0]
-            if name == "browse_own":
-                return ReadOp(key=_key(me))
-            if name == "browse_friend" and my_friends:
-                return _read(stream.choice(my_friends))
-            if name == "search_random":
-                return _read(stream.randrange(all_users))
-            if name == "edit_own":
-                return UpdateOp(key=_key(me), value_size=self.value_size)
-            if name == "write_friend" and my_friends:
-                return _local_write(stream.choice(my_friends))
-            return ReadOp(key=_key(me))
-
-        return _next
+        return social_op_generator(dc_name, me, my_friends, self.num_users,
+                                   self.value_size, replication, latency,
+                                   stream)

@@ -57,9 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.replication import ReplicationMap
 from repro.sim.rng import RngRegistry
-from repro.workloads.facebook import OPERATION_MIX
-from repro.workloads.ops import ReadOp, RemoteReadOp, UpdateOp
-from repro.workloads.partitioning import user_group
+from repro.workloads.facebook import social_op_generator
 
 __all__ = ["StreamingSocialGraph", "IncrementalPartitioner",
            "StreamingReplicationMap", "StreamingFacebookWorkload"]
@@ -375,7 +373,6 @@ class StreamingFacebookWorkload:
     min_replicas: int = 2
     max_replicas: int = 5
     value_size: int = 64
-    keys_per_user: int = 4
     balance_slack: float = 1.10
 
     def __post_init__(self) -> None:
@@ -432,44 +429,6 @@ class StreamingFacebookWorkload:
         stream = rng.stream(stream_name)
         me = self._pick_local_user(dc_name, stream)
         my_friends = self.graph.friends(me)
-        all_users = self.num_users
-
-        def _key(user: int) -> str:
-            return f"{user_group(user)}:{stream.randrange(self.keys_per_user)}"
-
-        def _read(user: int) -> object:
-            group = user_group(user)
-            replicas = replication.replicas_of_group(group)
-            if dc_name in replicas:
-                return ReadOp(key=_key(user))
-            target = min(replicas, key=lambda dc: (latency(dc_name, dc), dc))
-            return RemoteReadOp(key=_key(user), target_dc=target)
-
-        def _local_write(user: int) -> object:
-            group = user_group(user)
-            if dc_name in replication.replicas_of_group(group):
-                return UpdateOp(key=_key(user), value_size=self.value_size)
-            return _read(user)
-
-        def _next(client: object) -> object:
-            roll = stream.random()
-            cumulative = 0.0
-            for name, share, _ in OPERATION_MIX:
-                cumulative += share
-                if roll < cumulative:
-                    break
-            else:
-                name = OPERATION_MIX[-1][0]
-            if name == "browse_own":
-                return ReadOp(key=_key(me))
-            if name == "browse_friend" and my_friends:
-                return _read(stream.choice(my_friends))
-            if name == "search_random":
-                return _read(stream.randrange(all_users))
-            if name == "edit_own":
-                return UpdateOp(key=_key(me), value_size=self.value_size)
-            if name == "write_friend" and my_friends:
-                return _local_write(stream.choice(my_friends))
-            return ReadOp(key=_key(me))
-
-        return _next
+        return social_op_generator(dc_name, me, my_friends, self.num_users,
+                                   self.value_size, replication, latency,
+                                   stream)

@@ -21,6 +21,12 @@ from repro.workloads.ops import ReadOp, RemoteReadOp, UpdateOp
 
 __all__ = ["SyntheticWorkload"]
 
+#: skewed access: with probability ``HOT_FRACTION`` an operation touches
+#: one of the group's first ``HOT_KEYS`` keys (social workloads are
+#: zipfian; hot keys keep client causal pasts fresh)
+HOT_FRACTION = 0.5
+HOT_KEYS = 4
+
 
 @dataclass
 class SyntheticWorkload:
@@ -38,11 +44,6 @@ class SyntheticWorkload:
     groups_per_dc: int = 4
     keys_per_group: int = 64
     degree: Optional[int] = None
-    #: skewed access: with probability ``hot_fraction`` an operation touches
-    #: one of the group's first ``hot_keys`` keys (social workloads are
-    #: zipfian; hot keys keep client causal pasts fresh)
-    hot_fraction: float = 0.5
-    hot_keys: int = 4
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.read_ratio <= 1.0:
@@ -51,8 +52,6 @@ class SyntheticWorkload:
             raise ValueError("remote_read_fraction must be in [0, 1]")
         if self.value_size < 0:
             raise ValueError("value_size must be non-negative")
-        if not 0.0 <= self.hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in [0, 1]")
 
     # ------------------------------------------------------------------
 
@@ -96,9 +95,8 @@ class SyntheticWorkload:
             return remote_groups[-1]
 
         def _key(group: str) -> str:
-            if stream.random() < self.hot_fraction:
-                index = stream.randrange(min(self.hot_keys,
-                                             self.keys_per_group))
+            if stream.random() < HOT_FRACTION:
+                index = stream.randrange(min(HOT_KEYS, self.keys_per_group))
             else:
                 index = stream.randrange(self.keys_per_group)
             return f"{group}:{index}"

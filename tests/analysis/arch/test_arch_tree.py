@@ -51,11 +51,11 @@ def test_wire_messages_are_frozen_and_slotted():
     # attribute growth (codec.register() refuses a class that does not)
     from repro.datacenter import messages
 
-    ping = messages.Ping(seq=1, origin="dc:I")
+    credit = messages.LabelCredit(labels=1, tree_name="dc:I")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ping.seq = 2
+        credit.labels = 2
     with pytest.raises((AttributeError, TypeError)):
-        object.__setattr__(ping, "extra", 1)  # no __dict__ to sneak into
+        object.__setattr__(credit, "extra", 1)  # no __dict__ to sneak into
     for name in messages.__all__:
         obj = getattr(messages, name)
         if dataclasses.is_dataclass(obj):

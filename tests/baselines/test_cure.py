@@ -13,7 +13,6 @@ from repro.sim.clock import PhysicalClock
 from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
-from repro.sim.rng import RngRegistry
 
 
 def make_cluster():
@@ -22,7 +21,7 @@ def make_cluster():
     model.set("I", "F", 10.0)
     model.set("I", "T", 100.0)
     model.set("F", "T", 110.0)
-    network = Network(sim, latency_model=model, rng=RngRegistry(seed=2))
+    network = Network(sim, latency_model=model)
     replication = ReplicationMap(["I", "F", "T"])
     metrics = MetricsHub(sim)
     dcs = {}

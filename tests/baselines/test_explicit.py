@@ -133,7 +133,7 @@ def _unsafety_cluster(system):
     model.set("A", "B", 10.0)
     model.set("B", "C", 5.0)       # fast
     model.set("A", "C", 120.0)     # slow
-    network = Network(sim, latency_model=model, rng=RngRegistry(seed=2))
+    network = Network(sim, latency_model=model)
     replication = ReplicationMap(["A", "B", "C"])
     replication.set_group("gW", ["A", "C"])
     replication.set_group("gX", ["A", "B"])

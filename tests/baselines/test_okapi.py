@@ -12,7 +12,6 @@ from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 
 def make_cluster(partial=False):
@@ -21,7 +20,7 @@ def make_cluster(partial=False):
     model.set("I", "F", 10.0)
     model.set("I", "T", 100.0)
     model.set("F", "T", 110.0)
-    network = Network(sim, latency_model=model, rng=RngRegistry(seed=2))
+    network = Network(sim, latency_model=model)
     replication = ReplicationMap(["I", "F", "T"])
     if partial:
         replication.set_group("g0", ("I", "F", "T"))

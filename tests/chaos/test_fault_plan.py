@@ -8,7 +8,6 @@ from repro.faults.plan import (FORMAT_VERSION, FaultAction, FaultPlan, KINDS,
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ class _Recorder(Process):
 
 def _deployment():
     sim = Simulator()
-    net = Network(sim, default_latency=1.0, rng=RngRegistry(seed=3))
+    net = Network(sim, default_latency=1.0)
     a, b = _Recorder(sim, "a"), _Recorder(sim, "b")
     a.attach_network(net)
     b.attach_network(net)

@@ -53,8 +53,7 @@ def _outage_run(inject, duration, auto_failover):
         sites=SITES, topology=TreeTopology.star("I", {s: s for s in SITES}),
         before_run=_with_oracle(inject, logs),
         beacon_period=25.0, auto_failover=auto_failover,
-        dc_params=dict(beacon_timeout=100.0, stabilization_wait=50.0,
-                       probe_period=50.0))
+        dc_params=dict(beacon_timeout=100.0, stabilization_wait=50.0))
     return result, logs[0]
 
 

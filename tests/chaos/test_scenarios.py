@@ -82,7 +82,7 @@ def test_serializer_crash_fired_both_plan_actions(runs):
 
 
 # ---------------------------------------------------------------------------
-# root-partition: isolation of the root, probe-driven recovery
+# root-partition: isolation of the root, beacon-driven recovery
 # ---------------------------------------------------------------------------
 
 def test_root_partition_degrades_f_and_recovers(runs):

@@ -77,7 +77,7 @@ class MiniCluster:
         self.rng = RngRegistry(seed=seed)
         self.sites = ["I", "F", "T"]
         self.network = Network(self.sim, latency_model=small_latency_model(),
-                               default_latency=0.25, rng=self.rng)
+                               default_latency=0.25)
         self.metrics = MetricsHub(self.sim)
         self.replication = replication or ReplicationMap(self.sites)
         clocks = ClockFactory(self.sim, self.rng, max_skew=max_skew)

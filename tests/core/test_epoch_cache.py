@@ -13,7 +13,6 @@ from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
-from repro.sim.rng import RngRegistry
 
 SITES = ("I", "F", "T")
 
@@ -28,7 +27,7 @@ def _chain():
 def _service():
     sim = Simulator()
     network = Network(sim, latency_model=LatencyModel(local_latency=0.25),
-                      default_latency=0.25, rng=RngRegistry(seed=1))
+                      default_latency=0.25)
     replication = ReplicationMap(list(SITES))
     replication.set_group("g0", SITES)
     service = SaturnService(sim, network, replication)

@@ -7,11 +7,10 @@ from repro.core.replication import ReplicationMap
 from repro.core.serializer import interest_of
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
-from repro.datacenter.messages import LabelBatch, Ping, Pong
+from repro.datacenter.messages import LabelBatch
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 
 class FakeDC(Process):
@@ -20,13 +19,10 @@ class FakeDC(Process):
     def __init__(self, sim, dc_name):
         super().__init__(sim, f"dc:{dc_name}")
         self.labels = []
-        self.pongs = []
 
     def receive(self, sender, message):
         if isinstance(message, LabelBatch):
             self.labels.extend(message.labels)
-        elif isinstance(message, Pong):
-            self.pongs.append(message.seq)
 
 
 def update_label(ts, origin, key="gshared:0"):
@@ -43,8 +39,7 @@ class Rig:
         model.set("I", "F", 10.0)
         model.set("I", "T", 100.0)
         model.set("F", "T", 110.0)
-        self.network = Network(self.sim, latency_model=model,
-                               rng=RngRegistry(seed=2))
+        self.network = Network(self.sim, latency_model=model)
         self.replication = replication or ReplicationMap(["I", "F", "T"])
         self.topology = TreeTopology(
             serializer_sites={"s0": "I", "s1": "F", "s2": "T"},
@@ -156,14 +151,6 @@ def test_migration_label_routed_only_to_target():
     assert rig.dcs["F"].labels == []
 
 
-def test_ping_pong():
-    rig = Rig()
-    ingress = rig.service.ingress_process("I", 0)
-    rig.network.send("dc:I", ingress, Ping(seq=42, origin="dc:I"))
-    rig.sim.run()
-    assert rig.dcs["I"].pongs == [42]
-
-
 def test_failed_serializer_drops_labels():
     rig = Rig()
     rig.service.fail_serializer("s1")
@@ -183,7 +170,7 @@ def test_chain_replica_crash_shortens_then_kills():
 
 def test_chain_latency_grows_with_replicas():
     sim = Simulator()
-    network = Network(sim, rng=RngRegistry(seed=1))
+    network = Network(sim)
     replication = ReplicationMap(["I", "F"])
     service = SaturnService(sim, network, replication, chain_length=3,
                             local_hop_latency=0.4)

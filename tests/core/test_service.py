@@ -7,12 +7,11 @@ from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.rng import RngRegistry
 
 
 def make_service():
     sim = Simulator()
-    network = Network(sim, rng=RngRegistry(seed=1))
+    network = Network(sim)
     replication = ReplicationMap(["I", "F"])
     return SaturnService(sim, network, replication), network
 

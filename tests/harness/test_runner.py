@@ -44,6 +44,19 @@ def test_auto_failover_needs_a_serializer_tree():
                 ClusterConfig(system=system, auto_failover=True)
 
 
+def test_failure_detector_needs_beacons():
+    """Beacons are the detector's only evidence: a detector with nothing
+    to listen for would degrade every healthy datacenter."""
+    detector = dict(beacon_timeout=20.0)
+    assert ClusterConfig(system="saturn", beacon_period=5.0,
+                         dc_params=detector).beacon_period == 5.0
+    with pytest.raises(ValueError, match="beacon_period"):
+        ClusterConfig(system="saturn", dc_params=detector)
+    with pytest.raises(ValueError, match="beacon_period"):
+        ClusterConfig(system="saturn", auto_failover=True,
+                      dc_params=detector)
+
+
 def test_cluster_config_repeats_no_datacenter_param():
     """Per-datacenter tuning goes through ``dc_params``; only
     ``num_partitions`` (which the baselines take too) is a field."""
@@ -55,11 +68,11 @@ def test_cluster_config_repeats_no_datacenter_param():
 
 def test_dc_params_reach_the_datacenter_factory():
     saturn = Cluster(small_config(
-        "saturn", dc_params=dict(sink_batch_period=3.0, probe_period=9.0)),
+        "saturn", dc_params=dict(sink_batch_period=3.0, transition_timeout=9.0)),
         SyntheticWorkload())
     for dc in saturn.datacenters.values():
         assert dc.params.sink_batch_period == 3.0
-        assert dc.params.probe_period == 9.0
+        assert dc.params.transition_timeout == 9.0
     eunomia = Cluster(small_config("eunomia",
                                    dc_params=dict(batch_period=7.0)),
                       SyntheticWorkload())

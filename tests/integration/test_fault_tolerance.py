@@ -16,8 +16,7 @@ def build(seed=1):
                                     clients_per_dc=4, seed=seed,
                                     beacon_period=25.0,
                                     dc_params=dict(beacon_timeout=100.0,
-                                                   stabilization_wait=50.0,
-                                                   probe_period=50.0)),
+                                                   stabilization_wait=50.0)),
                       workload)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)

@@ -47,7 +47,7 @@ def latency_model():
 def build(delays):
     sim = Simulator()
     rng = RngRegistry(seed=4)
-    network = Network(sim, latency_model=latency_model(), rng=rng)
+    network = Network(sim, latency_model=latency_model())
     replication = ReplicationMap(SITES)
     replication.set_group("gX", ["d1", "d4"])  # item of update a
     replication.set_group("gY", ["d3", "d4"])  # items of updates b, c

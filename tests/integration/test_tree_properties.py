@@ -12,7 +12,6 @@ from repro.datacenter.messages import LabelBatch
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 
 class RecorderDC(Process):
@@ -54,7 +53,7 @@ def test_random_trees_deliver_causal_chains_in_order(seed, n_dcs, n_chains,
     for i, a in enumerate(site_names):
         for b in site_names[i + 1:]:
             model.set(a, b, rng.uniform(1.0, 120.0))
-    network = Network(sim, latency_model=model, rng=RngRegistry(seed=seed))
+    network = Network(sim, latency_model=model)
     dcs = [f"dc{i}" for i in range(n_dcs)]
     replication = ReplicationMap(dcs)
     topology = random_tree(rng, n_dcs)

@@ -5,7 +5,7 @@ import asyncio
 import json
 import time
 
-from repro.datacenter.messages import Ping, Pong
+from repro.datacenter.messages import LabelCredit
 from repro.net.kernel import RealtimeKernel
 from repro.net.sanitizers import NetSanitizer
 from repro.net.tcp import TcpTransport
@@ -32,8 +32,8 @@ class ReentrantSender:
 
     def deliver(self, src, message):
         self.got.append((src, message))
-        if isinstance(message, Ping):
-            self._transport.send(self.name, self._target, Pong(seq=0))
+        if isinstance(message, LabelCredit):
+            self._transport.send(self.name, self._target, LabelCredit(0))
 
 
 async def _drain_until(predicate, timeout=5.0):
@@ -108,9 +108,9 @@ def test_direct_delivery_inside_send_is_recorded():
     san = NetSanitizer()
     sink = Recorder("actor:r")
     san.enter_send()
-    san.deliver(sink, "actor:s", Pong(seq=9))  # delivering inside send()
+    san.deliver(sink, "actor:s", LabelCredit(9))  # delivering inside send()
     san.exit_send()
-    assert sink.got == [("actor:s", Pong(seq=9))]  # behaviour unchanged
+    assert sink.got == [("actor:s", LabelCredit(9))]  # behaviour unchanged
     (violation,) = san.reentrancy
     assert violation["process"] == "actor:r"
     assert violation["send_depth"] == 1
@@ -121,7 +121,7 @@ def test_nested_delivery_is_recorded():
     outer = Recorder("actor:outer")
     inner = Recorder("actor:inner")
     outer.deliver = lambda src, msg: san.deliver(inner, "actor:outer", msg)
-    san.deliver(outer, "actor:s", Pong(seq=1))
+    san.deliver(outer, "actor:s", LabelCredit(1))
     (violation,) = san.reentrancy
     assert violation["deliver_depth"] == 1
 
@@ -146,7 +146,7 @@ def test_transport_delivery_through_the_kernel_stays_clean():
             sink = Recorder("actor:a")
             b.register(echo)
             a.register(sink)
-            a.send("actor:a", "actor:b", Ping(seq=1, origin="a"))
+            a.send("actor:a", "actor:b", LabelCredit(1, "a"))
             await _drain_until(lambda: len(sink.got) == 1)
             assert san.reentrancy == []
             assert san.deliveries_checked >= 2
@@ -194,7 +194,7 @@ def test_clean_shutdown_reports_no_leaks():
 def test_report_roundtrips_through_json(tmp_path):
     san = NetSanitizer(stall_ms=123.0)
     san.enter_send()
-    san.deliver(Recorder("actor:x"), "actor:y", Pong(seq=2))
+    san.deliver(Recorder("actor:x"), "actor:y", LabelCredit(2))
     san.exit_send()
     path = tmp_path / "sanitizers.json"
     san.write(path)

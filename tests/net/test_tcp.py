@@ -11,7 +11,7 @@ import logging
 import pytest
 
 from repro.core.label import Label, LabelType
-from repro.datacenter.messages import LabelBatch, Ping, Pong
+from repro.datacenter.messages import LabelBatch, LabelCredit
 from repro.net import codec, tcp
 from repro.net.kernel import RealtimeKernel
 from repro.net.tcp import TcpTransport, _backoff_schedule
@@ -53,9 +53,9 @@ def test_cross_node_fifo_order():
             sink = Recorder("actor:b")
             b.register(sink)
             for seq in range(50):
-                a.send("actor:a", "actor:b", Ping(seq=seq, origin="a"))
+                a.send("actor:a", "actor:b", LabelCredit(seq, "a"))
             await _drain_until(lambda: len(sink.got) == 50)
-            assert [m.seq for _, m in sink.got] == list(range(50))
+            assert [m.labels for _, m in sink.got] == list(range(50))
             assert all(src == "actor:a" for src, _ in sink.got)
             assert a.messages_sent == 50 and a.bytes_sent > 0
             assert b.frames_received == 50
@@ -94,7 +94,7 @@ def test_frames_of_one_loop_turn_leave_in_fewer_writes_in_order(monkeypatch):
             for burst in range(3):   # three loop turns of 40 sends each
                 for seq in range(40):
                     a.send("actor:a", "actor:b",
-                           Ping(seq=burst * 40 + seq, origin="a"))
+                           LabelCredit(burst * 40 + seq, "a"))
                 await _drain_until(
                     lambda: sum(map(len, stub.writes)) == a.bytes_sent)
         finally:
@@ -105,7 +105,7 @@ def test_frames_of_one_loop_turn_leave_in_fewer_writes_in_order(monkeypatch):
     stream, seqs = b"".join(stub.writes), []
     while stream:
         (length,) = codec.FRAME_HEADER.unpack_from(stream)
-        seqs.append(codec.decode_frame_body(stream[4:4 + length])[2].seq)
+        seqs.append(codec.decode_frame_body(stream[4:4 + length])[2].labels)
         stream = stream[4 + length:]
     assert seqs == list(range(120))
 
@@ -119,13 +119,13 @@ def test_a_frame_larger_than_one_read_round_trips():
         try:
             sink = Recorder("actor:b")
             b.register(sink)
-            a.send("actor:a", "actor:b", Ping(seq=1, origin="a"))
+            a.send("actor:a", "actor:b", LabelCredit(1, "a"))
             a.send("actor:a", "actor:b", LabelBatch(labels, epoch=3))
-            a.send("actor:a", "actor:b", Ping(seq=2, origin="a"))
+            a.send("actor:a", "actor:b", LabelCredit(2, "a"))
             assert a.bytes_sent > 300 * 1024 > tcp._READ_BYTES
             await _drain_until(lambda: len(sink.got) == 3)
             (_, first), (_, batch), (_, last) = sink.got
-            assert (first.seq, last.seq) == (1, 2)
+            assert (first.labels, last.labels) == (1, 2)
             assert batch.epoch == 3 and len(batch.labels) == len(labels)
             assert codec.encode_message(batch) == codec.encode_message(
                 LabelBatch(labels, epoch=3))
@@ -141,12 +141,12 @@ def test_inbound_frames_buffer_until_the_actor_registers():
         _, a, b = await _pair()
         try:
             for seq in range(3):
-                a.send("actor:a", "actor:b", Ping(seq=seq, origin="a"))
+                a.send("actor:a", "actor:b", LabelCredit(seq, "a"))
             await _drain_until(lambda: b.frames_received == 3)
             late = Recorder("actor:b")
             b.register(late)  # boot race resolved: pending frames flush
             await _drain_until(lambda: len(late.got) == 3)
-            assert [m.seq for _, m in late.got] == [0, 1, 2]
+            assert [m.labels for _, m in late.got] == [0, 1, 2]
         finally:
             await a.stop()
             await b.stop()
@@ -159,12 +159,12 @@ def test_local_delivery_is_asynchronous_never_reentrant():
         try:
             local = Recorder("actor:a")
             a.register(local)
-            a.send("actor:x", "actor:a", Pong(seq=1))
+            a.send("actor:x", "actor:a", LabelCredit(1))
             # same discipline as the sim Network: nothing delivered
             # inside the send() stack
             assert local.got == []
             await _drain_until(lambda: len(local.got) == 1)
-            assert local.got == [("actor:x", Pong(seq=1))]
+            assert local.got == [("actor:x", LabelCredit(1))]
         finally:
             await a.stop()
             await b.stop()
@@ -175,7 +175,7 @@ def test_local_sends_from_inside_a_delivery_are_fifo_and_not_reentrant():
     from repro.net.sanitizers import NetSanitizer
 
     class Relay(Recorder):
-        """Forwards every Ping to a local neighbour, twice, from inside
+        """Forwards every message to a local neighbour, twice, from inside
         its deliver — the pattern a datacenter's frontend -> sink uses."""
 
         def __init__(self, name, transport, target):
@@ -186,7 +186,7 @@ def test_local_sends_from_inside_a_delivery_are_fifo_and_not_reentrant():
             super().deliver(src, message)
             for copy in range(2):
                 self.transport.send(self.name, self.target,
-                                    Pong(seq=message.seq * 2 + copy))
+                                    LabelCredit(message.labels * 2 + copy))
 
     async def main():
         kernel = RealtimeKernel(asyncio.get_running_loop())
@@ -199,9 +199,9 @@ def test_local_sends_from_inside_a_delivery_are_fifo_and_not_reentrant():
             a.register(sink)
             a.register(Relay("actor:relay", a, "actor:sink"))
             for seq in range(50):
-                a.send("actor:x", "actor:relay", Ping(seq=seq, origin="x"))
+                a.send("actor:x", "actor:relay", LabelCredit(seq, "x"))
             await _drain_until(lambda: len(sink.got) == 100)
-            assert [m.seq for _, m in sink.got] == list(range(100))
+            assert [m.labels for _, m in sink.got] == list(range(100))
             assert san.reentrancy == [] and san.deliveries_checked == 150
             # every delivery was a ready-queue entry the watchdog timed
             assert san.callbacks_timed == kernel.events_executed == 150
@@ -218,7 +218,7 @@ def test_duplicate_register_and_unknown_destination():
             with pytest.raises(ValueError):
                 a.register(Recorder("actor:a"))
             with pytest.raises(KeyError):
-                a.send("actor:a", "actor:nowhere", Pong(seq=1))
+                a.send("actor:a", "actor:nowhere", LabelCredit(1))
         finally:
             await a.stop()
             await b.stop()
@@ -250,7 +250,7 @@ def test_unreachable_peer_logs_and_counts_an_error(monkeypatch, caplog):
                       "node-gone": ("127.0.0.1", dead_port)})
         try:
             with caplog.at_level(logging.WARNING, logger="repro.net.tcp"):
-                a.send("actor:a", "actor:gone", Pong(seq=1))
+                a.send("actor:a", "actor:gone", LabelCredit(1))
                 await _drain_until(lambda: a.peer_errors == 1)
             assert any("still unreachable" in r.getMessage()
                        for r in caplog.records)

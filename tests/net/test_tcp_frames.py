@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.label import LabelType
-from repro.datacenter.messages import BulkHeartbeat, Ping
+from repro.datacenter.messages import BulkHeartbeat, LabelCredit
 from repro.net import codec
 from repro.net.kernel import RealtimeKernel
 from repro.net.tcp import TcpTransport
@@ -61,7 +61,7 @@ async def _settle():
 
 def _frame(seq=1):
     return codec.encode_frame("actor:s", "actor:t",
-                              Ping(seq=seq, origin="x"))
+                              LabelCredit(seq, "x"))
 
 
 # -- hand-written edge cases -------------------------------------------------
@@ -136,7 +136,7 @@ def test_malformed_body_costs_one_connection_never_the_listener():
         "actor:s", "actor:t", BulkHeartbeat("F", 1.0)
     )[codec.FRAME_HEADER.size:-8] + struct.pack(">d", float("nan"))
     label = codec.encode_message(LabelType.UPDATE)
-    addresses = good[:good.index(codec.encode_message(Ping(5, "x")))]
+    addresses = good[:good.index(codec.encode_message(LabelCredit(5, "x")))]
     bodies = [
         good[:-1],                                       # a field short
         addresses + bytes((label[0], 0xEE)),             # unknown class id
@@ -158,7 +158,7 @@ def test_malformed_body_costs_one_connection_never_the_listener():
                 # ... and still serves a fresh connection
                 await _write_raw(transport, _frame(seq=errors))
                 await _drain_until(lambda: len(sink.got) == errors)
-            assert [m.seq for _, m in sink.got] == [1, 2, 3, 4]
+            assert [m.labels for _, m in sink.got] == [1, 2, 3, 4]
             assert transport.frames_received == 4
         finally:
             await transport.stop()
@@ -173,7 +173,7 @@ def test_valid_frame_then_mid_frame_disconnect_keeps_the_first():
             await _write_raw(transport, payload)
             await _drain_until(lambda: len(sink.got) == 1)
             src, message = sink.got[0]
-            assert src == "actor:s" and message.seq == 7
+            assert src == "actor:s" and message.labels == 7
             assert transport.frames_received == 1
             assert transport.peer_errors == 0
         finally:
@@ -191,7 +191,7 @@ def test_frames_split_across_arbitrary_writes_reassemble():
                 writer.write(stream[offset:offset + 7])
                 await writer.drain()
             await _drain_until(lambda: len(sink.got) == 3)
-            assert [m.seq for _, m in sink.got] == [0, 1, 2]
+            assert [m.labels for _, m in sink.got] == [0, 1, 2]
             writer.close()
         finally:
             await transport.stop()
@@ -222,7 +222,7 @@ def test_chunked_delivery_is_chunking_invariant(seqs, cut, truncate):
             writer.close()
             await _settle()
             # exactly the complete frames, in order; the shear is invisible
-            assert [m.seq for _, m in sink.got] == seqs
+            assert [m.labels for _, m in sink.got] == seqs
             assert transport.frames_received == len(seqs)
             assert transport.peer_errors == 0
         finally:

@@ -8,7 +8,7 @@ loop reports through its exception handler — once per inbound connection.
 
 import asyncio
 
-from repro.datacenter.messages import Ping
+from repro.datacenter.messages import LabelCredit
 from repro.net.kernel import RealtimeKernel
 from repro.net.tcp import TcpTransport
 
@@ -41,8 +41,8 @@ def test_stop_reports_nothing_to_the_loop_exception_handler():
         b.register(sinks["b"])
         # traffic both ways: each node ends up with one inbound connection
         for seq in range(20):
-            a.send("actor:a", "actor:b", Ping(seq=seq, origin="a"))
-            b.send("actor:b", "actor:a", Ping(seq=seq, origin="b"))
+            a.send("actor:a", "actor:b", LabelCredit(seq, "a"))
+            b.send("actor:b", "actor:a", LabelCredit(seq, "b"))
         while len(sinks["a"].got) < 20 or len(sinks["b"].got) < 20:
             await asyncio.sleep(0.005)
         inbound = list(a._conns) + list(b._conns)

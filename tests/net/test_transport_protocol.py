@@ -9,12 +9,11 @@ from repro.net.tcp import TcpTransport
 from repro.net.transport import Kernel, Transport
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.rng import RngRegistry
 
 
 def test_sim_network_satisfies_the_transport_protocol():
     sim = Simulator()
-    network = Network(sim, rng=RngRegistry(seed=1))
+    network = Network(sim)
     assert isinstance(network, Transport)
 
 

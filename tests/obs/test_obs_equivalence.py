@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.label import Label, LabelType
-from repro.datacenter.messages import LabelBatch, Ping
+from repro.datacenter.messages import LabelBatch, LabelCredit
 from repro.obs import LabelTracer, MetricsRegistry, NetworkTap
 from repro.obs.export import export_chrome, export_jsonl
 from repro.obs.trace import TraceEvent
@@ -150,7 +150,7 @@ batches = st.one_of(
     st.builds(lambda n: LabelBatch(tuple(
         Label(LabelType.UPDATE, src="I/gear0", ts=float(i), origin_dc="I")
         for i in range(n))), st.integers(0, 5)),
-    st.just(Ping(seq=1, origin="I")))
+    st.just(LabelCredit(1, "I")))
 
 
 def _hook(name, *args, **kwargs):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 
 
 class Echo(Process):
@@ -73,7 +72,7 @@ def test_every_stops_on_crash(sim):
 
 
 def test_recover_resumes_message_delivery(sim):
-    net = Network(sim, default_latency=1.0, rng=RngRegistry(seed=1))
+    net = Network(sim, default_latency=1.0)
     a, b = Echo(sim, "a"), Echo(sim, "b")
     a.attach_network(net)
     b.attach_network(net)
