@@ -1,13 +1,25 @@
-"""CLI for the schedule-space model checker.
+"""CLI for the schedule-space model checker: the one runner of every
+scenario in :data:`repro.analysis.mc.scenario.SCENARIOS`, the fault
+scenarios included.
 
 Exit codes: ``0`` — no violation found (or a counterexample replayed
-bit-identically); ``2`` — a counterexample was found (sweeps) or failed to
-reproduce (replay); ``1`` — usage or internal error.
+bit-identically); ``2`` — a counterexample was found (sweeps), a FIFO run
+did not reproduce itself, or a counterexample failed to reproduce
+(replay); ``1`` — usage or internal error.
+
+``--strategy fifo`` runs the default schedule twice from scratch and
+requires equal delivery-trace digests (and equal trace exports under
+``--trace-out``); its ``--json`` payload carries the run's
+degrade/recover arc (:meth:`~repro.analysis.mc.scenario.Scenario.summary`).
 
 Examples::
 
     # exhaustively permute the first 4 same-time ties of the 3-DC chain
     python -m repro.analysis.mc --scenario chain3 --strategy exhaustive --depth 4
+
+    # a chaos scenario, determinism-checked, with its arc and its trace
+    python -m repro.analysis.mc --scenario serializer-crash --strategy fifo \\
+        --json --trace-out trace.jsonl > summary.json
 
     # 50 randomized priority schedules, fixed seed
     python -m repro.analysis.mc --scenario chain3 --strategy pct --budget 50 --seed 7
@@ -25,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.mc.checker import ModelChecker, SweepResult
 from repro.analysis.mc.scenario import MUTATIONS, SCENARIOS
@@ -66,9 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the shrunk counterexample JSON here")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="re-run the shrunk counterexample with "
-                             "label-lifecycle tracing (repro.obs) and "
-                             "write the JSONL export here")
+                        help="write the label-lifecycle trace (repro.obs "
+                             "JSONL export) of the shrunk counterexample, "
+                             "or of the default schedule when the run is "
+                             "clean")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable summary on stdout")
     parser.add_argument("--replay", default=None, metavar="CE_JSON",
@@ -88,15 +101,47 @@ def _print_listing() -> None:
         print(f"  {name}")
 
 
+def _run_fifo(checker: ModelChecker, traced: bool
+              ) -> Tuple[SweepResult, dict, bool, object]:
+    """The default schedule, run twice from scratch: every replay relies
+    on a build that reproduces itself.  Returns the result, the first
+    run's arc, whether both runs left the same digest (and, when
+    *traced*, the same trace export) and the first run's obs hub."""
+    from repro.obs import attach_tracer
+
+    built: list = []
+
+    def instrument(scenario) -> None:
+        built.append((scenario, attach_tracer(scenario) if traced else None))
+
+    first, second = (checker.run_once(FifoStrategy(), instrument=instrument)
+                     for _ in range(2))
+    result = SweepResult(mode="fifo", runs=1)
+    result.digests.update((first.digest, second.digest))
+    if first.violations:
+        result.counterexamples.append(first)
+    (scenario, hub), (_, hub2) = built
+    deterministic = first.digest == second.digest and (
+        hub is None or hub.digest(meta=_trace_meta(checker))
+        == hub2.digest(meta=_trace_meta(checker)))
+    return result, scenario.summary(first.violations), deterministic, hub
+
+
+def _arc_lines(summary: dict, deterministic: bool) -> List[str]:
+    lines = [f"digest     : {summary['digest']}",
+             f"determinism: {'OK' if deterministic else 'MISMATCH'}"]
+    for name, info in summary["detectors"].items():
+        arcs = " -> ".join(s for _, s in info["transitions"]) or "attached"
+        lines.append(f"detector {name} : {arcs}")
+    if summary["recoveries"]:
+        spans = ", ".join(f"epoch {e} at t={t:.2f}"
+                          for t, e in summary["recoveries"])
+        lines.append(f"recoveries : {spans}")
+    return lines
+
+
 def _run_sweep(args: argparse.Namespace,
                checker: ModelChecker) -> SweepResult:
-    if args.strategy == "fifo":
-        outcome = checker.run_once(FifoStrategy())
-        result = SweepResult(mode="fifo", runs=1)
-        result.digests.add(outcome.digest)
-        if outcome.violations:
-            result.counterexamples.append(outcome)
-        return result
     if args.strategy == "exhaustive":
         return checker.sweep_exhaustive(depth=args.depth,
                                         max_runs=args.budget,
@@ -110,24 +155,30 @@ def _run_sweep(args: argparse.Namespace,
                                stop_on_first=args.stop_on_first)
 
 
-def _export_counterexample_trace(checker: ModelChecker, ce: Counterexample,
-                                 path: str) -> str:
-    """Replay the shrunk counterexample with label-lifecycle tracing and
-    write the JSONL export; returns its digest."""
+def _trace_meta(checker: ModelChecker) -> dict:
+    """Export header of a clean run's trace."""
+    return {"scenario": checker.scenario}
+
+
+def _write_trace(hub, meta: dict, path: str) -> str:
+    """Write *hub*'s JSONL export to *path*; returns its digest."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(hub.export_jsonl(meta=meta))
+    return hub.digest(meta=meta)
+
+
+def _traced_replay(checker: ModelChecker, decisions: List[list]):
+    """Replay *decisions* (FIFO beyond their end) with label-lifecycle
+    tracing; returns the obs hub."""
     from repro.analysis.mc.controller import DELAY
     from repro.obs import attach_tracer
 
     hubs: list = []
     checker.run_once(
-        FifoStrategy(), script=ce.decisions,
-        use_delays=any(d[0] == DELAY for d in ce.decisions),
+        FifoStrategy(), script=decisions,
+        use_delays=any(d[0] == DELAY for d in decisions),
         instrument=lambda scenario: hubs.append(attach_tracer(scenario)))
-    meta = {"scenario": ce.scenario, "mutation": ce.mutation,
-            "schedule_hash": ce.schedule_hash}
-    exported = hubs[0].export_jsonl(meta=meta)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(exported)
-    return hubs[0].digest(meta=meta)
+    return hubs[0]
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -187,7 +238,12 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         checker = ModelChecker(args.scenario, mutation=args.mutate)
-        result = _run_sweep(args, checker)
+        summary, reproduced, hub = None, True, None
+        if args.strategy == "fifo":
+            result, summary, reproduced, hub = _run_fifo(
+                checker, traced=bool(args.trace_out))
+        else:
+            result = _run_sweep(args, checker)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -201,9 +257,21 @@ def main(argv: Optional[list] = None) -> int:
         "counterexamples": len(result.counterexamples),
         "truncated": result.truncated,
     }
-    if result.ok:
-        _emit(args, payload, result.summary())
-        return EXIT_OK
+    lines = [result.summary()]
+    if summary is not None:
+        payload["summary"] = summary
+        payload["deterministic"] = reproduced
+        lines.extend(_arc_lines(summary, reproduced))
+
+    if result.ok or not reproduced:
+        if args.trace_out:
+            payload["trace_out"] = args.trace_out
+            payload["trace_digest"] = _write_trace(
+                hub if hub is not None else _traced_replay(checker, []),
+                _trace_meta(checker), args.trace_out)
+            lines.append(f"trace written to {args.trace_out}")
+        _emit(args, payload, "\n".join(lines))
+        return EXIT_OK if reproduced else EXIT_COUNTEREXAMPLE
 
     ce = checker.shrink(result.counterexamples[0])
     payload["counterexample"] = json.loads(ce.to_json())
@@ -212,10 +280,11 @@ def main(argv: Optional[list] = None) -> int:
             handle.write(ce.to_json() + "\n")
     if args.trace_out:
         payload["trace_out"] = args.trace_out
-        payload["trace_digest"] = _export_counterexample_trace(
-            checker, ce, args.trace_out)
-    text = "\n".join([
-        result.summary(),
+        payload["trace_digest"] = _write_trace(
+            _traced_replay(checker, ce.decisions),
+            {"scenario": ce.scenario, "mutation": ce.mutation,
+             "schedule_hash": ce.schedule_hash}, args.trace_out)
+    text = "\n".join(lines + [
         "",
         "minimal counterexample:",
         ce.summary(),

@@ -5,8 +5,13 @@ expose — :attr:`repro.sim.engine.Simulator.controller` (``on_schedule`` /
 ``choose``) and :attr:`repro.sim.network.Network.perturb` — and records
 every decision it makes as a flat list, in occurrence order:
 
-* ``["tie", k, choice]`` — *k* live events shared the minimal instant and
-  the event at index *choice* (in ``(time, seq)`` order) ran next;
+* ``["tie", k, choice]`` — *k* eligible events shared the minimal
+  instant and the eligible event at index *choice* (in ``(time, seq)``
+  order) ran next.  Links are FIFO (the paper's §5.3, and TCP), so of
+  several same-instant deliveries on one ``(src, dst)`` link only the
+  oldest is eligible: a schedule that delivers a link's send #4 before
+  its send #2 is one no network can produce.  A tie group with a single
+  eligible event is no decision;
 * ``["delay", value]`` — a message send on a targeted link was delayed by
   *value* extra milliseconds (bounded by the strategy);
 * ``["fault", k, choice]`` — a fault action with *k* candidate instants
@@ -26,10 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network
+from repro.sim.process import Process
 
 __all__ = ["ScheduleController", "decisions_hash", "nondefault_count"]
 
@@ -58,6 +65,39 @@ def nondefault_count(decisions: Sequence[list]) -> int:
         elif decision[0] == DELAY and decision[1] != 0.0:
             count += 1
     return count
+
+
+def _link_of(event: Event) -> Optional[Tuple[str, str]]:
+    """``(src, dst)`` if *event* delivers a network message, else None.
+
+    The network schedules a delivery as ``Network._observed_deliver(target,
+    src, dst, seq, message)`` while observers are installed and as
+    ``target.deliver(src, message)`` otherwise; the kernel hands either to
+    the controller as a ``partial``."""
+    callback = event.callback
+    if not isinstance(callback, partial):
+        return None
+    owner = getattr(callback.func, "__self__", None)
+    if isinstance(owner, Network) and callback.func == owner._observed_deliver:
+        return callback.args[1], callback.args[2]
+    if isinstance(owner, Process) and callback.func == owner.deliver:
+        return callback.args[0], owner.name
+    return None
+
+
+def _fifo_eligible(events: List[Event]) -> List[int]:
+    """Indices of *events* a FIFO network may run next: every event that
+    is not a delivery, and the oldest delivery of each link."""
+    eligible = []
+    links = set()
+    for index, event in enumerate(events):
+        link = _link_of(event)
+        if link is not None:
+            if link in links:
+                continue
+            links.add(link)
+        eligible.append(index)
+    return eligible
 
 
 class ScheduleController:
@@ -110,16 +150,20 @@ class ScheduleController:
         self.strategy.on_schedule(event)
 
     def choose(self, time: float, events: List[Event]) -> int:
-        k = len(events)
+        eligible = _fifo_eligible(events)
+        k = len(eligible)
+        if k == 1:
+            return eligible[0]
         choice = self._next_scripted(TIE)
         if choice is None:
-            choice = self.strategy.choose_tie(time, events)
+            choice = self.strategy.choose_tie(
+                time, [events[index] for index in eligible])
         if not 0 <= choice < k:
             # a shrunken/foreign script can name a branch that no longer
             # exists; fall back to FIFO instead of crashing the replay
             choice = 0
         self.trace.append([TIE, k, choice])
-        return choice
+        return eligible[choice]
 
     # -- FaultInjector chooser protocol --------------------------------------
 

@@ -5,10 +5,11 @@ list from every oracle means the schedule is a witness that the invariants
 held on that interleaving.  The FIFO/digest and causality oracles reuse
 the existing checkers (:class:`repro.analysis.runtime.HazardMonitor`,
 :class:`repro.verify.ExecutionLog`); the genuine-partial-replication
-oracle is new: it watches serializer-to-serializer traffic as a network
-observer and flags any label entering a tree branch with no
-interested datacenter (which would leak metadata the paper's §2 promises
-never leaves the interested sub-tree).
+oracle (:class:`RoutingOracle`) is this module's own: a network observer
+that flags any label entering a tree branch with no interested
+datacenter (which would leak metadata the paper's §2 promises never
+leaves the interested sub-tree) and any update delivered to a datacenter
+that does not replicate it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from typing import Any, List, Optional, Tuple
 
 from repro.baselines.base import BaselinePayload
 from repro.baselines.eunomia import EunomiaBatch
-from repro.core.label import LabelType
 from repro.core.serializer import interest_of
 from repro.datacenter.messages import LabelBatch
 
-__all__ = ["PartialReplicationOracle", "BaselineReplicationOracle",
-           "evaluate_oracles"]
+__all__ = ["RoutingOracle", "evaluate_oracles"]
 
 
 def _serializer_coords(process_name: str) -> Optional[Tuple[int, str]]:
@@ -38,22 +37,31 @@ def _serializer_coords(process_name: str) -> Optional[Tuple[int, str]]:
         return None
 
 
-class PartialReplicationOracle:
-    """Genuine partial replication: no label down an uninterested branch.
+class RoutingOracle:
+    """Genuine partial replication: metadata reaches only interested sites.
 
-    A network observer (one entry of ``Network.observers``).  Two checks
-    on every delivered label batch:
+    One network observer (one entry of ``Network.observers``) for every
+    protocol; it branches on what is delivered:
 
-    * serializer -> serializer: the label's interest set must intersect
-      the set of datacenters reachable through that edge of the epoch's
-      tree (otherwise the serializer leaked it into a dead branch);
-    * serializer -> datacenter: the receiving datacenter must be in the
-      label's interest set (origin excluded — a label never returns home).
+    * a ``LabelBatch`` from a serializer to another serializer: the
+      label's interest set must intersect the set of datacenters
+      reachable through that edge of the epoch's tree (otherwise the
+      serializer leaked it into a dead branch);
+    * a ``LabelBatch`` from a serializer to a datacenter: the receiving
+      datacenter must be in the label's interest set (origin excluded —
+      a label never returns home);
+    * a ``BaselinePayload`` or ``EunomiaBatch`` to a datacenter: the
+      stabilization baselines have no tree — replication is
+      point-to-point (GentleRain/Cure/Okapi) or fanned out by a per-site
+      sequencer (Eunomia) — so the routing promise is the destination
+      set: the datacenters that replicate the key, never the origin.
+
+    ``service`` is the Saturn tree registry, ``None`` for a baseline.
     """
 
-    def __init__(self, service, replication) -> None:
-        self.service = service
+    def __init__(self, replication, service=None) -> None:
         self.replication = replication
+        self.service = service
         self.violations: List[str] = []
 
     # -- network observer protocol ------------------------------------------
@@ -62,17 +70,21 @@ class PartialReplicationOracle:
         return None
 
     def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
-        if not isinstance(message, LabelBatch):
-            return
-        src_coords = _serializer_coords(src)
-        if src_coords is None:
-            return  # sink -> serializer ingress: origin side, always legal
-        if dst.startswith("dc:"):
-            self._check_dc_delivery(src, dst[len("dc:"):], message)
-        else:
-            dst_coords = _serializer_coords(dst)
-            if dst_coords is not None:
-                self._check_tree_edge(src_coords, dst_coords, src, dst, message)
+        if isinstance(message, LabelBatch):
+            src_coords = _serializer_coords(src)
+            if src_coords is None:
+                return  # sink -> serializer ingress: origin side, always legal
+            if dst.startswith("dc:"):
+                self._check_dc_delivery(src, dst[len("dc:"):], message)
+            else:
+                dst_coords = _serializer_coords(dst)
+                if dst_coords is not None:
+                    self._check_tree_edge(src_coords, dst_coords, src, dst,
+                                          message)
+        elif isinstance(message, BaselinePayload):
+            self._check_payloads(src, dst, (message,))
+        elif isinstance(message, EunomiaBatch):
+            self._check_payloads(src, dst, message.payloads)
 
     # -- checks -------------------------------------------------------------
 
@@ -111,38 +123,9 @@ class PartialReplicationOracle:
                     f"datacenter (interest={sorted(interested)}, "
                     f"branch={sorted(reachable)})")
 
-
-class BaselineReplicationOracle:
-    """Partial-replication oracle for the stabilization baselines.
-
-    The baselines have no serializer tree — replication is point-to-point
-    (GentleRain/Cure/Okapi) or fanned out by a per-site sequencer
-    (Eunomia) — so the only routing promise to audit is the destination
-    set: a replicated update may reach exactly the datacenters that
-    replicate its key, and never its own origin.  Duck-types
-    :class:`PartialReplicationOracle` (``violations`` + the network
-    observer protocol) so :func:`evaluate_oracles` works unchanged on
-    baseline scenarios.
-    """
-
-    def __init__(self, replication) -> None:
-        self.replication = replication
-        self.violations: List[str] = []
-
-    # -- network observer protocol ------------------------------------------
-
-    def on_send(self, src: str, dst: str, message: Any, arrival: float) -> None:
-        return None
-
-    def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
+    def _check_payloads(self, src: str, dst: str, payloads) -> None:
         if not dst.startswith("dc:"):
             return  # datacenter -> sequencer ingress: origin side, legal
-        if isinstance(message, BaselinePayload):
-            payloads = (message,)
-        elif isinstance(message, EunomiaBatch):
-            payloads = message.payloads
-        else:
-            return
         dc_name = dst[len("dc:"):]
         for payload in payloads:
             if payload.label.origin_dc == dc_name:
@@ -174,7 +157,7 @@ def evaluate_oracles(scenario) -> List[str]:
 
     violations.extend(
         f"partial-replication: {item}"
-        for item in scenario.partial_oracle.violations)
+        for item in scenario.routing_oracle.violations)
 
     for item in scenario.log.check_completeness():
         violations.append(f"{item.kind}: {item.detail} (at {item.dc})")

@@ -19,7 +19,12 @@ datacenters — the same chain the TCP smoke cluster runs
 Everything is deterministic given the schedule decisions, so a recorded
 decision list replays bit-identically.  The reconfiguration scenarios
 additionally swap the tree mid-run (fast path / failure path) while the
-above labels are in flight.
+above labels are in flight.  The fault scenarios (``crash-chain3`` and
+the five chaos entries: ``serializer-crash``, ``root-partition``,
+``crash-during-epoch-change``, ``eunomia-seq-crash``,
+``okapi-clock-skew``) run a :class:`~repro.faults.plan.FaultPlan` on
+the deployment, most of them with the robustness machinery on
+(:func:`build_hardened_chain3`), and check the whole degrade/recover arc.
 
 ``MUTATIONS`` are deliberate protocol bugs injected into one serializer —
 the checker's self-test: a healthy checker must catch every one of them.
@@ -31,8 +36,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.analysis.mc.oracles import (BaselineReplicationOracle,
-                                       PartialReplicationOracle)
+from repro.analysis.mc.oracles import RoutingOracle
 from repro.analysis.runtime import HazardMonitor
 from repro.core.failover import AutoFailover
 from repro.core.label import LabelType
@@ -87,8 +91,7 @@ class Scenario:
     clients: List[ClientProcess]
     log: ExecutionLog
     monitor: HazardMonitor
-    #: PartialReplicationOracle, or BaselineReplicationOracle for baselines
-    partial_oracle: object
+    routing_oracle: RoutingOracle
     horizon: float
     #: directed process-name pairs eligible for delay perturbation
     delay_links: FrozenSet[Tuple[str, str]]
@@ -112,6 +115,44 @@ class Scenario:
 
     def digest(self) -> str:
         return self.monitor.trace_digest()
+
+    def summary(self, violations: List[str]) -> dict:
+        """The run's degrade/recover arc as JSON-ready data: the trace
+        digest, the faults fired, each failure detector's transitions and
+        degraded spans, the coordinator's recoveries, escalated
+        transitions, sink replays and the recorded update count."""
+        # a baseline runs StabilizedDatacenter subclasses, which have no
+        # failover detector, remote proxy or label sink — guard every
+        # Saturn-specific field so one summary shape serves both
+        detectors = {}
+        for name, dc in sorted(self.datacenters.items()):
+            failover = getattr(dc, "failover", None)
+            if failover is not None:
+                detectors[name] = {
+                    "state": failover.state,
+                    "transitions": [[t, s] for t, s in failover.transitions],
+                    "degraded_spans": [[a, b]
+                                       for a, b in failover.degraded_spans],
+                }
+        return {
+            "scenario": self.name,
+            "violations": violations,
+            "digest": self.digest(),
+            "faults_fired": ([[t, kind, at]
+                              for t, kind, at in self.injector.fired]
+                             if self.injector is not None else []),
+            "detectors": detectors,
+            "recoveries": ([[t, e] for t, e in self.failover.recoveries]
+                           if self.failover is not None else []),
+            "transitions_escalated": {
+                name: dc.proxy.transitions_escalated
+                for name, dc in sorted(self.datacenters.items())
+                if hasattr(dc, "proxy")},
+            "sink_replays": {name: dc.sink.replays
+                             for name, dc in sorted(self.datacenters.items())
+                             if hasattr(dc, "sink")},
+            "updates_recorded": len(self.log.updates),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +201,13 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
     Same sites, latencies, replication groups, seed and scripted causal
     workload for every system of the protocol table.  Without a
     serializer tree (``gentlerain``/``cure``/``eunomia``/``okapi``)
-    ``service`` is ``None`` and the routing oracle degrades to the
-    destination-set check (:class:`BaselineReplicationOracle`).  The
+    ``service`` is ``None`` and the routing oracle checks destination
+    sets only (:class:`~repro.analysis.mc.oracles.RoutingOracle`).  The
     knobs beyond the reconfiguration pair exist for the fault scenarios
-    (:mod:`repro.faults.scenarios`): custom client scripts, serializer
-    beacons + per-datacenter detector parameters (``dc_params``, as in
-    :class:`~repro.harness.runner.ClusterConfig`), the automatic-recovery
-    coordinator, and a scheduled fault plan."""
+    (``crash-chain3`` and the chaos entries below): custom client
+    scripts, serializer beacons + per-datacenter detector parameters
+    (``dc_params``, as in :class:`~repro.harness.runner.ClusterConfig`),
+    the automatic-recovery coordinator, and a scheduled fault plan."""
     has_tree = protocol_named(system).has_tree
     replication = ReplicationMap(list(SITES))
     replication.set_group("g0", SITES)
@@ -187,11 +228,8 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
     log = ExecutionLog(replication)
     cluster.attach_execution_log(log)
     # the routing oracle watches the fabric beside the monitor
-    if has_tree:
-        partial_oracle = PartialReplicationOracle(cluster.service, replication)
-    else:
-        partial_oracle = BaselineReplicationOracle(replication)
-    cluster.network.observers += (partial_oracle,)
+    routing_oracle = RoutingOracle(replication, cluster.service)
+    cluster.network.observers += (routing_oracle,)
     # scheduled at build time: a schedule controller installed afterwards
     # sees exactly the events of the run, not the start-up ones
     cluster.start()
@@ -229,7 +267,7 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
         name=name, cluster=cluster, sim=cluster.sim, network=cluster.network,
         replication=replication, service=cluster.service,
         datacenters=cluster.datacenters, clients=cluster.clients, log=log,
-        monitor=cluster.hazard_monitor, partial_oracle=partial_oracle,
+        monitor=cluster.hazard_monitor, routing_oracle=routing_oracle,
         horizon=horizon, delay_links=frozenset(delay_links),
         min_expected_updates=min_expected_updates, manager=cluster.manager,
         injector=injector, fault_plan=fault_plan, failover=cluster.failover)
@@ -307,6 +345,118 @@ def _baseline_chain3(system: str) -> Callable[[], Scenario]:
     return build
 
 
+# -- chaos scenarios: fixed fault times on the hardened deployment ---------
+#
+# All fault times are fixed (``at=...``), so these run bit-identically
+# without a schedule controller; the variant with open fault timing is
+# ``crash-chain3`` above.  Under a controller they explore the same tie
+# and delay spaces as every other entry.
+
+def _serializer_crash() -> Scenario:
+    """Datacenter I's attachment serializer dies mid-stream and restarts
+    later.  I degrades to the timestamp total order (parking its outgoing
+    labels), keeps writing while degraded, and the restarted serializer's
+    first beacon triggers the emergency epoch change that replays the
+    backlog."""
+    # t=6: after the first label batch cleared sI (~t=2.5) but before the
+    # y label comes back through it (~t=12) — y's branch toward I is
+    # swallowed, and everything I writes afterwards parks until recovery
+    plan = FaultPlan(name="serializer-crash", actions=(
+        FaultAction(kind="crash-serializer", at=6.0,
+                    args={"tree": "sI", "epoch": 0}),
+        FaultAction(kind="restart-serializer", at=40.0,
+                    args={"tree": "sI", "epoch": 0}),
+    ))
+    return build_hardened_chain3("serializer-crash", 150.0, plan)
+
+
+def _root_partition() -> Scenario:
+    """The root serializer sF is isolated from the network before the
+    first label batch crosses it, so the batch reaches neither F nor T by
+    tree.  F degrades and recovers; T (whose own attachment stayed
+    healthy) only sees the updates once the emergency transition's
+    timestamp fallback drains its buffered payloads."""
+    # t=3: the first batch is already in flight from sI (sent ~t=2.5, so
+    # it still lands on sF), but every send to or *from* the isolated sF
+    # is held by the reliable channels — F and T get payloads with no
+    # labels until the outage ends and the emergency switch replays
+    root = SaturnService.serializer_process_name(0, "sF")
+    plan = FaultPlan(name="root-partition", actions=(
+        FaultAction(kind="isolate", at=3.0, args={"process": root}),
+        FaultAction(kind="rejoin", at=45.0, args={"process": root}),
+    ))
+    return build_hardened_chain3("root-partition", 200.0, plan)
+
+
+def _crash_during_epoch_change() -> Scenario:
+    """sI crashes just before a *planned* reconfiguration, swallowing
+    epoch-change marks so the fast path can never complete.  The proxies'
+    transition timeout escalates the stuck switch onto the failure path
+    (§6.2) and the run converges anyway."""
+    # sI dies at t=6; a *planned* reconfiguration fires at t=15.  The
+    # epoch-change marks routed through the dead serializer never arrive,
+    # so the fast path stalls at every proxy; the transition timeout
+    # escalates the switch onto the failure path instead.  No automatic
+    # recovery here — the planned switch itself replaces the dead tree.
+    plan = FaultPlan(name="crash-during-epoch-change", actions=(
+        FaultAction(kind="crash-serializer", at=6.0,
+                    args={"tree": "sI", "epoch": 0}),
+    ))
+    return build_hardened_chain3(
+        "crash-during-epoch-change", 200.0, plan, auto_failover=False,
+        reconfigure_at=15.0, dc_params=dict(transition_timeout=30.0))
+
+
+def _baseline_outage(name: str, system: str, plan: FaultPlan) -> Scenario:
+    """chain3 on *system*, with poll caps sized for a stalled
+    stabilization and ``g0:c`` written through the outage."""
+    return build_chain3(
+        name, horizon=300.0, system=system,
+        clients=chain_clients(SITES, relay_cap=200, reader_cap=250,
+                              writer_cap=300),
+        fault_plan=plan, min_expected_updates=5)
+
+
+def _eunomia_seq_crash() -> Scenario:
+    """Datacenter I's site sequencer is cut off mid-stream.
+
+    t=3: the first batch tick (t=2) already shipped ``g0:a``, but ``b``
+    and ``p`` are still buffered (or in flight to) the sequencer when it
+    is isolated — and so are I's subsequent clock-floor ticks, so I's
+    stable floor freezes everywhere.  Remote visibility of I's updates
+    stalls (deferred stabilization's liveness cost) while local writes
+    keep completing (the "unobtrusive" claim: the client path never
+    touches the sequencer).  After the rejoin at t=40 the held FIFO
+    traffic replays in order; the oracles check the whole arc — nothing
+    lost, nothing misordered, every client terminates."""
+    seq_i = "seq:I"
+    plan = FaultPlan(name="eunomia-seq-crash", actions=(
+        FaultAction(kind="isolate", at=3.0, args={"process": seq_i}),
+        FaultAction(kind="rejoin", at=40.0, args={"process": seq_i}),
+    ))
+    return _baseline_outage("eunomia-seq-crash", "eunomia", plan)
+
+
+def _okapi_clock_skew() -> Scenario:
+    """Datacenter I's physical clock jumps 8 ms ahead mid-run, then an
+    NTP-style resync at t=60 yanks it back.
+
+    The hybrid clock must absorb both edges: timestamps stay monotone
+    through the backward step (logical bumps carry the HLC until
+    physical time catches up), receivers merge the skewed values into
+    their own clocks, and the global-cut stabilization keeps advancing
+    because Okapi's GSV follows *received HLCs*, not local wall clocks.
+    ``g0:c`` is written while the skew is active, so a future-stamped
+    update flows through the whole pipeline."""
+    plan = FaultPlan(name="okapi-clock-skew", actions=(
+        FaultAction(kind="clock-skew", at=10.0,
+                    args={"dc": "I", "skew": 8.0}),
+        FaultAction(kind="clock-skew", at=60.0,
+                    args={"dc": "I", "skew": 0.0}),
+    ))
+    return _baseline_outage("okapi-clock-skew", "okapi", plan)
+
+
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "chain3": _chain3,
     "reconfig-chain3": _reconfig_chain3,
@@ -314,6 +464,11 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "crash-chain3": _crash_chain3,
     **{f"{system}-chain3": _baseline_chain3(system)
        for system in ("gentlerain", "cure", "eunomia", "okapi")},
+    "serializer-crash": _serializer_crash,
+    "root-partition": _root_partition,
+    "crash-during-epoch-change": _crash_during_epoch_change,
+    "eunomia-seq-crash": _eunomia_seq_crash,
+    "okapi-clock-skew": _okapi_clock_skew,
 }
 
 

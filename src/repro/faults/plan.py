@@ -1,4 +1,4 @@
-"""Fault plans: JSON-replayable scripts of scheduled fault actions.
+"""Fault plans: scripts of scheduled fault actions.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultAction` entries.
 Each action fires at a fixed simulated time (``at``) or at one of several
@@ -6,21 +6,18 @@ candidate times (``at_choices``) left open for the model checker, which
 resolves the choice through the schedule controller — fault timing then
 becomes part of the recorded, shrinkable decision list.
 
-The JSON form is the interchange format between the chaos test suite, the
-``python -m repro.faults`` CLI, and CI artifacts; it is versioned the same
-way as the model checker's counterexample files.
+Plans are Python data: the fault scenarios of
+:data:`repro.analysis.mc.scenario.SCENARIOS` and the chaos tests build
+them in code, and :class:`~repro.faults.injector.FaultInjector` applies
+them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["FaultAction", "FaultPlan", "KINDS"]
-
-#: bump when the JSON layout changes incompatibly
-FORMAT_VERSION = 1
 
 #: action kind -> required argument names
 KINDS: Dict[str, Tuple[str, ...]] = {
@@ -100,23 +97,6 @@ class FaultAction:
         if missing:
             raise ValueError(f"{self.kind}: missing args {missing}")
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.at is not None:
-            out["at"] = self.at
-        else:
-            out["at_choices"] = list(self.at_choices or ())
-        if self.args:
-            out["args"] = dict(self.args)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultAction":
-        choices = data.get("at_choices")
-        return cls(kind=data["kind"], at=data.get("at"),
-                   at_choices=tuple(choices) if choices is not None else None,
-                   args=dict(data.get("args", {})))
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -127,34 +107,3 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
-
-    @property
-    def is_open(self) -> bool:
-        """True if any action's timing is left to the model checker."""
-        return any(action.at_choices is not None for action in self.actions)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "format_version": FORMAT_VERSION,
-            "name": self.name,
-            "actions": [action.to_dict() for action in self.actions],
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        data = json.loads(text)
-        version = data.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"fault plan format version {version!r} not "
-                             f"supported (expected {FORMAT_VERSION})")
-        return cls(
-            actions=tuple(FaultAction.from_dict(entry)
-                          for entry in data.get("actions", ())),
-            name=data.get("name", "fault-plan"))
-
-
-def sequential(name: str, actions: Sequence[FaultAction]) -> FaultPlan:
-    """Convenience constructor used by the scenario catalog."""
-    return FaultPlan(actions=tuple(actions), name=name)

@@ -8,7 +8,7 @@ Installed as the ``saturn-repro`` console script::
     saturn-repro bench --system saturn     # one ad-hoc cluster run
     saturn-repro configure                 # print the M-configuration
     saturn-repro mc --scenario chain3      # schedule-space model checking
-    saturn-repro faults --list             # scripted chaos scenarios
+    saturn-repro mc --list                 # every mc and fault scenario
     saturn-repro obs --pair T S            # per-edge visibility breakdown
     saturn-repro audit                     # SAT + ARCH + CONC static analysis
     saturn-repro net run --dcs 3           # real asyncio TCP cluster
@@ -37,8 +37,6 @@ _SCALES = {"smoke": SMOKE, "default": DEFAULT}
 FORWARDED: Dict[str, Tuple[str, str]] = {
     "mc": ("repro.analysis.mc.__main__",
            "schedule-space model checking (repro.analysis.mc)"),
-    "faults": ("repro.faults.__main__",
-               "scripted fault-injection scenarios (repro.faults)"),
     "obs": ("repro.obs.__main__",
             "label-lifecycle tracing + per-edge visibility breakdown "
             "(repro.obs)"),

@@ -4,7 +4,7 @@ Usage (also reachable as ``saturn-repro obs ...``)::
 
     python -m repro.obs                         # Fig. 4 M-configuration
     python -m repro.obs --pair T S --pair I F --scale smoke
-    python -m repro.obs --scenario chain3       # a scripted mc/chaos run
+    python -m repro.obs --scenario chain3       # a scripted mc scenario
     python -m repro.obs --jsonl trace.jsonl --chrome trace.json
     python -m repro.obs --check-determinism
 
@@ -36,17 +36,12 @@ SUM_TOLERANCE_MS = 1e-6
 
 def _scenario_names() -> List[str]:
     from repro.analysis.mc.scenario import SCENARIOS
-    from repro.faults.scenarios import CHAOS_SCENARIOS
-    return sorted(set(SCENARIOS) | set(CHAOS_SCENARIOS))
+    return sorted(SCENARIOS)
 
 
 def _run_scenario(name: str) -> Tuple[ObsHub, object]:
-    from repro.analysis.mc.scenario import SCENARIOS, build_scenario
-    from repro.faults.scenarios import build_chaos_scenario
-    if name in SCENARIOS:
-        scenario = build_scenario(name)
-    else:
-        scenario = build_chaos_scenario(name)
+    from repro.analysis.mc.scenario import build_scenario
+    scenario = build_scenario(name)
     hub = attach_tracer(scenario)
     scenario.run()
     return hub, scenario
@@ -76,7 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Trace a run and attribute per-pair visibility latency "
                     "to individual tree hops, delays and dwell times.")
     parser.add_argument("--scenario", choices=_scenario_names(),
-                        help="trace a scripted mc/chaos scenario instead of "
+                        help="trace a scripted mc scenario instead of "
                              "the Fig. 4 M-configuration cluster")
     parser.add_argument("--scale", choices=["smoke", "default"],
                         default="smoke",

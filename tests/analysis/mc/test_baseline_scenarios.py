@@ -2,14 +2,14 @@
 
 The baseline chain3 scenarios (gentlerain / cure / eunomia / okapi) run
 under the same schedule controller and oracles as Saturn's; these tests
-sweep their tie and delay spaces and unit-test the replication oracle
-that replaces Saturn's label-routing one.
+sweep their tie and delay spaces and unit-test the routing oracle's
+destination-set check, which is all a protocol without a tree promises.
 """
 
 import pytest
 
 from repro.analysis.mc.checker import ModelChecker
-from repro.analysis.mc.oracles import BaselineReplicationOracle
+from repro.analysis.mc.oracles import RoutingOracle
 from repro.analysis.mc.strategies import FifoStrategy
 from repro.baselines.base import BaselinePayload
 from repro.baselines.eunomia import EunomiaBatch
@@ -44,7 +44,7 @@ def test_delay_sweep_is_clean(name):
 
 
 # ---------------------------------------------------------------------------
-# BaselineReplicationOracle
+# RoutingOracle on baseline payloads
 # ---------------------------------------------------------------------------
 
 def _payload(key, origin="I"):
@@ -58,7 +58,7 @@ def _oracle():
     replication = ReplicationMap(["I", "F", "T"])
     replication.set_group("g0", ("I", "F", "T"))
     replication.set_group("g1", ("I", "F"))
-    return BaselineReplicationOracle(replication)
+    return RoutingOracle(replication)
 
 
 def test_oracle_accepts_legal_payload_delivery():

@@ -7,6 +7,8 @@ from repro.analysis.mc.controller import (DELAY, ScheduleController, TIE,
 from repro.analysis.mc.scenario import build_scenario
 from repro.analysis.mc.strategies import FifoStrategy
 from repro.sim.engine import Simulator
+from repro.sim.network import Network
+from repro.sim.process import Process
 
 
 def test_controlled_fifo_run_matches_uncontrolled_run():
@@ -82,3 +84,53 @@ def test_decisions_hash_is_stable_and_sensitive():
     assert h != decisions_hash("chain3", None, [[TIE, 2, 0], [DELAY, 1.5]])
     assert h != decisions_hash("chain3", "drop-fifo", d1)
     assert h != decisions_hash("reconfig-chain3", None, d1)
+
+
+class _LastStrategy(FifoStrategy):
+    """Always runs the last candidate: the most reordering a tie allows."""
+
+    def choose_tie(self, time, events):
+        return len(events) - 1
+
+
+class _Inbox(Process):
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.received = []
+
+    def receive(self, sender, message):
+        self.received.append(message)
+
+
+class _Watcher:
+    def on_send(self, src, dst, message, arrival):
+        pass
+
+    def on_deliver(self, src, dst, seq, message):
+        pass
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_tie_choice_never_reorders_one_link(observed):
+    """Same-instant deliveries on one link arrive in send order whatever
+    the strategy picks: a FIFO link (and TCP) cannot reorder them, so the
+    controller offers only the oldest of them."""
+    sim = Simulator()
+    net = Network(sim, default_latency=1.0)
+    if observed:
+        net.observers += (_Watcher(),)
+    a, b = _Inbox(sim, "a"), _Inbox(sim, "b")
+    a.attach_network(net)
+    b.attach_network(net)
+    order = []
+    for message in ("m1", "m2", "m3"):
+        a.send("b", message)
+    sim.schedule(1.0, lambda: order.append(list(b.received)))
+    controller = ScheduleController(_LastStrategy())
+    controller.install(sim, net)
+    sim.run()
+    assert b.received == ["m1", "m2", "m3"]
+    # the timer still races the link: it ran before every delivery, and
+    # each tie offered one delivery beside it
+    assert order == [[]]
+    assert controller.trace == [[TIE, 2, 1]]

@@ -112,3 +112,19 @@ def test_cli_mutation_writes_counterexample_and_replays(tmp_path, capsys):
 
 def test_cli_unknown_scenario_is_an_error(capsys):
     assert main(["--scenario", "nope"]) == 1
+
+
+def test_cli_fifo_run_must_reproduce_itself(monkeypatch, capsys):
+    """A --strategy fifo run is built and run twice; two digests exit 2."""
+    import itertools
+
+    from repro.analysis.mc.scenario import Scenario
+
+    counter = itertools.count()
+    monkeypatch.setattr(Scenario, "digest",
+                        lambda self: f"{next(counter):064d}")
+    assert main(["--scenario", "chain3", "--strategy", "fifo", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["deterministic"] is False
+    assert payload["distinct_executions"] == 2
+    assert payload["summary"]["violations"] == []

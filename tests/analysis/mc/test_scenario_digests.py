@@ -1,9 +1,10 @@
 """Every mc and chaos scenario, pinned to its delivery-trace digest.
 
 ``golden/scenario_digests.json`` holds the ``HazardMonitor`` trace digest
-of all 8 ``SCENARIOS`` and all 5 ``CHAOS_SCENARIOS`` under the default
-(FIFO) schedule, captured at dbf5ae4 from the hand-wired builders that
-``Cluster`` replaced.  A mismatch means the assembly — construction
+of all 13 ``SCENARIOS`` under the default (FIFO) schedule, captured at
+dbf5ae4 from the hand-wired builders that ``Cluster`` replaced.  Its
+``mc`` and ``chaos`` sections are the two catalogs the scenarios came
+from before they became one table.  A mismatch means the assembly — construction
 order, a default, the client start stagger — changed the simulated
 execution; regenerate only for a deliberate protocol change.
 """
@@ -15,15 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.mc.scenario import SCENARIOS, build_scenario
-from repro.faults.scenarios import CHAOS_SCENARIOS, build_chaos_scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "golden"
                      / "scenario_digests.json").read_text())
 
 
 def test_golden_covers_both_catalogs():
-    assert sorted(GOLDEN["mc"]) == sorted(SCENARIOS)
-    assert sorted(GOLDEN["chaos"]) == sorted(CHAOS_SCENARIOS)
+    assert not set(GOLDEN["mc"]) & set(GOLDEN["chaos"])
+    assert sorted({**GOLDEN["mc"], **GOLDEN["chaos"]}) == sorted(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["mc"]))
@@ -35,7 +35,7 @@ def test_mc_scenario_digest_is_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["chaos"]))
 def test_chaos_scenario_digest_is_pinned(name):
-    scenario = build_chaos_scenario(name)
+    scenario = build_scenario(name)
     scenario.run()
     assert scenario.digest() == GOLDEN["chaos"][name]
 
@@ -55,7 +55,7 @@ def test_scenario_scripts_state_their_causal_chain():
     assert _key_edges(plain.log) == {
         ("g0:a", "g0:b"), ("g0:a", "g1:p"), ("g0:b", "g1:p"),
         ("g0:b", "g0:y")}
-    hardened = build_chaos_scenario("serializer-crash")
+    hardened = build_scenario("serializer-crash")
     hardened.run()
     assert ("g0:y", "g0:c") in _key_edges(hardened.log)
 
@@ -70,7 +70,7 @@ def test_monitor_digest_ignores_observer_order_and_the_obs_tap(order):
     scenario = build_scenario("chain3")
     hub = attach_tracer(scenario)
     network = scenario.cluster.network
-    assert network.observers == (scenario.monitor, scenario.partial_oracle,
+    assert network.observers == (scenario.monitor, scenario.routing_oracle,
                                  hub.net_tap)
     network.observers = tuple(network.observers[i] for i in order)
     scenario.run()

@@ -1,10 +1,9 @@
-"""FaultPlan validation, JSON round-trips, and injector wiring."""
+"""FaultPlan validation and injector wiring."""
 
 import pytest
 
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import (FORMAT_VERSION, FaultAction, FaultPlan, KINDS,
-                               sequential)
+from repro.faults.plan import FaultAction, FaultPlan, KINDS
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -57,39 +56,6 @@ def test_every_kind_declares_its_args():
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-def test_plan_json_round_trip():
-    plan = sequential("round-trip", [
-        FaultAction(kind="crash-serializer", at=6.0,
-                    args={"tree": "sI", "epoch": 0}),
-        FaultAction(kind="delay-spike", at_choices=(3.0, 9.0),
-                    args={"src": "a", "dst": "b", "extra": 7.5}),
-    ])
-    loaded = FaultPlan.from_json(plan.to_json())
-    assert loaded == plan
-    assert loaded.name == "round-trip"
-    assert loaded.actions[1].at_choices == (3.0, 9.0)
-
-
-def test_plan_openness():
-    closed = sequential("closed", [FaultAction(kind="crash-tree", at=1.0)])
-    opened = sequential("open", [
-        FaultAction(kind="crash-tree", at_choices=(1.0, 2.0))])
-    assert not closed.is_open
-    assert opened.is_open
-
-
-def test_unsupported_format_version_rejected():
-    text = sequential("v", [FaultAction(kind="crash-tree", at=1.0)]).to_json()
-    stale = text.replace(f'"format_version": {FORMAT_VERSION}',
-                         '"format_version": 999')
-    with pytest.raises(ValueError, match="format version"):
-        FaultPlan.from_json(stale)
-
-
-# ---------------------------------------------------------------------------
 # injector
 # ---------------------------------------------------------------------------
 
@@ -114,7 +80,7 @@ def _deployment():
 def test_apply_twice_rejected():
     sim, net, _, _ = _deployment()
     injector = FaultInjector(sim, net)
-    plan = sequential("once", [FaultAction(kind="isolate", at=1.0,
+    plan = FaultPlan(name="once", actions=[FaultAction(kind="isolate", at=1.0,
                                            args={"process": "b"})])
     injector.apply(plan)
     with pytest.raises(RuntimeError, match="already applied"):
@@ -124,7 +90,7 @@ def test_apply_twice_rejected():
 def test_serializer_fault_without_service_fails_loudly():
     sim, net, _, _ = _deployment()
     injector = FaultInjector(sim, net)
-    injector.apply(sequential("no-service", [
+    injector.apply(FaultPlan(name="no-service", actions=[
         FaultAction(kind="crash-serializer", at=1.0, args={"tree": "sI"})]))
     with pytest.raises(RuntimeError, match="no SaturnService"):
         sim.run()
@@ -133,7 +99,7 @@ def test_serializer_fault_without_service_fails_loudly():
 def test_reconfigure_without_manager_fails_loudly():
     sim, net, _, _ = _deployment()
     injector = FaultInjector(sim, net)
-    injector.apply(sequential("no-manager", [
+    injector.apply(FaultPlan(name="no-manager", actions=[
         FaultAction(kind="reconfigure", at=1.0)]))
     with pytest.raises(RuntimeError, match="no ReconfigurationManager"):
         sim.run()
@@ -142,7 +108,7 @@ def test_reconfigure_without_manager_fails_loudly():
 def test_isolate_and_rejoin_fire_at_plan_times():
     sim, net, a, b = _deployment()
     injector = FaultInjector(sim, net)
-    injector.apply(sequential("blip", [
+    injector.apply(FaultPlan(name="blip", actions=[
         FaultAction(kind="isolate", at=2.0, args={"process": "b"}),
         FaultAction(kind="rejoin", at=6.0, args={"process": "b"}),
     ]))
@@ -158,7 +124,7 @@ def test_isolate_and_rejoin_fire_at_plan_times():
 def test_delay_spike_and_clear_round_trip():
     sim, net, a, b = _deployment()
     injector = FaultInjector(sim, net)
-    injector.apply(sequential("spike", [
+    injector.apply(FaultPlan(name="spike", actions=[
         FaultAction(kind="delay-spike", at=0.0,
                     args={"src": "a", "dst": "b", "extra": 9.0}),
         FaultAction(kind="clear-delay", at=5.0,
@@ -173,7 +139,7 @@ def test_delay_spike_and_clear_round_trip():
 def test_open_timing_defaults_to_first_choice_without_chooser():
     sim, net, _, b = _deployment()
     injector = FaultInjector(sim, net)
-    injector.apply(sequential("open", [
+    injector.apply(FaultPlan(name="open", actions=[
         FaultAction(kind="isolate", at_choices=(4.0, 8.0),
                     args={"process": "b"})]))
     sim.run()
@@ -192,7 +158,7 @@ def test_open_timing_resolved_through_the_chooser():
 
     injector = FaultInjector(sim, net)
     injector.chooser = Chooser()
-    injector.apply(sequential("open", [
+    injector.apply(FaultPlan(name="open", actions=[
         FaultAction(kind="isolate", at_choices=(4.0, 8.0),
                     args={"process": "b"})]))
     sim.run()

@@ -76,7 +76,7 @@ def test_random_fault_plans_never_violate_causal_delivery(plan):
     assert not report.fifo_violations, [v.describe()
                                         for v in report.fifo_violations]
     assert scenario.monitor.crosscheck(scenario.log) == []
-    assert scenario.partial_oracle.violations == []
+    assert scenario.routing_oracle.violations == []
 
 
 @pytest.mark.parametrize("restart_at", [14.0, 15.0])

@@ -1,15 +1,19 @@
 """Scripted chaos scenarios: the full degrade/recover arc stays causal,
-deterministic, and replayable, and the CLI exposes it."""
+deterministic, and replayable, and the model checker's CLI exposes it."""
 
 import json
 
 import pytest
 
+from repro.analysis.mc.__main__ import main
 from repro.analysis.mc.oracles import evaluate_oracles
+from repro.analysis.mc.scenario import SCENARIOS, build_scenario
 from repro.datacenter.failover import ATTACHED, DEGRADED, SUSPECTED
-from repro.faults.__main__ import main
-from repro.faults.plan import FaultAction, FaultPlan
-from repro.faults.scenarios import CHAOS_SCENARIOS, build_chaos_scenario
+
+#: the fault scenarios with fixed fault times (``crash-chain3`` leaves its
+#: crash instant to the schedule controller)
+CHAOS_NAMES = ("crash-during-epoch-change", "eunomia-seq-crash",
+               "okapi-clock-skew", "root-partition", "serializer-crash")
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +23,7 @@ def runs():
 
     def get(name):
         if name not in cache:
-            scenario = build_chaos_scenario(name)
+            scenario = build_scenario(name)
             scenario.run()
             cache[name] = (scenario, evaluate_oracles(scenario))
         return cache[name]
@@ -27,7 +31,7 @@ def runs():
     return get
 
 
-@pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(CHAOS_NAMES))
 def test_oracles_hold_across_the_fault(runs, name):
     scenario, violations = runs(name)
     assert violations == []
@@ -37,17 +41,17 @@ def test_oracles_hold_across_the_fault(runs, name):
     assert keys == {"g0:a", "g0:b", "g0:y", "g0:c", "g1:p"}
 
 
-@pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(CHAOS_NAMES))
 def test_double_run_digests_are_bit_identical(runs, name):
     scenario, _ = runs(name)
-    again = build_chaos_scenario(name)
+    again = build_scenario(name)
     again.run()
     assert again.digest() == scenario.digest()
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(ValueError, match="unknown chaos scenario"):
-        build_chaos_scenario("nope")
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+        build_scenario("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -108,49 +112,26 @@ def test_crash_during_epoch_change_escalates_stuck_transitions(runs):
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.faults / saturn-repro faults)
+# CLI (python -m repro.analysis.mc / saturn-repro mc)
 # ---------------------------------------------------------------------------
 
 def test_cli_list(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name in CHAOS_SCENARIOS:
+    for name in CHAOS_NAMES:
+        assert name in SCENARIOS
         assert name in out
 
 
-def test_cli_scenario_with_artifacts(tmp_path, capsys):
-    json_out = tmp_path / "artifacts" / "summary.json"
-    plan_out = tmp_path / "plan.json"
-    code = main(["--scenario", "serializer-crash", "--check-determinism",
-                 "--json", str(json_out), "--plan-out", str(plan_out)])
-    capsys.readouterr()
+def test_cli_scenario_with_artifacts(capsys):
+    code = main(["--scenario", "serializer-crash", "--strategy", "fifo",
+                 "--json"])
     assert code == 0
-    payload = json.loads(json_out.read_text())
-    assert payload["violations"] == []
+    payload = json.loads(capsys.readouterr().out)
+    summary = payload["summary"]
+    assert summary["violations"] == []
     assert payload["deterministic"] is True
-    assert payload["recoveries"] == [[pytest.approx(42.25, abs=5.0), 1]]
-    plan = FaultPlan.from_json(plan_out.read_text())
-    assert plan.name == "serializer-crash"
-    assert [action.kind for action in plan.actions] == [
+    assert summary["recoveries"] == [[pytest.approx(42.25, abs=5.0), 1]]
+    assert summary["scenario"] == "serializer-crash"
+    assert [kind for _, kind, _ in summary["faults_fired"]] == [
         "crash-serializer", "restart-serializer"]
-
-
-def test_cli_runs_external_plan(tmp_path, capsys):
-    plan = FaultPlan(name="external", actions=(
-        FaultAction(kind="crash-serializer", at=6.0,
-                    args={"tree": "sI", "epoch": 0}),
-        FaultAction(kind="restart-serializer", at=40.0,
-                    args={"tree": "sI", "epoch": 0}),
-    ))
-    path = tmp_path / "plan.json"
-    path.write_text(plan.to_json())
-    assert main(["--plan", str(path)]) == 0
-    assert "violations : 0" in capsys.readouterr().out
-
-
-def test_cli_requires_exactly_one_input(capsys):
-    with pytest.raises(SystemExit):
-        main([])
-    with pytest.raises(SystemExit):
-        main(["--scenario", "serializer-crash", "--plan", "x.json"])
-    capsys.readouterr()

@@ -73,9 +73,15 @@ def test_configure_command(capsys):
 
 
 def test_mc_subcommand_forwards_to_model_checker(capsys):
+    from repro.analysis.mc.scenario import SCENARIOS
+
     assert main(["mc", "--list"]) == 0
     out = capsys.readouterr().out
-    assert "chain3" in out
+    # the one scenario table: the mc scenarios and the chaos scenarios
+    assert len(SCENARIOS) == 13
+    listed = {line.strip() for line in out.splitlines()}
+    assert set(SCENARIOS) <= listed
+    assert "serializer-crash" in listed and "okapi-clock-skew" in listed
     assert "drop-fifo" in out
 
 

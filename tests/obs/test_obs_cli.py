@@ -112,19 +112,19 @@ def test_run_once_without_obs_has_no_hub():
 # faults / mc CLI integration
 # ---------------------------------------------------------------------------
 
-def test_faults_cli_trace_out_and_obs_determinism(tmp_path):
-    from repro.faults.__main__ import main as faults_main
+def test_faults_cli_trace_out_and_obs_determinism(tmp_path, capsys):
+    """A fault scenario's clean FIFO run through the mc CLI: run twice,
+    equal trace exports, and the first run's trace written out."""
+    from repro.analysis.mc.__main__ import main as mc_main
 
     trace = tmp_path / "chaos-trace.jsonl"
-    summary_path = tmp_path / "chaos.json"
-    exit_code = faults_main(["--scenario", "serializer-crash",
-                             "--check-determinism",
-                             "--trace-out", str(trace),
-                             "--json", str(summary_path)])
+    exit_code = mc_main(["--scenario", "serializer-crash",
+                         "--strategy", "fifo",
+                         "--trace-out", str(trace), "--json"])
     assert exit_code == 0
-    summary = json.loads(summary_path.read_text())
-    assert summary["obs_deterministic"] is True
-    assert len(summary["obs_digest"]) == 64
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["deterministic"] is True
+    assert len(payload["trace_digest"]) == 64
     header = json.loads(trace.read_text().split("\n", 1)[0])
     assert header["meta"] == {"scenario": "serializer-crash"}
 

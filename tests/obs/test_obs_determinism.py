@@ -2,7 +2,6 @@
 attaching the tracer never perturbs the execution it observes."""
 
 from repro.analysis.mc.scenario import build_chain3, build_scenario
-from repro.faults.scenarios import build_chaos_scenario
 from repro.obs import attach_tracer
 
 
@@ -24,7 +23,7 @@ def test_chain3_double_run_is_bit_identical():
 
 
 def test_fault_scenario_double_run_is_bit_identical():
-    build = lambda: build_chaos_scenario("serializer-crash")  # noqa: E731
+    build = lambda: build_scenario("serializer-crash")  # noqa: E731
     _, first = _traced_run(build)
     _, second = _traced_run(build)
     # the crash arc exercises park/replay annotations and ts-drain chains
