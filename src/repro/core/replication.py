@@ -34,7 +34,7 @@ class ReplicationMap:
 
     def set_group(self, group: str, replicas: Iterable[str]) -> None:
         replica_set = frozenset(replicas)
-        unknown = replica_set - set(self.datacenters)
+        unknown = replica_set - self._default
         if unknown:
             raise ValueError(f"unknown datacenters in replica set: {sorted(unknown)}")
         if not replica_set:

@@ -29,7 +29,6 @@ from repro.sim.network import LatencyModel
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.facebook import FacebookWorkload
-from repro.workloads.streaming import StreamingFacebookWorkload
 from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = [
@@ -331,10 +330,10 @@ def _overload(scale: Scale, systems: Sequence[str] = OVERLOAD_SYSTEMS,
               p99_slo_ms: float = 400.0, goodput_floor: float = 0.95,
               num_users: int = 4000,
               overload_config: Optional[OverloadConfig] = None):
-    """Poisson arrivals per datacenter over the streaming social workload
-    on a serializer chain; only Saturn runs the backpressure/admission
-    chain (a system with no tree ignores the topology and overloads by CPU
-    queueing).  Reported: the *max sustainable* offered rate per system,
+    """Poisson arrivals per datacenter over the social workload of Fig. 8
+    (``num_users`` users, at most three replicas each) on a serializer
+    chain; only Saturn runs the backpressure/admission chain (a system
+    with no tree ignores the topology and overloads by CPU queueing).  Reported: the *max sustainable* offered rate per system,
     the largest at which p99 visibility stays under ``p99_slo_ms`` and at
     least ``goodput_floor`` of offered operations complete — what a closed
     loop, which throttles itself, cannot measure."""
@@ -345,7 +344,7 @@ def _overload(scale: Scale, systems: Sequence[str] = OVERLOAD_SYSTEMS,
     for system in systems:
         overload = (overload_config if protocol_named(system).has_tree
                     else None)
-        runs += [((system, rate), system, StreamingFacebookWorkload(
+        runs += [((system, rate), system, FacebookWorkload(
             num_users=num_users, min_replicas=2,
             max_replicas=min(3, len(sites))), dict(
                 sites=sites, topology=TreeTopology.chain(sites),

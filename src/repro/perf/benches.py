@@ -355,9 +355,9 @@ def bench_saturation(rates: Tuple[float, ...] = (2000.0, 4000.0, 6000.0,
                      num_users: int = 2000) -> Dict:
     """Max sustainable offered load (ops/s per DC) at the p99 SLO.
 
-    Runs the smoke overload sweep (3-DC serializer chain, streaming
-    social workload, Poisson open-loop arrivals, Saturn with the bounded
-    backpressure chain) and reports the largest swept rate that stays
+    Runs the smoke overload sweep (3-DC serializer chain, the social
+    workload of Fig. 8 at ``num_users`` users, Poisson open-loop arrivals,
+    Saturn with the bounded backpressure chain) and reports the largest swept rate that stays
     within the p99-visibility SLO with >= 95% goodput.  The result is a
     deterministic function of the codebase — no repeats, no calibration;
     a drop to the next sweep point means the throughput cliff moved.

@@ -63,7 +63,7 @@ def social_op_generator(dc_name: str, me: int, my_friends: Sequence[int],
     """The ``workload(client) -> op`` closure of one social client: user
     *me* at *dc_name* draws from :data:`OPERATION_MIX` on *stream*.  Each
     read or friend write asks *replication* for the user's replicas once,
-    at draw time (a lazily placed map places users in query order)."""
+    at draw time."""
 
     def _key(user: int) -> str:
         return f"{user_group(user)}:{stream.randrange(KEYS_PER_USER)}"
@@ -125,10 +125,19 @@ def generate_social_graph(num_users: int, attachment: int,
             adjacency[u].add(v)
             adjacency[v].add(u)
             repeated.extend((u, v))
+    getrandbits = stream.getrandbits
     for u in range(attachment + 1, num_users):
+        # stream.choice(repeated) unrolled: CPython's choice rejection-
+        # samples an index from getrandbits(n.bit_length()); these are the
+        # same draws (pinned by the fig8 digest) without two calls per draw
+        n = len(repeated)
+        bits = n.bit_length()
         targets: Set[int] = set()
         while len(targets) < attachment:
-            candidate = stream.choice(repeated)
+            index = getrandbits(bits)
+            while index >= n:
+                index = getrandbits(bits)
+            candidate = repeated[index]
             if candidate != u:
                 targets.add(candidate)
         for v in targets:

@@ -18,7 +18,6 @@ same idea:
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Sequence, Set
 
 from repro.core.replication import ReplicationMap
@@ -42,19 +41,20 @@ def assign_masters(adjacency: Dict[int, Set[int]], datacenters: Sequence[str],
     # high-degree users first: they anchor their communities
     order = sorted(adjacency, key=lambda u: (-len(adjacency[u]), u))
     for user in order:
-        votes = Counter()
+        votes: Dict[str, int] = {}
         for friend in adjacency[user]:
             master = masters.get(friend)
             if master is not None:
-                votes[master] += 1
+                votes[master] = votes.get(master, 0) + 1
         # candidates under the balance cap, preferring friend-heavy ones;
         # ties (and friendless users) go to the least-loaded datacenter
         best = None
         best_key = None
         for dc in datacenters:
-            if load[dc] >= capacity:
+            dc_load = load[dc]
+            if dc_load >= capacity:
                 continue
-            key = (-votes.get(dc, 0), load[dc], dc)
+            key = (-votes.get(dc, 0), dc_load, dc)
             if best_key is None or key < best_key:
                 best_key = key
                 best = dc
@@ -78,18 +78,25 @@ def build_social_replication(adjacency: Dict[int, Set[int]],
         raise ValueError("max_replicas must be >= min_replicas")
     max_replicas = min(max_replicas, len(datacenters))
     replication = ReplicationMap(datacenters)
+    # per home: every datacenter nearest-first, name breaking latency ties;
+    # a site's position in that list is its tie-break rank
+    nearest = {home: sorted(datacenters, key=lambda d: (latency(home, d), d))
+               for home in datacenters}
+    rank = {home: {dc: i for i, dc in enumerate(sites)}
+            for home, sites in nearest.items()}
     for user, friends in adjacency.items():
         home = masters[user]
-        votes = Counter()
+        votes: Dict[str, int] = {}
         for friend in friends:
-            votes[masters[friend]] += 1
+            site = masters[friend]
+            votes[site] = votes.get(site, 0) + 1
         votes.pop(home, None)
         # most-befriended datacenters first, nearest-first tie-break
-        ranked = sorted(votes, key=lambda dc: (-votes[dc], latency(home, dc), dc))
+        home_rank = rank[home]
+        ranked = sorted(votes, key=lambda dc: (-votes[dc], home_rank[dc]))
         replicas: List[str] = [home] + ranked[:max_replicas - 1]
         if len(replicas) < min_replicas:
-            for dc in sorted(datacenters,
-                             key=lambda d: (latency(home, d), d)):
+            for dc in nearest[home]:
                 if dc not in replicas:
                     replicas.append(dc)
                 if len(replicas) >= min_replicas:

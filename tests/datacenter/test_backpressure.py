@@ -22,7 +22,7 @@ from repro.datacenter.overload import AdmissionController, OverloadConfig
 from repro.harness.runner import Cluster, ClusterConfig
 from repro.verify.checker import ExecutionLog
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.streaming import StreamingFacebookWorkload
+from repro.workloads.facebook import FacebookWorkload
 
 SITES = ("I", "F", "T")
 
@@ -82,8 +82,8 @@ def overloaded_cluster(with_log: bool = True):
         arrivals=PoissonArrivals(rate_ops_s=9000.0),
         overload=OverloadConfig(sink_buffer_cap=CAP, sink_credits=CREDITS,
                                 serializer_service_rate=RATE))
-    workload = StreamingFacebookWorkload(num_users=2000, min_replicas=2,
-                                         max_replicas=3)
+    workload = FacebookWorkload(num_users=2000, min_replicas=2,
+                                max_replicas=3)
     cluster = Cluster(config, workload)
     log = None
     if with_log:

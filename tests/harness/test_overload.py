@@ -4,7 +4,7 @@ The committed fixture pins the smoke-scale open-loop saturation sweep
 (saturn + gentlerain over 500/2000/8000 ops/s per DC) byte-for-byte,
 exactly like ``tests/harness/golden/five_way_smoke.json`` pins the
 closed-loop comparison: any change to the arrival processes, the
-streaming workload, the backpressure chain, or the kernel shows up as a
+social workload, the backpressure chain, or the kernel shows up as a
 diff here.  If a change is *deliberate*, regenerate with::
 
     PYTHONPATH=src:. python -c "
@@ -28,7 +28,7 @@ from repro.harness.report import round_floats
 
 GOLDEN = Path(__file__).parent / "golden" / "overload_smoke.json"
 GOLDEN_SHA256 = \
-    "243a48dc2b7427b14702f3b3a8ddee7498d7f23eba2dbec899bb697d8c74dd6a"
+    "46de7a83926120e2d0af4314afe260dfc2e33addcd3f7f8ce3a997a10d4fea27"
 
 
 def smoke_summary():

@@ -118,3 +118,22 @@ def test_write_share_in_expected_range():
     # nominal write share is 18% (edit_own + write_friend), minus the
     # write_friend fallbacks that turn into reads
     assert 0.08 <= writes / len(ops) <= 0.25
+
+
+def test_benchmark_import_path_builds_the_materialized_workload():
+    """``bench/`` builds the open-loop workload through the old streaming
+    path; it must get the symmetric, balanced SPAR placement."""
+    from repro.workloads.streaming import StreamingFacebookWorkload
+    workload = StreamingFacebookWorkload(num_users=2000, min_replicas=2,
+                                         max_replicas=3)
+    workload.replication_map(("I", "F", "T"), ec2_latency,
+                             RngRegistry(seed=7))
+    assert type(workload) is FacebookWorkload
+    adjacency = workload.adjacency
+    for user, friends in adjacency.items():
+        for friend in friends:
+            assert user in adjacency[friend]
+    loads = {}
+    for master in workload.masters.values():
+        loads[master] = loads.get(master, 0) + 1
+    assert max(loads.values()) <= int(2000 / 3 * 1.10) + 1
