@@ -221,13 +221,14 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
             auto_failover=auto_failover,
             dc_params=dict(SINK_CADENCE if has_tree else {},
                            **(dc_params or {})),
-            replication=replication, hazard_monitor=True),
+            replication=replication),
         ScriptedWorkload(
             clients or chain_clients(SITES, relay_cap=40, reader_cap=60),
             stagger=CLIENT_STAGGER))
     log = ExecutionLog(replication)
     cluster.attach_execution_log(log)
-    # the routing oracle watches the fabric beside the monitor
+    # the monitor and the routing oracle are the fabric's two observers
+    monitor = HazardMonitor.install(cluster.network)
     routing_oracle = RoutingOracle(replication, cluster.service)
     cluster.network.observers += (routing_oracle,)
     # scheduled at build time: a schedule controller installed afterwards
@@ -267,7 +268,7 @@ def build_chain3(name: str, horizon: float, system: str = "saturn",
         name=name, cluster=cluster, sim=cluster.sim, network=cluster.network,
         replication=replication, service=cluster.service,
         datacenters=cluster.datacenters, clients=cluster.clients, log=log,
-        monitor=cluster.hazard_monitor, routing_oracle=routing_oracle,
+        monitor=monitor, routing_oracle=routing_oracle,
         horizon=horizon, delay_links=frozenset(delay_links),
         min_expected_updates=min_expected_updates, manager=cluster.manager,
         injector=injector, fault_plan=fault_plan, failover=cluster.failover)

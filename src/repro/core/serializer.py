@@ -27,7 +27,6 @@ its last replica (or :meth:`fail`) crashes the whole serializer.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.label import Label, LabelType
@@ -109,8 +108,6 @@ class Serializer(Process):
         self.peak_ingress_depth = 0
         self.batches_serviced = 0
         self.credits_returned = 0
-        #: opt-in metrics registry (repro.obs.MetricsRegistry)
-        self.queue_obs = None
         # Routing tables are static per epoch (reconfiguration installs a
         # fresh tree of serializers), so resolve them once instead of on
         # every batch: outgoing directions as (neighbor, peer process,
@@ -211,18 +208,12 @@ class Serializer(Process):
         depth = len(self._ingress)
         if depth > self.peak_ingress_depth:
             self.peak_ingress_depth = depth
-        if self.queue_obs is not None:
-            self._ingress_gauge.set(depth, self.sim.now)
+        if self.obs is not None:
+            self.obs.gauge(self.sim.now, f"serializer:{self.tree_name}",
+                           "ingress_depth", depth)
         if not self._servicing:
             self._servicing = True
             self._service_next()
-
-    @cached_property
-    def _ingress_gauge(self):
-        # bound at first use, not at attach: a gauge nobody set must not
-        # appear in the export
-        return self.queue_obs.gauge(f"serializer:{self.tree_name}",
-                                    "ingress_depth")
 
     def _service_next(self) -> None:
         if not self._ingress:
@@ -239,8 +230,9 @@ class Serializer(Process):
         self.credits_returned += len(batch.labels)
         self.send(sender, LabelCredit(labels=len(batch.labels),
                                       tree_name=self.tree_name))
-        if self.queue_obs is not None:
-            self._ingress_gauge.set(len(self._ingress), self.sim.now)
+        if self.obs is not None:
+            self.obs.gauge(self.sim.now, f"serializer:{self.tree_name}",
+                           "ingress_depth", len(self._ingress))
         self._service_next()
 
     def _neighbor_of(self, sender_process: str) -> Optional[str]:

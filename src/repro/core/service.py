@@ -44,8 +44,6 @@ class SaturnService:
         #: opt-in label-lifecycle tracer, inherited by every serializer
         #: installed after it is set (repro.obs)
         self.obs = None
-        #: opt-in queue-metrics registry, inherited the same way
-        self.queue_obs = None
 
     # ------------------------------------------------------------------
 
@@ -87,7 +85,6 @@ class SaturnService:
                 service_rate=self.serializer_service_rate,
             )
             proc.obs = self.obs
-            proc.queue_obs = self.queue_obs
             proc.attach_network(self.network)
             self.network.place(proc.name, site)
             proc.start_beacons(self.beacon_period)

@@ -38,7 +38,6 @@ count with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = ["OverloadConfig", "AdmissionController"]
 
@@ -86,10 +85,8 @@ class AdmissionController:
     admission and the serializer tree.
     """
 
-    # "__dict__" only holds the cached metric bindings below, so the
-    # counters the obs-off path touches stay slot loads
     __slots__ = ("cap", "inflight", "admitted", "rejected", "peak_inflight",
-                 "obs", "component", "__dict__")
+                 "obs", "component")
 
     def __init__(self, cap: int, component: str = "admission") -> None:
         if cap <= 0:
@@ -99,7 +96,7 @@ class AdmissionController:
         self.admitted = 0
         self.rejected = 0
         self.peak_inflight = 0
-        #: opt-in metrics registry (repro.obs.MetricsRegistry) + key
+        #: opt-in tracer (repro.obs.LabelTracer) + the metrics' component
         self.obs = None
         self.component = component
 
@@ -107,15 +104,15 @@ class AdmissionController:
         if self.inflight >= self.cap:
             self.rejected += 1
             if self.obs is not None:
-                self._rejected_counter.inc(at=at)
+                self.obs.count(at, self.component, "rejected")
             return False
         self.inflight += 1
         self.admitted += 1
         if self.inflight > self.peak_inflight:
             self.peak_inflight = self.inflight
         if self.obs is not None:
-            self._admitted_counter.inc(at=at)
-            self._inflight_gauge.set(self.inflight, at)
+            self.obs.count(at, self.component, "admitted")
+            self.obs.gauge(at, self.component, "inflight", self.inflight)
         return True
 
     def on_shipped(self, count: int, at: float = 0.0) -> None:
@@ -123,18 +120,4 @@ class AdmissionController:
             return
         self.inflight = max(0, self.inflight - count)
         if self.obs is not None:
-            self._inflight_gauge.set(self.inflight, at)
-
-    # bound at first use, not at attach: a metric nobody touched must not
-    # appear in the export
-    @cached_property
-    def _rejected_counter(self):
-        return self.obs.counter(self.component, "rejected")
-
-    @cached_property
-    def _admitted_counter(self):
-        return self.obs.counter(self.component, "admitted")
-
-    @cached_property
-    def _inflight_gauge(self):
-        return self.obs.gauge(self.component, "inflight")
+            self.obs.gauge(at, self.component, "inflight", self.inflight)

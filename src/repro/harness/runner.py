@@ -90,17 +90,14 @@ class ClusterConfig:
     dc_params: Mapping[str, Any] = field(default_factory=dict)
     #: override the workload's replication map (e.g. Fig. 1b sweeps)
     replication: Optional[ReplicationMap] = None
-    #: opt-in runtime FIFO/determinism checker (repro.analysis.runtime);
-    #: off by default so the hot path stays uninstrumented
-    hazard_monitor: bool = False
     #: opt-in label-lifecycle tracing + metrics registry (repro.obs); the
     #: tracer schedules no events, so the simulated execution is identical
     #: with it on or off
     obs: bool = False
-    #: arrival model (repro.workloads.arrivals); None or ClosedLoop keeps
-    #: the historical closed-loop client population, an open-loop model
-    #: replaces it with per-datacenter OpenLoopSources (clients_per_dc is
-    #: then ignored — the pool grows on demand)
+    #: open-loop arrival model (repro.workloads.arrivals.PoissonArrivals);
+    #: None keeps the closed-loop client population, a model replaces it
+    #: with per-datacenter OpenLoopSources (clients_per_dc is then ignored
+    #: — the pool grows on demand)
     arrivals: Optional[object] = None
     #: opt-in overload machinery (repro.datacenter.overload); None keeps
     #: every queue unbounded and admission disabled.  Its sink bounds are
@@ -119,6 +116,12 @@ class ClusterConfig:
             raise ValueError("dc_params beacon_timeout needs beacon_period "
                              "> 0: the failure detector listens for "
                              "serializer beacons")
+        for key in ("sink_credits", "sink_buffer_cap"):
+            if key in self.dc_params:
+                # credits only return from a serializer with a service
+                # rate, which OverloadConfig checks comes with them
+                raise ValueError(f"dc_params {key} is an overload knob: "
+                                 f"pass overload=OverloadConfig(...)")
         if self.latency_model is None:
             self.latency_model = ec2_latency_model(LOCAL_LATENCY)
 
@@ -155,10 +158,6 @@ class Cluster:
         self.clocks = ClockFactory(self.sim, self.rng,
                                    max_skew=config.max_clock_skew)
         self.sites = list(config.sites)
-        self.hazard_monitor = None
-        if config.hazard_monitor:
-            from repro.analysis.runtime import HazardMonitor
-            self.hazard_monitor = HazardMonitor.install(self.network)
 
         def latency(a: str, b: str) -> float:
             if a == b:
@@ -180,7 +179,7 @@ class Cluster:
         #: (start offset in ms, client) of every roster client
         self._client_starts: List[Tuple[float, ClientProcess]] = []
         self._build_datacenters()
-        if self.open_loop:
+        if config.arrivals is not None:
             self._build_sources()
         else:
             self._build_clients()
@@ -188,10 +187,6 @@ class Cluster:
         if config.obs:
             from repro.obs import attach_tracer
             self.obs_hub = attach_tracer(self)
-
-    @property
-    def open_loop(self) -> bool:
-        return getattr(self.config.arrivals, "open_loop", False)
 
     # ------------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Component-keyed metrics registry over simulated time.
 
-Counters, gauges and histograms are keyed by ``(component, name)`` and
-created lazily on first touch.  Nothing here schedules simulator events or
-reads a clock: call sites pass the simulated time of each observation, so a
-registry costs nothing when no instrumentation points reference it and the
-disabled hot path stays untouched (the ``if self.obs is not None`` guard at
-every call site is the whole cost).
+Counters and gauges are keyed by ``(component, name)`` and created lazily
+on first touch.  Nothing here schedules simulator events or reads a clock:
+each observation carries its simulated time.  Instrumented components never
+write a registry; they append records to a
+:class:`~repro.obs.trace.LabelTracer`, whose fold (the registry's
+``before_read`` hook) is the one writer.
 
 Counters optionally bucket their increments into fixed windows of simulated
 time (``window`` ms), which is what turns an end-of-run total into a rate
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from repro.metrics.stats import mean, percentile
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -69,41 +67,6 @@ class Gauge:
         return {"value": self.value, "at": self.at, "updates": self.updates}
 
 
-class Histogram:
-    """Timestamped samples with summary statistics."""
-
-    __slots__ = ("_samples",)
-
-    def __init__(self) -> None:
-        self._samples: List[Tuple[float, float]] = []
-
-    def observe(self, value: float, at: float = 0.0) -> None:
-        self._samples.append((at, value))
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    def values(self) -> List[float]:
-        return [value for _, value in self._samples]
-
-    def values_in(self, t0: float, t1: float) -> List[float]:
-        """Samples observed in the half-open window ``[t0, t1)``."""
-        return [value for at, value in self._samples if t0 <= at < t1]
-
-    def to_obj(self) -> dict:
-        values = self.values()
-        obj: dict = {"count": len(values)}
-        if values:
-            obj["mean"] = mean(values)
-            obj["min"] = min(values)
-            obj["max"] = max(values)
-            obj["p50"] = percentile(values, 50.0)
-            obj["p90"] = percentile(values, 90.0)
-            obj["p99"] = percentile(values, 99.0)
-        return obj
-
-
 class MetricsRegistry:
     """Lazily-created metrics keyed by ``(component, name)``."""
 
@@ -111,10 +74,9 @@ class MetricsRegistry:
         self.window = window
         self._counters: Dict[Tuple[str, str], Counter] = {}
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
-        self._histograms: Dict[Tuple[str, str], Histogram] = {}
-        #: run before counters and histograms are handed out or exported: a
-        #: producer that logs first and counts later (LabelTracer) folds its
-        #: backlog in here, so a Counter is as fresh as its last lookup
+        #: run before a metric is handed out or exported: a producer that
+        #: logs first and counts later (LabelTracer) folds its backlog in
+        #: here, so a metric is as fresh as its last lookup
         self.before_read: Callable[[], None] = lambda: None
 
     def counter(self, component: str, name: str) -> Counter:
@@ -126,18 +88,11 @@ class MetricsRegistry:
         return metric
 
     def gauge(self, component: str, name: str) -> Gauge:
+        self.before_read()
         key = (component, name)
         metric = self._gauges.get(key)
         if metric is None:
             metric = self._gauges[key] = Gauge()
-        return metric
-
-    def histogram(self, component: str, name: str) -> Histogram:
-        self.before_read()
-        key = (component, name)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram()
         return metric
 
     def to_dict(self) -> dict:
@@ -151,5 +106,7 @@ class MetricsRegistry:
             "window": self.window,
             "counters": section(self._counters),
             "gauges": section(self._gauges),
-            "histograms": section(self._histograms),
+            # nothing writes histograms; the saturn-obs/v1 schema keeps
+            # the (empty) section
+            "histograms": {},
         }

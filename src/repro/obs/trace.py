@@ -5,7 +5,8 @@ Every hook call appends one flat tuple of atoms (floats, ints, strs, bools,
 
     label event   (t, code, node, label.ts, label.src, *payload)
     annotation    (t, ANNOTATE, node, kind, key, value, key, value, ...)
-    network tap   (t, NET_SEND, "network", labels in the batch or -1)
+    gauge         (t, GAUGE, component, name, value)
+    count         (t, COUNT, component, name)
 
 A label is identified by its ``(ts, src)`` key — the one the remote proxies
 deduplicate on — and its *chain* is the chronological list of its records,
@@ -28,8 +29,10 @@ handed to readers as :class:`TraceEvent` objects:
 
 Cluster-wide happenings that are not tied to one label (failover state
 transitions, sink park/replay, epoch changes and adoptions) are
-*annotations*.  Chains, spans and the registry's counters are computed from
-the log when they are read, from the tail recorded since the last read.
+*annotations*.  Queue depths, credits and admission decisions are *gauge*
+and *count* records.  Chains, spans and the registry's counters and gauges
+are computed from the log when they are read, from the tail recorded since
+the last read.
 
 Everything stored here is a pure function of simulated time and process
 names, so a traced run exports bit-identically across double runs of the
@@ -92,7 +95,7 @@ class Span:
 
 # record codes; a label event's code indexes _KINDS
 (ISSUE, FLUSH, REPLAY, SER_ARRIVE, SER_FORWARD, DELIVER, VISIBLE, FINALIZED,
- ANNOTATE, NET_SEND) = range(10)
+ ANNOTATE, GAUGE, COUNT) = range(11)
 
 #: code -> (event kind, names of the payload fields, counter component
 #: prefix, counter name, index of the payload field appended to that name)
@@ -125,15 +128,15 @@ class LabelTracer:
     ``if self.obs is not None`` so the disabled cost is one attribute load;
     enabled, a hook is one ``list.append`` of a tuple.  The optional
     *registry* (a :class:`repro.obs.metrics.MetricsRegistry`) gets its
-    component-keyed counters from the same log, folded in whenever it is
-    read.  Readers only ever process the tail recorded since the last
-    read, so interleaving reads with recording stays linear.
+    component-keyed counters and gauges from the same log, folded in
+    whenever it is read; nothing else writes it.  Readers only ever
+    process the tail recorded since the last read, so interleaving reads
+    with recording stays linear.
     """
 
     def __init__(self, registry=None) -> None:
         self._log: List[tuple] = []
-        #: appends one record; the hooks below and
-        #: :class:`repro.obs.NetworkTap` are the only writers
+        #: appends one record; the hooks below are the only writers
         self.record = self._log.append
         self.registry = registry
         #: (ts, src) -> positions of the label's records in the log; key
@@ -181,6 +184,13 @@ class LabelTracer:
             record.extend(item)
         self.record(tuple(record))
 
+    def gauge(self, t: float, component: str, name: str,
+              value: float) -> None:
+        self.record((t, GAUGE, component, name, value))
+
+    def count(self, t: float, component: str, name: str) -> None:
+        self.record((t, COUNT, component, name))
+
     # -- reading ------------------------------------------------------------
 
     def _index(self) -> Dict[LabelKey, List[int]]:
@@ -226,9 +236,9 @@ class LabelTracer:
         start = self._counted
         if start == len(log):
             return
-        # moved first: registry.counter() below calls back into here
+        # moved first: registry.counter()/gauge() below call back into here
         self._counted = len(log)
-        counter, histogram = self.registry.counter, self.registry.histogram
+        counter, gauge = self.registry.counter, self.registry.gauge
         for record in log[start:]:
             t, code, node = record[:3]
             if code < ANNOTATE:
@@ -240,12 +250,10 @@ class LabelTracer:
             elif code == ANNOTATE:
                 counter("events/" + node,
                         record[3].replace("-", "_")).inc(at=t)
+            elif code == GAUGE:
+                gauge(node, record[3]).set(record[4], at=t)
             else:
-                counter(node, "messages").inc(at=t)
-                if record[3] >= 0:
-                    counter(node, "label_batches").inc(at=t)
-                    counter(node, "labels").inc(record[3], at=t)
-                    histogram(node, "batch_size").observe(record[3], at=t)
+                counter(node, record[3]).inc(at=t)
 
 
 # ---------------------------------------------------------------------------

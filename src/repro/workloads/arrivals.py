@@ -1,44 +1,28 @@
-"""Arrival models: how client operations are paced.
+"""Open-loop arrivals: operations paced by a request process.
 
 The paper (like Basho Bench) drives every experiment *closed-loop*: each
 client issues its next operation the instant the previous one completes,
 so the offered load can never exceed the service rate and the system can
-never be pushed past saturation.  This module makes the pacing policy an
-explicit, swappable object:
+never be pushed past saturation.  That stays the default
+(``ClusterConfig.arrivals=None``).  :class:`PoissonArrivals` is the
+*open-loop* alternative: a homogeneous Poisson request process per
+datacenter whose operations arrive at a configured rate regardless of how
+fast (or whether) earlier ones finish, which is what lets the overload
+study observe queue growth, backpressure, and the throughput cliff.
 
-* :class:`ClosedLoop` — the historical behaviour (zero think time); the
-  default everywhere, byte-identical to the pre-refactor op streams.
-* :class:`PoissonArrivals` — an *open-loop* homogeneous Poisson request
-  process per datacenter: operations arrive at a configured rate
-  regardless of how fast (or whether) earlier ones finish, which is what
-  lets the overload study observe queue growth, backpressure, and the
-  throughput cliff.
-* :class:`DiurnalArrivals` — a non-homogeneous Poisson process whose
-  rate follows a sinusoidal day curve (peak-to-trough ratio
-  ``peak_factor``), sampled by thinning against the peak rate.
-
-Open-loop models are consumed by
-:class:`repro.workloads.openloop.OpenLoopSource`, which schedules the
-arrival events on the simulation kernel and dispatches each one to an
-idle client (growing the client pool on demand — a true open loop has
-unbounded concurrency).  All draws come from named
+It is consumed by :class:`repro.workloads.openloop.OpenLoopSource`, which
+schedules the arrival events on the simulation kernel and dispatches each
+one to an idle client (growing the client pool on demand — a true open
+loop has unbounded concurrency).  All draws come from named
 :class:`~repro.sim.rng.RngRegistry` streams, so arrival sequences are
 deterministic per (seed, datacenter).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = ["ClosedLoop", "PoissonArrivals", "DiurnalArrivals"]
-
-
-@dataclass(frozen=True)
-class ClosedLoop:
-    """Zero-think-time closed loop (the pre-open-loop behaviour)."""
-
-    open_loop = False
+__all__ = ["PoissonArrivals"]
 
 
 @dataclass(frozen=True)
@@ -46,7 +30,6 @@ class PoissonArrivals:
     """Homogeneous Poisson arrivals at ``rate_ops_s`` per datacenter."""
 
     rate_ops_s: float
-    open_loop = True
 
     def __post_init__(self) -> None:
         if self.rate_ops_s <= 0:
@@ -62,49 +45,3 @@ class PoissonArrivals:
     def next_interarrival(self, stream, now_ms: float) -> float:
         """Milliseconds until the next arrival after *now_ms*."""
         return stream.expovariate(self.rate_ops_s / 1000.0)
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals:
-    """Sinusoidal diurnal curve around ``rate_ops_s`` (mean rate).
-
-    ``rate(t) = rate_ops_s · (1 + a·sin(2πt/period))`` with the
-    amplitude ``a`` chosen so peak/trough equals ``peak_factor``.
-    Sampled by thinning: candidate gaps at the peak rate, each kept with
-    probability ``rate(t)/peak``, which preserves exactness for any
-    bounded rate curve.
-    """
-
-    rate_ops_s: float
-    peak_factor: float = 2.0
-    period_ms: float = 1000.0
-    phase: float = 0.0
-    open_loop = True
-
-    def __post_init__(self) -> None:
-        if self.rate_ops_s <= 0:
-            raise ValueError("rate_ops_s must be positive")
-        if self.peak_factor < 1.0:
-            raise ValueError("peak_factor must be >= 1")
-        if self.period_ms <= 0:
-            raise ValueError("period_ms must be positive")
-
-    @property
-    def amplitude(self) -> float:
-        # peak/trough = (1+a)/(1-a)  =>  a = (pf-1)/(pf+1)
-        return (self.peak_factor - 1.0) / (self.peak_factor + 1.0)
-
-    def rate_at(self, now_ms: float) -> float:
-        angle = 2.0 * math.pi * (now_ms / self.period_ms) + self.phase
-        return self.rate_ops_s * (1.0 + self.amplitude * math.sin(angle))
-
-    def peak_rate(self) -> float:
-        return self.rate_ops_s * (1.0 + self.amplitude)
-
-    def next_interarrival(self, stream, now_ms: float) -> float:
-        peak = self.peak_rate()
-        elapsed = 0.0
-        while True:
-            elapsed += stream.expovariate(peak / 1000.0)
-            if stream.random() * peak <= self.rate_at(now_ms + elapsed):
-                return elapsed

@@ -134,17 +134,16 @@ def checked_cluster_run(seed=11, duration=400.0):
                                  value_size=8, keys_per_group=4,
                                  groups_per_dc=2)
     cluster = Cluster(ClusterConfig(system="saturn", sites=("I", "F", "T"),
-                                    clients_per_dc=2, seed=seed,
-                                    hazard_monitor=True), workload)
+                                    clients_per_dc=2, seed=seed), workload)
+    monitor = HazardMonitor.install(cluster.network)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)
     cluster.run(duration=duration, warmup=50.0)
-    return cluster, log
+    return monitor, log
 
 
 def test_saturn_run_is_fifo_clean_and_causally_consistent():
-    cluster, log = checked_cluster_run()
-    monitor = cluster.hazard_monitor
+    monitor, log = checked_cluster_run()
     assert monitor.crosscheck(log) == []
     report = monitor.report()
     assert report.ok, report.summary()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.runtime import HazardMonitor
 from repro.harness.runner import Cluster, ClusterConfig
 from repro.verify.checker import ExecutionLog
 from repro.workloads.synthetic import SyntheticWorkload
@@ -33,7 +34,7 @@ TOPO_PARAMS = ["chain3", pytest.param("tree5", marks=pytest.mark.slow)]
 
 
 def run_cluster(system, sites=CHAIN3, workload=None, duration=600.0,
-                seed=1, clients_per_dc=4, **overrides):
+                seed=1, clients_per_dc=4, monitored=False, **overrides):
     workload = workload or SyntheticWorkload(
         correlation="full", read_ratio=0.7, value_size=8,
         keys_per_group=4, groups_per_dc=2)
@@ -41,6 +42,8 @@ def run_cluster(system, sites=CHAIN3, workload=None, duration=600.0,
                                     clients_per_dc=clients_per_dc,
                                     seed=seed, **overrides),
                       workload)
+    if monitored:
+        HazardMonitor.install(cluster.network)
     log = ExecutionLog(cluster.replication)
     cluster.attach_execution_log(log)
     results = cluster.run(duration=duration, warmup=100.0)
@@ -151,10 +154,10 @@ def test_genuine_partial_replication(system):
 def test_double_run_digest_determinism(system):
     digests = []
     for _ in range(2):
-        _, _, cluster = run_cluster(system, duration=400.0,
-                                    hazard_monitor=True)
-        assert cluster.hazard_monitor.report().ok
-        digests.append(cluster.hazard_monitor.trace_digest())
+        _, _, cluster = run_cluster(system, duration=400.0, monitored=True)
+        (monitor,) = cluster.network.observers
+        assert monitor.report().ok
+        digests.append(monitor.trace_digest())
     assert digests[0] == digests[1]
 
 

@@ -57,13 +57,22 @@ def test_failure_detector_needs_beacons():
                       dc_params=detector)
 
 
+@pytest.mark.parametrize("knob", ("sink_credits", "sink_buffer_cap"))
+def test_overload_knobs_are_not_datacenter_params(knob):
+    """Sink credits come back only from a serializer with a service rate,
+    which ``OverloadConfig`` checks; set through ``dc_params`` alone they
+    would wedge the sink on its first batch."""
+    with pytest.raises(ValueError, match=r"overload=OverloadConfig\(\.\.\.\)"):
+        ClusterConfig(system="saturn", dc_params={knob: 20})
+
+
 def test_cluster_config_repeats_no_datacenter_param():
     """Per-datacenter tuning goes through ``dc_params``; only
     ``num_partitions`` (which the baselines take too) is a field."""
     config_fields = {f.name for f in fields(ClusterConfig)}
     assert config_fields & {f.name for f in fields(DatacenterParams)} \
         == {"num_partitions"}
-    assert len(config_fields) <= 20
+    assert len(config_fields) <= 15
 
 
 def test_dc_params_reach_the_datacenter_factory():

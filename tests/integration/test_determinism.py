@@ -2,18 +2,26 @@
 
 import pytest
 
+from repro.analysis.runtime import HazardMonitor
 from repro.harness.runner import Cluster, ClusterConfig
 from repro.workloads.synthetic import SyntheticWorkload
 
 
-def run(seed, system="saturn", **config_overrides):
+def run(seed, system="saturn", monitored=False, **config_overrides):
     workload = SyntheticWorkload(correlation="full", read_ratio=0.8,
                                  keys_per_group=8, groups_per_dc=2)
     cluster = Cluster(ClusterConfig(system=system, sites=("I", "F", "T"),
                                     clients_per_dc=4, seed=seed,
                                     **config_overrides), workload)
+    if monitored:
+        HazardMonitor.install(cluster.network)
     results = cluster.run(duration=500.0, warmup=100.0)
     return cluster, results
+
+
+def monitor_of(cluster):
+    (monitor,) = cluster.network.observers
+    return monitor
 
 
 def test_identical_seeds_identical_executions():
@@ -30,17 +38,17 @@ def test_double_run_identical_event_trace_digests():
     identical delivery trace — a SHA-256 over every (time, src, dst,
     message-type[, label]) tuple — with the runtime FIFO checker enabled.
     The checker itself must also come back clean on both runs."""
-    cluster_a, _ = run(seed=13, hazard_monitor=True)
-    cluster_b, _ = run(seed=13, hazard_monitor=True)
-    report_a = cluster_a.hazard_monitor.report()
-    report_b = cluster_b.hazard_monitor.report()
+    cluster_a, _ = run(seed=13, monitored=True)
+    cluster_b, _ = run(seed=13, monitored=True)
+    report_a = monitor_of(cluster_a).report()
+    report_b = monitor_of(cluster_b).report()
     assert report_a.ok, report_a.summary()
     assert report_b.ok, report_b.summary()
     assert report_a.messages_delivered == report_b.messages_delivered
     assert report_a.trace_digest == report_b.trace_digest
 
-    cluster_c, _ = run(seed=14, hazard_monitor=True)
-    assert cluster_c.hazard_monitor.report().trace_digest != report_a.trace_digest
+    cluster_c, _ = run(seed=14, monitored=True)
+    assert monitor_of(cluster_c).report().trace_digest != report_a.trace_digest
 
 
 def test_tracing_does_not_change_results():
@@ -48,7 +56,7 @@ def test_tracing_does_not_change_results():
     or not observers are installed, so a traced run is the untraced run
     plus observation: same simulated outcome, same messages, same events."""
     cluster_plain, results_plain = run(seed=7)
-    cluster_traced, results_traced = run(seed=7, hazard_monitor=True)
+    cluster_traced, results_traced = run(seed=7, monitored=True)
     assert results_plain.ops_completed == results_traced.ops_completed
     assert results_plain.throughput == results_traced.throughput
     assert (results_plain.visibility.samples()

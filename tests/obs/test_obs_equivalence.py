@@ -1,12 +1,14 @@
 """The log-backed tracer against the recorder it replaced.
 
-``ReferenceTracer`` / ``ReferenceTap`` below are the old implementation,
-kept verbatim as an executable specification: every hook looked its chain
-up, allocated a ``TraceEvent`` plus an ``extra`` dict, and incremented a
-windowed registry counter on the spot.  Hypothesis drives both recorders
-with the same random hook sequences — all eight hooks, the network tap, and
-reads interleaved at random points — and everything a reader can see must
-be equal: chains, annotations, every counter's value and series, the
+``ReferenceTracer`` below is the old implementation, kept verbatim as an
+executable specification: every hook looked its chain up, allocated a
+``TraceEvent`` plus an ``extra`` dict, and incremented a windowed registry
+counter on the spot.  Its ``gauge``/``count`` are the direct registry
+writes the sink, the serializer and the admission controller made before
+they became log records.  Hypothesis drives both recorders with the same
+random hook sequences — all ten hooks, and reads interleaved at random
+points — and everything a reader can see must be equal: chains,
+annotations, every counter's value and series, every gauge, the
 ``saturn-obs/v1`` bytes and the Chrome document.
 
 The two pinned digests were captured from the old recorder before it was
@@ -22,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.label import Label, LabelType
-from repro.datacenter.messages import LabelBatch, LabelCredit
-from repro.obs import LabelTracer, MetricsRegistry, NetworkTap
+from repro.obs import LabelTracer, MetricsRegistry
 from repro.obs.export import export_chrome, export_jsonl
 from repro.obs.trace import TraceEvent
 
@@ -93,6 +94,13 @@ class ReferenceTracer:
             TraceEvent(t, kind, node, extra if extra else None))
         self._inc(f"events/{node}", kind.replace("-", "_"), t)
 
+    def gauge(self, t, component, name, value):
+        if self.registry is not None:
+            self.registry.gauge(component, name).set(value, at=t)
+
+    def count(self, t, component, name):
+        self._inc(component, name, t)
+
     def chains(self):
         for key in sorted(self._chains):
             yield key, self._chains[key]
@@ -104,29 +112,12 @@ class ReferenceTracer:
         return len(self._chains)
 
 
-class ReferenceTap:
-    def __init__(self, registry):
-        self.registry = registry
-
-    def on_send(self, src, dst, message, arrival):
-        registry = self.registry
-        registry.counter("network", "messages").inc(at=arrival)
-        if isinstance(message, LabelBatch):
-            registry.counter("network", "label_batches").inc(at=arrival)
-            registry.counter("network", "labels").inc(len(message.labels),
-                                                      at=arrival)
-            registry.histogram("network", "batch_size").observe(
-                len(message.labels), at=arrival)
-
-
 class _Recorder:
-    """A tracer, its registry and its tap, old or new."""
+    """A tracer and its registry, old or new."""
 
-    def __init__(self, tracer_cls, tap_cls, window=50.0):
+    def __init__(self, tracer_cls, window=50.0):
         self.registry = MetricsRegistry(window=window)
         self.tracer = tracer_cls(registry=self.registry)
-        self.tap = (tap_cls(self.registry) if tap_cls is ReferenceTap
-                    else tap_cls(self.tracer))
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +137,12 @@ labels = st.builds(
 atoms = st.one_of(st.integers(-3, 3), st.booleans(),
                   st.sampled_from(("x", "", "emergency")),
                   st.floats(allow_nan=False, allow_infinity=False, width=16))
-batches = st.one_of(
-    st.builds(lambda n: LabelBatch(tuple(
-        Label(LabelType.UPDATE, src="I/gear0", ts=float(i), origin_dc="I")
-        for i in range(n))), st.integers(0, 5)),
-    st.just(LabelCredit(1, "I")))
+# the gauge/count keys the overload components use, plus one that collides
+# with a tracer-derived counter
+components = st.sampled_from(("sink:I", "serializer:sI", "admission:F",
+                              "sink/I"))
+metric_names = st.sampled_from(("deferred", "credits", "inflight",
+                                "admitted", "labels_issued"))
 
 
 def _hook(name, *args, **kwargs):
@@ -177,8 +169,9 @@ steps = st.one_of(
               st.dictionaries(st.sampled_from(("epoch", "count", "state",
                                                "emergency")), atoms,
                               max_size=3)),
-    st.tuples(st.just("tap"), st.just("on_send"),
-              st.tuples(nodes, nodes, batches, times), st.just({})),
+    _hook("gauge", times, components, metric_names,
+          st.integers(0, 40)),
+    _hook("count", times, components, metric_names),
     st.tuples(st.just("read"), st.sampled_from(
         ("chains", "counters", "export", "num_chains", "events")),
         st.just(()), st.just({})),
@@ -223,8 +216,8 @@ def _assert_same_view(new, old, what):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(steps, max_size=60), st.sampled_from((0.0, 50.0)))
 def test_log_backed_recorder_equals_the_old_one(sequence, window):
-    new = _Recorder(LabelTracer, NetworkTap, window)
-    old = _Recorder(ReferenceTracer, ReferenceTap, window)
+    new = _Recorder(LabelTracer, window)
+    old = _Recorder(ReferenceTracer, window)
     for target, name, args, kwargs in sequence:
         if target == "read":
             _assert_same_view(new, old, name)

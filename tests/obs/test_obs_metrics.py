@@ -6,11 +6,11 @@ import pytest
 
 from repro.metrics.stats import cdf_points, mean, percentile
 from repro.metrics.visibility import VisibilityRecorder
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
-# counters / gauges / histograms
+# counters / gauges
 # ---------------------------------------------------------------------------
 
 def test_counter_accumulates_and_windows():
@@ -40,42 +40,17 @@ def test_gauge_last_write_wins():
     assert gauge.to_obj() == {"value": 3.0, "at": 2.0, "updates": 2}
 
 
-def test_histogram_window_query_is_half_open():
-    histogram = Histogram()
-    for at, value in [(0.0, 1.0), (5.0, 2.0), (10.0, 3.0), (15.0, 4.0)]:
-        histogram.observe(value, at=at)
-    assert histogram.values_in(5.0, 15.0) == [2.0, 3.0]
-    assert histogram.values_in(5.0, 15.0001) == [2.0, 3.0, 4.0]
-    assert histogram.values_in(20.0, 30.0) == []
-    assert histogram.count == 4
-
-
-def test_histogram_summary_percentiles():
-    histogram = Histogram()
-    for value in range(1, 11):
-        histogram.observe(float(value), at=float(value))
-    obj = histogram.to_obj()
-    assert obj["count"] == 10
-    assert obj["min"] == 1.0 and obj["max"] == 10.0
-    assert obj["mean"] == mean([float(v) for v in range(1, 11)])
-    assert obj["p50"] == pytest.approx(5.5)
-
-
-def test_empty_histogram_summary_is_count_only():
-    assert Histogram().to_obj() == {"count": 0}
-
-
 def test_registry_get_or_create_and_sorted_export():
     registry = MetricsRegistry(window=50.0)
     assert registry.counter("a", "x") is registry.counter("a", "x")
     registry.counter("b", "y").inc(at=1.0)
     registry.gauge("a", "g").set(7.0, at=2.0)
-    registry.histogram("c", "h").observe(1.5, at=3.0)
     exported = registry.to_dict()
     assert exported["window"] == 50.0
     assert list(exported["counters"]) == ["a/x", "b/y"]
     assert exported["gauges"]["a/g"]["value"] == 7.0
-    assert exported["histograms"]["c/h"]["count"] == 1
+    # the saturn-obs/v1 schema keeps an empty section
+    assert exported["histograms"] == {}
     # counters inherit the registry window
     assert exported["counters"]["b/y"]["series"] == [[0.0, 1.0]]
 

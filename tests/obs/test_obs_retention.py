@@ -8,10 +8,15 @@
 * Transparency, jointly: obs, the HazardMonitor and the overload chain are
   each pinned against the all-off default elsewhere; here all three are on
   at once and the execution must still be the overload-only one.
+* One write path: the registry of that run is a fold of the tracer's log
+  alone, overload gauges and admission counts included.
 """
 
 import gc
 
+import pytest
+
+from repro.analysis.runtime import HazardMonitor
 from repro.core.label import Label, LabelType
 from repro.datacenter.overload import OverloadConfig
 from repro.harness.runner import Cluster, ClusterConfig
@@ -43,22 +48,32 @@ def test_recorded_events_leave_nothing_for_the_collector_to_walk():
     assert grown < 50, f"{grown} GC-tracked objects retained by 20k events"
 
 
-def _run(**flags):
+def _run(monitored=False, obs=False):
+    """The overload run; returns the cluster, its results and its
+    HazardMonitor (None unless *monitored*)."""
     workload = SyntheticWorkload(correlation="full", read_ratio=0.5,
                                  keys_per_group=8, groups_per_dc=2)
     cluster = Cluster(ClusterConfig(
         system="saturn", sites=("I", "F", "T"), clients_per_dc=6, seed=11,
         overload=OverloadConfig(sink_buffer_cap=3, sink_credits=2,
                                 serializer_service_rate=0.5),
-        **flags), workload)
+        obs=obs), workload)
+    monitor = HazardMonitor.install(cluster.network) if monitored else None
     results = cluster.run(duration=300.0, warmup=50.0)
-    return cluster, results
+    return cluster, results, monitor
 
 
-def test_obs_hazard_monitor_and_overload_together_change_nothing():
-    plain, plain_results = _run()
-    monitored, _ = _run(hazard_monitor=True)
-    everything, everything_results = _run(hazard_monitor=True, obs=True)
+@pytest.fixture(scope="module")
+def everything_run():
+    """The overload run with obs and the HazardMonitor on."""
+    return _run(monitored=True, obs=True)
+
+
+def test_obs_hazard_monitor_and_overload_together_change_nothing(
+        everything_run):
+    plain, plain_results, _ = _run()
+    monitored, _, monitor = _run(monitored=True)
+    everything, everything_results, everything_monitor = everything_run
 
     # the overload chain is doing something in this configuration
     sinks = [dc.sink for dc in plain.datacenters.values()]
@@ -66,10 +81,9 @@ def test_obs_hazard_monitor_and_overload_together_change_nothing():
     assert sum(dc.admission.rejected
                for dc in plain.datacenters.values()) > 0
 
-    report = everything.hazard_monitor.report()
+    report = everything_monitor.report()
     assert report.ok, report.summary()
-    assert (report.trace_digest
-            == monitored.hazard_monitor.report().trace_digest)
+    assert report.trace_digest == monitor.report().trace_digest
     for cluster in (monitored, everything):
         assert cluster.sim.events_executed == plain.sim.events_executed
         assert cluster.network.messages_sent == plain.network.messages_sent
@@ -77,11 +91,24 @@ def test_obs_hazard_monitor_and_overload_together_change_nothing():
             == plain_results.visibility.samples())
     assert everything_results.ops_completed == plain_results.ops_completed
 
-    # and obs saw it: chains, the overload gauges, the network tap
+    # and obs saw it: chains and the overload gauges, but not the network
     hub = everything.obs_hub
     assert hub.tracer.num_chains() > 0
     metrics = hub.registry.to_dict()
     assert metrics["gauges"]["sink:I/credits"]["updates"] > 0
     assert metrics["counters"]["admission:I/rejected"]["value"] > 0
-    assert (metrics["counters"]["network/messages"]["value"]
-            == everything.network.messages_sent)
+    assert everything.network.observers == (everything_monitor,)
+
+
+def test_the_registry_is_a_fold_of_the_tracer_log(everything_run):
+    """Replaying the run's log into a fresh tracer rebuilds every counter
+    and gauge: no component writes the registry directly."""
+    hub = everything_run[0].obs_hub
+    expected = hub.registry.to_dict()
+    assert any(name.startswith(("sink:", "serializer:", "admission:"))
+               for name in expected["gauges"])
+    replayed = LabelTracer(registry=MetricsRegistry(
+        window=hub.registry.window))
+    for record in hub.tracer._log:
+        replayed.record(record)
+    assert replayed.registry.to_dict() == expected

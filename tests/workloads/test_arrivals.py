@@ -1,25 +1,30 @@
-"""Arrival models: validation, rate curves, interarrival statistics.
+"""Open-loop arrivals: validation, rate, interarrival statistics.
 
-The open-loop arrival processes are pure samplers over named RNG
-streams, so they are tested directly — no cluster required.  Rate-curve
-algebra (diurnal amplitude, peak) is checked exactly; interarrival
-means statistically against pinned seeds.
+The Poisson arrival process is a pure sampler over named RNG streams, so
+it is tested directly — no cluster run required.  Interarrival means are
+checked statistically against pinned seeds.
 """
 
-import math
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.harness.runner import Cluster, ClusterConfig
 from repro.sim.rng import RngRegistry
-from repro.workloads.arrivals import (ClosedLoop, DiurnalArrivals,
-                                      PoissonArrivals)
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.synthetic import SyntheticWorkload
 
 
 def test_closed_loop_is_not_open():
-    assert ClosedLoop().open_loop is False
-    assert PoissonArrivals(100.0).open_loop is True
-    assert DiurnalArrivals(100.0).open_loop is True
+    """The default (``arrivals=None``) builds the closed-loop client
+    roster; an arrival model builds open-loop sources instead."""
+    def build(arrivals):
+        return Cluster(ClusterConfig(system="saturn", sites=("I", "F"),
+                                     clients_per_dc=2, arrivals=arrivals),
+                       SyntheticWorkload())
+
+    closed = build(None)
+    assert len(closed.clients) == 4 and not closed.sources
+    opened = build(PoissonArrivals(100.0))
+    assert not opened.clients and len(opened.sources) == 2
 
 
 def test_validation_errors():
@@ -27,12 +32,6 @@ def test_validation_errors():
         PoissonArrivals(0.0)
     with pytest.raises(ValueError):
         PoissonArrivals(-5.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(0.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(100.0, peak_factor=0.5)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(100.0, period_ms=0.0)
 
 
 def test_poisson_rate_is_flat():
@@ -51,49 +50,10 @@ def test_poisson_interarrival_mean():
     assert sum(draws) / len(draws) == pytest.approx(2.0, rel=0.05)
 
 
-def test_diurnal_amplitude_algebra():
-    """peak/trough == peak_factor exactly, by construction of a."""
-    arrivals = DiurnalArrivals(100.0, peak_factor=3.0, period_ms=1000.0)
-    assert arrivals.amplitude == pytest.approx(0.5)
-    assert arrivals.peak_rate() == pytest.approx(150.0)
-    peak = arrivals.rate_at(250.0)    # sin = 1 at quarter period
-    trough = arrivals.rate_at(750.0)  # sin = -1 at three quarters
-    assert peak / trough == pytest.approx(3.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(rate=st.floats(min_value=1.0, max_value=10_000.0),
-       pf=st.floats(min_value=1.0, max_value=10.0),
-       t=st.floats(min_value=0.0, max_value=1e6))
-def test_diurnal_rate_bounded_by_peak(rate, pf, t):
-    arrivals = DiurnalArrivals(rate, peak_factor=pf, period_ms=777.0)
-    assert 0.0 < arrivals.rate_at(t) <= arrivals.peak_rate() * (1 + 1e-12)
-
-
-def test_diurnal_degenerates_to_poisson_at_factor_one():
-    arrivals = DiurnalArrivals(400.0, peak_factor=1.0)
-    assert arrivals.amplitude == 0.0
-    for t in (0.0, 123.0, 999.0):
-        assert arrivals.rate_at(t) == pytest.approx(400.0)
-
-
-def test_diurnal_interarrival_mean_tracks_mean_rate():
-    """Thinning is exact: over whole periods the mean gap ≈ 1000/mean."""
-    stream = RngRegistry(seed=7).stream("openloop-F")
-    arrivals = DiurnalArrivals(200.0, peak_factor=2.0, period_ms=100.0)
-    now, gaps = 0.0, []
-    for _ in range(20_000):
-        gap = arrivals.next_interarrival(stream, now)
-        assert gap > 0.0
-        gaps.append(gap)
-        now += gap
-    assert sum(gaps) / len(gaps) == pytest.approx(5.0, rel=0.05)
-
-
 def test_interarrival_sequence_is_deterministic_per_stream():
     def draw(seed, name):
         stream = RngRegistry(seed=seed).stream(name)
-        arrivals = DiurnalArrivals(300.0, peak_factor=2.0, period_ms=250.0)
+        arrivals = PoissonArrivals(300.0)
         now, out = 0.0, []
         for _ in range(200):
             gap = arrivals.next_interarrival(stream, now)
@@ -107,8 +67,8 @@ def test_interarrival_sequence_is_deterministic_per_stream():
 
 
 def test_frozen_dataclasses_hash_and_compare():
-    """Arrival models are config values: frozen, comparable, hashable."""
+    """An arrival model is a config value: frozen, comparable, hashable."""
     assert PoissonArrivals(100.0) == PoissonArrivals(100.0)
-    assert hash(DiurnalArrivals(5.0)) == hash(DiurnalArrivals(5.0))
+    assert hash(PoissonArrivals(5.0)) == hash(PoissonArrivals(5.0))
     with pytest.raises(Exception):
         PoissonArrivals(100.0).rate_ops_s = 200.0

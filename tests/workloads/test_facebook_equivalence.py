@@ -21,7 +21,6 @@ import hashlib
 
 from repro.core.tree import TreeTopology
 from repro.harness.runner import Cluster, ClusterConfig
-from repro.workloads.arrivals import ClosedLoop
 from repro.workloads.facebook import FacebookWorkload
 
 #: sha256 of the op stream on the pre-arrival-model code (see module doc)
@@ -29,14 +28,12 @@ CLOSED_LOOP_DIGEST = \
     "d9de289f5bf5487936a10572fbe4819ecd83bd5a442b92bcde15b1a294359f58"
 
 
-def closed_loop_digest(arrivals=None):
+def closed_loop_digest():
     sites = ("I", "F", "T")
     topology = TreeTopology.star("I", {s: s for s in sites})
     config = ClusterConfig(system="saturn", sites=sites, clients_per_dc=4,
                            num_partitions=2, seed=11,
                            saturn_topology=topology)
-    if arrivals is not None:
-        config.arrivals = arrivals
     workload = FacebookWorkload(num_users=300, attachment=5)
     cluster = Cluster(config, workload)
     stream = hashlib.sha256()
@@ -55,8 +52,3 @@ def closed_loop_digest(arrivals=None):
 
 def test_default_arrivals_reproduce_pre_refactor_op_stream():
     assert closed_loop_digest() == CLOSED_LOOP_DIGEST
-
-
-def test_explicit_closed_loop_is_the_default():
-    """ClosedLoop() spelled out must be byte-identical to the default."""
-    assert closed_loop_digest(arrivals=ClosedLoop()) == CLOSED_LOOP_DIGEST
