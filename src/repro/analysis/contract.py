@@ -83,12 +83,6 @@ class ArchContract:
         """Restricted layers may only touch the kernel via sanctioned seams."""
         return layer.name not in self.unrestricted_layers
 
-    def kernel_packages(self) -> Tuple[str, ...]:
-        for layer in self.layers:
-            if layer.name == self.kernel_layer:
-                return layer.packages + layer.modules
-        return ()
-
 
 def _strings(table: Dict[str, Any], key: str,
              default: Sequence[str] = ()) -> Tuple[str, ...]:

@@ -150,8 +150,7 @@ class EunomiaSequencer(Process):
             batch = EunomiaBatch(origin_dc=self.dc_name, payloads=payloads,
                                  stable_ts=stable)
             size = sum(p.value_size for p in payloads)
-            self.network.send(self.name, dc_process_name(dc), batch,
-                              size_bytes=size)
+            self.send(dc_process_name(dc), batch, size_bytes=size)
             self.metadata_bytes_sent += SCALAR_STAMP_BYTES * (1 + len(payloads))
             self.batches_sent += 1
 
@@ -194,8 +193,7 @@ class EunomiaDatacenter(GentleRainDatacenter):
     def _ship_update(self, payload: BaselinePayload, value_size: int) -> None:
         # Route through the site sequencer (one local FIFO hop); the
         # sequencer fans out to the replicas at the next batch tick.
-        self.network.send(self.name, self.sequencer.name, payload,
-                          size_bytes=value_size)
+        self.send(self.sequencer.name, payload, size_bytes=value_size)
         self.metadata_bytes_sent += stamp_wire_bytes(payload.stamp)
 
     def _on_batch(self, sender: str, batch: EunomiaBatch) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import total_ordering
 from typing import Optional, Tuple
 
 __all__ = ["LabelType", "Label", "label_max"]
@@ -37,7 +36,6 @@ class LabelType(enum.Enum):
     EPOCH_CHANGE = "epoch_change"
 
 
-@total_ordering
 @dataclass(frozen=True, slots=True)
 class Label:
     """An immutable, totally ordered Saturn label."""
@@ -53,15 +51,27 @@ class Label:
     def sort_key(self) -> Tuple[float, str]:
         return (self.ts, self.src)
 
-    def __lt__(self, other: "Label") -> bool:
-        if not isinstance(other, Label):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
+    # explicit orderings on (ts, src): functools.total_ordering would cost
+    # two more Python calls per derived comparison, on hot paths
+    def __lt__(self, other: object) -> bool:
+        return ((self.ts, self.src) < (other.ts, other.src)
+                if isinstance(other, Label) else NotImplemented)
+
+    def __le__(self, other: object) -> bool:
+        return ((self.ts, self.src) <= (other.ts, other.src)
+                if isinstance(other, Label) else NotImplemented)
+
+    def __gt__(self, other: object) -> bool:
+        return ((self.ts, self.src) > (other.ts, other.src)
+                if isinstance(other, Label) else NotImplemented)
+
+    def __ge__(self, other: object) -> bool:
+        return ((self.ts, self.src) >= (other.ts, other.src)
+                if isinstance(other, Label) else NotImplemented)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Label):
-            return NotImplemented
-        return self.sort_key() == other.sort_key()
+        return ((self.ts, self.src) == (other.ts, other.src)
+                if isinstance(other, Label) else NotImplemented)
 
     def __hash__(self) -> int:
         return hash((self.ts, self.src))

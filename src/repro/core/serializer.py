@@ -27,6 +27,7 @@ its last replica (or :meth:`fail`) crashes the whole serializer.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.label import Label, LabelType
@@ -50,13 +51,18 @@ def interest_of(label: Label, replication: ReplicationMap) -> FrozenSet[str]:
 
     The answer depends only on ``(type, target, origin_dc)``, so results
     are memoized on the replication map (shared by every serializer the
-    label traverses; invalidated by ``set_group``).
+    label traverses; invalidated by ``set_group``).  A serializer keys its
+    route cache by the answer.
     """
     cache = replication.interest_cache
-    key = (label.type, label.target, label.origin_dc)
+    # an UPDATE key leaves out the type (LabelType hashes in Python) and
+    # cannot collide with the three-field key of the other types
+    is_update = label.type is LabelType.UPDATE
+    key = ((label.target, label.origin_dc) if is_update
+           else (label.type, label.target, label.origin_dc))
     interested = cache.get(key)
     if interested is None:
-        if label.type is LabelType.UPDATE:
+        if is_update:
             interested = replication.replicas(label.target or "")
         elif label.type is LabelType.MIGRATION:
             interested = frozenset({label.target}) if label.target else frozenset()
@@ -122,9 +128,8 @@ class Serializer(Process):
             (dc, delivery_name(dc)) for dc in routing.attached)
         self._sender_to_neighbor = {
             peer: neighbor for neighbor, peer, _, _ in self._out_edges}
-        self._peer_of = {neighbor: peer for neighbor, peer, _, _ in self._out_edges}
-        self._delay_of = {neighbor: delay for neighbor, _, _, delay in self._out_edges}
-        self._delivery_of = dict(self._attached)
+        #: (sender process, came_from) -> interest set -> route
+        self._routes: Dict[tuple, Dict[FrozenSet[str], Tuple[tuple, tuple]]] = {}
 
     # -- liveness beacons ---------------------------------------------------
 
@@ -185,7 +190,7 @@ class Serializer(Process):
     # -- label handling ------------------------------------------------------
 
     def _on_batch(self, sender: str, message: LabelBatch) -> None:
-        came_from = self._neighbor_of(sender)
+        came_from = self._sender_to_neighbor.get(sender)  # None: a sink
         if (self.service_rate > 0 and came_from is None
                 and not message.replayed):
             # Overload configuration: sink-originated batches pay for a
@@ -235,18 +240,8 @@ class Serializer(Process):
                            "ingress_depth", len(self._ingress))
         self._service_next()
 
-    def _neighbor_of(self, sender_process: str) -> Optional[str]:
-        """Map the sending process back to a tree neighbor, if any."""
-        return self._sender_to_neighbor.get(sender_process)
-
     def _route_batch(self, batch: LabelBatch, came_from: Optional[str],
                      sender_process: str) -> None:
-        # Partition the batch per outgoing direction, preserving order.
-        per_neighbor: Dict[str, List[Label]] = {}
-        per_dc: Dict[str, List[Label]] = {}
-        replication = self.replication
-        out_edges = self._out_edges
-        attached = self._attached
         labels = batch.labels
         obs = self.obs
         if obs is not None:
@@ -254,16 +249,29 @@ class Serializer(Process):
             name = self.name
             for label in labels:
                 obs.on_serializer_arrive(label, now, name, sender_process)
+        # a route depends only on the interest set and the sender (the
+        # tables are static per epoch): computed once per pair
+        routes = self._routes.get((sender_process, came_from))
+        if routes is None:
+            routes = self._routes[(sender_process, came_from)] = {}
+        # Partition the batch per outgoing direction, preserving order.
+        per_neighbor: Dict[tuple, List[Label]] = {}
+        per_dc: Dict[tuple, List[Label]] = {}
+        replication = self.replication
         for label in labels:
             interested = interest_of(label, replication)
-            for neighbor, _, reachable, _ in out_edges:
-                if neighbor == came_from:
-                    continue
-                if interested & reachable:
-                    per_neighbor.setdefault(neighbor, []).append(label)
-            for dc, delivery in attached:
-                if dc in interested and delivery != sender_process:
-                    per_dc.setdefault(dc, []).append(label)
+            route = routes.get(interested)
+            if route is None:  # (peer, delay) per edge, (dc, delivery) per DC
+                route = routes[interested] = (
+                    tuple((peer, delay) for neighbor, peer, reachable, delay
+                          in self._out_edges
+                          if neighbor != came_from and interested & reachable),
+                    tuple((dc, delivery) for dc, delivery in self._attached
+                          if dc in interested and delivery != sender_process))
+            for edge in route[0]:
+                per_neighbor.setdefault(edge, []).append(label)
+            for entry in route[1]:
+                per_dc.setdefault(entry, []).append(label)
         # Forward in first-label insertion order (the pre-optimization send
         # order) so event sequencing — and thus the delivery trace — is
         # unchanged.  When the whole batch goes out one direction (the
@@ -271,27 +279,25 @@ class Serializer(Process):
         # instead of building a new one: routed is a same-order subset, so
         # equal length means identical contents.
         total = len(labels)
-        for neighbor, routed in per_neighbor.items():
+        for (peer, delay), routed in per_neighbor.items():
             if len(routed) == total:
                 out = batch
             else:
                 out = LabelBatch(tuple(routed), epoch=batch.epoch,
                                  replayed=batch.replayed)
-            self._forward(self._peer_of[neighbor], out,
-                          extra_delay=self._delay_of[neighbor])
+            self._forward(peer, out, extra_delay=delay)
             self.labels_forwarded += len(routed)
             if obs is not None:
-                dwell = self._delay_of[neighbor] + self.chain_latency
-                peer = self._peer_of[neighbor]
+                dwell = delay + self.chain_latency
                 for label in routed:
                     obs.on_serializer_forward(label, now, name, peer, dwell)
-        for dc, routed in per_dc.items():
+        for (dc, delivery), routed in per_dc.items():
             if len(routed) == total:
                 out = batch
             else:
                 out = LabelBatch(tuple(routed), epoch=batch.epoch,
                                  replayed=batch.replayed)
-            self._forward(self._delivery_of[dc], out)
+            self._forward(delivery, out)
             self.labels_delivered += len(routed)
             if obs is not None:
                 dwell = self.chain_latency
@@ -302,6 +308,6 @@ class Serializer(Process):
     def _forward(self, to: str, batch: LabelBatch, extra_delay: float = 0.0) -> None:
         delay = extra_delay + self.chain_latency
         if delay > 0:
-            self.set_timer(delay, lambda: self.send(to, batch))
+            self.set_timer(delay, partial(self.send, to, batch))
         else:
             self.send(to, batch)

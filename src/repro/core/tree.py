@@ -122,9 +122,6 @@ class TreeTopology:
     def neighbors(self, serializer: str) -> List[str]:
         return list(self._adjacency[serializer])
 
-    def attached_datacenters(self, serializer: str) -> List[str]:
-        return list(self._attached_dcs[serializer])
-
     def delay(self, src: str, dst: str) -> float:
         return self.delays.get((src, dst), 0.0)
 

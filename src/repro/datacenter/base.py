@@ -27,7 +27,7 @@ family it serves.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Dict, FrozenSet, Tuple
 
 from repro.core.label import Label
 from repro.core.naming import dc_process_name
@@ -65,6 +65,8 @@ class Datacenter(Process):
         self.obs = None
         #: remote updates made visible here (counted by :meth:`revealed`)
         self.updates_applied = 0
+        #: replica set -> the peer processes :meth:`replicate` sends to
+        self._peers_of: Dict[FrozenSet[str], Tuple[str, ...]] = {}
 
     def start(self) -> None:
         """Arm periodic machinery; call after network wiring."""
@@ -129,14 +131,17 @@ class Datacenter(Process):
 
     def replicate(self, key: str, message: Any, size_bytes: int) -> int:
         """Send *message* on the bulk channel to every other replica of
-        *key*, in name order; returns how many."""
-        replicas = 0
-        for replica in sorted(self.replication.replicas(key)):
-            if replica != self.dc_name:
-                self.network.send(self.name, dc_process_name(replica),
-                                  message, size_bytes=size_bytes)
-                replicas += 1
-        return replicas
+        *key*, in name order; returns how many.  Like :meth:`broadcast`,
+        a crashed datacenter counts them but sends nothing."""
+        replicas = self.replication.replicas(key)
+        peers = self._peers_of.get(replicas)
+        if peers is None:
+            peers = self._peers_of[replicas] = tuple(
+                dc_process_name(dc) for dc in sorted(replicas)
+                if dc != self.dc_name)
+        for peer in peers:
+            self.send(peer, message, size_bytes)
+        return len(peers)
 
     def broadcast(self, message: Any) -> int:
         """Send *message* to every other datacenter; returns how many."""

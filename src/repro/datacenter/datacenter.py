@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.label import Label, LabelType
 from repro.core.naming import dc_process_name
@@ -104,6 +104,7 @@ class SaturnDatacenter(Datacenter):
                          execution_log)
         self.params = params
         self.consistency = params.consistency
+        self._apply_costs: Dict[int, float] = {}
         self.gears: List[Gear] = [Gear(self, p) for p in self.store.partitions]
         self._migrate_rr = 0
         self.proxy = RemoteProxy(
@@ -230,7 +231,12 @@ class SaturnDatacenter(Datacenter):
         return self.cost_model.write_cost(value_size)
 
     def remote_apply_cost(self, value_size: int) -> float:
-        return REMOTE_APPLY_FACTOR * self.write_cost(value_size)
+        """Memoized per value size: every remote apply asks."""
+        cost = self._apply_costs.get(value_size)
+        if cost is None:
+            cost = self._apply_costs[value_size] = (
+                REMOTE_APPLY_FACTOR * self.write_cost(value_size))
+        return cost
 
     def cpu_for_sink(self, num_labels: int) -> None:
         """Label-sink batching consumes CPU on the first partition server."""

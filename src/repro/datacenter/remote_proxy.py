@@ -62,20 +62,34 @@ DISPATCH_WINDOW = 64
 APPLIED_PRUNE_INTERVAL = 4096
 
 
-def _key(label: Label) -> LabelKey:
-    return (label.ts, label.src)
+_NEG_INF = float("-inf")
 
 
 class _Slot:
-    """One position in the in-order visibility pipeline."""
+    """One position in the in-order visibility pipeline: made when its
+    label's turn comes, it takes the next position and starts the storage
+    work, if any."""
 
-    __slots__ = ("label", "payload", "done")
+    __slots__ = ("proxy", "label", "payload", "done")
 
-    def __init__(self, label: Label, payload: Optional[RemotePayload],
-                 done: bool) -> None:
+    def __init__(self, proxy: "RemoteProxy", label: Label,
+                 payload: Optional[RemotePayload]) -> None:
+        self.proxy = proxy
         self.label = label
         self.payload = payload
-        self.done = done
+        self.done = payload is None
+        proxy._dispatch.append(self)
+        if payload is not None:
+            dc = proxy.dc
+            dc.store.partition_for(payload.key).cpu.submit(
+                dc.remote_apply_cost(payload.value_size), self.complete)
+
+    def complete(self) -> None:
+        """The storage work is done (the CPU's completion callback).  An
+        orphan of enter_fallback pumps the other order source: harmless,
+        every state change has already pumped."""
+        self.done = True
+        self.proxy._pump()
 
 
 class RemoteProxy:
@@ -86,6 +100,9 @@ class RemoteProxy:
         if mode not in ("saturn", "timestamp", "eventual"):
             raise ValueError(f"unknown proxy mode {mode!r}")
         self.dc = dc
+        #: every other datacenter: the sources of remote updates
+        self._others = tuple(name for name in dc.replication.datacenters
+                             if name != dc.dc_name)
         self.mode = mode
         self.parallel_concurrent = parallel_concurrent
         self.window = DISPATCH_WINDOW if parallel_concurrent else 1
@@ -97,7 +114,7 @@ class RemoteProxy:
         self._pending_payloads: Dict[LabelKey, RemotePayload] = {}
         # timestamp order source: payloads by (ts, src), the applied cut
         self._ts_heap: List[Tuple[float, str, RemotePayload]] = []
-        self._ts_watermark = float("-inf")
+        self._ts_watermark = _NEG_INF
 
         # the pipeline both feed, and what it has made visible
         self._dispatch: Deque[_Slot] = deque()
@@ -170,23 +187,23 @@ class RemoteProxy:
 
     def on_payload(self, payload: RemotePayload) -> None:
         """An update payload delivered by the bulk-data transfer service."""
-        origin = payload.label.origin_dc
-        self.seen_bulk_ts[origin] = max(
-            self.seen_bulk_ts.get(origin, float("-inf")), payload.label.ts)
+        label = payload.label
+        seen = self.seen_bulk_ts
+        if label.ts > seen.get(label.origin_dc, _NEG_INF):
+            seen[label.origin_dc] = label.ts
         if self.mode == "eventual":
             self._apply_now(payload)
             return
-        if self._in_timestamp_mode():
-            heapq.heappush(self._ts_heap,
-                           (payload.label.ts, payload.label.src, payload))
+        if self.mode == "timestamp" or self._emergency:
+            heapq.heappush(self._ts_heap, (label.ts, label.src, payload))
         else:
-            self._pending_payloads[_key(payload.label)] = payload
+            self._pending_payloads[(label.ts, label.src)] = payload
         self._pump()
 
     def on_heartbeat(self, heartbeat: BulkHeartbeat) -> None:
         """A bulk-channel heartbeat advancing an origin's stability cut."""
         self.seen_bulk_ts[heartbeat.origin_dc] = max(
-            self.seen_bulk_ts.get(heartbeat.origin_dc, float("-inf")),
+            self.seen_bulk_ts.get(heartbeat.origin_dc, _NEG_INF),
             heartbeat.ts)
         if self._in_timestamp_mode():
             self._pump()
@@ -216,18 +233,14 @@ class RemoteProxy:
         """Finalizing a migration label raises its origin's watermark; in
         timestamp order only entries at or below the stability cut are
         applied, so there too the watermark proves the causal past is in."""
-        return label.ts <= self.applied_ts.get(label.origin_dc, float("-inf"))
+        return label.ts <= self.applied_ts.get(label.origin_dc, _NEG_INF)
 
     def update_stable(self, label: Label) -> bool:
         """Every remote datacenter has applied something >= label.ts."""
         if self._in_timestamp_mode():
             return self._ts_watermark >= label.ts
-        for dc in self.dc.replication.datacenters:
-            if dc == self.dc.dc_name:
-                continue
-            if self.applied_ts.get(dc, float("-inf")) < label.ts:
-                return False
-        return True
+        return all(self.applied_ts.get(dc, _NEG_INF) >= label.ts
+                   for dc in self._others)
 
     def wait_for(self, predicate: Callable[[], bool],
                  callback: Callable[[], None]) -> None:
@@ -253,21 +266,29 @@ class RemoteProxy:
     # ------------------------------------------------------------------
 
     def _in_timestamp_mode(self) -> bool:
-        """The order source: timestamp order (True) or tree order."""
+        """Timestamp order (True) or tree order; inlined on hot paths."""
         return self.mode == "timestamp" or self._emergency
 
     def _pump(self) -> None:
         """Admit what the current order source allows into the pipeline,
-        then finalize (make visible) its completed prefix."""
-        ts_order = self._in_timestamp_mode()
+        then finalize (make visible) its completed prefix.
+
+        Once, in that order: a pump that makes nothing visible may still
+        admit what an earlier finalize made room for.  Only a tree-order
+        pump with no queue and no completed head has nothing to do."""
+        dispatch = self._dispatch
+        ts_order = self.mode == "timestamp" or self._emergency
         if ts_order:
             cut = self._stability_cut()
             self._admit_stable(cut)
             via = "ts-drain"
-        else:
+        elif self._queue:
             self._admit_tree()
             via = "saturn"
-        dispatch = self._dispatch
+        elif dispatch and dispatch[0].done:
+            via = "saturn"
+        else:
+            return
         progressed = False
         while dispatch and dispatch[0].done:
             self._finalize(dispatch.popleft(), via)
@@ -287,11 +308,13 @@ class RemoteProxy:
         """Tree order: labels in arrival order, each UPDATE once its
         payload is here."""
         queue = self._queue
-        while queue and len(self._dispatch) < self.window:
+        dispatch = self._dispatch
+        window = self.window
+        while queue and len(dispatch) < window:
             label = queue[0]
             payload = None
             if label.type is LabelType.UPDATE:
-                key = _key(label)
+                key = (label.ts, label.src)
                 if key not in self._applied:
                     payload = self._pending_payloads.pop(key, None)
                     # an UPDATE at or below its origin's applied watermark
@@ -301,12 +324,12 @@ class RemoteProxy:
                     # head-of-line block forever waiting for a payload
                     # that was consumed long ago
                     if payload is None and label.ts > self.applied_ts.get(
-                            label.origin_dc, float("-inf")):
+                            label.origin_dc, _NEG_INF):
                         break  # data readiness: wait for the bulk transfer
             # heartbeat / migration / epoch-change / duplicate update carry
             # no payload: no storage work, done as soon as their turn comes
             queue.popleft()
-            self._dispatch_slot(label, payload)
+            _Slot(self, label, payload)
 
     def _admit_stable(self, cut: float) -> None:
         """Timestamp order: buffered payloads at or below the stability
@@ -315,25 +338,7 @@ class RemoteProxy:
         while heap and heap[0][0] <= cut and len(self._dispatch) < self.window:
             ts, src, payload = heapq.heappop(heap)
             if (ts, src) not in self._applied:
-                self._dispatch_slot(payload.label, payload)
-
-    def _dispatch_slot(self, label: Label,
-                       payload: Optional[RemotePayload]) -> None:
-        """Take the next pipeline position; start the storage work, if any."""
-        slot = _Slot(label, payload, done=payload is None)
-        self._dispatch.append(slot)
-        if payload is None:
-            return
-        cost = self.dc.remote_apply_cost(payload.value_size)
-        partition = self.dc.store.partition_for(payload.key)
-
-        def _done() -> None:
-            # (an orphan of enter_fallback pumps the other order source:
-            # harmless, every state change has already pumped)
-            slot.done = True
-            self._pump()
-
-        partition.cpu.submit(cost, _done)
+                _Slot(self, payload.label, payload)
 
     def _finalize(self, slot: _Slot, via: str) -> None:
         """The slot's turn has come and its work is done: make it count."""
@@ -341,7 +346,7 @@ class RemoteProxy:
         if via == "saturn":
             self.labels_processed += 1
         if slot.payload is not None:
-            self._applied.add(_key(label))
+            self._applied.add((label.ts, label.src))
             self._install(slot.payload, via)
             return
         if label.type is LabelType.EPOCH_CHANGE:
@@ -356,14 +361,14 @@ class RemoteProxy:
         """The visibility point of one remote update."""
         label = payload.label
         dc = self.dc
-        dc.store.put(payload.key,
-                     StoredValue(label=label, value_size=payload.value_size))
+        dc.store.partition_for(payload.key).put(
+            payload.key, StoredValue(label, payload.value_size))
         dc.revealed(label, payload.created_at, via)
         self._advance_watermark(label)
 
     def _advance_watermark(self, label: Label) -> None:
         origin = label.origin_dc
-        if label.ts > self.applied_ts.get(origin, float("-inf")):
+        if label.ts > self.applied_ts.get(origin, _NEG_INF):
             self.applied_ts[origin] = label.ts
         self._prune_countdown -= 1
         if self._prune_countdown <= 0:
@@ -376,29 +381,23 @@ class RemoteProxy:
         long runs."""
         if not self.applied_ts:
             return
-        floor = min(self.applied_ts.get(dc, float("-inf"))
-                    for dc in self.dc.replication.datacenters
-                    if dc != self.dc.dc_name)
-        if floor == float("-inf"):
+        floor = min(self.applied_ts.get(dc, _NEG_INF) for dc in self._others)
+        if floor == _NEG_INF:
             return
         self._applied = {key for key in self._applied if key[0] >= floor}
 
     def _stability_cut(self) -> float:
         """Largest ts below which no datacenter can still send anything."""
-        cut = float("inf")
-        for dc in self.dc.replication.datacenters:
-            if dc != self.dc.dc_name:
-                cut = min(cut, self.seen_bulk_ts.get(dc, float("-inf")))
-        return cut
+        return min((self.seen_bulk_ts.get(dc, _NEG_INF) for dc in self._others),
+                   default=float("inf"))
 
     def _advance_ts_watermark(self, cut: float) -> bool:
         """Everything at or below *cut* is applied; True if that is news."""
         if cut == float("inf") or cut <= self._ts_watermark:
             return False
         self._ts_watermark = cut
-        for dc in self.dc.replication.datacenters:
-            if (dc != self.dc.dc_name
-                    and cut > self.applied_ts.get(dc, float("-inf"))):
+        for dc in self._others:
+            if cut > self.applied_ts.get(dc, _NEG_INF):
                 self.applied_ts[dc] = cut
         return True
 
@@ -470,8 +469,7 @@ class RemoteProxy:
             return
         target = self._transition_target
         marks = self._epoch_marks.get(target, set())
-        others = set(self.dc.replication.datacenters) - {self.dc.dc_name}
-        if not others <= marks or self._dispatch or self._queue:
+        if not marks.issuperset(self._others) or self._dispatch or self._queue:
             return
         self._adopt_epoch(target)
 

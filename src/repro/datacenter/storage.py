@@ -29,7 +29,7 @@ def responsible_partition(key: str, num_partitions: int) -> int:
     return zlib.crc32(key.encode()) % num_partitions
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredValue:
     """Most recent version of a key at this datacenter."""
 
@@ -76,13 +76,19 @@ class PartitionedStore:
         self.partitions: List[Partition] = [
             Partition(sim, i) for i in range(num_partitions)
         ]
+        #: key -> partition, filled as keys are touched (every op asks)
+        self._partition_of: Dict[str, Partition] = {}
 
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
 
     def partition_for(self, key: str) -> Partition:
-        return self.partitions[responsible_partition(key, len(self.partitions))]
+        partition = self._partition_of.get(key)
+        if partition is None:
+            partition = self._partition_of[key] = self.partitions[
+                responsible_partition(key, len(self.partitions))]
+        return partition
 
     def get(self, key: str) -> Optional[StoredValue]:
         return self.partition_for(key).get(key)

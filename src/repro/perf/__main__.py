@@ -6,6 +6,7 @@ Examples::
     python -m repro.perf --json                   # same, JSON on stdout
     python -m repro.perf --compare BENCH_perf.json
     python -m repro.perf --skip figure --repeat 1 # quick kernel+fabric+tree check
+    python -m repro.perf --count                  # exact work counts per op
 
 ``--compare`` loads the given baseline *before* the run, compares the fresh
 numbers against it (machine-normalized) and exits 1 on the regression
@@ -61,7 +62,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "(and fabric bench message count)")
     parser.add_argument("--tree-batches", type=int, default=120, metavar="N",
                         help="tree bench batches per datacenter")
+    parser.add_argument("--count", action="store_true",
+                        help="only print exact work counts per op of one "
+                             "fixed Saturn run (repro.perf.count)")
     args = parser.parse_args(argv)
+    if args.count:
+        from repro.perf.count import count_work
+        print("\n".join(count_work()))
+        return 0
 
     baseline = None
     if args.compare:

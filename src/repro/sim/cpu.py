@@ -82,13 +82,10 @@ class ServerCPU:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._busy_until = 0.0
+        #: when the queued work ends (simulated ms)
+        self.busy_until = 0.0
         self.busy_time = 0.0
         self.ops_executed = 0
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
 
     def submit(self, cost: float, callback: Callable[[], None]) -> float:
         """Enqueue work costing *cost* ms; run *callback* at completion.
@@ -97,9 +94,9 @@ class ServerCPU:
         """
         if cost < 0:
             raise ValueError("cost must be non-negative")
-        start = max(self.sim.now, self._busy_until)
-        finish = start + cost
-        self._busy_until = finish
+        now = self.sim.now
+        finish = (now if now > self.busy_until else self.busy_until) + cost
+        self.busy_until = finish
         self.busy_time += cost
         self.ops_executed += 1
         self.sim.schedule_at(finish, callback)
@@ -109,8 +106,8 @@ class ServerCPU:
         """Consume background CPU time with no completion callback."""
         if cost <= 0:
             return
-        start = max(self.sim.now, self._busy_until)
-        self._busy_until = start + cost
+        start = max(self.sim.now, self.busy_until)
+        self.busy_until = start + cost
         self.busy_time += cost
 
     def utilization(self, elapsed: float) -> float:

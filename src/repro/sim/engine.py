@@ -84,8 +84,11 @@ class Simulator:
         #: ``(time, seq, Event, None)`` / ``(time, seq, fn, args)`` entries
         self._heap: list = []
         self._seq = 0
-        self._now = 0.0
-        self._events_executed = 0
+        #: current simulated time in milliseconds (a plain attribute: it is
+        #: the most-read value of a run)
+        self.now = 0.0
+        #: events executed so far (for diagnostics)
+        self.events_executed = 0
         #: cancelled events still sitting in the heap (skipped on pop).
         self._cancelled_in_heap = 0
         #: optional schedule controller (see repro.analysis.mc.controller).
@@ -97,16 +100,6 @@ class Simulator:
         #: execution is identical to the plain FIFO tie-break.
         self.controller: Optional[Any] = None
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events executed so far (for diagnostics)."""
-        return self._events_executed
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* to run ``delay`` ms from now.
 
@@ -114,7 +107,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, self)
         heapq.heappush(self._heap, (time, seq, event, None))
@@ -125,9 +118,9 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time} < now {self._now}"
+                f"cannot schedule event at {time} < now {self.now}"
             )
         seq = self._seq = self._seq + 1
         event = Event(time, seq, callback, self)
@@ -141,9 +134,9 @@ class Simulator:
         """:meth:`schedule_at` for ``fn(*args)`` without a handle: same
         ``(time, seq)`` order, not cancellable, and the heap entry is the
         only allocation (the network's per-message path)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time} < now {self._now}"
+                f"cannot schedule event at {time} < now {self.now}"
             )
         seq = self._seq = self._seq + 1
         heapq.heappush(self._heap, (time, seq, fn, args))
@@ -154,24 +147,21 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the heap drains, *until* is reached, or
         *max_events* have executed.  Returns the final simulated time."""
-        if self.controller is not None:
+        if self.controller is not None or max_events is not None:
             return self._run_controlled(until, max_events)
         heap = self._heap
         heappop = heapq.heappop
+        stop = float("inf") if until is None else until
         executed = 0
         while heap:
-            if max_events is not None and executed >= max_events:
+            entry = heappop(heap)
+            time, _, target, args = entry
+            if time > stop:
+                heapq.heappush(heap, entry)  # noqa: SAT007 - put back as popped
+                self.now = until
                 break
-            entry = heap[0]
-            time = entry[0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            heappop(heap)
-            target = entry[2]
-            args = entry[3]
             if args is not None:
-                self._now = time
+                self.now = time
                 target(*args)
                 executed += 1
                 continue
@@ -180,18 +170,19 @@ class Simulator:
                 self._cancelled_in_heap -= 1
                 continue
             target.callback = None
-            self._now = time
+            self.now = time
             callback()
             executed += 1
         else:
-            if until is not None and self._now < until:
-                self._now = until
-        self._events_executed += executed
-        return self._now
+            if until is not None and self.now < until:
+                self.now = until
+        self.events_executed += executed
+        return self.now
 
     def _run_controlled(self, until: Optional[float],
                         max_events: Optional[int]) -> float:
-        """Run loop with a schedule controller attached.
+        """Run loop with a schedule controller attached (also the loop
+        that counts *max_events*; without a controller ties go FIFO).
 
         Whenever two or more live events are ready at the minimal instant,
         the whole tie group is popped and the controller picks which event
@@ -211,7 +202,7 @@ class Simulator:
                 break
             time = heap[0][0]
             if until is not None and time > until:
-                self._now = until
+                self.now = until
                 break
             # pop the whole tie group at `time` (exact float equality is
             # deliberate: it is the kernel's own notion of "same instant")
@@ -234,7 +225,8 @@ class Simulator:
             if len(candidates) == 1:
                 chosen = candidates[0]
             else:
-                index = controller.choose(time, [c[2] for c in candidates])
+                index = (0 if controller is None else
+                         controller.choose(time, [c[2] for c in candidates]))
                 chosen = candidates[index]
                 for entry in candidates:
                     if entry is not chosen:
@@ -243,14 +235,14 @@ class Simulator:
             event = chosen[2]
             callback = event.callback
             event.callback = None
-            self._now = time
+            self.now = time
             callback()
             executed += 1
         else:
-            if until is not None and self._now < until:
-                self._now = until
-        self._events_executed += executed
-        return self._now
+            if until is not None and self.now < until:
+                self.now = until
+        self.events_executed += executed
+        return self.now
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""

@@ -227,22 +227,15 @@ class Network:
     def is_isolated(self, name: str) -> bool:
         return name in self._isolated
 
-    def _link_down(self, src: str, dst: str, state: _LinkState) -> bool:
-        return state.partitioned or (bool(self._isolated) and
-                                     (src in self._isolated or
-                                      dst in self._isolated))
-
     def _flush_held(self, src: str, dst: str) -> None:
         """Re-send messages held across an outage, preserving send order.
 
-        A no-op while the link is still down from another cause (e.g. the
-        far endpoint of a healed link remains isolated); the messages stay
-        held until the last obstruction clears.
+        While the link is still down from another cause (e.g. the far
+        endpoint of a healed link remains isolated), :meth:`send` holds them
+        again, in order, until the last obstruction clears.
         """
         state = self._links.get((src, dst))
         if state is None or not state.held:
-            return
-        if self._link_down(src, dst, state):
             return
         held = state.held
         state.held = None

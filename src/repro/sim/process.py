@@ -77,13 +77,13 @@ class Process:
         self.network = network
         network.register(self)
 
-    def send(self, to: str, message: Any) -> None:
+    def send(self, to: str, message: Any, size_bytes: int = 0) -> None:
         """Send *message* to the process named *to* via the network."""
         if not self._alive:
             return
         if self.network is None:
             raise RuntimeError(f"process {self.name} has no network attached")
-        self.network.send(self.name, to, message)
+        self.network.send(self.name, to, message, size_bytes)
 
     #: exact message type -> handler(self, sender, message).  Each actor
     #: declares its own table (a subclass extends its base's with

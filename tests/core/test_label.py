@@ -96,3 +96,36 @@ def test_label_max_commutative(a, b):
 @given(st.lists(label_strategy, min_size=1, max_size=20))
 def test_sorting_matches_sort_key(labels):
     assert sorted(labels) == sorted(labels, key=lambda l: l.sort_key())
+
+
+# -- the explicit orderings agree with (ts, src) ------------------------------
+
+labels = st.builds(
+    Label, type=st.sampled_from(LabelType),
+    src=st.sampled_from(["I/g0", "I/g1", "F/g0", "F/sink", ""]),
+    ts=st.floats(allow_nan=False),
+    target=st.one_of(st.none(), st.text(max_size=3)),
+    origin_dc=st.sampled_from(["I", "F"]))
+
+
+@given(labels, labels)
+def test_orderings_equality_and_hash_agree_with_ts_src(a, b):
+    ka, kb = (a.ts, a.src), (b.ts, b.src)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    assert (a == b) == (ka == kb) and (a != b) == (ka != kb)
+    assert hash(a) == hash(ka)
+    assert label_max(a, b) is (a if ka >= kb else b)
+
+
+@given(labels, st.one_of(st.integers(), st.floats(), st.text(), st.none(),
+                         st.tuples(st.floats(), st.text())))
+def test_ordering_against_a_non_label_raises(label, other):
+    for compare in (lambda: label < other, lambda: label <= other,
+                    lambda: label > other, lambda: label >= other,
+                    lambda: other < label, lambda: other >= label):
+        with pytest.raises(TypeError):
+            compare()
+    assert label != other and not label == other

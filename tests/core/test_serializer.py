@@ -181,3 +181,84 @@ def test_chain_latency_grows_with_replicas():
     serializer.crash_replica()
     assert serializer.chain_latency == pytest.approx(0.4)
     assert serializer.alive
+
+
+# -- cached routes equal the uncached routing rule ----------------------------
+
+def _reference_routes(serializer, labels, came_from, sender):
+    """The routing rule evaluated from scratch: the interest set from the
+    replication map, the directions from the topology (no memo, no
+    cached table), partitioned per direction in first-label order."""
+    replication = serializer.replication
+    routing = serializer.topology.routing(serializer.tree_name)
+    per_neighbor, per_dc = {}, {}
+    for label in labels:
+        if label.type is LabelType.UPDATE:
+            interested = set(replication.replicas(label.target))
+        elif label.type is LabelType.MIGRATION:
+            interested = {label.target}
+        else:
+            interested = set(replication.datacenters)
+        interested.discard(label.origin_dc)
+        for neighbor in routing.neighbors:
+            if neighbor != came_from and interested & routing.reachable[neighbor]:
+                key = (serializer.peer_process_name(neighbor),
+                       routing.delays[neighbor])
+                per_neighbor.setdefault(key, []).append(label)
+        for dc in routing.attached:
+            delivery = serializer.delivery_name(dc)
+            if dc in interested and delivery != sender:
+                per_dc.setdefault((delivery, 0.0), []).append(label)
+    return [(to, tuple(routed), delay) for (to, delay), routed
+            in [*per_neighbor.items(), *per_dc.items()]]
+
+
+def _route_everything(service, labels):
+    """Route *labels* through every serializer from every possible sender,
+    one at a time and as one mixed batch; compare with the reference."""
+    for serializer in service.serializers(0).values():
+        sent = []
+        serializer._forward = (lambda to, batch, extra_delay=0.0:
+                               sent.append((to, batch.labels, extra_delay)))
+        routing = serializer.topology.routing(serializer.tree_name)
+        senders = [(serializer.peer_process_name(n), n)
+                   for n in routing.neighbors]
+        senders += [(serializer.delivery_name(dc), None)
+                    for dc in routing.attached]
+        for sender, came_from in senders:
+            for batch in [*((label,) for label in labels), tuple(labels)]:
+                sent.clear()
+                serializer._route_batch(LabelBatch(batch), came_from, sender)
+                assert sent == _reference_routes(serializer, batch,
+                                                 came_from, sender)
+
+
+@pytest.mark.parametrize("sites", [("I", "F", "T"), ("NV", "I", "F", "T", "S"),
+                                   ("NV", "NC", "O", "I", "F", "T", "S")],
+                         ids=["chain3", "tree5", "geo7"])
+def test_cached_routes_equal_the_uncached_rule(sites):
+    from repro.config.latencies import ec2_latency, ec2_latency_model
+    from repro.harness.runner import m_configuration
+    from repro.sim.rng import RngRegistry
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    replication = SyntheticWorkload(groups_per_dc=2).replication_map(
+        sites, ec2_latency, RngRegistry(seed=5))
+    sim = Simulator()
+    service = SaturnService(sim, Network(sim, ec2_latency_model()),
+                            replication)
+    service.install_tree(m_configuration(sites, beam_width=2), epoch=0)
+    groups = sorted(replication.groups())
+    labels = [update_label(float(i), origin, key=f"{group}:0")
+              for i, (origin, group) in enumerate(
+                  (o, g) for o in sites for g in groups)]
+    labels += [Label(LabelType.HEARTBEAT, src=f"{sites[0]}/sink", ts=0.5,
+                     origin_dc=sites[0]),
+               Label(LabelType.MIGRATION, src=f"{sites[1]}/g0", ts=0.7,
+                     target=sites[-1], origin_dc=sites[1])]
+    _route_everything(service, labels)
+    # a group moves: the interest memo is dropped, the route cache (keyed
+    # by interest set) must still answer with the new placement
+    replication.set_group(groups[0], sites[:2])
+    replication.set_group(groups[-1], sites)
+    _route_everything(service, labels)

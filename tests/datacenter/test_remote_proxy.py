@@ -492,3 +492,26 @@ def _drive(rng, cluster):
     assert not proxy._queue and not proxy._pending_payloads
     assert not proxy._epoch_buffers and not proxy._waiters
     assert len(released) == len(stable_targets) + len(migrations)
+
+
+def test_a_pump_admits_then_finalizes_once():
+    """A pump admits before it finalizes, and only once: the room that a
+    finalize makes is filled by the *next* pump, not by the one that made
+    it (every pinned digest rests on this order)."""
+    cluster = MiniCluster()
+    proxy = proxy_of(cluster)
+    window = remote_proxy.DISPATCH_WINDOW
+    labels = [update(float(i)) for i in range(1, window + 2)]
+    for label in labels:  # one key: the storage work completes serially
+        proxy.on_payload(payload(label))
+    deliver_labels(cluster, "F", labels)
+    assert len(proxy._dispatch) == window
+    assert list(proxy._queue) == labels[-1:]
+    cost = cluster.dcs["F"].remote_apply_cost(8)
+    cluster.sim.run(until=cost)  # the head's storage work completes
+    assert proxy.updates_applied == 1
+    assert len(proxy._dispatch) == window - 1  # room made, not yet filled
+    assert list(proxy._queue) == labels[-1:]
+    cluster.sim.run(until=2 * cost)  # the next completion's pump admits it
+    assert proxy.updates_applied == 2
+    assert not proxy._queue and len(proxy._dispatch) == window - 1

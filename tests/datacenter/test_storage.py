@@ -1,10 +1,12 @@
 """Unit tests for the partitioned per-datacenter store."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.label import Label, LabelType
 from repro.datacenter.storage import (PartitionedStore, StoredValue,
                                       responsible_partition)
+from repro.sim.engine import Simulator
 
 
 def label(ts, src="I/g0"):
@@ -65,3 +67,11 @@ def test_total_keys_and_write_counter(sim):
         store.put(f"k{i}", StoredValue(label=label(float(i)), value_size=1))
     assert store.total_keys() == 10
     assert sum(p.writes_applied for p in store.partitions) == 10
+
+
+@given(st.lists(st.text(max_size=8), max_size=40), st.integers(1, 8))
+def test_partition_for_memo_equals_responsible_partition(keys, partitions):
+    store = PartitionedStore(Simulator(), partitions)
+    for key in keys + keys[::-1]:  # the second pass answers from the memo
+        assert store.partition_for(key) is store.partitions[
+            responsible_partition(key, partitions)]
