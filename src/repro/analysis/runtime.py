@@ -220,10 +220,6 @@ class HazardMonitor:
 
     # -- results -----------------------------------------------------------
 
-    def label_stream(self, dc_name: str) -> List[Label]:
-        """Labels delivered to datacenter *dc_name*, in arrival order."""
-        return list(self._label_streams.get(f"dc:{dc_name}", ()))
-
     def trace_digest(self) -> str:
         """SHA-256 over (time, src, dst, message-type[, labels]) tuples."""
         return self._digest.hexdigest()

@@ -79,9 +79,6 @@ class Label:
     def is_update(self) -> bool:
         return self.type is LabelType.UPDATE
 
-    def is_migration(self) -> bool:
-        return self.type is LabelType.MIGRATION
-
     def __repr__(self) -> str:
         return (f"Label({self.type.value}, src={self.src}, ts={self.ts:.4f}, "
                 f"target={self.target})")

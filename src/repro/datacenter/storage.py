@@ -95,6 +95,3 @@ class PartitionedStore:
 
     def put(self, key: str, value: StoredValue) -> bool:
         return self.partition_for(key).put(key, value)
-
-    def total_keys(self) -> int:
-        return sum(len(p) for p in self.partitions)

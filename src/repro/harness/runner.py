@@ -90,7 +90,7 @@ class ClusterConfig:
     dc_params: Mapping[str, Any] = field(default_factory=dict)
     #: override the workload's replication map (e.g. Fig. 1b sweeps)
     replication: Optional[ReplicationMap] = None
-    #: opt-in label-lifecycle tracing + metrics registry (repro.obs); the
+    #: opt-in label-lifecycle tracing and its metrics (repro.obs); the
     #: tracer schedules no events, so the simulated execution is identical
     #: with it on or off
     obs: bool = False
@@ -137,10 +137,6 @@ class RunResults:
     visibility: VisibilityRecorder
     ops: OpRecorder
     cluster: "Cluster"
-
-    def mean_visibility(self, origin: Optional[str] = None,
-                        dest: Optional[str] = None) -> float:
-        return self.visibility.mean(origin, dest)
 
 
 class Cluster:
@@ -311,10 +307,12 @@ class Cluster:
             client.stop()
         if self.obs_hub is not None:
             self.obs_hub.sample_kernel()
-        throughput = self.metrics.ops.throughput(warmup, duration)
+        # one scan of the completions; the same float expression as
+        # OpRecorder.throughput(warmup, duration)
+        ops_completed = self.metrics.ops.ops_in_window(warmup, duration)
         return RunResults(
-            throughput=throughput,
-            ops_completed=self.metrics.ops.ops_in_window(warmup, duration),
+            throughput=ops_completed / ((duration - warmup) / 1000.0),
+            ops_completed=ops_completed,
             duration=duration, warmup=warmup,
             visibility=self.metrics.visibility, ops=self.metrics.ops,
             cluster=self)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Tuple
 
 from repro.metrics.stats import mean, percentile
@@ -15,11 +14,9 @@ class OpRecorder:
 
     def __init__(self) -> None:
         self._completions: List[Tuple[float, str, float]] = []
-        self._counts: Dict[str, int] = defaultdict(int)
 
     def record_op(self, kind: str, latency: float, at: float) -> None:
         self._completions.append((at, kind, latency))
-        self._counts[kind] += 1
 
     # -- queries ---------------------------------------------------------
 
@@ -27,7 +24,11 @@ class OpRecorder:
         return len(self._completions)
 
     def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
+        """Completions per kind, keyed in order of each kind's first."""
+        counts: Dict[str, int] = {}
+        for _, kind, _ in self._completions:
+            counts[kind] = counts.get(kind, 0) + 1
+        return counts
 
     def ops_in_window(self, start: float, end: float) -> int:
         return sum(1 for at, _, _ in self._completions if start <= at < end)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.stats import cdf_points, mean, percentile
+from repro.metrics.stats import mean, percentile
 
 __all__ = ["VisibilityRecorder"]
 
@@ -63,10 +63,6 @@ class VisibilityRecorder:
     def percentile(self, p: float, origin: Optional[str] = None,
                    dest: Optional[str] = None) -> float:
         return percentile(self.samples(origin, dest), p)
-
-    def cdf(self, origin: Optional[str] = None,
-            dest: Optional[str] = None) -> List[Tuple[float, float]]:
-        return cdf_points(self.samples(origin, dest))
 
     def pairs(self) -> List[Tuple[str, str]]:
         return sorted(self._samples)

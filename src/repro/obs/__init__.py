@@ -1,14 +1,11 @@
 """repro.obs: simulation-native observability.
 
-One :class:`ObsHub` per run bundles the two pieces:
-
-* :class:`~repro.obs.trace.LabelTracer` — the one log every instrumented
-  component writes: per-label lifecycle events, cluster annotations
-  (epoch changes, failover transitions, degraded-mode drains) and queue
-  gauges / admission counts;
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters and gauges keyed
-  by component, windowed over simulated time, folded from that log when
-  read.
+One :class:`ObsHub` per run holds a
+:class:`~repro.obs.trace.LabelTracer`: the one log every instrumented
+component writes — per-label lifecycle events, cluster annotations (epoch
+changes, failover transitions, degraded-mode drains) and queue gauges /
+admission counts.  Chains, spans and the component-keyed counters and
+gauges (windowed over simulated time) are all read-time folds of that log.
 
 Obs never observes the network: :attr:`repro.sim.network.Network.observers`
 holds the oracles only.
@@ -29,22 +26,19 @@ from typing import Optional
 from repro.datacenter.datacenter import SaturnDatacenter
 from repro.obs.export import (SCHEMA, export_chrome, export_jsonl,
                               trace_digest)
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import LabelTracer, Span, TraceEvent, chain_problems
 
-__all__ = ["ObsHub", "LabelTracer", "MetricsRegistry",
-           "TraceEvent", "Span", "SCHEMA", "chain_problems",
-           "attach_tracer", "export_jsonl", "export_chrome", "trace_digest"]
+__all__ = ["ObsHub", "LabelTracer", "TraceEvent", "Span", "SCHEMA",
+           "chain_problems", "attach_tracer", "export_jsonl", "export_chrome", "trace_digest"]
 
 
 class ObsHub:
-    """Per-run bundle of tracer + the registry folded from its log."""
+    """Per-run tracer plus the kernel it samples at the end of the run."""
 
-    def __init__(self, sim, network=None, window: float = 50.0) -> None:
+    def __init__(self, sim, network=None) -> None:
         self.sim = sim
         self.network = network
-        self.registry = MetricsRegistry(window=window)
-        self.tracer = LabelTracer(registry=self.registry)
+        self.tracer = LabelTracer()
 
     def sample_kernel(self) -> None:
         """Record end-of-run kernel/network gauges."""
@@ -59,7 +53,7 @@ class ObsHub:
     # -- exports ------------------------------------------------------------
 
     def export_jsonl(self, meta: Optional[dict] = None) -> str:
-        return export_jsonl(self.tracer, registry=self.registry, meta=meta)
+        return export_jsonl(self.tracer, meta=meta)
 
     def export_chrome(self) -> dict:
         return export_chrome(self.tracer)

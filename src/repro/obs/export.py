@@ -2,9 +2,10 @@
 
 The JSONL export is the canonical serialization: a header line pinning the
 schema version, one line per label chain in ``(ts, src)`` order, the
-annotation stream, and the metrics registry.  Keys are sorted and floats
-use Python's shortest round-trip repr, so the bytes — and therefore the
-SHA-256 digest — are a pure function of the simulated execution.  The
+annotation stream, and the metrics folded from the tracer log.  Keys are
+sorted and floats use Python's shortest round-trip repr, so the bytes — and
+therefore the SHA-256 digest — are a pure function of the simulated
+execution.  The
 golden-trace tests commit one export verbatim; change the schema and they
 tell you.
 
@@ -32,7 +33,7 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def iter_jsonl(tracer: LabelTracer, registry=None,
+def iter_jsonl(tracer: LabelTracer,
                meta: Optional[dict] = None) -> Iterator[str]:
     """The canonical export, one newline-terminated line at a time; only
     one chain's events exist at any moment."""
@@ -52,14 +53,12 @@ def iter_jsonl(tracer: LabelTracer, registry=None,
         if event.extra:
             record["extra"] = event.extra
         yield _dumps(record)
-    if registry is not None:
-        yield _dumps({"kind": "metrics", "metrics": registry.to_dict()})
+    yield _dumps({"kind": "metrics", "metrics": tracer.metrics()})
 
 
-def export_jsonl(tracer: LabelTracer, registry=None,
-                 meta: Optional[dict] = None) -> str:
+def export_jsonl(tracer: LabelTracer, meta: Optional[dict] = None) -> str:
     """Canonical JSON-lines export (deterministic bytes)."""
-    return "".join(iter_jsonl(tracer, registry, meta))
+    return "".join(iter_jsonl(tracer, meta))
 
 
 def trace_digest(exported: str) -> str:

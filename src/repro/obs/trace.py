@@ -30,9 +30,9 @@ handed to readers as :class:`TraceEvent` objects:
 Cluster-wide happenings that are not tied to one label (failover state
 transitions, sink park/replay, epoch changes and adoptions) are
 *annotations*.  Queue depths, credits and admission decisions are *gauge*
-and *count* records.  Chains, spans and the registry's counters and gauges
-are computed from the log when they are read, from the tail recorded since
-the last read.
+and *count* records.  Chains and spans are indexed from the log when they
+are read, from the tail recorded since the last read; the counters and
+gauges of :meth:`LabelTracer.metrics` are one fold over the whole log.
 
 Everything stored here is a pure function of simulated time and process
 names, so a traced run exports bit-identically across double runs of the
@@ -47,10 +47,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.label import Label
 
-__all__ = ["TraceEvent", "Span", "LabelTracer", "chain_problems",
+__all__ = ["TraceEvent", "Span", "LabelTracer", "WINDOW", "chain_problems",
            "derive_spans"]
 
 LabelKey = Tuple[float, str]
+
+#: width (simulated ms) of the buckets a counter's series is cut into
+WINDOW = 50.0
 
 
 class TraceEvent:
@@ -126,27 +129,21 @@ class LabelTracer:
 
     Hot-path call sites hold a reference and guard with
     ``if self.obs is not None`` so the disabled cost is one attribute load;
-    enabled, a hook is one ``list.append`` of a tuple.  The optional
-    *registry* (a :class:`repro.obs.metrics.MetricsRegistry`) gets its
-    component-keyed counters and gauges from the same log, folded in
-    whenever it is read; nothing else writes it.  Readers only ever
-    process the tail recorded since the last read, so interleaving reads
-    with recording stays linear.
+    enabled, a hook is one ``list.append`` of a tuple.  Chain readers
+    only ever index the tail recorded since the last read, so interleaving
+    reads with recording stays linear; :meth:`metrics` folds the whole log
+    each time it is called (at export, after the run).
     """
 
-    def __init__(self, registry=None) -> None:
+    def __init__(self) -> None:
         self._log: List[tuple] = []
         #: appends one record; the hooks below are the only writers
         self.record = self._log.append
-        self.registry = registry
         #: (ts, src) -> positions of the label's records in the log; key
         #: insertion order is simulation order, but reads sort by key
         self._positions: Dict[LabelKey, List[int]] = {}
         self._annotations: List[TraceEvent] = []
         self._indexed = 0      # log prefix already in the two above
-        self._counted = 0      # log prefix already in the registry
-        if registry is not None:
-            registry.before_read = self._count
 
     # -- recording ----------------------------------------------------------
 
@@ -229,31 +226,58 @@ class LabelTracer:
     def spans(self, key: LabelKey) -> List[Span]:
         return derive_spans(self.events(key))
 
-    def _count(self) -> None:
-        """Fold the not yet counted tail of the log into the registry
-        (its ``before_read`` hook)."""
-        log = self._log
-        start = self._counted
-        if start == len(log):
-            return
-        # moved first: registry.counter()/gauge() below call back into here
-        self._counted = len(log)
-        counter, gauge = self.registry.counter, self.registry.gauge
-        for record in log[start:]:
+    def metrics(self) -> dict:
+        """Counters and gauges keyed by ``component/name``, folded from the
+        whole log.
+
+        A label event counts under its kind's component prefix and name,
+        an annotation under ``events/<node>``, a count record under its own
+        key; each counter also sums its records into ``WINDOW``-ms buckets
+        of simulated time.  A gauge is its last write in log order, with
+        the number of writes.  Keys are sorted by ``(component, name)`` so
+        the serialized form is bit-deterministic.
+        """
+        counters: Dict[Tuple[str, str], Dict] = {}   # key -> buckets
+        gauges: Dict[Tuple[str, str], dict] = {}
+        for record in self._log:
             t, code, node = record[:3]
             if code < ANNOTATE:
                 _, _, prefix, name, suffix_at = _KINDS[code]
-                if prefix is not None:
-                    if suffix_at:
-                        name += record[suffix_at]
-                    counter(prefix + node, name).inc(at=t)
+                if prefix is None:
+                    continue
+                if suffix_at:
+                    name += record[suffix_at]
+                key = (prefix + node, name)
             elif code == ANNOTATE:
-                counter("events/" + node,
-                        record[3].replace("-", "_")).inc(at=t)
+                key = ("events/" + node, record[3].replace("-", "_"))
             elif code == GAUGE:
-                gauge(node, record[3]).set(record[4], at=t)
+                key = (node, record[3])
+                updates = gauges[key]["updates"] if key in gauges else 0
+                gauges[key] = {"value": record[4], "at": t,
+                               "updates": updates + 1}
+                continue
             else:
-                counter(node, record[3]).inc(at=t)
+                key = (node, record[3])
+            buckets = counters.setdefault(key, {})
+            bucket = int(t // WINDOW)
+            buckets[bucket] = buckets.get(bucket, 0.0) + 1.0
+
+        def section(metrics: Dict[Tuple[str, str], dict]) -> dict:
+            return {f"{component}/{name}": metrics[component, name]
+                    for component, name in sorted(metrics)}
+
+        for key, buckets in counters.items():
+            counters[key] = {"value": sum(buckets.values()),
+                             "series": [[bucket * WINDOW, buckets[bucket]]
+                                        for bucket in sorted(buckets)]}
+        return {
+            "window": WINDOW,
+            "counters": section(counters),
+            "gauges": section(gauges),
+            # nothing writes histograms; the saturn-obs/v1 schema keeps
+            # the (empty) section
+            "histograms": {},
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,3 @@ class ServerCPU:
         start = max(self.sim.now, self.busy_until)
         self.busy_until = start + cost
         self.busy_time += cost
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of *elapsed* ms this CPU spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)

@@ -77,17 +77,6 @@ class LatencyModel:
             found.add(b)
         return found
 
-    @classmethod
-    def from_matrix(cls, sites: list, matrix: list,
-                    local_latency: float = 0.5) -> "LatencyModel":
-        """Build from a square matrix (row i, col j = latency site i -> j)."""
-        model = cls(local_latency=local_latency)
-        for i, a in enumerate(sites):
-            for j, b in enumerate(sites):
-                if i < j:
-                    model.set(a, b, matrix[i][j])
-        return model
-
 
 class _LinkState:
     """Per ordered-pair state: FIFO clamp, faults and the resolved route.
@@ -223,9 +212,6 @@ class Network:
         for (src, dst), state in list(self._links.items()):
             if state.held and (src == name or dst == name):
                 self._flush_held(src, dst)
-
-    def is_isolated(self, name: str) -> bool:
-        return name in self._isolated
 
     def _flush_held(self, src: str, dst: str) -> None:
         """Re-send messages held across an outage, preserving send order.

@@ -66,7 +66,6 @@ class ExecutionLog:
         self.updates: Dict[VersionId, _UpdateRecord] = {}
         #: per-datacenter visibility order (position index per version)
         self._visible_pos: Dict[str, Dict[VersionId, int]] = {}
-        self._visible_count: Dict[str, int] = {}
         self._reads: List[Tuple[str, str, str, Optional[VersionId],
                                 Optional[VersionId]]] = []
         #: client -> (version, issued here?) of every version it read or
@@ -103,10 +102,8 @@ class ExecutionLog:
 
     def _mark_visible(self, dc: str, version: VersionId) -> None:
         positions = self._visible_pos.setdefault(dc, {})
-        if version in positions:
-            return
-        positions[version] = self._visible_count.get(dc, 0)
-        self._visible_count[dc] = positions[version] + 1
+        if version not in positions:
+            positions[version] = len(positions)
 
     def record_read(self, client_id: str, dc: str, key: str,
                     returned: Optional[VersionId],
@@ -219,7 +216,8 @@ class ExecutionLog:
     # ------------------------------------------------------------------
 
     def visible_counts(self) -> Dict[str, int]:
-        return dict(self._visible_count)
+        return {dc: len(positions)
+                for dc, positions in self._visible_pos.items()}
 
     def visibility_positions(self, dc: str) -> Dict[VersionId, int]:
         """Version -> visibility position at *dc* (empty if unknown dc).

@@ -35,13 +35,6 @@ class PoissonArrivals:
         if self.rate_ops_s <= 0:
             raise ValueError("rate_ops_s must be positive")
 
-    def rate_at(self, now_ms: float) -> float:
-        """Instantaneous offered rate (ops/s) at simulated time *now*."""
-        return self.rate_ops_s
-
-    def peak_rate(self) -> float:
-        return self.rate_ops_s
-
     def next_interarrival(self, stream, now_ms: float) -> float:
         """Milliseconds until the next arrival after *now_ms*."""
         return stream.expovariate(self.rate_ops_s / 1000.0)

@@ -148,7 +148,6 @@ def test_saturn_run_is_fifo_clean_and_causally_consistent():
     report = monitor.report()
     assert report.ok, report.summary()
     assert report.labels_delivered > 0
-    assert len(monitor.label_stream("I")) > 0
     assert len(report.trace_digest) == 64
 
 

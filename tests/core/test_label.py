@@ -36,9 +36,7 @@ def test_uniqueness_of_ts_src_pairs():
 
 def test_type_predicates():
     assert make(1.0).is_update()
-    assert not make(1.0).is_migration()
-    migration = make(1.0, type_=LabelType.MIGRATION, target="F")
-    assert migration.is_migration()
+    assert not make(1.0, type_=LabelType.MIGRATION, target="F").is_update()
 
 
 def test_label_max_handles_none():

@@ -64,7 +64,6 @@ def test_visibility_recorder_filters_and_queries():
     assert recorder.samples(dest="T") == [100.0]
     assert recorder.pairs() == [("I", "F"), ("I", "T")]
     assert recorder.percentile(100, "I", "F") == 20.0
-    assert len(recorder.cdf()) == 3
 
 
 def test_visibility_recorder_warmup():
@@ -107,3 +106,33 @@ def test_op_recorder_latency_queries():
     assert recorder.mean_latency() == 2.0
     assert recorder.latencies("read", start=25.0) == [2.0]
     assert recorder.latency_percentile(100) == 3.0
+
+
+# -- counts folded from the recorded lists ------------------------------------
+
+@pytest.mark.parametrize("system, kinds, visible", [
+    ("saturn", [("read", 1654), ("update", 696)],
+     [("T", 248), ("I", 395), ("F", 444)]),
+    ("cure", [("read", 1566), ("update", 675)],
+     [("T", 241), ("I", 374), ("F", 422)]),
+])
+def test_counts_keep_their_values_and_first_seen_key_order(system, kinds,
+                                                           visible):
+    """``OpRecorder.counts()`` is keyed by each kind's first completion and
+    ``ExecutionLog.visible_counts()`` by each datacenter's first
+    visibility; the pinned items are what the separately kept counters
+    reported on the same runs."""
+    from repro.harness.runner import Cluster, ClusterConfig
+    from repro.verify import ExecutionLog
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    workload = SyntheticWorkload(read_ratio=0.7, correlation="exponential",
+                                 keys_per_group=4, groups_per_dc=2)
+    cluster = Cluster(ClusterConfig(system=system, sites=("I", "F", "T"),
+                                    clients_per_dc=2, seed=5), workload)
+    log = ExecutionLog(cluster.replication)
+    cluster.attach_execution_log(log)
+    results = cluster.run(duration=300.0, warmup=50.0)
+    assert list(results.ops.counts().items()) == kinds
+    assert list(log.visible_counts().items()) == visible
+    assert results.throughput == results.ops.throughput(50.0, 300.0)

@@ -205,7 +205,7 @@ def test_visibility_recorded_during_run():
     cluster = Cluster(small_config("eventual"), workload)
     results = cluster.run(duration=300.0, warmup=50.0)
     assert results.visibility.count() > 0
-    assert results.mean_visibility() > 0
+    assert results.visibility.mean() > 0
 
 
 # -- report helpers --------------------------------------------------------------

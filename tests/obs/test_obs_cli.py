@@ -93,10 +93,10 @@ def test_run_once_obs_flag_builds_a_hub():
     assert hub is not None
     assert hub.tracer.num_chains() > 0
     # end-of-run kernel gauges were sampled
-    kernel_now = hub.registry.gauge("kernel", "now")
-    assert kernel_now.updates == 1
-    assert kernel_now.value > 0
-    assert hub.registry.gauge("network", "messages_sent").value > 0
+    gauges = hub.tracer.metrics()["gauges"]
+    assert gauges["kernel/now"]["updates"] == 1
+    assert gauges["kernel/now"]["value"] > 0
+    assert gauges["network/messages_sent"]["value"] > 0
     assert len(hub.digest()) == 64
 
 

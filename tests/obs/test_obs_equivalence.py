@@ -5,11 +5,15 @@ executable specification: every hook looked its chain up, allocated a
 ``TraceEvent`` plus an ``extra`` dict, and incremented a windowed registry
 counter on the spot.  Its ``gauge``/``count`` are the direct registry
 writes the sink, the serializer and the admission controller made before
-they became log records.  Hypothesis drives both recorders with the same
-random hook sequences — all ten hooks, and reads interleaved at random
-points — and everything a reader can see must be equal: chains,
-annotations, every counter's value and series, every gauge, the
-``saturn-obs/v1`` bytes and the Chrome document.
+they became log records.  The registry it writes (``MetricsRegistry``,
+with its ``Counter`` and ``Gauge``) is kept here too: it is the reference
+that :meth:`LabelTracer.metrics`, a fold over the log, must equal.
+Hypothesis drives both recorders with the same random hook sequences —
+all ten hooks, and reads interleaved at random points — and everything a
+reader can see must be equal: chains, annotations, every counter's value
+and series, every gauge, the ``saturn-obs/v1`` bytes and the Chrome
+document.  Whole runs (two chaos scenarios and an open-loop overload run)
+feed both through every hook call and must fold to the same metrics.
 
 The two pinned digests were captured from the old recorder before it was
 replaced (commit 9ad2de5): the full ``geo7_writes_obs`` benchmark block and
@@ -20,13 +24,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.label import Label, LabelType
-from repro.obs import LabelTracer, MetricsRegistry
+from repro.obs import LabelTracer
 from repro.obs.export import export_chrome, export_jsonl
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import GAUGE, TraceEvent
 
 GOLDEN = Path(__file__).parent / "golden" / "chain3_horizon40.jsonl"
 CHAIN3_GOLDEN_SHA256 = \
@@ -38,21 +43,97 @@ GEO7_WRITES_OBS_EVENTS = 95_284
 
 
 # ---------------------------------------------------------------------------
+# the old registry: the direct write path the fold replaced
+# ---------------------------------------------------------------------------
+
+class Counter:
+    """Monotone accumulator, optionally windowed over simulated time."""
+
+    def __init__(self, window=0.0):
+        self.value = 0.0
+        self.window = window
+        self._buckets = {}
+
+    def inc(self, amount=1.0, at=0.0):
+        self.value += amount
+        if self.window > 0:
+            bucket = int(at // self.window)
+            self._buckets[bucket] = self._buckets.get(bucket, 0.0) + amount
+
+    def series(self):
+        return [(bucket * self.window, self._buckets[bucket])
+                for bucket in sorted(self._buckets)]
+
+    def to_obj(self):
+        obj = {"value": self.value}
+        if self._buckets:
+            obj["series"] = [[t, v] for t, v in self.series()]
+        return obj
+
+
+class Gauge:
+    """Last-write-wins sample with its simulated timestamp."""
+
+    def __init__(self):
+        self.value = 0.0
+        self.at = 0.0
+        self.updates = 0
+
+    def set(self, value, at=0.0):
+        self.value = value
+        self.at = at
+        self.updates += 1
+
+    def to_obj(self):
+        return {"value": self.value, "at": self.at, "updates": self.updates}
+
+
+class MetricsRegistry:
+    """Lazily-created metrics keyed by ``(component, name)``."""
+
+    def __init__(self, window=0.0):
+        self.window = window
+        self._counters = {}
+        self._gauges = {}
+
+    def counter(self, component, name):
+        key = (component, name)
+        if key not in self._counters:
+            self._counters[key] = Counter(window=self.window)
+        return self._counters[key]
+
+    def gauge(self, component, name):
+        key = (component, name)
+        if key not in self._gauges:
+            self._gauges[key] = Gauge()
+        return self._gauges[key]
+
+    def to_dict(self):
+        def section(metrics):
+            return {f"{component}/{name}": metrics[(component, name)].to_obj()
+                    for component, name in sorted(metrics)}
+
+        return {"window": self.window,
+                "counters": section(self._counters),
+                "gauges": section(self._gauges),
+                "histograms": {}}
+
+
+# ---------------------------------------------------------------------------
 # the old recorder
 # ---------------------------------------------------------------------------
 
 class ReferenceTracer:
-    def __init__(self, registry=None):
+    def __init__(self):
         self._chains = {}
         self.annotations = []
-        self.registry = registry
+        self.registry = MetricsRegistry(window=50.0)
 
     def _events(self, label):
         return self._chains.setdefault((label.ts, label.src), [])
 
     def _inc(self, component, name, t):
-        if self.registry is not None:
-            self.registry.counter(component, name).inc(at=t)
+        self.registry.counter(component, name).inc(at=t)
 
     def on_issue(self, label, t, dc):
         self._events(label).append(TraceEvent(t, "issue", dc, {
@@ -95,8 +176,7 @@ class ReferenceTracer:
         self._inc(f"events/{node}", kind.replace("-", "_"), t)
 
     def gauge(self, t, component, name, value):
-        if self.registry is not None:
-            self.registry.gauge(component, name).set(value, at=t)
+        self.registry.gauge(component, name).set(value, at=t)
 
     def count(self, t, component, name):
         self._inc(component, name, t)
@@ -111,13 +191,27 @@ class ReferenceTracer:
     def num_chains(self):
         return len(self._chains)
 
+    def metrics(self):
+        return self.registry.to_dict()
 
-class _Recorder:
-    """A tracer and its registry, old or new."""
 
-    def __init__(self, tracer_cls, window=50.0):
-        self.registry = MetricsRegistry(window=window)
-        self.tracer = tracer_cls(registry=self.registry)
+HOOKS = ("on_issue", "on_flush", "on_serializer_arrive",
+         "on_serializer_forward", "on_deliver", "on_visible", "on_finalized",
+         "annotate", "gauge", "count")
+
+
+def tee(tracer):
+    """Make every hook call on *tracer* also reach a fresh
+    ``ReferenceTracer`` (the instrumented components look the hook up on
+    each call), and return that reference."""
+    reference = ReferenceTracer()
+    for name in HOOKS:
+        def both(*args, _mine=getattr(tracer, name),
+                 _old=getattr(reference, name), **kwargs):
+            _mine(*args, **kwargs)
+            _old(*args, **kwargs)
+        setattr(tracer, name, both)
+    return reference
 
 
 # ---------------------------------------------------------------------------
@@ -189,45 +283,40 @@ def _chains(tracer):
 
 def _assert_same_view(new, old, what):
     if what in ("chains", "all"):
-        assert _chains(new.tracer) == _chains(old.tracer)
-        assert ([a.to_obj() for a in new.tracer.annotations]
-                == [a.to_obj() for a in old.tracer.annotations])
+        assert _chains(new) == _chains(old)
+        assert ([a.to_obj() for a in new.annotations]
+                == [a.to_obj() for a in old.annotations])
     if what in ("num_chains", "all"):
-        assert new.tracer.num_chains() == old.tracer.num_chains()
+        assert new.num_chains() == old.num_chains()
     if what in ("events", "all"):
-        for key, events in old.tracer.chains():
-            assert ([e.to_obj() for e in new.tracer.events(key)]
+        for key, events in old.chains():
+            assert ([e.to_obj() for e in new.events(key)]
                     == [e.to_obj() for e in events])
-        assert new.tracer.events((-1.0, "nobody")) == []
+        assert new.events((-1.0, "nobody")) == []
     if what in ("counters", "all"):
-        for (component, name), counter in old.registry._counters.items():
-            mine = new.registry.counter(component, name)
-            assert (mine.value, mine.series()) == (counter.value,
-                                                   counter.series())
-        assert set(new.registry._counters) == set(old.registry._counters)
-        assert new.registry.to_dict() == old.registry.to_dict()
+        assert new.metrics() == old.metrics()
     if what in ("export", "all"):
         meta = {"source": "equivalence"}
-        assert (export_jsonl(new.tracer, new.registry, meta)
-                == export_jsonl(old.tracer, old.registry, meta))
-        assert export_chrome(new.tracer) == export_chrome(old.tracer)
+        assert export_jsonl(new, meta) == export_jsonl(old, meta)
+        assert export_chrome(new) == export_chrome(old)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(steps, max_size=60), st.sampled_from((0.0, 50.0)))
-def test_log_backed_recorder_equals_the_old_one(sequence, window):
-    new = _Recorder(LabelTracer, window)
-    old = _Recorder(ReferenceTracer, window)
+@given(st.lists(steps, max_size=60))
+def test_log_backed_recorder_equals_the_old_one(sequence):
+    new, old = LabelTracer(), ReferenceTracer()
     for target, name, args, kwargs in sequence:
         if target == "read":
             _assert_same_view(new, old, name)
             continue
-        for recorder in (new, old):
-            getattr(getattr(recorder, target), name)(*args, **kwargs)
+        for tracer in (new, old):
+            getattr(tracer, name)(*args, **kwargs)
     _assert_same_view(new, old, "all")
 
 
 def test_tracer_without_registry_equals_the_old_one():
+    """A tracer built with no arguments exports the old recorder's bytes,
+    metrics line included."""
     new, old = LabelTracer(), ReferenceTracer()
     label = Label(LabelType.MIGRATION, src="I/gear0", ts=1.0, target="F",
                   origin_dc="I")
@@ -237,6 +326,54 @@ def test_tracer_without_registry_equals_the_old_one():
         tracer.annotate(3.0, "sink-replay", "I", count=1)
     assert _chains(new) == _chains(old)
     assert export_jsonl(new) == export_jsonl(old)
+
+
+# ---------------------------------------------------------------------------
+# whole runs: the fold against the direct write path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["serializer-crash",
+                                  "crash-during-epoch-change"])
+def test_chaos_scenario_metrics_fold_equals_the_direct_writes(name):
+    from repro.analysis.mc.scenario import build_scenario
+    from repro.obs import attach_tracer
+
+    scenario = build_scenario(name)
+    hub = attach_tracer(scenario)
+    reference = tee(hub.tracer)
+    scenario.run()
+    hub.sample_kernel()
+    metrics = hub.tracer.metrics()
+    assert metrics["gauges"]["kernel/events_executed"]["updates"] == 1
+    assert any(key.startswith("events/") for key in metrics["counters"])
+    assert metrics == reference.metrics()
+    assert export_jsonl(hub.tracer) == export_jsonl(reference)
+
+
+def test_open_loop_overload_metrics_fold_equals_the_direct_writes():
+    """Admission counts and queue gauges that span several 50 ms windows."""
+    from repro.datacenter.overload import OverloadConfig
+    from repro.harness.runner import Cluster, ClusterConfig
+    from repro.workloads.arrivals import PoissonArrivals
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    cluster = Cluster(ClusterConfig(
+        system="saturn", sites=("I", "F", "T"), clients_per_dc=1, seed=3,
+        arrivals=PoissonArrivals(rate_ops_s=8000.0),
+        overload=OverloadConfig(5, 3, 2.0), obs=True),
+        SyntheticWorkload(correlation="full", read_ratio=0.5))
+    hub = cluster.obs_hub
+    reference = tee(hub.tracer)
+    cluster.run(duration=200.0, warmup=50.0)
+    metrics = hub.tracer.metrics()
+    assert len(metrics["counters"]["admission:I/admitted"]["series"]) >= 2
+    assert len(metrics["counters"]["admission:I/rejected"]["series"]) >= 2
+    queue_windows = {int(record[0] // 50.0) for record in hub.tracer._log
+                     if record[1] == GAUGE
+                     and record[2].startswith(("sink:", "serializer:"))}
+    assert len(queue_windows) >= 2
+    assert metrics == reference.metrics()
+    assert export_jsonl(hub.tracer) == export_jsonl(reference)
 
 
 # ---------------------------------------------------------------------------

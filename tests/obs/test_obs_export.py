@@ -5,15 +5,14 @@ import json
 from pathlib import Path
 
 from repro.core.label import Label, LabelType
-from repro.obs import LabelTracer, MetricsRegistry, SCHEMA
+from repro.obs import LabelTracer, SCHEMA
 from repro.obs.export import export_chrome, export_jsonl, trace_digest
 
 GOLDEN = Path(__file__).parent / "golden" / "chain3_horizon40.jsonl"
 
 
 def _traced() -> LabelTracer:
-    registry = MetricsRegistry(window=50.0)
-    tracer = LabelTracer(registry=registry)
+    tracer = LabelTracer()
     label = Label(LabelType.UPDATE, src="I/gear", ts=1.0, target="g0:a",
                   origin_dc="I")
     tracer.on_issue(label, 1.0, "I")
@@ -32,8 +31,7 @@ def _traced() -> LabelTracer:
 
 def test_jsonl_layout_and_schema():
     tracer = _traced()
-    exported = export_jsonl(tracer, registry=tracer.registry,
-                            meta={"source": "unit"})
+    exported = export_jsonl(tracer, meta={"source": "unit"})
     lines = [json.loads(line) for line in exported.strip().split("\n")]
     assert lines[0] == {"kind": "header", "schema": SCHEMA,
                         "meta": {"source": "unit"}}
@@ -50,12 +48,12 @@ def test_jsonl_layout_and_schema():
 
 def test_jsonl_is_deterministic_and_meta_changes_digest():
     tracer = _traced()
-    first = export_jsonl(tracer, registry=tracer.registry)
-    second = export_jsonl(tracer, registry=tracer.registry)
+    first = export_jsonl(tracer)
+    second = export_jsonl(tracer)
     assert first == second
     assert trace_digest(first) == trace_digest(second)
     assert trace_digest(first) != trace_digest(
-        export_jsonl(tracer, registry=tracer.registry, meta={"seed": 2}))
+        export_jsonl(tracer, meta={"seed": 2}))
 
 
 def test_jsonl_chains_sorted_by_label_key():

@@ -1,12 +1,12 @@
-"""Unit tests for the obs metrics registry plus the repro.metrics edge
-cases the observability layer leans on (percentile interpolation, CDFs,
-windowed visibility queries)."""
+"""Unit tests for the metrics the tracer folds from its log plus the
+repro.metrics edge cases the observability layer leans on (percentile
+interpolation, CDFs, windowed visibility queries)."""
 
 import pytest
 
 from repro.metrics.stats import cdf_points, mean, percentile
 from repro.metrics.visibility import VisibilityRecorder
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.trace import LabelTracer
 
 
 # ---------------------------------------------------------------------------
@@ -14,44 +14,32 @@ from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 # ---------------------------------------------------------------------------
 
 def test_counter_accumulates_and_windows():
-    counter = Counter(window=10.0)
-    counter.inc(at=1.0)
-    counter.inc(2.0, at=9.9)
-    counter.inc(at=10.0)
-    counter.inc(at=25.0)
-    assert counter.value == 5.0
-    assert counter.series() == [(0.0, 3.0), (10.0, 1.0), (20.0, 1.0)]
-    assert counter.to_obj() == {"value": 5.0,
-                                "series": [[0.0, 3.0], [10.0, 1.0],
-                                           [20.0, 1.0]]}
-
-
-def test_counter_without_window_has_no_series():
-    counter = Counter()
-    counter.inc(at=123.0)
-    assert counter.series() == []
-    assert counter.to_obj() == {"value": 1.0}
+    tracer = LabelTracer()
+    for t in (1.0, 49.9, 49.9, 50.0, 125.0):
+        tracer.count(t, "a", "x")
+    assert tracer.metrics()["counters"]["a/x"] == {
+        "value": 5.0, "series": [[0.0, 3.0], [50.0, 1.0], [100.0, 1.0]]}
 
 
 def test_gauge_last_write_wins():
-    gauge = Gauge()
-    gauge.set(5.0, at=1.0)
-    gauge.set(3.0, at=2.0)
-    assert gauge.to_obj() == {"value": 3.0, "at": 2.0, "updates": 2}
+    tracer = LabelTracer()
+    tracer.gauge(1.0, "a", "g", 5.0)
+    tracer.gauge(2.0, "a", "g", 3.0)
+    assert tracer.metrics()["gauges"]["a/g"] == {"value": 3.0, "at": 2.0,
+                                                 "updates": 2}
 
 
 def test_registry_get_or_create_and_sorted_export():
-    registry = MetricsRegistry(window=50.0)
-    assert registry.counter("a", "x") is registry.counter("a", "x")
-    registry.counter("b", "y").inc(at=1.0)
-    registry.gauge("a", "g").set(7.0, at=2.0)
-    exported = registry.to_dict()
+    tracer = LabelTracer()
+    tracer.count(1.0, "b", "y")
+    tracer.count(1.0, "a", "x")
+    tracer.gauge(2.0, "a", "g", 7.0)
+    exported = tracer.metrics()
     assert exported["window"] == 50.0
     assert list(exported["counters"]) == ["a/x", "b/y"]
     assert exported["gauges"]["a/g"]["value"] == 7.0
     # the saturn-obs/v1 schema keeps an empty section
     assert exported["histograms"] == {}
-    # counters inherit the registry window
     assert exported["counters"]["b/y"]["series"] == [[0.0, 1.0]]
 
 

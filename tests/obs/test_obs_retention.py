@@ -8,7 +8,7 @@
 * Transparency, jointly: obs, the HazardMonitor and the overload chain are
   each pinned against the all-off default elsewhere; here all three are on
   at once and the execution must still be the overload-only one.
-* One write path: the registry of that run is a fold of the tracer's log
+* One write path: the metrics of that run are a fold of the tracer's log
   alone, overload gauges and admission counts included.
 """
 
@@ -20,12 +20,12 @@ from repro.analysis.runtime import HazardMonitor
 from repro.core.label import Label, LabelType
 from repro.datacenter.overload import OverloadConfig
 from repro.harness.runner import Cluster, ClusterConfig
-from repro.obs import LabelTracer, MetricsRegistry
+from repro.obs import LabelTracer
 from repro.workloads.synthetic import SyntheticWorkload
 
 
 def test_recorded_events_leave_nothing_for_the_collector_to_walk():
-    tracer = LabelTracer(registry=MetricsRegistry(window=50.0))
+    tracer = LabelTracer()
     labels = [Label(LabelType.UPDATE, src=f"I/gear{i}", ts=float(i),
                     target="g0:a", origin_dc="I") for i in range(50)]
     gc.collect()
@@ -94,7 +94,7 @@ def test_obs_hazard_monitor_and_overload_together_change_nothing(
     # and obs saw it: chains and the overload gauges, but not the network
     hub = everything.obs_hub
     assert hub.tracer.num_chains() > 0
-    metrics = hub.registry.to_dict()
+    metrics = hub.tracer.metrics()
     assert metrics["gauges"]["sink:I/credits"]["updates"] > 0
     assert metrics["counters"]["admission:I/rejected"]["value"] > 0
     assert everything.network.observers == (everything_monitor,)
@@ -102,13 +102,12 @@ def test_obs_hazard_monitor_and_overload_together_change_nothing(
 
 def test_the_registry_is_a_fold_of_the_tracer_log(everything_run):
     """Replaying the run's log into a fresh tracer rebuilds every counter
-    and gauge: no component writes the registry directly."""
+    and gauge: the log is the only thing the metrics are read from."""
     hub = everything_run[0].obs_hub
-    expected = hub.registry.to_dict()
+    expected = hub.tracer.metrics()
     assert any(name.startswith(("sink:", "serializer:", "admission:"))
                for name in expected["gauges"])
-    replayed = LabelTracer(registry=MetricsRegistry(
-        window=hub.registry.window))
+    replayed = LabelTracer()
     for record in hub.tracer._log:
         replayed.record(record)
-    assert replayed.registry.to_dict() == expected
+    assert replayed.metrics() == expected

@@ -4,7 +4,6 @@ well-formedness checks, and the per-edge latency breakdown."""
 import pytest
 
 from repro.core.label import Label, LabelType
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import format_breakdown, label_breakdown, pair_breakdown
 from repro.obs.trace import (LabelTracer, TraceEvent, chain_problems,
                              derive_spans)
@@ -29,12 +28,15 @@ def _trace_full_chain(tracer: LabelTracer, label: Label) -> None:
 
 
 # ---------------------------------------------------------------------------
-# recording + registry coupling
+# recording + the metrics folded from the log
 # ---------------------------------------------------------------------------
 
+def _count(tracer: LabelTracer, key: str) -> float:
+    return tracer.metrics()["counters"][key]["value"]
+
+
 def test_tracer_records_chain_in_order_and_feeds_registry():
-    registry = MetricsRegistry()
-    tracer = LabelTracer(registry=registry)
+    tracer = LabelTracer()
     label = _label()
     _trace_full_chain(tracer, label)
 
@@ -45,11 +47,11 @@ def test_tracer_records_chain_in_order_and_feeds_registry():
     assert events[0].extra == {"type": "update", "target": "g0:a",
                                "origin": "I"}
     assert tracer.num_chains() == 1
-    assert registry.counter("sink/I", "labels_issued").value == 1
-    assert registry.counter("serializer/ser:e0:sI", "labels_in").value == 1
-    assert registry.counter("serializer/ser:e0:sF", "labels_out").value == 1
-    assert registry.counter("proxy/F", "delivered_queued").value == 1
-    assert registry.counter("proxy/F", "visible_saturn").value == 1
+    assert _count(tracer, "sink/I/labels_issued") == 1
+    assert _count(tracer, "serializer/ser:e0:sI/labels_in") == 1
+    assert _count(tracer, "serializer/ser:e0:sF/labels_out") == 1
+    assert _count(tracer, "proxy/F/delivered_queued") == 1
+    assert _count(tracer, "proxy/F/visible_saturn") == 1
 
 
 def test_tracer_works_without_registry():
@@ -59,15 +61,14 @@ def test_tracer_works_without_registry():
 
 
 def test_annotations_and_event_counters():
-    registry = MetricsRegistry()
-    tracer = LabelTracer(registry=registry)
+    tracer = LabelTracer()
     tracer.annotate(5.0, "epoch-change", "manager", epoch=1, emergency=False)
     tracer.annotate(6.0, "sink-park", "I")
     assert [a.kind for a in tracer.annotations] == ["epoch-change",
                                                     "sink-park"]
     assert tracer.annotations[0].extra == {"epoch": 1, "emergency": False}
-    assert registry.counter("events/manager", "epoch_change").value == 1
-    assert registry.counter("events/I", "sink_park").value == 1
+    assert _count(tracer, "events/manager/epoch_change") == 1
+    assert _count(tracer, "events/I/sink_park") == 1
 
 
 def test_chains_iterate_in_label_key_order():

@@ -53,15 +53,6 @@ def test_consume_zero_is_noop(sim):
     assert cpu.busy_time == 0.0
 
 
-def test_utilization(sim):
-    cpu = ServerCPU(sim)
-    cpu.submit(3.0, lambda: None)
-    sim.run()
-    assert cpu.utilization(10.0) == pytest.approx(0.3)
-    assert cpu.utilization(0.0) == 0.0
-    assert cpu.utilization(1.0) == 1.0  # clamped
-
-
 def test_ops_counter(sim):
     cpu = ServerCPU(sim)
     cpu.submit(1.0, lambda: None)

@@ -100,12 +100,6 @@ def test_latency_model_rejects_negative():
         model.set("X", "Y", -1.0)
 
 
-def test_latency_model_from_matrix():
-    model = LatencyModel.from_matrix(["A", "B"], [[0, 7], [7, 0]])
-    assert model.get("A", "B") == 7.0
-    assert model.sites() == {"A", "B"}
-
-
 def test_partition_holds_messages_until_healed(sim):
     """Links are reliable FIFO channels: a partition delays traffic, it
     does not silently lose it (silent loss on a live channel would be
@@ -192,14 +186,12 @@ def test_isolate_holds_traffic_in_both_directions(sim):
     a.attach_network(net)
     b.attach_network(net)
     net.isolate("b")
-    assert net.is_isolated("b")
     a.send("b", "inbound")
     b.send("a", "outbound")
     sim.run()
     assert a.received == []
     assert b.received == []
     net.rejoin("b")
-    assert not net.is_isolated("b")
     a.send("b", "again")
     sim.run()
     # rejoin releases the held traffic in both directions, in send order

@@ -34,13 +34,6 @@ def test_validation_errors():
         PoissonArrivals(-5.0)
 
 
-def test_poisson_rate_is_flat():
-    arrivals = PoissonArrivals(250.0)
-    assert arrivals.rate_at(0.0) == 250.0
-    assert arrivals.rate_at(12345.6) == 250.0
-    assert arrivals.peak_rate() == 250.0
-
-
 def test_poisson_interarrival_mean():
     """Mean gap over many draws ≈ 1000/rate milliseconds."""
     stream = RngRegistry(seed=11).stream("openloop-I")
