@@ -1,7 +1,18 @@
 """Label-lifecycle tracing: one append-only log, everything else derived.
 
-Every hook call appends one flat tuple of atoms (floats, ints, strs, bools,
-``None`` — nothing the garbage collector has to walk) to a single log:
+Every hook call appends one fixed-size record (``RECORD`` bytes) to the
+log, a list of ``bytearray`` chunks of ``CHUNK`` records each, so a
+record's number alone locates it and the log holds no Python object per
+event.  A label event is packed by its code's precompiled
+:class:`struct.Struct`: the code byte, ``t`` and ``label.ts`` as raw
+doubles, then node, src and the payload, where every string (node, src,
+type, target, origin, from, to, disposition, mode) is an id from one
+interned-atom table and ``dwell`` / ``epoch`` are raw numbers.  Annotations, gauges and counts are rare: each keeps a typed
+tuple in a side list, and its record in the log is that tuple's index, so
+there is still one log order.  So does a label event whose times are not
+floats (``Simulator.run(until=200)`` leaves ``now`` the int ``200``).
+Every record reads back as exactly the tuple it stands for
+(:meth:`LabelTracer.records`):
 
     label event   (t, code, node, label.ts, label.src, *payload)
     annotation    (t, ANNOTATE, node, kind, key, value, key, value, ...)
@@ -30,9 +41,10 @@ handed to readers as :class:`TraceEvent` objects:
 Cluster-wide happenings that are not tied to one label (failover state
 transitions, sink park/replay, epoch changes and adoptions) are
 *annotations*.  Queue depths, credits and admission decisions are *gauge*
-and *count* records.  Chains and spans are indexed from the log when they
-are read, from the tail recorded since the last read; the counters and
-gauges of :meth:`LabelTracer.metrics` are one fold over the whole log.
+and *count* records.  Records are decoded when they are read: chains are
+indexed from the tail recorded since the last read (record numbers in one
+``array('I')`` per label), and the counters and gauges of
+:meth:`LabelTracer.metrics` are one fold over a stream of the records.
 
 Everything stored here is a pure function of simulated time and process
 names, so a traced run exports bit-identically across double runs of the
@@ -43,7 +55,9 @@ one (see the transparency tests in tests/obs).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from struct import Struct, calcsize
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.label import Label
 
@@ -96,9 +110,11 @@ class Span:
                 "start": self.start, "end": self.end, "parent": self.parent}
 
 
-# record codes; a label event's code indexes _KINDS
+# record codes; a label event's code indexes _KINDS and _LAYOUTS, and a
+# TUPLE record stands for a tuple of the side list (whose own code is any
+# of the others)
 (ISSUE, FLUSH, REPLAY, SER_ARRIVE, SER_FORWARD, DELIVER, VISIBLE, FINALIZED,
- ANNOTATE, GAUGE, COUNT) = range(11)
+ ANNOTATE, GAUGE, COUNT, TUPLE) = range(12)
 
 #: code -> (event kind, names of the payload fields, counter component
 #: prefix, counter name, index of the payload field appended to that name)
@@ -112,6 +128,83 @@ _KINDS = (
     ("visible", ("mode",), "proxy/", "visible_", 5),
     ("finalized", (), None, None, 0),
 )
+
+#: bytes per record: the widest label event (code, two doubles, five ids)
+RECORD = calcsize("<BddIIIII")
+
+
+def _layout(payload: str, decode: Callable[[tuple, list], tuple]
+            ) -> Tuple[Struct, Callable[[tuple, list], tuple]]:
+    """A label event's record: code, t, ts, node id, src id, then
+    *payload* (struct format characters; ``I`` is an atom id), padded to
+    ``RECORD``; and *decode*, which turns its unpacked fields ``f`` and
+    the atom list ``a`` back into the record's tuple."""
+    head = "<BddII" + payload
+    return Struct(f"{head}{RECORD - calcsize(head)}x"), decode
+
+
+#: code -> (record layout, decoder)
+_LAYOUTS = (
+    # ISSUE: type, target, origin
+    _layout("III", lambda f, a: (f[1], ISSUE, a[f[3]], f[2], a[f[4]],
+                                 a[f[5]], a[f[6]], a[f[7]])),
+    # FLUSH
+    _layout("", lambda f, a: (f[1], FLUSH, a[f[3]], f[2], a[f[4]])),
+    # REPLAY: replayed (always True)
+    _layout("?", lambda f, a: (f[1], REPLAY, a[f[3]], f[2], a[f[4]],
+                               f[5])),
+    # SER_ARRIVE: from
+    _layout("I", lambda f, a: (f[1], SER_ARRIVE, a[f[3]], f[2], a[f[4]],
+                               a[f[5]])),
+    # SER_FORWARD: to, dwell
+    _layout("Id", lambda f, a: (f[1], SER_FORWARD, a[f[3]], f[2], a[f[4]],
+                                a[f[5]], f[6])),
+    # DELIVER: epoch, disposition
+    _layout("qI", lambda f, a: (f[1], DELIVER, a[f[3]], f[2], a[f[4]],
+                                f[5], a[f[6]])),
+    # VISIBLE: mode
+    _layout("I", lambda f, a: (f[1], VISIBLE, a[f[3]], f[2], a[f[4]],
+                               a[f[5]])),
+    # FINALIZED
+    _layout("", lambda f, a: (f[1], FINALIZED, a[f[3]], f[2], a[f[4]])),
+)
+(_ISSUE, _FLUSH, _REPLAY, _SER_ARRIVE, _SER_FORWARD, _DELIVER, _VISIBLE,
+ _FINALIZED) = (layout.pack for layout, _ in _LAYOUTS)
+#: records per chunk of the log (just under 64 KiB).  Every chunk fills
+#: to the same size and stops: one buffer grown by reallocation over a
+#: whole run left the heap in one of two layouts from run to run, and the
+#: peak RSS of the geo7_writes_obs benchmark read 65.4 or 68.9 MiB
+CHUNK = (1 << 16) // RECORD
+_CHUNK_BYTES = CHUNK * RECORD
+#: a TUPLE record: the index of its tuple in the side list
+_TUPLE = Struct(f"<BI{RECORD - 5}x")
+#: what indexing needs of any record: the code, a TUPLE record's index,
+#: and a label event's ts and src id
+_KEY = Struct(f"<BI4xd4xI{RECORD - 25}x")
+
+
+class _AtomTable(dict):
+    """atom -> id, assigning the next id on a miss; ``atoms[id]`` is the
+    atom.
+
+    Only ``str`` and ``None`` are kept as keys: ``1``, ``1.0`` and
+    ``True`` are one dict key, so any other atom is given a fresh id on
+    every lookup and reads back as the very object it was.
+    """
+
+    __slots__ = ("atoms",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.atoms: list = []
+
+    def __missing__(self, atom) -> int:
+        atoms = self.atoms
+        atom_id = len(atoms)
+        atoms.append(atom)
+        if atom.__class__ is str or atom is None:
+            self[atom] = atom_id
+        return atom_id
 
 
 def _event(record: tuple) -> TraceEvent:
@@ -129,51 +222,129 @@ class LabelTracer:
 
     Hot-path call sites hold a reference and guard with
     ``if self.obs is not None`` so the disabled cost is one attribute load;
-    enabled, a hook is one ``list.append`` of a tuple.  Chain readers
-    only ever index the tail recorded since the last read, so interleaving
-    reads with recording stays linear; :meth:`metrics` folds the whole log
-    each time it is called (at export, after the run).
+    enabled, a label hook is one ``pack`` of a fixed-size record, one
+    ``+=`` onto the current chunk and a test whether that chunk is full.
+    Chain readers only ever index the tail recorded since the last read,
+    so interleaving reads with recording stays linear; :meth:`metrics`
+    folds the whole log each time it is called (at export, after the
+    run).
     """
 
     def __init__(self) -> None:
-        self._log: List[tuple] = []
-        #: appends one record; the hooks below are the only writers
-        self.record = self._log.append
-        #: (ts, src) -> positions of the label's records in the log; key
-        #: insertion order is simulation order, but reads sort by key
-        self._positions: Dict[LabelKey, List[int]] = {}
+        #: the chunk being filled, the last of _chunks
+        self._log = bytearray()
+        self._chunks: List[bytearray] = [self._log]
+        self._ids = _AtomTable()
+        #: the typed tuples that TUPLE records stand for
+        self._tuples: List[tuple] = []
+        #: (ts, src) -> numbers of the label's records; key insertion
+        #: order is simulation order, but reads sort by key
+        self._positions: Dict[LabelKey, array] = {}
         self._annotations: List[TraceEvent] = []
-        self._indexed = 0      # log prefix already in the two above
+        self._indexed = 0      # records already in the two above
 
     # -- recording ----------------------------------------------------------
 
+    def record(self, record: tuple) -> None:
+        """Append *record*, a tuple of the module docstring's forms, as
+        itself: the writer of annotations, gauges and counts, and of label
+        events whose times are not floats."""
+        log = self._log
+        log += _TUPLE.pack(TUPLE, len(self._tuples))
+        self._tuples.append(record)
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
+
     def on_issue(self, label: Label, t: float, dc: str) -> None:
-        self.record((t, ISSUE, dc, label.ts, label.src, label.type.value,
-                     label.target, label.origin_dc))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__:
+            ids = self._ids
+            log = self._log
+            log += _ISSUE(ISSUE, t, ts, ids[dc], ids[label.src],
+                          ids[label.type._value_], ids[label.target],
+                          ids[label.origin_dc])
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, ISSUE, dc, ts, label.src, label.type._value_,
+                         label.target, label.origin_dc))
 
     def on_flush(self, label: Label, t: float, dc: str,
                  replayed: bool = False) -> None:
-        self.record((t, REPLAY, dc, label.ts, label.src, True) if replayed
-                    else (t, FLUSH, dc, label.ts, label.src))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__:
+            ids = self._ids
+            log = self._log
+            log += (
+                _REPLAY(REPLAY, t, ts, ids[dc], ids[label.src], True)
+                if replayed else _FLUSH(FLUSH, t, ts, ids[dc], ids[label.src]))
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, REPLAY, dc, ts, label.src, True) if replayed
+                        else (t, FLUSH, dc, ts, label.src))
 
     def on_serializer_arrive(self, label: Label, t: float, node: str,
                              sender: str) -> None:
-        self.record((t, SER_ARRIVE, node, label.ts, label.src, sender))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__:
+            ids = self._ids
+            log = self._log
+            log += _SER_ARRIVE(SER_ARRIVE, t, ts, ids[node], ids[label.src],
+                               ids[sender])
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, SER_ARRIVE, node, ts, label.src, sender))
 
     def on_serializer_forward(self, label: Label, t: float, node: str,
                               to: str, dwell: float) -> None:
-        self.record((t, SER_FORWARD, node, label.ts, label.src, to, dwell))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__ is dwell.__class__:
+            ids = self._ids
+            log = self._log
+            log += _SER_FORWARD(SER_FORWARD, t, ts, ids[node],
+                                ids[label.src], ids[to], dwell)
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, SER_FORWARD, node, ts, label.src, to, dwell))
 
     def on_deliver(self, label: Label, t: float, dc: str, epoch: int,
                    disposition: str) -> None:
-        self.record((t, DELIVER, dc, label.ts, label.src, epoch,
-                     disposition))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__ and epoch.__class__ is int:
+            ids = self._ids
+            log = self._log
+            log += _DELIVER(DELIVER, t, ts, ids[dc], ids[label.src], epoch,
+                            ids[disposition])
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, DELIVER, dc, ts, label.src, epoch, disposition))
 
     def on_visible(self, label: Label, t: float, dc: str, mode: str) -> None:
-        self.record((t, VISIBLE, dc, label.ts, label.src, mode))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__:
+            ids = self._ids
+            log = self._log
+            log += _VISIBLE(VISIBLE, t, ts, ids[dc], ids[label.src],
+                            ids[mode])
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, VISIBLE, dc, ts, label.src, mode))
 
     def on_finalized(self, label: Label, t: float, dc: str) -> None:
-        self.record((t, FINALIZED, dc, label.ts, label.src))
+        ts = label.ts
+        if t.__class__ is float is ts.__class__:
+            ids = self._ids
+            log = self._log
+            log += _FINALIZED(FINALIZED, t, ts, ids[dc], ids[label.src])
+            if len(log) == _CHUNK_BYTES:
+                self._seal()
+        else:
+            self.record((t, FINALIZED, dc, ts, label.src))
 
     def annotate(self, t: float, kind: str, node: str, **extra) -> None:
         record = [t, ANNOTATE, node, kind]
@@ -188,20 +359,60 @@ class LabelTracer:
     def count(self, t: float, component: str, name: str) -> None:
         self.record((t, COUNT, component, name))
 
+    def _seal(self) -> None:
+        """Start the next chunk: the current one is full."""
+        self._log = bytearray()
+        self._chunks.append(self._log)
+
     # -- reading ------------------------------------------------------------
 
-    def _index(self) -> Dict[LabelKey, List[int]]:
-        log = self._log
+    def _recorded(self) -> int:
+        """The number of records in the log."""
+        return (len(self._chunks) - 1) * CHUNK + len(self._log) // RECORD
+
+    def _decode(self, number: int) -> tuple:
+        """Record *number* as the tuple it stands for."""
+        log = self._chunks[number // CHUNK]
+        offset = number % CHUNK * RECORD
+        code = log[offset]
+        if code == TUPLE:
+            return self._tuples[_TUPLE.unpack_from(log, offset)[1]]
+        layout, decode = _LAYOUTS[code]
+        return decode(layout.unpack_from(log, offset), self._ids.atoms)
+
+    def records(self) -> Iterator[tuple]:
+        """Every record, in log order, as the tuple it stands for; a
+        stream, decoded one record at a time."""
+        for number in range(self._recorded()):
+            yield self._decode(number)
+
+    def _index(self) -> Dict[LabelKey, array]:
         positions = self._positions
-        for position in range(self._indexed, len(log)):
-            record = log[position]
-            code = record[1]
-            if code < ANNOTATE:
-                positions.setdefault((record[3], record[4]),
-                                     []).append(position)
-            elif code == ANNOTATE:
-                self._annotations.append(_event(record))
-        self._indexed = len(log)
+        start = self._indexed
+        atoms = self._ids.atoms
+        tuples = self._tuples
+        for chunk_at in range(start // CHUNK, len(self._chunks)):
+            first = max(start, chunk_at * CHUNK)
+            # a copy of the chunk from its first record not yet indexed
+            fresh = self._chunks[chunk_at][(first % CHUNK) * RECORD:]
+            for number, (code, tuple_at, ts, src) in enumerate(
+                    _KEY.iter_unpack(fresh), first):
+                if code == TUPLE:
+                    record = tuples[tuple_at]
+                    code = record[1]
+                    if code == ANNOTATE:
+                        self._annotations.append(_event(record))
+                    if code >= ANNOTATE:
+                        continue
+                    key = (record[3], record[4])
+                else:
+                    key = (ts, atoms[src])
+                numbers = positions.get(key)
+                if numbers is None:
+                    positions[key] = array("I", (number,))
+                else:
+                    numbers.append(number)
+        self._indexed = self._recorded()
         return positions
 
     @property
@@ -216,9 +427,9 @@ class LabelTracer:
             yield key, self.events(key)
 
     def events(self, key: LabelKey) -> List[TraceEvent]:
-        log = self._log
-        return [_event(log[position])
-                for position in self._index().get(key, ())]
+        decode = self._decode
+        return [_event(decode(number))
+                for number in self._index().get(key, ())]
 
     def num_chains(self) -> int:
         return len(self._index())
@@ -227,8 +438,8 @@ class LabelTracer:
         return derive_spans(self.events(key))
 
     def metrics(self) -> dict:
-        """Counters and gauges keyed by ``component/name``, folded from the
-        whole log.
+        """Counters and gauges keyed by ``component/name``, folded from
+        the stream of :meth:`records`.
 
         A label event counts under its kind's component prefix and name,
         an annotation under ``events/<node>``, a count record under its own
@@ -239,7 +450,7 @@ class LabelTracer:
         """
         counters: Dict[Tuple[str, str], Dict] = {}   # key -> buckets
         gauges: Dict[Tuple[str, str], dict] = {}
-        for record in self._log:
+        for record in self.records():
             t, code, node = record[:3]
             if code < ANNOTATE:
                 _, _, prefix, name, suffix_at = _KINDS[code]

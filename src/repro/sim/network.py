@@ -17,7 +17,7 @@ latency matrix when both processes are placed (see :meth:`Network.place`),
 model checker's optional per-send perturbation.  The base and the target
 process never change between :meth:`Network.place` calls, so they are
 resolved once per link, on its first send, and kept in the link's state;
-``place`` drops every resolved route.
+``place`` drops the resolved routes of the placed process's links only.
 
 :class:`Network` is the *simulated* implementation of the
 :class:`repro.net.transport.Transport` protocol (``register`` / ``place``
@@ -26,8 +26,8 @@ Protocol actors hold either implementation through the same three
 methods, so everything above this seam is transport-agnostic.
 
 Instrumentation watches the fabric through :attr:`Network.observers`, a
-tuple of passive observers (the runtime FIFO audit, the model checker's
-routing oracles, the obs network tap).  While it is non-empty the network
+tuple of passive observers (the runtime FIFO audit and the model
+checker's routing oracles).  While it is non-empty the network
 numbers each link's sends 1, 2, ... itself and calls every observer's
 ``on_send(src, dst, message, arrival)`` when a message goes on the wire
 and ``on_deliver(src, dst, seq, message)`` just before the target
@@ -37,7 +37,7 @@ a send is one truthiness test away from the untraced path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
@@ -113,6 +113,8 @@ class Network:
         self._processes: Dict[str, Process] = {}
         self._sites: Dict[str, str] = {}
         self._links: Dict[Tuple[str, str], _LinkState] = {}
+        #: process name -> the states of the links it is an endpoint of
+        self._links_of: Dict[str, List[_LinkState]] = {}
         #: processes cut off from everyone (n-1 partitions in one flag);
         #: kept as a set so the hot send path pays one truthiness check
         #: when no isolation fault is active.
@@ -140,7 +142,7 @@ class Network:
     def place(self, process_name: str, site: str) -> None:
         """Assign a process to a geographic site (latency-matrix row)."""
         self._sites[process_name] = site
-        for state in self._links.values():
+        for state in self._links_of.get(process_name, ()):
             state.target = None  # base latencies re-resolve on next send
 
     def site_of(self, process_name: str) -> Optional[str]:
@@ -157,6 +159,9 @@ class Network:
         if state is None:
             state = _LinkState()
             self._links[key] = state
+            self._links_of.setdefault(src, []).append(state)
+            if dst != src:
+                self._links_of.setdefault(dst, []).append(state)
         return state
 
     def inject_extra_delay(self, src: str, dst: str, extra: float,

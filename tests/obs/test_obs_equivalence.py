@@ -8,12 +8,17 @@ writes the sink, the serializer and the admission controller made before
 they became log records.  The registry it writes (``MetricsRegistry``,
 with its ``Counter`` and ``Gauge``) is kept here too: it is the reference
 that :meth:`LabelTracer.metrics`, a fold over the log, must equal.
+The reference also keeps the tuple log the tracer kept before its records
+were packed into bytes, as the specification of ``LabelTracer.records()``.
 Hypothesis drives both recorders with the same random hook sequences —
-all ten hooks, and reads interleaved at random points — and everything a
-reader can see must be equal: chains, annotations, every counter's value
-and series, every gauge, the ``saturn-obs/v1`` bytes and the Chrome
-document.  Whole runs (two chaos scenarios and an open-loop overload run)
-feed both through every hook call and must fold to the same metrics.
+all ten hooks, int and float times, atoms that are equal across types
+(``1``, ``1.0``, ``True``), and reads interleaved at random points — and
+everything a reader can see must be equal: chains, annotations, every
+counter's value and series, every gauge, the ``saturn-obs/v1`` bytes, the
+Chrome document, and every record, field by field and type by type.
+Whole runs (two chaos scenarios and an open-loop overload run) feed both
+through every hook call and must fold to the same metrics and read back
+the same records.
 
 The two pinned digests were captured from the old recorder before it was
 replaced (commit 9ad2de5): the full ``geo7_writes_obs`` benchmark block and
@@ -31,7 +36,9 @@ from hypothesis import strategies as st
 from repro.core.label import Label, LabelType
 from repro.obs import LabelTracer
 from repro.obs.export import export_chrome, export_jsonl
-from repro.obs.trace import GAUGE, TraceEvent
+from repro.obs.trace import (ANNOTATE, CHUNK, COUNT, DELIVER, FINALIZED,
+                              FLUSH, GAUGE, ISSUE, REPLAY, SER_ARRIVE,
+                              SER_FORWARD, VISIBLE, TraceEvent)
 
 GOLDEN = Path(__file__).parent / "golden" / "chain3_horizon40.jsonl"
 CHAIN3_GOLDEN_SHA256 = \
@@ -128,6 +135,8 @@ class ReferenceTracer:
         self._chains = {}
         self.annotations = []
         self.registry = MetricsRegistry(window=50.0)
+        #: the tuple log: what each hook appended before records were packed
+        self.log = []
 
     def _events(self, label):
         return self._chains.setdefault((label.ts, label.src), [])
@@ -140,46 +149,63 @@ class ReferenceTracer:
             "type": label.type.value, "target": label.target,
             "origin": label.origin_dc}))
         self._inc(f"sink/{dc}", "labels_issued", t)
+        self.log.append((t, ISSUE, dc, label.ts, label.src, label.type.value,
+                         label.target, label.origin_dc))
 
     def on_flush(self, label, t, dc, replayed=False):
         extra = {"replayed": True} if replayed else None
         self._events(label).append(TraceEvent(t, "flush", dc, extra))
         self._inc(f"sink/{dc}",
                   "labels_replayed" if replayed else "labels_flushed", t)
+        self.log.append((t, REPLAY, dc, label.ts, label.src, True)
+                        if replayed else (t, FLUSH, dc, label.ts, label.src))
 
     def on_serializer_arrive(self, label, t, node, sender):
         self._events(label).append(
             TraceEvent(t, "ser-arrive", node, {"from": sender}))
         self._inc(f"serializer/{node}", "labels_in", t)
+        self.log.append((t, SER_ARRIVE, node, label.ts, label.src, sender))
 
     def on_serializer_forward(self, label, t, node, to, dwell):
         self._events(label).append(
             TraceEvent(t, "ser-forward", node, {"to": to, "dwell": dwell}))
         self._inc(f"serializer/{node}", "labels_out", t)
+        self.log.append((t, SER_FORWARD, node, label.ts, label.src, to,
+                         dwell))
 
     def on_deliver(self, label, t, dc, epoch, disposition):
         self._events(label).append(TraceEvent(t, "deliver", dc, {
             "epoch": epoch, "disposition": disposition}))
         self._inc(f"proxy/{dc}", f"delivered_{disposition}", t)
+        self.log.append((t, DELIVER, dc, label.ts, label.src, epoch,
+                         disposition))
 
     def on_visible(self, label, t, dc, mode):
         self._events(label).append(
             TraceEvent(t, "visible", dc, {"mode": mode}))
         self._inc(f"proxy/{dc}", f"visible_{mode}", t)
+        self.log.append((t, VISIBLE, dc, label.ts, label.src, mode))
 
     def on_finalized(self, label, t, dc):
         self._events(label).append(TraceEvent(t, "finalized", dc))
+        self.log.append((t, FINALIZED, dc, label.ts, label.src))
 
     def annotate(self, t, kind, node, **extra):
         self.annotations.append(
             TraceEvent(t, kind, node, extra if extra else None))
         self._inc(f"events/{node}", kind.replace("-", "_"), t)
+        record = [t, ANNOTATE, node, kind]
+        for item in extra.items():
+            record.extend(item)
+        self.log.append(tuple(record))
 
     def gauge(self, t, component, name, value):
         self.registry.gauge(component, name).set(value, at=t)
+        self.log.append((t, GAUGE, component, name, value))
 
     def count(self, t, component, name):
         self._inc(component, name, t)
+        self.log.append((t, COUNT, component, name))
 
     def chains(self):
         for key in sorted(self._chains):
@@ -219,16 +245,22 @@ def tee(tracer):
 # ---------------------------------------------------------------------------
 
 NODES = ("I", "F", "T", "ser:e0:sI", "ser:e1:sF", "dc:I", "manager")
-times = st.one_of(st.sampled_from((0.0, 49.999, 50.0, 50.0, 1e6)),
-                  st.floats(min_value=0.0, max_value=500.0))
+# an int time is what `Simulator.run(until=200)` leaves in `now`
+times = st.one_of(st.sampled_from((0.0, 49.999, 50.0, 50.0, 1e6, 200, 0)),
+                  st.floats(min_value=0.0, max_value=500.0),
+                  st.integers(min_value=0, max_value=500))
 nodes = st.sampled_from(NODES)
 labels = st.builds(
     Label, st.sampled_from(LabelType),
     src=st.sampled_from(("I/gear0", "I/gear1", "F/gear0", "T/sink")),
-    ts=st.sampled_from((0.5, 1.0, 1.25, 2.0, 3.0)),
+    ts=st.sampled_from((0.5, 1.0, 1.25, 2.0, 3.0, 2)),
     target=st.sampled_from((None, "g0:a", "T")),
     origin_dc=st.sampled_from(("", "I", "F")))
-atoms = st.one_of(st.integers(-3, 3), st.booleans(),
+# equal across types, one dict key: the atom table must not merge them
+same_value = st.sampled_from((1, 1.0, True, False, 0, -0.0))
+# a process name field given a non-string still reads back as itself
+peers = st.one_of(nodes, same_value)
+atoms = st.one_of(st.integers(-3, 3), st.booleans(), same_value,
                   st.sampled_from(("x", "", "emergency")),
                   st.floats(allow_nan=False, allow_infinity=False, width=16))
 # the gauge/count keys the overload components use, plus one that collides
@@ -248,10 +280,11 @@ steps = st.one_of(
     _hook("on_issue", labels, times, nodes),
     _hook("on_flush", labels, times, nodes),
     _hook("on_flush", labels, times, nodes, replayed=st.booleans()),
-    _hook("on_serializer_arrive", labels, times, nodes, nodes),
-    _hook("on_serializer_forward", labels, times, nodes, nodes,
-          st.sampled_from((0.0, 0.25, 2.0))),
-    _hook("on_deliver", labels, times, nodes, st.integers(0, 2),
+    _hook("on_serializer_arrive", labels, times, nodes, peers),
+    _hook("on_serializer_forward", labels, times, nodes, peers,
+          st.sampled_from((0.0, 0.25, 2.0, 0, -0.0))),
+    _hook("on_deliver", labels, times, nodes,
+          st.one_of(st.integers(0, 2), same_value),
           st.sampled_from(("queued", "stale-epoch", "duplicate"))),
     _hook("on_visible", labels, times, nodes,
           st.sampled_from(("saturn", "ts-drain", "eventual"))),
@@ -264,7 +297,7 @@ steps = st.one_of(
                                                "emergency")), atoms,
                               max_size=3)),
     _hook("gauge", times, components, metric_names,
-          st.integers(0, 40)),
+          st.one_of(st.integers(0, 40), same_value)),
     _hook("count", times, components, metric_names),
     st.tuples(st.just("read"), st.sampled_from(
         ("chains", "counters", "export", "num_chains", "events")),
@@ -279,6 +312,17 @@ steps = st.one_of(
 def _chains(tracer):
     return [(key, [event.to_obj() for event in events])
             for key, events in tracer.chains()]
+
+
+def _assert_same_records(new, old):
+    """Every record reads back as the tuple the old log held: equal, and
+    of the same type field by field (``1``/``1.0``/``True`` and
+    ``0.0``/``-0.0`` are told apart by type and repr)."""
+    records = list(new.records())
+    assert records == old.log
+    assert ([[type(field) for field in record] for record in records]
+            == [[type(field) for field in record] for record in old.log])
+    assert repr(records) == repr(old.log)
 
 
 def _assert_same_view(new, old, what):
@@ -299,6 +343,8 @@ def _assert_same_view(new, old, what):
         meta = {"source": "equivalence"}
         assert export_jsonl(new, meta) == export_jsonl(old, meta)
         assert export_chrome(new) == export_chrome(old)
+    if what == "all":
+        _assert_same_records(new, old)
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,6 +357,45 @@ def test_log_backed_recorder_equals_the_old_one(sequence):
             continue
         for tracer in (new, old):
             getattr(tracer, name)(*args, **kwargs)
+    _assert_same_view(new, old, "all")
+
+
+def test_reads_interleaved_across_chunk_boundaries_equal_the_old_one():
+    """The log fills fixed-size chunks; reads that stop mid-chunk, on a
+    boundary and one record past it see what the old recorder saw."""
+    new, old = LabelTracer(), ReferenceTracer()
+    labels = [Label(LabelType.UPDATE, src=f"I/gear{i}", ts=float(i % 13),
+                    target="g0:a", origin_dc="I") for i in range(40)]
+    reads = {CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 500}
+    for number in range(3 * CHUNK + 5):
+        label = labels[number % len(labels)]
+        for tracer in (new, old):
+            if number % 300 == 299:
+                tracer.gauge(number, "sink:I", "credits", number % 5)
+            elif number % 2:
+                tracer.on_serializer_forward(label, number * 0.5, "ser:e0:sI",
+                                             "dc:F", 0.25)
+            else:
+                tracer.on_visible(label, number * 0.5, "F", "saturn")
+        if number + 1 in reads:
+            _assert_same_view(new, old, "chains")
+    assert len(new._chunks) == 4
+    _assert_same_view(new, old, "all")
+
+
+def test_equal_atoms_of_different_types_read_back_as_themselves():
+    """``1``, ``1.0`` and ``True`` (and ``0``, ``-0.0``, ``False``) are one
+    dict key each; interned, they must not come back as each other."""
+    new, old = LabelTracer(), ReferenceTracer()
+    label = Label(LabelType.UPDATE, src="I/gear0", ts=1.0, target=None,
+                  origin_dc="I")
+    for tracer in (new, old):
+        for peer in (1, 1.0, True, 0, -0.0, False, "dc:I", 1):
+            tracer.on_serializer_arrive(label, 2.0, "ser:e0:sI", peer)
+            tracer.on_serializer_forward(label, 2.0, "ser:e0:sI", peer, 0.5)
+        tracer.on_deliver(label, 3.0, "F", True, "queued")
+        tracer.annotate(4.0, "epoch-change", "manager", epoch=1,
+                        emergency=True)
     _assert_same_view(new, old, "all")
 
 
@@ -332,9 +417,7 @@ def test_tracer_without_registry_equals_the_old_one():
 # whole runs: the fold against the direct write path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["serializer-crash",
-                                  "crash-during-epoch-change"])
-def test_chaos_scenario_metrics_fold_equals_the_direct_writes(name):
+def _chaos_run(name):
     from repro.analysis.mc.scenario import build_scenario
     from repro.obs import attach_tracer
 
@@ -343,14 +426,10 @@ def test_chaos_scenario_metrics_fold_equals_the_direct_writes(name):
     reference = tee(hub.tracer)
     scenario.run()
     hub.sample_kernel()
-    metrics = hub.tracer.metrics()
-    assert metrics["gauges"]["kernel/events_executed"]["updates"] == 1
-    assert any(key.startswith("events/") for key in metrics["counters"])
-    assert metrics == reference.metrics()
-    assert export_jsonl(hub.tracer) == export_jsonl(reference)
+    return hub.tracer, reference
 
 
-def test_open_loop_overload_metrics_fold_equals_the_direct_writes():
+def _overload_run():
     """Admission counts and queue gauges that span several 50 ms windows."""
     from repro.datacenter.overload import OverloadConfig
     from repro.harness.runner import Cluster, ClusterConfig
@@ -362,18 +441,59 @@ def test_open_loop_overload_metrics_fold_equals_the_direct_writes():
         arrivals=PoissonArrivals(rate_ops_s=8000.0),
         overload=OverloadConfig(5, 3, 2.0), obs=True),
         SyntheticWorkload(correlation="full", read_ratio=0.5))
-    hub = cluster.obs_hub
-    reference = tee(hub.tracer)
+    reference = tee(cluster.obs_hub.tracer)
     cluster.run(duration=200.0, warmup=50.0)
-    metrics = hub.tracer.metrics()
+    return cluster.obs_hub.tracer, reference
+
+
+@pytest.fixture(scope="module")
+def teed_run():
+    """name -> (tracer, the reference teed from it) of a whole run, each
+    run once per module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = (_overload_run() if name == "overload"
+                          else _chaos_run(name))
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", ["serializer-crash",
+                                  "crash-during-epoch-change"])
+def test_chaos_scenario_metrics_fold_equals_the_direct_writes(name, teed_run):
+    tracer, reference = teed_run(name)
+    metrics = tracer.metrics()
+    assert metrics["gauges"]["kernel/events_executed"]["updates"] == 1
+    assert any(key.startswith("events/") for key in metrics["counters"])
+    assert metrics == reference.metrics()
+    assert export_jsonl(tracer) == export_jsonl(reference)
+
+
+def test_open_loop_overload_metrics_fold_equals_the_direct_writes(teed_run):
+    tracer, reference = teed_run("overload")
+    metrics = tracer.metrics()
     assert len(metrics["counters"]["admission:I/admitted"]["series"]) >= 2
     assert len(metrics["counters"]["admission:I/rejected"]["series"]) >= 2
-    queue_windows = {int(record[0] // 50.0) for record in hub.tracer._log
+    queue_windows = {int(record[0] // 50.0) for record in tracer.records()
                      if record[1] == GAUGE
                      and record[2].startswith(("sink:", "serializer:"))}
     assert len(queue_windows) >= 2
     assert metrics == reference.metrics()
-    assert export_jsonl(hub.tracer) == export_jsonl(reference)
+    assert export_jsonl(tracer) == export_jsonl(reference)
+
+
+@pytest.mark.parametrize("name", ["serializer-crash", "overload"])
+def test_whole_runs_read_back_the_tuples_they_were_written_from(name,
+                                                                teed_run):
+    """Packed label events and typed tuples, interleaved in one log, read
+    back in log order as exactly the old tuple log, type by type."""
+    tracer, reference = teed_run(name)
+    assert any(record[1] < ANNOTATE for record in reference.log)
+    assert any(record[1] >= ANNOTATE for record in reference.log)
+    _assert_same_records(tracer, reference)
 
 
 # ---------------------------------------------------------------------------

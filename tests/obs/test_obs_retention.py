@@ -1,10 +1,14 @@
 """What leave-on tracing may cost and must not change.
 
-* Retention: the log holds tuples of atoms, which the cyclic collector
-  stops tracking after their first collection.  A hook that smuggles a
-  dict, a list or an object into a record would make every later
-  collection walk O(events) containers again — the cost the tuple log was
-  introduced to remove.
+* Retention: a label event is a fixed-size record packed into the log's
+  ``bytearray`` chunks (at most 48 bytes each, interned atoms included),
+  and the rare typed tuples hold atoms only, which the cyclic collector stops
+  tracking after their first collection.  A hook that smuggles a dict, a
+  list or an object into a record would make every later collection walk
+  O(events) containers again — the cost the log was introduced to remove.
+* Collections: what a hook allocates and keeps counts toward gen-0's
+  threshold even when the collector never walks it, so a run with obs on
+  must collect as often as the same run with obs off.
 * Transparency, jointly: obs, the HazardMonitor and the overload chain are
   each pinned against the all-off default elsewhere; here all three are on
   at once and the execution must still be the overload-only one.
@@ -13,6 +17,7 @@
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -44,8 +49,46 @@ def test_recorded_events_leave_nothing_for_the_collector_to_walk():
                         emergency=False)
     gc.collect()
     grown = len(gc.get_objects()) - tracked_before
-    assert len(tracer._log) == 20_000
+    assert len(list(tracer.records())) == 20_000
     assert grown < 50, f"{grown} GC-tracked objects retained by 20k events"
+
+
+def test_a_recorded_label_event_retains_at_most_48_bytes():
+    tracer = LabelTracer()
+    labels = [Label(LabelType.UPDATE, src=f"I/gear{i}", ts=float(i),
+                    target="g0:a", origin_dc="I") for i in range(50)]
+    steps = 3000                      # seven label hooks a step
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for step in range(steps):
+            label = labels[step % len(labels)]
+            t = step * 0.5
+            tracer.on_issue(label, t, "I")
+            tracer.on_flush(label, t, "I", replayed=step % 7 == 0)
+            tracer.on_serializer_arrive(label, t, "ser:e0:sI", "dc:I")
+            tracer.on_serializer_forward(label, t, "ser:e0:sI", "dc:F", 0.25)
+            tracer.on_deliver(label, t, "F", 0, "queued")
+            tracer.on_visible(label, t, "F", "saturn")
+            tracer.on_finalized(label, t, "F")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(list(tracer.records())) == 7 * steps
+    assert retained / (7 * steps) <= 48, \
+        f"{retained / (7 * steps):.1f} bytes retained per label event"
+
+
+def test_obs_on_collects_garbage_as_often_as_obs_off():
+    """About 100 simulated ms of the geo7 cluster `--count` runs, from a
+    collected heap: collections are exact for one interpreter."""
+    from repro.perf.count import collections
+
+    (off, _, _), _ = collections(obs=False, duration=100.0)
+    (on, _, _), result = collections(obs=True, duration=100.0)
+    assert result.cluster.obs_hub.tracer.num_chains() > 0
+    assert off > 0
+    assert on <= 1.1 * off, f"gen-0 collections: {on} obs on, {off} off"
 
 
 def _run(monitored=False, obs=False):
@@ -108,6 +151,6 @@ def test_the_registry_is_a_fold_of_the_tracer_log(everything_run):
     assert any(name.startswith(("sink:", "serializer:", "admission:"))
                for name in expected["gauges"])
     replayed = LabelTracer()
-    for record in hub.tracer._log:
+    for record in hub.tracer.records():
         replayed.record(record)
     assert replayed.metrics() == expected

@@ -342,6 +342,32 @@ def test_place_after_first_send_changes_the_next_latency(sim):
     assert a.received == [(30.5, "b", "z-z")]
 
 
+def test_place_drops_only_the_placed_processs_routes(sim):
+    net, a, b = sited_net(sim)
+    net.place("a", "X")
+    net.place("b", "Y")
+    a.send("b", "x-y")
+    b.send("a", "y-x")
+    a.send("a", "x-x")
+    routes = {key: (state.target, state.base)
+              for key, state in net._links.items()}
+    assert all(target is not None for target, _ in routes.values())
+    c = Recorder(sim, "c")                # a newcomer, placed in open loop
+    c.attach_network(net)
+    net.place("c", "Z")
+    c.send("a", "z-x")
+    assert {key: (state.target, state.base)
+            for key, state in net._links.items()
+            if "c" not in key} == routes  # nobody else re-resolves
+    net.place("c", "Y")                   # ...but the newcomer's own link does
+    assert net._links[("c", "a")].target is None
+    c.send("a", "y-x again")
+    assert net._links[("c", "a")].base == 30.0
+    sim.run()
+    assert a.received == [(0.5, "a", "x-x"), (30.0, "b", "y-x"),
+                          (70.0, "c", "z-x"), (70.0, "c", "y-x again")]
+
+
 def test_unknown_destination_caches_nothing_and_is_reachable_once_registered(sim):
     net = make_net(sim)
     a = Recorder(sim, "a")
