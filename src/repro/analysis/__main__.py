@@ -5,7 +5,7 @@ Examples::
     python -m repro.analysis src/repro benchmarks
     python -m repro.analysis src/repro --json
     python -m repro.analysis src/repro --select SAT
-    python -m repro.analysis src/repro --select ARCH,CONC001 --ignore ARCH2
+    python -m repro.analysis src/repro --select ARCH,CONC001 --ignore ARCH1
     python -m repro.analysis path/to/pkg --contract path/to/arch_contract.toml
     python -m repro.analysis --list-rules
 
@@ -41,7 +41,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--select", type=_codes, default=None,
                         metavar="CODES",
                         help="comma-separated rule codes or prefixes to "
-                             "enable (e.g. SAT,ARCH2,CONC001)")
+                             "enable (e.g. SAT,ARCH1,CONC001)")
     parser.add_argument("--ignore", type=_codes, default=None,
                         metavar="CODES",
                         help="comma-separated rule codes or prefixes to "

@@ -38,7 +38,6 @@ from repro.analysis.report import Finding, Report, finalize
 from repro.analysis.rules import ALL_RULES, PARSE_ERROR_CODE
 from repro.analysis.shared_state import (
     check_await_atomicity, check_lock_order)
-from repro.analysis.wire import check_wire
 
 __all__ = ["analyze", "lint_source", "find_contract"]
 
@@ -69,7 +68,6 @@ _PASSES: Tuple[Tuple[Tuple[str, ...],
      lambda p: check_layers(p.graph, p.contract)),
     (("ARCH101",),
      lambda p: check_purity(p.graph, p.callgraph, p.contract)),
-    (("ARCH202", "ARCH204"), lambda p: check_wire(p.graph)),
     (("CONC001",), lambda p: check_blocking(p.graph, p.callgraph)),
     (("CONC002",), lambda p: check_fire_and_forget(p.graph, p.callgraph)),
     (("CONC003",), lambda p: check_await_atomicity(p.graph, p.callgraph)),
@@ -107,7 +105,7 @@ def _governing_contract(root: Path, explicit: Optional[ArchContract]
 
 def _selected_codes(select: Optional[Iterable[str]],
                     ignore: Optional[Iterable[str]]) -> Set[str]:
-    """Expand codes or prefixes (``SAT``, ``ARCH2``, ``CONC001``)."""
+    """Expand codes or prefixes (``SAT``, ``ARCH1``, ``CONC001``)."""
     catalogue = [rule.code for rule in ALL_RULES]
 
     def expand(tokens: Iterable[str]) -> Set[str]:

@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     from repro.analysis.imports import ModuleGraph
 
 __all__ = [
-    "Pos", "terminal_name", "dataclass_keywords", "pos", "contains_await",
+    "Pos", "terminal_name", "pos", "contains_await",
     "lockish", "method_selfname", "self_attr_target", "module_file",
     "locate", "witness_chain",
 ]
@@ -36,21 +36,6 @@ def terminal_name(node: ast.expr) -> Optional[str]:
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    return None
-
-
-def dataclass_keywords(node: ast.ClassDef) -> Optional[Dict[str, bool]]:
-    """``{keyword: value}`` of the @dataclass decorator, or None."""
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if terminal_name(target) != "dataclass":
-            continue
-        keywords: Dict[str, bool] = {}
-        if isinstance(deco, ast.Call):
-            for kw in deco.keywords:
-                if kw.arg and isinstance(kw.value, ast.Constant):
-                    keywords[kw.arg] = bool(kw.value.value)
-        return keywords
     return None
 
 

@@ -11,11 +11,10 @@ the report of :mod:`repro.analysis.engine`:
   whom, which kernel seams protocol code may touch;
   :mod:`~repro.analysis.layers`), 1xx *sim-purity* (no protocol entry
   point may transitively reach a nondeterministic or environment-coupled
-  source; :mod:`~repro.analysis.purity`), 2xx *handler/message
-  conformance* (handlers read only fields their message defines, and
-  construction sites pass only fields it has; :mod:`~repro.analysis.wire`
-  — that messages are plain data is checked by the codec's
-  ``register()`` at import, not here).
+  source; :mod:`~repro.analysis.purity`).  The messages themselves are
+  not a rule: the codec's ``register()`` checks them at import, and a
+  misread field or bad constructor argument raises on the frozen,
+  slotted dataclass the first time a test runs the site.
 * **CONCxxx** — whole-program asyncio rules for the realtime transport
   path (:mod:`~repro.analysis.blocking`, :mod:`~repro.analysis.lifecycle`,
   :mod:`~repro.analysis.shared_state`).  Saturn's correctness argument
@@ -191,26 +190,6 @@ ALL_RULES: Tuple[Rule, ...] = (
             "a path makes the execution depend on the host instead of the "
             "simulated schedule; the finding reports the full call chain "
             "from entry point to the forbidden call site."
-        ),
-    ),
-    Rule(
-        code="ARCH202",
-        title="handler accesses a field the message does not define",
-        rationale=(
-            "In the handler a _HANDLERS row maps message type T to, every "
-            "attribute read on the message must be a field (or method/"
-            "property) of T; a typo here only explodes when that handler "
-            "executes, which for rare messages can be deep into a long run."
-        ),
-    ),
-    Rule(
-        code="ARCH204",
-        title="message constructed with unknown or excess arguments",
-        rationale=(
-            "A construction site passing a keyword that is not a field, or "
-            "more positional arguments than the dataclass defines, raises "
-            "only when that code path runs; the audit catches it tree-wide "
-            "at review time."
         ),
     ),
     Rule(

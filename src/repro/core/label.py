@@ -76,9 +76,6 @@ class Label:
     def __hash__(self) -> int:
         return hash((self.ts, self.src))
 
-    def is_update(self) -> bool:
-        return self.type is LabelType.UPDATE
-
     def __repr__(self) -> str:
         return (f"Label({self.type.value}, src={self.src}, ts={self.ts:.4f}, "
                 f"target={self.target})")

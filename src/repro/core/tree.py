@@ -119,9 +119,6 @@ class TreeTopology:
     def datacenters(self) -> List[str]:
         return sorted(self.attachments)
 
-    def neighbors(self, serializer: str) -> List[str]:
-        return list(self._adjacency[serializer])
-
     def delay(self, src: str, dst: str) -> float:
         return self.delays.get((src, dst), 0.0)
 

@@ -68,11 +68,6 @@ class OverloadConfig:
             raise ValueError("serializer_service_rate and sink_credits "
                              "must be enabled together")
 
-    @property
-    def enabled(self) -> bool:
-        return (self.sink_buffer_cap > 0 or self.sink_credits > 0
-                or self.serializer_service_rate > 0)
-
 
 class AdmissionController:
     """Bounded count of admitted-but-unshipped update labels.

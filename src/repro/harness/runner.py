@@ -307,8 +307,8 @@ class Cluster:
             client.stop()
         if self.obs_hub is not None:
             self.obs_hub.sample_kernel()
-        # one scan of the completions; the same float expression as
-        # OpRecorder.throughput(warmup, duration)
+        # one scan of the completions: operations per simulated second
+        # of the measured window [warmup, duration)
         ops_completed = self.metrics.ops.ops_in_window(warmup, duration)
         return RunResults(
             throughput=ops_completed / ((duration - warmup) / 1000.0),

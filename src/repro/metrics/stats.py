@@ -1,11 +1,11 @@
-"""Small statistics helpers (percentiles, CDFs) shared by the metrics
+"""Small statistics helpers (mean, percentiles) shared by the metrics
 recorders and the benchmark harness."""
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["percentile", "mean", "cdf_points"]
+__all__ = ["percentile", "mean"]
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -34,10 +34,3 @@ def percentile(samples: Sequence[float], p: float) -> float:
     fraction = rank - low
     # difference form avoids float overshoot when both endpoints are equal
     return ordered[low] + fraction * (ordered[high] - ordered[low])
-
-
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """(value, cumulative fraction) pairs for plotting a CDF."""
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]

@@ -33,13 +33,6 @@ class OpRecorder:
     def ops_in_window(self, start: float, end: float) -> int:
         return sum(1 for at, _, _ in self._completions if start <= at < end)
 
-    def throughput(self, start: float, end: float) -> float:
-        """Completed operations per (simulated) second in [start, end)."""
-        if end <= start:
-            raise ValueError("window end must be after start")
-        window_ms = end - start
-        return self.ops_in_window(start, end) / (window_ms / 1000.0)
-
     def latencies(self, kind: str = None, start: float = 0.0) -> List[float]:
         return [lat for at, k, lat in self._completions
                 if at >= start and (kind is None or k == kind)]

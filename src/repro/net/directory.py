@@ -202,9 +202,6 @@ class DirectoryClient:
         return self.request({"op": "register", "node": node, "host": host,
                              "port": port, "processes": processes})
 
-    def lookup(self) -> Dict[str, Any]:
-        return self.request({"op": "lookup"})
-
     def status(self, node: str, report: Dict[str, Any]) -> Dict[str, Any]:
         return self.request({"op": "status", "node": node, "report": report})
 

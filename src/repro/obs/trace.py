@@ -568,7 +568,7 @@ def derive_spans(events: List[TraceEvent]) -> List[Span]:
 
 
 # ---------------------------------------------------------------------------
-# chain well-formedness (shared by property tests and the CLI)
+# chain well-formedness (the test oracle over every traced chain)
 # ---------------------------------------------------------------------------
 
 def chain_problems(key: LabelKey, events: List[TraceEvent]) -> List[str]:

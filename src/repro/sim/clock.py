@@ -57,10 +57,6 @@ class PhysicalClock:
         self._last_timestamp = candidate
         return candidate
 
-    def resync(self) -> None:
-        """NTP-style resynchronization: zero the skew."""
-        self.skew = 0.0
-
 
 class ClockFactory:
     """Creates node clocks with bounded random skew from a seeded stream."""

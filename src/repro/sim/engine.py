@@ -24,7 +24,7 @@ entry.  A schedule controller still gets an :class:`Event` for it (same
 ``time`` and ``seq``), made by the kernel when it calls the hook.
 
 The kernel has one hook, :attr:`Simulator.controller`; passive
-instrumentation (the FIFO audit, routing oracles, the obs tap) watches
+instrumentation (the FIFO audit, the routing oracles) watches
 messages through :attr:`repro.sim.network.Network.observers` instead.
 """
 

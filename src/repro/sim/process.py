@@ -50,9 +50,6 @@ class Process:
         """Fail-stop: the process silently drops everything from now on."""
         self._alive = False
 
-    def recover(self) -> None:
-        self._alive = True
-
     def restart(self) -> None:
         """Bring a crashed process back (the fail-recover model).
 

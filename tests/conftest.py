@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict
+from typing import Any, Dict, List, Set
 
 import pytest
 
+from repro.analysis.mc.scenario import BEACON_PERIOD, DETECTOR, build_chain3
 from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
-from repro.harness.runner import MetricsHub
+from repro.datacenter.overload import OverloadConfig
+from repro.harness.runner import Cluster, ClusterConfig, MetricsHub
 from repro.sim.clock import ClockFactory
 from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
+from repro.verify.checker import ExecutionLog
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.facebook import FacebookWorkload
 
 
 #: seconds of setup + call + teardown per top-level test directory
@@ -121,3 +127,106 @@ def mini_cluster() -> MiniCluster:
     cluster = MiniCluster()
     cluster.start()
     return cluster
+
+
+# -- message types the runs deliver ------------------------------------------
+
+def handler_actors() -> List[type]:
+    """Every ``Process`` subclass in ``repro`` that declares its own
+    ``_HANDLERS`` table."""
+    import repro.core.serializer  # noqa: F401  (load every actor class)
+    import repro.datacenter.client  # noqa: F401
+    import repro.protocols  # noqa: F401
+
+    actors, stack = [], [Process]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.") and \
+                    "_HANDLERS" in vars(sub):
+                actors.append(sub)
+    return actors
+
+
+class DeliveredTypes:
+    """A passive ``Network.observers`` entry, installed as
+    ``HazardMonitor.install`` installs the monitor: the type of every
+    message the fabric delivers."""
+
+    def __init__(self) -> None:
+        self.types: Set[type] = set()
+
+    def on_send(self, src: str, dst: str, message: Any,
+                arrival: float) -> None:
+        pass
+
+    def on_deliver(self, src: str, dst: str, seq: int, message: Any) -> None:
+        self.types.add(type(message))
+
+
+@pytest.fixture(scope="session")
+def delivered() -> DeliveredTypes:
+    """One recorder for the session: the union over every run below and
+    over every run a test hands to it with ``network.observers +=``."""
+    return DeliveredTypes()
+
+
+# -- session runs shared by their own tests and the delivery guard ----------
+
+#: the overloaded run's admission cap, sink credits and serializer rate
+CAP, CREDITS, RATE = 40, 16, 1.0
+
+
+@pytest.fixture(scope="session")
+def overload_run(delivered):
+    """3-DC Saturn chain pushed well past its serviced label rate for
+    400 ms, its admission, credit and ingress bounds sampled every
+    simulated millisecond (it delivers LabelCredit)."""
+    sites = ("I", "F", "T")
+    topology = TreeTopology(
+        serializer_sites={f"s{s}": s for s in sites},
+        edges=[("sI", "sF"), ("sF", "sT")],
+        attachments={s: f"s{s}" for s in sites})
+    config = ClusterConfig(
+        system="saturn", sites=sites, num_partitions=2, seed=11,
+        saturn_topology=topology,
+        arrivals=PoissonArrivals(rate_ops_s=9000.0),
+        overload=OverloadConfig(sink_buffer_cap=CAP, sink_credits=CREDITS,
+                                serializer_service_rate=RATE))
+    cluster = Cluster(config, FacebookWorkload(num_users=2000,
+                                               min_replicas=2,
+                                               max_replicas=3))
+    log = ExecutionLog(cluster.replication)
+    cluster.attach_execution_log(log)
+    cluster.network.observers += (delivered,)
+    violations = []
+
+    def check_bounds():
+        for dc in cluster.datacenters.values():
+            if dc.admission is not None and dc.admission.inflight > CAP:
+                violations.append(
+                    (cluster.sim.now, dc.dc_name, dc.admission.inflight))
+            sink = dc.sink
+            if sink.credits is not None and not 0 <= sink.credits <= CREDITS:
+                violations.append(
+                    (cluster.sim.now, dc.dc_name, sink.credits))
+        for name, ser in cluster.service.serializers().items():
+            queued = sum(len(b.labels) for b, _ in ser._ingress)
+            if queued > CREDITS:  # exactly one sink per chain serializer
+                violations.append((cluster.sim.now, name, queued))
+        cluster.sim.schedule(1.0, check_bounds)
+
+    cluster.sim.schedule(0.5, check_bounds)
+    results = cluster.run(duration=400.0, warmup=100.0)
+    return cluster, log, results, violations
+
+
+@pytest.fixture(scope="session")
+def healthy_beacon_run(delivered):
+    """chain3 Saturn with serializer beacons and the failure detector
+    on, run 60 ms without a fault (it delivers SerializerBeacon)."""
+    scenario = build_chain3("fsm-healthy", horizon=60.0,
+                            beacon_period=BEACON_PERIOD, dc_params=DETECTOR)
+    scenario.network.observers += (delivered,)
+    scenario.run()
+    return scenario

@@ -34,11 +34,6 @@ def test_uniqueness_of_ts_src_pairs():
     assert len(labels) == 30
 
 
-def test_type_predicates():
-    assert make(1.0).is_update()
-    assert not make(1.0, type_=LabelType.MIGRATION, target="F").is_update()
-
-
 def test_label_max_handles_none():
     a = make(1.0)
     assert label_max(None, a) is a

@@ -73,12 +73,6 @@ def test_rejects_attachment_to_unknown_serializer():
                      attachments={"I": "ghost"})
 
 
-def test_neighbors():
-    topo = chain_topology()
-    assert topo.neighbors("s1") == ["s0", "s2"]
-    assert topo.neighbors("s0") == ["s1"]
-
-
 def test_reachability():
     topo = chain_topology()
     assert topo.reachable_dcs("s0", "s1") == frozenset({"F", "T"})

@@ -17,14 +17,8 @@ Three layers of checks on the overload machinery:
 
 import pytest
 
-from repro.core.tree import TreeTopology
+from conftest import CAP, CREDITS
 from repro.datacenter.overload import AdmissionController, OverloadConfig
-from repro.harness.runner import Cluster, ClusterConfig
-from repro.verify.checker import ExecutionLog
-from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.facebook import FacebookWorkload
-
-SITES = ("I", "F", "T")
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +35,6 @@ def test_overload_config_validation():
         OverloadConfig(sink_credits=10)
     with pytest.raises(ValueError):
         OverloadConfig(serializer_service_rate=2.0)
-    assert not OverloadConfig().enabled
-    assert OverloadConfig(sink_buffer_cap=5).enabled
-    assert OverloadConfig(sink_credits=10,
-                          serializer_service_rate=2.0).enabled
 
 
 def test_admission_controller_caps_inflight():
@@ -67,54 +57,8 @@ def test_admission_controller_caps_inflight():
 # structural + semantic: an overloaded open-loop run
 # ---------------------------------------------------------------------------
 
-CAP, CREDITS, RATE = 40, 16, 1.0
-
-
-def overloaded_cluster(with_log: bool = True):
-    """3-DC Saturn chain pushed well past its serviced label rate."""
-    topology = TreeTopology(
-        serializer_sites={f"s{s}": s for s in SITES},
-        edges=[("sI", "sF"), ("sF", "sT")],
-        attachments={s: f"s{s}" for s in SITES})
-    config = ClusterConfig(
-        system="saturn", sites=SITES, num_partitions=2, seed=11,
-        saturn_topology=topology,
-        arrivals=PoissonArrivals(rate_ops_s=9000.0),
-        overload=OverloadConfig(sink_buffer_cap=CAP, sink_credits=CREDITS,
-                                serializer_service_rate=RATE))
-    workload = FacebookWorkload(num_users=2000, min_replicas=2,
-                                max_replicas=3)
-    cluster = Cluster(config, workload)
-    log = None
-    if with_log:
-        log = ExecutionLog(cluster.replication)
-        cluster.attach_execution_log(log)
-    return cluster, log
-
-
-@pytest.fixture(scope="module")
-def overload_run():
-    cluster, log = overloaded_cluster()
-    violations = []
-
-    def check_bounds():
-        for dc in cluster.datacenters.values():
-            if dc.admission is not None and dc.admission.inflight > CAP:
-                violations.append(
-                    (cluster.sim.now, dc.dc_name, dc.admission.inflight))
-            sink = dc.sink
-            if sink.credits is not None and not 0 <= sink.credits <= CREDITS:
-                violations.append(
-                    (cluster.sim.now, dc.dc_name, sink.credits))
-        for name, ser in cluster.service.serializers().items():
-            queued = sum(len(b.labels) for b, _ in ser._ingress)
-            if queued > CREDITS:  # exactly one sink per chain serializer
-                violations.append((cluster.sim.now, name, queued))
-        cluster.sim.schedule(1.0, check_bounds)
-
-    cluster.sim.schedule(0.5, check_bounds)
-    results = cluster.run(duration=400.0, warmup=100.0)
-    return cluster, log, results, violations
+# the run itself, ``overload_run``, is a session fixture of tests/conftest.py
+# (the delivery guard in test_skeleton.py reads its LabelCredits too)
 
 
 def test_bounds_hold_at_every_sampled_instant(overload_run):

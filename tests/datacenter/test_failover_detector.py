@@ -33,9 +33,8 @@ def test_beacon_timeout_must_be_positive():
         SinkFailoverDetector(None, beacon_timeout=0.0)
 
 
-def test_healthy_run_never_leaves_attached():
-    scenario = _deploy("fsm-healthy", horizon=60.0)
-    scenario.run()
+def test_healthy_run_never_leaves_attached(healthy_beacon_run):
+    scenario = healthy_beacon_run  # tests/conftest.py: 60 ms, no fault
     for name, dc in scenario.datacenters.items():
         assert dc.failover is not None, name
         assert dc.failover.state == ATTACHED

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import handler_actors
 from repro.analysis.mc.scenario import build_chain3
 from repro.datacenter.messages import (AttachOk, ClientAttach, ClientMigrate,
                                        ClientRead, ClientUpdate, MigrateReply,
@@ -24,24 +25,52 @@ class Probe(Process):
         self.replies.append(message)
 
 
+@pytest.fixture(scope="module")
+def echo_replies(delivered):
+    """Per system: what the probe got back for its four requests to
+    ``dc:I`` during a 60 ms chain3 run (each run watched by
+    ``delivered``)."""
+    replies = {}
+    for system in sorted(PROTOCOLS):
+        scenario = build_chain3(f"{system}-echo", horizon=60.0,
+                                system=system)
+        scenario.network.observers += (delivered,)
+        probe = Probe(scenario.sim)
+        probe.attach_network(scenario.network)
+        scenario.network.place(probe.name, "I")
+        for request in (ClientAttach("c7", None),
+                        ClientUpdate("c7", "g0:echo", 8, None),
+                        ClientRead("c7", "g0:echo"),
+                        ClientMigrate("c7", "F", None)):
+            probe.send("dc:I", request)
+        scenario.run()
+        replies[system] = probe.replies
+    return replies
+
+
 @pytest.mark.parametrize("system", sorted(PROTOCOLS))
-def test_every_reply_echoes_the_request_client_id(system):
+def test_every_reply_echoes_the_request_client_id(system, echo_replies):
     """AttachOk, ReadReply, UpdateReply and MigrateReply carry the
     request's ``client_id``, not the sender's process name."""
-    scenario = build_chain3(f"{system}-echo", horizon=60.0, system=system)
-    probe = Probe(scenario.sim)
-    probe.attach_network(scenario.network)
-    scenario.network.place(probe.name, "I")
-    for request in (ClientAttach("c7", None),
-                    ClientUpdate("c7", "g0:echo", 8, None),
-                    ClientRead("c7", "g0:echo"),
-                    ClientMigrate("c7", "F", None)):
-        probe.send("dc:I", request)
-    scenario.run()
-    assert sorted(type(reply).__name__ for reply in probe.replies) == sorted(
+    replies = echo_replies[system]
+    assert sorted(type(reply).__name__ for reply in replies) == sorted(
         cls.__name__ for cls in (AttachOk, UpdateReply, ReadReply,
                                  MigrateReply))
-    assert {reply.client_id for reply in probe.replies} == {"c7"}
+    assert {reply.client_id for reply in replies} == {"c7"}
+
+
+def test_every_handled_message_type_is_delivered(
+        echo_replies, overload_run, healthy_beacon_run, delivered):
+    """Every key of every actor's ``_HANDLERS`` table reaches its handler
+    in some run tier-1 makes anyway: the nine chain3 echo runs above, the
+    overloaded run (``LabelCredit``) and the beaconed run
+    (``SerializerBeacon``).  A misread field or a bad constructor
+    argument of a message raises on its frozen, slotted dataclass, so a
+    message type no run delivers would be the one place such a typo
+    could hide."""
+    handled = set().union(*(cls._HANDLERS for cls in handler_actors()))
+    never = handled - delivered.types
+    assert sorted(cls.__name__ for cls in never) == []
 
 
 @pytest.mark.parametrize("system", sorted(PROTOCOLS))

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import handler_actors
 from repro.baselines.base import BaselinePayload
 from repro.baselines.explicit import ExplicitPayload
 from repro.core.label import Label, LabelType
@@ -209,18 +210,8 @@ def test_registered_messages_are_exactly_the_handled_ones():
     message is registered: the keys of all actors' ``_HANDLERS`` tables,
     plus the two types that only ride inside message fields."""
     from repro.baselines.explicit import DepContext
-    import repro.core.serializer  # noqa: F401  (load every actor class)
-    import repro.datacenter.client  # noqa: F401
-    import repro.protocols  # noqa: F401
-    from repro.sim.process import Process
 
-    actors, stack = [], [Process]
-    while stack:
-        for sub in stack.pop().__subclasses__():
-            stack.append(sub)
-            if sub.__module__.startswith("repro.") and \
-                    "_HANDLERS" in vars(sub):
-                actors.append(sub)
+    actors = handler_actors()
     assert {cls.__name__ for cls in actors} >= {
         "SaturnDatacenter", "Serializer", "ClientProcess",
         "StabilizedDatacenter", "EunomiaDatacenter", "EunomiaSequencer",

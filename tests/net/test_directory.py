@@ -64,7 +64,8 @@ def test_async_and_blocking_clients_over_a_live_server(tmp_path):
             # the blocking driver-side client, run off-loop
             client = DirectoryClient("127.0.0.1", port)
             loop = asyncio.get_running_loop()
-            lookup = await loop.run_in_executor(None, client.lookup)
+            lookup = await loop.run_in_executor(
+                None, lambda: client.request({"op": "lookup"}))
             assert lookup["complete"] is True
             status = await loop.run_in_executor(
                 None, lambda: client.status("n1", {"ops": 7}))

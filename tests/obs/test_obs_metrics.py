@@ -1,10 +1,10 @@
 """Unit tests for the metrics the tracer folds from its log plus the
 repro.metrics edge cases the observability layer leans on (percentile
-interpolation, CDFs, windowed visibility queries)."""
+interpolation, windowed visibility queries)."""
 
 import pytest
 
-from repro.metrics.stats import cdf_points, mean, percentile
+from repro.metrics.stats import mean, percentile
 from repro.metrics.visibility import VisibilityRecorder
 from repro.obs.trace import LabelTracer
 
@@ -46,15 +46,6 @@ def test_registry_get_or_create_and_sorted_export():
 # ---------------------------------------------------------------------------
 # repro.metrics.stats edges
 # ---------------------------------------------------------------------------
-
-def test_cdf_points_empty_input():
-    assert cdf_points([]) == []
-
-
-def test_cdf_points_reach_one():
-    points = cdf_points([3.0, 1.0, 2.0])
-    assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-
 
 def test_percentile_extremes_and_interpolation():
     samples = [10.0, 0.0, 20.0, 30.0, 40.0]

@@ -47,12 +47,6 @@ def test_timestamp_at_least_in_past_is_ignored(sim):
     assert second > first
 
 
-def test_resync_zeroes_skew(sim):
-    clock = PhysicalClock(sim, skew=50.0)
-    clock.resync()
-    assert clock.now() == 0.0
-
-
 def test_factory_bounds_skew(sim):
     factory = ClockFactory(sim, RngRegistry(seed=5), max_skew=2.0)
     for _ in range(50):

@@ -458,10 +458,10 @@ def test_liveness_is_checked_at_delivery_time(sim):
     a.send("b", "crash after send")
     b.crash()
     sim.run()
-    b.recover()
+    b.restart()
     b.crash()
     a.send("b", "recover before arrival")
-    sim.schedule(0.5, b.recover)
+    sim.schedule(0.5, b.restart)
     sim.run()
     assert [m for _, _, m in b.received] == ["warm-up",
                                              "recover before arrival"]

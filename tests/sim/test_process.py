@@ -79,7 +79,7 @@ def test_recover_resumes_message_delivery(sim):
     b.crash()
     a.send("b", "lost")
     sim.run()
-    b.recover()
+    b.restart()
     a.send("b", "kept")
     sim.run()
     assert b.inbox == ["kept"]
