@@ -6,7 +6,7 @@ full binary trees with N labeled leaves incrementally: starting from the
 two-leaf tree, each iteration inserts the next datacenter into every
 possible position of every surviving tree (2f−1 isomorphism classes per
 tree of f leaves), ranks the candidates with the per-tree solver, and
-discards trees whose ranking falls more than a threshold behind their
+discards trees whose ranking falls more than ``THRESHOLD`` behind their
 predecessor (beam filtering, to avoid the 2,027,025-tree explosion at nine
 datacenters).
 """
@@ -19,6 +19,10 @@ from repro.config.solver import SolvedTree, TreeShape, TreeSolver
 from repro.core.tree import TreeTopology
 
 __all__ = ["find_configuration", "enumerate_insertions", "fuse_topology"]
+
+#: Algorithm 3's FILTER gap: candidates ranked more than this far (in
+#: weighted-mismatch score) behind their predecessor are dropped
+THRESHOLD = 50.0
 
 # rooted full binary tree: ("leaf", dc) | ("node", left, right)
 _BinTree = tuple
@@ -80,23 +84,18 @@ def _tree_to_shape(tree: _BinTree) -> TreeShape:
 def find_configuration(datacenters: Sequence[str],
                        dc_sites: Dict[str, str],
                        latency: Callable[[str, str], float],
-                       candidate_sites: Optional[Sequence[str]] = None,
                        weights: Optional[Dict[Tuple[str, str], float]] = None,
-                       threshold: float = 50.0,
-                       beam_width: int = 10,
-                       bulk_latency: Optional[Callable[[str, str], float]] = None) -> SolvedTree:
+                       beam_width: int = 10) -> SolvedTree:
     """Algorithm 3: beam search over tree shapes, returning the best solved
-    configuration (the paper's M-configuration)."""
+    configuration (the paper's M-configuration).  Serializers may sit at
+    any datacenter's site, the natural serializer locations (§5.4)."""
     datacenters = list(datacenters)
     if len(datacenters) < 2:
         raise ValueError("need at least two datacenters")
-    if candidate_sites is None:
-        # every datacenter site is a natural serializer location (§5.4)
-        candidate_sites = sorted({dc_sites[dc] for dc in datacenters})
 
     # one solver: the site-latency matrix is shared by every shape
-    solver = TreeSolver(dc_sites, candidate_sites, latency, weights,
-                        bulk_latency)
+    solver = TreeSolver(dc_sites, sorted({dc_sites[dc] for dc in datacenters}),
+                        latency, weights)
     first, second, *rest = datacenters
     root = _node(_leaf(first), _leaf(second))
     beam = [(root, solver.solve(_tree_to_shape(root)))]
@@ -105,10 +104,10 @@ def find_configuration(datacenters: Sequence[str],
                       for tree, _ in beam
                       for variant in enumerate_insertions(tree, next_dc)]
         candidates.sort(key=lambda entry: entry[1].score)
-        # FILTER: drop everything after a ranking gap larger than threshold
+        # FILTER: drop everything after a ranking gap larger than THRESHOLD
         filtered = [candidates[0]]
         for previous, current in zip(candidates, candidates[1:]):
-            if current[1].score - previous[1].score > threshold:
+            if current[1].score - previous[1].score > THRESHOLD:
                 break
             filtered.append(current)
             if len(filtered) >= beam_width:

@@ -63,7 +63,8 @@ class SolvedTree:
 
 class TreeSolver:
     """Solves tree shapes for one instance: datacenter sites, candidate
-    serializer sites, metadata and bulk latencies, pair weights.
+    serializer sites, the latency of both metadata and bulk links, pair
+    weights.
 
     Sites become indices and *latency* a matrix, built once and shared by
     every shape the Algorithm 3 search ranks."""
@@ -71,12 +72,11 @@ class TreeSolver:
     def __init__(self, dc_sites: Dict[str, str],
                  candidate_sites: Sequence[str],
                  latency: Callable[[str, str], float],
-                 weights: Optional[Dict[Tuple[str, str], float]] = None,
-                 bulk_latency: Optional[Callable[[str, str], float]] = None) -> None:
+                 weights: Optional[Dict[Tuple[str, str], float]] = None
+                 ) -> None:
         self.dc_sites = dc_sites
         self.latency = latency
         self.weights = weights
-        self.bulk_latency = latency if bulk_latency is None else bulk_latency
         self.sites = sorted(set(dc_sites.values()) | set(candidate_sites))
         self.index = {site: k for k, site in enumerate(self.sites)}
         self.matrix = [[latency(a, b) for b in self.sites] for a in self.sites]
@@ -116,8 +116,8 @@ class TreeSolver:
             path = topology.serializer_path(i, j)
             for node in path:
                 touches[slot[node]].append(len(pairs))
-            pairs.append((weight, self.bulk_latency(self.dc_sites[i],
-                                                    self.dc_sites[j]),
+            pairs.append((weight, self.latency(self.dc_sites[i],
+                                               self.dc_sites[j]),
                           self.index[self.dc_sites[i]],
                           [slot[node] for node in path],
                           self.index[self.dc_sites[j]], path))
@@ -168,7 +168,7 @@ class TreeSolver:
         topology = shape.to_topology(self._names(shape.internal_nodes, at),
                                      delays)
         score = weighted_mismatch(topology, self.dc_sites, self.latency,
-                                  self.weights, self.bulk_latency)
+                                  self.weights)
         return SolvedTree(topology=topology, score=score)
 
     def _names(self, nodes: Sequence[str], at: List[int]) -> Dict[str, str]:

@@ -79,10 +79,6 @@ class PartitionedStore:
         #: key -> partition, filled as keys are touched (every op asks)
         self._partition_of: Dict[str, Partition] = {}
 
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
     def partition_for(self, key: str) -> Partition:
         partition = self._partition_of.get(key)
         if partition is None:

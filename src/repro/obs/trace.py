@@ -7,10 +7,12 @@ event.  A label event is packed by its code's precompiled
 :class:`struct.Struct`: the code byte, ``t`` and ``label.ts`` as raw
 doubles, then node, src and the payload, where every string (node, src,
 type, target, origin, from, to, disposition, mode) is an id from one
-interned-atom table and ``dwell`` / ``epoch`` are raw numbers.  Annotations, gauges and counts are rare: each keeps a typed
-tuple in a side list, and its record in the log is that tuple's index, so
-there is still one log order.  So does a label event whose times are not
-floats (``Simulator.run(until=200)`` leaves ``now`` the int ``200``).
+interned-atom table and ``dwell`` / ``epoch`` are raw numbers.  Each hook
+has this one write path, so its arguments are the simulator's own values:
+``t``, ``ts`` and ``dwell`` are doubles, ``epoch`` an int64 and every atom
+a ``str`` or ``None``.  Annotations, gauges and counts are rare and carry
+values of any type: each keeps a typed tuple in a side list, and its
+record in the log is that tuple's index, so there is still one log order.
 Every record reads back as exactly the tuple it stands for
 (:meth:`LabelTracer.records`):
 
@@ -185,12 +187,8 @@ _KEY = Struct(f"<BI4xd4xI{RECORD - 25}x")
 
 class _AtomTable(dict):
     """atom -> id, assigning the next id on a miss; ``atoms[id]`` is the
-    atom.
-
-    Only ``str`` and ``None`` are kept as keys: ``1``, ``1.0`` and
-    ``True`` are one dict key, so any other atom is given a fresh id on
-    every lookup and reads back as the very object it was.
-    """
+    atom.  Atoms are the process names and tags of label events: ``str``
+    or ``None``."""
 
     __slots__ = ("atoms",)
 
@@ -198,12 +196,10 @@ class _AtomTable(dict):
         super().__init__()
         self.atoms: list = []
 
-    def __missing__(self, atom) -> int:
+    def __missing__(self, atom: Optional[str]) -> int:
         atoms = self.atoms
-        atom_id = len(atoms)
+        atom_id = self[atom] = len(atoms)
         atoms.append(atom)
-        if atom.__class__ is str or atom is None:
-            self[atom] = atom_id
         return atom_id
 
 
@@ -247,8 +243,8 @@ class LabelTracer:
 
     def record(self, record: tuple) -> None:
         """Append *record*, a tuple of the module docstring's forms, as
-        itself: the writer of annotations, gauges and counts, and of label
-        events whose times are not floats."""
+        itself: the writer of annotations, gauges and counts, and of
+        records replayed from :meth:`records`."""
         log = self._log
         log += _TUPLE.pack(TUPLE, len(self._tuples))
         self._tuples.append(record)
@@ -256,95 +252,65 @@ class LabelTracer:
             self._seal()
 
     def on_issue(self, label: Label, t: float, dc: str) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__:
-            ids = self._ids
-            log = self._log
-            log += _ISSUE(ISSUE, t, ts, ids[dc], ids[label.src],
-                          ids[label.type._value_], ids[label.target],
-                          ids[label.origin_dc])
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, ISSUE, dc, ts, label.src, label.type._value_,
-                         label.target, label.origin_dc))
+        ids = self._ids
+        log = self._log
+        log += _ISSUE(ISSUE, t, label.ts, ids[dc], ids[label.src],
+                      ids[label.type._value_], ids[label.target],
+                      ids[label.origin_dc])
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def on_flush(self, label: Label, t: float, dc: str,
                  replayed: bool = False) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__:
-            ids = self._ids
-            log = self._log
-            log += (
-                _REPLAY(REPLAY, t, ts, ids[dc], ids[label.src], True)
-                if replayed else _FLUSH(FLUSH, t, ts, ids[dc], ids[label.src]))
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, REPLAY, dc, ts, label.src, True) if replayed
-                        else (t, FLUSH, dc, ts, label.src))
+        ids = self._ids
+        log = self._log
+        log += (_REPLAY(REPLAY, t, label.ts, ids[dc], ids[label.src], True)
+                if replayed
+                else _FLUSH(FLUSH, t, label.ts, ids[dc], ids[label.src]))
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def on_serializer_arrive(self, label: Label, t: float, node: str,
                              sender: str) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__:
-            ids = self._ids
-            log = self._log
-            log += _SER_ARRIVE(SER_ARRIVE, t, ts, ids[node], ids[label.src],
-                               ids[sender])
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, SER_ARRIVE, node, ts, label.src, sender))
+        ids = self._ids
+        log = self._log
+        log += _SER_ARRIVE(SER_ARRIVE, t, label.ts, ids[node], ids[label.src],
+                           ids[sender])
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def on_serializer_forward(self, label: Label, t: float, node: str,
                               to: str, dwell: float) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__ is dwell.__class__:
-            ids = self._ids
-            log = self._log
-            log += _SER_FORWARD(SER_FORWARD, t, ts, ids[node],
-                                ids[label.src], ids[to], dwell)
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, SER_FORWARD, node, ts, label.src, to, dwell))
+        ids = self._ids
+        log = self._log
+        log += _SER_FORWARD(SER_FORWARD, t, label.ts, ids[node],
+                            ids[label.src], ids[to], dwell)
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def on_deliver(self, label: Label, t: float, dc: str, epoch: int,
                    disposition: str) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__ and epoch.__class__ is int:
-            ids = self._ids
-            log = self._log
-            log += _DELIVER(DELIVER, t, ts, ids[dc], ids[label.src], epoch,
-                            ids[disposition])
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, DELIVER, dc, ts, label.src, epoch, disposition))
+        ids = self._ids
+        log = self._log
+        log += _DELIVER(DELIVER, t, label.ts, ids[dc], ids[label.src], epoch,
+                        ids[disposition])
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def on_visible(self, label: Label, t: float, dc: str, mode: str) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__:
-            ids = self._ids
-            log = self._log
-            log += _VISIBLE(VISIBLE, t, ts, ids[dc], ids[label.src],
-                            ids[mode])
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, VISIBLE, dc, ts, label.src, mode))
+        ids = self._ids
+        log = self._log
+        log += _VISIBLE(VISIBLE, t, label.ts, ids[dc], ids[label.src],
+                        ids[mode])
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def on_finalized(self, label: Label, t: float, dc: str) -> None:
-        ts = label.ts
-        if t.__class__ is float is ts.__class__:
-            ids = self._ids
-            log = self._log
-            log += _FINALIZED(FINALIZED, t, ts, ids[dc], ids[label.src])
-            if len(log) == _CHUNK_BYTES:
-                self._seal()
-        else:
-            self.record((t, FINALIZED, dc, ts, label.src))
+        ids = self._ids
+        log = self._log
+        log += _FINALIZED(FINALIZED, t, label.ts, ids[dc], ids[label.src])
+        if len(log) == _CHUNK_BYTES:
+            self._seal()
 
     def annotate(self, t: float, kind: str, node: str, **extra) -> None:
         record = [t, ANNOTATE, node, kind]
@@ -433,9 +399,6 @@ class LabelTracer:
 
     def num_chains(self) -> int:
         return len(self._index())
-
-    def spans(self, key: LabelKey) -> List[Span]:
-        return derive_spans(self.events(key))
 
     def metrics(self) -> dict:
         """Counters and gauges keyed by ``component/name``, folded from

@@ -144,11 +144,11 @@ class Simulator:
         if controller is not None:
             controller.on_schedule(Event(time, seq, fn))
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the heap drains, *until* is reached, or
-        *max_events* have executed.  Returns the final simulated time."""
-        if self.controller is not None or max_events is not None:
-            return self._run_controlled(until, max_events)
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the heap drains or *until* is reached.
+        Returns the final simulated time."""
+        if self.controller is not None:
+            return self._run_controlled(until)
         heap = self._heap
         heappop = heapq.heappop
         stop = float("inf") if until is None else until
@@ -179,10 +179,8 @@ class Simulator:
         self.events_executed += executed
         return self.now
 
-    def _run_controlled(self, until: Optional[float],
-                        max_events: Optional[int]) -> float:
-        """Run loop with a schedule controller attached (also the loop
-        that counts *max_events*; without a controller ties go FIFO).
+    def _run_controlled(self, until: Optional[float]) -> float:
+        """Run loop with a schedule controller attached.
 
         Whenever two or more live events are ready at the minimal instant,
         the whole tie group is popped and the controller picks which event
@@ -198,8 +196,6 @@ class Simulator:
         controller = self.controller
         executed = 0
         while heap:
-            if max_events is not None and executed >= max_events:
-                break
             time = heap[0][0]
             if until is not None and time > until:
                 self.now = until
@@ -225,9 +221,8 @@ class Simulator:
             if len(candidates) == 1:
                 chosen = candidates[0]
             else:
-                index = (0 if controller is None else
-                         controller.choose(time, [c[2] for c in candidates]))
-                chosen = candidates[index]
+                chosen = candidates[controller.choose(
+                    time, [c[2] for c in candidates])]
                 for entry in candidates:
                     if entry is not chosen:
                         # `entry` is an already-formed (time, seq, event, None)

@@ -145,9 +145,6 @@ class Network:
         for state in self._links_of.get(process_name, ()):
             state.target = None  # base latencies re-resolve on next send
 
-    def site_of(self, process_name: str) -> Optional[str]:
-        return self._sites.get(process_name)
-
     def process(self, name: str) -> Process:
         return self._processes[name]
 

@@ -6,7 +6,7 @@ from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import LatencyModel, Network
 
 
 def make_service():
@@ -22,10 +22,14 @@ def star():
 
 def test_install_tree_creates_placed_processes():
     service, network = make_service()
+    network.latency_model = LatencyModel()
+    network.latency_model.set("I", "F", 40.0)
+    network.place("probe", "F")
     service.install_tree(star(), epoch=0)
     assert set(service.serializers()) == {"S1"}
     name = service.serializer_process_name(0, "S1")
-    assert network.site_of(name) == "I"
+    # placed at I: its link to a process at F costs the I-F latency
+    assert network.base_latency(name, "probe") == 40.0
 
 
 def test_install_same_epoch_twice_rejected():

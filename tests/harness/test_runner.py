@@ -196,8 +196,12 @@ def test_replication_override():
 def test_clients_placed_at_their_sites():
     cluster = Cluster(small_config("eventual"), SyntheticWorkload())
     assert len(cluster.clients) == 6
+    network = cluster.network
     for client in cluster.clients:
-        assert cluster.network.site_of(client.name) == client.home_dc
+        # a client's link to each datacenter costs its home site's latency
+        for site, dc in cluster.datacenters.items():
+            assert (network.base_latency(client.name, dc.name)
+                    == network.latency_model.get(client.home_dc, site))
 
 
 def test_visibility_recorded_during_run():

@@ -98,18 +98,25 @@ def test_sub_millisecond_delays_are_not_rounded_up_to_the_loop_tick():
     assert sorted(lags)[len(lags) // 2] < 0.0005     # and not a tick late
 
 
-def test_polled_timers_fire_in_deadline_then_call_order_and_cancel():
+def test_polled_timers_fire_in_deadline_then_call_order_and_cancel(
+        monkeypatch):
     order = []
 
     async def main():
-        kernel = RealtimeKernel(asyncio.get_running_loop())
+        loop = asyncio.get_running_loop()
+        kernel = RealtimeKernel(loop)
         done = asyncio.Event()
+        # every deadline from one clock reading: a host stall between two
+        # schedule() calls must not reorder them
+        frozen = loop.time()
+        monkeypatch.setattr(loop, "time", lambda: frozen)
         kernel.schedule(0.5, lambda: (order.append("late"), done.set()))
         doomed = kernel.schedule(0.2, lambda: order.append("cancelled"))
         kernel.schedule(0.1, lambda: order.append("early"))
         for index in range(3):
             kernel.schedule(0.0, lambda index=index: order.append(index))
         doomed.cancel()
+        monkeypatch.undo()
         assert doomed.cancelled
         await asyncio.wait_for(done.wait(), timeout=5.0)
         assert kernel.events_executed == 5

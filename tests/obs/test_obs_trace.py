@@ -88,7 +88,8 @@ def test_derive_spans_structure():
     tracer = LabelTracer()
     label = _label()
     _trace_full_chain(tracer, label)
-    spans = {(s.name, s.node): s for s in tracer.spans((label.ts, label.src))}
+    spans = {(s.name, s.node): s
+             for s in derive_spans(tracer.events((label.ts, label.src)))}
 
     root = spans[("label", "I")]
     assert root.parent is None
@@ -113,7 +114,7 @@ def test_span_serialization():
     tracer = LabelTracer()
     label = _label()
     tracer.on_issue(label, 1.0, "I")
-    (span,) = tracer.spans((label.ts, label.src))
+    (span,) = derive_spans(tracer.events((label.ts, label.src)))
     assert span.to_obj() == {"name": "label", "node": "I", "start": 1.0,
                              "end": 1.0, "parent": None}
 
