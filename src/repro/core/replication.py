@@ -29,6 +29,10 @@ class ReplicationMap:
         #: serializer a label passes through needs the same answer, so the
         #: map owns one shared cache; invalidated whenever placement changes.
         self.interest_cache: Dict[tuple, FrozenSet[str]] = {}
+        #: each distinct answer -> itself, so equal answers in
+        #: ``interest_cache`` are one object (a run has a handful of
+        #: distinct interest sets and one cache entry per key and origin)
+        self.interest_sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -40,7 +44,13 @@ class ReplicationMap:
         if not replica_set:
             raise ValueError(f"group {group!r} must have at least one replica")
         self._group_replicas[group] = replica_set
+        self.clear_interest()
+
+    def clear_interest(self) -> None:
+        """Drop the interest memo and its shared answers (placement or the
+        tree changed)."""
         self.interest_cache.clear()
+        self.interest_sets.clear()
 
     @classmethod
     def full(cls, datacenters: Sequence[str]) -> "ReplicationMap":

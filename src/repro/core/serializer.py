@@ -51,8 +51,8 @@ def interest_of(label: Label, replication: ReplicationMap) -> FrozenSet[str]:
 
     The answer depends only on ``(type, target, origin_dc)``, so results
     are memoized on the replication map (shared by every serializer the
-    label traverses; invalidated by ``set_group``).  A serializer keys its
-    route cache by the answer.
+    label traverses; invalidated by ``set_group``), and equal answers are
+    one shared object.  A serializer keys its route cache by the answer.
     """
     cache = replication.interest_cache
     # an UPDATE key leaves out the type (LabelType hashes in Python) and
@@ -69,7 +69,8 @@ def interest_of(label: Label, replication: ReplicationMap) -> FrozenSet[str]:
         else:
             interested = frozenset(replication.datacenters)
         interested = interested - {label.origin_dc}
-        cache[key] = interested
+        interested = cache[key] = replication.interest_sets.setdefault(
+            interested, interested)
     return interested
 
 

@@ -62,7 +62,7 @@ class SaturnService:
         # of datacenters may differ under the new attachment/replication
         # view) and the routing views cached on the topology (stale if the
         # caller repaired a topology by mutating its fields in place).
-        self.replication.interest_cache.clear()
+        self.replication.clear_interest()
         topology.rebuild_routing()
 
         def peer_name(tree_name: str, _epoch: int = epoch) -> str:

@@ -59,7 +59,7 @@ LabelKey = Tuple[float, str]
 DISPATCH_WINDOW = 64
 
 #: how many applications between prunes of the dedup set
-APPLIED_PRUNE_INTERVAL = 4096
+APPLIED_PRUNE_INTERVAL = 512
 
 
 _NEG_INF = float("-inf")
@@ -378,12 +378,13 @@ class RemoteProxy:
     def _prune_applied(self) -> None:
         """Drop dedup entries below every origin's applied watermark (the
         watermark itself answers for those), so the set stays bounded on
-        long runs."""
+        long runs.  The floor is over the origins that have a watermark:
+        only they have entries (every add is followed by a watermark
+        advance), and under partial replication some origin may never
+        send this datacenter a label."""
         if not self.applied_ts:
             return
-        floor = min(self.applied_ts.get(dc, _NEG_INF) for dc in self._others)
-        if floor == _NEG_INF:
-            return
+        floor = min(self.applied_ts.values())
         self._applied = {key for key in self._applied if key[0] >= floor}
 
     def _stability_cut(self) -> float:

@@ -8,7 +8,7 @@ paper's practice of dropping the first minute of each run.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.stats import mean, percentile
@@ -17,15 +17,25 @@ __all__ = ["VisibilityRecorder"]
 
 
 class VisibilityRecorder:
-    """Collects per-(origin, destination) visibility latency samples."""
+    """Collects per-(origin, destination) visibility latency samples.
+
+    Columnar: each pair's latencies are one ``array('d')``, and the
+    timeline the windowed queries read is three more columns (recorded-at
+    time, pair code, latency), so a sample costs 26 bytes and no Python
+    object.  A pair's code is its index in first-seen order; the timeline
+    holds up to 65,536 distinct pairs (256 datacenters)."""
 
     def __init__(self, warmup_until: float = 0.0) -> None:
         self.warmup_until = warmup_until
-        self._samples: Dict[Tuple[str, str], List[float]] = defaultdict(list)
-        #: (recorded-at, origin, dest, latency) in record order — the
+        #: pair -> its code: the index of its column in ``_columns``
+        self._code_of: Dict[Tuple[str, str], int] = {}
+        self._columns: List[array] = []
+        #: (recorded-at, pair code, latency) in record order — the
         #: windowed queries below slice this for before/after-fault
         #: comparisons (fault-recovery regression tests)
-        self._timeline: List[Tuple[float, str, str, float]] = []
+        self._at = array("d")
+        self._pair = array("H")
+        self._latency = array("d")
         self._clock = None
 
     def bind_clock(self, sim) -> None:
@@ -33,28 +43,38 @@ class VisibilityRecorder:
         self._clock = sim
 
     def record_visibility(self, origin: str, dest: str, latency: float) -> None:
-        if self._clock is not None and self._clock.now < self.warmup_until:
+        clock = self._clock
+        if clock is not None and clock.now < self.warmup_until:
             return
-        self._samples[(origin, dest)].append(latency)
-        if self._clock is not None:
-            self._timeline.append((self._clock.now, origin, dest, latency))
+        code = self._code_of.get((origin, dest))
+        if code is None:
+            code = self._code_of[(origin, dest)] = len(self._columns)
+            self._columns.append(array("d"))
+        self._columns[code].append(latency)
+        if clock is not None:
+            self._at.append(clock.now)
+            self._pair.append(code)
+            self._latency.append(latency)
 
     # -- queries ---------------------------------------------------------
+
+    def _codes(self, origin: Optional[str],
+               dest: Optional[str]) -> List[int]:
+        """Codes of the pairs matching the filter, in first-seen order."""
+        return [code for (o, d), code in self._code_of.items()
+                if (origin is None or o == origin)
+                and (dest is None or d == dest)]
 
     def samples(self, origin: Optional[str] = None,
                 dest: Optional[str] = None) -> List[float]:
         """Samples filtered by origin and/or destination (None = any)."""
         collected: List[float] = []
-        for (o, d), values in self._samples.items():
-            if origin is not None and o != origin:
-                continue
-            if dest is not None and d != dest:
-                continue
-            collected.extend(values)
+        for code in self._codes(origin, dest):
+            collected.extend(self._columns[code])
         return collected
 
     def count(self) -> int:
-        return sum(len(v) for v in self._samples.values())
+        return sum(len(column) for column in self._columns)
 
     def mean(self, origin: Optional[str] = None,
              dest: Optional[str] = None) -> float:
@@ -65,7 +85,7 @@ class VisibilityRecorder:
         return percentile(self.samples(origin, dest), p)
 
     def pairs(self) -> List[Tuple[str, str]]:
-        return sorted(self._samples)
+        return sorted(self._code_of)
 
     # -- windowed queries (recorded-at time, not latency) -----------------
 
@@ -77,10 +97,10 @@ class VisibilityRecorder:
         Only populated when a clock is bound (the harness always binds
         one); used to compare steady-state visibility before a fault with
         visibility after recovery."""
-        return [latency for at, o, d, latency in self._timeline
-                if t0 <= at < t1
-                and (origin is None or o == origin)
-                and (dest is None or d == dest)]
+        codes = set(self._codes(origin, dest))
+        return [latency for at, code, latency
+                in zip(self._at, self._pair, self._latency)
+                if t0 <= at < t1 and code in codes]
 
     def mean_in_window(self, t0: float, t1: float,
                        origin: Optional[str] = None,

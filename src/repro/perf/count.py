@@ -9,12 +9,18 @@ work (``heapq``, dicts, sets) and change between CPython minor versions.
 Each row also gives the gen-0/1/2 garbage collections of its counted
 section, which starts from a collected heap: they are as exact as the
 opcodes, and they are where a recorder that retains objects shows.
+What a run keeps is measured on one more, untraced obs-off run of the
+same cluster: ``tracemalloc`` follows it from its first simulated event,
+and at its end, after a collection, the bytes still allocated are charged
+per op to the module whose line allocated them.  They are as repeatable
+as the counts (two runs and two hash seeds print the same bytes).
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -77,30 +83,55 @@ def _counted(obs: bool) -> Tuple[int, Counter, Counter, tuple]:
     return ops, calls, opcodes, collected
 
 
+def _retained() -> Tuple[int, Counter]:
+    """ops, and bytes per module still allocated at the end of one
+    untraced obs-off run (its cluster build excluded)."""
+    try:
+        _, result = collections(
+            obs=False, before_run=lambda cluster: tracemalloc.start())
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    module_of = {getattr(module, "__file__", None): name
+                 for name, module in list(sys.modules.items())}
+    retained: Counter = Counter()
+    for stat in snapshot.statistics("filename"):
+        filename = stat.traceback[0].filename
+        retained[module_of.get(filename, filename)] += stat.size
+    ops = sum(client.ops_completed for client in result.cluster.clients)
+    return ops, retained
+
+
 def count_work() -> List[str]:
     """The report lines: per module, calls and opcodes per op with obs off
-    and on; then one row per run with its totals and collections."""
+    and on and retained bytes per op; then one row per counted run with
+    its totals and collections, the obs ratio and the retained total."""
     runs = {"obs off": _counted(obs=False), "obs on": _counted(obs=True)}
     (off_ops, off_calls, off_opcodes, _), (on_ops, on_calls, on_opcodes, _) = \
         runs.values()
-    modules = sorted(set(off_opcodes) | set(on_opcodes),
+    kept_ops, kept = _retained()
+    modules = sorted(set(off_opcodes) | set(on_opcodes) | set(kept),
                      key=lambda name: (-off_opcodes[name],
-                                       -on_opcodes[name], name))
+                                       -on_opcodes[name], -kept[name], name))
     ratio = ((sum(on_opcodes.values()) / on_ops)
              / (sum(off_opcodes.values()) / off_ops))
     return [f"{DURATION:g} ms of geo7 Saturn, 50% updates, full replication, "
             f"seed 7, CPython {sys.version_info[0]}.{sys.version_info[1]}: "
             f"{off_ops} ops",
             f"{'module':<32}{'calls/op':>10}{'opcodes/op':>12}"
-            f"{'obs calls/op':>14}{'obs opcodes/op':>16}",
+            f"{'obs calls/op':>14}{'obs opcodes/op':>16}"
+            f"{'retained B/op':>15}",
             *(f"{name:<32}{off_calls[name] / off_ops:>10.2f}"
               f"{off_opcodes[name] / off_ops:>12.2f}"
               f"{on_calls[name] / on_ops:>14.2f}"
-              f"{on_opcodes[name] / on_ops:>16.2f}" for name in modules),
+              f"{on_opcodes[name] / on_ops:>16.2f}"
+              f"{kept[name] / kept_ops:>15.2f}" for name in modules),
             f"{'run':<10}{'ops':>8}{'calls/op':>10}{'opcodes/op':>12}"
             f"{'gen-0/1/2 collections':>24}",
             *(f"{label:<10}{ops:>8}{sum(calls.values()) / ops:>10.2f}"
               f"{sum(opcodes.values()) / ops:>12.2f}"
               f"{'/'.join(map(str, collected)):>24}"
               for label, (ops, calls, opcodes, collected) in runs.items()),
-            f"obs on/off opcodes/op: {ratio:.3f}"]
+            f"obs on/off opcodes/op: {ratio:.3f}",
+            f"retained B/op: {sum(kept.values()) / kept_ops:.2f}"]

@@ -8,7 +8,9 @@ failure path: drop the dead serializer, re-attach its datacenters), so
 serializers resolve their hot-path routing from the memo at construction,
 and a stale view silently detaches a datacenter from the new tree."""
 
+from repro.core.label import Label, LabelType
 from repro.core.replication import ReplicationMap
+from repro.core.serializer import interest_of
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.sim.engine import Simulator
@@ -64,3 +66,29 @@ def test_install_tree_drops_stale_interest_sets():
     service.install_tree(repaired, epoch=1)
 
     assert ("stale", "sentinel") not in replication.interest_cache
+
+
+def _update(key, origin):
+    return Label(LabelType.UPDATE, src=f"{origin}/g0", ts=1.0, target=key,
+                 origin_dc=origin)
+
+
+def test_equal_interest_answers_are_one_object_until_either_clear():
+    service, replication = _service()
+    replication.set_group("g1", SITES)
+    first = interest_of(_update("g0:a", "I"), replication)
+    # another key, another group, another cache entry: the same answer
+    second = interest_of(_update("g1:b", "I"), replication)
+    heartbeat = interest_of(Label(LabelType.HEARTBEAT, src="I/sink", ts=1.0,
+                                  origin_dc="I"), replication)
+    assert first == second == heartbeat == frozenset({"F", "T"})
+    assert first is second is heartbeat
+    assert len(replication.interest_cache) == 3
+    assert replication.interest_sets == {first: first}
+
+    replication.set_group("g2", ("I", "F"))
+    assert not replication.interest_cache and not replication.interest_sets
+    assert interest_of(_update("g2:c", "I"), replication) == frozenset({"F"})
+
+    service.install_tree(_chain(), epoch=1)
+    assert not replication.interest_cache and not replication.interest_sets

@@ -351,6 +351,29 @@ def test_fresh_label_of_pruned_fallback_update_does_not_block(monkeypatch):
     assert not proxy._queue and not proxy._pending_payloads
 
 
+def test_dedup_set_is_pruned_when_some_origin_sends_no_label(monkeypatch):
+    """Partial replication: T's writes are replicated nowhere else and no
+    heartbeat labels run, so no proxy ever holds a watermark for T.  The
+    prune floor is over the origins that have one, so each proxy that has
+    finalized more than an interval's worth forgets the applied updates
+    its watermarks answer for."""
+    from repro.harness.runner import Cluster, ClusterConfig
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    monkeypatch.setattr(remote_proxy, "APPLIED_PRUNE_INTERVAL", 64)
+    cluster = Cluster(ClusterConfig(system="saturn", sites=("I", "F", "T"),
+                                    clients_per_dc=4, seed=7),
+                      SyntheticWorkload())
+    cluster.run(duration=1000.0, warmup=0.0)
+    proxies = [dc.proxy for dc in cluster.datacenters.values()]
+    assert all("T" not in proxy.applied_ts for proxy in proxies)
+    pruning = [proxy for proxy in proxies
+               if proxy.updates_applied > remote_proxy.APPLIED_PRUNE_INTERVAL]
+    assert pruning
+    for proxy in pruning:
+        assert len(proxy._applied) < proxy.updates_applied
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_any_interleaving_installs_every_update_once_in_origin_order(block):
     """Label batches, payloads and bulk heartbeats from two origins in any
