@@ -161,10 +161,12 @@ def _trace_meta(checker: ModelChecker) -> dict:
 
 
 def _write_trace(hub, meta: dict, path: str) -> str:
-    """Write *hub*'s JSONL export to *path*; returns its digest."""
+    """Write *hub*'s JSONL export to *path*; returns its digest (one pass
+    over the export's lines does both)."""
+    from repro.obs import digest_jsonl
+
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(hub.export_jsonl(meta=meta))
-    return hub.digest(meta=meta)
+        return digest_jsonl(hub.tracer, meta=meta, handle=handle)
 
 
 def _traced_replay(checker: ModelChecker, decisions: List[list]):

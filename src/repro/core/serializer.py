@@ -49,17 +49,23 @@ def interest_of(label: Label, replication: ReplicationMap) -> FrozenSet[str]:
     * heartbeat / epoch-change labels -> every datacenter (they carry no
       item information, so genuine partial replication is preserved).
 
-    The answer depends only on ``(type, target, origin_dc)``, so results
+    The answer depends only on ``(type, target, origin_dc)``, and an
+    update's only on the group of its target and its origin, so results
     are memoized on the replication map (shared by every serializer the
-    label traverses; invalidated by ``set_group``), and equal answers are
-    one shared object.  A serializer keys its route cache by the answer.
+    label traverses; invalidated by ``set_group``) under at most one entry
+    per group and origin, and equal answers are one shared object.  A
+    serializer keys its route cache by the answer.
     """
     cache = replication.interest_cache
-    # an UPDATE key leaves out the type (LabelType hashes in Python) and
-    # cannot collide with the three-field key of the other types
     is_update = label.type is LabelType.UPDATE
-    key = ((label.target, label.origin_dc) if is_update
-           else (label.type, label.target, label.origin_dc))
+    if is_update:
+        # the target's text before its first ":" and whether it has one
+        # decide ReplicationMap.group_of, so all keys of a group share an
+        # entry; a str head never equals the LabelType of the other key
+        head, colon, _ = (label.target or "").partition(":")
+        key = (head, colon, label.origin_dc)
+    else:
+        key = (label.type, label.target, label.origin_dc)
     interested = cache.get(key)
     if interested is None:
         if is_update:

@@ -24,12 +24,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.datacenter.datacenter import SaturnDatacenter
-from repro.obs.export import (SCHEMA, export_chrome, export_jsonl,
-                              trace_digest)
+from repro.obs.export import (SCHEMA, digest_jsonl, export_chrome,
+                              export_jsonl, trace_digest)
 from repro.obs.trace import LabelTracer, Span, TraceEvent, chain_problems
 
 __all__ = ["ObsHub", "LabelTracer", "TraceEvent", "Span", "SCHEMA",
-           "chain_problems", "attach_tracer", "export_jsonl", "export_chrome", "trace_digest"]
+           "chain_problems", "attach_tracer", "export_jsonl", "export_chrome",
+           "digest_jsonl", "trace_digest"]
 
 
 class ObsHub:
@@ -59,7 +60,8 @@ class ObsHub:
         return export_chrome(self.tracer)
 
     def digest(self, meta: Optional[dict] = None) -> str:
-        return trace_digest(self.export_jsonl(meta=meta))
+        """SHA-256 of :meth:`export_jsonl`, without building the export."""
+        return digest_jsonl(self.tracer, meta=meta)
 
 
 def attach_tracer(deployment) -> ObsHub:

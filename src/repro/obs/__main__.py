@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.obs import ObsHub, attach_tracer, trace_digest
+from repro.obs import ObsHub, attach_tracer, digest_jsonl
 from repro.obs.report import format_breakdown, pair_breakdown
 
 __all__ = ["main"]
@@ -103,8 +103,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         pairs = args.pair or [["T", "S"]]
         source = f"fig4-mconf/{args.scale}"
 
-    exported = hub.export_jsonl(meta={"source": source})
-    digest = trace_digest(exported)
+    # one pass over the export's lines hashes it and writes --jsonl
+    if args.jsonl:
+        Path(args.jsonl).parent.mkdir(parents=True, exist_ok=True)
+        with open(args.jsonl, "w", encoding="utf-8") as handle:
+            digest = digest_jsonl(hub.tracer, meta={"source": source},
+                                  handle=handle)
+    else:
+        digest = hub.digest(meta={"source": source})
     failures: List[str] = []
 
     summary = {"source": source, "digest": digest,
@@ -150,9 +156,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not deterministic:
             failures.append(f"nondeterministic trace: {digest} vs {digest2}")
 
-    if args.jsonl:
-        Path(args.jsonl).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.jsonl).write_text(exported)
     if args.chrome:
         Path(args.chrome).parent.mkdir(parents=True, exist_ok=True)
         Path(args.chrome).write_text(

@@ -9,6 +9,12 @@ execution.  The
 golden-trace tests commit one export verbatim; change the schema and they
 tell you.
 
+Every consumer streams the lines of :func:`iter_jsonl` instead of joining
+them: :func:`export_jsonl` appends each line's ASCII bytes to one growing
+``bytearray`` and decodes it once, and :func:`digest_jsonl` hashes each
+line as it is produced (writing it to a file in the same pass if asked),
+so neither holds a list of line strings or a second copy of the export.
+
 The Chrome export produces a ``chrome://tracing`` / Perfetto-loadable
 trace-event JSON: one complete (``ph: "X"``) event per derived span with a
 process row per simulated node, timestamps converted from simulated
@@ -19,17 +25,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterator, List, Optional
+from typing import IO, Iterator, List, Optional
 
 from repro.obs.trace import LabelTracer, derive_spans
 
 __all__ = ["SCHEMA", "iter_jsonl", "export_jsonl", "export_chrome",
-           "trace_digest"]
+           "digest_jsonl", "trace_digest"]
 
 SCHEMA = "saturn-obs/v1"
 
 
 def _dumps(obj: dict) -> str:
+    # ensure_ascii (the default) keeps every line ASCII: one byte per char
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -57,8 +64,29 @@ def iter_jsonl(tracer: LabelTracer,
 
 
 def export_jsonl(tracer: LabelTracer, meta: Optional[dict] = None) -> str:
-    """Canonical JSON-lines export (deterministic bytes)."""
-    return "".join(iter_jsonl(tracer, meta))
+    """Canonical JSON-lines export (deterministic bytes).
+
+    The lines go into one ``bytearray``, which is freed in one piece once
+    the string is decoded; a join would keep the freed line strings'
+    pages resident between live objects.
+    """
+    buffer = bytearray()
+    for line in iter_jsonl(tracer, meta):
+        buffer += line.encode("ascii")
+    return buffer.decode("ascii")
+
+
+def digest_jsonl(tracer: LabelTracer, meta: Optional[dict] = None,
+                 handle: Optional[IO[str]] = None) -> str:
+    """SHA-256 of the canonical export, hashed one line at a time; each
+    line is also written to the text *handle* if one is given, so one
+    pass writes a trace file and returns its digest."""
+    sha = hashlib.sha256()
+    for line in iter_jsonl(tracer, meta):
+        sha.update(line.encode("ascii"))
+        if handle is not None:
+            handle.write(line)
+    return sha.hexdigest()
 
 
 def trace_digest(exported: str) -> str:

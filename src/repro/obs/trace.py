@@ -10,11 +10,14 @@ type, target, origin, from, to, disposition, mode) is an id from one
 interned-atom table and ``dwell`` / ``epoch`` are raw numbers.  Each hook
 has this one write path, so its arguments are the simulator's own values:
 ``t``, ``ts`` and ``dwell`` are doubles, ``epoch`` an int64 and every atom
-a ``str`` or ``None``.  Annotations, gauges and counts are rare and carry
-values of any type: each keeps a typed tuple in a side list, and its
-record in the log is that tuple's index, so there is still one log order.
-Every record reads back as exactly the tuple it stands for
-(:meth:`LabelTracer.records`):
+a ``str`` or ``None``.  A count is packed the same way (code, ``t``,
+component and name ids), and so is a gauge whose value is an ``int``
+(int64, code ``INT_GAUGE``) or a ``float`` (double, code ``GAUGE``), when
+``t`` is a float.  Annotations, and gauges and counts at an int ``t`` or
+with a value of any other type (a ``bool``), keep a typed tuple in a side
+list, and their record in the log is that tuple's index, so there is
+still one log order.  Every record reads back as exactly the tuple it
+stands for (:meth:`LabelTracer.records`):
 
     label event   (t, code, node, label.ts, label.src, *payload)
     annotation    (t, ANNOTATE, node, kind, key, value, key, value, ...)
@@ -112,11 +115,12 @@ class Span:
                 "start": self.start, "end": self.end, "parent": self.parent}
 
 
-# record codes; a label event's code indexes _KINDS and _LAYOUTS, and a
-# TUPLE record stands for a tuple of the side list (whose own code is any
-# of the others)
+# record codes; a label event's code indexes _KINDS, every packed
+# record's code indexes _LAYOUTS, and a TUPLE record stands for a tuple of
+# the side list (whose own code is any of the others but INT_GAUGE, which
+# reads back as a GAUGE tuple)
 (ISSUE, FLUSH, REPLAY, SER_ARRIVE, SER_FORWARD, DELIVER, VISIBLE, FINALIZED,
- ANNOTATE, GAUGE, COUNT, TUPLE) = range(12)
+ ANNOTATE, GAUGE, COUNT, TUPLE, INT_GAUGE) = range(13)
 
 #: code -> (event kind, names of the payload fields, counter component
 #: prefix, counter name, index of the payload field appended to that name)
@@ -135,17 +139,18 @@ _KINDS = (
 RECORD = calcsize("<BddIIIII")
 
 
-def _layout(payload: str, decode: Callable[[tuple, list], tuple]
+def _layout(payload: str, decode: Callable[[tuple, list], tuple],
+            head: str = "BddII"
             ) -> Tuple[Struct, Callable[[tuple, list], tuple]]:
-    """A label event's record: code, t, ts, node id, src id, then
-    *payload* (struct format characters; ``I`` is an atom id), padded to
-    ``RECORD``; and *decode*, which turns its unpacked fields ``f`` and
-    the atom list ``a`` back into the record's tuple."""
-    head = "<BddII" + payload
-    return Struct(f"{head}{RECORD - calcsize(head)}x"), decode
+    """A packed record: *head* (a label event's code, t, ts, node id and
+    src id), then *payload* (struct format characters; ``I`` is an atom
+    id), padded to ``RECORD``; and *decode*, which turns its unpacked
+    fields ``f`` and the atom list ``a`` back into the record's tuple."""
+    fields = f"<{head}{payload}"
+    return Struct(f"{fields}{RECORD - calcsize(fields)}x"), decode
 
 
-#: code -> (record layout, decoder)
+#: code -> (record layout, decoder); None for the codes never packed
 _LAYOUTS = (
     # ISSUE: type, target, origin
     _layout("III", lambda f, a: (f[1], ISSUE, a[f[3]], f[2], a[f[4]],
@@ -169,9 +174,23 @@ _LAYOUTS = (
                                a[f[5]])),
     # FINALIZED
     _layout("", lambda f, a: (f[1], FINALIZED, a[f[3]], f[2], a[f[4]])),
+    None,
+    # GAUGE of a float: code, t, component, name, value
+    _layout("d", lambda f, a: (f[1], GAUGE, a[f[2]], a[f[3]], f[4]),
+            head="BdII"),
+    # COUNT: code, t, component, name
+    _layout("", lambda f, a: (f[1], COUNT, a[f[2]], a[f[3]]), head="BdII"),
+    None,
+    # INT_GAUGE, a GAUGE of an int: code, t, component, name, value
+    _layout("q", lambda f, a: (f[1], GAUGE, a[f[2]], a[f[3]], f[4]),
+            head="BdII"),
 )
 (_ISSUE, _FLUSH, _REPLAY, _SER_ARRIVE, _SER_FORWARD, _DELIVER, _VISIBLE,
- _FINALIZED) = (layout.pack for layout, _ in _LAYOUTS)
+ _FINALIZED) = (layout.pack for layout, _ in _LAYOUTS[:ANNOTATE])
+_GAUGE, _COUNT, _INT_GAUGE = (_LAYOUTS[code][0].pack
+                              for code in (GAUGE, COUNT, INT_GAUGE))
+#: the values an INT_GAUGE record holds
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 #: records per chunk of the log (just under 64 KiB).  Every chunk fills
 #: to the same size and stops: one buffer grown by reallocation over a
 #: whole run left the heap in one of two layouts from run to run, and the
@@ -243,11 +262,14 @@ class LabelTracer:
 
     def record(self, record: tuple) -> None:
         """Append *record*, a tuple of the module docstring's forms, as
-        itself: the writer of annotations, gauges and counts, and of
-        records replayed from :meth:`records`."""
-        log = self._log
-        log += _TUPLE.pack(TUPLE, len(self._tuples))
+        itself: the writer of annotations, of gauges and counts that
+        cannot be packed, and of records replayed from :meth:`records`."""
+        self._append(_TUPLE.pack(TUPLE, len(self._tuples)))
         self._tuples.append(record)
+
+    def _append(self, packed: bytes) -> None:
+        log = self._log
+        log += packed
         if len(log) == _CHUNK_BYTES:
             self._seal()
 
@@ -320,10 +342,26 @@ class LabelTracer:
 
     def gauge(self, t: float, component: str, name: str,
               value: float) -> None:
+        if type(t) is float:
+            kind = type(value)
+            if kind is float:
+                ids = self._ids
+                self._append(_GAUGE(GAUGE, t, ids[component], ids[name],
+                                    value))
+                return
+            if kind is int and _INT64_MIN <= value <= _INT64_MAX:
+                ids = self._ids
+                self._append(_INT_GAUGE(INT_GAUGE, t, ids[component],
+                                        ids[name], value))
+                return
         self.record((t, GAUGE, component, name, value))
 
     def count(self, t: float, component: str, name: str) -> None:
-        self.record((t, COUNT, component, name))
+        if type(t) is float:
+            ids = self._ids
+            self._append(_COUNT(COUNT, t, ids[component], ids[name]))
+        else:
+            self.record((t, COUNT, component, name))
 
     def _seal(self) -> None:
         """Start the next chunk: the current one is full."""
@@ -371,6 +409,8 @@ class LabelTracer:
                     if code >= ANNOTATE:
                         continue
                     key = (record[3], record[4])
+                elif code >= ANNOTATE:
+                    continue       # a packed gauge or count
                 else:
                     key = (ts, atoms[src])
                 numbers = positions.get(key)

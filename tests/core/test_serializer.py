@@ -69,6 +69,25 @@ def test_interest_of_update_is_replica_set_minus_origin():
     assert interest_of(label, replication) == frozenset({"F"})
 
 
+def test_interest_of_memo_holds_one_update_entry_per_group_and_origin():
+    """Keys of one group share a memo entry; a key that only looks like a
+    group's (no ":", no leading "g", or none at all) gets the default
+    replica set, however the memo met its group first."""
+    replication = ReplicationMap(["I", "F", "T"])
+    replication.set_group("gx", ["I", "F"])
+    targets = ["gx:0", "gx", "gx:1", "x:0", ":gx", None, "gx:2:3"]
+    answers = [interest_of(update_label(1.0, "I", key=target), replication)
+               for target in targets]
+    assert answers == [replication.replicas(target or "") - {"I"}
+                       for target in targets]
+    assert answers[0] == answers[2] == answers[6] == frozenset({"F"})
+    assert answers[1] == answers[3] == frozenset({"F", "T"})
+    # gx:*, gx, x:*, :gx and the empty target: five update entries
+    assert len(replication.interest_cache) == 5
+    interest_of(update_label(2.0, "F", key="gx:9"), replication)
+    assert len(replication.interest_cache) == 6
+
+
 def test_interest_of_migration_is_target():
     replication = ReplicationMap(["I", "F", "T"])
     label = Label(LabelType.MIGRATION, src="I/g0", ts=1.0, target="T",

@@ -2,9 +2,29 @@
 (both entry points), harness ``obs=True`` wiring, and the trace exports
 grown onto the faults / model-checker CLIs."""
 
+import hashlib
 import json
 
+from repro.obs import export
 from repro.obs.__main__ import main as obs_main
+
+#: SHA-256 of the serializer-crash scenario's trace with the mc CLI's
+#: header, as written before the trace file was streamed
+SERIALIZER_CRASH_TRACE_SHA256 = \
+    "effd2877acc55db8d8217aa1f0bfeb6ebebc4672453b8035d4e10e427e26917a"
+
+
+def _count_exports(monkeypatch) -> list:
+    """Count the passes over the canonical export's lines."""
+    calls = []
+    iter_jsonl = export.iter_jsonl
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iter_jsonl(*args, **kwargs)
+
+    monkeypatch.setattr(export, "iter_jsonl", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +60,19 @@ def test_obs_cli_scenario_run_writes_all_exports(tmp_path, capsys):
     pair = summary["pairs"]["I->T"]
     assert pair["labels"] > 0
     assert pair["max_sum_error"] <= 1e-6
+
+
+def test_obs_cli_hashes_and_writes_the_export_in_one_pass(tmp_path,
+                                                         monkeypatch):
+    jsonl = tmp_path / "trace.jsonl"
+    summary_path = tmp_path / "summary.json"
+    calls = _count_exports(monkeypatch)
+    assert obs_main(["--scenario", "chain3", "--jsonl", str(jsonl),
+                     "--json", str(summary_path)]) == 0
+    assert len(calls) == 1
+    summary = json.loads(summary_path.read_text())
+    assert summary["digest"] == hashlib.sha256(
+        jsonl.read_bytes()).hexdigest()
 
 
 def test_obs_cli_scenario_determinism_check(capsys):
@@ -127,6 +160,26 @@ def test_faults_cli_trace_out_and_obs_determinism(tmp_path, capsys):
     assert len(payload["trace_digest"]) == 64
     header = json.loads(trace.read_text().split("\n", 1)[0])
     assert header["meta"] == {"scenario": "serializer-crash"}
+
+
+def test_write_trace_streams_the_export_once(tmp_path, monkeypatch):
+    """The trace file and its digest come from one pass over the lines,
+    and they are the bytes the whole export was."""
+    from repro.analysis.mc.__main__ import _write_trace
+    from repro.analysis.mc.scenario import build_scenario
+    from repro.obs import attach_tracer, trace_digest
+
+    scenario = build_scenario("serializer-crash")
+    hub = attach_tracer(scenario)
+    scenario.run()
+    meta = {"scenario": "serializer-crash"}
+    trace = tmp_path / "trace.jsonl"
+    calls = _count_exports(monkeypatch)
+    digest = _write_trace(hub, meta, str(trace))
+    assert len(calls) == 1
+    assert digest == SERIALIZER_CRASH_TRACE_SHA256
+    assert trace.read_bytes() == hub.export_jsonl(meta).encode("utf-8")
+    assert trace_digest(hub.export_jsonl(meta)) == digest
 
 
 def test_model_checker_instrument_hook():

@@ -20,7 +20,9 @@ counter's value and series, every gauge, the ``saturn-obs/v1`` bytes, the
 Chrome document, and every record, field by field and type by type.
 Whole runs (two chaos scenarios and an open-loop overload run) feed both
 through every hook call and must fold to the same metrics and read back
-the same records.
+the same records.  The streamed export is held to the joined lines it
+replaced, and its digest to the digest of the whole export, without
+holding a copy of it.
 
 The two pinned digests were captured from the old recorder before it was
 replaced (commit 9ad2de5): the full ``geo7_writes_obs`` benchmark block and
@@ -29,6 +31,7 @@ the chain3 golden fixture.
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,8 @@ from hypothesis import strategies as st
 
 from repro.core.label import Label, LabelType
 from repro.obs import LabelTracer
-from repro.obs.export import export_chrome, export_jsonl
+from repro.obs.export import (export_chrome, export_jsonl, iter_jsonl,
+                              trace_digest)
 from repro.obs.trace import (ANNOTATE, CHUNK, COUNT, DELIVER, FINALIZED,
                               FLUSH, GAUGE, ISSUE, REPLAY, SER_ARRIVE,
                               SER_FORWARD, VISIBLE, TraceEvent)
@@ -510,10 +514,11 @@ def test_chain3_golden_fixture_is_the_file_the_old_recorder_wrote():
             == CHAIN3_GOLDEN_SHA256)
 
 
-def test_geo7_writes_obs_block_export_is_byte_identical():
-    """The benchmark's ``geo7_writes_obs`` block (bench/workloads.py:
-    seven EC2 sites, 28 clients, 50% updates fully replicated, seed 7,
-    400 simulated ms) must export the bytes the old recorder exported."""
+@pytest.fixture(scope="module")
+def geo7_block():
+    """The obs hub of the benchmark's ``geo7_writes_obs`` block
+    (bench/workloads.py: seven EC2 sites, 28 clients, 50% updates fully
+    replicated, seed 7, 400 simulated ms), run once per module."""
     from repro.config.latencies import EC2_REGIONS, ec2_latency
     from repro.config.placement import find_configuration
     from repro.harness.runner import Scale, run_once
@@ -530,7 +535,13 @@ def test_geo7_writes_obs_block_export_is_byte_identical():
                    num_partitions=2, seed=7)
     result = run_once("saturn", workload, sizing, sites=sites,
                       topology=topology, replication=layout, obs=True)
-    hub = result.cluster.obs_hub
+    return result.cluster.obs_hub
+
+
+def test_geo7_writes_obs_block_export_is_byte_identical(geo7_block):
+    """The ``geo7_writes_obs`` block must export the bytes the old
+    recorder exported."""
+    hub = geo7_block
     exported = hub.export_jsonl().encode("utf-8")
     assert len(exported) == GEO7_WRITES_OBS_BYTES
     assert hashlib.sha256(exported).hexdigest() == GEO7_WRITES_OBS_SHA256
@@ -540,3 +551,52 @@ def test_geo7_writes_obs_block_export_is_byte_identical():
     assert hashlib.sha256(json.dumps(
         hub.export_chrome(), sort_keys=True).encode()).hexdigest() == \
         "4fa01d051a9043ae05e27941e792e64ff4754267279ee58b2dfc9217ead1c97a"
+
+
+# ---------------------------------------------------------------------------
+# the streamed export
+# ---------------------------------------------------------------------------
+
+def _chain3_golden_tracer():
+    from repro.analysis.mc.scenario import build_chain3
+    from repro.obs import attach_tracer
+
+    scenario = build_chain3("golden", horizon=40.0)
+    hub = attach_tracer(scenario)
+    scenario.run()
+    return hub.tracer
+
+
+@pytest.mark.parametrize("name", ["chain3-golden", "overload"])
+def test_export_is_the_join_of_its_lines(name, teed_run):
+    """One buffer of the lines' bytes, decoded once, is the string the
+    join of the lines built."""
+    tracer = (_chain3_golden_tracer() if name == "chain3-golden"
+              else teed_run(name)[0])
+    meta = {"fixture": name}
+    assert export_jsonl(tracer, meta) == "".join(iter_jsonl(tracer, meta))
+    assert export_jsonl(tracer) == "".join(iter_jsonl(tracer))
+
+
+def test_streamed_digest_is_the_digest_of_the_export(geo7_block):
+    hub = geo7_block
+    assert hub.digest() == trace_digest(hub.export_jsonl()) \
+        == GEO7_WRITES_OBS_SHA256
+    meta = {"source": "geo7_writes_obs"}
+    assert hub.digest(meta) == trace_digest(hub.export_jsonl(meta))
+
+
+def test_digest_holds_no_copy_of_the_export(geo7_block):
+    """Hashing line by line never allocates the 8 MB export (nor its
+    encoded copy): the digest's peak is a few lines, the chain order and
+    the metrics fold."""
+    hub = geo7_block
+    hub.tracer.num_chains()    # the chain index is the tracer's own state
+    tracemalloc.start()
+    try:
+        digest = hub.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == GEO7_WRITES_OBS_SHA256
+    assert peak < 0.05 * GEO7_WRITES_OBS_BYTES
