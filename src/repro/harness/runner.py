@@ -105,10 +105,16 @@ class ClusterConfig:
     overload: Optional[OverloadConfig] = None
 
     def __post_init__(self) -> None:
-        protocol = protocol_named(self.system)
-        if self.auto_failover and not protocol.has_tree:
-            raise ValueError(f"auto_failover needs a serializer tree; "
-                             f"{self.system!r} has none")
+        if not protocol_named(self.system).has_tree:
+            # the failover coordinator, the beacons and the overload
+            # bounds all act on the serializer tree: without one they
+            # would be silently dropped or fail in a datacenter factory
+            for name, wanted in (("auto_failover", self.auto_failover),
+                                 ("beacon_period", self.beacon_period > 0),
+                                 ("overload", self.overload is not None)):
+                if wanted:
+                    raise ValueError(f"{name} needs a serializer tree; "
+                                     f"{self.system!r} has none")
         if (self.dc_params.get("beacon_timeout", 0) > 0
                 and self.beacon_period <= 0):
             # beacons are the detector's only evidence, of silence and of
@@ -116,6 +122,9 @@ class ClusterConfig:
             raise ValueError("dc_params beacon_timeout needs beacon_period "
                              "> 0: the failure detector listens for "
                              "serializer beacons")
+        if "num_partitions" in self.dc_params:
+            raise ValueError("dc_params num_partitions is a ClusterConfig "
+                             "field: pass num_partitions=...")
         for key in ("sink_credits", "sink_buffer_cap"):
             if key in self.dc_params:
                 # credits only return from a serializer with a service

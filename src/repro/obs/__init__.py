@@ -24,13 +24,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.datacenter.datacenter import SaturnDatacenter
-from repro.obs.export import (SCHEMA, digest_jsonl, export_chrome,
-                              export_jsonl, trace_digest)
+from repro.obs.export import SCHEMA, digest_jsonl, export_chrome, export_jsonl
 from repro.obs.trace import LabelTracer, Span, TraceEvent, chain_problems
 
 __all__ = ["ObsHub", "LabelTracer", "TraceEvent", "Span", "SCHEMA",
            "chain_problems", "attach_tracer", "export_jsonl", "export_chrome",
-           "digest_jsonl", "trace_digest"]
+           "digest_jsonl"]
 
 
 class ObsHub:

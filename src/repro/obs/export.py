@@ -30,7 +30,7 @@ from typing import IO, Iterator, List, Optional
 from repro.obs.trace import LabelTracer, derive_spans
 
 __all__ = ["SCHEMA", "iter_jsonl", "export_jsonl", "export_chrome",
-           "digest_jsonl", "trace_digest"]
+           "digest_jsonl"]
 
 SCHEMA = "saturn-obs/v1"
 
@@ -87,11 +87,6 @@ def digest_jsonl(tracer: LabelTracer, meta: Optional[dict] = None,
         if handle is not None:
             handle.write(line)
     return sha.hexdigest()
-
-
-def trace_digest(exported: str) -> str:
-    """SHA-256 over the canonical export bytes."""
-    return hashlib.sha256(exported.encode("utf-8")).hexdigest()
 
 
 def export_chrome(tracer: LabelTracer) -> dict:

@@ -27,7 +27,6 @@ def test_fifo_run_is_clean_and_has_choice_points(name):
     assert outcome.decisions, "a run with zero choice points proves nothing"
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", ("eunomia-chain3", "okapi-chain3"))
 def test_exhaustive_sweep_is_clean(name):
     result = ModelChecker(name).sweep_exhaustive(depth=3)
@@ -35,7 +34,6 @@ def test_exhaustive_sweep_is_clean(name):
     assert result.runs > 1
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", ("eunomia-chain3", "okapi-chain3"))
 def test_delay_sweep_is_clean(name):
     result = ModelChecker(name).sweep_delay(budget=6, seed=11)

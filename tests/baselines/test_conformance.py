@@ -29,8 +29,6 @@ FIVE_WAY = ("saturn", "gentlerain", "cure", "eunomia", "okapi")
 CHAIN3 = ("I", "F", "T")
 TREE5 = ("NV", "I", "F", "T", "S")
 TOPOLOGIES = {"chain3": CHAIN3, "tree5": TREE5}
-#: tree5 runs are ~2x the chain3 cost: keep them out of the default lane
-TOPO_PARAMS = ["chain3", pytest.param("tree5", marks=pytest.mark.slow)]
 
 
 def run_cluster(system, sites=CHAIN3, workload=None, duration=600.0,
@@ -104,7 +102,7 @@ def assert_linear_extension(log, replication):
 # shared oracles, all five systems x both topologies
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("topo", TOPO_PARAMS)
+@pytest.mark.parametrize("topo", TOPOLOGIES)
 @pytest.mark.parametrize("system", FIVE_WAY)
 def test_causal_visibility_and_sessions(system, topo):
     results, log, _ = checked_run(system, topo)
@@ -112,7 +110,7 @@ def test_causal_visibility_and_sessions(system, topo):
     assert log.check() == []
 
 
-@pytest.mark.parametrize("topo", TOPO_PARAMS)
+@pytest.mark.parametrize("topo", TOPOLOGIES)
 @pytest.mark.parametrize("system", FIVE_WAY)
 def test_visibility_is_linear_extension_of_happens_before(system, topo):
     _, log, cluster = checked_run(system, topo)
@@ -165,7 +163,6 @@ def test_double_run_digest_determinism(system):
 # property tests: randomized workload shapes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 @pytest.mark.parametrize("system", FIVE_WAY)
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,

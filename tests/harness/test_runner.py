@@ -11,6 +11,7 @@ from repro.baselines.gentlerain import GentleRainDatacenter, gentlerain_merge
 from repro.core.replication import ReplicationMap
 from repro.core.tree import TreeTopology
 from repro.datacenter.datacenter import DatacenterParams
+from repro.datacenter.overload import OverloadConfig
 from repro.datacenter.script import ScriptedWorkload
 from repro.harness import experiments
 from repro.harness.runner import SYSTEMS, Cluster, ClusterConfig, Scale
@@ -44,6 +45,23 @@ def test_auto_failover_needs_a_serializer_tree():
                 ClusterConfig(system=system, auto_failover=True)
 
 
+@pytest.mark.parametrize("setting", (
+    dict(beacon_period=25.0),
+    dict(overload=OverloadConfig(sink_buffer_cap=50, sink_credits=20,
+                                 serializer_service_rate=2.0))),
+    ids=("beacon_period", "overload"))
+def test_tree_settings_need_a_serializer_tree(setting):
+    """Beacons and the overload bounds act on the serializer tree: a
+    system without one refuses them up front, naming the field, instead
+    of ignoring them or failing in its datacenter factory."""
+    (name,) = setting
+    assert getattr(ClusterConfig(system="saturn", **setting), name)
+    for system in SYSTEMS:
+        if not PROTOCOLS[system].has_tree:
+            with pytest.raises(ValueError, match=f"{name} needs a serializer tree"):
+                ClusterConfig(system=system, **setting)
+
+
 def test_failure_detector_needs_beacons():
     """Beacons are the detector's only evidence: a detector with nothing
     to listen for would degrade every healthy datacenter."""
@@ -64,6 +82,13 @@ def test_overload_knobs_are_not_datacenter_params(knob):
     would wedge the sink on its first batch."""
     with pytest.raises(ValueError, match=r"overload=OverloadConfig\(\.\.\.\)"):
         ClusterConfig(system="saturn", dc_params={knob: 20})
+
+
+def test_num_partitions_is_not_a_datacenter_param():
+    """``num_partitions`` is a field every factory is called with; in
+    ``dc_params`` too it would reach the factory twice."""
+    with pytest.raises(ValueError, match="pass num_partitions="):
+        ClusterConfig(system="saturn", dc_params={"num_partitions": 4})
 
 
 def test_cluster_config_repeats_no_datacenter_param():

@@ -1,7 +1,5 @@
 """Fault tolerance: Saturn outages never impair data availability (§6.1)."""
 
-import pytest
-
 from repro.harness.runner import Cluster, ClusterConfig
 from repro.verify.checker import ExecutionLog
 from repro.workloads.synthetic import SyntheticWorkload
@@ -23,7 +21,6 @@ def build(seed=1):
     return cluster, log
 
 
-@pytest.mark.slow
 def test_outage_detected_and_updates_keep_flowing():
     cluster, log = build()
     cluster.sim.schedule(300.0, lambda: cluster.service.fail_tree())
@@ -60,7 +57,6 @@ def test_no_outage_without_failure():
     assert log.check() == []
 
 
-@pytest.mark.slow
 def test_fallback_preserves_causality_across_seeds():
     for seed in (2, 5):
         cluster, log = build(seed=seed)

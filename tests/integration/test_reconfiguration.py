@@ -1,7 +1,5 @@
 """Online reconfiguration (§6.2): fast path and failure path end-to-end."""
 
-import pytest
-
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.tree import TreeTopology
 from repro.harness.runner import Cluster, ClusterConfig
@@ -26,7 +24,6 @@ def build(seed=1):
     return cluster, log, manager, c2
 
 
-@pytest.mark.slow
 def test_fast_path_completes_quickly():
     cluster, log, manager, c2 = build()
     cluster.sim.schedule(300.0, lambda: manager.reconfigure(c2))
@@ -40,7 +37,6 @@ def test_fast_path_completes_quickly():
     assert log.check() == []
 
 
-@pytest.mark.slow
 def test_fast_path_no_updates_lost():
     cluster, log, manager, c2 = build()
     cluster.sim.schedule(300.0, lambda: manager.reconfigure(c2))
@@ -51,7 +47,6 @@ def test_fast_path_no_updates_lost():
     assert log.check() == []
 
 
-@pytest.mark.slow
 def test_failure_path_reconfiguration():
     cluster, log, manager, c2 = build()
 
@@ -78,7 +73,6 @@ def test_new_epoch_used_after_switch():
     assert cluster.service.current_epoch == epoch
 
 
-@pytest.mark.slow
 def test_failure_path_visibility_resumes():
     """After the emergency switch, remote updates must keep becoming
     visible through the new tree (regression: payloads parked for the

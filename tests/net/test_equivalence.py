@@ -117,7 +117,6 @@ def test_sim_sequences_satisfy_the_net_smoke_contract(system):
     _assert_oracle_holds(spec, _sim_log(spec))
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("system", sorted(PROTOCOLS))
 def test_tcp_transport_agrees_with_the_sim_transport(system, tmp_path):
     """Boot the real 3-DC TCP cluster and compare against the sim run."""

@@ -167,7 +167,7 @@ def test_write_trace_streams_the_export_once(tmp_path, monkeypatch):
     and they are the bytes the whole export was."""
     from repro.analysis.mc.__main__ import _write_trace
     from repro.analysis.mc.scenario import build_scenario
-    from repro.obs import attach_tracer, trace_digest
+    from repro.obs import attach_tracer
 
     scenario = build_scenario("serializer-crash")
     hub = attach_tracer(scenario)
@@ -179,7 +179,8 @@ def test_write_trace_streams_the_export_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert digest == SERIALIZER_CRASH_TRACE_SHA256
     assert trace.read_bytes() == hub.export_jsonl(meta).encode("utf-8")
-    assert trace_digest(hub.export_jsonl(meta)) == digest
+    assert hashlib.sha256(hub.export_jsonl(meta).encode("utf-8")).hexdigest() \
+        == digest
 
 
 def test_model_checker_instrument_hook():
