@@ -2,9 +2,10 @@
 
 :class:`Cluster` is the one builder of a simulated deployment.  It
 assembles any system of the protocol table (:mod:`repro.protocols`;
-``saturn-repro list`` prints it): one datacenter per site with
-Table-1-style latencies, the Saturn serializer tree if the protocol has
-one, and the clients — the workload's own roster if it supplies one
+``saturn-repro list`` prints it) with Table-1-style latencies: one
+datacenter per site and the serializer tree if the protocol has one
+(through :class:`~repro.protocols.Deployment`, the socket nodes' site
+builder too), and the clients — the workload's own roster if it has one
 (:class:`~repro.datacenter.script.ScriptedWorkload`), else closed-loop
 clients per site or open-loop arrival sources.  A run lasts a simulated
 duration and returns throughput and visibility-latency results with a
@@ -24,18 +25,14 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.config.latencies import (EC2_REGIONS, ec2_latency,
                                     ec2_latency_model)
 from repro.config.placement import find_configuration
-from repro.core.failover import AutoFailover
-from repro.core.reconfig import ReconfigurationManager
 from repro.core.replication import ReplicationMap
-from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
 from repro.datacenter.client import ClientProcess
 from repro.datacenter.overload import OverloadConfig
-from repro.protocols import SYSTEMS, protocol_named
+from repro.protocols import SYSTEMS, Deployment, check_params, protocol_named
 from repro.workloads.openloop import OpenLoopClient, OpenLoopSource
 from repro.metrics import OpRecorder, VisibilityRecorder
 from repro.sim.clock import ClockFactory
-from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import RngRegistry
@@ -105,32 +102,11 @@ class ClusterConfig:
     overload: Optional[OverloadConfig] = None
 
     def __post_init__(self) -> None:
-        if not protocol_named(self.system).has_tree:
-            # the failover coordinator, the beacons and the overload
-            # bounds all act on the serializer tree: without one they
-            # would be silently dropped or fail in a datacenter factory
-            for name, wanted in (("auto_failover", self.auto_failover),
-                                 ("beacon_period", self.beacon_period > 0),
-                                 ("overload", self.overload is not None)):
-                if wanted:
-                    raise ValueError(f"{name} needs a serializer tree; "
-                                     f"{self.system!r} has none")
-        if (self.dc_params.get("beacon_timeout", 0) > 0
-                and self.beacon_period <= 0):
-            # beacons are the detector's only evidence, of silence and of
-            # recovery alike: without them every datacenter degrades
-            raise ValueError("dc_params beacon_timeout needs beacon_period "
-                             "> 0: the failure detector listens for "
-                             "serializer beacons")
+        check_params(self.system, self.dc_params, self.beacon_period,
+                     self.overload, self.auto_failover)
         if "num_partitions" in self.dc_params:
             raise ValueError("dc_params num_partitions is a ClusterConfig "
                              "field: pass num_partitions=...")
-        for key in ("sink_credits", "sink_buffer_cap"):
-            if key in self.dc_params:
-                # credits only return from a serializer with a service
-                # rate, which OverloadConfig checks comes with them
-                raise ValueError(f"dc_params {key} is an overload knob: "
-                                 f"pass overload=OverloadConfig(...)")
         if self.latency_model is None:
             self.latency_model = ec2_latency_model(LOCAL_LATENCY)
 
@@ -173,17 +149,20 @@ class Cluster:
         self.replication = config.replication or self.workload.replication_map(
             self.sites, latency, self.rng)
 
-        self.service: Optional[SaturnService] = None
-        self.datacenters: Dict[str, object] = {}
+        params = dict(config.dc_params, num_partitions=config.num_partitions)
+        site = Deployment(self.sim, self.network, self.protocol,
+                          self.replication, self.sites, self.clocks.create,
+                          self.metrics, params, overload=config.overload)
+        site.attach(config.saturn_topology, auto_failover=config.auto_failover,
+                    beacon_period=config.beacon_period)
+        self.datacenters, self.service = site.datacenters, site.service
+        #: reconfiguration entry point (iff a tree) and recovery coordinator
+        self.manager, self.failover = site.manager, site.failover
         self.clients: List[ClientProcess] = []
         self.sources: List[OpenLoopSource] = []
         self.execution_log = None
-        #: reconfiguration entry point, present iff the protocol has a tree
-        self.manager: Optional[ReconfigurationManager] = None
-        self.failover: Optional[AutoFailover] = None
         #: (start offset in ms, client) of every roster client
         self._client_starts: List[Tuple[float, ClientProcess]] = []
-        self._build_datacenters()
         if config.arrivals is not None:
             self._build_sources()
         else:
@@ -194,43 +173,6 @@ class Cluster:
             self.obs_hub = attach_tracer(self)
 
     # ------------------------------------------------------------------
-
-    def _build_datacenters(self) -> None:
-        config = self.config
-        params = dict(config.dc_params)
-        if config.overload is not None:
-            params.update(sink_buffer_cap=config.overload.sink_buffer_cap,
-                          sink_credits=config.overload.sink_credits)
-        if self.protocol.has_tree:
-            topology = config.saturn_topology or TreeTopology.star(
-                self.sites[0], {site: site for site in self.sites})
-            service_rate = (config.overload.serializer_service_rate
-                            if config.overload is not None else 0.0)
-            self.service = SaturnService(self.sim, self.network,
-                                         self.replication,
-                                         beacon_period=config.beacon_period,
-                                         serializer_service_rate=service_rate)
-            self.service.install_tree(topology, epoch=0)
-        cost_model = CostModel()
-        for site in self.sites:
-            dc = self.protocol.datacenter(
-                self.sim, site, self.replication, cost_model,
-                self.clocks.create(), num_partitions=config.num_partitions,
-                metrics=self.metrics, **params)
-            if self.service is not None:
-                dc.saturn = self.service
-            for process in (dc, *self.protocol.aux_processes(dc)):
-                process.attach_network(self.network)
-                self.network.place(process.name, site)
-            self.datacenters[site] = dc
-        if self.service is not None:
-            self.manager = ReconfigurationManager(
-                self.service, list(self.datacenters.values()))
-        if config.auto_failover:
-            self.failover = AutoFailover(self.manager)
-            for dc in self.datacenters.values():
-                if dc.failover is not None:
-                    dc.failover.coordinator = self.failover
 
     def _client_roster(self) -> List[Tuple[str, str, Callable, float]]:
         """(client id, site, workload callable, start offset in ms) per

@@ -3,13 +3,13 @@
 ``python -m repro.net.node --dir <node-dir>`` reads ``node.json`` (written
 by the driver, see :func:`repro.net.spec.write_cluster`), boots a
 :class:`~repro.net.kernel.RealtimeKernel` + :class:`~repro.net.tcp.
-TcpTransport` and builds what its roster entry names the way
-``repro.harness.runner.Cluster`` does, for the system ``ClusterSpec.system``
-names: the datacenter from the protocol table (with its auxiliary
-processes and scripted :class:`~repro.datacenter.client.ClientProcess`
-load), the serializers through ``SaturnService.install_tree`` restricted
-to the ones hosted here — so a datacenter node's ``dc.saturn`` is the
-real service, holding the tree but none of its serializers.
+TcpTransport` and builds what its roster entry names with ``Cluster``'s
+site builder, :class:`repro.protocols.Deployment`, for the system
+``ClusterSpec.system`` names: its site's datacenter and auxiliary
+processes (plus scripted :class:`~repro.datacenter.client.ClientProcess`
+load), and the serializers hosted here — so a datacenter node's
+``dc.saturn`` is the real service, holding the tree but none of its
+serializers.
 
 Lifecycle: build -> register -> roster-complete -> attach + start -> run
 (status heartbeats to the directory) -> phase ``stop`` observed -> flush
@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.serializer import Serializer
-from repro.core.service import SaturnService
 from repro.datacenter.base import Datacenter
 from repro.datacenter.client import ClientProcess
 from repro.datacenter.script import script_workload
@@ -38,9 +37,8 @@ from repro.net.kernel import RealtimeKernel
 from repro.net.sanitizers import NetSanitizer
 from repro.net.spec import ClusterSpec
 from repro.net.tcp import TcpTransport
-from repro.protocols import protocol_named
+from repro.protocols import Deployment, protocol_named
 from repro.sim.clock import PhysicalClock
-from repro.sim.cpu import CostModel
 
 __all__ = ["NodeRuntime", "HookJournal", "main"]
 
@@ -109,6 +107,7 @@ class NodeRuntime:
         self.kernel: Optional[RealtimeKernel] = None
         self.transport: Optional[TcpTransport] = None
         self.clients: List[ClientProcess] = []
+        self.site: Optional[Deployment] = None
         self.datacenter: Optional[Datacenter] = None
         self.serializers: List[Serializer] = []
 
@@ -146,16 +145,19 @@ class NodeRuntime:
             await asyncio.sleep(_ROSTER_POLL_S)
 
     def _build_actors(self) -> None:
-        """Build the datacenter and clients.  Nothing meets the transport
-        before the routes do (:meth:`_start_actors`): until then an early
-        frame waits there, not in an actor that cannot yet reply."""
-        if self.role == "serializer":
-            return
+        """Build this node's site (none on a serializer node) and clients.
+        Nothing meets the transport before the routes do
+        (:meth:`_start_actors`): until then an early frame waits there,
+        not in an actor that cannot yet reply."""
         kernel, protocol = self.kernel, self.protocol
         journal = HookJournal(self._visibility_fh, kernel)
-        self.datacenter = protocol.datacenter(
-            kernel, self.target, self.replication, CostModel(),
-            PhysicalClock(kernel), metrics=journal, **self.spec.params)
+        self.site = Deployment(
+            kernel, self.transport, protocol, self.replication,
+            [self.target] if self.role == "dc" else [],
+            lambda: PhysicalClock(kernel), journal, self.spec.params)
+        self.datacenter = self.site.datacenters.get(self.target)
+        if self.datacenter is None:
+            return
         self.datacenter.execution_log = journal
         self.clients = [
             ClientProcess(kernel, client["id"], self.target,
@@ -164,26 +166,21 @@ class NodeRuntime:
                           execution_log=journal)
             for client in self.spec.clients_of(self.target)]
         # every process a node hosts is in its roster (Eunomia's sequencer)
-        self.processes += [process.name for process
-                           in protocol.aux_processes(self.datacenter)]
+        self.processes += [process.name
+                           for process in self.site.aux_processes]
 
     def _start_actors(self) -> None:
         """Install this node's share of the tree, attach and start."""
-        service: Optional[SaturnService] = None
-        if self.protocol.has_tree:
-            service = SaturnService(self.kernel, self.transport,
-                                    self.replication, local_hop_latency=0.0)
-            service.install_tree(self.spec.topology(), epoch=0,
-                                 hosted=set(self.processes))
-            self.serializers = list(service.serializers(0).values())
+        self.site.attach(self.spec.topology(), hosted=set(self.processes),
+                         local_hop_latency=0.0)
+        if self.site.service is not None:
+            self.serializers = list(self.site.service.serializers(0).values())
         dc = self.datacenter
         if dc is None:
             return
-        if service is not None:
-            dc.saturn = service
-        for process in (dc, *self.protocol.aux_processes(dc), *self.clients):
-            process.attach_network(self.transport)
-            self.transport.place(process.name, self.target)
+        for client in self.clients:
+            client.attach_network(self.transport)
+            self.transport.place(client.name, self.target)
         dc.start()
         for index, client in enumerate(self.clients):
             # stagger starts (as the harness does) and leave a beat for

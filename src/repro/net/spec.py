@@ -27,7 +27,7 @@ from repro.core.naming import dc_process_name
 from repro.core.replication import ReplicationMap
 from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
-from repro.protocols import protocol_named
+from repro.protocols import check_params, protocol_named
 
 __all__ = ["ClusterSpec", "POLL_CAP", "chain_clients", "chain_smoke_spec",
            "write_cluster"]
@@ -73,7 +73,7 @@ class ClusterSpec:
     system: str = "saturn"
 
     def __post_init__(self) -> None:
-        protocol_named(self.system)
+        check_params(self.system, self.params)
 
     # -- derived views -----------------------------------------------------
 

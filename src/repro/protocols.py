@@ -5,11 +5,11 @@ unchanged client library and workload (the §4 decomposition, and how §7.3
 swaps GentleRain and Cure in): a datacenter factory, the client's stamp
 merge function, how to count its dependency-metadata bytes, whether a
 Saturn serializer tree carries its labels, and any processes a datacenter
-runs besides itself.  ``Cluster``, ``ClusterConfig`` validation, the
-bytes column of the ``five-way`` entry of
-:data:`~repro.harness.experiments.EXPERIMENTS`, the mc/chaos scenarios and
-``saturn-repro list`` all read :data:`PROTOCOLS`; adding a system is one
-entry here plus its datacenter module.
+runs besides itself.  :func:`check_params` and :class:`Deployment`, the
+site builder of ``Cluster`` and the socket nodes, the bytes column of the
+``five-way`` entry of :data:`~repro.harness.experiments.EXPERIMENTS`, the
+mc/chaos scenarios and ``saturn-repro list`` all read :data:`PROTOCOLS`;
+adding a system is one entry here plus its datacenter module.
 
 Factories share one call shape::
 
@@ -36,18 +36,23 @@ EXPERIMENTS.md; within a family the numbers compose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Sequence
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.cure import CureDatacenter, cure_merge
 from repro.baselines.eunomia import EunomiaDatacenter, eunomia_merge
 from repro.baselines.explicit import ExplicitDatacenter, explicit_merge
 from repro.baselines.gentlerain import GentleRainDatacenter, gentlerain_merge
 from repro.baselines.okapi import OkapiDatacenter
+from repro.core.failover import AutoFailover
 from repro.core.label import label_max
+from repro.core.reconfig import ReconfigurationManager
+from repro.core.service import SaturnService
+from repro.core.tree import TreeTopology
 from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
+from repro.sim.cpu import CostModel
 
 __all__ = ["Protocol", "PROTOCOLS", "SYSTEMS", "protocol_named",
-           "SATURN_LABEL_BYTES"]
+           "check_params", "Deployment", "SATURN_LABEL_BYTES"]
 
 #: nominal wire size of one Saturn label (type + src + ts + target +
 #: origin); same convention as the baselines' stamp_wire_bytes
@@ -141,3 +146,87 @@ def protocol_named(name: str) -> Protocol:
     except KeyError:
         raise ValueError(f"unknown system {name!r}; "
                          f"expected one of {tuple(PROTOCOLS)}") from None
+
+
+def check_params(system: str, params: Mapping[str, Any],
+                 beacon_period: float = 0.0, overload: Any = None,
+                 auto_failover: bool = False) -> None:
+    """Reject what *system*'s datacenters cannot run, on either kernel
+    (``ClusterConfig`` and ``net.spec.ClusterSpec`` both call it)."""
+    if not protocol_named(system).has_tree:
+        # the failover coordinator, beacons and overload bounds act on the
+        # tree: without one they are dropped or fail in a factory
+        for name, wanted in (("auto_failover", auto_failover),
+                             ("beacon_period", beacon_period > 0),
+                             ("overload", overload is not None)):
+            if wanted:
+                raise ValueError(f"{name} needs a serializer tree; "
+                                 f"{system!r} has none")
+    if params.get("beacon_timeout", 0) > 0 and beacon_period <= 0:
+        # beacons are the detector's only evidence, of silence and of
+        # recovery alike: without them every datacenter degrades
+        raise ValueError("beacon_timeout needs beacon_period > 0: the "
+                         "failure detector listens for serializer beacons")
+    for key in ("sink_credits", "sink_buffer_cap"):
+        if key in params:
+            # credits only return from a serializer with a service rate,
+            # which OverloadConfig checks comes with them
+            raise ValueError(f"{key} is an overload knob: only "
+                             f"overload=OverloadConfig(...) sets it")
+
+
+class Deployment:
+    """The one site builder for both kernels: construct the datacenters
+    of *sites*, then :meth:`attach` them with this host's share of the
+    tree — on a socket node only once it has routes, as an actor reachable
+    before its replies can be routed drops them.  ``attach_tracer``
+    instruments the result as it does a ``Cluster``."""
+
+    def __init__(self, sim: Any, network: Any, protocol: Protocol,
+                 replication: Any, sites: Sequence[str],
+                 clock: Callable[[], Any], metrics: Any,
+                 params: Mapping[str, Any], overload: Any = None) -> None:
+        self.sim, self.network, self.protocol = sim, network, protocol
+        self.replication, self.service_rate = replication, 0.0
+        if overload is not None:
+            params = dict(params, sink_buffer_cap=overload.sink_buffer_cap,
+                          sink_credits=overload.sink_credits)
+            self.service_rate = overload.serializer_service_rate
+        cost_model = CostModel()
+        self.datacenters: Dict[str, Any] = {
+            site: protocol.datacenter(sim, site, replication, cost_model,
+                                      clock(), metrics=metrics, **params)
+            for site in sites}
+        #: what the datacenters run besides themselves (Eunomia's sequencer)
+        self.aux_processes: List[Any] = [
+            process for dc in self.datacenters.values()
+            for process in protocol.aux_processes(dc)]
+        self.service = self.manager = self.failover = None
+
+    def attach(self, topology: Optional[TreeTopology] = None,
+               hosted: Optional[AbstractSet[str]] = None,
+               auto_failover: bool = False, **service_kw: Any) -> None:
+        """Install epoch 0 of *topology* (default: a star on the first
+        site) with the serializers in *hosted* (``None``: all), *service_kw*
+        being ``SaturnService`` keywords; attach and place the rest."""
+        if self.protocol.has_tree:
+            self.service = SaturnService(
+                self.sim, self.network, self.replication,
+                serializer_service_rate=self.service_rate, **service_kw)
+            sites = list(self.datacenters)
+            topology = topology or TreeTopology.star(sites[0],
+                                                     dict(zip(sites, sites)))
+            self.service.install_tree(topology, epoch=0, hosted=hosted)
+            self.manager = ReconfigurationManager(
+                self.service, list(self.datacenters.values()))
+        for site, dc in self.datacenters.items():
+            if self.service is not None:
+                dc.saturn = self.service
+            for process in (dc, *self.protocol.aux_processes(dc)):
+                process.attach_network(self.network)
+                self.network.place(process.name, site)
+        if auto_failover:
+            self.failover = AutoFailover(self.manager)
+            for dc in self.datacenters.values():
+                if dc.failover is not None:
+                    dc.failover.coordinator = self.failover

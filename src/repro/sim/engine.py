@@ -147,6 +147,8 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the heap drains or *until* is reached.
         Returns the final simulated time."""
+        # ``now`` stays a float even when *until* is an int
+        until = None if until is None else float(until)
         if self.controller is not None:
             return self._run_controlled(until)
         heap = self._heap

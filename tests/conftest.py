@@ -9,13 +9,11 @@ import pytest
 
 from repro.analysis.mc.scenario import BEACON_PERIOD, DETECTOR, build_chain3
 from repro.core.replication import ReplicationMap
-from repro.core.service import SaturnService
 from repro.core.tree import TreeTopology
-from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
 from repro.datacenter.overload import OverloadConfig
 from repro.harness.runner import Cluster, ClusterConfig, MetricsHub
+from repro.protocols import Deployment, protocol_named
 from repro.sim.clock import ClockFactory
-from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.process import Process
@@ -65,8 +63,14 @@ def small_latency_model() -> LatencyModel:
     return model
 
 
+#: MiniCluster's consistency mode -> the Saturn-family system running it
+_SYSTEM_OF = {"saturn": "saturn", "timestamp": "saturn-ts",
+              "eventual": "eventual"}
+
+
 class MiniCluster:
-    """Hand-wired 3-datacenter Saturn deployment for component tests."""
+    """3-datacenter Saturn-family deployment for component tests, built by
+    the one site builder (:class:`repro.protocols.Deployment`)."""
 
     def __init__(self, consistency: str = "saturn",
                  topology: TreeTopology = None,
@@ -80,39 +84,23 @@ class MiniCluster:
                  max_skew: float = 0.5,
                  seed: int = 7) -> None:
         self.sim = Simulator()
-        self.rng = RngRegistry(seed=seed)
         self.sites = ["I", "F", "T"]
         self.network = Network(self.sim, latency_model=small_latency_model(),
                                default_latency=0.25)
         self.metrics = MetricsHub(self.sim)
         self.replication = replication or ReplicationMap(self.sites)
-        clocks = ClockFactory(self.sim, self.rng, max_skew=max_skew)
-        self.cost = CostModel()
-        self.service = None
-        if consistency == "saturn":
-            self.service = SaturnService(self.sim, self.network,
-                                         self.replication,
-                                         beacon_period=beacon_period)
-            topology = topology or TreeTopology.star(
-                "I", {s: s for s in self.sites})
-            self.service.install_tree(topology, epoch=0)
-        self.dcs = {}
-        for site in self.sites:
-            params = DatacenterParams(
-                name=site, site=site, num_partitions=2,
-                consistency=consistency,
-                sink_batch_period=sink_batch_period,
-                sink_heartbeat_period=sink_heartbeat_period,
-                bulk_heartbeat_period=bulk_heartbeat_period,
-                parallel_concurrent_apply=parallel_concurrent_apply,
-                beacon_timeout=beacon_timeout)
-            dc = SaturnDatacenter(self.sim, params, self.replication,
-                                  self.cost, clocks.create(),
-                                  metrics=self.metrics)
-            dc.attach_network(self.network)
-            self.network.place(dc.name, site)
-            dc.saturn = self.service
-            self.dcs[site] = dc
+        clocks = ClockFactory(self.sim, RngRegistry(seed=seed),
+                              max_skew=max_skew)
+        site = Deployment(
+            self.sim, self.network, protocol_named(_SYSTEM_OF[consistency]),
+            self.replication, self.sites, clocks.create, self.metrics,
+            dict(num_partitions=2, sink_batch_period=sink_batch_period,
+                 sink_heartbeat_period=sink_heartbeat_period,
+                 bulk_heartbeat_period=bulk_heartbeat_period,
+                 parallel_concurrent_apply=parallel_concurrent_apply,
+                 beacon_timeout=beacon_timeout))
+        site.attach(topology, beacon_period=beacon_period)
+        self.service, self.dcs = site.service, site.datacenters
 
     def start(self) -> None:
         for dc in self.dcs.values():

@@ -18,11 +18,9 @@ import pytest
 from repro.config.solver import optimize_delays
 from repro.core.replication import ReplicationMap
 from repro.core.tree import TreeTopology
-from repro.datacenter.datacenter import DatacenterParams, SaturnDatacenter
-from repro.core.service import SaturnService
 from repro.harness.runner import MetricsHub
+from repro.protocols import Deployment, protocol_named
 from repro.sim.clock import ClockFactory
-from repro.sim.cpu import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import RngRegistry
@@ -56,23 +54,16 @@ def build(delays):
         edges=[("s1", "s2"), ("s2", "s3"), ("s3", "s4")],
         attachments={"d1": "s1", "d2": "s2", "d3": "s3", "d4": "s4"},
         delays=delays)
-    service = SaturnService(sim, network, replication)
-    service.install_tree(topology, epoch=0)
     metrics = MetricsHub(sim)
     clocks = ClockFactory(sim, rng, max_skew=0.0)
-    dcs = {}
-    for site in SITES:
-        params = DatacenterParams(name=site, site=site, num_partitions=1,
-                                  sink_batch_period=0.25,
-                                  sink_heartbeat_period=0,
-                                  bulk_heartbeat_period=0)
-        dc = SaturnDatacenter(sim, params, replication, CostModel(),
-                              clocks.create(), metrics=metrics)
-        dc.attach_network(network)
-        network.place(dc.name, site)
-        dc.saturn = service
+    site = Deployment(sim, network, protocol_named("saturn"), replication,
+                      SITES, clocks.create, metrics,
+                      dict(num_partitions=1, sink_batch_period=0.25,
+                           sink_heartbeat_period=0, bulk_heartbeat_period=0))
+    site.attach(topology)
+    dcs = site.datacenters
+    for dc in dcs.values():
         dc.start()
-        dcs[site] = dc
     return sim, dcs, metrics, topology
 
 

@@ -12,6 +12,7 @@ from repro.harness.runner import Cluster, ClusterConfig
 from repro.net.codec import decode_value
 from repro.net.node import HookJournal, NodeRuntime
 from repro.net.spec import chain_smoke_spec, write_cluster
+from repro.protocols import SYSTEMS
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workloads.ops import ReadOp, UpdateOp
@@ -43,7 +44,10 @@ def _drain(generator, client, limit=50):
 
 
 def _built(node_dir):
-    """A node's actors assembled and started on the sim kernel."""
+    """A node's actors assembled and started on the sim kernel, in the
+    node's two phases: build (the roster it would register is then
+    ``runtime.processes``), and, once the routes would be in, attach and
+    start."""
     runtime = NodeRuntime(node_dir)
     runtime.kernel = Simulator()
     runtime.transport = Network(runtime.kernel)
@@ -79,6 +83,43 @@ def test_nodes_host_exactly_their_roster(tmp_path):
     assert node.processes == ["dc:I", "client:writer-I", "seq:I"]
     assert node.transport.process("seq:I") is node.datacenter.sequencer
     assert node.serializers == [] and not hasattr(node.datacenter, "saturn")
+
+
+def _placed(network):
+    """site -> names of the processes placed there."""
+    by_site = {}
+    for name, site in network._sites.items():
+        by_site.setdefault(site, set()).add(name)
+    return by_site
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_the_nodes_build_what_one_cluster_builds(tmp_path, system):
+    """Node by node or as one ``Cluster`` over the same spec, every site
+    gets the same datacenter class and the same placed processes, and
+    the serializer nodes together host the cluster's tree."""
+    spec = chain_smoke_spec(3, system)
+    nodes = [_built(node_dir) for node_dir in
+             write_cluster(spec, tmp_path, "127.0.0.1", 1).values()]
+    params = dict(spec.params)
+    cluster = Cluster(
+        ClusterConfig(system=system, sites=spec.sites,
+                      num_partitions=params.pop("num_partitions"),
+                      saturn_topology=spec.topology(),
+                      replication=spec.replication(), dc_params=params),
+        ScriptedWorkload(spec.clients, stagger=0.0))
+    assert {node.target: type(node.datacenter) for node in nodes
+            if node.datacenter is not None} == {
+        site: type(dc) for site, dc in cluster.datacenters.items()}
+    placed = {}
+    for node in nodes:
+        for site, names in _placed(node.transport).items():
+            placed.setdefault(site, set()).update(names)
+    assert placed == _placed(cluster.network)
+    serializers = (cluster.service.serializers().values()
+                   if cluster.service is not None else ())
+    assert {s.name for node in nodes for s in node.serializers} == {
+        s.name for s in serializers}
 
 
 def test_script_workload_plays_updates_and_reads_once():

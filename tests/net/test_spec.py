@@ -46,6 +46,21 @@ def test_unknown_system_is_rejected():
         chain_smoke_spec(3, "paxos")
 
 
+@pytest.mark.parametrize("key, match", [
+    ("beacon_timeout", "beacon_period"),
+    ("sink_credits", r"overload=OverloadConfig\(\.\.\.\)"),
+    ("sink_buffer_cap", r"overload=OverloadConfig\(\.\.\.\)"),
+])
+def test_params_the_simulator_rejects_fail_in_the_driver(key, match):
+    """Sockets run no beacons and no serializer service rate, so a spec
+    that arms the detector or sink credits fails before any node boots,
+    with ``ClusterConfig``'s message."""
+    data = chain_smoke_spec(3).to_json()
+    data["params"][key] = 100.0 if key == "beacon_timeout" else 4
+    with pytest.raises(ValueError, match=match):
+        ClusterSpec.from_json(data)
+
+
 def test_only_a_tree_system_gets_serializer_nodes_and_a_sink_cadence():
     """The mc chain3 rule: the sink cadence goes with the tree."""
     saturn, cure = chain_smoke_spec(3), chain_smoke_spec(3, "cure")

@@ -249,3 +249,18 @@ def test_every_protocol_records_update_chains_issued_at_their_origin(system):
         assert chain_problems(key, events) == []
         updates += 1
     assert updates > 0
+
+
+def test_a_run_to_an_int_duration_gauges_the_kernel_at_a_float_t():
+    """``Cluster.run(duration=300)`` ends the kernel at 300.0, not 300: an
+    int ``t`` would send the three end-of-run kernel gauges through the
+    tracer's tuple side list instead of packed records."""
+    from repro.harness.runner import Cluster, ClusterConfig
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    cluster = Cluster(ClusterConfig(system="saturn", sites=("I", "F", "T"),
+                                    clients_per_dc=2, obs=True),
+                      SyntheticWorkload())
+    cluster.run(duration=300, warmup=100)
+    assert type(cluster.sim.now) is float
+    assert cluster.obs_hub.tracer._tuples == []

@@ -360,3 +360,18 @@ def test_controller_may_cancel_an_offered_handle_free_event():
     sim.run()
     assert log == ["first"]
     assert sim.events_executed == 1 and sim.pending() == 0
+
+
+def test_an_int_until_leaves_now_a_float(sim):
+    """With or without a schedule controller, and whether the heap drains
+    or an event lies past the bound."""
+    sim.run(until=3)
+    assert type(sim.now) is float
+    sim.schedule(10.0, lambda: None)
+    sim.run(until=5)
+    assert type(sim.now) is float and sim.now == 5.0
+    controlled = Simulator()
+    controlled.controller = RecordingController(lambda k: 0)
+    controlled.schedule(10.0, lambda: None)
+    controlled.run(until=5)
+    assert type(controlled.now) is float
