@@ -19,7 +19,8 @@ Factories share one call shape::
 where ``overrides`` is ``ClusterConfig.dc_params``: the remaining
 :class:`~repro.datacenter.datacenter.DatacenterParams` fields for the
 Saturn family, constructor keywords (Eunomia's ``batch_period``) for a
-baseline.  Every factory returns a
+baseline.  Each entry declares them (``Protocol.params``), and
+:func:`check_params` rejects any other key.  Every factory returns a
 :class:`~repro.datacenter.base.Datacenter`: the skeleton owns the store,
 the read path, the attach/migrate defaults, the replica fan-out and the
 recorder calls, and a family overrides only its update path, its
@@ -35,7 +36,7 @@ EXPERIMENTS.md; within a family the numbers compose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.cure import CureDatacenter, cure_merge
@@ -79,6 +80,14 @@ class Protocol:
     #: processes a datacenter runs besides itself (Eunomia's sequencer);
     #: the builder attaches and places them at the datacenter's site
     aux_processes: Callable[[Any], Sequence[Any]] = lambda dc: ()
+    #: the keyword overrides the factory takes (``dc_params``)
+    params: AbstractSet[str] = frozenset({"num_partitions"})
+
+
+#: a Saturn-family factory's overrides: the DatacenterParams fields it
+#: does not set itself
+_SATURN_PARAMS = frozenset(
+    f.name for f in fields(DatacenterParams)) - {"name", "site", "consistency"}
 
 
 def _saturn(consistency: str) -> Callable[..., SaturnDatacenter]:
@@ -111,12 +120,14 @@ def _dep_list_bytes(dc: ExplicitDatacenter) -> int:
 
 PROTOCOLS: Dict[str, Protocol] = {p.name: p for p in (
     Protocol("saturn", "the paper's system: labels through a serializer tree",
-             _saturn("saturn"), label_max, _label_bytes, has_tree=True),
+             _saturn("saturn"), label_max, _label_bytes, has_tree=True,
+             params=_SATURN_PARAMS),
     Protocol("saturn-ts", "the P-configuration: timestamp-order fallback only",
-             _saturn("timestamp"), label_max, _label_bytes),
+             _saturn("timestamp"), label_max, _label_bytes,
+             params=_SATURN_PARAMS),
     Protocol("eventual", "eventual consistency: the throughput upper / "
              "latency lower bound", _saturn("eventual"), label_max,
-             lambda dc: 0),
+             lambda dc: 0, params=_SATURN_PARAMS),
     Protocol("gentlerain", "GentleRain [26]: one scalar, global stable time",
              _baseline(GentleRainDatacenter), gentlerain_merge, _stamp_bytes),
     Protocol("cure", "Cure [3]: a vector entry per datacenter",
@@ -125,7 +136,8 @@ PROTOCOLS: Dict[str, Protocol] = {p.name: p for p in (
              _baseline(EunomiaDatacenter), eunomia_merge,
              lambda dc: (dc.metadata_bytes_sent
                          + dc.sequencer.metadata_bytes_sent),
-             aux_processes=lambda dc: (dc.sequencer,)),
+             aux_processes=lambda dc: (dc.sequencer,),
+             params=frozenset({"num_partitions", "batch_period"})),
     Protocol("okapi", "Okapi: hybrid-clock vectors, global-cut stabilization",
              _baseline(OkapiDatacenter), cure_merge, _stamp_bytes),
     Protocol("cops", "COPS-style explicit dependencies, pruned on write",
@@ -153,7 +165,14 @@ def check_params(system: str, params: Mapping[str, Any],
                  auto_failover: bool = False) -> None:
     """Reject what *system*'s datacenters cannot run, on either kernel
     (``ClusterConfig`` and ``net.spec.ClusterSpec`` both call it)."""
-    if not protocol_named(system).has_tree:
+    protocol = protocol_named(system)
+    unknown = sorted(set(params) - protocol.params)
+    if unknown:
+        # a misspelt key would fail only inside the factory, on each node
+        raise ValueError(f"{system!r} datacenters take no parameter "
+                         f"{', '.join(map(repr, unknown))}; expected one of "
+                         f"{sorted(protocol.params)}")
+    if not protocol.has_tree:
         # the failover coordinator, beacons and overload bounds act on the
         # tree: without one they are dropped or fail in a factory
         for name, wanted in (("auto_failover", auto_failover),

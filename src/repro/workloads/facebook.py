@@ -25,13 +25,25 @@ write on friend's wall    8%   update a friend's key (local replicas only)
 Reads of data not replicated at the client's datacenter become remote reads
 (the §4.4 migration dance), so the replication bound directly controls the
 remote-read rate — exactly the knob Fig. 8a sweeps.
+
+An open loop spawns one client per concurrent user, and above saturation
+the pool outgrows the graph (3,283 clients over 2,000 users at 10,000
+ops/s per datacenter).  So what a user *is* — its group, its key strings,
+its sorted friends — is a :class:`SocialUser` record built once per graph,
+with the graph's first client, and a client's generator is one
+slotted :class:`SocialClient` of references over those records and its
+own ``random.Random`` stream (≈ 110 B beside the stream's 2.9 KB).
+``replication_map`` also starts the assignment of users to clients over,
+so a workload reused through it hands each cluster the clients a fresh
+one would.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.replication import ReplicationMap
 from repro.sim.rng import RngRegistry
@@ -40,8 +52,7 @@ from repro.workloads.partitioning import (assign_masters,
                                           build_social_replication,
                                           user_group)
 
-__all__ = ["FacebookWorkload", "generate_social_graph", "OPERATION_MIX",
-           "social_op_generator"]
+__all__ = ["FacebookWorkload", "generate_social_graph", "OPERATION_MIX"]
 
 #: (name, share, is_write) — shares sum to 1.0
 OPERATION_MIX = (
@@ -55,56 +66,79 @@ OPERATION_MIX = (
 KEYS_PER_USER = 4
 
 
-def social_op_generator(dc_name: str, me: int, my_friends: Sequence[int],
-                        num_users: int, value_size: int,
-                        replication: ReplicationMap,
-                        latency: Callable[[str, str], float],
-                        stream: random.Random) -> Callable[[object], object]:
-    """The ``workload(client) -> op`` closure of one social client: user
-    *me* at *dc_name* draws from :data:`OPERATION_MIX` on *stream*.  Each
-    read or friend write asks *replication* for the user's replicas once,
-    at draw time."""
+#: the cumulative shares of OPERATION_MIX, summed in table order; the last
+#: operation, write_friend, takes every roll above the fourth
+_BROWSE_OWN, _BROWSE_FRIEND, _SEARCH_RANDOM, _EDIT_OWN = list(accumulate(
+    share for _, share, _ in OPERATION_MIX))[:-1]
 
-    def _key(user: int) -> str:
-        return f"{user_group(user)}:{stream.randrange(KEYS_PER_USER)}"
 
-    def _read(user: int) -> object:
-        group = user_group(user)
-        replicas = replication.replicas_of_group(group)
-        if dc_name in replicas:
-            return ReadOp(key=_key(user))
-        target = min(replicas, key=lambda dc: (latency(dc_name, dc), dc))
-        return RemoteReadOp(key=_key(user), target_dc=target)
+class SocialUser:
+    """What a client reads of one user: its replication group, its keys,
+    and its friends in ascending order."""
 
-    def _local_write(user: int) -> object:
-        """Write if *user*'s data is local, else browse instead."""
-        group = user_group(user)
-        if dc_name in replication.replicas_of_group(group):
-            return UpdateOp(key=_key(user), value_size=value_size)
-        return _read(user)
+    __slots__ = ("group", "keys", "friends")
 
-    def _next(client: object) -> object:
+    def __init__(self, user: int, friends: Iterable[int]) -> None:
+        self.group = user_group(user)
+        self.keys = tuple(f"{self.group}:{i}" for i in range(KEYS_PER_USER))
+        self.friends = tuple(sorted(friends))
+
+
+class SocialClient:
+    """The ``workload(client) -> op`` of one social client: user *me* at
+    *dc_name* draws from :data:`OPERATION_MIX` on *stream*.  Each read or
+    friend write asks *replication* for the user's replicas once, at draw
+    time.  A client holds only references: *users*, the graph's records
+    indexed by user, is shared by all the graph's clients."""
+
+    __slots__ = ("dc_name", "me", "record", "users", "num_users",
+                 "value_size", "replication", "latency", "stream")
+
+    def __init__(self, dc_name: str, me: int, users: Sequence[SocialUser],
+                 num_users: int, value_size: int,
+                 replication: ReplicationMap,
+                 latency: Callable[[str, str], float],
+                 stream: random.Random) -> None:
+        self.dc_name, self.me, self.record = dc_name, me, users[me]
+        self.users, self.num_users = users, num_users
+        self.value_size, self.replication = value_size, replication
+        self.latency, self.stream = latency, stream
+
+    def __call__(self, client: object) -> object:
+        stream = self.stream
         roll = stream.random()
-        cumulative = 0.0
-        for name, share, _ in OPERATION_MIX:
-            cumulative += share
-            if roll < cumulative:
-                break
-        else:
-            name = OPERATION_MIX[-1][0]
-        if name == "browse_own":
-            return ReadOp(key=_key(me))
-        if name == "browse_friend" and my_friends:
-            return _read(stream.choice(my_friends))
-        if name == "search_random":
-            return _read(stream.randrange(num_users))
-        if name == "edit_own":
-            return UpdateOp(key=_key(me), value_size=value_size)
-        if name == "write_friend" and my_friends:
-            return _local_write(stream.choice(my_friends))
-        return ReadOp(key=_key(me))
+        record = self.record
+        if roll < _BROWSE_OWN:
+            return ReadOp(key=record.keys[stream.randrange(KEYS_PER_USER)])
+        if roll < _BROWSE_FRIEND:
+            if record.friends:
+                return self._read(self.users[stream.choice(record.friends)])
+        elif roll < _SEARCH_RANDOM:
+            return self._read(self.users[stream.randrange(self.num_users)])
+        elif roll < _EDIT_OWN:
+            return UpdateOp(key=record.keys[stream.randrange(KEYS_PER_USER)],
+                            value_size=self.value_size)
+        elif record.friends:
+            return self._local_write(
+                self.users[stream.choice(record.friends)])
+        # a friendless user browses its own profile instead
+        return ReadOp(key=record.keys[stream.randrange(KEYS_PER_USER)])
 
-    return _next
+    def _read(self, user: SocialUser) -> object:
+        replicas = self.replication.replicas_of_group(user.group)
+        key = user.keys[self.stream.randrange(KEYS_PER_USER)]
+        if self.dc_name in replicas:
+            return ReadOp(key=key)
+        dc_name, latency = self.dc_name, self.latency
+        _, target = min((latency(dc_name, dc), dc) for dc in replicas)
+        return RemoteReadOp(key=key, target_dc=target)
+
+    def _local_write(self, user: SocialUser) -> object:
+        """Write if *user*'s data is local, else browse instead."""
+        if self.dc_name in self.replication.replicas_of_group(user.group):
+            key = user.keys[self.stream.randrange(KEYS_PER_USER)]
+            return UpdateOp(key=key, value_size=self.value_size)
+        return self._read(user)
 
 
 def generate_social_graph(num_users: int, attachment: int,
@@ -162,7 +196,12 @@ class FacebookWorkload:
         self._masters: Optional[Dict[int, str]] = None
         self._replication: Optional[ReplicationMap] = None
         self._users_by_dc: Dict[str, List[int]] = {}
+        #: clients handed out per datacenter (the next client's user)
         self._client_counter: Dict[str, int] = {}
+        #: the graph's user records, indexed by user; made with the first
+        #: client, as only clients read them (an open loop makes its first
+        #: client mid-run, so building the layout does not pay for them)
+        self._users: List[SocialUser] = []
 
     # ------------------------------------------------------------------
 
@@ -178,6 +217,8 @@ class FacebookWorkload:
         self._users_by_dc = {dc: [] for dc in datacenters}
         for user, master in sorted(self._masters.items()):
             self._users_by_dc[master].append(user)
+        # a new graph: new records, and the client assignment from the start
+        self._client_counter, self._users = {}, []
         return self._replication
 
     @property
@@ -200,12 +241,13 @@ class FacebookWorkload:
                          stream_name: str) -> Callable[[object], object]:
         if self._replication is None:
             raise RuntimeError("replication_map() must run first")
+        if not self._users:
+            self._users = [SocialUser(user, self._adjacency[user])
+                           for user in range(self.num_users)]
         stream = rng.stream(stream_name)
         local_users = self._users_by_dc.get(dc_name) or sorted(self.masters)
         index = self._client_counter.get(dc_name, 0)
         self._client_counter[dc_name] = index + 1
         me = local_users[index % len(local_users)]
-        my_friends = sorted(self.adjacency[me])
-        return social_op_generator(dc_name, me, my_friends, self.num_users,
-                                   self.value_size, replication, latency,
-                                   stream)
+        return SocialClient(dc_name, me, self._users, self.num_users,
+                            self.value_size, replication, latency, stream)

@@ -2,7 +2,7 @@
 protocol table, and the table itself."""
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,11 @@ from repro.datacenter.script import ScriptedWorkload
 from repro.harness import experiments
 from repro.harness.runner import SYSTEMS, Cluster, ClusterConfig, Scale
 from repro.harness.report import format_cdf_summary, format_table
-from repro.protocols import PROTOCOLS, Protocol
+from repro.protocols import PROTOCOLS, Deployment, Protocol
+from repro.sim.clock import ClockFactory
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
+from repro.sim.rng import RngRegistry
 from repro.verify.checker import ExecutionLog
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -112,10 +116,45 @@ def test_dc_params_reach_the_datacenter_factory():
                       SyntheticWorkload())
     for dc in eunomia.datacenters.values():
         assert dc.sequencer.batch_period == 7.0
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="'sink_batch_period'"):
         Cluster(small_config("gentlerain",
                              dc_params=dict(sink_batch_period=3.0)),
                 SyntheticWorkload())
+
+
+@pytest.mark.parametrize("system, key", [
+    ("saturn", "sink_batch_perod"),
+    ("gentlerain", "batch_period"),      # Eunomia's, not GentleRain's
+    ("cops", "prune_on_write"),          # the two table entries fix it
+    ("cops-noprune", "prune_on_write"),
+])
+def test_a_key_the_factory_does_not_take_fails_in_the_config(system, key):
+    """A misspelt or foreign datacenter parameter fails when the config is
+    made, naming the key and the system, not later inside a factory."""
+    with pytest.raises(ValueError, match=f"{system!r} datacenters take no "
+                                         f"parameter {key!r}"):
+        ClusterConfig(system=system, dc_params={key: 5.0})
+
+
+#: the default of every keyword a datacenter factory takes
+FACTORY_DEFAULTS = {**{f.name: f.default for f in fields(DatacenterParams)
+                       if f.default is not MISSING},
+                    "batch_period": 2.0}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_every_declared_key_is_one_the_factory_takes(system):
+    """``Protocol.params`` restates each factory's keywords (a baseline
+    chains ``*args, **kwargs``), so each declared key must build a
+    datacenter: the table cannot keep a keyword its factory lost."""
+    protocol = PROTOCOLS[system]
+    sim = Simulator()
+    clocks = ClockFactory(sim, RngRegistry(seed=1))
+    for key in sorted(protocol.params):
+        site = Deployment(sim, Network(sim), protocol, ReplicationMap(["I"]),
+                          ["I"], clocks.create, None,
+                          {key: FACTORY_DEFAULTS[key]})
+        assert list(site.datacenters) == ["I"]
 
 
 def test_warmup_must_precede_duration():

@@ -61,6 +61,17 @@ def test_params_the_simulator_rejects_fail_in_the_driver(key, match):
         ClusterSpec.from_json(data)
 
 
+def test_a_misspelt_param_fails_in_the_driver():
+    """A key no datacenter factory takes fails when the spec is read, not
+    inside every node that builds from it."""
+    data = chain_smoke_spec(3).to_json()
+    data["params"]["sink_batch_perod"] = 5.0
+    with pytest.raises(ValueError,
+                       match="'saturn' datacenters take no parameter "
+                             "'sink_batch_perod'"):
+        ClusterSpec.from_json(json.loads(json.dumps(data)))
+
+
 def test_only_a_tree_system_gets_serializer_nodes_and_a_sink_cadence():
     """The mc chain3 rule: the sink cadence goes with the tree."""
     saturn, cure = chain_smoke_spec(3), chain_smoke_spec(3, "cure")

@@ -1,11 +1,15 @@
 """Facebook-style workload: graph generation, partitioning, op mix."""
 
+import tracemalloc
+
 import pytest
 
 from repro.config.latencies import EC2_REGIONS, ec2_latency
+from repro.core.tree import TreeTopology
+from repro.harness.runner import Cluster, ClusterConfig
 from repro.sim.rng import RngRegistry
-from repro.workloads.facebook import (FacebookWorkload, OPERATION_MIX,
-                                      generate_social_graph)
+from repro.workloads.facebook import (KEYS_PER_USER, OPERATION_MIX,
+                                      FacebookWorkload, generate_social_graph)
 from repro.workloads.ops import ReadOp, RemoteReadOp, UpdateOp
 
 
@@ -137,3 +141,77 @@ def test_benchmark_import_path_builds_the_materialized_workload():
     for master in workload.masters.values():
         loads[master] = loads.get(master, 0) + 1
     assert max(loads.values()) <= int(2000 / 3 * 1.10) + 1
+
+
+def _op_stream(workload):
+    """(ops completed, every op drawn as (sim time, client, repr)) of a
+    200 ms saturn I/F/T star run of *workload*."""
+    sites = ("I", "F", "T")
+    config = ClusterConfig(system="saturn", sites=sites, clients_per_dc=2,
+                           seed=3,
+                           saturn_topology=TreeTopology.star(
+                               "I", {s: s for s in sites}))
+    cluster = Cluster(config, workload)
+    drawn = []
+    for client in cluster.clients:
+        def wrap(inner, client_id):
+            def _record(c):
+                op = inner(c)
+                drawn.append((c.sim.now, client_id, repr(op)))
+                return op
+            return _record
+        client.workload = wrap(client.workload, client.client_id)
+    result = cluster.run(duration=200.0, warmup=50.0)
+    return result.ops_completed, drawn
+
+
+def test_replication_map_restarts_the_user_assignment():
+    """A second cluster that builds its replication map from the same
+    workload object gets the users, and so the ops, that a fresh
+    workload's clients would."""
+    fresh_ops, fresh_stream = _op_stream(FacebookWorkload())
+    reused = FacebookWorkload()
+    _op_stream(reused)
+    reused_ops, reused_stream = _op_stream(reused)
+    assert reused_ops == fresh_ops > 0
+    assert reused_stream == fresh_stream
+
+
+def test_a_client_generator_costs_references_over_shared_user_records():
+    """The open-loop pool outgrows the graph (3,283 clients over 2,000
+    users at 10,000 ops/s/DC), so a spawned client's generator holds
+    references only (≈ 110 B; the closure generator cost 1,541 B here),
+    over user records (≈ 600 B each) that the first client builds once
+    and every client of a user shares."""
+    workload = FacebookWorkload(num_users=2000, min_replicas=2,
+                                max_replicas=3)
+    rng = RngRegistry(seed=7)
+    sites = ("I", "F", "T")
+    replication = workload.replication_map(sites, ec2_latency, rng)
+    names = [f"client-{index}" for index in range(3000)]
+    for name in names:
+        rng.stream(name)        # the streams are not the generator's bytes
+
+    def make(index):
+        return workload.client_generator(sites[index % 3], replication, rng,
+                                         ec2_latency, names[index])
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        generators = [make(0)]              # builds every user's record
+        built = tracemalloc.get_traced_memory()[0]
+        generators += [make(index) for index in range(1, len(names))]
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (built - start) / 2000 <= 800
+    assert (end - built) / (len(names) - 1) <= 400
+    by_user = {}
+    for generator in generators:
+        by_user.setdefault(generator.me, []).append(generator)
+    assert len(by_user) == 2000
+    a, b = by_user[0][:2]
+    assert a is not b and a.record is b.record
+    assert a.record.friends == tuple(sorted(workload.adjacency[0]))
+    assert a.record.keys == tuple(f"gu0:{i}" for i in range(KEYS_PER_USER))
